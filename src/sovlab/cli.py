@@ -8,6 +8,7 @@ separate ``timings`` block).  The environment variable ``SOVLAB_THREADS``
 caps the BLAS thread pools for the whole process.
 """
 
+import ctypes
 import json
 import os
 import time
@@ -22,27 +23,51 @@ from .errors import ConfigError, SizeCapError, SovLabError, TaskFailure
 from .suites import DEFAULT_TOLERANCES, SUITES, Workspace, run_task, validate_tasks
 
 
+#: thread-count setters of the OpenBLAS builds numpy and scipy ship; each has
+#: a matching ``_get_`` reader
+_OPENBLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+)
+
+
+def _openblas_pools():
+    """(set, get) thread-count functions of every OpenBLAS library loaded here."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh
+                     if "openblas" in line.lower() and ".so" in line}
+    except OSError:  # no /proc: no pool can be found, so none is capped
+        return []
+    pools = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_SETTERS:
+            if hasattr(lib, name):
+                set_fn, get_fn = getattr(lib, name), getattr(lib, name.replace("_set_", "_get_"))
+                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+                pools.append((set_fn, get_fn))
+                break
+    return pools
+
+
 def _limit_threads(parallel=False):
     """Cap the BLAS pools: one thread unless --parallel, SOVLAB_THREADS wins.
 
     Sequential execution is the default because threaded BLAS reductions can
     reorder floating-point sums, which would undermine the bit-reproducibility
-    of reports.
+    of reports.  Returns the largest pool size read back from the loaded
+    OpenBLAS libraries, or None when none is loaded.
     """
     cap = os.environ.get("SOVLAB_THREADS")
-    if cap:
-        limit = int(cap)
-    elif not parallel:
-        limit = 1
-    else:
-        return None
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=limit)
-        return limit
-    except Exception:  # pragma: no cover - depends on BLAS runtime
-        return None
+    limit = int(cap) if cap else (None if parallel else 1)
+    pools = _openblas_pools()
+    if limit is not None:
+        for set_fn, _ in pools:
+            set_fn(limit)
+    return max((get_fn() for _, get_fn in pools), default=None)
 
 
 def parse_scalar(value):
@@ -197,7 +222,7 @@ def run(cfg, echo=click.echo, strict=False):
         cfg["seed"],
         eta=cfg["eta"],
         xi=cfg["xi"],
-        twist=cfg["twist"] if cfg["algebra"] == "gl3" else cfg["twist"],
+        twist=cfg["twist"],
         reference=cfg["reference"],
     )
     results = []
@@ -269,6 +294,17 @@ def _common_overrides(sites, seed, tol, out, parallel=None):
     return over
 
 
+def _run_or_exit(config_path, over):
+    """Resolve and run one configuration; exit with status 1 if a task fails."""
+    try:
+        cfg = resolve_config(config_path, over)
+        report = run(cfg)
+    except ConfigError as exc:
+        raise click.ClickException(f"config error: {exc}")
+    if not report["all_passed"]:
+        raise SystemExit(1)
+
+
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--all", "run_all", is_flag=True, help="Run every registered suite.")
@@ -286,73 +322,40 @@ def verify(config_path, run_all, sites, seed, tol, out, suite_csv, parallel):
         over["tasks"] = [s.strip() for s in suite_csv.split(",") if s.strip()]
     elif run_all:
         over["tasks"] = None  # resolved to the full registry
-    try:
-        cfg = resolve_config(config_path, over)
-        report = run(cfg)
-    except ConfigError as exc:
-        raise click.ClickException(f"config error: {exc}")
-    if not report["all_passed"]:
-        raise SystemExit(1)
+    _run_or_exit(config_path, over)
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("-N", "--sites", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=".", show_default=True)
-@click.option("--algebra", type=click.Choice(["gl3", "gl2"]), default=None)
-def gram(config_path, sites, seed, out, algebra):
-    """Write the coupling matrix (gram.csv) and its pattern report."""
-    over = _common_overrides(sites, seed, None, out)
-    over["tasks"] = ["gram", "measure"]
-    if algebra:
-        over["algebra"] = algebra
-    try:
-        cfg = resolve_config(config_path, over)
-        report = run(cfg)
-    except ConfigError as exc:
-        raise click.ClickException(f"config error: {exc}")
-    if not report["all_passed"]:
-        raise SystemExit(1)
+def _task_command(name, tasks, help_text, algebra_option):
+    """Register a command running the fixed ``tasks`` with output into --out."""
+    options = [
+        click.option("--config", "config_path", type=click.Path(exists=True), default=None),
+        click.option("-N", "--sites", type=int, default=None),
+        click.option("--seed", type=int, default=None),
+        click.option("--out", type=click.Path(), default=".", show_default=True),
+    ]
+    if algebra_option:
+        options.append(click.option("--algebra", type=click.Choice(["gl3", "gl2"]), default=None))
+
+    def command(config_path, sites, seed, out, algebra=None):
+        over = _common_overrides(sites, seed, None, out)
+        over["tasks"] = list(tasks)
+        if algebra:
+            over["algebra"] = algebra
+        _run_or_exit(config_path, over)
+
+    for option in reversed(options):
+        command = option(command)
+    return main.command(name, help=help_text)(command)
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("-N", "--sites", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=".", show_default=True)
-@click.option("--algebra", type=click.Choice(["gl3", "gl2"]), default=None)
-def measure(config_path, sites, seed, out, algebra):
-    """Write gram.csv and the inverse measure.csv."""
-    over = _common_overrides(sites, seed, None, out)
-    over["tasks"] = ["measure"]
-    if algebra:
-        over["algebra"] = algebra
-    try:
-        cfg = resolve_config(config_path, over)
-        report = run(cfg)
-    except ConfigError as exc:
-        raise click.ClickException(f"config error: {exc}")
-    if not report["all_passed"]:
-        raise SystemExit(1)
-
-
-@main.command("scalar-product")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("-N", "--sites", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=".", show_default=True)
-def scalar_product(config_path, sites, seed, out):
-    """Determinant scalar products against the direct summation oracle."""
-    over = _common_overrides(sites, seed, None, out)
-    over["tasks"] = ["scalarproducts"]
-    try:
-        cfg = resolve_config(config_path, over)
-        report = run(cfg)
-    except ConfigError as exc:
-        raise click.ClickException(f"config error: {exc}")
-    if not report["all_passed"]:
-        raise SystemExit(1)
+gram = _task_command("gram", ["gram", "measure"],
+                     "Write the coupling matrix (gram.csv) and its pattern report.",
+                     algebra_option=True)
+measure = _task_command("measure", ["measure"], "Write gram.csv and the inverse measure.csv.",
+                        algebra_option=True)
+scalar_product = _task_command("scalar-product", ["scalarproducts"],
+                               "Determinant scalar products against the direct summation oracle.",
+                               algebra_option=False)
 
 
 @main.command()

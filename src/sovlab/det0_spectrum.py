@@ -18,7 +18,7 @@ from .errors import (
     SpectrumNotSimple,
 )
 from .gl3_model import InterpolationWeights, TransferCache
-from .numkernel import canonical_eig_order, vandermonde
+from .numkernel import eig_general, rel_residual, vandermonde
 from .sov_bases import TernaryIndex, dressed_pair
 from .sov_measure import diag_formula
 
@@ -122,20 +122,7 @@ def eigensolve_sov(params, xyz, lambda0=None, pair=None, cache=None, gap_rtol=1e
     cache = cache or TransferCache(params)
     pair = pair or dressed_pair(params, xyz, cache)
     lam0 = default_probe_point(params) if lambda0 is None else lambda0
-    t_probe = cache.t1(lam0)
-    vals, vr = np.linalg.eig(t_probe)
-    vals_l, vl = np.linalg.eig(t_probe.T)
-    order = canonical_eig_order(vals)
-    vals, vr = vals[order], vr[:, order]
-    order_l = canonical_eig_order(vals_l)
-    vals_l, vl = vals_l[order_l], vl[:, order_l]
-    scale = max(np.abs(vals).max(), 1e-300)
-    diffs = np.abs(vals[:, None] - vals[None, :])
-    diffs[np.diag_indices_from(diffs)] = np.inf
-    if diffs.min() <= gap_rtol * scale:
-        raise SpectrumNotSimple(
-            f"T_1 eigenvalue gap {diffs.min():.2e} below {gap_rtol:.0e} * scale"
-        )
+    dec = eig_general(cache.t1(lam0), gap_rtol=gap_rtol)
 
     n = params.sites
     one_flat = TernaryIndex((1,) * n).flat
@@ -147,7 +134,7 @@ def eigensolve_sov(params, xyz, lambda0=None, pair=None, cache=None, gap_rtol=1e
 
     states = []
     for i in range(params.dim):
-        v, u = vr[:, i], vl[:, i]
+        v, u = dec.right[:, i], dec.left[i]
         t1x = np.array([_rayleigh(u, v, m) for m in t1_nodes])
         t1s = np.array([_rayleigh(u, v, m) for m in t1_sh])
         t2x = np.array([_rayleigh(u, v, m) for m in t2_nodes])
@@ -314,7 +301,7 @@ def interpolated_action_check(params, h, which, side, xyz, lambdas, cache=None):
             approx = np.zeros(params.dim, dtype=complex)
             for coef, idx in build(h, lam):
                 approx += coef * pair.right[:, idx.flat]
-        worst = max(worst, np.abs(dense - approx).max() / max(np.abs(dense).max(), 1e-300))
+        worst = max(worst, rel_residual(dense - approx, dense))
     return worst
 
 
@@ -347,10 +334,7 @@ def boundary_eigenstate_check(params, xyz, lambdas, cache=None):
                     "pick spectral points away from the shifted inhomogeneities"
                 )
             consts.append(acted[j] / ref[j])
-            resid = max(
-                resid,
-                np.abs(acted - consts[-1] * ref).max() / max(np.abs(acted).max(), 1e-300),
-            )
+            resid = max(resid, rel_residual(acted - consts[-1] * ref, acted))
         consts = np.array(consts)
         spread = np.abs(consts - consts[0]).max() / max(abs(consts[0]), 1e-300)
         return resid, complex(consts[0]), float(spread)

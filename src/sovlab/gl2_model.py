@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateReference, SpectrumNotSimple
-from .numkernel import canonical_eig_order, vandermonde
+from .errors import DegenerateReference
+from .numkernel import eig_general, rel_residual, vandermonde
 from .sov_bases import tensor_product_state
 
 _P4 = np.zeros((4, 4), dtype=complex)
@@ -177,6 +177,28 @@ def coupling_prediction(params, h):
     return 1.0 / (vandermonde(params.xi) * vandermonde(shifted))
 
 
+def coupling_residuals(params, cache=None):
+    """Coupling matrix G = left @ right of the SoV bases and its deviation
+    from the orthogonal prediction.
+
+    Returns ``(G, cells, diagonal)``: the largest deviation over every cell
+    relative to max|G|, and the largest over the diagonal relative to each
+    predicted coupling.
+    """
+    left, right, _ = gl2_bases(params, cache)
+    gram = left @ right
+    labels = list(binary_labels(params.sites))
+    scale = np.abs(gram).max()
+    cells = diagonal = 0.0
+    for h in labels:
+        pred = coupling_prediction(params, h)
+        diagonal = max(diagonal, abs(gram[flat2(h), flat2(h)] - pred) / abs(pred))
+        for k in labels:
+            cell = gram[flat2(h), flat2(k)] - (pred if h == k else 0.0)
+            cells = max(cells, abs(cell) / scale)
+    return gram, cells, diagonal
+
+
 def qdet_scalar(params, a, cache=None):
     """Observed fusion scalar T(xi_a) T(xi_a - eta) and its off-identity residual.
 
@@ -205,18 +227,7 @@ def gl2_eigen_reps(params, lambda0=None, cache=None, gap_rtol=1e-8):
     cache = cache or Gl2TransferCache(params)
     left, right, zeros_col = gl2_bases(params, cache)
     lam0 = params.xi[0] + 13 / 7 * params.eta if lambda0 is None else lambda0
-    probe = cache.value(lam0)
-    vals, vr = np.linalg.eig(probe)
-    vals_l, vl = np.linalg.eig(probe.T)
-    order = canonical_eig_order(vals)
-    vals, vr = vals[order], vr[:, order]
-    order_l = canonical_eig_order(vals_l)
-    vals_l, vl = vals_l[order_l], vl[:, order_l]
-    scale = max(np.abs(vals).max(), 1e-300)
-    diffs = np.abs(vals[:, None] - vals[None, :])
-    diffs[np.diag_indices_from(diffs)] = np.inf
-    if diffs.min() <= gap_rtol * scale:
-        raise SpectrumNotSimple("gl2 transfer spectrum not simple at the probe point")
+    dec = eig_general(cache.value(lam0), gap_rtol=gap_rtol)
 
     row0, ones_col, _ = reference_states(params)
     v_xi = vandermonde(params.xi)
@@ -233,7 +244,7 @@ def gl2_eigen_reps(params, lambda0=None, cache=None, gap_rtol=1e-8):
     }
     labels = list(binary_labels(params.sites))
     for i in range(params.dim):
-        v, u = vr[:, i], vl[:, i]
+        v, u = dec.right[:, i], dec.left[i]
         t_val = [(u @ m @ v) / (u @ v) for m in t_at]
         t_vs = [(u @ m @ v) / (u @ v) for m in t_sh]
         v = v / (row0 @ v) / v_xi
@@ -250,10 +261,7 @@ def gl2_eigen_reps(params, lambda0=None, cache=None, gap_rtol=1e-8):
                           for a in range(params.sites)])
             vpred += cr * weight * right[:, flat2(h)]
             upred += cl * weight * left[flat2(h)]
-        resid = max(
-            np.abs(vpred - v).max() / max(np.abs(v).max(), 1e-300),
-            np.abs(upred - u).max() / max(np.abs(u).max(), 1e-300),
-        )
+        resid = max(rel_residual(vpred - v, v), rel_residual(upred - u, u))
         out["reconstruction_residual"] = max(out["reconstruction_residual"], float(resid))
 
         overlap = np.prod([t_vs[a] / params.a_poly(params.xi[a]) for a in range(params.sites)])
@@ -270,13 +278,9 @@ def gl2_eigen_reps(params, lambda0=None, cache=None, gap_rtol=1e-8):
                 for a, d in enumerate(h):
                     if d == 1:
                         col = t_at[a] @ col / (detk * params.d_poly(params.xi[a] - params.eta))
-                worst = max(
-                    worst,
-                    np.abs(col - right[:, flat2(h)]).max()
-                    / max(np.abs(right[:, flat2(h)]).max(), 1e-300),
-                )
+                worst = max(worst, rel_residual(col - right[:, flat2(h)], right[:, flat2(h)]))
             out["detk_rep_residual"] = max(out["detk_rep_residual"], float(worst))
-        out["states"].append({"eigenvalue": complex(vals[i])})
+        out["states"].append({"eigenvalue": complex(dec.values[i])})
     return out
 
 

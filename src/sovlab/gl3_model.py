@@ -18,13 +18,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IndexOrder, SizeCapError, SpectrumNotSimple
+from .errors import IndexOrder, SizeCapError
 from .numkernel import (
     DENSE_DIM_CAP,
     adjugate3,
     antisymmetrizer,
     as_matrix,
-    canonical_eig_order,
+    eig_general,
+    rel_residual,
 )
 
 _P9 = None
@@ -53,8 +54,7 @@ def check_yang_baxter(lam, mu, eta):
     r23 = embed_pair(r_matrix(mu, eta), 3, 1, 2)
     lhs = r12 @ r13 @ r23
     rhs = r23 @ r13 @ r12
-    scale = max(np.abs(lhs).max(), 1e-300)
-    return float(np.abs(lhs - rhs).max() / scale)
+    return rel_residual(lhs - rhs, lhs)
 
 
 def scalar_yb_residual(k_matrix, lam, eta):
@@ -65,8 +65,7 @@ def scalar_yb_residual(k_matrix, lam, eta):
     r = r_matrix(lam, eta)
     lhs = r @ k1 @ k2
     rhs = k2 @ k1 @ r
-    scale = max(np.abs(lhs).max(), 1e-300)
-    return float(np.abs(lhs - rhs).max() / scale)
+    return rel_residual(lhs - rhs, lhs)
 
 
 def embed_pair(op, n_slots, i, j, d=3):
@@ -174,17 +173,8 @@ class TwistData:
         Numerical Jordan forms are ill-posed, so a K with (numerically)
         repeated eigenvalues is rejected; supply explicit (W, K_J) instead.
         """
-        k = as_matrix(k)
-        vals, vecs = np.linalg.eig(k)
-        order = canonical_eig_order(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        scale = max(np.abs(vals).max(), 1e-300)
-        gaps = [abs(vals[i] - vals[j]) for i in range(3) for j in range(i + 1, 3)]
-        if min(gaps) <= gap_rtol * scale:
-            raise SpectrumNotSimple(
-                "K has (numerically) repeated eigenvalues; supply (w, k_jordan) explicitly"
-            )
-        return cls(k, "i", vecs, np.diag(vals))
+        dec = eig_general(k, gap_rtol=gap_rtol)
+        return cls(k, "i", dec.right, np.diag(dec.values))
 
     @classmethod
     def from_eigenvalues(cls, eigenvalues, w=None):
@@ -193,9 +183,6 @@ class TwistData:
         kj = np.diag(vals)
         case = _case_of_jordan(kj)
         return cls(w @ kj @ np.linalg.inv(w), case, w, kj)
-
-    def replace_jordan(self, k_jordan):
-        return TwistData.from_jordan(self.w, k_jordan)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +266,7 @@ def rtt_residual(params, lam, mu):
     r12 = embed_pair(r_matrix(lam - mu, params.eta), slots, 0, 1)
     lhs = r12 @ m1 @ m2
     rhs = m2 @ m1 @ r12
-    return float(np.abs(lhs - rhs).max() / max(np.abs(lhs).max(), 1e-300))
+    return rel_residual(lhs - rhs, lhs)
 
 
 def _embed_single(op, n_slots, slot, d=3):
@@ -495,9 +482,7 @@ def fusion_residuals(params, cache=None):
             rhs = cache.value(m + 1, xa)
             scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
             out["fusion"][(a, m)] = float(np.abs(lhs - rhs).max() / scale)
-        tz = cache.t2(xa + params.eta)
-        zscale = max(np.abs(cache.t2(xa)).max(), 1e-300)
-        out["central_zero"][a] = float(np.abs(tz).max() / zscale)
+        out["central_zero"][a] = rel_residual(cache.t2(xa + params.eta), cache.t2(xa))
     return out
 
 
@@ -546,7 +531,7 @@ def product_formula_check(params, a_indices):
     for pos, a in enumerate(sites):
         rhs = rhs @ _chain(params, a, range(a + 1, params.sites + 1), omit=sites[pos + 1:])
     rhs = coef * rhs
-    return float(np.abs(lhs - rhs).max() / max(np.abs(lhs).max(), 1e-300))
+    return rel_residual(lhs - rhs, lhs)
 
 
 def exchange_relation_residual(params, low, high, between):
@@ -563,7 +548,7 @@ def exchange_relation_residual(params, low, high, between):
     lhs = right_low(between) @ left_high(between)
     scal = params.eta**2 - (params.xi[high - 1] - params.xi[low - 1]) ** 2
     rhs = scal * (left_high(between + (low,)) @ right_low(between + (high,)))
-    return float(np.abs(lhs - rhs).max() / max(np.abs(lhs).max(), 1e-300))
+    return rel_residual(lhs - rhs, lhs)
 
 
 def t1_leading_coefficient(params, cache=None):

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import EigFailure, SizeCapError
+from .errors import EigFailure, SizeCapError, SpectrumNotSimple
 
 #: default relative threshold for rank / zero decisions
 RANK_RTOL = 1e-9
@@ -117,19 +117,21 @@ class EigenDecomposition:
         return (self.right * self.values) @ self.left
 
     def min_gap(self):
-        v = np.sort_complex(self.values)
         diffs = np.abs(self.values[:, None] - self.values[None, :])
         diffs[np.diag_indices_from(diffs)] = np.inf
-        return float(diffs.min()) if len(v) > 1 else np.inf
+        return float(diffs.min()) if len(self.values) > 1 else np.inf
 
 
-def eig_general(a, cap=DENSE_DIM_CAP, pair_gap_rtol=1e-8):
+def eig_general(a, cap=DENSE_DIM_CAP, pair_gap_rtol=1e-8, gap_rtol=None):
     """Full eigendecomposition with bilinearly paired left/right families.
 
-    Left vectors are computed as right eigenvectors of ``a.T`` (transpose,
-    not conjugate transpose), so ``left[i] @ a = values[i] * left[i]``.
-    Within clusters of nearly equal eigenvalues the left family is re-paired
-    to maximize the bilinear overlaps before normalization.
+    Eigenvalues are sorted by (Re, Im).  Left vectors are computed as right
+    eigenvectors of ``a.T`` (transpose, not conjugate transpose), so
+    ``left[i] @ a = values[i] * left[i]``.  Within clusters of nearly equal
+    eigenvalues the left family is re-paired to maximize the bilinear overlaps
+    before normalization.  With ``gap_rtol`` a spectrum whose smallest
+    eigenvalue gap is at most ``gap_rtol * max|lambda|`` raises
+    :class:`SpectrumNotSimple`.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -148,7 +150,10 @@ def eig_general(a, cap=DENSE_DIM_CAP, pair_gap_rtol=1e-8):
     order_l = canonical_eig_order(vals_l)
     vals_l, vl = vals_l[order_l], vl[:, order_l]
 
+    dec = EigenDecomposition(vals_r, vr, None, None)
     scale = max(np.abs(vals_r).max(), 1e-300)
+    if gap_rtol is not None and dec.min_gap() <= gap_rtol * scale:
+        raise SpectrumNotSimple(f"eigenvalue gap {dec.min_gap():.2e} below {gap_rtol:.0e} * scale")
     # repair the pairing inside near-degenerate clusters
     taken = np.zeros(n, dtype=bool)
     left_rows = np.empty((n, n), dtype=complex)
@@ -167,13 +172,16 @@ def eig_general(a, cap=DENSE_DIM_CAP, pair_gap_rtol=1e-8):
                 residual=abs(pairing),
             )
         left_rows[i] = vl[:, j] / pairing
+    dec.left = left_rows
 
-    norm_a = np.linalg.norm(a)
-    resid = 0.0
-    for i in range(n):
-        resid = max(resid, np.linalg.norm(a @ vr[:, i] - vals_r[i] * vr[:, i]))
-    residual_norm = resid / max(norm_a, 1e-300)
-    return EigenDecomposition(vals_r, vr, left_rows, residual_norm)
+    resid = np.linalg.norm(a @ vr - vr * vals_r, axis=0).max()
+    dec.residual_norm = resid / max(np.linalg.norm(a), 1e-300)
+    return dec
+
+
+def rel_residual(diff, ref):
+    """max|diff| relative to max|ref|: the library's relative-residual convention."""
+    return float(np.abs(diff).max() / max(np.abs(ref).max(), 1e-300))
 
 
 def rank_ratio(matrix):

@@ -7,8 +7,6 @@ within ``margin`` of violating) the genericity conditions.  The rational grid
 keeps condition numbers tame and makes reports bit-reproducible.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _DEN = 8
@@ -97,14 +95,3 @@ class ParameterSampler:
                 return k
         raise RuntimeError("could not sample a gl2 twist")
 
-
-@dataclass
-class SampleLog:
-    """Record of resampling retries, embedded into reports."""
-
-    seed: int
-    retries: int = 0
-    notes: tuple = ()
-
-    def bumped(self, note):
-        return SampleLog(self.seed + 1, self.retries + 1, self.notes + (note,))

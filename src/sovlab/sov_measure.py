@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateFamily, DetKZero, SingularGram
 from .gl3_model import InterpolationWeights, TransferCache, quantum_determinant_identity
-from .numkernel import vandermonde
+from .numkernel import rel_residual, vandermonde
 from .sov_bases import TernaryIndex, dressed_pair
 
 
@@ -307,10 +307,8 @@ def dual_bases(pair, report):
     if not np.isfinite(inverse) or inverse > 1e-4:
         raise SingularGram(f"inverse residual {inverse:.2e}; coupling matrix near singular")
     ortho = max(
-        np.abs(p_cov @ right_u - np.diag(report.diag / col_norms)).max()
-        / max(np.abs(report.diag / col_norms).max(), 1e-300),
-        np.abs(left_u @ p_vec - np.diag(report.diag / row_norms)).max()
-        / max(np.abs(report.diag / row_norms).max(), 1e-300),
+        rel_residual(p_cov @ right_u - np.diag(report.diag / col_norms), report.diag / col_norms),
+        rel_residual(left_u @ p_vec - np.diag(report.diag / row_norms), report.diag / row_norms),
     )
     return DualBasisData(p_cov, p_vec, measure, float(ortho), float(inverse))
 
@@ -436,10 +434,10 @@ def appc_recursion_check(params, r, xyz, h_rest=(), cache=None):
 # exports
 
 
-def export_matrix_csv(matrix, path, sites):
-    """CSV with flat ternary row/column headers; complex cells as "re,im"."""
+def export_matrix_csv(matrix, path):
+    """CSV with flat label row/column headers 0..dim-1; complex cells as "re,im"."""
     matrix = np.asarray(matrix)
-    headers = [str(h.flat) for h in TernaryIndex.all(sites)]
+    headers = [str(i) for i in range(len(matrix))]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["h\\k"] + headers)

@@ -27,6 +27,7 @@ from .det0_spectrum import (
 )
 from .errors import ConfigError, SingularBasis
 from .gl3_model import ModelParams, TransferCache, TwistData
+from .numkernel import rel_residual
 from .sampling import ParameterSampler
 from .sov_bases import TernaryIndex, dressed_pair, power_pair, reference_vector_solve
 from .sov_measure import (
@@ -237,8 +238,7 @@ def run_fusion(ws, tol):
         t2 = cache.t2(lam)
         interp = max(
             interp,
-            np.abs(gl3_model.t2_interpolated(params, lam, cache) - t2).max()
-            / max(np.abs(t2).max(), 1e-300),
+            rel_residual(gl3_model.t2_interpolated(params, lam, cache) - t2, t2),
         )
     asym = _asymptotics_residual(params, cache)
     details = {
@@ -273,9 +273,7 @@ def run_bases(ws, tol):
         np.abs(pair.left @ pair.ref_vector - np.eye(params.dim)[0]).max()
     )
     solved = reference_vector_solve(pair.left)
-    agree = float(
-        np.abs(solved - pair.ref_vector).max() / max(np.abs(pair.ref_vector).max(), 1e-300)
-    )
+    agree = rel_residual(solved - pair.ref_vector, pair.ref_vector)
     s = ParameterSampler(ws.seed + 3000)
     rst = s.reference3()
     ppair = power_pair(params, xyz, rst, cache)
@@ -310,13 +308,14 @@ def _variant_relation_residual(params, xyz, cache):
             if d == 0:
                 alpha *= gl3_model.quantum_determinant(params, params.xi[a])
         ref = pair.left[h.flat]
-        worst = max(worst, np.abs(ref - alpha * row).max() / max(np.abs(ref).max(), 1e-300))
+        worst = max(worst, rel_residual(ref - alpha * row, ref))
     return float(worst)
 
 
 def run_gram(ws, tol):
     if ws.algebra == "gl2":
-        return _run_gram_gl2(ws, tol)
+        g, cells, _ = gl2_model.coupling_residuals(*ws.gl2())
+        return _result("gram", tol, cells, {"scale": float(np.abs(g).max())}, ws)
     params, _, _, _ = ws.gl3()
     report = ws.gl3_gram()
     zero_worst = max(
@@ -328,57 +327,24 @@ def run_gram(ws, tol):
     return _result("gram", tol, max(zero_worst, report.max_diag_rel_err), details, ws, ok)
 
 
-def _run_gram_gl2(ws, tol):
-    params, cache = ws.gl2()
-    left, right, _ = gl2_model.gl2_bases(params, cache)
-    g = left @ right
-    scale = np.abs(g).max()
-    worst = 0.0
-    for h in gl2_model.binary_labels(params.sites):
-        for k in gl2_model.binary_labels(params.sites):
-            pred = gl2_model.coupling_prediction(params, h) if h == k else 0.0
-            worst = max(
-                worst, abs(g[gl2_model.flat2(h), gl2_model.flat2(k)] - pred) / scale
-            )
-    return _result("gram", tol, worst, {"scale": float(scale)}, ws)
-
-
 def run_measure(ws, tol, out_dir=None):
     if ws.algebra == "gl2":
         params, cache = ws.gl2()
-        left, right, _ = gl2_model.gl2_bases(params, cache)
-        g = left @ right
-        worst = 0.0
-        for h in gl2_model.binary_labels(params.sites):
-            pred = gl2_model.coupling_prediction(params, h)
-            worst = max(worst, abs(g[gl2_model.flat2(h), gl2_model.flat2(h)] - pred) / abs(pred))
+        g, _, diagonal = gl2_model.coupling_residuals(params, cache)
         if out_dir is not None:
-            _write_gl2_csv(g, out_dir / "gram.csv", params.sites)
-            _write_gl2_csv(np.linalg.inv(g), out_dir / "measure.csv", params.sites)
-        return _result("measure", tol, worst, {"dim": params.dim}, ws)
+            sov_measure.export_matrix_csv(g, out_dir / "gram.csv")
+            sov_measure.export_matrix_csv(np.linalg.inv(g), out_dir / "measure.csv")
+        return _result("measure", tol, diagonal, {"dim": params.dim}, ws)
     params, _, _, pair = ws.gl3()
     report = ws.gl3_gram()
     worst = report.max_diag_rel_err
     kind_worst = _twist_independence_residual(ws)
     if out_dir is not None:
-        sov_measure.export_matrix_csv(report.gram, out_dir / "gram.csv", params.sites)
+        sov_measure.export_matrix_csv(report.gram, out_dir / "gram.csv")
         measure = np.linalg.solve(report.gram, np.eye(params.dim, dtype=complex))
-        sov_measure.export_matrix_csv(measure, out_dir / "measure.csv", params.sites)
+        sov_measure.export_matrix_csv(measure, out_dir / "measure.csv")
     details = {"max_diag_rel_err": worst, "twist_independence": kind_worst}
     return _result("measure", tol, max(worst, kind_worst), details, ws)
-
-
-def _write_gl2_csv(matrix, path, sites):
-    import csv
-
-    headers = [str(gl2_model.flat2(h)) for h in gl2_model.binary_labels(sites)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h\\k"] + headers)
-        for i, row in enumerate(np.asarray(matrix)):
-            writer.writerow(
-                [headers[i]] + [f"{float(z.real)!r},{float(z.imag)!r}" for z in row]
-            )
 
 
 def _twist_independence_residual(ws):
@@ -530,9 +496,7 @@ def run_ttcharges(ws, tol):
         lam = s.spectral_point(params.xi, params.eta)
         t = cache.t1(mu)
         c = family.charge(1, lam)
-        comm_worst = max(
-            comm_worst, np.abs(t @ c - c @ t).max() / max(np.abs(t @ c).max(), 1e-300)
-        )
+        comm_worst = max(comm_worst, rel_residual(t @ c - c @ t, t @ c))
     tpair = tt_sov_bases(family, xyz)
     treport = gram(tpair.left, tpair.right, params.with_twist(family.khat_params.twist))
     off = treport.max_offdiag_cosine
@@ -556,16 +520,7 @@ def run_ttcharges(ws, tol):
 
 def run_gl2(ws, tol):
     params, cache = ws.gl2()
-    left, right, _ = gl2_model.gl2_bases(params, cache)
-    g = left @ right
-    scale = np.abs(g).max()
-    measure_worst = 0.0
-    for h in gl2_model.binary_labels(params.sites):
-        for k in gl2_model.binary_labels(params.sites):
-            pred = gl2_model.coupling_prediction(params, h) if h == k else 0.0
-            measure_worst = max(
-                measure_worst, abs(g[gl2_model.flat2(h), gl2_model.flat2(k)] - pred) / scale
-            )
+    _, measure_worst, _ = gl2_model.coupling_residuals(params, cache)
     ident = gl2_model.identity_decomposition_residual(params, cache)
     qworst = 0.0
     for a in range(params.sites):

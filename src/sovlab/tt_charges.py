@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .det0_spectrum import default_probe_point, eigensolve_sov, make_khat
-from .errors import SpectrumNotSimple
 from .gl3_model import TransferCache
-from .numkernel import canonical_eig_order
+from .numkernel import eig_general, rel_residual
 from .sov_bases import (
     SovBasisPair,
     TernaryIndex,
@@ -33,19 +32,23 @@ from .sov_bases import (
 
 @dataclass
 class ChargeFamily:
-    """Spectral projectors of the invertible-twist chain paired with the
-    eigenvalue families of its zero-determinant companion.
+    """Bi-orthonormal eigenvectors of the invertible-twist chain paired with
+    the eigenvalue families of its zero-determinant companion.
 
-    ``pairing[a]`` is the K-hat eigenstate index assigned to projector a; both
-    sides are sorted by the canonical (Re, Im) key of their probe-point
+    ``right[:, a]`` and ``left[a]`` are the right and left eigenvectors of
+    T_1^{(K)} at the probe point, with ``left @ right = I``; the spectral
+    projector of eigenstate a is ``outer(right[:, a], left[a])``.
+    ``pairing[a]`` is the K-hat eigenstate index assigned to eigenstate a;
+    both sides are sorted by the canonical (Re, Im) key of their probe-point
     eigenvalue, so the pairing is the identity permutation by construction.
     That choice is a determinism convention: the fusion and orthogonality
-    identities hold per projector for any bijection.
+    identities hold per eigenstate for any bijection.
     """
 
     params: object
     khat_params: object
-    projectors: list
+    right: np.ndarray
+    left: np.ndarray
     khat_states: list
     pairing: tuple
     probe_point: complex
@@ -56,16 +59,22 @@ class ChargeFamily:
         if j not in (1, 2):
             raise ValueError("charge order must be 1 or 2")
         tj = self._khat_cache.value(j, lam)
-        out = np.zeros((self.params.dim, self.params.dim), dtype=complex)
-        for a, proj in enumerate(self.projectors):
+        values = np.empty(self.params.dim, dtype=complex)
+        for a in range(self.params.dim):
             st = self.khat_states[self.pairing[a]]
-            value = (st.left @ tj @ st.right) / (st.left @ st.right)
-            out += value * proj
-        return out
+            values[a] = (st.left @ tj @ st.right) / (st.left @ st.right)
+        return (self.right * values) @ self.left
+
+    # t1/t2 let the family stand in for a TransferCache in the basis builders
+    def t1(self, lam):
+        return self.charge(1, lam)
+
+    def t2(self, lam):
+        return self.charge(2, lam)
 
     def completeness_residual(self):
-        total = sum(self.projectors)
-        return float(np.abs(total - np.eye(self.params.dim)).max())
+        """max |sum_a P_a - I| over the spectral projectors."""
+        return float(np.abs(self.right @ self.left - np.eye(self.params.dim)).max())
 
     def overlap_matrix(self):
         """Pairings of the invertible-twist left eigenstates against the
@@ -75,27 +84,20 @@ class ChargeFamily:
         structural claim is made about it here beyond finiteness, so it is
         exposed for inspection only.
         """
-        rows = []
-        for a, proj in enumerate(self.projectors):
-            row = proj[int(np.argmax(np.abs(proj).sum(axis=1)))]
-            row = row / np.linalg.norm(row)
-            rows.append([
-                complex(row @ st.right / np.linalg.norm(st.right))
-                for st in self.khat_states
-            ])
-        out = np.array(rows)
+        rows = self.left / np.linalg.norm(self.left, axis=1)[:, None]
+        cols = np.stack([st.right / np.linalg.norm(st.right) for st in self.khat_states], axis=1)
+        out = rows @ cols
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("overlap matrix contains non-finite entries")
         return out
 
     def idempotence_residual(self):
-        worst = 0.0
-        for a, pa in enumerate(self.projectors):
-            for b, pb in enumerate(self.projectors):
-                prod = pa @ pb
-                ref = pa if a == b else 0.0
-                worst = max(worst, np.abs(prod - ref).max())
-        return float(worst)
+        """max_ab |P_a P_b - delta_ab P_a| over the spectral projectors, read
+        off the pairings: P_a P_b - delta_ab P_a = ((L R)_ab - delta_ab) r_a l_b."""
+        dev = np.abs(self.left @ self.right - np.eye(self.params.dim))
+        r_max = np.abs(self.right).max(axis=0)
+        l_max = np.abs(self.left).max(axis=1)
+        return float((dev * r_max[:, None] * l_max[None, :]).max())
 
 
 def build_tt(params, khat_params=None, lambda0=None, gap_rtol=1e-6):
@@ -114,24 +116,7 @@ def build_tt(params, khat_params=None, lambda0=None, gap_rtol=1e-6):
     ):
         raise ValueError("charge construction needs matching (sites, eta, xi)")
     lam0 = default_probe_point(params) if lambda0 is None else lambda0
-    cache_k = TransferCache(params)
-    probe = cache_k.t1(lam0)
-    vals, vr = np.linalg.eig(probe)
-    vals_l, vl = np.linalg.eig(probe.T)
-    order = canonical_eig_order(vals)
-    vals, vr = vals[order], vr[:, order]
-    order_l = canonical_eig_order(vals_l)
-    vals_l, vl = vals_l[order_l], vl[:, order_l]
-    scale = max(np.abs(vals).max(), 1e-300)
-    diffs = np.abs(vals[:, None] - vals[None, :])
-    diffs[np.diag_indices_from(diffs)] = np.inf
-    if diffs.min() <= gap_rtol * scale:
-        raise SpectrumNotSimple("invertible-twist transfer spectrum is not simple")
-
-    projectors = []
-    for a in range(params.dim):
-        pairing = vl[:, a] @ vr[:, a]
-        projectors.append(np.outer(vr[:, a], vl[:, a]) / pairing)
+    dec = eig_general(TransferCache(params).t1(lam0), gap_rtol=gap_rtol)
 
     khat_cache = TransferCache(khat_params)
     # reference components only matter for normalization here; eigensolve
@@ -142,7 +127,8 @@ def build_tt(params, khat_params=None, lambda0=None, gap_rtol=1e-6):
     return ChargeFamily(
         params,
         khat_params,
-        projectors,
+        dec.right,
+        dec.left,
         khat_states,
         tuple(range(params.dim)),
         complex(lam0),
@@ -162,10 +148,9 @@ def fusion_residuals_tt(family):
         c2 = family.charge(2, x)
         c1s = family.charge(1, x - p.eta)
         c2s = family.charge(2, x - p.eta)
-        scale = max(np.abs(c2).max(), 1e-300)
-        out[(a, "annihilate_1")] = float(np.abs(c2s @ c1).max() / scale)
-        out[(a, "annihilate_2")] = float(np.abs(c2s @ c2).max() / scale)
-        out[(a, "produce_2")] = float(np.abs(c1s @ c1 - c2).max() / scale)
+        out[(a, "annihilate_1")] = rel_residual(c2s @ c1, c2)
+        out[(a, "annihilate_2")] = rel_residual(c2s @ c2, c2)
+        out[(a, "produce_2")] = rel_residual(c1s @ c1 - c2, c2)
     return out
 
 
@@ -179,31 +164,10 @@ def tt_sov_bases(family, xyz):
     polynomials in the original transfer matrices at the same nodes).
     """
     p = family.params
-
-    class _ChargeEvaluator:
-        """Duck-typed stand-in for TransferCache over the charge family."""
-
-        def __init__(self, fam):
-            self.fam = fam
-            self._store = {}
-
-        def value(self, m, lam):
-            key = (m, complex(lam))
-            if key not in self._store:
-                self._store[key] = self.fam.charge(m, lam)
-            return self._store[key]
-
-        def t1(self, lam):
-            return self.value(1, lam)
-
-        def t2(self, lam):
-            return self.value(2, lam)
-
-    evaluator = _ChargeEvaluator(family)
     ref_row = reference_covector(xyz, p.twist, p)
-    left = build_left_basis(p, ref_row, "dressed", evaluator)
+    left = build_left_basis(p, ref_row, "dressed", family)
     ref_col = reference_vector_solve(left)
-    right = build_right_basis(p, ref_col, "dressed", evaluator)
+    right = build_right_basis(p, ref_col, "dressed", family)
     return SovBasisPair(left, right, "dressed", ref_row, ref_col, provenance="charge-family")
 
 
@@ -214,11 +178,9 @@ def eigenstate_representation_residual(family, pair):
     n = p.sites
     one_flat = TernaryIndex((1,) * n).flat
     worst = 0.0
-    for a, proj in enumerate(family.projectors):
+    for a in range(p.dim):
         st = family.khat_states[family.pairing[a]]
-        # any nonzero column of the projector is the eigenvector
-        col = proj[:, int(np.argmax(np.abs(proj).sum(axis=0)))]
-        coords = pair.left @ col
+        coords = pair.left @ family.right[:, a]
         coords = coords / coords[one_flat]
         for h in TernaryIndex.all(n):
             pred = 1.0 + 0j

@@ -365,8 +365,7 @@ def test_criterion_12_conserved_charge_bases():
         for a in (0, 4, 8):
             st = family.khat_states[family.pairing[a]]
             zero_pattern(st, kp)
-            proj = family.projectors[a]
-            col = proj[:, int(np.argmax(np.abs(proj).sum(axis=0)))]
+            col = family.right[:, a]
             col = col / (tpair.left[one_flat] @ col)
             alpha = SeparateState.random(gen, 2)
             det_val = scalar_product_determinant(alpha, st, kp)

@@ -77,10 +77,30 @@ def test_gl2_measure_csv_cells(tmp_path):
     report = run(cfg, echo=lambda *a, **k: None)
     assert report["all_passed"]
     rows = list(csv.reader(open(tmp_path / "gram.csv")))
+    assert rows[0] == ["h\\k", "0", "1", "2", "3"]
     cells = [c for row in rows[1:] for c in row[1:]]
     assert len(cells) == 16
     for c in cells:
         re, im = (float(t) for t in c.split(","))
+
+
+@pytest.mark.parametrize(
+    "command, csv_files",
+    [("gram", ["gram.csv", "measure.csv"]), ("measure", ["gram.csv", "measure.csv"]),
+     ("scalar-product", [])],
+)
+def test_task_commands_write_outputs(tmp_path, command, csv_files):
+    result = CliRunner().invoke(main, [command, "-N", "2", "--seed", "7", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "report.json").exists()
+    for name in csv_files:
+        assert (tmp_path / name).exists()
+
+
+def test_default_run_caps_blas_threads(monkeypatch):
+    monkeypatch.delenv("SOVLAB_THREADS", raising=False)
+    cfg = resolve_config(None, {"sites": 1, "seed": 2, "tasks": ["yangbaxter"]})
+    assert run(cfg, echo=lambda *a, **k: None)["thread_cap"] == 1
 
 
 def test_report_determinism(tmp_path):

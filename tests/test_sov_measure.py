@@ -300,7 +300,7 @@ def test_export_csv_roundtrip(tmp_path, chain2):
     params, _, _, pair = chain2
     report = gram(pair.left, pair.right, params)
     path = tmp_path / "gram.csv"
-    export_matrix_csv(report.gram, path, params.sites)
+    export_matrix_csv(report.gram, path)
     import csv
 
     rows = list(csv.reader(open(path)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,22 @@ def test_projector_family(family2):
     _, _, _, family = family2
     assert family.completeness_residual() <= 1e-8
     assert family.idempotence_residual() <= 1e-8
+
+
+def test_projector_residuals_match_dense_projectors(family2):
+    """The residuals read off the eigenvector pairings equal the ones of the
+    explicit dense projectors P_a = r_a l_a, on a pair perturbed so that both
+    are far above rounding."""
+    _, _, _, family = family2
+    left = family.left + 1e-3 * np.random.default_rng(3).standard_normal((9, 9)) @ family.left
+    perturbed = dataclasses.replace(family, left=left)
+    projectors = [np.outer(family.right[:, a], left[a]) for a in range(9)]
+    idem = max(np.abs(pa @ pb - (pa if a == b else 0.0)).max()
+               for a, pa in enumerate(projectors) for b, pb in enumerate(projectors))
+    assert idem > 1e-6
+    assert perturbed.idempotence_residual() == pytest.approx(idem, rel=1e-9)
+    complete = np.abs(sum(projectors) - np.eye(9)).max()
+    assert perturbed.completeness_residual() == pytest.approx(complete, rel=1e-9)
 
 
 def test_truncated_fusion(family2):
@@ -132,12 +150,12 @@ def test_determinant_formulas_in_charge_bases(family2):
     zero_flat = TernaryIndex((0,) * n).flat
     gen = np.random.default_rng(5)
     checked = 0
-    for a, proj in enumerate(family.projectors):
+    for a in range(params.dim):
         st = family.khat_states[family.pairing[a]]
         zero_pattern(st, kp)
-        col = proj[:, int(np.argmax(np.abs(proj).sum(axis=0)))]
+        col = family.right[:, a]
         col = col / (pair.left[one_flat] @ col)
-        row = proj[int(np.argmax(np.abs(proj).sum(axis=1)))]
+        row = family.left[a]
         row = row / (row @ pair.right[:, zero_flat])
         # norm identity transfers verbatim
         want = norm_determinant(st, kp)
