@@ -12,18 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateReference
+from .gl3_model import fused_contract
 from .numkernel import eig_general, rel_residual, vandermonde
 from .sov_bases import tensor_product_state
-
-_P4 = np.zeros((4, 4), dtype=complex)
-for _i in range(2):
-    for _j in range(2):
-        _P4[_j * 2 + _i, _i * 2 + _j] = 1.0
-
-
-def r_matrix2(lam, eta):
-    """Rational 6-vertex R-matrix lam*I + eta*P on C^2 (x) C^2."""
-    return lam * np.eye(4, dtype=complex) + eta * _P4
 
 
 @dataclass(frozen=True)
@@ -81,18 +72,10 @@ class Gl2Params:
 
 def gl2_transfer(params, lam):
     """Dense transfer matrix tr_a K_a R_{a,N}(lam - xi_N) ... R_{a,1}(lam - xi_1)."""
-    n = params.sites
-    dim = params.dim
-    v = np.eye(dim, dtype=complex)
-    y = np.einsum('ut,qb->utbq', np.eye(2, dtype=complex), v)
-    y = y.reshape((2, 2, dim) + (2,) * n)
-    for a in range(1, n + 1):
-        s = r_matrix2(lam - params.xi[a - 1], params.eta).reshape(2, 2, 2, 2)
-        ax = 3 + (n - a)
-        y = np.moveaxis(y, ax, 3)
-        y = np.einsum('vnuo,utbo...->vtbn...', s, y)
-        y = np.moveaxis(y, 3, ax)
-    return np.einsum('tu,utb...->b...', params.k_matrix, y).reshape(dim, dim).T
+    eye = np.eye(params.dim, dtype=complex)
+    # in C order: a transposed view sends the basis products down another BLAS
+    # path, which moves their rounding
+    return np.ascontiguousarray(fused_contract(params.k_matrix, params.eta, params.xi, 1, lam, eye))
 
 
 class Gl2TransferCache:

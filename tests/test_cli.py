@@ -186,3 +186,18 @@ def test_run_strict_raises_task_failure(tmp_path):
         run(cfg, echo=lambda *a, **k: None, strict=True)
     # the report is still written before the failure surfaces
     assert (tmp_path / "report.json").exists()
+
+
+# bases, dual, scalarproducts and ttcharges are left out: they are the known
+# N = 4 failures of ROADMAP item 3 and are still run by `verify --all`
+N4_PASSING_SUITES = ["yangbaxter", "fusion", "gram", "measure", "det0", "gl2", "appendixA",
+                     "appendixC"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_four_site_suites_pass(seed):
+    cfg = resolve_config(None, {"sites": 4, "seed": seed, "tasks": N4_PASSING_SUITES})
+    report = run(cfg, echo=lambda *a, **k: None)
+    failed = [r["task"] for r in report["results"] if not r["passed"]]
+    assert failed == []

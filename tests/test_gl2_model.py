@@ -15,6 +15,7 @@ from sovlab.gl2_model import (
     qdet_scalar,
     reference_states,
 )
+from sovlab.gl3_model import embed_pair, r_matrix
 from sovlab.sampling import ParameterSampler
 
 
@@ -37,6 +38,19 @@ def test_one_site_transfer_closed_form():
     want = (lam - params.xi[0]) * np.trace(params.k_matrix) * np.eye(2) \
         + params.eta * params.k_matrix
     np.testing.assert_allclose(gl2_transfer(params, lam), want, atol=1e-13)
+
+
+def test_transfer_matches_dense_monodromy_trace():
+    """tr_a K_a R_{a,3} R_{a,2} R_{a,1} built densely on aux (x) three sites."""
+    params, _ = make_gl2(405, 3)
+    n, lam, eta = params.sites, 0.3 + 0.8j, params.eta
+    mono = np.kron(params.k_matrix, np.eye(params.dim))
+    for a in range(n, 0, -1):
+        r = r_matrix(lam - params.xi[a - 1], eta, 2)
+        mono = mono @ embed_pair(r, n + 1, 0, 1 + (n - a), d=2)
+    want = mono.reshape(2, params.dim, 2, params.dim).trace(axis1=0, axis2=2)
+    got = gl2_transfer(params, lam)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_transfer_commutation(gl2_chain3):

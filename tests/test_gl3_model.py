@@ -237,6 +237,16 @@ def test_apply_transfer_free_matches_dense(chain2):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_apply_transfer_free_t3_is_quantum_determinant(chain3):
+    params, _, _, _ = chain3
+    local = np.random.default_rng(5)  # leaves the module generator's draws as they were
+    v = local.standard_normal(params.dim) + 1j * local.standard_normal(params.dim)
+    lam = complex(*local.uniform(-1, 1, 2))
+    want = quantum_determinant(params, lam) * v
+    got = apply_transfer_free(params, 3, lam, v)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_apply_transfer_free_zero_and_linearity(chain2):
     params, _, _, _ = chain2
     lam = crand()
