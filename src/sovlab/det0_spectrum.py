@@ -19,8 +19,8 @@ from .errors import (
 )
 from .gl3_model import InterpolationWeights, TransferCache
 from .numkernel import eig_general, rel_residual, vandermonde
-from .sov_bases import TernaryIndex, dressed_pair
-from .sov_measure import diag_formula
+from .sov_bases import TernaryIndex, dressed_pair, label_products
+from .sov_measure import diag_values
 
 #: relative eigenvalue-zero threshold for the A/B site partition
 ZERO_THETA = 1e-6
@@ -142,19 +142,15 @@ def eigensolve_sov(params, xyz, lambda0=None, pair=None, cache=None, gap_rtol=1e
         v = v / (pair.left[one_flat] @ v)
         u = u / (u @ pair.right[:, zero_flat])
         coords = pair.left @ v
-        worst = 0.0
-        for h in TernaryIndex.all(n):
-            pred = 1.0 + 0j
-            for a, d in enumerate(h.digits):
-                if d == 0:
-                    pred *= t2s[a]
-                elif d == 2:
-                    pred *= t1x[a]
-            worst = max(worst, abs(coords[h.flat] - pred) / max(np.abs(coords).max(), 1e-300))
-        states.append(
-            SpectralData(i, v, u, t1x, t1s, t2x, t2s, float(worst))
-        )
+        worst = rel_residual(coords - separated_coordinates(t1x, t2s), coords)
+        states.append(SpectralData(i, v, u, t1x, t1s, t2x, t2s, worst))
     return states, pair, cache
+
+
+def separated_coordinates(t1_xi, t2_shift):
+    """Coordinates prod_a t_2(xi_a - eta)^[h_a=0] t_1(xi_a)^[h_a=2] of a
+    separate state over the dressed left family, for every label h."""
+    return label_products(np.stack([t2_shift, np.ones(len(t1_xi)), t1_xi], axis=1))
 
 
 def zero_pattern(state, params, cache=None, theta=ZERO_THETA, n_extra=4):
@@ -182,7 +178,10 @@ def zero_pattern(state, params, cache=None, theta=ZERO_THETA, n_extra=4):
     msize = len(a_sites)
 
     t2s_scale = max(np.abs(state.t2_shift).max(), 1e-300)
-    zero_resid = max((abs(state.t2_shift[a]) for a in a_sites), default=0.0) / t2s_scale
+    # the a-site values of t_2(xi - eta) are zeros, and so is their maximum
+    # when every site is an a-site: scale them by a magnitude that survives
+    zero_scale = max(t2s_scale, np.abs(state.t2_xi).max())
+    zero_resid = max((abs(state.t2_shift[a]) for a in a_sites), default=0.0) / zero_scale
     nonzero_floor = min((abs(state.t2_shift[b]) for b in b_sites), default=np.inf) / t2s_scale
     fusion_resid = 0.0
     for a in range(params.sites):
@@ -403,20 +402,16 @@ class SeparateState:
             out *= self.coeffs[a, d]
         return out
 
+    def coordinates(self):
+        """:meth:`coordinate` of every label, in flat order."""
+        return label_products(self.coeffs)
+
 
 def separate_overlap_direct(alpha, state, params):
     """Oracle overlap <alpha|t> as the full sum over labels weighted by the
     inverse diagonal measure."""
-    total = 0.0 + 0j
-    for h in TernaryIndex.all(params.sites):
-        tco = 1.0 + 0j
-        for a, d in enumerate(h.digits):
-            if d == 0:
-                tco *= state.t2_shift[a]
-            elif d == 2:
-                tco *= state.t1_xi[a]
-        total += alpha.coordinate(h) * tco / diag_formula(params, h)
-    return complex(total)
+    terms = alpha.coordinates() * separated_coordinates(state.t1_xi, state.t2_shift)
+    return complex(np.sum(terms / diag_values(params)))
 
 
 def _pattern_functions(state, params):

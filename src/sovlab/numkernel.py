@@ -11,7 +11,6 @@ import itertools
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigFailure, SizeCapError, SpectrumNotSimple
 

@@ -8,6 +8,7 @@ keeps condition numbers tame and makes reports bit-reproducible.
 """
 
 import numpy as np
+from numpy.random import default_rng  # at import: numpy 2 loads np.random lazily
 
 _DEN = 8
 _LO, _HI = -12, 12
@@ -17,7 +18,7 @@ MARGIN = 1e-3
 class ParameterSampler:
     def __init__(self, seed):
         self.seed = int(seed)
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = default_rng(self.seed)
 
     def complex_rational(self, min_abs=0.0):
         while True:

@@ -11,7 +11,7 @@ Basis families are enumerated in flat ternary order with site 1 fastest, the
 ordering used by every report and file format in the package.
 """
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +84,34 @@ class TernaryIndex:
         return TernaryIndex(tuple(d))
 
 
+@functools.lru_cache(maxsize=None)
+def label_digits(sites):
+    """Read-only ``(3^N, N)`` int8 array: row ``h.flat`` holds the digits of h.
+
+    Flat order, site 1 fastest (column a is digit a, weight 3^a), the same
+    order as :meth:`TernaryIndex.all`; cached per N and shared.
+    """
+    flat = np.arange(3**sites)
+    digits = (flat[:, None] // 3 ** np.arange(sites)) % 3
+    out = digits.astype(np.int8)
+    out.setflags(write=False)
+    return out
+
+
+def label_products(factors):
+    """``prod_a factors[a, h_a]`` for every label h in flat order.
+
+    ``factors`` is an ``(N, 3)`` table indexed by site and digit; the product
+    runs over sites 1..N with one vector operation per site.
+    """
+    factors = np.asarray(factors, dtype=complex)
+    digits = label_digits(len(factors))
+    out = np.ones(len(digits), dtype=complex)
+    for a, row in enumerate(factors):
+        out *= row[digits[:, a]]
+    return out
+
+
 def tensor_product_state(factors):
     """Tensor product over sites 1..N (factors[0] is site 1, the fastest index)."""
     out = np.array([1.0 + 0j])
@@ -152,60 +180,64 @@ def reference_vector_solve(left_basis):
     return np.linalg.solve(left, rhs)
 
 
-def _left_row(h, ref_row, t1, t2shift, variant):
-    row = ref_row
-    if variant == "powers":
-        for a, d in enumerate(h.digits):
-            for _ in range(d):
-                row = row @ t1[a]
-        return row
-    for a, d in enumerate(h.digits):
-        if d == 0:
-            row = row @ t2shift[a]
-        elif d == 2:
-            row = row @ t1[a]
-    return row
+def _basis_tree(params, ref, steps, apply):
+    """Members of every label, built down a prefix tree over sites 1..N.
+
+    ``steps[a][d]`` lists the matrices digit d applies at site a, in order,
+    and ``apply(member, matrix)`` is one 1-D product.  A node at depth a
+    holds the member for the digits of sites 1..a, and its three children
+    extend it by site a + 1, so the products of a prefix are shared by every
+    label that has it.  Rows come out in flat order (site 1 fastest).  The
+    members stay separate 1-D products: a batched GEMM rounds differently
+    from the per-member GEMV.
+    """
+    level = np.asarray(ref, dtype=complex)[None, :]
+    for a in range(params.sites):
+        width = len(level)
+        nxt = np.empty((3 * width, params.dim), dtype=complex)
+        for d, mats in enumerate(steps[a]):
+            for i, member in enumerate(level):
+                for m in mats:
+                    member = apply(member, m)
+                nxt[d * width + i] = member
+        level = nxt
+    return level
 
 
-def _right_col(h, ref_col, t1, t2, variant):
-    col = ref_col
-    if variant == "powers":
-        for a, d in enumerate(h.digits):
-            for _ in range(d):
-                col = t1[a] @ col
-        return col
-    for a, d in enumerate(h.digits):
-        if d == 1:
-            col = t2[a] @ col
-        elif d == 2:
-            col = t1[a] @ col
-    return col
+def _steps(params, cache, variant, side):
+    """Matrices each digit applies at each site, in order.
+
+    "powers": T_1(xi_a)^d on either side.  "dressed": the left family
+    applies T_2(xi_a - eta) for digit 0 and T_1(xi_a) for digit 2, the right
+    family T_2(xi_a) for digit 1 and T_1(xi_a) for digit 2.
+    """
+    if variant not in ("powers", "dressed"):
+        raise ValueError("variant must be 'powers' or 'dressed'")
+    steps = []
+    for x in params.xi:
+        t1 = cache.t1(x)
+        if variant == "powers":
+            steps.append(([], [t1], [t1, t1]))
+        elif side == "left":
+            steps.append(([cache.t2(x - params.eta)], [], [t1]))
+        else:
+            steps.append(([], [cache.t2(x)], [t1]))
+    return steps
 
 
 def build_left_basis(params, ref_row, variant="dressed", cache=None):
     """Matrix whose row ``h.flat`` is the co-vector labeled by ``h``."""
-    if variant not in ("powers", "dressed"):
-        raise ValueError("variant must be 'powers' or 'dressed'")
     cache = cache or TransferCache(params)
-    t1 = [cache.t1(x) for x in params.xi]
-    t2s = [cache.t2(x - params.eta) for x in params.xi] if variant == "dressed" else None
-    out = np.empty((params.dim, params.dim), dtype=complex)
-    for h in TernaryIndex.all(params.sites):
-        out[h.flat] = _left_row(h, ref_row, t1, t2s, variant)
-    return out
+    steps = _steps(params, cache, variant, "left")
+    return _basis_tree(params, ref_row, steps, lambda row, m: row @ m)
 
 
 def build_right_basis(params, ref_col, variant="dressed", cache=None):
     """Matrix whose column ``h.flat`` is the vector labeled by ``h``."""
-    if variant not in ("powers", "dressed"):
-        raise ValueError("variant must be 'powers' or 'dressed'")
     cache = cache or TransferCache(params)
-    t1 = [cache.t1(x) for x in params.xi]
-    t2 = [cache.t2(x) for x in params.xi] if variant == "dressed" else None
-    out = np.empty((params.dim, params.dim), dtype=complex)
-    for h in TernaryIndex.all(params.sites):
-        out[:, h.flat] = _right_col(h, ref_col, t1, t2, variant)
-    return out
+    steps = _steps(params, cache, variant, "right")
+    cols = _basis_tree(params, ref_col, steps, lambda col, m: m @ col)
+    return np.ascontiguousarray(cols.T)
 
 
 @dataclass

@@ -9,6 +9,7 @@ inhomogeneities, independent of the twist.
 """
 
 import csv
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import DegenerateFamily, DetKZero, SingularGram
 from .gl3_model import InterpolationWeights, TransferCache, quantum_determinant_identity
 from .numkernel import rel_residual, vandermonde
-from .sov_bases import TernaryIndex, dressed_pair
+from .sov_bases import TernaryIndex, dressed_pair, label_digits, label_products
 
 
 @dataclass(frozen=True)
@@ -60,20 +61,82 @@ def classify_pair(h, k):
     return PairClass("offdiag", tuple(alpha), tuple(beta))
 
 
-def diag_formula(params, h):
-    """Twist-independent diagonal coupling <h|h> of the dressed pair."""
+@dataclass(frozen=True)
+class PairSupport:
+    """:func:`classify_pair` for every cell at once, indexed ``[h.flat, k.flat]``.
+
+    ``diagonal``, ``offdiag`` and ``zero`` are disjoint read-only boolean
+    masks covering every cell; ``pair_count`` is r on off-diagonal cells and
+    0 elsewhere.
+    """
+
+    diagonal: np.ndarray
+    offdiag: np.ndarray
+    zero: np.ndarray
+    pair_count: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def pair_support(sites):
+    """Cached pair-move support of the N-site labels.
+
+    Built site by site from the rule of :func:`classify_pair`: a cell may be
+    nonzero only if every site keeps its digit or turns a digit 1 of k into
+    a 0 (alpha) or a 2 (beta) of h, with |alpha| = |beta|.  Memory stays at a
+    few bytes per cell.
+    """
+    digits = label_digits(sites)
+    dim = len(digits)
+    moved = np.zeros((dim, dim), dtype=bool)  # some site changed other than 1 -> 0, 2
+    to0 = np.zeros((dim, dim), dtype=np.int8)
+    to2 = np.zeros((dim, dim), dtype=np.int8)
+    for a in range(sites):
+        h = digits[:, a, None]
+        k = digits[None, :, a]
+        alpha = (k == 1) & (h == 0)
+        beta = (k == 1) & (h == 2)
+        moved |= (h != k) & ~alpha & ~beta
+        to0 += alpha
+        to2 += beta
+    diagonal = np.eye(dim, dtype=bool)
+    offdiag = ~moved & (to0 == to2) & (to0 > 0)
+    zero = ~(diagonal | offdiag)
+    pair_count = np.where(offdiag, to0, 0).astype(np.int8)
+    for arr in (diagonal, offdiag, zero, pair_count):
+        arr.setflags(write=False)
+    return PairSupport(diagonal, offdiag, zero, pair_count)
+
+
+def diag_values(params):
+    """Twist-independent diagonal couplings <h|h> of the dressed pair, for
+    every label h in flat order.
+
+    <h|h> = prod_a d(xi_a^(1)) / d(xi_a^(1+z_a)) * V(xi)^2 / (V(xi^(z)) V(xi^(y)))
+    with z_a = [h_a >= 1], y_a = [h_a = 2], xi_a^(s) = xi_a - s eta and V the
+    Vandermonde product.
+    """
     w = InterpolationWeights(params)
-    out = 1.0 + 0j
-    zshift = []
-    yshift = []
-    for a, d in enumerate(h.digits):
-        z = 1 if d in (1, 2) else 0
-        y = 1 if d == 2 else 0
-        zshift.append(params.xi_shifted(a, z))
-        yshift.append(params.xi_shifted(a, y))
-        out *= w.d(params.xi_shifted(a, 1)) / w.d(params.xi_shifted(a, 1 + z))
-    out *= vandermonde(params.xi) ** 2 / (vandermonde(zshift) * vandermonde(yshift))
-    return complex(out)
+    n = params.sites
+    digits = label_digits(n)
+    out = label_products(
+        [[w.d(params.xi_shifted(a, 1)) / w.d(params.xi_shifted(a, 1 + z)) for z in (0, 1, 1)]
+         for a in range(n)]
+    )
+    xi = np.array(params.xi, dtype=complex)
+    zshift = xi - (digits >= 1) * params.eta
+    yshift = xi - (digits == 2) * params.eta
+    vz = np.ones(len(digits), dtype=complex)
+    vy = np.ones(len(digits), dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            vz *= zshift[:, j] - zshift[:, i]
+            vy *= yshift[:, j] - yshift[:, i]
+    return out * (vandermonde(params.xi) ** 2 / (vz * vy))
+
+
+def diag_formula(params, h):
+    """Twist-independent diagonal coupling <h|h> of one label."""
+    return complex(diag_values(params)[h.flat])
 
 
 @dataclass
@@ -106,23 +169,15 @@ class GramReport:
     @property
     def max_zero_cosine(self):
         """Largest zero-classified |cosine| relative to the largest |cosine|."""
-        cscale = max(np.abs(self.cosine).max(), 1e-300)
-        worst = 0.0
-        for h in TernaryIndex.all(self.params.sites):
-            for k in TernaryIndex.all(self.params.sites):
-                if classify_pair(h, k).kind == "zero":
-                    worst = max(worst, abs(self.cosine[h.flat, k.flat]) / cscale)
-        return float(worst)
+        return self._max_cosine(pair_support(self.params.sites).zero)
 
     @property
     def max_offdiag_cosine(self):
-        cscale = max(np.abs(self.cosine).max(), 1e-300)
-        worst = 0.0
-        for h in TernaryIndex.all(self.params.sites):
-            for k in TernaryIndex.all(self.params.sites):
-                if h.digits != k.digits:
-                    worst = max(worst, abs(self.cosine[h.flat, k.flat]) / cscale)
-        return float(worst)
+        return self._max_cosine(~pair_support(self.params.sites).diagonal)
+
+    def _max_cosine(self, cells):
+        mags = np.abs(self.cosine)
+        return float(np.max(mags[cells], initial=0.0) / max(mags.max(), 1e-300))
 
     @property
     def max_diag_rel_err(self):
@@ -135,39 +190,40 @@ class GramReport:
 
 
 def gram(left, right, params, rtol=1e-9):
-    """Assemble <h|k>, classify every cell and compare the diagonal."""
+    """Assemble <h|k>, classify every cell and compare the diagonal.
+
+    Violations and coefficients are listed cell by cell with k the outer and
+    h the inner label, both in flat order.
+    """
     left = np.asarray(left)
     right = np.asarray(right)
     g = left @ right
-    idx = list(TernaryIndex.all(params.sites))
     diag = np.diagonal(g).copy()
-    predicted = np.array([diag_formula(params, h) for h in idx])
+    predicted = diag_values(params)
     row_norms = np.linalg.norm(left, axis=1)
     col_norms = np.linalg.norm(right, axis=0)
     cosine = g / np.outer(row_norms, col_norms)
-    cscale = max(np.abs(cosine).max(), 1e-300)
+    mags = np.abs(cosine)
+    cscale = max(mags.max(), 1e-300)
     report = GramReport(params, g, cosine, diag, predicted, rtol)
     detk = params.twist.det
     kscale = max(np.abs(params.twist.k_matrix).max(), 1e-300) ** 3
     invertible = abs(detk) > rtol * kscale
-    for k in idx:
-        for h in idx:
-            cls = classify_pair(h, k)
-            val = cosine[h.flat, k.flat]
-            if cls.kind == "zero" and abs(val) > rtol * cscale:
-                report.violations.append(
-                    {"kind": "zero", "h": h.digits, "k": k.digits,
-                     "magnitude": abs(val) / cscale}
-                )
-            elif cls.kind == "offdiag":
-                if invertible and abs(val) <= 1e3 * rtol * cscale:
-                    report.violations.append(
-                        {"kind": "offdiag", "h": h.digits, "k": k.digits,
-                         "magnitude": abs(val) / cscale}
-                    )
-                if invertible:
-                    coeff = g[h.flat, k.flat] / (g[k.flat, k.flat] * detk**cls.pair_count)
-                    report.coefficients[(h.flat, k.flat)] = complex(coeff)
+    support = pair_support(params.sites)
+    digits = label_digits(params.sites)
+    flagged = support.zero & (mags > rtol * cscale)
+    if invertible:
+        flagged |= support.offdiag & (mags <= 1e3 * rtol * cscale)
+    for k, h in zip(*np.nonzero(flagged.T)):
+        report.violations.append(
+            {"kind": "zero" if support.zero[h, k] else "offdiag",
+             "h": tuple(int(d) for d in digits[h]), "k": tuple(int(d) for d in digits[k]),
+             "magnitude": abs(cosine[h, k]) / cscale}
+        )
+    if invertible:
+        for k, h in zip(*np.nonzero(support.offdiag.T)):
+            coeff = g[h, k] / (g[k, k] * detk ** int(support.pair_count[h, k]))
+            report.coefficients[(int(h), int(k))] = complex(coeff)
     return report
 
 
@@ -231,27 +287,19 @@ def c_scaling_scan(params, c_values, xyz, rtol=1e-9):
         pair = dressed_pair(p, xyz)
         reports.append((complex(c), gram(pair.left, pair.right, p, rtol)))
 
-    idx = list(TernaryIndex.all(params.sites))
+    support = pair_support(params.sites)
     logc = np.log(np.abs([c for c, _ in reports]))
     slopes = {}
     coeff_spread = {}
-    for k in idx:
-        ones = k.ones()
-        for r in range(1, len(ones) // 2 + 1):
-            for alpha in itertools.combinations(ones, r):
-                rest = [o for o in ones if o not in alpha]
-                for beta in itertools.combinations(rest, r):
-                    h = k.pair_substitution(alpha, beta)
-                    mags = np.array([abs(rep.gram[h.flat, k.flat]) for _, rep in reports])
-                    logm = np.log(mags)
-                    slope = np.polyfit(logc, logm, 1)[0]
-                    coeffs = [rep.coefficients[(h.flat, k.flat)] for _, rep in reports]
-                    spread = max(abs(c0 - coeffs[0]) for c0 in coeffs) / max(
-                        abs(coeffs[0]), 1e-300
-                    )
-                    slopes[(h.flat, k.flat)] = (float(slope.real), r)
-                    coeff_spread[(h.flat, k.flat)] = float(spread)
-    diag_mags = np.array([[abs(rep.gram[k.flat, k.flat]) for _, rep in reports] for k in idx])
+    for k, h in zip(*np.nonzero(support.offdiag.T)):
+        cell = (int(h), int(k))
+        logm = np.log([abs(rep.gram[cell]) for _, rep in reports])
+        slope = np.polyfit(logc, logm, 1)[0]
+        coeffs = [rep.coefficients[cell] for _, rep in reports]
+        spread = max(abs(c0 - coeffs[0]) for c0 in coeffs) / max(abs(coeffs[0]), 1e-300)
+        slopes[cell] = (float(slope.real), int(support.pair_count[cell]))
+        coeff_spread[cell] = float(spread)
+    diag_mags = np.abs([np.diagonal(rep.gram) for _, rep in reports]).T
     diag_slopes = [float(np.polyfit(logc, np.log(m), 1)[0].real) for m in diag_mags]
     return {
         "slopes": slopes,

@@ -29,11 +29,17 @@ from .errors import ConfigError, SingularBasis
 from .gl3_model import ModelParams, TransferCache, TwistData
 from .numkernel import rel_residual
 from .sampling import ParameterSampler
-from .sov_bases import TernaryIndex, dressed_pair, power_pair, reference_vector_solve
+from .sov_bases import (
+    TernaryIndex,
+    build_left_basis,
+    dressed_pair,
+    label_products,
+    power_pair,
+    reference_vector_solve,
+)
 from .sov_measure import (
     appc_recursion_check,
     b_recursion,
-    c_scaling_scan,
     coeff_r0_closed_form,
     dual_bases,
     expansion_coefficients,
@@ -132,12 +138,20 @@ class Workspace:
             self._cache["gram"] = gram(pair.left, pair.right, params, rtol)
         return self._cache["gram"]
 
-    def khat(self):
-        """Zero-determinant companion chain with the same (eta, xi)."""
-        if "khat" not in self._cache:
-            params, xyz, _, _ = self.gl3()
+    def khat_chain(self):
+        """Zero-determinant companion parameters (same eta, xi) and their
+        transfer cache."""
+        if "khat_chain" not in self._cache:
+            params, _, _, _ = self.gl3()
             kp = params.with_twist(make_khat(params.twist))
-            cache = TransferCache(kp)
+            self._cache["khat_chain"] = (kp, TransferCache(kp))
+        return self._cache["khat_chain"]
+
+    def khat(self):
+        """Zero-determinant companion chain with its full-rank dressed pair."""
+        if "khat" not in self._cache:
+            _, xyz, _, _ = self.gl3()
+            kp, cache = self.khat_chain()
             pair = dressed_pair(kp, xyz, cache)
             pair.require_full_rank()
             self._cache["khat"] = (kp, xyz, cache, pair)
@@ -296,20 +310,14 @@ def _variant_relation_residual(params, xyz, cache):
     for x in params.xi:
         full = full @ cache.t1(x)
     base_row = np.linalg.solve(full.T, pair.ref_covector)
-    t1 = [cache.t1(x) for x in params.xi]
-    worst = 0.0
-    for h in TernaryIndex.all(params.sites):
-        row = base_row
-        for a, d in enumerate(h.digits):
-            for _ in range(d):
-                row = row @ t1[a]
-        alpha = 1.0 + 0j
-        for a, d in enumerate(h.digits):
-            if d == 0:
-                alpha *= gl3_model.quantum_determinant(params, params.xi[a])
-        ref = pair.left[h.flat]
-        worst = max(worst, rel_residual(ref - alpha * row, ref))
-    return float(worst)
+    rows = build_left_basis(params, base_row, "powers", cache)
+    alpha = label_products(
+        [[gl3_model.quantum_determinant(params, x), 1, 1] for x in params.xi]
+    )
+    # rel_residual of every row against its dressed row
+    ref = pair.left
+    diff = np.abs(ref - alpha[:, None] * rows).max(axis=1)
+    return float((diff / np.maximum(np.abs(ref).max(axis=1), 1e-300)).max())
 
 
 def run_gram(ws, tol):
@@ -378,21 +386,13 @@ def run_dual(ws, tol):
 
 def _dual_sparsity_residual(params, report, dual):
     """Dual-vector coordinates must vanish outside the pair-move support."""
-    worst = 0.0
-    for h in TernaryIndex.all(params.sites):
-        coeffs = expansion_coefficients(report, dual, h)
-        scale = max(np.abs(coeffs).max(), 1e-300)
-        allowed = {h.flat}
-        ones = h.ones()
-        for r in range(1, len(ones) // 2 + 1):
-            for alpha in itertools.combinations(ones, r):
-                rest = [o for o in ones if o not in alpha]
-                for beta in itertools.combinations(rest, r):
-                    allowed.add(h.pair_substitution(alpha, beta).flat)
-        for flat, c in enumerate(coeffs):
-            if flat not in allowed:
-                worst = max(worst, abs(c) / scale)
-    return float(worst)
+    # column h holds the coordinates of the dual vector of h, as
+    # expansion_coefficients gives them; a pair move of h lands on row t
+    # exactly when cell (t, h) is not zero-classified
+    mags = np.abs(dual.measure * report.diag)
+    scale = np.maximum(mags.max(axis=0), 1e-300)
+    outside = sov_measure.pair_support(params.sites).zero
+    return float(np.max((mags / scale)[outside], initial=0.0))
 
 
 def _b_recursion_residual(params, report, dual):
@@ -487,7 +487,8 @@ def run_scalarproducts(ws, tol, n_random=20):
 
 def run_ttcharges(ws, tol):
     params, xyz, cache, _ = ws.gl3()
-    family = build_tt(params)
+    kp, khat_cache = ws.khat_chain()
+    family = build_tt(params, kp, cache=cache, khat_cache=khat_cache)
     fus = fusion_residuals_tt(family)
     s = ParameterSampler(ws.seed + 6000)
     comm_worst = 0.0

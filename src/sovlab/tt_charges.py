@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .det0_spectrum import default_probe_point, eigensolve_sov, make_khat
+from .det0_spectrum import (
+    default_probe_point,
+    eigensolve_sov,
+    make_khat,
+    separated_coordinates,
+)
 from .gl3_model import TransferCache
 from .numkernel import eig_general, rel_residual
 from .sov_bases import (
@@ -100,12 +105,15 @@ class ChargeFamily:
         return float((dev * r_max[:, None] * l_max[None, :]).max())
 
 
-def build_tt(params, khat_params=None, lambda0=None, gap_rtol=1e-6):
+def build_tt(params, khat_params=None, lambda0=None, gap_rtol=1e-6, cache=None,
+             khat_cache=None):
     """Assemble the charge family for an invertible simple-spectrum twist.
 
     ``khat_params`` defaults to the same chain with the smallest twist
     eigenvalue zeroed.  Both transfer spectra at the probe point must be
-    simple.
+    simple.  ``cache`` and ``khat_cache`` are transfer caches of ``params``
+    and ``khat_params`` to reuse; the charges keep evaluating through
+    ``khat_cache``.
     """
     if khat_params is None:
         khat_params = params.with_twist(make_khat(params.twist))
@@ -116,9 +124,9 @@ def build_tt(params, khat_params=None, lambda0=None, gap_rtol=1e-6):
     ):
         raise ValueError("charge construction needs matching (sites, eta, xi)")
     lam0 = default_probe_point(params) if lambda0 is None else lambda0
-    dec = eig_general(TransferCache(params).t1(lam0), gap_rtol=gap_rtol)
+    dec = eig_general((cache or TransferCache(params)).t1(lam0), gap_rtol=gap_rtol)
 
-    khat_cache = TransferCache(khat_params)
+    khat_cache = khat_cache or TransferCache(khat_params)
     # reference components only matter for normalization here; eigensolve
     # validates simplicity of the companion spectrum
     khat_states, _, _ = eigensolve_sov(
@@ -182,12 +190,6 @@ def eigenstate_representation_residual(family, pair):
         st = family.khat_states[family.pairing[a]]
         coords = pair.left @ family.right[:, a]
         coords = coords / coords[one_flat]
-        for h in TernaryIndex.all(n):
-            pred = 1.0 + 0j
-            for site, d in enumerate(h.digits):
-                if d == 0:
-                    pred *= st.t2_shift[site]
-                elif d == 2:
-                    pred *= st.t1_xi[site]
-            worst = max(worst, abs(coords[h.flat] - pred) / max(np.abs(coords).max(), 1e-300))
-    return float(worst)
+        pred = separated_coordinates(st.t1_xi, st.t2_shift)
+        worst = max(worst, rel_residual(coords - pred, coords))
+    return worst

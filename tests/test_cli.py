@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import sovlab
 from sovlab.cli import main, parse_scalar, resolve_config, run
 from sovlab.errors import ConfigError
 
@@ -101,6 +105,28 @@ def test_default_run_caps_blas_threads(monkeypatch):
     monkeypatch.delenv("SOVLAB_THREADS", raising=False)
     cfg = resolve_config(None, {"sites": 1, "seed": 2, "tasks": ["yangbaxter"]})
     assert run(cfg, echo=lambda *a, **k: None)["thread_cap"] == 1
+
+
+def test_fresh_import_loads_no_scipy():
+    """numpy and click are the only runtime dependencies: a fresh process
+    importing the CLI and running a task never loads scipy, and the default
+    run still caps the OpenBLAS pool numpy brings."""
+    code = (
+        "import sys\n"
+        "import sovlab.cli as cli\n"
+        "assert 'scipy' not in sys.modules, 'import loaded scipy'\n"
+        "cfg = cli.resolve_config(None, {'sites': 1, 'seed': 2, 'tasks': ['yangbaxter']})\n"
+        "print(cli.run(cfg, echo=lambda *a, **k: None)['thread_cap'])\n"
+        "assert 'scipy' not in sys.modules, 'run loaded scipy'\n"
+    )
+    env = dict(os.environ)
+    env.pop("SOVLAB_THREADS", None)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sovlab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
 
 
 def test_report_determinism(tmp_path):

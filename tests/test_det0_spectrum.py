@@ -12,6 +12,7 @@ from sovlab.det0_spectrum import (
     ortho_suite_det0,
     scalar_product_determinant,
     separate_overlap_direct,
+    separated_coordinates,
     zero_pattern,
 )
 from sovlab.errors import (
@@ -190,6 +191,20 @@ def test_zero_pattern_properties(det0_chain2):
     assert 0 in splits and params.sites in splits
 
 
+def test_zero_pattern_all_a_sites_non_diagonal_twist():
+    """With msize = N every t_2(xi_a - eta) is a zero, their maximum too; the
+    zero residual must stay small and not read noise over noise."""
+    params, xyz, _ = make_params(22, 2, invertible=False, wild_w=True)
+    assert np.abs(params.twist.w - np.diag(np.diag(params.twist.w))).max() > 0.1
+    states, _, cache = eigensolve_sov(params, xyz)
+    full = []
+    for st in states:
+        _, msize = zero_pattern(st, params, cache)
+        if msize == params.sites:
+            full.append(st.pattern_diagnostics["zero_residual"])
+    assert full and max(full) <= 1e-9
+
+
 def test_zero_pattern_ambiguous():
     params, xyz, _ = make_params(221, 2, invertible=False)
     states, _, cache = eigensolve_sov(params, xyz)
@@ -198,6 +213,28 @@ def test_zero_pattern_ambiguous():
     st.t1_xi[0] = 1e-6 * np.abs(st.t1_shift).max()  # inside the decision band
     with pytest.raises(AmbiguousPattern):
         zero_pattern(st, params, cache)
+
+
+def test_label_products_match_per_label_loops(det0_chain3):
+    """Vector products per site against scalar products per label; the
+    rounding may differ in the last bit."""
+    params = det0_chain3[0]
+    rng = np.random.default_rng(4)
+    alpha = SeparateState.random(rng, params.sites)
+    t1_xi, t2_shift = alpha.coeffs[:, 0], alpha.coeffs[:, 1]
+    labels = list(TernaryIndex.all(params.sites))
+    assert np.allclose(alpha.coordinates(), [alpha.coordinate(h) for h in labels],
+                       rtol=1e-15, atol=0)
+    separated = []
+    for h in labels:
+        pred = 1.0 + 0j
+        for a, d in enumerate(h.digits):
+            if d == 0:
+                pred *= t2_shift[a]
+            elif d == 2:
+                pred *= t1_xi[a]
+        separated.append(pred)
+    assert np.allclose(separated_coordinates(t1_xi, t2_shift), separated, rtol=1e-15, atol=0)
 
 
 def test_scalar_product_requires_pattern(det0_chain2):

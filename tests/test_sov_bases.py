@@ -9,7 +9,9 @@ from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import (
     TernaryIndex,
     build_left_basis,
+    build_right_basis,
     dressed_pair,
+    label_digits,
     power_pair,
     reference_covector,
     reference_vector_closed,
@@ -26,6 +28,57 @@ def test_ternary_roundtrip(flat):
     idx = TernaryIndex.from_flat(flat, 5)
     assert idx.flat == flat
     assert TernaryIndex(idx.digits).flat == flat
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4, 5])
+def test_label_digits_match_ternary_index(sites):
+    digits = label_digits(sites)
+    assert digits.shape == (3**sites, sites) and digits.dtype == np.int8
+    assert not digits.flags.writeable
+    assert [tuple(int(d) for d in row) for row in digits] == [
+        TernaryIndex.from_flat(flat, sites).digits for flat in range(3**sites)
+    ]
+    assert label_digits(sites) is digits
+
+
+def _reference_basis(params, ref, cache, variant, side):
+    """Row-by-row loop over the labels: every member takes its own products
+    site by site, with no sharing between labels."""
+    t1 = [cache.t1(x) for x in params.xi]
+    if side == "left":
+        t2 = [cache.t2(x - params.eta) for x in params.xi]
+        dressed = {0: t2, 2: t1}
+    else:
+        t2 = [cache.t2(x) for x in params.xi]
+        dressed = {1: t2, 2: t1}
+    out = np.empty((params.dim, params.dim), dtype=complex)
+    for h in TernaryIndex.all(params.sites):
+        member = ref
+        for a, d in enumerate(h.digits):
+            if variant == "powers":
+                mats = [t1[a]] * d
+            else:
+                mats = [dressed[d][a]] if d in dressed else []
+            for m in mats:
+                member = member @ m if side == "left" else m @ member
+        if side == "left":
+            out[h.flat] = member
+        else:
+            out[:, h.flat] = member
+    return out
+
+
+@pytest.mark.parametrize("variant", ["dressed", "powers"])
+def test_basis_builders_equal_row_by_row_loop(chain3, variant):
+    params, xyz, cache, pair = chain3
+    rng = np.random.default_rng(5)
+    ref_row = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
+    ref_col = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
+    left = build_left_basis(params, ref_row, variant, cache)
+    right = build_right_basis(params, ref_col, variant, cache)
+    assert np.array_equal(left, _reference_basis(params, ref_row, cache, variant, "left"))
+    assert np.array_equal(right, _reference_basis(params, ref_col, cache, variant, "right"))
+    assert left.flags.c_contiguous and right.flags.c_contiguous
 
 
 def test_ternary_combinatorics():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sovlab.errors import DegenerateFamily, DetKZero
-from sovlab.gl3_model import ModelParams, TransferCache, TwistData
+from sovlab.gl3_model import InterpolationWeights, ModelParams, TransferCache, TwistData
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import TernaryIndex, dressed_pair
 from sovlab.sov_measure import (
@@ -21,7 +21,11 @@ from sovlab.sov_measure import (
     export_matrix_csv,
     extract_coefficient,
     gram,
+    diag_values,
+    pair_support,
 )
+from sovlab.numkernel import vandermonde
+from sovlab.suites import _dual_sparsity_residual
 
 from conftest import make_params
 
@@ -47,6 +51,100 @@ def test_classify_selection_rule(hd, kd):
         assert set(cls.alpha).isdisjoint(cls.beta)
         assert h.digits == k.pair_substitution(cls.alpha, cls.beta).digits
         assert h.count(1) == k.count(1) - 2 * cls.pair_count
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4])
+def test_pair_support_matches_classify_pair(sites):
+    support = pair_support(sites)
+    labels = list(TernaryIndex.all(sites))
+    kinds = np.empty((len(labels), len(labels)), dtype=object)
+    counts = np.zeros((len(labels), len(labels)), dtype=int)
+    for h in labels:
+        for k in labels:
+            cls = classify_pair(h, k)
+            kinds[h.flat, k.flat] = cls.kind
+            counts[h.flat, k.flat] = cls.pair_count
+    assert np.array_equal(support.diagonal, kinds == "diagonal")
+    assert np.array_equal(support.offdiag, kinds == "offdiag")
+    assert np.array_equal(support.zero, kinds == "zero")
+    assert np.array_equal(support.pair_count, counts)
+    assert not support.zero.flags.writeable and pair_support(sites) is support
+
+
+def test_diag_values_match_per_label_formula(chain3):
+    """All-label Vandermonde diagonal against the closed formula evaluated
+    label by label with scalar arithmetic."""
+    params = chain3[0]
+    w = InterpolationWeights(params)
+    expected = []
+    for h in TernaryIndex.all(params.sites):
+        out = 1.0 + 0j
+        zshift, yshift = [], []
+        for a, d in enumerate(h.digits):
+            z, y = int(d >= 1), int(d == 2)
+            zshift.append(params.xi_shifted(a, z))
+            yshift.append(params.xi_shifted(a, y))
+            out *= w.d(params.xi_shifted(a, 1)) / w.d(params.xi_shifted(a, 1 + z))
+        expected.append(out * vandermonde(params.xi) ** 2
+                        / (vandermonde(zshift) * vandermonde(yshift)))
+    assert np.allclose(diag_values(params), expected, rtol=1e-14, atol=0)
+
+
+def _perturbed_report(chain3, rtol):
+    """Gram report of a pair whose zero cells no longer vanish."""
+    params, _, _, pair = chain3
+    rng = np.random.default_rng(3)
+    noise = rng.standard_normal(pair.left.shape) + 1j * rng.standard_normal(pair.left.shape)
+    left = pair.left + 1e-3 * noise * np.abs(pair.left).max(axis=1)[:, None]
+    return params, gram(left, pair.right, params, rtol)
+
+
+def test_gram_audit_matches_per_cell_loop(chain3):
+    """Violations (in order) and coefficients equal a per-cell classify_pair
+    loop, k outer and h inner."""
+    params, report = _perturbed_report(chain3, rtol=1e-4)
+    g, cosine, rtol, detk = report.gram, report.cosine, report.rtol, params.twist.det
+    cscale = max(np.abs(cosine).max(), 1e-300)
+    violations, coefficients = [], {}
+    worst_zero = worst_off = 0.0
+    for k in TernaryIndex.all(params.sites):
+        for h in TernaryIndex.all(params.sites):
+            cls = classify_pair(h, k)
+            val = abs(cosine[h.flat, k.flat])
+            mag = val / cscale
+            if h.digits != k.digits:
+                worst_off = max(worst_off, mag)
+            if cls.kind == "zero":
+                worst_zero = max(worst_zero, mag)
+                if val > rtol * cscale:
+                    violations.append({"kind": "zero", "h": h.digits, "k": k.digits,
+                                       "magnitude": mag})
+            elif cls.kind == "offdiag":
+                if val <= 1e3 * rtol * cscale:
+                    violations.append({"kind": "offdiag", "h": h.digits, "k": k.digits,
+                                       "magnitude": mag})
+                coefficients[(h.flat, k.flat)] = complex(
+                    g[h.flat, k.flat] / (g[k.flat, k.flat] * detk**cls.pair_count)
+                )
+    assert {v["kind"] for v in violations} == {"zero", "offdiag"}
+    assert report.violations == violations
+    assert list(report.coefficients.items()) == list(coefficients.items())
+    assert report.max_zero_cosine == pytest.approx(worst_zero, rel=1e-15)
+    assert report.max_offdiag_cosine == pytest.approx(worst_off, rel=1e-15)
+
+
+def test_dual_sparsity_matches_per_label_loop(chain3):
+    params, _, _, pair = chain3
+    report = gram(pair.left, pair.right, params)
+    dual = dual_bases(pair, report)
+    worst = 0.0
+    for h in TernaryIndex.all(params.sites):
+        coeffs = expansion_coefficients(report, dual, h)
+        for t in TernaryIndex.all(params.sites):
+            if classify_pair(t, h).kind == "zero":
+                worst = max(worst, abs(coeffs[t.flat]) / np.abs(coeffs).max())
+    assert worst > 0
+    assert _dual_sparsity_residual(params, report, dual) == pytest.approx(worst, rel=1e-15)
 
 
 def test_gram_normalization(chain2):

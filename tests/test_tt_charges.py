@@ -32,6 +32,21 @@ def family2(chain2):
     return params, xyz, cache, build_tt(params)
 
 
+def test_build_tt_reuses_given_caches(chain2):
+    """Passing the chain's transfer caches gives the same family, and the
+    charges evaluate through the given K-hat cache."""
+    params, _, _, _ = chain2
+    fresh = build_tt(params)
+    cache = TransferCache(params)
+    khat_cache = TransferCache(fresh.khat_params)
+    shared = build_tt(params, fresh.khat_params, cache=cache, khat_cache=khat_cache)
+    assert np.array_equal(shared.right, fresh.right) and np.array_equal(shared.left, fresh.left)
+    lam = params.xi[0] + 0.3
+    assert np.array_equal(shared.charge(2, lam), fresh.charge(2, lam))
+    assert (2, complex(lam)) in khat_cache._store
+    assert any(key[0] == 1 for key in cache._store)
+
+
 def test_one_site_closed_form():
     """With one site the charges share the twist eigenvectors and carry the
     companion twist's shifted eigenvalues (lam - xi) tr(K-hat) + eta k-hat."""
