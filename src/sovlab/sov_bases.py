@@ -169,15 +169,22 @@ def reference_vector_closed(xyz, twist, params):
 
 
 def reference_vector_solve(left_basis):
-    """Solve <k|v> = delta_{k,0} against an explicit left family."""
+    """Solve <k|v> = delta_{k,0} against an explicit left family.
+
+    The rows are equilibrated first: (L / |L_k|) v = e_0 / |L_0| has the same
+    solution, and the dressed rows' norms span many orders of magnitude.
+    """
     left = np.asarray(left_basis, dtype=complex)
     norms = np.linalg.norm(left, axis=1)
-    ratio = rank_ratio(left / norms[:, None]) if norms.min() > 0 else 0.0
+    if norms.min() <= 0:
+        raise SingularBasis("left family has a zero row")
+    unit = left / norms[:, None]
+    ratio = rank_ratio(unit)
     if ratio < 1e-13:
         raise SingularBasis(f"left family is rank deficient (sigma ratio {ratio:.2e})")
     rhs = np.zeros(left.shape[0], dtype=complex)
-    rhs[0] = 1.0
-    return np.linalg.solve(left, rhs)
+    rhs[0] = 1.0 / norms[0]
+    return np.linalg.solve(unit, rhs)
 
 
 def _basis_tree(params, ref, steps, apply):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from sovlab.sov_bases import (
     reference_vector_solve,
     tensor_product_state,
 )
+from sovlab.suites import DEFAULT_TOLERANCES, Workspace, run_bases
 
 from conftest import make_params
 
@@ -180,6 +183,24 @@ def test_reference_vector_solve_singular():
     bad[0, 0] = 1.0
     with pytest.raises(SingularBasis):
         reference_vector_solve(bad)
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_closed_vs_solve_catches_wrong_reference(seed):
+    """``bases.closed_vs_solve`` passes the closed |0> on four sites and fails
+    a slightly rescaled one and one built in the Jordan frame (W dropped)."""
+    ws = Workspace("gl3", 4, seed)
+    params, xyz, cache, pair = ws.gl3()
+    tol = DEFAULT_TOLERANCES["bases"]
+    assert run_bases(ws, tol).details["closed_vs_solve"] <= tol
+
+    w_inv = np.linalg.inv(params.twist.w)
+    no_w = pair.ref_vector.reshape((3,) * params.sites)
+    for axis in range(params.sites):
+        no_w = np.moveaxis(np.tensordot(w_inv, no_w, axes=(1, axis)), 0, axis)
+    for wrong in (pair.ref_vector * (1 + 1e-7), no_w.reshape(-1)):
+        ws._cache["gl3"] = (params, xyz, cache, dataclasses.replace(pair, ref_vector=wrong))
+        assert run_bases(ws, tol).details["closed_vs_solve"] > tol
 
 
 def test_power_variant_reference_row(chain2):
