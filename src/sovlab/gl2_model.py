@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateReference
-from .gl3_model import fused_contract
+from .gl3_model import fused_dense
 from .numkernel import eig_general, rel_residual, vandermonde
 from .sov_bases import tensor_product_state
 
@@ -72,10 +72,7 @@ class Gl2Params:
 
 def gl2_transfer(params, lam):
     """Dense transfer matrix tr_a K_a R_{a,N}(lam - xi_N) ... R_{a,1}(lam - xi_1)."""
-    eye = np.eye(params.dim, dtype=complex)
-    # in C order: a transposed view sends the basis products down another BLAS
-    # path, which moves their rounding
-    return np.ascontiguousarray(fused_contract(params.k_matrix, params.eta, params.xi, 1, lam, eye))
+    return fused_dense(params.k_matrix, params.eta, params.xi, 1, lam)
 
 
 class Gl2TransferCache:

@@ -12,7 +12,14 @@ The fused transfer matrices are evaluated by contracting the auxiliary-space
 product site by site, never by forming the ``d^m * d^N`` dimensional product
 space densely.  The contraction runs on the antisymmetric fused space
 Lambda^m C^d, so its bond is binom(d, m): 3, 3 and 1 for gl(3) at m = 1, 2, 3
-and 2 for gl(2).
+and 2 for gl(2).  Both paths build their site operators with
+:func:`fused_site`:
+
+* dense T_m (:func:`transfer`, and ``gl2_model.gl2_transfer``) is the
+  matrix-product-operator product :func:`fused_dense`, one GEMM per site;
+* the matrix-free action on a few columns (:func:`fused_apply`,
+  :func:`apply_transfer_free`) is :func:`fused_contract`, for chains too
+  large to hold T_m densely.
 """
 
 import itertools
@@ -285,48 +292,101 @@ def _wedge_columns(d, m):
     return cols
 
 
-def fused_contract(k_matrix, eta, xi, m, lam, block):
-    """Apply tr_{Lambda^m} K^{(x)m} S_N(lam) ... S_1(lam) to the columns of
-    ``block``, for the gl(d) chain with d x d twist ``k_matrix``.
+@lru_cache(maxsize=None)
+def _site_coefficients(d, m, eta):
+    """Coefficients of the compressed order-m site operator of the gl(d) chain,
+    shape (m + 1, bond, d, bond, d): S_a(lam)[u, i, v, j] = sum_p z^p C[p, u, i,
+    v, j] with z = lam - xi_a, auxiliary u, v on Lambda^m C^d, quantum i, j.
 
-    S_a is the order-m fused product R_{1,a}(lam - xi_a) R_{2,a}(lam - eta -
-    xi_a) ... R_{m,a}(lam - (m-1)*eta - xi_a) of auxiliary copies 1..m with
-    site a.  Fusion keeps the range of the antisymmetrizer invariant, so
-    every S_a and the boundary K^{(x)m} are compressed onto it and the bond
-    is binom(d, m).
+    S_a is the fused product R_{1,a}(z) R_{2,a}(z - eta) ... R_{m,a}(z - (m-1)*eta)
+    of auxiliary copies 1..m with site a.  Fusion keeps the range of the
+    antisymmetrizer invariant, so S_a is compressed onto it.  Every factor is
+    z*I + (eta*P - k*eta*I), so the product is a degree-m polynomial in z whose
+    coefficients depend on (d, m, eta) only.
     """
-    d = k_matrix.shape[0]
-    n = len(xi)
     extend = _wedge_columns(d, m)
     restrict = math.factorial(m) * extend.T
-    bond = extend.shape[1]
+    eye = np.eye(d ** (m + 1), dtype=complex)
+    zero = np.zeros_like(eye)
+    poly = [eye]  # coefficients of the first k factors, lowest degree first
+    for k in range(m):
+        const = embed_pair(r_matrix(-k * eta, eta, d), m + 1, k, m, d)
+        poly = [c @ const + z_c for c, z_c in zip(poly + [zero], [zero] + poly)]
     site_restrict = np.kron(restrict, np.eye(d))
     site_extend = np.kron(extend, np.eye(d))
+    bond = extend.shape[1]
+    out = np.array([site_restrict @ c @ site_extend for c in poly])
+    out = out.reshape(m + 1, bond, d, bond, d)
+    out.flags.writeable = False
+    return out
+
+
+def fused_site(d, m, eta, z):
+    """Compressed site operator S_a at z = lam - xi_a, indexed [u, i, v, j]."""
+    coeffs = _site_coefficients(d, m, complex(eta))
+    return np.tensordot(np.vander([z], m + 1, increasing=True)[0], coeffs, axes=1)
+
+
+def _boundary(k_matrix, m):
+    """restrict K^{(x)m} extend: the twist on Lambda^m C^d."""
+    extend = _wedge_columns(k_matrix.shape[0], m)
+    return math.factorial(m) * extend.T @ reduce(np.kron, [k_matrix] * m) @ extend
+
+
+def fused_contract(k_matrix, eta, xi, m, lam, block):
+    """Apply tr_{Lambda^m} K^{(x)m} S_N(lam) ... S_1(lam) to the columns of
+    ``block``, for the gl(d) chain with d x d twist ``k_matrix`` (see
+    :func:`fused_site` for S_a)."""
+    d = k_matrix.shape[0]
+    n = len(xi)
+    bond = _wedge_columns(d, m).shape[1]
     cols = block.shape[1] if block.ndim == 2 else 1
     v = block.reshape(d**n, cols)
-    boundary = restrict @ reduce(np.kron, [k_matrix] * m) @ extend
     y = np.einsum('ut,qb->utbq', np.eye(bond, dtype=complex), v)
     y = y.reshape((bond, bond, cols) + (d,) * n)
     for a in range(1, n + 1):
-        s_mat = reduce(np.matmul, [
-            embed_pair(r_matrix(lam - k * eta - xi[a - 1], eta, d), m + 1, k, m, d)
-            for k in range(m)
-        ])
-        s_mat = site_restrict @ s_mat @ site_extend
+        s_mat = fused_site(d, m, eta, lam - xi[a - 1]).reshape(bond * d, bond * d)
         ax = 3 + (n - a)
         y = np.moveaxis(y, ax, 1)  # (bond_u, q_a, bond_t, cols, rest...)
         shape = y.shape
         y = (s_mat @ y.reshape(bond * d, -1)).reshape((bond, d) + shape[2:])
         y = np.moveaxis(y, 1, ax)
-    out = np.einsum('tu,utb...->b...', boundary, y).reshape(cols, d**n).T
+    out = np.einsum('tu,utb...->b...', _boundary(k_matrix, m), y).reshape(cols, d**n).T
     return out if block.ndim == 2 else out[:, 0]
+
+
+def fused_dense(k_matrix, eta, xi, m, lam):
+    """Dense tr_{Lambda^m} K^{(x)m} S_N(lam) ... S_1(lam) on the d^N quantum
+    space of the gl(d) chain, as a matrix-product-operator product.
+
+    The running tensor starts from the boundary and takes one site per GEMM,
+    from site N down to site 2, as [t, (i_N, j_N), ..., (i_a, j_a), v] with
+    auxiliary t, v; S_1 closes the trace over both auxiliary legs.  It never
+    holds more than bond^2 (d^(N-1))^2 entries.
+    """
+    d = k_matrix.shape[0]
+    n = len(xi)
+    bond = _wedge_columns(d, m).shape[1]
+    x = _boundary(k_matrix, m)
+    for a in range(n, 1, -1):
+        site = fused_site(d, m, eta, lam - xi[a - 1]).transpose(0, 1, 3, 2)  # [v, i, j, w]
+        x = x.reshape(-1, bond) @ site.reshape(bond, -1)
+    x = x.reshape(bond, -1, bond)
+    out = np.tensordot(x, fused_site(d, m, eta, lam - xi[0]), axes=([0, 2], [2, 0]))
+    # (i_N, j_N, ..., i_1, j_1) -> (i_N, ..., i_1), (j_N, ..., j_1)
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return out.reshape((d,) * (2 * n)).transpose(order).reshape(d**n, d**n)
+
+
+def _check_order(m):
+    if m not in (1, 2, 3):
+        raise ValueError("fusion order m must be 1, 2 or 3")
 
 
 def fused_apply(params, m, lam, block):
     """Apply T_m(lam) to the columns of ``block`` without forming the
     auxiliary product space densely."""
-    if m not in (1, 2, 3):
-        raise ValueError("fusion order m must be 1, 2 or 3")
+    _check_order(m)
     return fused_contract(params.twist.k_matrix, params.eta, params.xi, m, lam, block)
 
 
@@ -338,23 +398,11 @@ def apply_transfer_free(params, m, lam, vec):
     return fused_apply(params, m, lam, vec.reshape(-1, 1))[:, 0]
 
 
-# Column blocks bound the memory of dense T_m: unblocked, one T_2 at N = 7 holds
-# a 0.69 GB running tensor plus its copies; blocked, it peaks at 0.59 GB in all.
-_DENSE_BLOCK_BUDGET = 1 << 23  # complex entries of the running contraction tensor
-
-
 def transfer(params, m, lam):
     """Dense fused transfer matrix T_m(lam) on the 3^N quantum space."""
     params.require_dense(params.dim)
-    dim = params.dim
-    bond = _wedge_columns(3, m).shape[1]
-    block = max(1, min(dim, _DENSE_BLOCK_BUDGET // (bond * bond * dim)))
-    out = np.empty((dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
-    for lo in range(0, dim, block):
-        hi = min(dim, lo + block)
-        out[:, lo:hi] = fused_apply(params, m, lam, eye[:, lo:hi])
-    return out
+    _check_order(m)
+    return fused_dense(params.twist.k_matrix, params.eta, params.xi, m, lam)
 
 
 class TransferCache:

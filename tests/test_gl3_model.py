@@ -11,6 +11,9 @@ from sovlab.gl3_model import (
     check_yang_baxter,
     embed_pair,
     exchange_relation_residual,
+    fused_apply,
+    fused_contract,
+    fused_dense,
     fusion_residuals,
     monodromy,
     product_formula_check,
@@ -258,6 +261,45 @@ def test_apply_transfer_free_zero_and_linearity(chain2):
     lhs = apply_transfer_free(params, 2, lam, a * v + w)
     rhs = a * apply_transfer_free(params, 2, lam, v) + apply_transfer_free(params, 2, lam, w)
     assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4])
+def test_fused_dense_matches_identity_columns(sites):
+    """The dense MPO product equals the matrix-free kernel on every identity
+    column: gl(3) at m = 1, 2, 3 and gl(2) at m = 1."""
+    params, _, s = make_params(40 + sites, sites)
+    lam = s.complex_rational()
+    cases = [(params.twist.k_matrix, m) for m in (1, 2, 3)] + [(s.gl2_twist(), 1)]
+    for k, m in cases:
+        eye = np.eye(k.shape[0] ** sites, dtype=complex)
+        want = fused_contract(k, params.eta, params.xi, m, lam, eye)
+        got = fused_dense(k, params.eta, params.xi, m, lam)
+        assert got.flags.c_contiguous
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_transfer_is_dense_monodromy_trace():
+    params, _, s = make_params(45, 3)
+    lam = s.complex_rational()
+    mono = monodromy(params, lam).reshape(3, params.dim, 3, params.dim)
+    want = np.trace(mono, axis1=0, axis2=2)
+    got = transfer(params, 1, lam)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_fused_dense_keeps_exact_zeros_of_t2_shift():
+    """For a diagonal twist with det K = 0, T_2(xi_a - eta) has many vanishing
+    entries; the dense product gives exactly 0 where the matrix-free kernel
+    reads below rounding, and nonzero values elsewhere."""
+    params, _, _ = make_params(23, 3, invertible=False)
+    eye = np.eye(params.dim, dtype=complex)
+    for a in range(params.sites):
+        lam = params.xi[a] - params.eta
+        got = transfer(params, 2, lam)
+        want = fused_apply(params, 2, lam, eye)
+        small = np.abs(want) <= 1e-13 * np.abs(want).max()
+        assert small.sum() > params.dim
+        assert np.array_equal(got == 0, small)
 
 
 def test_twist_from_matrix_rejects_degenerate():
