@@ -76,15 +76,27 @@ def gl2_transfer(params, lam):
 
 
 class Gl2TransferCache:
+    """Memoized transfer matrices of one gl(2) chain and the SoV bases built
+    from them."""
+
     def __init__(self, params):
         self.params = params
         self._store = {}
+        self._bases = None
 
     def value(self, lam):
         key = complex(lam)
         if key not in self._store:
             self._store[key] = gl2_transfer(self.params, key)
         return self._store[key]
+
+    def bases(self):
+        """``gl2_bases`` of this chain, built once; the arrays are read-only."""
+        if self._bases is None:
+            self._bases = gl2_bases(self.params, self)
+            for arr in self._bases:
+                arr.flags.writeable = False
+        return self._bases
 
 
 def binary_labels(sites):
@@ -165,7 +177,7 @@ def coupling_residuals(params, cache=None):
     relative to max|G|, and the largest over the diagonal relative to each
     predicted coupling.
     """
-    left, right, _ = gl2_bases(params, cache)
+    left, right, _ = (cache or Gl2TransferCache(params)).bases()
     gram = left @ right
     labels = list(binary_labels(params.sites))
     scale = np.abs(gram).max()
@@ -205,7 +217,7 @@ def gl2_eigen_reps(params, lambda0=None, cache=None, gap_rtol=1e-8):
     nonvanishing overlap with the all-zeros reference are checked as well.
     """
     cache = cache or Gl2TransferCache(params)
-    left, right, zeros_col = gl2_bases(params, cache)
+    left, right, zeros_col = cache.bases()
     lam0 = params.xi[0] + 13 / 7 * params.eta if lambda0 is None else lambda0
     dec = eig_general(cache.value(lam0), gap_rtol=gap_rtol)
 
@@ -266,8 +278,7 @@ def gl2_eigen_reps(params, lambda0=None, cache=None, gap_rtol=1e-8):
 
 def identity_decomposition_residual(params, cache=None):
     """Residual of I = V(xi) sum_h V(xi - h*eta) |h><h|."""
-    cache = cache or Gl2TransferCache(params)
-    left, right, _ = gl2_bases(params, cache)
+    left, right, _ = (cache or Gl2TransferCache(params)).bases()
     acc = np.zeros((params.dim, params.dim), dtype=complex)
     for h in binary_labels(params.sites):
         weight = vandermonde([params.xi[a] - h[a] * params.eta for a in range(params.sites)])

@@ -191,6 +191,13 @@ class Workspace:
             self._cache["gl2"] = (params, gl2_model.Gl2TransferCache(params))
         return self._cache["gl2"]
 
+    def gl2_coupling(self):
+        """``gl2_model.coupling_residuals`` of the gl(2) chain, shared by the
+        gram, measure and gl2 suites."""
+        if "gl2_coupling" not in self._cache:
+            self._cache["gl2_coupling"] = gl2_model.coupling_residuals(*self.gl2())
+        return self._cache["gl2_coupling"]
+
 
 def _result(name, tol, residual, details, ws, extra_ok=True):
     return TaskResult(
@@ -322,7 +329,7 @@ def _variant_relation_residual(params, xyz, cache):
 
 def run_gram(ws, tol):
     if ws.algebra == "gl2":
-        g, cells, _ = gl2_model.coupling_residuals(*ws.gl2())
+        g, cells, _ = ws.gl2_coupling()
         return _result("gram", tol, cells, {"scale": float(np.abs(g).max())}, ws)
     params, _, _, _ = ws.gl3()
     report = ws.gl3_gram()
@@ -337,8 +344,8 @@ def run_gram(ws, tol):
 
 def run_measure(ws, tol, out_dir=None):
     if ws.algebra == "gl2":
-        params, cache = ws.gl2()
-        g, _, diagonal = gl2_model.coupling_residuals(params, cache)
+        params, _ = ws.gl2()
+        g, _, diagonal = ws.gl2_coupling()
         if out_dir is not None:
             sov_measure.export_matrix_csv(g, out_dir / "gram.csv")
             sov_measure.export_matrix_csv(np.linalg.inv(g), out_dir / "measure.csv")
@@ -521,7 +528,7 @@ def run_ttcharges(ws, tol):
 
 def run_gl2(ws, tol):
     params, cache = ws.gl2()
-    _, measure_worst, _ = gl2_model.coupling_residuals(params, cache)
+    _, measure_worst, _ = ws.gl2_coupling()
     ident = gl2_model.identity_decomposition_residual(params, cache)
     qworst = 0.0
     for a in range(params.sites):

@@ -1,6 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from sovlab import gl2_model
+from sovlab.cli import resolve_config, run
 from sovlab.errors import DegenerateReference
 from sovlab.gl2_model import (
     Gl2Params,
@@ -143,3 +147,19 @@ def test_eigen_representations_three_sites(gl2_chain3):
     assert out["detk_rep_residual"] <= 1e-7
     assert out["min_overlap"] > 1e-9
     assert len(out["states"]) == params.dim
+
+
+def test_gl2_suites_build_bases_and_coupling_once(monkeypatch):
+    """The gram, measure and gl2 suites of one run share one basis build and
+    one coupling matrix."""
+    calls = Counter()
+    for name in ("gl2_bases", "coupling_residuals"):
+        def counted(*args, _name=name, _fn=getattr(gl2_model, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(gl2_model, name, counted)
+    cfg = resolve_config(None, {"algebra": "gl2", "sites": 3, "seed": 4})
+    report = run(cfg, echo=lambda *a, **k: None)
+    assert [r["task"] for r in report["results"]] == ["gram", "measure", "gl2"]
+    assert report["all_passed"]
+    assert calls == {"gl2_bases": 1, "coupling_residuals": 1}
