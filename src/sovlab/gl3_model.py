@@ -24,6 +24,7 @@ and 2 for gl(2).  Both paths build their site operators with
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -409,15 +410,22 @@ class TransferCache:
     """Memoizing evaluator for dense transfer matrices, keyed by (m, lam).
 
     Single-threaded use; share one instance per parameter set within a task.
+    ``hits[m]`` and ``misses[m]`` count the lookups of fusion order m; every
+    miss assembles one dense T_m.
     """
 
     def __init__(self, params):
         self.params = params
         self._store = {}
+        self.hits = Counter()
+        self.misses = Counter()
 
     def value(self, m, lam):
         key = (m, complex(lam))
-        if key not in self._store:
+        if key in self._store:
+            self.hits[m] += 1
+        else:
+            self.misses[m] += 1
             self._store[key] = transfer(self.params, m, lam)
         return self._store[key]
 

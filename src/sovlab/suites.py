@@ -8,6 +8,7 @@ five retries, all recorded in the result).
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +99,21 @@ class Workspace:
         self._explicit = twist is not None or xi is not None or eta is not None
         self.retries = []
         self._cache = {}
+
+    def build(self):
+        """Build the chain every suite of this algebra starts from."""
+        return self.gl3() if self.algebra == "gl3" else self.gl2()
+
+    def cache_counts(self):
+        """Lookups of the shared gl(3) transfer caches built so far (the chain's
+        and its K-hat companion's): total hits and misses, and the dense
+        assemblies per fusion order."""
+        caches = [self._cache[key][i] for key, i in (("gl3", 2), ("khat_chain", 1))
+                  if key in self._cache]
+        hits = sum((c.hits for c in caches), Counter())
+        misses = sum((c.misses for c in caches), Counter())
+        return {"hits": sum(hits.values()), "misses": sum(misses.values()),
+                "assemblies": {f"m{m}": misses[m] for m in (1, 2, 3)}}
 
     # -- gl3 ---------------------------------------------------------------
 
