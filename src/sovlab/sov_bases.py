@@ -176,15 +176,12 @@ def reference_vector_solve(left_basis):
     """
     left = np.asarray(left_basis, dtype=complex)
     norms = np.linalg.norm(left, axis=1)
-    if norms.min() <= 0:
-        raise SingularBasis("left family has a zero row")
-    unit = left / norms[:, None]
-    ratio = rank_ratio(unit)
+    ratio = rank_ratio(left / norms[:, None]) if norms.min() > 0 else 0.0
     if ratio < 1e-13:
         raise SingularBasis(f"left family is rank deficient (sigma ratio {ratio:.2e})")
     rhs = np.zeros(left.shape[0], dtype=complex)
     rhs[0] = 1.0 / norms[0]
-    return np.linalg.solve(unit, rhs)
+    return np.linalg.solve(left / norms[:, None], rhs)
 
 
 def _basis_tree(params, ref, steps, apply):
