@@ -360,20 +360,22 @@ def fused_dense(k_matrix, eta, xi, m, lam):
     """Dense tr_{Lambda^m} K^{(x)m} S_N(lam) ... S_1(lam) on the d^N quantum
     space of the gl(d) chain, as a matrix-product-operator product.
 
-    The running tensor starts from the boundary and takes one site per GEMM,
-    from site N down to site 2, as [t, (i_N, j_N), ..., (i_a, j_a), v] with
-    auxiliary t, v; S_1 closes the trace over both auxiliary legs.  It never
-    holds more than bond^2 (d^(N-1))^2 entries.
+    The running tensor S_a ... S_1 takes one site per GEMM, from site 1 up to
+    site N - 1, as [u, (i_a, j_a), ..., (i_1, j_1), t] with auxiliary u, t;
+    the boundary multiplies its leg t and S_N closes the trace.  It never
+    holds more than bond^2 (d^(N-1))^2 entries.  Applying the sites from 1
+    upwards and the boundary last, as the matrix-free kernel does, rounds
+    closer to the exact product than starting from the boundary.
     """
     d = k_matrix.shape[0]
     n = len(xi)
     bond = _wedge_columns(d, m).shape[1]
-    x = _boundary(k_matrix, m)
-    for a in range(n, 1, -1):
-        site = fused_site(d, m, eta, lam - xi[a - 1]).transpose(0, 1, 3, 2)  # [v, i, j, w]
-        x = x.reshape(-1, bond) @ site.reshape(bond, -1)
-    x = x.reshape(bond, -1, bond)
-    out = np.tensordot(x, fused_site(d, m, eta, lam - xi[0]), axes=([0, 2], [2, 0]))
+    x = np.eye(bond, dtype=complex)  # the product of no sites
+    for a in range(1, n):
+        site = fused_site(d, m, eta, lam - xi[a - 1]).transpose(0, 1, 3, 2)  # [u, i, j, w]
+        x = site.reshape(-1, bond) @ x.reshape(bond, -1)
+    x = (x.reshape(-1, bond) @ _boundary(k_matrix, m)).reshape(bond, -1, bond)
+    out = np.tensordot(fused_site(d, m, eta, lam - xi[n - 1]), x, axes=([0, 2], [2, 0]))
     # (i_N, j_N, ..., i_1, j_1) -> (i_N, ..., i_1), (j_N, ..., j_1)
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     return out.reshape((d,) * (2 * n)).transpose(order).reshape(d**n, d**n)
