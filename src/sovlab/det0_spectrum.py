@@ -18,7 +18,7 @@ from .errors import (
     SpectrumNotSimple,
 )
 from .gl3_model import InterpolationWeights, TransferCache
-from .numkernel import eig_general, rel_residual, vandermonde
+from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde
 from .sov_bases import TernaryIndex, dressed_pair, label_products
 from .sov_measure import diag_values
 
@@ -108,42 +108,45 @@ class SpectralData:
             raise PatternMissing("run zero_pattern on this eigenstate first")
 
 
-def _rayleigh(u, v, matrix):
-    return (u @ matrix @ v) / (u @ v)
+def probe_decomposition(params, cache, lambda0=None, gap_rtol=1e-6):
+    """Eigendecomposition of T_1 at the probe point (``default_probe_point``
+    unless ``lambda0`` is given), refused unless its spectrum is simple."""
+    lam0 = default_probe_point(params) if lambda0 is None else lambda0
+    return eig_general(cache.t1(lam0), gap_rtol=gap_rtol)
 
 
-def eigensolve_sov(params, xyz, lambda0=None, pair=None, cache=None, gap_rtol=1e-6):
+def eigensolve_sov(params, xyz, lambda0=None, pair=None, cache=None, gap_rtol=1e-6, dec=None):
     """Diagonalize T_1 at a generic point and package the eigenstates.
 
     Returns ``(states, pair, cache)``.  Eigenvalue functions at the nodes are
     computed as bilinear Rayleigh quotients, wave-function factorization over
     the dressed left basis is verified per state and stored as a residual.
+    ``dec`` is a :func:`probe_decomposition` of the same chain to reuse
+    (``lambda0`` and ``gap_rtol`` then go unused).
     """
     cache = cache or TransferCache(params)
     pair = pair or dressed_pair(params, xyz, cache)
-    lam0 = default_probe_point(params) if lambda0 is None else lambda0
-    dec = eig_general(cache.t1(lam0), gap_rtol=gap_rtol)
+    dec = dec or probe_decomposition(params, cache, lambda0, gap_rtol)
 
     n = params.sites
     one_flat = TernaryIndex((1,) * n).flat
     zero_flat = TernaryIndex((0,) * n).flat
-    t1_nodes = [cache.t1(x) for x in params.xi]
-    t1_sh = [cache.t1(x - params.eta) for x in params.xi]
-    t2_nodes = [cache.t2(x) for x in params.xi]
-    t2_sh = [cache.t2(x - params.eta) for x in params.xi]
 
+    def node_values(m, shift):
+        """Row i: the eigenvalues of T_m at every xi_a - shift on state i."""
+        return np.stack([rayleigh_quotients(dec.left, cache.value(m, x - shift), dec.right)
+                         for x in params.xi], axis=1)
+
+    t1x, t1s = node_values(1, 0), node_values(1, params.eta)
+    t2x, t2s = node_values(2, 0), node_values(2, params.eta)
     states = []
     for i in range(params.dim):
         v, u = dec.right[:, i], dec.left[i]
-        t1x = np.array([_rayleigh(u, v, m) for m in t1_nodes])
-        t1s = np.array([_rayleigh(u, v, m) for m in t1_sh])
-        t2x = np.array([_rayleigh(u, v, m) for m in t2_nodes])
-        t2s = np.array([_rayleigh(u, v, m) for m in t2_sh])
         v = v / (pair.left[one_flat] @ v)
         u = u / (u @ pair.right[:, zero_flat])
         coords = pair.left @ v
-        worst = rel_residual(coords - separated_coordinates(t1x, t2s), coords)
-        states.append(SpectralData(i, v, u, t1x, t1s, t2x, t2s, worst))
+        worst = rel_residual(coords - separated_coordinates(t1x[i], t2s[i]), coords)
+        states.append(SpectralData(i, v, u, t1x[i], t1s[i], t2x[i], t2s[i], worst))
     return states, pair, cache
 
 
@@ -199,7 +202,7 @@ def zero_pattern(state, params, cache=None, theta=ZERO_THETA, n_extra=4):
             pred *= lam - (params.xi[a] - params.eta)
         for b in b_sites:
             pred *= lam - params.xi[b]
-        actual = _rayleigh(state.left, state.right, cache.t2(lam))
+        actual = rayleigh_quotients(state.left[None], cache.t2(lam), state.right[:, None])[0]
         closed_resid = max(closed_resid, abs(actual - pred) / max(abs(actual), 1e-300))
 
     state.perm = perm

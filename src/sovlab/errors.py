@@ -10,7 +10,7 @@ class SizeCapError(SovLabError):
 
 
 class EigFailure(SovLabError):
-    """Eigendecomposition did not converge or could not be bi-orthonormalized."""
+    """Eigendecomposition did not converge, or its eigenvectors are numerically dependent."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

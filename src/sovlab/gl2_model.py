@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DegenerateReference
 from .gl3_model import fused_dense
-from .numkernel import eig_general, rel_residual, vandermonde
+from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde
 from .sov_bases import tensor_product_state
 
 
@@ -225,6 +225,9 @@ def gl2_eigen_reps(params, lambda0=None, cache=None, gap_rtol=1e-8):
     v_xi = vandermonde(params.xi)
     t_at = [cache.value(x) for x in params.xi]
     t_sh = [cache.value(x - params.eta) for x in params.xi]
+    # row i: the eigenvalues of state i at every xi_a (xi_a - eta)
+    vals_at = np.stack([rayleigh_quotients(dec.left, m, dec.right) for m in t_at], axis=1)
+    vals_sh = np.stack([rayleigh_quotients(dec.left, m, dec.right) for m in t_sh], axis=1)
     detk = np.linalg.det(params.k_matrix)
     invertible = abs(detk) > 1e-12 * max(np.abs(params.k_matrix).max(), 1e-300) ** 2
 
@@ -237,8 +240,7 @@ def gl2_eigen_reps(params, lambda0=None, cache=None, gap_rtol=1e-8):
     labels = list(binary_labels(params.sites))
     for i in range(params.dim):
         v, u = dec.right[:, i], dec.left[i]
-        t_val = [(u @ m @ v) / (u @ v) for m in t_at]
-        t_vs = [(u @ m @ v) / (u @ v) for m in t_sh]
+        t_val, t_vs = vals_at[i], vals_sh[i]
         v = v / (row0 @ v) / v_xi
         u = u / (u @ ones_col) / v_xi
         vpred = np.zeros(params.dim, dtype=complex)

@@ -413,7 +413,9 @@ class TransferCache:
 
     Single-threaded use; share one instance per parameter set within a task.
     ``hits[m]`` and ``misses[m]`` count the lookups of fusion order m; every
-    miss assembles one dense T_m.
+    miss assembles one dense T_m.  ``pairs`` holds the read-only dressed SoV
+    pairs built from this cache, keyed by their reference components
+    (see :func:`sov_bases.dressed_pair`).
     """
 
     def __init__(self, params):
@@ -421,6 +423,7 @@ class TransferCache:
         self._store = {}
         self.hits = Counter()
         self.misses = Counter()
+        self.pairs = {}
 
     def value(self, m, lam):
         key = (m, complex(lam))

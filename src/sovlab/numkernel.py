@@ -20,6 +20,9 @@ RANK_RTOL = 1e-9
 #: largest dimension stored densely by default (3**8)
 DENSE_DIM_CAP = 6561
 
+#: eigenvector matrices conditioned worse than this count as singular
+EIGVEC_COND_MAX = 1e13
+
 
 def as_matrix(a):
     """Coerce to a 2-d complex array, rejecting non-finite entries."""
@@ -100,16 +103,20 @@ def canonical_eig_order(values):
 class EigenDecomposition:
     """Right/left eigen-pairs of a general complex matrix.
 
-    ``right[:, i]`` is the right eigenvector of ``values[i]``; ``left[i, :]``
-    the matching left row vector, normalized so that ``left @ right = I`` in
-    the bilinear pairing.  ``residual_norm`` bounds ``|A v - lam v| / |A|``.
+    ``right[:, i]`` is the unit-norm right eigenvector of ``values[i]``;
+    ``left[i, :]`` the matching left row vector, normalized so that
+    ``left @ right = I`` in the bilinear pairing.  ``residual_norm`` is the
+    larger of the right residual ``max_i |A r_i - lam_i r_i|`` and the left
+    residual ``max_i |l_i A - lam_i l_i| / |l_i|``, each relative to ``|A|``;
+    ``eigvec_cond`` is the 2-norm condition number of ``right``.
     """
 
-    def __init__(self, values, right, left, residual_norm):
+    def __init__(self, values, right, left, residual_norm, eigvec_cond=None):
         self.values = values
         self.right = right
         self.left = left
         self.residual_norm = residual_norm
+        self.eigvec_cond = eigvec_cond
 
     def reconstruct(self):
         """sum_i lam_i |v_i><u_i| as a dense matrix."""
@@ -120,17 +127,21 @@ class EigenDecomposition:
         diffs[np.diag_indices_from(diffs)] = np.inf
         return float(diffs.min()) if len(self.values) > 1 else np.inf
 
+    def min_rel_gap(self):
+        """Smallest eigenvalue gap relative to the largest |eigenvalue|."""
+        return self.min_gap() / max(float(np.abs(self.values).max()), 1e-300)
 
-def eig_general(a, cap=DENSE_DIM_CAP, pair_gap_rtol=1e-8, gap_rtol=None):
+
+def eig_general(a, cap=DENSE_DIM_CAP, gap_rtol=None):
     """Full eigendecomposition with bilinearly paired left/right families.
 
-    Eigenvalues are sorted by (Re, Im).  Left vectors are computed as right
-    eigenvectors of ``a.T`` (transpose, not conjugate transpose), so
-    ``left[i] @ a = values[i] * left[i]``.  Within clusters of nearly equal
-    eigenvalues the left family is re-paired to maximize the bilinear overlaps
-    before normalization.  With ``gap_rtol`` a spectrum whose smallest
-    eigenvalue gap is at most ``gap_rtol * max|lambda|`` raises
-    :class:`SpectrumNotSimple`.
+    One LAPACK call gives the right eigenvectors; after sorting the
+    eigenvalues by (Re, Im) the left family is their inverse, bi-orthonormal
+    by construction, so ``left[i] @ a = values[i] * left[i]``.  An eigenvector
+    matrix with condition number above :data:`EIGVEC_COND_MAX` (a defective
+    or numerically defective matrix) raises :class:`EigFailure`.  With
+    ``gap_rtol`` a spectrum whose smallest eigenvalue gap is at most
+    ``gap_rtol * max|lambda|`` raises :class:`SpectrumNotSimple`.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -139,43 +150,38 @@ def eig_general(a, cap=DENSE_DIM_CAP, pair_gap_rtol=1e-8, gap_rtol=None):
     if n > cap:
         raise SizeCapError(f"dimension {n} exceeds cap {cap}")
     try:
-        vals_r, vr = np.linalg.eig(a)
-        vals_l, vl = np.linalg.eig(a.T)
+        values, right = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(f"eigensolver did not converge: {exc}") from exc
+    order = canonical_eig_order(values)
+    values, right = values[order], right[:, order]
 
-    order_r = canonical_eig_order(vals_r)
-    vals_r, vr = vals_r[order_r], vr[:, order_r]
-    order_l = canonical_eig_order(vals_l)
-    vals_l, vl = vals_l[order_l], vl[:, order_l]
+    dec = EigenDecomposition(values, right, None, None)
+    if gap_rtol is not None and dec.min_rel_gap() <= gap_rtol:
+        raise SpectrumNotSimple(
+            f"relative eigenvalue gap {dec.min_rel_gap():.2e} below {gap_rtol:.0e}"
+        )
+    dec.eigvec_cond = float(np.linalg.cond(right))
+    if not dec.eigvec_cond <= EIGVEC_COND_MAX:
+        raise EigFailure(
+            f"eigenvector matrix is numerically singular (condition {dec.eigvec_cond:.2e}; "
+            "matrix may be defective)"
+        )
+    dec.left = np.linalg.inv(right)
 
-    dec = EigenDecomposition(vals_r, vr, None, None)
-    scale = max(np.abs(vals_r).max(), 1e-300)
-    if gap_rtol is not None and dec.min_gap() <= gap_rtol * scale:
-        raise SpectrumNotSimple(f"eigenvalue gap {dec.min_gap():.2e} below {gap_rtol:.0e} * scale")
-    # repair the pairing inside near-degenerate clusters
-    taken = np.zeros(n, dtype=bool)
-    left_rows = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        cluster = np.where(~taken & (np.abs(vals_l - vals_r[i]) <= pair_gap_rtol * scale))[0]
-        if len(cluster) == 0:
-            cluster = np.where(~taken)[0]
-        overlaps = np.abs(vr[:, i] @ vl[:, cluster])
-        j = cluster[int(np.argmax(overlaps))]
-        taken[j] = True
-        pairing = vl[:, j] @ vr[:, i]
-        if abs(pairing) < 1e-13 * np.abs(vl[:, j]).max() * np.abs(vr[:, i]).max():
-            raise EigFailure(
-                "left/right eigenvectors could not be bi-orthonormalized "
-                "(matrix may be defective)",
-                residual=abs(pairing),
-            )
-        left_rows[i] = vl[:, j] / pairing
-    dec.left = left_rows
-
-    resid = np.linalg.norm(a @ vr - vr * vals_r, axis=0).max()
-    dec.residual_norm = resid / max(np.linalg.norm(a), 1e-300)
+    norm_a = max(np.linalg.norm(a), 1e-300)
+    resid_right = np.linalg.norm(a @ right - right * values, axis=0).max()
+    resid_left = (np.linalg.norm(dec.left @ a - values[:, None] * dec.left, axis=1)
+                  / np.linalg.norm(dec.left, axis=1)).max()
+    dec.residual_norm = float(max(resid_right, resid_left) / norm_a)
     return dec
+
+
+def rayleigh_quotients(left, matrix, right):
+    """Bilinear Rayleigh quotients ``(l_i M r_i) / (l_i r_i)`` of the rows of
+    ``left`` and the columns of ``right``, with one GEMM for the whole family."""
+    return (np.einsum("ij,ji->i", left @ matrix, right)
+            / np.einsum("ij,ji->i", left, right))
 
 
 def rel_residual(diff, ref):

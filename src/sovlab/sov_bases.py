@@ -285,13 +285,23 @@ class SovBasisPair:
 
 
 def dressed_pair(params, xyz, cache=None):
-    """Dressed left/right bases from the tensor reference pair fixed by xyz."""
+    """Dressed left/right bases from the tensor reference pair fixed by xyz.
+
+    The pair is built once per transfer cache and reference components and
+    kept in ``cache.pairs``; its arrays are read-only, so every caller of the
+    same cache shares one pair.
+    """
     cache = cache or TransferCache(params)
-    ref_row = reference_covector(xyz, params.twist, params)
-    ref_col = reference_vector_closed(xyz, params.twist, params)
-    left = build_left_basis(params, ref_row, "dressed", cache)
-    right = build_right_basis(params, ref_col, "dressed", cache)
-    return SovBasisPair(left, right, "dressed", ref_row, ref_col)
+    key = tuple(complex(c) for c in xyz)
+    if key not in cache.pairs:
+        ref_row = reference_covector(xyz, params.twist, params)
+        ref_col = reference_vector_closed(xyz, params.twist, params)
+        left = build_left_basis(params, ref_row, "dressed", cache)
+        right = build_right_basis(params, ref_col, "dressed", cache)
+        for arr in (left, right, ref_row, ref_col):
+            arr.setflags(write=False)
+        cache.pairs[key] = SovBasisPair(left, right, "dressed", ref_row, ref_col)
+    return cache.pairs[key]
 
 
 def power_pair(params, xyz, rst, cache=None):

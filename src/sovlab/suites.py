@@ -22,6 +22,7 @@ from .det0_spectrum import (
     make_khat,
     norm_determinant,
     norm_direct,
+    probe_decomposition,
     scalar_product_determinant,
     separate_overlap_direct,
     zero_pattern,
@@ -173,14 +174,30 @@ class Workspace:
             self._cache["khat"] = (kp, xyz, cache, pair)
         return self._cache["khat"]
 
+    def khat_eigenstates(self):
+        """Every eigenstate of the companion chain at the probe point, with
+        the probe-point decomposition they were read from."""
+        if "khat_eigenstates" not in self._cache:
+            kp, xyz, cache, pair = self.khat()
+            dec = probe_decomposition(kp, cache)
+            states, _, _ = eigensolve_sov(kp, xyz, pair=pair, cache=cache, dec=dec)
+            self._cache["khat_eigenstates"] = (states, dec)
+        return self._cache["khat_eigenstates"]
+
+    def khat_probe_health(self):
+        """Smallest relative eigenvalue gap and eigenvector conditioning of the
+        companion chain's probe-point decomposition."""
+        _, dec = self.khat_eigenstates()
+        return {"probe_min_rel_gap": dec.min_rel_gap(), "probe_eigvec_cond": dec.eigvec_cond}
+
     def khat_states(self):
         """Eigenstates with their zero patterns; ambiguous patterns are
         excluded from determinant runs and logged."""
         if "khat_states" not in self._cache:
             from .errors import AmbiguousPattern
 
-            kp, xyz, cache, pair = self.khat()
-            states, _, _ = eigensolve_sov(kp, xyz, pair=pair, cache=cache)
+            kp, _, cache, _ = self.khat()
+            states, _ = self.khat_eigenstates()
             kept, excluded = [], []
             for st in states:
                 try:
@@ -504,6 +521,7 @@ def run_scalarproducts(ws, tol, n_random=20):
         "norms": float(norm_worst),
         "per_state": records,
         "excluded_ambiguous": excluded,
+        **ws.khat_probe_health(),
     }
     return _result("scalarproducts", tol, max(fact, sp_worst, norm_worst), details, ws)
 
@@ -511,7 +529,8 @@ def run_scalarproducts(ws, tol, n_random=20):
 def run_ttcharges(ws, tol):
     params, xyz, cache, _ = ws.gl3()
     kp, khat_cache = ws.khat_chain()
-    family = build_tt(params, kp, cache=cache, khat_cache=khat_cache)
+    khat_states, khat_dec = ws.khat_eigenstates()
+    family = build_tt(params, kp, cache=cache, khat_cache=khat_cache, khat_states=khat_states)
     fus = fusion_residuals_tt(family)
     s = ParameterSampler(ws.seed + 6000)
     comm_worst = 0.0
@@ -521,6 +540,7 @@ def run_ttcharges(ws, tol):
         t = cache.t1(mu)
         c = family.charge(1, lam)
         comm_worst = max(comm_worst, rel_residual(t @ c - c @ t, t @ c))
+    probe_resid = max(family.probe_residual, khat_dec.residual_norm)
     tpair = tt_sov_bases(family, xyz)
     treport = gram(tpair.left, tpair.right, params.with_twist(family.khat_params.twist))
     off = treport.max_offdiag_cosine
@@ -537,8 +557,10 @@ def run_ttcharges(ws, tol):
         "gram_diag": float(diag_err),
         "eigen_representation": float(rep),
         "central_zero": float(central),
+        "probe_eigen_residual": probe_resid,
+        **ws.khat_probe_health(),
     }
-    worst = max(max(fus.values()), comm_worst, off, diag_err, rep, central)
+    worst = max(max(fus.values()), comm_worst, off, diag_err, rep, central, probe_resid)
     return _result("ttcharges", tol, worst, details, ws)
 
 

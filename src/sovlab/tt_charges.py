@@ -13,7 +13,7 @@ hierarchy, and therefore generate mutually orthogonal SoV bases with the same
 Vandermonde diagonal as the K-hat model.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,10 +21,11 @@ from .det0_spectrum import (
     default_probe_point,
     eigensolve_sov,
     make_khat,
+    probe_decomposition,
     separated_coordinates,
 )
 from .gl3_model import TransferCache
-from .numkernel import eig_general, rel_residual
+from .numkernel import rayleigh_quotients, rel_residual
 from .sov_bases import (
     SovBasisPair,
     TernaryIndex,
@@ -47,7 +48,8 @@ class ChargeFamily:
     both sides are sorted by the canonical (Re, Im) key of their probe-point
     eigenvalue, so the pairing is the identity permutation by construction.
     That choice is a determinism convention: the fusion and orthogonality
-    identities hold per eigenstate for any bijection.
+    identities hold per eigenstate for any bijection.  ``probe_residual`` is
+    the ``residual_norm`` of the invertible-twist decomposition.
     """
 
     params: object
@@ -57,17 +59,23 @@ class ChargeFamily:
     khat_states: list
     pairing: tuple
     probe_point: complex
+    probe_residual: float
     _khat_cache: TransferCache
+    # K-hat eigenstate a rows / columns in pairing order, for the Rayleigh GEMMs
+    _khat_rows: np.ndarray = field(init=False, repr=False)
+    _khat_cols: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        paired = [self.khat_states[b] for b in self.pairing]
+        self._khat_rows = np.stack([st.left for st in paired])
+        self._khat_cols = np.stack([st.right for st in paired], axis=1)
 
     def charge(self, j, lam):
         """Dense charge matrix of fusion order j in {1, 2} at spectral parameter lam."""
         if j not in (1, 2):
             raise ValueError("charge order must be 1 or 2")
         tj = self._khat_cache.value(j, lam)
-        values = np.empty(self.params.dim, dtype=complex)
-        for a in range(self.params.dim):
-            st = self.khat_states[self.pairing[a]]
-            values[a] = (st.left @ tj @ st.right) / (st.left @ st.right)
+        values = rayleigh_quotients(self._khat_rows, tj, self._khat_cols)
         return (self.right * values) @ self.left
 
     # t1/t2 let the family stand in for a TransferCache in the basis builders
@@ -106,14 +114,17 @@ class ChargeFamily:
 
 
 def build_tt(params, khat_params=None, lambda0=None, gap_rtol=1e-6, cache=None,
-             khat_cache=None):
+             khat_cache=None, khat_states=None):
     """Assemble the charge family for an invertible simple-spectrum twist.
 
     ``khat_params`` defaults to the same chain with the smallest twist
     eigenvalue zeroed.  Both transfer spectra at the probe point must be
     simple.  ``cache`` and ``khat_cache`` are transfer caches of ``params``
     and ``khat_params`` to reuse; the charges keep evaluating through
-    ``khat_cache``.
+    ``khat_cache``.  ``khat_states`` are the :func:`eigensolve_sov` states of
+    ``khat_params`` at the same probe point, in canonical order, to reuse
+    instead of diagonalizing the companion again (their normalization does
+    not enter the charges).
     """
     if khat_params is None:
         khat_params = params.with_twist(make_khat(params.twist))
@@ -124,22 +135,26 @@ def build_tt(params, khat_params=None, lambda0=None, gap_rtol=1e-6, cache=None,
     ):
         raise ValueError("charge construction needs matching (sites, eta, xi)")
     lam0 = default_probe_point(params) if lambda0 is None else lambda0
-    dec = eig_general((cache or TransferCache(params)).t1(lam0), gap_rtol=gap_rtol)
+    dec = probe_decomposition(params, cache or TransferCache(params), lam0, gap_rtol)
 
     khat_cache = khat_cache or TransferCache(khat_params)
-    # reference components only matter for normalization here; eigensolve
-    # validates simplicity of the companion spectrum
-    khat_states, _, _ = eigensolve_sov(
-        khat_params, (1.0, 1.0, 1.0), lambda0=lam0, cache=khat_cache, gap_rtol=gap_rtol
-    )
+    if khat_states is None:
+        # reference components only matter for normalization here; eigensolve
+        # validates simplicity of the companion spectrum
+        khat_states, _, _ = eigensolve_sov(
+            khat_params, (1.0, 1.0, 1.0), lambda0=lam0, cache=khat_cache, gap_rtol=gap_rtol
+        )
+    elif len(khat_states) != params.dim:
+        raise ValueError(f"expected {params.dim} companion eigenstates, got {len(khat_states)}")
     return ChargeFamily(
         params,
         khat_params,
         dec.right,
         dec.left,
-        khat_states,
+        list(khat_states),
         tuple(range(params.dim)),
         complex(lam0),
+        dec.residual_norm,
         khat_cache,
     )
 

@@ -170,6 +170,33 @@ def test_report_timings_block(monkeypatch):
     assert all(counts["assemblies"][f"m{m}"] > 0 for m in (1, 2, 3))
 
 
+def test_one_lapack_eig_per_decomposition(monkeypatch):
+    """A full three-site run diagonalizes three matrices (the companion and
+    invertible-twist T_1 at the probe point, and the gl(2) transfer matrix),
+    each with one LAPACK call."""
+    import numpy as np
+
+    from sovlab import det0_spectrum, gl2_model, gl3_model, numkernel
+
+    counts = {"eig": 0, "eig_general": 0}
+    real_eig, real_eig_general = np.linalg.eig, numkernel.eig_general
+
+    def eig(a):
+        counts["eig"] += 1
+        return real_eig(a)
+
+    def eig_general(*args, **kwargs):
+        counts["eig_general"] += 1
+        return real_eig_general(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    for module in (numkernel, det0_spectrum, gl2_model, gl3_model):
+        monkeypatch.setattr(module, "eig_general", eig_general)
+    report = run(resolve_config(None, {"sites": 3, "seed": 7}), echo=lambda *a, **k: None)
+    assert len(report["results"]) == 12
+    assert counts == {"eig": 3, "eig_general": 3}
+
+
 def test_unbuildable_chain_is_reported_per_task():
     cfg = resolve_config(None, {"sites": 2, "seed": 7, "reference": [0, 1, 1],
                                 "tasks": ["yangbaxter", "bases"]})

@@ -22,6 +22,7 @@ from sovlab.errors import (
     SpectrumNotSimple,
 )
 from sovlab.gl3_model import ModelParams, TransferCache, TwistData
+from sovlab.numkernel import rayleigh_quotients, rel_residual
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import TernaryIndex, dressed_pair
 
@@ -138,6 +139,27 @@ def test_eigensolve_one_site_closed_form():
     )
     for w, g in zip(want, got):
         assert abs(w - g) <= 1e-10 * max(abs(w), 1)
+
+
+def test_rayleigh_quotients_match_per_state_loop(det0_chain3):
+    """The batched quotients equal (u M v) / (u v) state by state, on the
+    stored eigenvectors, whose pairings u v are far from one; so do the node
+    eigenvalues eigensolve_sov stores."""
+    params, xyz, cache, pair = det0_chain3
+    states, _, _ = eigensolve_sov(params, xyz, pair=pair, cache=cache)
+    rows = np.stack([st.left for st in states])
+    cols = np.stack([st.right for st in states], axis=1)
+    pairings = np.einsum("ij,ji->i", rows, cols)
+    assert np.abs(pairings - 1).max() > 1e-3
+    lam = params.xi[1] + 0.37 - 0.21j
+    for m in (cache.t1(lam), cache.t2(lam), cache.t2(params.xi[2] - params.eta)):
+        loop = np.array([(st.left @ m @ st.right) / (st.left @ st.right) for st in states])
+        assert rel_residual(rayleigh_quotients(rows, m, cols) - loop, loop) <= 1e-13
+    for a, x in enumerate(params.xi):
+        for stored, m in (("t1_xi", cache.t1(x)), ("t2_shift", cache.t2(x - params.eta))):
+            loop = np.array([(st.left @ m @ st.right) / (st.left @ st.right) for st in states])
+            got = np.array([getattr(st, stored)[a] for st in states])
+            assert rel_residual(got - loop, loop) <= 1e-13
 
 
 def test_eigensolve_simple_spectrum_and_factorization(det0_chain2):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sovlab.errors import SizeCapError
+from sovlab.errors import EigFailure, SizeCapError
 from sovlab.numkernel import (
     EigenDecomposition,
     adjugate3,
@@ -119,6 +119,31 @@ def test_eig_reconstruction_and_biorthogonality():
         rel = np.abs(dec.reconstruct() - a).max() / np.abs(a).max()
         assert rel <= 1e-8
         np.testing.assert_allclose(dec.left @ dec.right, np.eye(6), atol=1e-9)
+
+
+def test_eig_defective_matrix_raises():
+    with pytest.raises(EigFailure):
+        eig_general(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_eig_residual_reads_the_left_family():
+    """On A = V diag V^-1 with cond(V) ~ 1e10 the inverse of the right
+    eigenvectors is the less accurate family; ``residual_norm`` must cover its
+    residual, computed here on unit-norm rows, and not only the right one."""
+    gen = np.random.default_rng(3)
+    u, _, vh = np.linalg.svd(gen.standard_normal((6, 6)) + 1j * gen.standard_normal((6, 6)))
+    v = u @ np.diag(np.logspace(0, -10, 6)) @ vh
+    v /= np.linalg.norm(v, axis=0)
+    assert 1e9 < np.linalg.cond(v) < 1e11
+    a = v @ np.diag(np.arange(1, 7) * (1 + 0.5j)) @ np.linalg.inv(v)
+    dec = eig_general(a)
+    scale = np.linalg.norm(a)
+    right = np.linalg.norm(a @ dec.right - dec.right * dec.values, axis=0).max() / scale
+    left_rows = np.linalg.norm(dec.left @ a - dec.values[:, None] * dec.left, axis=1)
+    left = (left_rows / np.linalg.norm(dec.left, axis=1)).max() / scale
+    assert left > 10 * right  # the left side is what this matrix tests
+    assert dec.residual_norm >= left
+    assert dec.residual_norm <= 1e-10
 
 
 def test_antisymmetrizer_m1_identity():

@@ -203,6 +203,25 @@ def test_closed_vs_solve_catches_wrong_reference(seed):
         assert run_bases(ws, tol).details["closed_vs_solve"] > tol
 
 
+def test_dressed_pair_is_memoized_on_its_cache(chain2):
+    """One read-only pair per transfer cache and reference components."""
+    params, xyz, _, _ = chain2
+    cache = TransferCache(params)
+    pair = dressed_pair(params, xyz, cache)
+    assert dressed_pair(params, list(xyz), cache) is pair
+    x, y, z = xyz
+    other = dressed_pair(params, (x, 2 * y, z), cache)
+    assert other is not pair
+    assert not np.allclose(other.left, pair.left)
+    fresh = dressed_pair(params, xyz, TransferCache(params))
+    assert fresh is not pair
+    for name in ("left", "right", "ref_covector", "ref_vector"):
+        mine, theirs = getattr(pair, name), getattr(fresh, name)
+        assert np.array_equal(mine, theirs) and not np.shares_memory(mine, theirs)
+        with pytest.raises(ValueError):
+            mine[0] = 0
+
+
 def test_power_variant_reference_row(chain2):
     params, xyz, cache, _ = chain2
     s = ParameterSampler(99)

@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sovlab import tt_charges
 from sovlab.det0_spectrum import (
     SeparateState,
+    eigensolve_sov,
     make_khat,
     norm_determinant,
     scalar_product_determinant,
@@ -12,7 +14,7 @@ from sovlab.det0_spectrum import (
 )
 from sovlab.errors import SpectrumNotSimple
 from sovlab.gl3_model import ModelParams, TransferCache, TwistData
-from sovlab.numkernel import eig_general
+from sovlab.numkernel import eig_general, rel_residual
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import TernaryIndex
 from sovlab.sov_measure import diag_formula, gram
@@ -45,6 +47,31 @@ def test_build_tt_reuses_given_caches(chain2):
     assert np.array_equal(shared.charge(2, lam), fresh.charge(2, lam))
     assert (2, complex(lam)) in khat_cache._store
     assert any(key[0] == 1 for key in cache._store)
+
+
+def test_build_tt_reuses_given_khat_states(chain2, monkeypatch):
+    """Companion eigenstates normalized against another reference give the
+    same charges, at the nodes and off them, without a second eigensolve."""
+    params, xyz, _, _ = chain2
+    own = build_tt(params)
+    kp = own.khat_params
+    khat_cache = TransferCache(kp)
+    states, _, _ = eigensolve_sov(kp, xyz, cache=khat_cache)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_tt diagonalized the companion again")
+
+    monkeypatch.setattr(tt_charges, "eigensolve_sov", refuse)
+    given = build_tt(params, kp, khat_cache=khat_cache, khat_states=states)
+    assert given.khat_states == states
+    lam = complex(*np.random.default_rng(17).uniform(-1, 1, 2))
+    points = [lam] + [x - s for x in params.xi for s in (0, params.eta)]
+    for j in (1, 2):
+        for x in points:
+            want = own.charge(j, x)
+            assert rel_residual(given.charge(j, x) - want, want) <= 1e-12
+    with pytest.raises(ValueError):
+        build_tt(params, kp, khat_cache=khat_cache, khat_states=states[:-1])
 
 
 def test_one_site_closed_form():
