@@ -151,7 +151,7 @@ def build_tt(params, khat_params=None, lambda0=None, gap_rtol=1e-6, cache=None,
         khat_params,
         dec.right,
         dec.left,
-        list(khat_states),
+        khat_states,
         tuple(range(params.dim)),
         complex(lam0),
         dec.residual_norm,
