@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, SizeCapError, SovLabError, TaskFailure
-from .suites import DEFAULT_TOLERANCES, SUITES, Workspace, run_task, validate_tasks
+from .suites import DEFAULT_TOLERANCES, SUITES, TaskResult, Workspace, run_task, validate_tasks
 
 
 #: thread-count setters of the OpenBLAS builds numpy and scipy ship; each has
@@ -237,8 +237,6 @@ def run(cfg, echo=click.echo, strict=False):
         try:
             res = run_task(name, ws, cfg["tolerances"], out_dir=out_dir)
         except SovLabError as exc:
-            from .suites import TaskResult
-
             res = TaskResult(
                 name=name,
                 passed=False,
@@ -408,7 +406,7 @@ def bench(n_min, n_max, seed, out):
             try:
                 params.require_dense(params.dim)
                 dense_note = "skipped (time budget)"
-            except SizeCapError as exc:
+            except SizeCapError:
                 dense_note = "SizeCap"
         rows.append(
             {

@@ -189,6 +189,16 @@ class TwistData:
 # model parameters
 
 
+def xi_separation(xi, eta):
+    """Distance of the differences xi_i - xi_j (i != j) from {0, +eta, -eta}.
+
+    The genericity condition of the inhomogeneities, shared by gl(3) and
+    gl(2); infinite for a single site.
+    """
+    diffs = (x - y for x, y in itertools.combinations(xi, 2))
+    return min((min(abs(d), abs(d - eta), abs(d + eta)) for d in diffs), default=np.inf)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Sites, shift eta, inhomogeneities and twist of one gl(3) chain."""
@@ -206,13 +216,8 @@ class ModelParams:
             raise ValueError("need sites >= 1 inhomogeneities")
         if self.eta == 0:
             raise ValueError("eta must be nonzero")
-        for i in range(self.sites):
-            for j in range(self.sites):
-                if i == j:
-                    continue
-                diff = self.xi[i] - self.xi[j]
-                if min(abs(diff), abs(diff - self.eta), abs(diff + self.eta)) < 1e-12:
-                    raise ValueError("inhomogeneities must satisfy xi_i - xi_j not in {0, +eta, -eta}")
+        if xi_separation(self.xi, self.eta) < 1e-12:
+            raise ValueError("inhomogeneities must satisfy xi_i - xi_j not in {0, +eta, -eta}")
 
     @property
     def dim(self):

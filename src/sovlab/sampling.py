@@ -10,6 +10,8 @@ keeps condition numbers tame and makes reports bit-reproducible.
 import numpy as np
 from numpy.random import default_rng  # at import: numpy 2 loads np.random lazily
 
+from .gl3_model import xi_separation
+
 _DEN = 8
 _LO, _HI = -12, 12
 MARGIN = 1e-3
@@ -37,15 +39,7 @@ class ParameterSampler:
         >= margin from {0, +eta, -eta}."""
         for _ in range(max_tries):
             xs = [self.complex_rational() for _ in range(sites)]
-            ok = True
-            for i in range(sites):
-                for j in range(sites):
-                    if i == j:
-                        continue
-                    d = xs[i] - xs[j]
-                    if min(abs(d), abs(d - eta), abs(d + eta)) < margin:
-                        ok = False
-            if ok:
+            if xi_separation(xs, eta) >= margin:
                 return tuple(xs)
         raise RuntimeError("could not sample generic inhomogeneities")
 

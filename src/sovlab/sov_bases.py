@@ -8,7 +8,9 @@ reference vector is pinned by the duality condition <k|0> = delta_{k,0}
 against the dressed left family and admits a closed per-site form.
 
 Basis families are enumerated in flat ternary order with site 1 fastest, the
-ordering used by every report and file format in the package.
+ordering used by every report and file format in the package.  The label
+tables and the basis tree take the label base from their caller, so the
+gl(2) model builds its binary-labelled bases on them as well.
 """
 
 import functools
@@ -85,14 +87,16 @@ class TernaryIndex:
 
 
 @functools.lru_cache(maxsize=None)
-def label_digits(sites):
-    """Read-only ``(3^N, N)`` int8 array: row ``h.flat`` holds the digits of h.
+def label_digits(sites, base=3):
+    """Read-only ``(base^N, N)`` int8 array: row ``flat`` holds the digits of
+    that label.
 
-    Flat order, site 1 fastest (column a is digit a, weight 3^a), the same
-    order as :meth:`TernaryIndex.all`; cached per N and shared.
+    Flat order, site 1 fastest (column a is digit a, weight base^a): base 3
+    is the gl(3) order of :meth:`TernaryIndex.all`, base 2 the gl(2) one;
+    cached per (N, base) and shared.
     """
-    flat = np.arange(3**sites)
-    digits = (flat[:, None] // 3 ** np.arange(sites)) % 3
+    flat = np.arange(base**sites)
+    digits = (flat[:, None] // base ** np.arange(sites)) % base
     out = digits.astype(np.int8)
     out.setflags(write=False)
     return out
@@ -101,12 +105,14 @@ def label_digits(sites):
 def label_products(factors):
     """``prod_a factors[a, h_a]`` for every label h in flat order.
 
-    ``factors`` is an ``(N, 3)`` table indexed by site and digit; the product
-    runs over sites 1..N with one vector operation per site.
+    ``factors`` is an ``(N, d, ...)`` table indexed by site and digit, and
+    its width d is the label base; trailing axes are a batch, carried into
+    the ``(d^N, ...)`` result.  The product runs over sites 1..N with one
+    vector operation per site.
     """
     factors = np.asarray(factors, dtype=complex)
-    digits = label_digits(len(factors))
-    out = np.ones(len(digits), dtype=complex)
+    digits = label_digits(*factors.shape[:2])
+    out = np.ones(digits.shape[:1] + factors.shape[2:], dtype=complex)
     for a, row in enumerate(factors):
         out *= row[digits[:, a]]
     return out
@@ -184,22 +190,22 @@ def reference_vector_solve(left_basis):
     return np.linalg.solve(left / norms[:, None], rhs)
 
 
-def _basis_tree(params, ref, steps, apply):
+def basis_tree(ref, steps, apply):
     """Members of every label, built down a prefix tree over sites 1..N.
 
     ``steps[a][d]`` lists the matrices digit d applies at site a, in order,
     and ``apply(member, matrix)`` is one 1-D product.  A node at depth a
-    holds the member for the digits of sites 1..a, and its three children
-    extend it by site a + 1, so the products of a prefix are shared by every
-    label that has it.  Rows come out in flat order (site 1 fastest).  The
-    members stay separate 1-D products: a batched GEMM rounds differently
-    from the per-member GEMV.
+    holds the member for the digits of sites 1..a, and its ``len(steps[a])``
+    children extend it by site a + 1, so the products of a prefix are shared
+    by every label that has it.  Rows come out in flat order (site 1
+    fastest).  The members stay separate 1-D products: a batched GEMM rounds
+    differently from the per-member GEMV.
     """
     level = np.asarray(ref, dtype=complex)[None, :]
-    for a in range(params.sites):
+    for site in steps:
         width = len(level)
-        nxt = np.empty((3 * width, params.dim), dtype=complex)
-        for d, mats in enumerate(steps[a]):
+        nxt = np.empty((len(site) * width, level.shape[1]), dtype=complex)
+        for d, mats in enumerate(site):
             for i, member in enumerate(level):
                 for m in mats:
                     member = apply(member, m)
@@ -233,14 +239,14 @@ def build_left_basis(params, ref_row, variant="dressed", cache=None):
     """Matrix whose row ``h.flat`` is the co-vector labeled by ``h``."""
     cache = cache or TransferCache(params)
     steps = _steps(params, cache, variant, "left")
-    return _basis_tree(params, ref_row, steps, lambda row, m: row @ m)
+    return basis_tree(ref_row, steps, lambda row, m: row @ m)
 
 
 def build_right_basis(params, ref_col, variant="dressed", cache=None):
     """Matrix whose column ``h.flat`` is the vector labeled by ``h``."""
     cache = cache or TransferCache(params)
     steps = _steps(params, cache, variant, "right")
-    cols = _basis_tree(params, ref_col, steps, lambda col, m: m @ col)
+    cols = basis_tree(ref_col, steps, lambda col, m: m @ col)
     return np.ascontiguousarray(cols.T)
 
 

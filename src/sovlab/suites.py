@@ -27,7 +27,7 @@ from .det0_spectrum import (
     separate_overlap_direct,
     zero_pattern,
 )
-from .errors import ConfigError, SingularBasis
+from .errors import AmbiguousPattern, ConfigError, SingularBasis
 from .gl3_model import ModelParams, TransferCache, TwistData
 from .numkernel import rel_residual
 from .sampling import ParameterSampler
@@ -194,8 +194,6 @@ class Workspace:
         """Eigenstates with their zero patterns; ambiguous patterns are
         excluded from determinant runs and logged."""
         if "khat_states" not in self._cache:
-            from .errors import AmbiguousPattern
-
             kp, _, cache, _ = self.khat()
             states, _ = self.khat_eigenstates()
             kept, excluded = [], []

@@ -42,6 +42,7 @@ from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import (
     TernaryIndex,
     dressed_pair,
+    label_digits,
     reference_vector_closed,
     reference_vector_solve,
 )
@@ -405,13 +406,10 @@ def test_criterion_14_rank_one_yardstick():
             cache = gl2_model.Gl2TransferCache(params)
             left, right, _ = gl2_model.gl2_bases(params, cache)
             g = left @ right
-            for h in gl2_model.binary_labels(sites):
-                for k in gl2_model.binary_labels(sites):
-                    pred = gl2_model.coupling_prediction(params, h) if h == k else 0.0
-                    worst_meas = max(
-                        worst_meas, abs(g[gl2_model.flat2(h), gl2_model.flat2(k)] - pred)
-                        / np.abs(g).max()
-                    )
+            for fh, h in enumerate(label_digits(sites, 2)):
+                for fk in range(params.dim):
+                    pred = gl2_model.coupling_prediction(params, h) if fh == fk else 0.0
+                    worst_meas = max(worst_meas, abs(g[fh, fk] - pred) / np.abs(g).max())
             reps = gl2_model.gl2_eigen_reps(params, cache=cache)
             worst_rep = max(worst_rep, reps["reconstruction_residual"],
                             reps["detk_rep_residual"] or 0.0)

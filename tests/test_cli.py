@@ -287,3 +287,13 @@ def test_four_site_suites_pass(seed):
     report = run(cfg, echo=lambda *a, **k: None)
     failed = [r["task"] for r in report["results"] if not r["passed"]]
     assert failed == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(1, 14))
+def test_gl2_suites_pass(seed):
+    cfg = resolve_config(None, {"algebra": "gl2", "sites": 4, "seed": seed})
+    report = run(cfg, echo=lambda *a, **k: None)
+    assert [r["task"] for r in report["results"]] == ["gram", "measure", "gl2"]
+    failed = [r["task"] for r in report["results"] if not r["passed"]]
+    assert failed == []

@@ -9,9 +9,9 @@ from sovlab.errors import DegenerateReference
 from sovlab.gl2_model import (
     Gl2Params,
     Gl2TransferCache,
-    binary_labels,
     coupling_prediction,
-    flat2,
+    coupling_residuals,
+    coupling_values,
     gl2_bases,
     gl2_eigen_reps,
     gl2_transfer,
@@ -21,6 +21,7 @@ from sovlab.gl2_model import (
 )
 from sovlab.gl3_model import embed_pair, r_matrix
 from sovlab.sampling import ParameterSampler
+from sovlab.sov_bases import label_digits
 
 
 def make_gl2(seed, sites):
@@ -99,14 +100,72 @@ def test_orthogonal_measure(gl2_chain3):
     params, cache = gl2_chain3
     left, right, _ = gl2_bases(params, cache)
     g = left @ right
-    for h in binary_labels(params.sites):
-        for k in binary_labels(params.sites):
-            got = g[flat2(h), flat2(k)]
-            if h == k:
+    for fh, h in enumerate(label_digits(params.sites, 2)):
+        for fk in range(params.dim):
+            got = g[fh, fk]
+            if fh == fk:
                 want = coupling_prediction(params, h)
                 assert abs(got - want) <= 1e-9 * abs(want)
             else:
                 assert abs(got) <= 1e-9 * np.abs(g).max()
+
+
+def _row_by_row_bases(params, cache):
+    """Every label takes its own products site by site, dividing by a(xi_a)
+    after each matrix product, with no sharing between labels."""
+    row0, ones_col, _ = reference_states(params)
+    a_xi = [np.prod([x - y + params.eta for y in params.xi]) for x in params.xi]
+    t_at = [cache.value(x) for x in params.xi]
+    t_sh = [cache.value(x - params.eta) for x in params.xi]
+    left = np.empty((params.dim, params.dim), dtype=complex)
+    right = np.empty((params.dim, params.dim), dtype=complex)
+    for flat in range(params.dim):
+        row, col = row0.copy(), ones_col.copy()
+        for a in range(params.sites):
+            if (flat >> a) & 1:
+                row = row @ t_at[a] / a_xi[a]
+            else:
+                col = t_sh[a] @ col / a_xi[a]
+        left[flat] = row
+        right[:, flat] = col
+    return left, right
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4])
+def test_gl2_bases_match_row_by_row_loop(sites):
+    params, _ = make_gl2(409, sites)
+    cache = Gl2TransferCache(params)
+    left, right, _ = gl2_bases(params, cache)
+    want_left, want_right = _row_by_row_bases(params, cache)
+    row_err = np.abs(left - want_left).max(axis=1) / np.abs(want_left).max(axis=1)
+    col_err = np.abs(right - want_right).max(axis=0) / np.abs(want_right).max(axis=0)
+    assert row_err.max() <= 1e-13 and col_err.max() <= 1e-13
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4])
+def test_coupling_values_match_prediction(sites):
+    params, _ = make_gl2(410, sites)
+    got = coupling_values(params)
+    assert got.shape == (params.dim,)
+    for flat, h in enumerate(label_digits(sites, 2)):
+        want = coupling_prediction(params, h)
+        assert abs(got[flat] - want) <= 1e-14 * abs(want)
+
+
+def test_detk_zero_twist():
+    """A singular twist skips the det-K representation; the coupling matrix
+    and the identity decomposition still hold."""
+    s = ParameterSampler(409)
+    eta = s.shift()
+    xi = s.inhomogeneities(3, eta)
+    k = np.array([[1.0, 0.5], [0.25, 0.125]])
+    params = Gl2Params(3, eta, xi, k, s.reference2())
+    cache = Gl2TransferCache(params)
+    assert np.linalg.det(params.k_matrix) == 0
+    assert gl2_eigen_reps(params, cache=cache)["detk_rep_residual"] is None
+    _, cells, diagonal = coupling_residuals(params, cache)
+    assert cells <= 1e-12 and diagonal <= 1e-12
+    assert identity_decomposition_residual(params, cache) <= 1e-12
 
 
 def test_identity_decomposition(gl2_chain3):
@@ -119,10 +178,9 @@ def test_reference_normalizations(gl2_chain3):
     couplings against the left family."""
     params, cache = gl2_chain3
     left, right, zeros_col = gl2_bases(params, cache)
-    row_flats = {h: flat2(h) for h in binary_labels(params.sites)}
     _, ones_col, _ = reference_states(params)
     v0 = coupling_prediction(params, (0,) * params.sites)  # 1 / V(xi)^2
-    for h, flat in row_flats.items():
+    for flat, h in enumerate(label_digits(params.sites, 2)):
         want_ones = 0.0
         if all(d == 1 for d in h):
             want_ones = coupling_prediction(params, h)

@@ -14,6 +14,7 @@ from sovlab.sov_bases import (
     build_right_basis,
     dressed_pair,
     label_digits,
+    label_products,
     power_pair,
     reference_covector,
     reference_vector_closed,
@@ -42,6 +43,32 @@ def test_label_digits_match_ternary_index(sites):
         TernaryIndex.from_flat(flat, sites).digits for flat in range(3**sites)
     ]
     assert label_digits(sites) is digits
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4, 5])
+def test_label_digits_base_two_match_bit_shifts(sites):
+    digits = label_digits(sites, 2)
+    flat = np.arange(2**sites)
+    want = (flat[:, None] >> np.arange(sites)) & 1
+    assert digits.shape == (2**sites, sites) and digits.dtype == np.int8
+    assert not digits.flags.writeable
+    np.testing.assert_array_equal(digits, want)
+    assert label_digits(sites, 2) is digits
+
+
+def test_label_products_base_two_match_per_label_loop():
+    rng = np.random.default_rng(8)
+    sites = 4
+    factors = rng.standard_normal((sites, 2)) + 1j * rng.standard_normal((sites, 2))
+    want = []
+    for flat in range(2**sites):
+        prod = 1.0 + 0j
+        for a in range(sites):
+            prod *= factors[a, (flat >> a) & 1]
+        want.append(prod)
+    got = label_products(factors)
+    assert got.shape == (2**sites,)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 def _reference_basis(params, ref, cache, variant, side):
