@@ -8,6 +8,7 @@ separate ``timings`` block).  The environment variable ``SOVLAB_THREADS``
 caps the BLAS thread pools for the whole process.
 """
 
+import csv
 import ctypes
 import json
 import os
@@ -20,6 +21,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, SizeCapError, SovLabError, TaskFailure
+from .gl3_model import ModelParams, TwistData, apply_transfer_free, transfer
+from .sampling import ParameterSampler
 from .suites import DEFAULT_TOLERANCES, SUITES, TaskResult, Workspace, run_task, validate_tasks
 
 
@@ -144,8 +147,6 @@ def resolve_config(path=None, overrides=None):
             raise ConfigError(
                 "exactly one twist form required: matrix | (w, k_jordan) | eigenvalues"
             )
-        from .gl3_model import TwistData
-
         if cfg["algebra"] == "gl2":
             if "matrix" not in twist:
                 raise ConfigError("gl2 twists are given as a matrix")
@@ -368,11 +369,6 @@ scalar_product = _task_command("scalar-product", ["scalarproducts"],
 @click.option("--out", type=click.Path(), default=".", show_default=True)
 def bench(n_min, n_max, seed, out):
     """Time dense transfer assembly against the matrix-free applier."""
-    import csv
-
-    from .gl3_model import ModelParams, TwistData, apply_transfer_free, transfer
-    from .sampling import ParameterSampler
-
     _limit_threads()
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,10 +17,10 @@ from .errors import (
     SpectrumCollision,
     SpectrumNotSimple,
 )
-from .gl3_model import InterpolationWeights, TransferCache
+from .gl3_model import InterpolationWeights, TransferCache, default_probe_point
 from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde
 from .sov_bases import TernaryIndex, dressed_pair, label_products
-from .sov_measure import diag_values
+from .sov_measure import diag_values, gram
 
 #: relative eigenvalue-zero threshold for the A/B site partition
 ZERO_THETA = 1e-6
@@ -43,19 +43,12 @@ def make_khat(twist):
     return twist.from_jordan(twist.w, kj)
 
 
-def default_probe_point(params):
-    """Generic spectral point used for diagonalization and charge pairing."""
-    return params.xi[0] + 13 / 7 * params.eta
-
-
 def ortho_suite_det0(params, xyz, rtol=1e-9, cache=None):
     """Orthogonality report of the dressed pair for a zero-determinant twist.
 
     Returns the off-diagonal cosine maximum, the relative error of the
     diagonal against the Vandermonde formula, and the underlying report.
     """
-    from .sov_measure import gram  # local import avoids a cycle
-
     kscale = max(np.abs(params.twist.k_matrix).max(), 1e-300) ** 3
     if abs(params.twist.det) > rtol * kscale:
         raise ValueError("ortho_suite_det0 expects a numerically zero determinant")
@@ -152,8 +145,12 @@ def eigensolve_sov(params, xyz, lambda0=None, pair=None, cache=None, gap_rtol=1e
 
 def separated_coordinates(t1_xi, t2_shift):
     """Coordinates prod_a t_2(xi_a - eta)^[h_a=0] t_1(xi_a)^[h_a=2] of a
-    separate state over the dressed left family, for every label h."""
-    return label_products(np.stack([t2_shift, np.ones(len(t1_xi)), t1_xi], axis=1))
+    separate state over the dressed left family, for every label h.
+
+    ``(N,)`` eigenvalues give a ``(3^N,)`` vector; ``(N, k)`` ones give the
+    ``(3^N, k)`` coordinates of k states.
+    """
+    return label_products(np.stack([t2_shift, np.ones_like(t1_xi), t1_xi], axis=1))
 
 
 def zero_pattern(state, params, cache=None, theta=ZERO_THETA, n_extra=4):

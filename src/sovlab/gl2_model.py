@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateReference
-from .gl3_model import InterpolationWeights, fused_dense, xi_separation
+from .gl3_model import InterpolationWeights, default_probe_point, fused_dense, xi_separation
 from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde
 from .sov_bases import basis_tree, label_digits, label_products, tensor_product_state
 
@@ -198,7 +198,7 @@ def gl2_eigen_reps(params, lambda0=None, cache=None, gap_rtol=1e-8):
     """
     cache = cache or Gl2TransferCache(params)
     left, right, zeros_col = cache.bases()
-    lam0 = params.xi[0] + 13 / 7 * params.eta if lambda0 is None else lambda0
+    lam0 = default_probe_point(params) if lambda0 is None else lambda0
     dec = eig_general(cache.value(lam0), gap_rtol=gap_rtol)
 
     row0, ones_col, _ = reference_states(params)

@@ -199,6 +199,12 @@ def xi_separation(xi, eta):
     return min((min(abs(d), abs(d - eta), abs(d + eta)) for d in diffs), default=np.inf)
 
 
+def default_probe_point(params):
+    """Generic spectral point xi_1 + 13/7 eta at which both algebras
+    diagonalize their transfer matrix (and the charges pair eigenstates)."""
+    return params.xi[0] + 13 / 7 * params.eta
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Sites, shift eta, inhomogeneities and twist of one gl(3) chain."""

@@ -11,6 +11,11 @@ functions of the K-hat model.  They commute with the original transfer
 matrices, satisfy the truncated fusion relations of the zero-determinant
 hierarchy, and therefore generate mutually orthogonal SoV bases with the same
 Vandermonde diagonal as the K-hat model.
+
+The bases and the fusion check are read on the eigenbasis: a product of
+charges is ``R diag(prod of eigenvalues) L``, so no charge matrix is formed
+for them.  :meth:`ChargeFamily.charge` gives the dense charge for the checks
+that need an operator.
 """
 
 from dataclasses import dataclass, field
@@ -18,19 +23,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .det0_spectrum import (
-    default_probe_point,
     eigensolve_sov,
     make_khat,
     probe_decomposition,
     separated_coordinates,
 )
-from .gl3_model import TransferCache
+from .gl3_model import TransferCache, default_probe_point
 from .numkernel import rayleigh_quotients, rel_residual
 from .sov_bases import (
     SovBasisPair,
     TernaryIndex,
-    build_left_basis,
-    build_right_basis,
+    label_products,
     reference_covector,
     reference_vector_solve,
 )
@@ -43,13 +46,16 @@ class ChargeFamily:
 
     ``right[:, a]`` and ``left[a]`` are the right and left eigenvectors of
     T_1^{(K)} at the probe point, with ``left @ right = I``; the spectral
-    projector of eigenstate a is ``outer(right[:, a], left[a])``.
-    ``pairing[a]`` is the K-hat eigenstate index assigned to eigenstate a;
-    both sides are sorted by the canonical (Re, Im) key of their probe-point
-    eigenvalue, so the pairing is the identity permutation by construction.
-    That choice is a determinism convention: the fusion and orthogonality
-    identities hold per eigenstate for any bijection.  ``probe_residual`` is
-    the ``residual_norm`` of the invertible-twist decomposition.
+    projector of eigenstate a is ``outer(right[:, a], left[a])``, and its
+    charge eigenvalues are those of K-hat eigenstate ``khat_states[a]``.
+    Both sides are sorted by the canonical (Re, Im) key of their probe-point
+    eigenvalue; that pairing is a determinism convention, since the fusion
+    and orthogonality identities hold per eigenstate for any bijection.
+    ``t1_xi``, ``t1_shift``, ``t2_xi`` and ``t2_shift`` are ``(N, dim)``
+    tables stacked once from ``khat_states``: row s holds the companion
+    eigenvalues of every state at xi_s (xi_s - eta).
+    ``probe_residual`` is the ``residual_norm`` of the invertible-twist
+    decomposition.
     """
 
     params: object
@@ -57,18 +63,23 @@ class ChargeFamily:
     right: np.ndarray
     left: np.ndarray
     khat_states: list
-    pairing: tuple
     probe_point: complex
     probe_residual: float
     _khat_cache: TransferCache
-    # K-hat eigenstate a rows / columns in pairing order, for the Rayleigh GEMMs
+    t1_xi: np.ndarray = field(init=False, repr=False)
+    t1_shift: np.ndarray = field(init=False, repr=False)
+    t2_xi: np.ndarray = field(init=False, repr=False)
+    t2_shift: np.ndarray = field(init=False, repr=False)
+    # K-hat eigenstate rows / columns, for the Rayleigh GEMMs of charge()
     _khat_rows: np.ndarray = field(init=False, repr=False)
     _khat_cols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        paired = [self.khat_states[b] for b in self.pairing]
-        self._khat_rows = np.stack([st.left for st in paired])
-        self._khat_cols = np.stack([st.right for st in paired], axis=1)
+        states = self.khat_states
+        for name in ("t1_xi", "t1_shift", "t2_xi", "t2_shift"):
+            setattr(self, name, np.stack([getattr(st, name) for st in states], axis=1))
+        self._khat_rows = np.stack([st.left for st in states])
+        self._khat_cols = np.stack([st.right for st in states], axis=1)
 
     def charge(self, j, lam):
         """Dense charge matrix of fusion order j in {1, 2} at spectral parameter lam."""
@@ -78,39 +89,9 @@ class ChargeFamily:
         values = rayleigh_quotients(self._khat_rows, tj, self._khat_cols)
         return (self.right * values) @ self.left
 
-    # t1/t2 let the family stand in for a TransferCache in the basis builders
-    def t1(self, lam):
-        return self.charge(1, lam)
-
-    def t2(self, lam):
-        return self.charge(2, lam)
-
     def completeness_residual(self):
         """max |sum_a P_a - I| over the spectral projectors."""
         return float(np.abs(self.right @ self.left - np.eye(self.params.dim)).max())
-
-    def overlap_matrix(self):
-        """Pairings of the invertible-twist left eigenstates against the
-        companion-model right eigenstates, row-normalized.
-
-        This is the change of basis between the two eigen-families; no
-        structural claim is made about it here beyond finiteness, so it is
-        exposed for inspection only.
-        """
-        rows = self.left / np.linalg.norm(self.left, axis=1)[:, None]
-        cols = np.stack([st.right / np.linalg.norm(st.right) for st in self.khat_states], axis=1)
-        out = rows @ cols
-        if not np.all(np.isfinite(out)):
-            raise FloatingPointError("overlap matrix contains non-finite entries")
-        return out
-
-    def idempotence_residual(self):
-        """max_ab |P_a P_b - delta_ab P_a| over the spectral projectors, read
-        off the pairings: P_a P_b - delta_ab P_a = ((L R)_ab - delta_ab) r_a l_b."""
-        dev = np.abs(self.left @ self.right - np.eye(self.params.dim))
-        r_max = np.abs(self.right).max(axis=0)
-        l_max = np.abs(self.left).max(axis=1)
-        return float((dev * r_max[:, None] * l_max[None, :]).max())
 
 
 def build_tt(params, khat_params=None, lambda0=None, gap_rtol=1e-6, cache=None,
@@ -152,7 +133,6 @@ def build_tt(params, khat_params=None, lambda0=None, gap_rtol=1e-6, cache=None,
         dec.right,
         dec.left,
         khat_states,
-        tuple(range(params.dim)),
         complex(lam0),
         dec.residual_norm,
         khat_cache,
@@ -162,24 +142,30 @@ def build_tt(params, khat_params=None, lambda0=None, gap_rtol=1e-6, cache=None,
 def fusion_residuals_tt(family):
     """Truncated fusion residuals of the charges at every inhomogeneity:
     C_2(xi - eta) C_1(xi) = C_2(xi - eta) C_2(xi) = 0 and
-    C_1(xi - eta) C_1(xi) = C_2(xi)."""
-    p = family.params
+    C_1(xi - eta) C_1(xi) = C_2(xi).
+
+    The charges share one eigenbasis, so each identity is read on the
+    companion eigenvalues, relative to max |t_2(xi_a)|; with
+    ``left @ right = I`` (:meth:`ChargeFamily.completeness_residual`) the
+    operator identity holds exactly when these do.
+    """
     out = {}
-    for a in range(p.sites):
-        x = p.xi[a]
-        c1 = family.charge(1, x)
-        c2 = family.charge(2, x)
-        c1s = family.charge(1, x - p.eta)
-        c2s = family.charge(2, x - p.eta)
-        out[(a, "annihilate_1")] = rel_residual(c2s @ c1, c2)
-        out[(a, "annihilate_2")] = rel_residual(c2s @ c2, c2)
-        out[(a, "produce_2")] = rel_residual(c1s @ c1 - c2, c2)
+    for a in range(family.params.sites):
+        t1, t1s = family.t1_xi[a], family.t1_shift[a]
+        t2, t2s = family.t2_xi[a], family.t2_shift[a]
+        out[(a, "annihilate_1")] = rel_residual(t2s * t1, t2)
+        out[(a, "annihilate_2")] = rel_residual(t2s * t2, t2)
+        out[(a, "produce_2")] = rel_residual(t1s * t1 - t2, t2)
     return out
 
 
 def tt_sov_bases(family, xyz):
     """Dressed SoV pair generated by the charges.
 
+    The left family applies C_2(xi_a - eta) for digit 0 and C_1(xi_a) for
+    digit 2, the right family C_2(xi_a) for digit 1 and C_1(xi_a) for digit
+    2, as the transfer bases do; on the eigenbasis each member is one
+    product of companion eigenvalues per state, so each family is one GEMM.
     The left reference is the same tensor co-vector as for the transfer
     bases.  The right reference is *solved* from the duality condition
     <k|0> = delta_{k,0} against the charge-generated left family - the
@@ -187,24 +173,23 @@ def tt_sov_bases(family, xyz):
     polynomials in the original transfer matrices at the same nodes).
     """
     p = family.params
+    ones = np.ones_like(family.t1_xi)
+    v_left = separated_coordinates(family.t1_xi, family.t2_shift)
+    v_right = label_products(np.stack([ones, family.t2_xi, family.t1_xi], axis=1))
     ref_row = reference_covector(xyz, p.twist, p)
-    left = build_left_basis(p, ref_row, "dressed", family)
+    left = ((ref_row @ family.right) * v_left) @ family.left
     ref_col = reference_vector_solve(left)
-    right = build_right_basis(p, ref_col, "dressed", family)
+    right = family.right @ (v_right.T * (family.left @ ref_col)[:, None])
     return SovBasisPair(left, right, "dressed", ref_row, ref_col, provenance="charge-family")
 
 
 def eigenstate_representation_residual(family, pair):
     """The invertible-twist eigenstates must be separate states of the charge
-    bases with the companion-model eigenvalue exponents."""
-    p = family.params
-    n = p.sites
-    one_flat = TernaryIndex((1,) * n).flat
-    worst = 0.0
-    for a in range(p.dim):
-        st = family.khat_states[family.pairing[a]]
-        coords = pair.left @ family.right[:, a]
-        coords = coords / coords[one_flat]
-        pred = separated_coordinates(st.t1_xi, st.t2_shift)
-        worst = max(worst, rel_residual(coords - pred, coords))
-    return worst
+    bases with the companion-model eigenvalue exponents; the worst column's
+    relative residual."""
+    one_flat = TernaryIndex((1,) * family.params.sites).flat
+    coords = pair.left @ family.right
+    coords = coords / coords[one_flat]
+    pred = separated_coordinates(family.t1_xi, family.t2_shift)
+    return float((np.abs(coords - pred).max(axis=0)
+                  / np.maximum(np.abs(coords).max(axis=0), 1e-300)).max())

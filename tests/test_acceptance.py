@@ -364,7 +364,7 @@ def test_criterion_12_conserved_charge_bases():
         gen = np.random.default_rng(seed)
         one_flat = TernaryIndex((1, 1)).flat
         for a in (0, 4, 8):
-            st = family.khat_states[family.pairing[a]]
+            st = family.khat_states[a]
             zero_pattern(st, kp)
             col = family.right[:, a]
             col = col / (tpair.left[one_flat] @ col)

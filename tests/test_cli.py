@@ -197,6 +197,26 @@ def test_one_lapack_eig_per_decomposition(monkeypatch):
     assert counts == {"eig": 3, "eig_general": 3}
 
 
+def test_ttcharges_forms_dense_charges_only_for_its_operator_checks(monkeypatch):
+    """A three-site ttcharges run evaluates seven dense charges: three for
+    the commutation check and N + 1 for the central zeros.  The bases and
+    the fusion check read the companion eigenvalues instead."""
+    from sovlab import tt_charges
+
+    calls = []
+    real_charge = tt_charges.ChargeFamily.charge
+
+    def charge(self, j, lam):
+        calls.append((j, lam))
+        return real_charge(self, j, lam)
+
+    monkeypatch.setattr(tt_charges.ChargeFamily, "charge", charge)
+    report = run(resolve_config(None, {"sites": 3, "seed": 7, "tasks": ["ttcharges"]}),
+                 echo=lambda *a, **k: None)
+    assert report["results"][0]["task"] == "ttcharges"
+    assert len(calls) == 7
+
+
 def test_unbuildable_chain_is_reported_per_task():
     cfg = resolve_config(None, {"sites": 2, "seed": 7, "reference": [0, 1, 1],
                                 "tasks": ["yangbaxter", "bases"]})

@@ -16,7 +16,12 @@ from sovlab.errors import SpectrumNotSimple
 from sovlab.gl3_model import ModelParams, TransferCache, TwistData
 from sovlab.numkernel import eig_general, rel_residual
 from sovlab.sampling import ParameterSampler
-from sovlab.sov_bases import TernaryIndex
+from sovlab.sov_bases import (
+    TernaryIndex,
+    build_left_basis,
+    build_right_basis,
+    reference_covector,
+)
 from sovlab.sov_measure import diag_formula, gram
 from sovlab.tt_charges import (
     build_tt,
@@ -99,27 +104,75 @@ def test_one_site_closed_form():
 def test_projector_family(family2):
     _, _, _, family = family2
     assert family.completeness_residual() <= 1e-8
-    assert family.idempotence_residual() <= 1e-8
 
 
 def test_projector_residuals_match_dense_projectors(family2):
-    """The residuals read off the eigenvector pairings equal the ones of the
-    explicit dense projectors P_a = r_a l_a, on a pair perturbed so that both
-    are far above rounding."""
+    """The completeness residual read off the eigenvector pairings equals the
+    one of the explicit dense projectors P_a = r_a l_a, on a pair perturbed
+    so that it is far above rounding."""
     _, _, _, family = family2
     left = family.left + 1e-3 * np.random.default_rng(3).standard_normal((9, 9)) @ family.left
     perturbed = dataclasses.replace(family, left=left)
     projectors = [np.outer(family.right[:, a], left[a]) for a in range(9)]
-    idem = max(np.abs(pa @ pb - (pa if a == b else 0.0)).max()
-               for a, pa in enumerate(projectors) for b, pb in enumerate(projectors))
-    assert idem > 1e-6
-    assert perturbed.idempotence_residual() == pytest.approx(idem, rel=1e-9)
     complete = np.abs(sum(projectors) - np.eye(9)).max()
+    assert complete > 1e-6
     assert perturbed.completeness_residual() == pytest.approx(complete, rel=1e-9)
 
 
 def test_truncated_fusion(family2):
     _, _, _, family = family2
+    assert max(fusion_residuals_tt(family).values()) <= 1e-8
+
+
+class DenseCharges:
+    """The charge family seen as a transfer cache: the basis builders then
+    multiply dense charges through the basis tree, an oracle independent of
+    the eigenbasis products of :func:`tt_sov_bases`."""
+
+    def __init__(self, family):
+        self.family = family
+
+    def t1(self, lam):
+        return self.family.charge(1, lam)
+
+    def t2(self, lam):
+        return self.family.charge(2, lam)
+
+
+@pytest.fixture(scope="module", params=["chain2", "chain3"])
+def oracle_family(request):
+    params, xyz, _, _ = request.getfixturevalue(request.param)
+    return params, xyz, build_tt(params)
+
+
+def test_charge_bases_match_dense_charge_products(oracle_family):
+    """Every member of the spectral charge bases matches the basis tree over
+    dense charges, relative to its norm; the right family is built from the
+    same solved reference vector."""
+    params, xyz, family = oracle_family
+    pair = tt_sov_bases(family, xyz)
+    dense = DenseCharges(family)
+    ref_row = reference_covector(xyz, params.twist, params)
+    left = build_left_basis(params, ref_row, "dressed", dense)
+    right = build_right_basis(params, pair.ref_vector, "dressed", dense)
+    left_err = np.linalg.norm(pair.left - left, axis=1) / np.linalg.norm(left, axis=1)
+    right_err = np.linalg.norm(pair.right - right, axis=0) / np.linalg.norm(right, axis=0)
+    assert left_err.max() <= 1e-11
+    assert right_err.max() <= 1e-11
+
+
+def test_dense_truncated_fusion(oracle_family):
+    """The truncated fusion identities hold as operator identities on the
+    dense charges: C_2(xi - eta) C_1(xi) = C_2(xi - eta) C_2(xi) = 0 and
+    C_1(xi - eta) C_1(xi) = C_2(xi)."""
+    params, _, family = oracle_family
+    worst = 0.0
+    for x in params.xi:
+        c1, c2 = family.charge(1, x), family.charge(2, x)
+        c1s, c2s = family.charge(1, x - params.eta), family.charge(2, x - params.eta)
+        worst = max(worst, rel_residual(c2s @ c1, c2), rel_residual(c2s @ c2, c2),
+                    rel_residual(c1s @ c1 - c2, c2))
+    assert worst <= 1e-8
     assert max(fusion_residuals_tt(family).values()) <= 1e-8
 
 
@@ -193,7 +246,7 @@ def test_determinant_formulas_in_charge_bases(family2):
     gen = np.random.default_rng(5)
     checked = 0
     for a in range(params.dim):
-        st = family.khat_states[family.pairing[a]]
+        st = family.khat_states[a]
         zero_pattern(st, kp)
         col = family.right[:, a]
         col = col / (pair.left[one_flat] @ col)
@@ -224,10 +277,3 @@ def test_build_tt_rejects_mismatched_chain(chain2):
     )
     with pytest.raises(ValueError):
         build_tt(params, khat_params=other.with_twist(make_khat(params.twist)))
-
-
-def test_overlap_matrix_finite(family2):
-    _, _, _, family = family2
-    overlaps = family.overlap_matrix()
-    assert overlaps.shape == (9, 9)
-    assert np.all(np.isfinite(overlaps))
