@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, SizeCapError, SovLabError, TaskFailure
 from .gl3_model import ModelParams, TwistData, apply_transfer_free, transfer
+from .numkernel import rel_residual
 from .sampling import ParameterSampler
 from .suites import DEFAULT_TOLERANCES, SUITES, TaskResult, Workspace, run_task, validate_tasks
 
@@ -387,7 +388,7 @@ def bench(n_min, n_max, seed, out):
         free_time = time.perf_counter() - t0
         # self-consistency without a dense oracle: linearity
         w2 = apply_transfer_free(params, 1, lam, 2 * vec)
-        lin = np.abs(w2 - 2 * w1).max() / max(np.abs(w1).max(), 1e-300)
+        lin = rel_residual(w2 - 2 * w1, w1)
 
         dense_time = None
         dense_note = ""

@@ -6,7 +6,6 @@ shifts on the basis labels, eigenstate wave functions factorize over sites,
 and overlaps of separate states collapse to products of small determinants.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,7 @@ from .errors import (
 )
 from .gl3_model import InterpolationWeights, TransferCache, default_probe_point
 from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde
-from .sov_bases import TernaryIndex, dressed_pair, label_products
+from .sov_bases import TernaryIndex, dressed_pair, label_digits, label_products
 from .sov_measure import diag_values, gram
 
 #: relative eigenvalue-zero threshold for the A/B site partition
@@ -200,7 +199,7 @@ def zero_pattern(state, params, cache=None, theta=ZERO_THETA, n_extra=4):
         for b in b_sites:
             pred *= lam - params.xi[b]
         actual = rayleigh_quotients(state.left[None], cache.t2(lam), state.right[:, None])[0]
-        closed_resid = max(closed_resid, abs(actual - pred) / max(abs(actual), 1e-300))
+        closed_resid = max(closed_resid, rel_residual(actual - pred, actual))
 
     state.perm = perm
     state.msize = msize
@@ -309,52 +308,53 @@ def boundary_eigenstate_check(params, xyz, lambdas, cache=None):
 
     Checks that the all-zeros co-vector is a T_2 (and T_1) eigenstate with a
     d-polynomial profile, the all-twos co-vector and every right label in
-    {1,2}^N likewise for T_2.  Proportionality constants are extracted per
-    evaluation point; their spread measures lambda independence.
+    {1,2}^N likewise for T_2, as one column block.  Proportionality constants
+    are read per member and evaluation point at the member's largest
+    reference entry; their spread measures lambda independence.
     """
     cache = cache or TransferCache(params)
     pair = dressed_pair(params, xyz, cache)
-    n = params.sites
+    digits = label_digits(params.sites)
     w = InterpolationWeights(params)
-    row0 = pair.left[TernaryIndex((0,) * n).flat]
-    row2 = pair.left[TernaryIndex((2,) * n).flat]
+    row0 = pair.left[(digits == 0).all(axis=1)]
+    row2 = pair.left[(digits == 2).all(axis=1)]
 
-    def profile_residual(row_or_col, which, profile, side):
+    def profile_residual(members, which, profile, side):
+        # members are the rows of a left block or the columns of a right one
+        axis = 1 if side == "left" else 0
         consts = []
         resid = 0.0
         for lam in lambdas:
             mat = cache.value(which, lam)
-            acted = row_or_col @ mat if side == "left" else mat @ row_or_col
-            ref = profile(lam) * row_or_col
-            j = int(np.argmax(np.abs(ref)))
-            if abs(ref[j]) <= 1e-300:
+            acted = members @ mat if side == "left" else mat @ members
+            ref = profile(lam) * members
+            j = np.argmax(np.abs(ref), axis=axis, keepdims=True)
+            top = np.take_along_axis(ref, j, axis)
+            if np.abs(top).min() <= 1e-300:
                 raise ValueError(
                     "evaluation point sits on a zero of the eigenvalue profile; "
                     "pick spectral points away from the shifted inhomogeneities"
                 )
-            consts.append(acted[j] / ref[j])
-            resid = max(resid, rel_residual(acted - consts[-1] * ref, acted))
-        consts = np.array(consts)
-        spread = np.abs(consts - consts[0]).max() / max(abs(consts[0]), 1e-300)
-        return resid, complex(consts[0]), float(spread)
+            const = np.take_along_axis(acted, j, axis) / top
+            resid = max(resid, rel_residual(acted - const * ref, acted, axis=axis))
+            consts.append(const.ravel())
+        return resid, np.array(consts)
 
-    out = {}
-    out["zeros_t2"] = profile_residual(
-        row0, 2, lambda lam: w.d(lam - params.eta) * w.d(lam), "left"
-    )
-    out["twos_t2"] = profile_residual(
-        row2, 2, lambda lam: w.d(lam - params.eta) * w.d(lam + params.eta), "left"
-    )
-    out["zeros_t1"] = profile_residual(row0, 1, lambda lam: w.d(lam), "left")
-    worst_right = 0.0
-    for digits in itertools.product((1, 2), repeat=n):
-        col = pair.right[:, TernaryIndex(digits).flat]
-        resid, _, _ = profile_residual(
-            col, 2, lambda lam: w.d(lam - params.eta) * w.d(lam + params.eta), "right"
-        )
-        worst_right = max(worst_right, resid)
-    out["right_family_t2"] = worst_right
-    return out
+    def covector(row, which, profile):
+        resid, consts = profile_residual(row, which, profile, "left")
+        c = consts[:, 0]
+        return resid, complex(c[0]), rel_residual(c - c[0], c[0])
+
+    def t2_profile(lam):
+        return w.d(lam - params.eta) * w.d(lam + params.eta)
+
+    return {
+        "zeros_t2": covector(row0, 2, lambda lam: w.d(lam - params.eta) * w.d(lam)),
+        "twos_t2": covector(row2, 2, t2_profile),
+        "zeros_t1": covector(row0, 1, lambda lam: w.d(lam)),
+        "right_family_t2": profile_residual(
+            pair.right[:, (digits != 0).all(axis=1)], 2, t2_profile, "right")[0],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ class SingularGram(SovLabError):
 
 
 class DetKZero(SovLabError):
-    """Coefficient extraction requires an invertible twist."""
+    """A coupling or dual-expansion coefficient, or a det-K weighted eigenstate
+    representation, was requested with a numerically singular twist."""
 
 
 class DegenerateFamily(SovLabError):

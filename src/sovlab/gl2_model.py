@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateReference
+from .errors import DegenerateReference, DetKZero
 from .gl3_model import InterpolationWeights, default_probe_point, fused_dense, xi_separation
 from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde
 from .sov_bases import basis_tree, label_digits, label_products, tensor_product_state
@@ -176,15 +176,10 @@ def qdet_scalar(params, a, cache=None):
     cache = cache or Gl2TransferCache(params)
     prod = cache.value(params.xi[a]) @ cache.value(params.xi[a] - params.eta)
     scalar = np.trace(prod) / params.dim
-    resid = np.abs(prod - scalar * np.eye(params.dim)).max() / max(abs(scalar), 1e-300)
+    resid = rel_residual(prod - scalar * np.eye(params.dim), scalar)
     w = InterpolationWeights(params)
     closed = np.linalg.det(params.k_matrix) * w.a(params.xi[a]) * w.d(params.xi[a] - params.eta)
-    return complex(scalar), float(resid), complex(closed)
-
-
-def _column_residuals(diff, ref):
-    """``rel_residual`` of every column of ``diff`` against the same column of ``ref``."""
-    return np.abs(diff).max(axis=0) / np.maximum(np.abs(ref).max(axis=0), 1e-300)
+    return complex(scalar), resid, complex(closed)
 
 
 def gl2_eigen_reps(params, lambda0=None, cache=None, gap_rtol=1e-8):
@@ -192,10 +187,15 @@ def gl2_eigen_reps(params, lambda0=None, cache=None, gap_rtol=1e-8):
 
     The right (left) eigenvectors are rebuilt from t(xi_a) (t(xi_a - eta))
     through the label sums with Vandermonde weights, one GEMM per side, and
-    compared against the directly diagonalized vectors; with an invertible
-    twist the alternative det-K weighted right-label representation and the
-    nonvanishing overlap with the all-zeros reference are checked as well.
+    compared against the directly diagonalized vectors; the det-K weighted
+    right-label representation and the nonvanishing overlap with the all-zeros
+    reference are checked as well.  A numerically singular twist raises
+    :class:`DetKZero`: the representation divides by det K, and the overlap
+    normalization by vanishing t(xi_a - eta).
     """
+    detk = np.linalg.det(params.k_matrix)
+    if abs(detk) <= 1e-12 * max(np.abs(params.k_matrix).max(), 1e-300) ** 2:
+        raise DetKZero("det K is numerically zero; the representations need it invertible")
     cache = cache or Gl2TransferCache(params)
     left, right, zeros_col = cache.bases()
     lam0 = default_probe_point(params) if lambda0 is None else lambda0
@@ -218,23 +218,19 @@ def gl2_eigen_reps(params, lambda0=None, cache=None, gap_rtol=1e-8):
 
     v = dec.right / (row0 @ dec.right) / v_xi
     u = (dec.left / (dec.left @ ones_col)[:, None] / v_xi).T
-    resid = np.maximum(_column_residuals(right @ coef_right - v, v),
-                       _column_residuals(left.T @ coef_left - u, u))
+    resid = max(rel_residual(right @ coef_right - v, v, axis=0),
+                rel_residual(left.T @ coef_left - u, u, axis=0))
     # the stated normalization puts <t|zeros> at overlap / V(xi)
     overlap = np.prod(r_sh, axis=0)
     target = overlap / v_xi
     zres = np.abs(zeros_col @ u - target) / np.maximum(np.abs(target), 1e-300)
 
-    detk = np.linalg.det(params.k_matrix)
-    detk_rep = None
-    if abs(detk) > 1e-12 * max(np.abs(params.k_matrix).max(), 1e-300) ** 2:
-        # right-label det-K representation: |h> from the zeros reference
-        steps = [([], [t / (detk * w.d(x - params.eta))]) for t, x in zip(t_at, params.xi)]
-        cols = basis_tree(zeros_col, steps, lambda col, m: m @ col).T
-        detk_rep = float(_column_residuals(cols - right, right).max())
+    # right-label det-K representation: |h> from the zeros reference
+    steps = [([], [t / (detk * w.d(x - params.eta))]) for t, x in zip(t_at, params.xi)]
+    cols = basis_tree(zeros_col, steps, lambda col, m: m @ col).T
     return {
-        "reconstruction_residual": float(max(resid.max(), zres.max())),
-        "detk_rep_residual": detk_rep,
+        "reconstruction_residual": float(max(resid, zres.max())),
+        "detk_rep_residual": rel_residual(cols - right, right, axis=0),
         "min_overlap": float(np.abs(overlap).min()),
         "states": [{"eigenvalue": complex(val)} for val in dec.values],
     }

@@ -184,9 +184,17 @@ def rayleigh_quotients(left, matrix, right):
             / np.einsum("ij,ji->i", left, right))
 
 
-def rel_residual(diff, ref):
-    """max|diff| relative to max|ref|: the library's relative-residual convention."""
-    return float(np.abs(diff).max() / max(np.abs(ref).max(), 1e-300))
+def rel_residual(diff, ref, axis=None):
+    """max|diff| relative to max|ref|: the library's relative-residual convention.
+
+    With ``axis`` it is the worst member's ratio, each row (``axis=1``) or
+    column (``axis=0``) of ``diff`` against the same member of ``ref``.
+    Scalars take the builtin abs, whose hypot can differ in the last bit from
+    numpy's vectorized complex abs.
+    """
+    def mag(x):
+        return np.abs(x).max(axis=axis) if np.ndim(x) else abs(x)
+    return float((mag(diff) / np.maximum(mag(ref), 1e-300)).max())
 
 
 def rank_ratio(matrix):

@@ -10,7 +10,6 @@ inhomogeneities, independent of the twist.
 
 import csv
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,17 +227,14 @@ def gram(left, right, params, rtol=1e-9):
 
 
 def extract_coefficient(report, h, k):
-    """C = <h|k> / (<k|k> (det K)^r) for an off-diagonal cell."""
-    cls = classify_pair(h, k)
-    if cls.kind != "offdiag":
+    """C = <h|k> / (<k|k> (det K)^r) for an off-diagonal cell, as :func:`gram`
+    recorded it; gram records none when det K is numerically zero."""
+    if classify_pair(h, k).kind != "offdiag":
         raise ValueError("coefficient extraction needs an off-diagonal cell")
-    detk = report.params.twist.det
-    kscale = max(np.abs(report.params.twist.k_matrix).max(), 1e-300) ** 3
-    if abs(detk) <= report.rtol * kscale:
-        raise DetKZero("det K is numerically zero; the coefficient is undefined by this route")
-    return complex(
-        report.entry(h, k) / (report.entry(k, k) * detk**cls.pair_count)
-    )
+    try:
+        return report.coefficients[(h.flat, k.flat)]
+    except KeyError:
+        raise DetKZero("det K is numerically zero; the coefficient is undefined") from None
 
 
 def coeff_r0_closed_form(params, h_rest):
@@ -296,7 +292,7 @@ def c_scaling_scan(params, c_values, xyz, rtol=1e-9):
         logm = np.log([abs(rep.gram[cell]) for _, rep in reports])
         slope = np.polyfit(logc, logm, 1)[0]
         coeffs = [rep.coefficients[cell] for _, rep in reports]
-        spread = max(abs(c0 - coeffs[0]) for c0 in coeffs) / max(abs(coeffs[0]), 1e-300)
+        spread = rel_residual(np.subtract(coeffs, coeffs[0]), coeffs[0])
         slopes[cell] = (float(slope.real), int(support.pair_count[cell]))
         coeff_spread[cell] = float(spread)
     diag_mags = np.abs([np.diagonal(rep.gram) for _, rep in reports]).T
@@ -366,35 +362,41 @@ def expansion_coefficients(report, dual, h):
     return dual.measure[:, h.flat] * report.diag[h.flat]
 
 
-def _cbar(report, s, r_idx, pair_count):
-    """<s|r> / (<s|s> c^p) for the h-side-normalized coefficient."""
-    c = report.params.twist.det
-    return report.entry(s, r_idx) / (report.entry(s, s) * c**pair_count)
+def b_coefficients(report):
+    """Dual-expansion coefficients of every label: column h of the dim x dim
+    matrix B holds 1 at h and B_(alpha,beta) at each r-pair move s of h, whose
+    dual coordinate is (det K)^r B_(alpha,beta).
+
+    The paper's bottom-up recursion B[s, h] = -sum_t Cbar[s, t] B[t, h], with
+    Cbar = <s|t> / (<s|s> (det K)^r) on the pair-move cells, for every h at
+    once: a move turns digit-1 entries into 0 and 2, so starting from B = I
+    the rows are solved one digit-1 count at a time, from N - 1 down to 0.
+    Raises :class:`DetKZero` when :func:`gram` found det K numerically zero.
+    """
+    sites = report.params.sites
+    support = pair_support(sites)
+    if support.offdiag.any() and not report.coefficients:
+        raise DetKZero("det K is numerically zero; the dual expansion is undefined by this route")
+    g = report.gram
+    scale = np.diagonal(g)[:, None] * report.params.twist.det ** support.pair_count
+    cbar = np.where(support.offdiag, g / scale, 0)
+    ones = (label_digits(sites) == 1).sum(axis=1)
+    b = np.eye(len(g), dtype=complex)
+    for level in range(sites - 1, -1, -1):
+        rows, higher = ones == level, ones > level
+        b[rows] -= cbar[np.ix_(rows, higher)] @ b[higher]
+    return b
 
 
 def b_recursion(report, h):
-    """Expansion coefficients of the dual vector of ``h`` over pair moves.
-
-    Solved bottom-up in the pair count: the single-pair coefficients are
-    B_{a,b} = -Cbar(h_{a,b} | h) and each larger move subtracts the already
-    known sub-move contributions weighted by the corresponding Cbar.
-    Returns ``{(alpha, beta): B}``.
-    """
-    ones = h.ones()
+    """Expansion coefficients of the dual vector of ``h`` over its pair moves:
+    column h of :func:`b_coefficients` as ``{(alpha, beta): B}``."""
+    col = b_coefficients(report)[:, h.flat]
+    digits = label_digits(report.params.sites)
     out = {}
-    max_r = len(ones) // 2
-    for r in range(1, max_r + 1):
-        for alpha in itertools.combinations(ones, r):
-            rest = [o for o in ones if o not in alpha]
-            for beta in itertools.combinations(rest, r):
-                s = h.pair_substitution(alpha, beta)
-                total = _cbar(report, s, h, r)
-                for rp in range(1, r):
-                    for ap in itertools.combinations(alpha, rp):
-                        for bp in itertools.combinations(beta, rp):
-                            rmid = h.pair_substitution(ap, bp)
-                            total += out[(ap, bp)] * _cbar(report, s, rmid, r - rp)
-                out[(alpha, beta)] = -total
+    for s in np.flatnonzero(pair_support(report.params.sites).offdiag[:, h.flat]):
+        move = classify_pair(TernaryIndex(digits[s]), h)
+        out[(move.alpha, move.beta)] = complex(col[s])
     return out
 
 
@@ -433,7 +435,7 @@ def appc_recursion_check(params, r, xyz, h_rest=(), cache=None):
         for i, d in enumerate(h_rest):
             node = xi[2 + i] - (0 if d == 0 else eta)
             pred *= (xi[1] - node) / (xi[0] - node)
-        out["seed"] = abs(lhs - pred) / max(abs(lhs), 1e-300)
+        out["seed"] = rel_residual(lhs - pred, lhs)
         return out
 
     # r = 1: sites (0,1) outer, (2,3) the pair, 0-based
@@ -474,7 +476,7 @@ def appc_recursion_check(params, r, xyz, h_rest=(), cache=None):
     m1 = pair.left[cova.flat] @ t2_inner @ pair.right[:, veca.flat]
     m2 = pair.left[cova.flat] @ t2_inner @ pair.right[:, vec.flat]
     rhs = c3 * s_coef() * (r_coef(0) * m1 + r_coef(2) * m2)
-    out["two_pair"] = abs(lhs - rhs) / max(abs(lhs), 1e-300)
+    out["two_pair"] = rel_residual(lhs - rhs, lhs)
     return out
 
 

@@ -41,10 +41,9 @@ from .sov_bases import (
 )
 from .sov_measure import (
     appc_recursion_check,
-    b_recursion,
+    b_coefficients,
     coeff_r0_closed_form,
     dual_bases,
-    expansion_coefficients,
     extract_coefficient,
     gram,
 )
@@ -281,9 +280,7 @@ def run_fusion(ws, tol):
         lam = s.spectral_point(params.xi, params.eta)
         t3 = cache.t3(lam)
         pred = gl3_model.quantum_determinant(params, lam)
-        qworst = max(
-            qworst, np.abs(t3 - pred * np.eye(params.dim)).max() / max(abs(pred), 1e-300)
-        )
+        qworst = max(qworst, rel_residual(t3 - pred * np.eye(params.dim), pred))
     interp = 0.0
     for _ in range(3):
         lam = s.complex_rational()
@@ -311,10 +308,8 @@ def _asymptotics_residual(params, cache):
         f1 = cache.value(m, lam) / lam ** (m * params.sites)
         f2 = cache.value(m, 2 * lam) / (2 * lam) ** (m * params.sites)
         richardson = 2 * f2 - f1
-        worst = max(
-            worst, np.abs(richardson - lead * np.eye(params.dim)).max() / max(abs(lead), 1e-300)
-        )
-    return float(worst)
+        worst = max(worst, rel_residual(richardson - lead * np.eye(params.dim), lead))
+    return worst
 
 
 def run_bases(ws, tol):
@@ -352,10 +347,7 @@ def _variant_relation_residual(params, xyz, cache):
     alpha = label_products(
         [[gl3_model.quantum_determinant(params, x), 1, 1] for x in params.xi]
     )
-    # rel_residual of every row against its dressed row
-    ref = pair.left
-    diff = np.abs(ref - alpha[:, None] * rows).max(axis=1)
-    return float((diff / np.maximum(np.abs(ref).max(axis=1), 1e-300)).max())
+    return rel_residual(pair.left - alpha[:, None] * rows, pair.left, axis=1)
 
 
 def run_gram(ws, tol):
@@ -434,20 +426,14 @@ def _dual_sparsity_residual(params, report, dual):
 
 
 def _b_recursion_residual(params, report, dual):
-    c = params.twist.det
-    worst = 0.0
-    for h in TernaryIndex.all(params.sites):
-        if len(h.ones()) < 2:
-            continue
-        coeffs = expansion_coefficients(report, dual, h)
-        bmap = b_recursion(report, h)
-        for (alpha, beta), b in bmap.items():
-            target = h.pair_substitution(alpha, beta)
-            pred = c ** len(alpha) * b
-            worst = max(
-                worst, abs(coeffs[target.flat] - pred) / max(np.abs(coeffs).max(), 1e-300)
-            )
-    return float(worst)
+    """On every pair move of h the dual coordinate must be (det K)^r times the
+    recursion's coefficient B_(alpha,beta), relative to the column's largest
+    coordinate."""
+    support = sov_measure.pair_support(params.sites)
+    coords = dual.measure * report.diag
+    pred = params.twist.det ** support.pair_count * b_coefficients(report)
+    scale = np.maximum(np.abs(coords).max(axis=0), 1e-300)
+    return float(np.max((np.abs(coords - pred) / scale)[support.offdiag], initial=0.0))
 
 
 def run_det0(ws, tol):
@@ -495,7 +481,7 @@ def run_scalarproducts(ws, tol, n_random=20):
     for st in states:
         nd = norm_determinant(st, kp, cache)
         direct = norm_direct(st)
-        nres = abs(nd - direct) / max(abs(direct), 1e-300)
+        nres = rel_residual(nd - direct, direct)
         norm_worst = max(norm_worst, nres)
         records.append(
             {
@@ -512,7 +498,7 @@ def run_scalarproducts(ws, tol, n_random=20):
         alpha = SeparateState.random(rng, kp.sites)
         det_val = scalar_product_determinant(alpha, st, kp)
         direct = separate_overlap_direct(alpha, st, kp)
-        sp_worst = max(sp_worst, abs(det_val - direct) / max(abs(direct), 1e-300))
+        sp_worst = max(sp_worst, rel_residual(det_val - direct, direct))
     details = {
         "factorization": float(fact),
         "scalar_products": float(sp_worst),
@@ -544,9 +530,10 @@ def run_ttcharges(ws, tol):
     off = treport.max_offdiag_cosine
     diag_err = treport.max_diag_rel_err
     rep = eigenstate_representation_residual(family, tpair)
-    central = max(
-        np.abs(family.charge(2, x + params.eta)).max() for x in params.xi
-    ) / max(np.abs(family.charge(2, params.xi[0])).max(), 1e-300)
+    central = rel_residual(
+        max(np.abs(family.charge(2, x + params.eta)).max() for x in params.xi),
+        family.charge(2, params.xi[0]),
+    )
     details = {
         "fusion": float(max(fus.values())),
         "commutation": float(comm_worst),
@@ -566,11 +553,11 @@ def run_gl2(ws, tol):
     params, cache = ws.gl2()
     _, measure_worst, _ = ws.gl2_coupling()
     ident = gl2_model.identity_decomposition_residual(params, cache)
+    reps = gl2_model.gl2_eigen_reps(params, cache=cache)
     qworst = 0.0
     for a in range(params.sites):
         scalar, resid, closed = gl2_model.qdet_scalar(params, a, cache)
-        qworst = max(qworst, resid, abs(scalar - closed) / abs(closed))
-    reps = gl2_model.gl2_eigen_reps(params, cache=cache)
+        qworst = max(qworst, resid, rel_residual(scalar - closed, closed))
     details = {
         "measure": float(measure_worst),
         "identity_decomposition": float(ident),
@@ -580,7 +567,7 @@ def run_gl2(ws, tol):
         "min_reference_overlap": reps["min_overlap"],
     }
     worst = max(measure_worst, ident, qworst, reps["reconstruction_residual"],
-                reps["detk_rep_residual"] or 0.0)
+                reps["detk_rep_residual"])
     ok = reps["min_overlap"] > 1e-9
     return _result("gl2", tol, worst, details, ws, extra_ok=ok)
 
@@ -629,7 +616,7 @@ def run_appendix_c(ws, tol):
             k = TernaryIndex((1, 1) + rest)
             c_meas = extract_coefficient(report, h, k)
             c_form = coeff_r0_closed_form(params, rest)
-            coeff_worst = max(coeff_worst, abs(c_meas - c_form) / abs(c_form))
+            coeff_worst = max(coeff_worst, rel_residual(c_meas - c_form, c_form))
         details["single_pair_coefficient"] = coeff_worst
     worst = max(worst, coeff_worst)
     return _result("appendixC", tol, worst, details, ws)

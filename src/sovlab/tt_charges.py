@@ -191,5 +191,4 @@ def eigenstate_representation_residual(family, pair):
     coords = pair.left @ family.right
     coords = coords / coords[one_flat]
     pred = separated_coordinates(family.t1_xi, family.t2_shift)
-    return float((np.abs(coords - pred).max(axis=0)
-                  / np.maximum(np.abs(coords).max(axis=0), 1e-300)).max())
+    return rel_residual(coords - pred, coords, axis=0)

@@ -412,7 +412,7 @@ def test_criterion_14_rank_one_yardstick():
                     worst_meas = max(worst_meas, abs(g[fh, fk] - pred) / np.abs(g).max())
             reps = gl2_model.gl2_eigen_reps(params, cache=cache)
             worst_rep = max(worst_rep, reps["reconstruction_residual"],
-                            reps["detk_rep_residual"] or 0.0)
+                            reps["detk_rep_residual"])
             min_overlap = min(min_overlap, reps["min_overlap"])
     ok = worst_meas <= 1e-9 and worst_rep <= 1e-7 and min_overlap > 1e-9
     _report(14, ok, f"rank-one measure {worst_meas:.2e} (tol 1e-9), eigenstate "

@@ -1,6 +1,10 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
+from sovlab import det0_spectrum
 from sovlab.det0_spectrum import (
     SeparateState,
     boundary_eigenstate_check,
@@ -21,7 +25,7 @@ from sovlab.errors import (
     SpectrumCollision,
     SpectrumNotSimple,
 )
-from sovlab.gl3_model import ModelParams, TransferCache, TwistData
+from sovlab.gl3_model import InterpolationWeights, ModelParams, TransferCache, TwistData
 from sovlab.numkernel import rayleigh_quotients, rel_residual
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import TernaryIndex, dressed_pair
@@ -121,6 +125,32 @@ def test_boundary_eigenstates(det0_chain2):
         assert resid <= 1e-9
         assert spread <= 1e-8  # the extracted constant is lambda independent
     assert out["right_family_t2"] <= 1e-9
+
+
+@pytest.mark.parametrize("chain", ["det0_chain2", "det0_chain3"])
+def test_boundary_right_block_matches_column_loop(chain, request, monkeypatch):
+    """The {1,2}^N right labels, acted on as one block, give the residual of a
+    loop over the columns with one GEMV each; the all-ones column is in the
+    block, so swapping in a non-eigenvector there is seen."""
+    params, xyz, cache, pair = request.getfixturevalue(chain)
+    lams = [crand() for _ in range(5)]
+    w = InterpolationWeights(params)
+    loop = 0.0
+    for digits in itertools.product((1, 2), repeat=params.sites):
+        col = pair.right[:, TernaryIndex(digits).flat]
+        for lam in lams:
+            acted = cache.t2(lam) @ col
+            ref = w.d(lam - params.eta) * w.d(lam + params.eta) * col
+            j = int(np.argmax(np.abs(ref)))
+            loop = max(loop, rel_residual(acted - acted[j] / ref[j] * ref, acted))
+    got = boundary_eigenstate_check(params, xyz, lams, cache)["right_family_t2"]
+    assert 0 < loop <= 1e-9
+    assert abs(got - loop) <= 1e-15
+    right = pair.right.copy()
+    right[:, TernaryIndex((1,) * params.sites).flat] = pair.right[:, 0]
+    broken = dataclasses.replace(pair, right=right)
+    monkeypatch.setattr(det0_spectrum, "dressed_pair", lambda *args: broken)
+    assert boundary_eigenstate_check(params, xyz, lams, cache)["right_family_t2"] > 1e-3
 
 
 def test_eigensolve_one_site_closed_form():

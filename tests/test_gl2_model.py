@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from sovlab import gl2_model
 from sovlab.cli import resolve_config, run
-from sovlab.errors import DegenerateReference
+from sovlab.errors import DegenerateReference, DetKZero
 from sovlab.gl2_model import (
     Gl2Params,
     Gl2TransferCache,
@@ -153,8 +154,8 @@ def test_coupling_values_match_prediction(sites):
 
 
 def test_detk_zero_twist():
-    """A singular twist skips the det-K representation; the coupling matrix
-    and the identity decomposition still hold."""
+    """A singular twist makes the eigenstate representations raise DetKZero;
+    the coupling matrix and the identity decomposition still hold."""
     s = ParameterSampler(409)
     eta = s.shift()
     xi = s.inhomogeneities(3, eta)
@@ -162,10 +163,24 @@ def test_detk_zero_twist():
     params = Gl2Params(3, eta, xi, k, s.reference2())
     cache = Gl2TransferCache(params)
     assert np.linalg.det(params.k_matrix) == 0
-    assert gl2_eigen_reps(params, cache=cache)["detk_rep_residual"] is None
+    with pytest.raises(DetKZero):
+        gl2_eigen_reps(params, cache=cache)
     _, cells, diagonal = coupling_residuals(params, cache)
     assert cells <= 1e-12 and diagonal <= 1e-12
     assert identity_decomposition_residual(params, cache) <= 1e-12
+
+
+def test_detk_zero_twist_run_reports_error(tmp_path):
+    """A singular twist fails only the gl2 suite, with the error recorded in
+    the written report; gram and measure still pass."""
+    cfg = resolve_config(None, {"algebra": "gl2", "sites": 3, "seed": 409, "out": str(tmp_path),
+                                "twist": {"matrix": [[1, 0.5], [0.25, 0.125]]}})
+    run(cfg, echo=lambda *a, **k: None)
+    report = json.loads((tmp_path / "report.json").read_text())
+    results = {r["task"]: r for r in report["results"]}
+    assert results["gram"]["passed"] and results["measure"]["passed"]
+    assert not results["gl2"]["passed"]
+    assert results["gl2"]["details"]["error"].startswith("DetKZero")
 
 
 def test_identity_decomposition(gl2_chain3):

@@ -11,6 +11,7 @@ from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import TernaryIndex, dressed_pair
 from sovlab.sov_measure import (
     appc_recursion_check,
+    b_coefficients,
     b_recursion,
     c_scaling_scan,
     classify_pair,
@@ -25,7 +26,8 @@ from sovlab.sov_measure import (
     pair_support,
 )
 from sovlab.numkernel import vandermonde
-from sovlab.suites import _dual_sparsity_residual
+from sovlab import suites
+from sovlab.suites import _b_recursion_residual, _dual_sparsity_residual
 
 from conftest import make_params
 
@@ -380,6 +382,76 @@ def test_b_recursion_two_pairs_n4():
         assert abs(coeffs[target.flat] - pred) <= 1e-7 * np.abs(coeffs).max()
         checked += 1
     assert checked == 6
+
+
+def _b_recursion_per_label(report, h):
+    """Reference for b_coefficients: the bottom-up recursion of one label,
+    enumerating its pair moves and their sub-moves with itertools and reading
+    one coupling cell at a time."""
+    c = report.params.twist.det
+
+    def cbar(s, t, pair_count):
+        return report.entry(s, t) / (report.entry(s, s) * c**pair_count)
+
+    ones = h.ones()
+    out = {}
+    for r in range(1, len(ones) // 2 + 1):
+        for alpha in itertools.combinations(ones, r):
+            rest = [o for o in ones if o not in alpha]
+            for beta in itertools.combinations(rest, r):
+                s = h.pair_substitution(alpha, beta)
+                total = cbar(s, h, r)
+                for rp in range(1, r):
+                    for ap in itertools.combinations(alpha, rp):
+                        for bp in itertools.combinations(beta, rp):
+                            mid = h.pair_substitution(ap, bp)
+                            total += out[(ap, bp)] * cbar(s, mid, r - rp)
+                out[(alpha, beta)] = -total
+    return out
+
+
+@pytest.mark.parametrize("sites,seed", [(3, 11), (4, 111)])
+def test_b_coefficients_match_per_label_recursion(sites, seed):
+    """Every label with at least two ones: the level-by-level solve and
+    b_recursion agree with the per-label recursion, and B is the identity
+    plus the pair-move cells."""
+    params, xyz, _ = make_params(seed, sites)
+    pair = dressed_pair(params, xyz)
+    report = gram(pair.left, pair.right, params)
+    b = b_coefficients(report)
+    support = pair_support(sites)
+    assert np.all(np.diagonal(b) == 1) and np.all(b[support.zero] == 0)
+    checked = 0
+    for h in TernaryIndex.all(sites):
+        if len(h.ones()) < 2:
+            continue
+        want = _b_recursion_per_label(report, h)
+        got = b_recursion(report, h)
+        assert set(got) == set(want)
+        assert np.count_nonzero(support.offdiag[:, h.flat]) == len(want)
+        scale = max(abs(v) for v in want.values())
+        for move, val in want.items():
+            assert abs(b[h.pair_substitution(*move).flat, h.flat] - val) <= 1e-12 * scale
+            assert abs(got[move] - val) <= 1e-12 * scale
+        checked += 1
+    assert checked == {3: 7, 4: 33}[sites]
+
+
+def test_b_recursion_residual_detects_wrong_coefficients(chain3, monkeypatch):
+    """The dual coordinates on the pair moves match det K^r B; with the moves
+    left out of B (B = I) the residual reads order one."""
+    params, _, _, pair = chain3
+    report = gram(pair.left, pair.right, params)
+    dual = dual_bases(pair, report)
+    assert _b_recursion_residual(params, report, dual) <= 1e-9
+    monkeypatch.setattr(suites, "b_coefficients", lambda report: np.eye(params.dim))
+    assert _b_recursion_residual(params, report, dual) > 1e-3
+
+
+def test_b_coefficients_detk_zero(det0_chain2):
+    params, _, _, pair = det0_chain2
+    with pytest.raises(DetKZero):
+        b_coefficients(gram(pair.left, pair.right, params))
 
 
 @pytest.mark.parametrize("sites,rest", [(2, ()), (3, (0,)), (3, (2,))])
