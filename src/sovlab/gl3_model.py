@@ -20,6 +20,11 @@ and 2 for gl(2).  Both paths build their site operators with
 * the matrix-free action on a few columns (:func:`fused_apply`,
   :func:`apply_transfer_free`) is :func:`fused_contract`, for chains too
   large to hold T_m densely.
+
+The dense checks (Yang-Baxter, RTT, the product formula and its exchange
+relation) apply every R-matrix and twist factor with :func:`on_legs`, the
+local-operator kernel: it right-multiplies a matrix by an operator on a few
+tensor slots, and :func:`embed` is its value on the identity.
 """
 
 import itertools
@@ -49,9 +54,9 @@ def r_matrix(lam, eta, d=3):
 
 def check_yang_baxter(lam, mu, eta):
     """Relative residual of R12(lam-mu) R13(lam) R23(mu) = R23(mu) R13(lam) R12(lam-mu)."""
-    r12 = embed_pair(r_matrix(lam - mu, eta), 3, 0, 1)
-    r13 = embed_pair(r_matrix(lam, eta), 3, 0, 2)
-    r23 = embed_pair(r_matrix(mu, eta), 3, 1, 2)
+    r12 = embed(r_matrix(lam - mu, eta), 3, (0, 1))
+    r13 = embed(r_matrix(lam, eta), 3, (0, 2))
+    r23 = embed(r_matrix(mu, eta), 3, (1, 2))
     lhs = r12 @ r13 @ r23
     rhs = r23 @ r13 @ r12
     return rel_residual(lhs - rhs, lhs)
@@ -68,21 +73,28 @@ def scalar_yb_residual(k_matrix, lam, eta):
     return rel_residual(lhs - rhs, lhs)
 
 
-def embed_pair(op, n_slots, i, j, d=3):
-    """Dense embedding of a two-slot operator into slots (i, j) of n slots.
+def on_legs(mat, op, legs, d=3):
+    """``mat @ embed(op, n, legs)`` without forming the embedding.
 
-    Slot 0 is the slowest index.  ``op`` is (d*d, d*d) with slot i as its
-    first factor.
+    The columns of ``mat`` index n tensor slots of dimension d, slot 0 the
+    slowest; ``op`` acts on the slots ``legs`` with legs[0] as its first
+    factor.  Costs d^len(legs) multiply-adds per entry of ``mat``.
     """
-    if i == j or not (0 <= i < n_slots and 0 <= j < n_slots):
-        raise ValueError("embed_pair needs two distinct valid slots")
-    rest = n_slots - 2
-    full = np.kron(op, np.eye(d**rest, dtype=complex))
-    full = full.reshape((d,) * (2 * n_slots))
-    order = [i, j] + [s for s in range(n_slots) if s not in (i, j)]
-    inv = list(np.argsort(order))
-    perm = inv + [n_slots + p for p in inv]
-    return full.transpose(perm).reshape(d**n_slots, d**n_slots)
+    n = round(math.log(mat.shape[1], d))
+    k = len(legs)
+    if len(set(legs)) != k or not all(0 <= s < n for s in legs):
+        raise ValueError(f"legs {legs} must be distinct slots in 0..{n - 1}")
+    axes = [1 + s for s in legs]
+    last = list(range(n + 1 - k, n + 1))
+    t = np.moveaxis(mat.reshape((-1,) + (d,) * n), axes, last)
+    t = (t.reshape(-1, d**k) @ op).reshape(t.shape)
+    return np.moveaxis(t, last, axes).reshape(mat.shape)
+
+
+def embed(op, n_slots, legs, d=3):
+    """Dense embedding of ``op`` into the slots ``legs`` of n slots: a copy of
+    its entries, with slot 0 the slowest index."""
+    return on_legs(np.eye(d**n_slots, dtype=complex), op, legs, d)
 
 
 # ---------------------------------------------------------------------------
@@ -245,47 +257,28 @@ class ModelParams:
 # monodromy and transfer matrices
 
 
-def monodromy(params, lam):
+def monodromy(params, lam, aux=0, n_aux=1):
     """Dense monodromy matrix K_a R_{a,N}(lam - xi_N) ... R_{a,1}(lam - xi_1)
-    on the auxiliary (x) quantum space, auxiliary index slowest."""
+    with the auxiliary space a in slot ``aux`` of ``n_aux`` auxiliary slots,
+    which precede the quantum slots: slot n_aux + (N - b) holds site b."""
     n = params.sites
-    params.require_dense(3 ** (n + 1))
-    slots = n + 1  # slot 0 = auxiliary, slot 1 + (N - a) = site a
-    m = np.kron(params.twist.k_matrix, np.eye(3**n, dtype=complex))
-    for a in range(n, 0, -1):
-        slot = 1 + (n - a)
-        m = m @ embed_pair(r_matrix(lam - params.xi[a - 1], params.eta), slots, 0, slot)
+    slots = n_aux + n
+    params.require_dense(3**slots)
+    m = embed(params.twist.k_matrix, slots, (aux,))
+    for b in range(n, 0, -1):
+        m = on_legs(m, r_matrix(lam - params.xi[b - 1], params.eta), (aux, n_aux + n - b))
     return m
 
 
 def rtt_residual(params, lam, mu):
     """Relative residual of the exchange relation
     R12(lam-mu) M1(lam) M2(mu) = M2(mu) M1(lam) R12(lam-mu)."""
-    n = params.sites
-    params.require_dense(3 ** (n + 2))
-    slots = n + 2  # 0, 1 auxiliary; 2 + (N - a) = site a
-    k = params.twist.k_matrix
-
-    def mono(slot, lam_):
-        ops = _embed_single(k, slots, slot)
-        for a in range(n, 0, -1):
-            ops = ops @ embed_pair(r_matrix(lam_ - params.xi[a - 1], params.eta), slots, slot, 2 + (n - a))
-        return ops
-
-    m1 = mono(0, lam)
-    m2 = mono(1, mu)
-    r12 = embed_pair(r_matrix(lam - mu, params.eta), slots, 0, 1)
-    lhs = r12 @ m1 @ m2
-    rhs = m2 @ m1 @ r12
+    m1 = monodromy(params, lam, 0, 2)
+    m2 = monodromy(params, mu, 1, 2)
+    r12 = r_matrix(lam - mu, params.eta)
+    lhs = embed(r12, params.sites + 2, (0, 1)) @ m1 @ m2
+    rhs = on_legs(m2 @ m1, r12, (0, 1))
     return rel_residual(lhs - rhs, lhs)
-
-
-def _embed_single(op, n_slots, slot, d=3):
-    full = np.kron(op, np.eye(d ** (n_slots - 1), dtype=complex)).reshape((d,) * (2 * n_slots))
-    order = [slot] + [s for s in range(n_slots) if s != slot]
-    inv = list(np.argsort(order))
-    perm = inv + [n_slots + p for p in inv]
-    return full.transpose(perm).reshape(d**n_slots, d**n_slots)
 
 
 @lru_cache(maxsize=None)
@@ -322,7 +315,7 @@ def _site_coefficients(d, m, eta):
     zero = np.zeros_like(eye)
     poly = [eye]  # coefficients of the first k factors, lowest degree first
     for k in range(m):
-        const = embed_pair(r_matrix(-k * eta, eta, d), m + 1, k, m, d)
+        const = embed(r_matrix(-k * eta, eta, d), m + 1, (k, m), d)
         poly = [c @ const + z_c for c, z_c in zip(poly + [zero], [zero] + poly)]
     site_restrict = np.kron(restrict, np.eye(d))
     site_extend = np.kron(extend, np.eye(d))
@@ -570,20 +563,18 @@ def fusion_residuals(params, cache=None):
 # product of transfer matrices at the inhomogeneities
 
 
-def _chain(params, a, others, omit):
-    """R_{a,b_M}(xi_a - xi_{b_M}) ... R_{a,b_1}(xi_a - xi_{b_1}) on the
-    quantum space, skipping sites listed in ``omit`` (1-based sites)."""
+def _chain(mat, params, a, others, omit):
+    """``mat`` times R_{a,b_M}(xi_a - xi_{b_M}) ... R_{a,b_1}(xi_a - xi_{b_1})
+    on the quantum space, skipping sites listed in ``omit`` (1-based sites)."""
     n = params.sites
-    out = np.eye(params.dim, dtype=complex)
-    for b in others:
-        if b in omit:
-            continue
-        r = r_matrix(params.xi[a - 1] - params.xi[b - 1], params.eta)
-        out = embed_pair(r, n, n - a, n - b) @ out
-    return out
+    for b in reversed(others):
+        if b not in omit:
+            r = r_matrix(params.xi[a - 1] - params.xi[b - 1], params.eta)
+            mat = on_legs(mat, r, (n - a, n - b))
+    return mat
 
 
-def product_formula_check(params, a_indices):
+def product_formula_check(params, a_indices, cache=None):
     """Relative residual of the closed product formula for
     prod_j T_1(xi_{a_j}) as a twist insertion dressed by R-chains.
 
@@ -591,25 +582,24 @@ def product_formula_check(params, a_indices):
     eta^M * prod_{i<j} (eta^2 - (xi_{a_i} - xi_{a_j})^2).
     """
     sites = list(a_indices)
-    if sites != sorted(set(sites)) or any(not 1 <= a <= params.sites for a in sites):
+    n = params.sites
+    if sites != sorted(set(sites)) or any(not 1 <= a <= n for a in sites):
         raise IndexOrder("site indices must be strictly ascending and within range")
     mm = len(sites)
     params.require_dense(params.dim)
-    cache = TransferCache(params)
-    lhs = np.eye(params.dim, dtype=complex)
-    for a in sites:
-        lhs = lhs @ cache.t1(params.xi[a - 1])
+    cache = cache or TransferCache(params)
+    lhs = reduce(np.matmul, [cache.t1(params.xi[a - 1]) for a in sites])
     coef = params.eta**mm
     for i in range(mm):
         for j in range(i + 1, mm):
             coef *= params.eta**2 - (params.xi[sites[i] - 1] - params.xi[sites[j] - 1]) ** 2
     rhs = np.eye(params.dim, dtype=complex)
     for pos, a in enumerate(sites):
-        rhs = rhs @ _chain(params, a, range(1, a), omit=sites[:pos])
+        rhs = _chain(rhs, params, a, range(1, a), omit=sites[:pos])
     for a in sites:
-        rhs = rhs @ _embed_single(params.twist.k_matrix, params.sites, params.sites - a)
+        rhs = on_legs(rhs, params.twist.k_matrix, (n - a,))
     for pos, a in enumerate(sites):
-        rhs = rhs @ _chain(params, a, range(a + 1, params.sites + 1), omit=sites[pos + 1:])
+        rhs = _chain(rhs, params, a, range(a + 1, n + 1), omit=sites[pos + 1:])
     rhs = coef * rhs
     return rel_residual(lhs - rhs, lhs)
 
@@ -622,12 +612,13 @@ def exchange_relation_residual(params, low, high, between):
     n = params.sites
     if not low < high or any(not low < b < high for b in between):
         raise IndexOrder("need low < between sites < high")
-    right_low = lambda omit: _chain(params, low, range(low + 1, n + 1), omit=omit)
-    left_high = lambda omit: _chain(params, high, range(1, high), omit=omit)
+    right_low = lambda mat, omit: _chain(mat, params, low, range(low + 1, n + 1), omit)
+    left_high = lambda mat, omit: _chain(mat, params, high, range(1, high), omit)
     between = tuple(between)
-    lhs = right_low(between) @ left_high(between)
+    eye = np.eye(params.dim, dtype=complex)
+    lhs = left_high(right_low(eye, between), between)
     scal = params.eta**2 - (params.xi[high - 1] - params.xi[low - 1]) ** 2
-    rhs = scal * (left_high(between + (low,)) @ right_low(between + (high,)))
+    rhs = scal * right_low(left_high(eye, between + (low,)), between + (high,))
     return rel_residual(lhs - rhs, lhs)
 
 

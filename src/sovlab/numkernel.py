@@ -34,19 +34,6 @@ def as_matrix(a):
     return m
 
 
-def kron(a, b, cap=DENSE_DIM_CAP):
-    """Kronecker product with the row-major convention
-    ``kron(a, b)[i*rb + k, j*cb + l] = a[i, j] * b[k, l]``."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] * b.shape[0] > cap or a.shape[1] * b.shape[1] > cap:
-        raise SizeCapError(
-            f"kron result {a.shape[0] * b.shape[0]}x{a.shape[1] * b.shape[1]} "
-            f"exceeds cap {cap}"
-        )
-    return np.kron(a, b)
-
-
 def vandermonde(xs):
     """prod_{i<j} (x_j - x_i); empty and singleton sequences give 1."""
     xs = list(xs)

@@ -578,7 +578,7 @@ def run_appendix_a(ws, tol):
     details = {}
     for m in range(1, min(params.sites, 3) + 1):
         sites = tuple(range(1, m + 1))
-        r = gl3_model.product_formula_check(params, sites)
+        r = gl3_model.product_formula_check(params, sites, cache)
         details[f"product_m{m}"] = r
         worst = max(worst, r)
     if params.sites >= 3:

@@ -20,7 +20,7 @@ from sovlab.gl2_model import (
     qdet_scalar,
     reference_states,
 )
-from sovlab.gl3_model import embed_pair, r_matrix
+from sovlab.gl3_model import on_legs, r_matrix
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import label_digits
 
@@ -53,7 +53,7 @@ def test_transfer_matches_dense_monodromy_trace():
     mono = np.kron(params.k_matrix, np.eye(params.dim))
     for a in range(n, 0, -1):
         r = r_matrix(lam - params.xi[a - 1], eta, 2)
-        mono = mono @ embed_pair(r, n + 1, 0, 1 + (n - a), d=2)
+        mono = on_legs(mono, r, (0, 1 + (n - a)), d=2)
     want = mono.reshape(2, params.dim, 2, params.dim).trace(axis1=0, axis2=2)
     got = gl2_transfer(params, lam)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

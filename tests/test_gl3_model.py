@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from sovlab import gl3_model
 from sovlab.errors import IndexOrder, SpectrumNotSimple
 from sovlab.gl3_model import (
     InterpolationWeights,
@@ -9,13 +12,14 @@ from sovlab.gl3_model import (
     TwistData,
     apply_transfer_free,
     check_yang_baxter,
-    embed_pair,
+    embed,
     exchange_relation_residual,
     fused_apply,
     fused_contract,
     fused_dense,
     fusion_residuals,
     monodromy,
+    on_legs,
     product_formula_check,
     quantum_determinant,
     r_matrix,
@@ -47,6 +51,52 @@ def test_r_matrix_limits():
 def test_r_matrix_corner_entry():
     lam, eta = crand(), crand()
     assert r_matrix(lam, eta)[0, 0] == lam + eta
+
+
+def _embedding_by_definition(op, n, legs, d):
+    """Entry-wise oracle: op on the digits at ``legs``, a Kronecker delta on
+    every other slot; slot 0 is the slowest digit."""
+    out = np.zeros((d**n, d**n), dtype=complex)
+    for row in itertools.product(range(d), repeat=n):
+        for col in itertools.product(range(d), repeat=n):
+            if any(row[s] != col[s] for s in range(n) if s not in legs):
+                continue
+            i = sum(row[s] * d ** (len(legs) - 1 - k) for k, s in enumerate(legs))
+            j = sum(col[s] * d ** (len(legs) - 1 - k) for k, s in enumerate(legs))
+            out[np.ravel_multi_index(row, (d,) * n), np.ravel_multi_index(col, (d,) * n)] = op[i, j]
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_embed_is_an_exact_copy(d):
+    """Embedding copies entries without rounding: on the leading slots it is
+    the Kronecker product bit for bit, on any slots the definition."""
+    local = np.random.default_rng(60 + d)
+    op = local.standard_normal((d * d, d * d)) + 1j * local.standard_normal((d * d, d * d))
+    assert np.array_equal(embed(op, 3, (0, 1), d), np.kron(op, np.eye(d)))
+    for legs in [(0, 2), (2, 0), (1, 2)]:
+        assert np.array_equal(embed(op, 3, legs, d), _embedding_by_definition(op, 3, legs, d))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("legs", [(1,), (0,), (0, 2), (2, 0), (1, 2), (2, 1)])
+def test_on_legs_matches_dense_embedding(d, legs):
+    local = np.random.default_rng(70 + d)
+    n, k = 3, len(legs)
+    mat = local.standard_normal((5, d**n)) + 1j * local.standard_normal((5, d**n))
+    op = local.standard_normal((d**k, d**k)) + 1j * local.standard_normal((d**k, d**k))
+    want = mat @ embed(op, n, legs, d)
+    got = on_legs(mat, op, legs, d)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("legs", [(1, 1), (0, 3), (-1,), (3,)])
+def test_on_legs_rejects_bad_legs(legs):
+    op = np.eye(3 ** len(legs), dtype=complex)
+    with pytest.raises(ValueError):
+        on_legs(np.eye(27, dtype=complex), op, legs)
+    with pytest.raises(ValueError):
+        embed(op, 3, legs)
 
 
 def test_yang_baxter_random():
@@ -81,7 +131,7 @@ def test_monodromy_matches_embedded_chain():
     m = monodromy(params, lam)
     want = np.kron(params.twist.k_matrix, np.eye(9))
     for a in (2, 1):
-        want = want @ embed_pair(r_matrix(lam - params.xi[a - 1], params.eta), 3, 0, 3 - a)
+        want = want @ embed(r_matrix(lam - params.xi[a - 1], params.eta), 3, (0, 3 - a))
     np.testing.assert_allclose(m, want, atol=1e-13 * np.abs(want).max())
 
 
@@ -114,11 +164,11 @@ def test_transfer_one_site_t2_adjugate():
 
     # direct oracle on aux (x) aux (x) site: tr_{12}[P- M1(lam) M2(lam-eta)]
     lam = xi0 - eta
-    r1 = embed_pair(r_matrix(lam - xi0, eta), 3, 0, 2)
-    r2 = embed_pair(r_matrix(lam - eta - xi0, eta), 3, 1, 2)
-    k1 = embed_pair(np.kron(k, np.eye(3)), 3, 0, 1)
-    k2 = embed_pair(np.kron(k, np.eye(3)), 3, 1, 2)
-    proj = embed_pair(antisymmetrizer(3, 2), 3, 0, 1)
+    r1 = embed(r_matrix(lam - xi0, eta), 3, (0, 2))
+    r2 = embed(r_matrix(lam - eta - xi0, eta), 3, (1, 2))
+    k1 = embed(k, 3, (0,))
+    k2 = embed(k, 3, (1,))
+    proj = embed(antisymmetrizer(3, 2), 3, (0, 1))
     big = proj @ k1 @ r1 @ k2 @ r2
     oracle = big.reshape(9, 3, 9, 3).trace(axis1=0, axis2=2)
     np.testing.assert_allclose(got, oracle, atol=1e-12)
@@ -228,6 +278,35 @@ def test_product_formula_index_order(chain3):
 def test_exchange_relation_four_sites():
     params, _, _ = make_params(17, 4)
     assert exchange_relation_residual(params, 1, 4, (2, 3)) <= 1e-10
+
+
+def test_product_formula_reads_the_given_cache(chain3):
+    """A primed cache serves every T_1 (no new misses); a cache of another
+    twist breaks the identity."""
+    params, _, _, _ = chain3
+    cache = TransferCache(params)
+    for x in params.xi:
+        cache.t1(x)
+    misses, hits = sum(cache.misses.values()), sum(cache.hits.values())
+    assert product_formula_check(params, (1, 2, 3), cache=cache) <= 1e-10
+    assert sum(cache.misses.values()) == misses
+    assert sum(cache.hits.values()) == hits + 3
+    other = params.with_twist(TwistData.from_eigenvalues([0.5, -1.25, 2.0]))
+    assert product_formula_check(params, (1, 2), cache=TransferCache(other)) >= 1e-6
+
+
+def test_chain_checks_detect_a_wrong_shift(chain3, monkeypatch):
+    """R-chains built with eta off by 1% fail both the product formula and
+    the exchange relation."""
+    params, _, _, _ = chain3
+    four, _, _ = make_params(17, 4)
+    cache = TransferCache(params)
+    assert product_formula_check(params, (1, 2), cache=cache) <= 1e-10
+    assert exchange_relation_residual(four, 1, 4, (2, 3)) <= 1e-10
+    exact = gl3_model.r_matrix
+    monkeypatch.setattr(gl3_model, "r_matrix", lambda lam, eta, d=3: exact(lam, 1.01 * eta, d))
+    assert product_formula_check(params, (1, 2), cache=cache) >= 1e-6
+    assert exchange_relation_residual(four, 1, 4, (2, 3)) >= 1e-6
 
 
 def test_apply_transfer_free_matches_dense(chain2):

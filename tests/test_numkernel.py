@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sovlab.errors import EigFailure, SizeCapError
+from sovlab.errors import EigFailure
 from sovlab.numkernel import (
     EigenDecomposition,
     adjugate3,
     antisymmetrizer,
     eig_general,
-    kron,
     vandermonde,
 )
 
@@ -18,49 +17,6 @@ rng = np.random.default_rng(42)
 
 def crand(*shape):
     return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
-
-
-def kron_loops(a, b):
-    """Definition oracle: explicit double loop."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
-
-
-def test_kron_identity():
-    np.testing.assert_array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-
-def test_kron_single_entry():
-    a, b = crand(2, 2), crand(2, 2)
-    assert kron(a, b)[3, 3] == pytest.approx(a[1, 1] * b[1, 1], rel=1e-15)
-
-
-def test_kron_matches_double_loop():
-    for _ in range(5):
-        a, b = crand(3, 2), crand(2, 4)
-        got = kron(a, b)
-        ref = kron_loops(a, b)
-        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
-
-
-def test_kron_associativity():
-    for _ in range(5):
-        a, b, c = crand(2, 2), crand(2, 2), crand(2, 2)
-        lhs = kron(kron(a, b), c)
-        rhs = kron(a, kron(b, c))
-        assert np.abs(lhs - rhs).max() <= 1e-14 * np.abs(lhs).max()
-
-
-def test_kron_size_cap():
-    with pytest.raises(SizeCapError):
-        kron(np.eye(100), np.eye(100), cap=150)
 
 
 def test_eig_diagonal():
