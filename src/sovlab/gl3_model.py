@@ -12,14 +12,21 @@ The fused transfer matrices are evaluated by contracting the auxiliary-space
 product site by site, never by forming the ``d^m * d^N`` dimensional product
 space densely.  The contraction runs on the antisymmetric fused space
 Lambda^m C^d, so its bond is binom(d, m): 3, 3 and 1 for gl(3) at m = 1, 2, 3
-and 2 for gl(2).  Both paths build their site operators with
-:func:`fused_site`:
+and 2 for gl(2).  Both paths read their site operators from one coefficient
+table in z = lam - xi_a:
 
 * dense T_m (:func:`transfer`, and ``gl2_model.gl2_transfer``) is the
-  matrix-product-operator product :func:`fused_dense`, one GEMM per site;
+  matrix-product-operator product :func:`fused_dense`, one GEMM per site,
+  each site evaluated by :func:`fused_site`;
 * the matrix-free action on a few columns (:func:`fused_apply`,
   :func:`apply_transfer_free`) is :func:`fused_contract`, for chains too
-  large to hold T_m densely.
+  large to hold T_m densely.  It evaluates all N sites at once, lets S_1
+  read the columns directly, contracts the middle sites in two-site blocks
+  and folds S_N with the boundary to close the trace.
+
+The matrix-free kernel's blocking and batched site evaluation do not reach
+the dense path, so dense T_m, which every report residual reads, keeps its
+bits.
 
 The dense checks (Yang-Baxter, RTT, the product formula and its exchange
 relation) apply every R-matrix and twist factor with :func:`on_legs`, the
@@ -338,25 +345,68 @@ def _boundary(k_matrix, m):
     return math.factorial(m) * extend.T @ reduce(np.kron, [k_matrix] * m) @ extend
 
 
+def _on_sites(y, op, axes, work):
+    """Contract ``op`` [(u, i...), (w, j...)] with the auxiliary leg (axis 0)
+    and the site legs ``axes`` of ``y``, a view of ``work[0]``: the legs are
+    gathered into ``work[1]`` and the GEMM writes back into ``work[0]``."""
+    front = list(range(1, len(axes) + 1))
+    moved = np.moveaxis(y, axes, front)
+    np.copyto(work[1].reshape(moved.shape), moved)
+    out = np.matmul(op, work[1].reshape(op.shape[1], -1), out=work[0].reshape(op.shape[0], -1))
+    return np.moveaxis(out.reshape(moved.shape), front, axes)
+
+
 def fused_contract(k_matrix, eta, xi, m, lam, block):
     """Apply tr_{Lambda^m} K^{(x)m} S_N(lam) ... S_1(lam) to the columns of
     ``block``, for the gl(d) chain with d x d twist ``k_matrix`` (see
-    :func:`fused_site` for S_a)."""
+    :func:`fused_site` for S_a).
+
+    The running tensor y[w, t, q_N, ..., q_1, col] holds (S_a ... S_1)[w, t]
+    applied to the block:
+
+    * S_1 reads the block directly and its right auxiliary leg becomes t, so
+      the identity it would multiply is never formed (1/bond of a full site);
+    * the middle sites go two at a time, one bond*d^2 square operator and one
+      gather copy per pair, with a single site for an odd remainder;
+    * S_N folded with the boundary is one d x bond^2*d matrix that closes the
+      trace (again 1/bond of a full site).
+
+    Every gather copies into one of two work buffers allocated once per call
+    and every GEMM writes into the other.  A fresh y-sized array per step is
+    new memory from the system each time, and touching it cost about as much
+    as the GEMMs at N = 8.  The site operators come from one ``vander`` of
+    the N values of z and may differ from :func:`fused_site`'s in the last
+    bit; the dense path is :func:`fused_dense`.
+    """
     d = k_matrix.shape[0]
     n = len(xi)
-    bond = _wedge_columns(d, m).shape[1]
+    coeffs = _site_coefficients(d, m, complex(eta))
+    bond = coeffs.shape[1]
     cols = block.shape[1] if block.ndim == 2 else 1
+    z = lam - np.asarray(xi, dtype=complex)
+    sites = np.tensordot(np.vander(z, m + 1, increasing=True), coeffs, axes=1)
+    # [i, w, t, j]: sum_u B[t, u] S_N[u, i, w, j]
+    last = np.einsum('tu,uiwj->iwtj', _boundary(k_matrix, m), sites[-1])
     v = block.reshape(d**n, cols)
-    y = np.einsum('ut,qb->utbq', np.eye(bond, dtype=complex), v)
-    y = y.reshape((bond, bond, cols) + (d,) * n)
-    for a in range(1, n + 1):
-        s_mat = fused_site(d, m, eta, lam - xi[a - 1]).reshape(bond * d, bond * d)
-        ax = 3 + (n - a)
-        y = np.moveaxis(y, ax, 1)  # (bond_u, q_a, bond_t, cols, rest...)
-        shape = y.shape
-        y = (s_mat @ y.reshape(bond * d, -1)).reshape((bond, d) + shape[2:])
-        y = np.moveaxis(y, 1, ax)
-    out = np.einsum('tu,utb...->b...', _boundary(k_matrix, m), y).reshape(cols, d**n).T
+    if n == 1:  # S_1 is also S_N: close the trace on it alone
+        out = np.einsum('iwwj->ij', last) @ v
+        return out if block.ndim == 2 else out[:, 0]
+    work = np.empty((2, bond * bond * d**n * cols), dtype=complex)
+    v = v.reshape(-1, d, cols).transpose(1, 0, 2).reshape(d, -1)
+    y = np.matmul(sites[0].reshape(-1, d), v, out=work[0].reshape(bond * d * bond, -1))
+    # [u, i_1, t, q_N..q_2, col] -> [u, t, q_N..q_1, col]
+    y = np.moveaxis(y.reshape((bond, d, bond) + (d,) * (n - 1) + (cols,)), 1, -2)
+    middle = sites[1:-1]
+    pairs = len(middle) // 2
+    # [u, i_hi, i_lo, w, j_hi, j_lo]: sum_v S_hi[u, i_hi, v, j_hi] S_lo[v, i_lo, w, j_lo]
+    ops = np.einsum('puxvy,pvkwl->puxkwyl', middle[1:2 * pairs:2], middle[0:2 * pairs:2])
+    for p, op in enumerate(ops.reshape(pairs, bond * d * d, bond * d * d)):
+        ax = n - 2 * p - 1  # site 2p + 3, with site 2p + 2 on the next axis
+        y = _on_sites(y, op, [ax, ax + 1], work)
+    if len(middle) % 2:
+        y = _on_sites(y, middle[-1].reshape(bond * d, bond * d), [3], work)
+    np.copyto(work[1].reshape(y.shape), y)
+    out = (last.reshape(d, -1) @ work[1].reshape(bond * bond * d, -1)).reshape(d**n, cols)
     return out if block.ndim == 2 else out[:, 0]
 
 

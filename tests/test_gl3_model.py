@@ -342,19 +342,32 @@ def test_apply_transfer_free_zero_and_linearity(chain2):
     assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()
 
 
-@pytest.mark.parametrize("sites", [1, 2, 3, 4])
+@pytest.mark.parametrize("sites", [1, 2, 3, 4, 5])
 def test_fused_dense_matches_identity_columns(sites):
     """The dense MPO product equals the matrix-free kernel on every identity
-    column: gl(3) at m = 1, 2, 3 and gl(2) at m = 1."""
+    column, on 1-D vectors and on blocks of 1, 2 and 5 columns: gl(3) at
+    m = 1, 2, 3, gl(2) at m = 1 and a diagonal det K = 0 twist at m = 1, 2.
+    The kernel's site grouping differs with N: no middle site at N = 1, no
+    pair at N = 2, one odd middle site at N = 3, one pair at N = 4 and a pair
+    with a remainder at N = 5."""
     params, _, s = make_params(40 + sites, sites)
+    det0, _, _ = make_params(23, sites, invertible=False)
     lam = s.complex_rational()
     cases = [(params.twist.k_matrix, m) for m in (1, 2, 3)] + [(s.gl2_twist(), 1)]
+    cases += [(det0.twist.k_matrix, m) for m in (1, 2)]
+    local = np.random.default_rng(sites)  # leaves the module generator's draws as they were
     for k, m in cases:
-        eye = np.eye(k.shape[0] ** sites, dtype=complex)
-        want = fused_contract(k, params.eta, params.xi, m, lam, eye)
-        got = fused_dense(k, params.eta, params.xi, m, lam)
-        assert got.flags.c_contiguous
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        dim = k.shape[0] ** sites
+        dense = fused_dense(k, params.eta, params.xi, m, lam)
+        assert dense.flags.c_contiguous
+        blocks = [np.eye(dim, dtype=complex)]
+        for shape in [(dim,), (dim, 1), (dim, 2), (dim, 5)]:
+            blocks.append(local.standard_normal(shape) + 1j * local.standard_normal(shape))
+        for block in blocks:
+            free = fused_contract(k, params.eta, params.xi, m, lam, block)
+            want = dense @ block
+            assert free.shape == block.shape
+            assert np.abs(free - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_transfer_is_dense_monodromy_trace():
