@@ -369,7 +369,8 @@ scalar_product = _task_command("scalar-product", ["scalarproducts"],
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=".", show_default=True)
 def bench(n_min, n_max, seed, out):
-    """Time dense transfer assembly against the matrix-free applier."""
+    """Time dense transfer assembly against the matrix-free applier, and
+    check the applier against dense T_1 where it is assembled (N <= 6)."""
     _limit_threads()
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -386,17 +387,20 @@ def bench(n_min, n_max, seed, out):
         t0 = time.perf_counter()
         w1 = apply_transfer_free(params, 1, lam, vec)
         free_time = time.perf_counter() - t0
-        # self-consistency without a dense oracle: linearity
+        # linearity holds for any linear map; the dense T_1 below is the oracle
         w2 = apply_transfer_free(params, 1, lam, 2 * vec)
         lin = rel_residual(w2 - 2 * w1, w1)
 
         dense_time = None
         dense_note = ""
+        dense_resid = ""
         if n <= 6:
             try:
                 t0 = time.perf_counter()
-                transfer(params, 1, lam)
+                t1 = transfer(params, 1, lam)
                 dense_time = time.perf_counter() - t0
+                want = t1 @ vec
+                dense_resid = f"{rel_residual(w1 - want, want):.3e}"
             except SizeCapError as exc:
                 dense_note = f"SizeCap: {exc}"
         else:
@@ -413,6 +417,7 @@ def bench(n_min, n_max, seed, out):
                 "dense_seconds": "" if dense_time is None else f"{dense_time:.6f}",
                 "dense_status": dense_note or "ok",
                 "linearity_residual": f"{lin:.3e}",
+                "dense_residual": dense_resid,
             }
         )
         click.echo(

@@ -159,9 +159,58 @@ def zero_pattern(state, params, cache=None, theta=ZERO_THETA, n_extra=4):
     permutation (their count is the split size).  Magnitudes falling inside
     [0.1 theta, 10 theta] * scale are refused as ambiguous.  The complementary
     zeros of t_2(xi - eta), the eigenvalue fusion products and the closed
-    polynomial form of t_2 are verified and stored as diagnostics.
+    polynomial form of t_2 are verified and stored as diagnostics.  The
+    one-state form of :func:`zero_patterns`.
+    """
+    _, excluded = zero_patterns([state], params, cache, theta, n_extra)
+    if excluded:
+        raise excluded[0][1]
+    return state.perm, state.msize
+
+
+def zero_patterns(states, params, cache=None, theta=ZERO_THETA, n_extra=4):
+    """:func:`zero_pattern` for many eigenstates, with one batched Rayleigh
+    quotient per extra point for the closed-form t_2 check.
+
+    Returns ``(kept, excluded)``: the states whose pattern is now set, in
+    order, and ``(state, AmbiguousPattern)`` pairs for the refused ones.
     """
     cache = cache or TransferCache(params)
+    kept, excluded, splits = [], [], []
+    for st in states:
+        try:
+            splits.append(_site_split(st, theta))
+            kept.append(st)
+        except AmbiguousPattern as exc:
+            excluded.append((st, exc))
+    if not kept:
+        return kept, excluded
+
+    is_a = np.zeros((len(kept), params.sites), dtype=bool)
+    for row, (perm, msize, _) in zip(is_a, splits):
+        row[list(perm[:msize])] = True
+    xi = np.asarray(params.xi)
+    roots = np.where(is_a, xi - params.eta, xi)  # row s: the site zeros of state s's t_2
+    left = np.stack([st.left for st in kept])
+    right = np.stack([st.right for st in kept], axis=1)
+    w = InterpolationWeights(params)
+    closed = np.zeros(len(kept))
+    for k in range(n_extra):
+        lam = params.xi[0] + (3 + k) * params.eta * (1 + 0.2j)
+        pred = params.twist.second_inv * w.d(lam - params.eta) * np.prod(lam - roots, axis=1)
+        actual = rayleigh_quotients(left, cache.t2(lam), right)
+        closed = np.maximum(closed, np.abs(actual - pred) / np.maximum(np.abs(actual), 1e-300))
+
+    for st, (perm, msize, diagnostics), resid in zip(kept, splits, closed):
+        st.perm = perm
+        st.msize = msize
+        st.pattern_diagnostics = dict(diagnostics, t2_closed_form_residual=float(resid))
+    return kept, excluded
+
+
+def _site_split(state, theta):
+    """``(perm, msize, diagnostics)`` of one state's zero pattern from its
+    node values; raises :class:`AmbiguousPattern` inside the decision band."""
     mags = np.abs(state.t1_xi)
     # the reference magnitude must survive when every unshifted value is an
     # exact zero (the split can be empty), so include the shifted nodes
@@ -173,8 +222,6 @@ def zero_pattern(state, params, cache=None, theta=ZERO_THETA, n_extra=4):
         )
     a_sites = tuple(int(a) for a in np.where(mags >= theta * scale)[0])
     b_sites = tuple(int(b) for b in np.where(mags < theta * scale)[0])
-    perm = a_sites + b_sites
-    msize = len(a_sites)
 
     t2s_scale = max(np.abs(state.t2_shift).max(), 1e-300)
     # the a-site values of t_2(xi - eta) are zeros, and so is their maximum
@@ -183,33 +230,17 @@ def zero_pattern(state, params, cache=None, theta=ZERO_THETA, n_extra=4):
     zero_resid = max((abs(state.t2_shift[a]) for a in a_sites), default=0.0) / zero_scale
     nonzero_floor = min((abs(state.t2_shift[b]) for b in b_sites), default=np.inf) / t2s_scale
     fusion_resid = 0.0
-    for a in range(params.sites):
+    for a in range(len(mags)):
         lhs = state.t1_xi[a] * state.t1_shift[a]
         fusion_resid = max(
             fusion_resid, abs(lhs - state.t2_xi[a]) / max(abs(state.t2_xi[a]), t2s_scale)
         )
-
-    w = InterpolationWeights(params)
-    closed_resid = 0.0
-    for k in range(n_extra):
-        lam = params.xi[0] + (3 + k) * params.eta * (1 + 0.2j)
-        pred = params.twist.second_inv * w.d(lam - params.eta)
-        for a in a_sites:
-            pred *= lam - (params.xi[a] - params.eta)
-        for b in b_sites:
-            pred *= lam - params.xi[b]
-        actual = rayleigh_quotients(state.left[None], cache.t2(lam), state.right[:, None])[0]
-        closed_resid = max(closed_resid, rel_residual(actual - pred, actual))
-
-    state.perm = perm
-    state.msize = msize
-    state.pattern_diagnostics = {
+    diagnostics = {
         "zero_residual": float(zero_resid),
         "nonzero_floor": float(nonzero_floor),
         "fusion_residual": float(fusion_resid),
-        "t2_closed_form_residual": float(closed_resid),
     }
-    return perm, msize
+    return a_sites + b_sites, len(a_sites), diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ gl(2) model builds its binary-labelled bases on them as well.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -174,15 +174,20 @@ def reference_vector_closed(xyz, twist, params):
     return tensor_product_state(factors)
 
 
-def reference_vector_solve(left_basis):
+def reference_vector_solve(left_basis, rank_left=None):
     """Solve <k|v> = delta_{k,0} against an explicit left family.
 
     The rows are equilibrated first: (L / |L_k|) v = e_0 / |L_0| has the same
     solution, and the dressed rows' norms span many orders of magnitude.
+    ``rank_left`` is the family's unit-norm rank ratio when the caller has it
+    (``SovBasisPair.rank_ratios()[0]``); otherwise it is computed here.
     """
     left = np.asarray(left_basis, dtype=complex)
     norms = np.linalg.norm(left, axis=1)
-    ratio = rank_ratio(left / norms[:, None]) if norms.min() > 0 else 0.0
+    if rank_left is not None:
+        ratio = rank_left
+    else:
+        ratio = rank_ratio(left / norms[:, None]) if norms.min() > 0 else 0.0
     if ratio < 1e-13:
         raise SingularBasis(f"left family is rank deficient (sigma ratio {ratio:.2e})")
     rhs = np.zeros(left.shape[0], dtype=complex)
@@ -260,6 +265,7 @@ class SovBasisPair:
     ref_covector: np.ndarray
     ref_vector: np.ndarray
     provenance: str = "transfer"
+    _ranks: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -272,16 +278,21 @@ class SovBasisPair:
         Every basis state carries an arbitrary overall scale (products of
         transfer-matrix values), so the raw singular-value ratio conflates
         that normalization freedom with actual rank; the normalized ratio
-        tests linear independence of the family itself.
+        tests linear independence of the family itself.  Computed once when
+        both families are read-only (as :func:`dressed_pair` leaves them).
         """
+        if self._ranks is not None:
+            return self._ranks
         row_norms = np.linalg.norm(self.left, axis=1)
         col_norms = np.linalg.norm(self.right, axis=0)
         if row_norms.min() == 0 or col_norms.min() == 0:
-            return 0.0, 0.0
-        return (
-            rank_ratio(self.left / row_norms[:, None]),
-            rank_ratio(self.right / col_norms[None, :]),
-        )
+            ranks = 0.0, 0.0
+        else:
+            ranks = (rank_ratio(self.left / row_norms[:, None]),
+                     rank_ratio(self.right / col_norms[None, :]))
+        if not (self.left.flags.writeable or self.right.flags.writeable):
+            self._ranks = ranks
+        return ranks
 
     def require_full_rank(self, rtol=1e-9):
         rl, rr = self.rank_ratios()

@@ -25,9 +25,9 @@ from .det0_spectrum import (
     probe_decomposition,
     scalar_product_determinant,
     separate_overlap_direct,
-    zero_pattern,
+    zero_patterns,
 )
-from .errors import AmbiguousPattern, ConfigError, SingularBasis
+from .errors import ConfigError, SingularBasis
 from .gl3_model import ModelParams, TransferCache, TwistData
 from .numkernel import rel_residual
 from .sampling import ParameterSampler
@@ -195,13 +195,8 @@ class Workspace:
         if "khat_states" not in self._cache:
             kp, _, cache, _ = self.khat()
             states, _ = self.khat_eigenstates()
-            kept, excluded = [], []
-            for st in states:
-                try:
-                    zero_pattern(st, kp, cache)
-                    kept.append(st)
-                except AmbiguousPattern as exc:
-                    excluded.append({"index": st.index, "reason": str(exc)})
+            kept, excluded = zero_patterns(states, kp, cache)
+            excluded = [{"index": st.index, "reason": str(exc)} for st, exc in excluded]
             self._cache["khat_states"] = (kept, excluded)
         return self._cache["khat_states"]
 
@@ -319,7 +314,7 @@ def run_bases(ws, tol):
     defr0 = float(
         np.abs(pair.left @ pair.ref_vector - np.eye(params.dim)[0]).max()
     )
-    solved = reference_vector_solve(pair.left)
+    solved = reference_vector_solve(pair.left, rank_left=rl)
     agree = rel_residual(solved - pair.ref_vector, pair.ref_vector)
     s = ParameterSampler(ws.seed + 3000)
     rst = s.reference3()

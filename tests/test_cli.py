@@ -246,6 +246,7 @@ def test_bench_records_size_cap(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["dense_status"] == "ok"
     assert float(rows[0]["linearity_residual"]) <= 1e-10
+    assert float(rows[0]["dense_residual"]) <= 1e-12
 
     result = runner.invoke(
         main, ["bench", "--n-min", "9", "--n-max", "9", "--out", str(tmp_path)]
@@ -255,6 +256,7 @@ def test_bench_records_size_cap(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["dense_status"] == "SizeCap"
     assert rows[0]["dense_seconds"] == ""
+    assert rows[0]["dense_residual"] == ""
 
 
 def test_report_command(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sovlab.det0_spectrum import (
     separate_overlap_direct,
     separated_coordinates,
     zero_pattern,
+    zero_patterns,
 )
 from sovlab.errors import (
     AmbiguousPattern,
@@ -265,6 +267,48 @@ def test_zero_pattern_ambiguous():
     st.t1_xi[0] = 1e-6 * np.abs(st.t1_shift).max()  # inside the decision band
     with pytest.raises(AmbiguousPattern):
         zero_pattern(st, params, cache)
+
+
+def _closed_form_residual(state, params, cache, n_extra=4):
+    """Reference for the closed-form t_2 check: one single-state Rayleigh
+    quotient and one sequential root product per extra point."""
+    w = InterpolationWeights(params)
+    worst = 0.0
+    for k in range(n_extra):
+        lam = params.xi[0] + (3 + k) * params.eta * (1 + 0.2j)
+        pred = params.twist.second_inv * w.d(lam - params.eta)
+        for a in state.a_sites:
+            pred *= lam - (params.xi[a] - params.eta)
+        for b in state.b_sites:
+            pred *= lam - params.xi[b]
+        actual = rayleigh_quotients(state.left[None], cache.t2(lam), state.right[:, None])[0]
+        worst = max(worst, rel_residual(actual - pred, actual))
+    return worst
+
+
+def test_zero_patterns_match_one_state_calls(det0_chain3):
+    """The batched patterns equal the one-state ones: same splits and
+    exclusion, equal pointwise diagnostics, and a closed-form residual
+    within rounding of the per-state reference."""
+    params, xyz, cache, pair = det0_chain3
+    batch, _, _ = eigensolve_sov(params, xyz, pair=pair, cache=cache)
+    single, _, _ = eigensolve_sov(params, xyz, pair=pair, cache=cache)
+    for states in (batch, single):
+        states[2].t1_xi = states[2].t1_xi.copy()
+        states[2].t1_xi[0] = 1e-6 * np.abs(states[2].t1_shift).max()  # ambiguous
+    kept, excluded = zero_patterns(batch, params, cache)
+    assert [st.index for st, _ in excluded] == [2] and batch[2].perm is None
+    assert [st.index for st in kept] == [st.index for st in batch if st.index != 2]
+    with pytest.raises(AmbiguousPattern, match=re.escape(str(excluded[0][1]))):
+        zero_pattern(single[2], params, cache)
+    for mine in kept:
+        ref = single[mine.index]
+        assert zero_pattern(ref, params, cache) == (mine.perm, mine.msize)
+        got, want = dict(mine.pattern_diagnostics), dict(ref.pattern_diagnostics)
+        closed = got.pop("t2_closed_form_residual")
+        want.pop("t2_closed_form_residual")
+        assert got == want
+        assert abs(closed - _closed_form_residual(mine, params, cache)) <= 1e-12
 
 
 def test_label_products_match_per_label_loops(det0_chain3):

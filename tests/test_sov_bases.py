@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sovlab import sov_bases
 from sovlab.errors import DegenerateReference, SingularBasis
 from sovlab.gl3_model import ModelParams, TransferCache, TwistData, quantum_determinant
 from sovlab.sampling import ParameterSampler
@@ -210,6 +211,44 @@ def test_reference_vector_solve_singular():
     bad[0, 0] = 1.0
     with pytest.raises(SingularBasis):
         reference_vector_solve(bad)
+
+
+def test_rank_ratios_computed_once_on_a_dressed_pair(chain2, monkeypatch):
+    """A read-only dressed pair runs one SVD per family however often its
+    ratios are read, and ``reference_vector_solve`` reuses the left one; a
+    writable pair recomputes them on every read."""
+    params, xyz, _, _ = chain2
+    calls = []
+    exact = sov_bases.rank_ratio
+    monkeypatch.setattr(sov_bases, "rank_ratio", lambda m: calls.append(1) or exact(m))
+    cache = TransferCache(params)
+    pair = dressed_pair(params, xyz, cache)
+    rl, rr = pair.rank_ratios()
+    assert pair.rank_ratios() == (rl, rr) and pair.require_full_rank() == (rl, rr)
+    solved = reference_vector_solve(pair.left, rank_left=rl)
+    assert len(calls) == 2
+    assert np.array_equal(solved, reference_vector_solve(pair.left))
+    assert len(calls) == 3 and rl == exact(pair.left / np.linalg.norm(pair.left, axis=1)[:, None])
+    powers = power_pair(params, xyz, ParameterSampler(99).reference3(), cache)
+    powers.rank_ratios()
+    powers.rank_ratios()
+    assert len(calls) == 7
+
+
+def test_rank_deficient_family_raises_with_given_ratio(chain2):
+    """A repeated left row makes a read-only pair rank deficient: its memoized
+    ratio, handed to ``reference_vector_solve``, still refuses the solve."""
+    params, xyz, cache, pair = chain2
+    left = pair.left.copy()
+    left[1] = left[0]
+    left.setflags(write=False)
+    bad = dataclasses.replace(pair, left=left)
+    rl, _ = bad.rank_ratios()
+    assert rl < 1e-13
+    with pytest.raises(SingularBasis):
+        reference_vector_solve(bad.left, rank_left=rl)
+    with pytest.raises(SingularBasis):
+        bad.require_full_rank()
 
 
 @pytest.mark.parametrize("seed", [1, 4])
