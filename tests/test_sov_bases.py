@@ -238,7 +238,7 @@ def test_rank_ratios_computed_once_on_a_dressed_pair(chain2, monkeypatch):
 def test_rank_deficient_family_raises_with_given_ratio(chain2):
     """A repeated left row makes a read-only pair rank deficient: its memoized
     ratio, handed to ``reference_vector_solve``, still refuses the solve."""
-    params, xyz, cache, pair = chain2
+    pair = chain2[3]
     left = pair.left.copy()
     left[1] = left[0]
     left.setflags(write=False)
