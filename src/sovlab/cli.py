@@ -208,6 +208,12 @@ def _config_digest(cfg):
     return digest
 
 
+def status_line(name, passed, max_residual, tolerance):
+    """One task's line, as ``run`` echoes it and ``sovlab report`` prints it."""
+    status = "pass" if passed else "FAIL"
+    return f"{name:16s} {status}  max_residual={max_residual:.3e}  tol={tolerance:.0e}"
+
+
 def run(cfg, echo=click.echo, strict=False):
     """Execute the configured tasks and write the report.
 
@@ -248,8 +254,7 @@ def run(cfg, echo=click.echo, strict=False):
             )
         timings["tasks"][name] = time.perf_counter() - start
         results.append(res)
-        status = "pass" if res.passed else "FAIL"
-        echo(f"{name:16s} {status}  max_residual={res.max_residual:.3e}  tol={res.tolerance:.0e}")
+        echo(status_line(name, res.passed, res.max_residual, res.tolerance))
 
     report = {
         "version": __version__,
@@ -383,13 +388,15 @@ def bench(n_min, n_max, seed, out):
         lam = s.complex_rational()
         rng = np.random.default_rng(seed + n)
         vec = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
+        scale = complex(rng.standard_normal(), rng.standard_normal())
 
         t0 = time.perf_counter()
         w1 = apply_transfer_free(params, 1, lam, vec)
         free_time = time.perf_counter() - t0
-        # linearity holds for any linear map; the dense T_1 below is the oracle
-        w2 = apply_transfer_free(params, 1, lam, 2 * vec)
-        lin = rel_residual(w2 - 2 * w1, w1)
+        # homogeneity under a non-real scalar holds for any linear map, and
+        # fails for an antilinear term; the dense T_1 below is the oracle
+        w2 = apply_transfer_free(params, 1, lam, scale * vec)
+        lin = rel_residual(w2 - scale * w1, scale * w1)
 
         dense_time = None
         dense_note = ""
@@ -438,11 +445,7 @@ def report(report_path):
         data = json.load(fh)
     click.echo(f"sovlab {data.get('version')}  all_passed={data.get('all_passed')}")
     for res in data.get("results", []):
-        status = "pass" if res["passed"] else "FAIL"
-        click.echo(
-            f"{res['task']:16s} {status}  max_residual={res['max_residual']:.3e}"
-            f"  tol={res['tolerance']:.0e}"
-        )
+        click.echo(status_line(res["task"], res["passed"], res["max_residual"], res["tolerance"]))
 
 
 if __name__ == "__main__":

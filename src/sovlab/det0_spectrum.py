@@ -16,7 +16,7 @@ from .errors import (
     SpectrumCollision,
     SpectrumNotSimple,
 )
-from .gl3_model import InterpolationWeights, TransferCache, default_probe_point
+from .gl3_model import InterpolationWeights, default_probe_point
 from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde
 from .sov_bases import TernaryIndex, dressed_pair, label_digits, label_products
 from .sov_measure import diag_values, gram
@@ -42,18 +42,18 @@ def make_khat(twist):
     return twist.from_jordan(twist.w, kj)
 
 
-def ortho_suite_det0(params, xyz, rtol=1e-9, cache=None):
+def ortho_suite_det0(cache, xyz):
     """Orthogonality report of the dressed pair for a zero-determinant twist.
 
     Returns the off-diagonal cosine maximum, the relative error of the
     diagonal against the Vandermonde formula, and the underlying report.
     """
+    params = cache.params
     kscale = max(np.abs(params.twist.k_matrix).max(), 1e-300) ** 3
-    if abs(params.twist.det) > rtol * kscale:
+    if abs(params.twist.det) > 1e-9 * kscale:
         raise ValueError("ortho_suite_det0 expects a numerically zero determinant")
-    cache = cache or TransferCache(params)
-    pair = dressed_pair(params, xyz, cache)
-    report = gram(pair.left, pair.right, params, rtol)
+    pair = dressed_pair(cache, xyz)
+    report = gram(pair.left, pair.right, params)
     return {
         "offdiag_cosine": report.max_offdiag_cosine,
         "diag_rel_err": report.max_diag_rel_err,
@@ -100,25 +100,24 @@ class SpectralData:
             raise PatternMissing("run zero_pattern on this eigenstate first")
 
 
-def probe_decomposition(params, cache, lambda0=None, gap_rtol=1e-6):
-    """Eigendecomposition of T_1 at the probe point (``default_probe_point``
-    unless ``lambda0`` is given), refused unless its spectrum is simple."""
-    lam0 = default_probe_point(params) if lambda0 is None else lambda0
-    return eig_general(cache.t1(lam0), gap_rtol=gap_rtol)
+def probe_decomposition(cache):
+    """Eigendecomposition of T_1 at ``default_probe_point``, refused unless
+    its spectrum is simple."""
+    return eig_general(cache.t1(default_probe_point(cache.params)), gap_rtol=1e-6)
 
 
-def eigensolve_sov(params, xyz, lambda0=None, pair=None, cache=None, gap_rtol=1e-6, dec=None):
-    """Diagonalize T_1 at a generic point and package the eigenstates.
+def eigensolve_sov(cache, xyz, dec=None):
+    """Diagonalize T_1 at the probe point and package the eigenstates.
 
-    Returns ``(states, pair, cache)``.  Eigenvalue functions at the nodes are
-    computed as bilinear Rayleigh quotients, wave-function factorization over
-    the dressed left basis is verified per state and stored as a residual.
-    ``dec`` is a :func:`probe_decomposition` of the same chain to reuse
-    (``lambda0`` and ``gap_rtol`` then go unused).
+    Eigenvalue functions at the nodes are computed as bilinear Rayleigh
+    quotients, wave-function factorization over the dressed left basis
+    (:func:`dressed_pair` of ``cache`` and ``xyz``) is verified per state and
+    stored as a residual.  ``dec`` is a :func:`probe_decomposition` of the
+    same chain to reuse.
     """
-    cache = cache or TransferCache(params)
-    pair = pair or dressed_pair(params, xyz, cache)
-    dec = dec or probe_decomposition(params, cache, lambda0, gap_rtol)
+    params = cache.params
+    pair = dressed_pair(cache, xyz)
+    dec = dec or probe_decomposition(cache)
 
     n = params.sites
     one_flat = TernaryIndex((1,) * n).flat
@@ -139,7 +138,7 @@ def eigensolve_sov(params, xyz, lambda0=None, pair=None, cache=None, gap_rtol=1e
         coords = pair.left @ v
         worst = rel_residual(coords - separated_coordinates(t1x[i], t2s[i]), coords)
         states.append(SpectralData(i, v, u, t1x[i], t1s[i], t2x[i], t2s[i], worst))
-    return states, pair, cache
+    return states
 
 
 def separated_coordinates(t1_xi, t2_shift):
@@ -152,34 +151,34 @@ def separated_coordinates(t1_xi, t2_shift):
     return label_products(np.stack([t2_shift, np.ones_like(t1_xi), t1_xi], axis=1))
 
 
-def zero_pattern(state, params, cache=None, theta=ZERO_THETA, n_extra=4):
+def zero_pattern(cache, state):
     """Partition the sites by the zero pattern of the eigenvalue functions.
 
-    Sites where |t_1(xi_a)| >= theta * scale come first in the returned
+    Sites where |t_1(xi_a)| >= ZERO_THETA * scale come first in the returned
     permutation (their count is the split size).  Magnitudes falling inside
-    [0.1 theta, 10 theta] * scale are refused as ambiguous.  The complementary
+    [0.1, 10] * ZERO_THETA * scale are refused as ambiguous.  The complementary
     zeros of t_2(xi - eta), the eigenvalue fusion products and the closed
     polynomial form of t_2 are verified and stored as diagnostics.  The
     one-state form of :func:`zero_patterns`.
     """
-    _, excluded = zero_patterns([state], params, cache, theta, n_extra)
+    _, excluded = zero_patterns(cache, [state])
     if excluded:
         raise excluded[0][1]
     return state.perm, state.msize
 
 
-def zero_patterns(states, params, cache=None, theta=ZERO_THETA, n_extra=4):
+def zero_patterns(cache, states):
     """:func:`zero_pattern` for many eigenstates, with one batched Rayleigh
-    quotient per extra point for the closed-form t_2 check.
+    quotient at each of four extra points for the closed-form t_2 check.
 
     Returns ``(kept, excluded)``: the states whose pattern is now set, in
     order, and ``(state, AmbiguousPattern)`` pairs for the refused ones.
     """
-    cache = cache or TransferCache(params)
+    params = cache.params
     kept, excluded, splits = [], [], []
     for st in states:
         try:
-            splits.append(_site_split(st, theta))
+            splits.append(_site_split(st))
             kept.append(st)
         except AmbiguousPattern as exc:
             excluded.append((st, exc))
@@ -195,7 +194,7 @@ def zero_patterns(states, params, cache=None, theta=ZERO_THETA, n_extra=4):
     right = np.stack([st.right for st in kept], axis=1)
     w = InterpolationWeights(params)
     closed = np.zeros(len(kept))
-    for k in range(n_extra):
+    for k in range(4):
         lam = params.xi[0] + (3 + k) * params.eta * (1 + 0.2j)
         pred = params.twist.second_inv * w.d(lam - params.eta) * np.prod(lam - roots, axis=1)
         actual = rayleigh_quotients(left, cache.t2(lam), right)
@@ -208,20 +207,20 @@ def zero_patterns(states, params, cache=None, theta=ZERO_THETA, n_extra=4):
     return kept, excluded
 
 
-def _site_split(state, theta):
+def _site_split(state):
     """``(perm, msize, diagnostics)`` of one state's zero pattern from its
     node values; raises :class:`AmbiguousPattern` inside the decision band."""
     mags = np.abs(state.t1_xi)
     # the reference magnitude must survive when every unshifted value is an
     # exact zero (the split can be empty), so include the shifted nodes
     scale = max(mags.max(), np.abs(state.t1_shift).max(), 1e-300)
-    band = (mags >= 0.1 * theta * scale) & (mags <= 10 * theta * scale)
+    band = (mags >= 0.1 * ZERO_THETA * scale) & (mags <= 10 * ZERO_THETA * scale)
     if band.any():
         raise AmbiguousPattern(
             f"|t_1(xi)| in the ambiguity band at sites {np.where(band)[0].tolist()}"
         )
-    a_sites = tuple(int(a) for a in np.where(mags >= theta * scale)[0])
-    b_sites = tuple(int(b) for b in np.where(mags < theta * scale)[0])
+    a_sites = tuple(int(a) for a in np.where(mags >= ZERO_THETA * scale)[0])
+    b_sites = tuple(int(b) for b in np.where(mags < ZERO_THETA * scale)[0])
 
     t2s_scale = max(np.abs(state.t2_shift).max(), 1e-300)
     # the a-site values of t_2(xi - eta) are zeros, and so is their maximum
@@ -247,15 +246,15 @@ def _site_split(state, theta):
 # transfer-matrix actions on basis labels
 
 
-def interpolated_action_check(params, h, which, side, xyz, lambdas, cache=None):
+def interpolated_action_check(cache, h, which, side, xyz, lambdas):
     """Residual of the local-shift expansion of T_1/T_2 acting on one label.
 
     ``which`` is 1 or 2, ``side`` "left" or "right".  The expansion re-expresses
     the dense action as label shifts weighted by Lagrange coefficients; it is
     exact when the twist has a zero quantum determinant.
     """
-    cache = cache or TransferCache(params)
-    pair = dressed_pair(params, xyz, cache)
+    params = cache.params
+    pair = dressed_pair(cache, xyz)
     w = InterpolationWeights(params)
     n = params.sites
     worst = 0.0
@@ -334,17 +333,19 @@ def interpolated_action_check(params, h, which, side, xyz, lambdas, cache=None):
     return worst
 
 
-def boundary_eigenstate_check(params, xyz, lambdas, cache=None):
+def boundary_eigenstate_check(cache, xyz, lambdas):
     """Eigen-relations of the extreme labels under a zero-determinant twist.
 
     Checks that the all-zeros co-vector is a T_2 (and T_1) eigenstate with a
     d-polynomial profile, the all-twos co-vector and every right label in
     {1,2}^N likewise for T_2, as one column block.  Proportionality constants
     are read per member and evaluation point at the member's largest
-    reference entry; their spread measures lambda independence.
+    reference entry; their spread measures lambda independence.  Every entry
+    is ``(residual, spread)``, the spread of the right block taken over its
+    worst member.
     """
-    cache = cache or TransferCache(params)
-    pair = dressed_pair(params, xyz, cache)
+    params = cache.params
+    pair = dressed_pair(cache, xyz)
     digits = label_digits(params.sites)
     w = InterpolationWeights(params)
     row0 = pair.left[(digits == 0).all(axis=1)]
@@ -374,17 +375,19 @@ def boundary_eigenstate_check(params, xyz, lambdas, cache=None):
     def covector(row, which, profile):
         resid, consts = profile_residual(row, which, profile, "left")
         c = consts[:, 0]
-        return resid, complex(c[0]), rel_residual(c - c[0], c[0])
+        return resid, rel_residual(c - c[0], c[0])
 
     def t2_profile(lam):
         return w.d(lam - params.eta) * w.d(lam + params.eta)
 
+    right_resid, right_consts = profile_residual(
+        pair.right[:, (digits != 0).all(axis=1)], 2, t2_profile, "right")
     return {
         "zeros_t2": covector(row0, 2, lambda lam: w.d(lam - params.eta) * w.d(lam)),
         "twos_t2": covector(row2, 2, t2_profile),
         "zeros_t1": covector(row0, 1, lambda lam: w.d(lam)),
-        "right_family_t2": profile_residual(
-            pair.right[:, (digits != 0).all(axis=1)], 2, t2_profile, "right")[0],
+        "right_family_t2": (right_resid, rel_residual(
+            right_consts - right_consts[0], right_consts[:1], axis=0)),
     }
 
 
@@ -401,7 +404,6 @@ class SeparateState:
     """
 
     coeffs: np.ndarray
-    side: str = "covector"
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
@@ -409,23 +411,19 @@ class SeparateState:
             raise ValueError("coeffs must have shape (sites, 3)")
 
     @classmethod
-    def random(cls, rng, sites, side="covector"):
+    def random(cls, rng, sites):
         c = rng.uniform(-1, 1, (sites, 3)) + 1j * rng.uniform(-1, 1, (sites, 3))
-        return cls(c, side)
+        return cls(c)
 
     @classmethod
-    def from_eigenstate(cls, state, side="covector"):
-        """The coefficient pattern that reproduces the eigenstate itself."""
+    def from_eigenstate(cls, state):
+        """The co-vector coefficient pattern that reproduces the eigenstate itself."""
         n = len(state.t1_xi)
         c = np.ones((n, 3), dtype=complex)
         for a in range(n):
-            if side == "covector":
-                c[a, 1] = state.t2_xi[a]
-                c[a, 2] = state.t1_xi[a]
-            else:
-                c[a, 0] = state.t2_shift[a]
-                c[a, 2] = state.t1_xi[a]
-        return cls(c, side)
+            c[a, 1] = state.t2_xi[a]
+            c[a, 2] = state.t1_xi[a]
+        return cls(c)
 
     def coordinate(self, h):
         out = 1.0 + 0j
@@ -508,7 +506,7 @@ def scalar_product_determinant(alpha, state, params):
     return complex(pref * np.linalg.det(m_plus) / vb * np.linalg.det(m_minus) / va)
 
 
-def norm_determinant(state, params, cache=None):
+def norm_determinant(state, params):
     """Pairing <t|t> of matched left/right eigenstates as one determinant.
 
     Specializes the separate-overlap determinant to the eigenstate's own
@@ -516,7 +514,6 @@ def norm_determinant(state, params, cache=None):
     times x_A and the A-block factors into prod t_1(xi_a) times a mixed-node
     alternant built from t_1 at both node shifts.
     """
-    cache = cache or TransferCache(params)
     a_sites, b_sites, x_a, x_b = _pattern_functions(state, params)
     eta = params.eta
     xi = params.xi

@@ -76,7 +76,7 @@ class Gl2TransferCache:
     def bases(self):
         """``gl2_bases`` of this chain, built once; the arrays are read-only."""
         if self._bases is None:
-            self._bases = gl2_bases(self.params, self)
+            self._bases = gl2_bases(self)
             for arr in self._bases:
                 arr.flags.writeable = False
         return self._bases
@@ -114,13 +114,13 @@ def reference_states(params):
     return row, ones_col, zeros_col
 
 
-def gl2_bases(params, cache=None):
+def gl2_bases(cache):
     """Left rows <h| and right columns |h> in flat binary order.
 
     Built down ``sov_bases.basis_tree``: digit 1 applies T(xi_a)/a(xi_a) to
     the left reference, digit 0 applies T(xi_a - eta)/a(xi_a) to the right.
     """
-    cache = cache or Gl2TransferCache(params)
+    params = cache.params
     row0, ones_col, zeros_col = reference_states(params)
     a_xi = InterpolationWeights(params).a
     left_steps = [([], [cache.value(x) / a_xi(x)]) for x in params.xi]
@@ -151,7 +151,7 @@ def coupling_values(params):
     return 1.0 / (vandermonde(params.xi) * shifted_vandermonde(params))
 
 
-def coupling_residuals(params, cache=None):
+def coupling_residuals(cache):
     """Coupling matrix G = left @ right of the SoV bases and its deviation
     from the orthogonal prediction.
 
@@ -159,21 +159,21 @@ def coupling_residuals(params, cache=None):
     relative to max|G|, and the largest over the diagonal relative to each
     predicted coupling.
     """
-    left, right, _ = (cache or Gl2TransferCache(params)).bases()
+    left, right, _ = cache.bases()
     gram = left @ right
-    pred = coupling_values(params)
+    pred = coupling_values(cache.params)
     cells = rel_residual(gram - np.diag(pred), gram)
     diagonal = float((np.abs(np.diagonal(gram) - pred) / np.abs(pred)).max())
     return gram, cells, diagonal
 
 
-def qdet_scalar(params, a, cache=None):
+def qdet_scalar(cache, a):
     """Observed fusion scalar T(xi_a) T(xi_a - eta) and its off-identity residual.
 
     The observed value matches det K * a(xi_a) d(xi_a - eta); centrality is
     confirmed numerically rather than assumed.
     """
-    cache = cache or Gl2TransferCache(params)
+    params = cache.params
     prod = cache.value(params.xi[a]) @ cache.value(params.xi[a] - params.eta)
     scalar = np.trace(prod) / params.dim
     resid = rel_residual(prod - scalar * np.eye(params.dim), scalar)
@@ -182,7 +182,7 @@ def qdet_scalar(params, a, cache=None):
     return complex(scalar), resid, complex(closed)
 
 
-def gl2_eigen_reps(params, lambda0=None, cache=None, gap_rtol=1e-8):
+def gl2_eigen_reps(cache):
     """Reconstruct every eigenstate from its eigenvalue data in the SoV bases.
 
     The right (left) eigenvectors are rebuilt from t(xi_a) (t(xi_a - eta))
@@ -193,13 +193,12 @@ def gl2_eigen_reps(params, lambda0=None, cache=None, gap_rtol=1e-8):
     :class:`DetKZero`: the representation divides by det K, and the overlap
     normalization by vanishing t(xi_a - eta).
     """
+    params = cache.params
     detk = np.linalg.det(params.k_matrix)
     if abs(detk) <= 1e-12 * max(np.abs(params.k_matrix).max(), 1e-300) ** 2:
         raise DetKZero("det K is numerically zero; the representations need it invertible")
-    cache = cache or Gl2TransferCache(params)
     left, right, zeros_col = cache.bases()
-    lam0 = default_probe_point(params) if lambda0 is None else lambda0
-    dec = eig_general(cache.value(lam0), gap_rtol=gap_rtol)
+    dec = eig_general(cache.value(default_probe_point(params)), gap_rtol=1e-8)
 
     row0, ones_col, _ = reference_states(params)
     v_xi = vandermonde(params.xi)
@@ -236,8 +235,9 @@ def gl2_eigen_reps(params, lambda0=None, cache=None, gap_rtol=1e-8):
     }
 
 
-def identity_decomposition_residual(params, cache=None):
+def identity_decomposition_residual(cache):
     """Residual of I = V(xi) sum_h V(xi - h*eta) |h><h|."""
-    left, right, _ = (cache or Gl2TransferCache(params)).bases()
+    params = cache.params
+    left, right, _ = cache.bases()
     acc = vandermonde(params.xi) * ((right * shifted_vandermonde(params)) @ left)
     return float(np.abs(acc - np.eye(params.dim)).max())

@@ -108,7 +108,8 @@ def embed(op, n_slots, legs, d=3):
 # twist data
 
 
-def _case_of_jordan(kj, rtol=1e-10):
+def _case_of_jordan(kj):
+    rtol = 1e-10
     scale = max(np.abs(kj).max(), 1.0)
     y1, y2 = kj[0, 1], kj[1, 2]
     lower = np.abs(np.tril(kj, -1)).max()
@@ -186,13 +187,13 @@ class TwistData:
         return cls(k, case, w, kj)
 
     @classmethod
-    def from_matrix(cls, k, gap_rtol=1e-8):
+    def from_matrix(cls, k):
         """Diagonalize a user-supplied K (case i only).
 
         Numerical Jordan forms are ill-posed, so a K with (numerically)
         repeated eigenvalues is rejected; supply explicit (W, K_J) instead.
         """
-        dec = eig_general(k, gap_rtol=gap_rtol)
+        dec = eig_general(k, gap_rtol=1e-8)
         return cls(k, "i", dec.right, np.diag(dec.values))
 
     @classmethod
@@ -232,7 +233,6 @@ class ModelParams:
     eta: complex
     xi: tuple
     twist: TwistData
-    dense_cap: int = DENSE_DIM_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "eta", complex(self.eta))
@@ -253,11 +253,11 @@ class ModelParams:
         return self.xi[a] - h * self.eta
 
     def require_dense(self, dim):
-        if dim > self.dense_cap:
-            raise SizeCapError(f"dense dimension {dim} exceeds cap {self.dense_cap}")
+        if dim > DENSE_DIM_CAP:
+            raise SizeCapError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
 
     def with_twist(self, twist):
-        return ModelParams(self.sites, self.eta, self.xi, twist, self.dense_cap)
+        return ModelParams(self.sites, self.eta, self.xi, twist)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +465,8 @@ def transfer(params, m, lam):
 class TransferCache:
     """Memoizing evaluator for dense transfer matrices, keyed by (m, lam).
 
-    Single-threaded use; share one instance per parameter set within a task.
+    The one handle on a chain: every chain-level function takes the chain's
+    cache and reads ``params`` from it.  Single-threaded use.
     ``hits[m]`` and ``misses[m]`` count the lookups of fusion order m; every
     miss assembles one dense T_m.  ``pairs`` holds the read-only dressed SoV
     pairs built from this cache, keyed by their reference components
@@ -575,11 +576,11 @@ class InterpolationWeights:
         return complex(out)
 
 
-def t2_interpolated(params, lam, cache=None):
+def t2_interpolated(cache, lam):
     """Reconstruct T_2(lam) from T_1 values at the inhomogeneities via the
     fusion products T_1(xi_a - eta) T_1(xi_a), the central zeros at xi_a + eta
     and the known asymptotics."""
-    cache = cache or TransferCache(params)
+    params = cache.params
     w = InterpolationWeights(params)
     zero_shifts = (0,) * params.sites
     acc = w.asymptotic(2, zero_shifts, lam) * np.eye(params.dim, dtype=complex)
@@ -589,13 +590,13 @@ def t2_interpolated(params, lam, cache=None):
     return w.d(lam - params.eta) * acc
 
 
-def fusion_residuals(params, cache=None):
+def fusion_residuals(cache):
     """Per-site residual table of the fusion hierarchy.
 
     Returns ``{"fusion": {(a, m): r}, "central_zero": {a: r}}`` with 0-based
     site keys, every residual relative to the magnitude of its left-hand side.
     """
-    cache = cache or TransferCache(params)
+    params = cache.params
     out = {"fusion": {}, "central_zero": {}}
     for a in range(params.sites):
         xa = params.xi[a]
@@ -624,20 +625,20 @@ def _chain(mat, params, a, others, omit):
     return mat
 
 
-def product_formula_check(params, a_indices, cache=None):
+def product_formula_check(cache, a_indices):
     """Relative residual of the closed product formula for
     prod_j T_1(xi_{a_j}) as a twist insertion dressed by R-chains.
 
     ``a_indices`` are 1-based, strictly ascending.  The scalar prefactor is
     eta^M * prod_{i<j} (eta^2 - (xi_{a_i} - xi_{a_j})^2).
     """
+    params = cache.params
     sites = list(a_indices)
     n = params.sites
     if sites != sorted(set(sites)) or any(not 1 <= a <= n for a in sites):
         raise IndexOrder("site indices must be strictly ascending and within range")
     mm = len(sites)
     params.require_dense(params.dim)
-    cache = cache or TransferCache(params)
     lhs = reduce(np.matmul, [cache.t1(params.xi[a - 1]) for a in sites])
     coef = params.eta**mm
     for i in range(mm):
@@ -672,10 +673,10 @@ def exchange_relation_residual(params, low, high, between):
     return rel_residual(lhs - rhs, lhs)
 
 
-def t1_leading_coefficient(params, cache=None):
+def t1_leading_coefficient(cache):
     """Degree-N leading coefficient of T_1 recovered by finite differencing
     through N+1 evaluation points (divided differences)."""
-    cache = cache or TransferCache(params)
+    params = cache.params
     n = params.sites
     pts = [params.xi[0] + (2 + k) * params.eta * (1 + 0.25j) for k in range(n + 1)]
     table = [cache.t1(p) for p in pts]

@@ -14,10 +14,10 @@ import numpy as np
 
 from .errors import EigFailure, SizeCapError, SpectrumNotSimple
 
-#: default relative threshold for rank / zero decisions
+#: unit-norm rank ratio at or below which a basis family counts as singular
 RANK_RTOL = 1e-9
 
-#: largest dimension stored densely by default (3**8)
+#: largest dimension stored or diagonalized densely (3**8)
 DENSE_DIM_CAP = 6561
 
 #: eigenvector matrices conditioned worse than this count as singular
@@ -119,7 +119,7 @@ class EigenDecomposition:
         return self.min_gap() / max(float(np.abs(self.values).max()), 1e-300)
 
 
-def eig_general(a, cap=DENSE_DIM_CAP, gap_rtol=None):
+def eig_general(a, gap_rtol=None):
     """Full eigendecomposition with bilinearly paired left/right families.
 
     One LAPACK call gives the right eigenvectors; after sorting the
@@ -134,8 +134,8 @@ def eig_general(a, cap=DENSE_DIM_CAP, gap_rtol=None):
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("eig_general expects a square matrix")
-    if n > cap:
-        raise SizeCapError(f"dimension {n} exceeds cap {cap}")
+    if n > DENSE_DIM_CAP:
+        raise SizeCapError(f"dimension {n} exceeds cap {DENSE_DIM_CAP}")
     try:
         values, right = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateReference, SingularBasis
-from .gl3_model import TransferCache
-from .numkernel import rank_ratio
+from .numkernel import RANK_RTOL, rank_ratio
 
 _NONZERO_ATOL = 1e-12
 
@@ -219,7 +218,7 @@ def basis_tree(ref, steps, apply):
     return level
 
 
-def _steps(params, cache, variant, side):
+def _steps(cache, variant, side):
     """Matrices each digit applies at each site, in order.
 
     "powers": T_1(xi_a)^d on either side.  "dressed": the left family
@@ -229,28 +228,26 @@ def _steps(params, cache, variant, side):
     if variant not in ("powers", "dressed"):
         raise ValueError("variant must be 'powers' or 'dressed'")
     steps = []
-    for x in params.xi:
+    for x in cache.params.xi:
         t1 = cache.t1(x)
         if variant == "powers":
             steps.append(([], [t1], [t1, t1]))
         elif side == "left":
-            steps.append(([cache.t2(x - params.eta)], [], [t1]))
+            steps.append(([cache.t2(x - cache.params.eta)], [], [t1]))
         else:
             steps.append(([], [cache.t2(x)], [t1]))
     return steps
 
 
-def build_left_basis(params, ref_row, variant="dressed", cache=None):
+def build_left_basis(cache, ref_row, variant="dressed"):
     """Matrix whose row ``h.flat`` is the co-vector labeled by ``h``."""
-    cache = cache or TransferCache(params)
-    steps = _steps(params, cache, variant, "left")
+    steps = _steps(cache, variant, "left")
     return basis_tree(ref_row, steps, lambda row, m: row @ m)
 
 
-def build_right_basis(params, ref_col, variant="dressed", cache=None):
+def build_right_basis(cache, ref_col, variant="dressed"):
     """Matrix whose column ``h.flat`` is the vector labeled by ``h``."""
-    cache = cache or TransferCache(params)
-    steps = _steps(params, cache, variant, "right")
+    steps = _steps(cache, variant, "right")
     cols = basis_tree(ref_col, steps, lambda col, m: m @ col)
     return np.ascontiguousarray(cols.T)
 
@@ -294,36 +291,36 @@ class SovBasisPair:
             self._ranks = ranks
         return ranks
 
-    def require_full_rank(self, rtol=1e-9):
+    def require_full_rank(self):
         rl, rr = self.rank_ratios()
-        if rl <= rtol or rr <= rtol:
-            raise SingularBasis(f"basis rank ratios ({rl:.2e}, {rr:.2e}) below {rtol}")
+        if rl <= RANK_RTOL or rr <= RANK_RTOL:
+            raise SingularBasis(f"basis rank ratios ({rl:.2e}, {rr:.2e}) below {RANK_RTOL}")
         return rl, rr
 
 
-def dressed_pair(params, xyz, cache=None):
+def dressed_pair(cache, xyz):
     """Dressed left/right bases from the tensor reference pair fixed by xyz.
 
     The pair is built once per transfer cache and reference components and
     kept in ``cache.pairs``; its arrays are read-only, so every caller of the
     same cache shares one pair.
     """
-    cache = cache or TransferCache(params)
+    params = cache.params
     key = tuple(complex(c) for c in xyz)
     if key not in cache.pairs:
         ref_row = reference_covector(xyz, params.twist, params)
         ref_col = reference_vector_closed(xyz, params.twist, params)
-        left = build_left_basis(params, ref_row, "dressed", cache)
-        right = build_right_basis(params, ref_col, "dressed", cache)
+        left = build_left_basis(cache, ref_row, "dressed")
+        right = build_right_basis(cache, ref_col, "dressed")
         for arr in (left, right, ref_row, ref_col):
             arr.setflags(write=False)
         cache.pairs[key] = SovBasisPair(left, right, "dressed", ref_row, ref_col)
     return cache.pairs[key]
 
 
-def power_pair(params, xyz, rst, cache=None):
+def power_pair(cache, xyz, rst):
     """Plain-powers left/right bases on free tensor references."""
-    cache = cache or TransferCache(params)
+    params = cache.params
     ref_row = reference_covector(xyz, params.twist, params)
     r, s, t = (complex(c) for c in rst)
     need = {"i": (r, s, t), "ii": (s, t), "iii": (t,)}[params.twist.case]
@@ -333,6 +330,6 @@ def power_pair(params, xyz, rst, cache=None):
         )
     col = params.twist.w @ np.array([r, s, t])
     ref_col = tensor_product_state([col] * params.sites)
-    left = build_left_basis(params, ref_row, "powers", cache)
-    right = build_right_basis(params, ref_col, "powers", cache)
+    left = build_left_basis(cache, ref_row, "powers")
+    right = build_right_basis(cache, ref_col, "powers")
     return SovBasisPair(left, right, "powers", ref_row, ref_col)

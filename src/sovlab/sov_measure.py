@@ -258,7 +258,7 @@ def coeff_r0_closed_form(params, h_rest):
     return complex(val)
 
 
-def c_scaling_scan(params, c_values, xyz, rtol=1e-9):
+def c_scaling_scan(params, c_values, xyz):
     """Scan twists with fixed (tr K, second invariant) and varying det K = c.
 
     For each c the twist eigenvalues are the roots of
@@ -280,8 +280,8 @@ def c_scaling_scan(params, c_values, xyz, rtol=1e-9):
         order = np.lexsort((roots.imag, roots.real))
         twist = params.twist.from_eigenvalues(roots[order], w=params.twist.w)
         p = params.with_twist(twist)
-        pair = dressed_pair(p, xyz)
-        reports.append((complex(c), gram(pair.left, pair.right, p, rtol)))
+        pair = dressed_pair(TransferCache(p), xyz)
+        reports.append((complex(c), gram(pair.left, pair.right, p)))
 
     support = pair_support(params.sites)
     logc = np.log(np.abs([c for c, _ in reports]))
@@ -404,7 +404,7 @@ def b_recursion(report, h):
 # recursion checks for the coupling coefficients
 
 
-def appc_recursion_check(params, r, xyz, h_rest=(), cache=None):
+def appc_recursion_check(cache, r, xyz, h_rest=()):
     """Numerical check of the coupling-coefficient recursion at pair depth r.
 
     r = 0 verifies the seed identity
@@ -414,13 +414,13 @@ def appc_recursion_check(params, r, xyz, h_rest=(), cache=None):
     sites (1,2) outer and (3,4) carrying the extra pair.  Returns relative
     residuals keyed by the configuration.
     """
+    params = cache.params
     if r not in (0, 1):
         raise ValueError("recursion check supports r in {0, 1}")
     needed = 2 + 2 * r
     if params.sites < needed or len(h_rest) != params.sites - needed:
         raise ValueError(f"need {needed}+len(h_rest) sites")
-    cache = cache or TransferCache(params)
-    pair = dressed_pair(params, xyz, cache)
+    pair = dressed_pair(cache, xyz)
     eta = params.eta
     xi = params.xi
     w = InterpolationWeights(params)

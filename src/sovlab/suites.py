@@ -108,8 +108,8 @@ class Workspace:
         """Lookups of the shared gl(3) transfer caches built so far (the chain's
         and its K-hat companion's): total hits and misses, and the dense
         assemblies per fusion order."""
-        caches = [self._cache[key][i] for key, i in (("gl3", 2), ("khat_chain", 1))
-                  if key in self._cache]
+        caches = [self._cache["gl3"][0]] if "gl3" in self._cache else []
+        caches += [self._cache["khat_chain"]] if "khat_chain" in self._cache else []
         hits = sum((c.hits for c in caches), Counter())
         misses = sum((c.misses for c in caches), Counter())
         return {"hits": sum(hits.values()), "misses": sum(misses.values()),
@@ -129,14 +129,16 @@ class Workspace:
         return ModelParams(self.sites, eta, xi, twist), xyz
 
     def gl3(self):
-        """Invertible-twist chain, resampled until the dressed pair has full rank."""
+        """Invertible-twist chain as ``(cache, xyz, pair)``: its transfer cache,
+        reference components and dressed pair, resampled until the pair has
+        full rank."""
         if "gl3" in self._cache:
             return self._cache["gl3"]
         seed = self.seed
         for attempt in range(MAX_RETRIES + 1):
             params, xyz = self._sample_gl3(seed)
             cache = TransferCache(params)
-            pair = dressed_pair(params, xyz, cache)
+            pair = dressed_pair(cache, xyz)
             try:
                 pair.require_full_rank()
             except SingularBasis as exc:
@@ -145,42 +147,40 @@ class Workspace:
                 self.retries.append({"seed": seed, "reason": str(exc)})
                 seed += 1
                 continue
-            self._cache["gl3"] = (params, xyz, cache, pair)
+            self._cache["gl3"] = (cache, xyz, pair)
             return self._cache["gl3"]
 
-    def gl3_gram(self, rtol=1e-9):
+    def gl3_gram(self):
         if "gram" not in self._cache:
-            params, xyz, cache, pair = self.gl3()
-            self._cache["gram"] = gram(pair.left, pair.right, params, rtol)
+            cache, _, pair = self.gl3()
+            self._cache["gram"] = gram(pair.left, pair.right, cache.params)
         return self._cache["gram"]
 
     def khat_chain(self):
-        """Zero-determinant companion parameters (same eta, xi) and their
-        transfer cache."""
+        """Transfer cache of the zero-determinant companion chain (same eta, xi)."""
         if "khat_chain" not in self._cache:
-            params, _, _, _ = self.gl3()
-            kp = params.with_twist(make_khat(params.twist))
-            self._cache["khat_chain"] = (kp, TransferCache(kp))
+            params = self.gl3()[0].params
+            self._cache["khat_chain"] = TransferCache(params.with_twist(make_khat(params.twist)))
         return self._cache["khat_chain"]
 
     def khat(self):
-        """Zero-determinant companion chain with its full-rank dressed pair."""
+        """Zero-determinant companion chain as ``(cache, xyz, pair)``, with a
+        full-rank dressed pair."""
         if "khat" not in self._cache:
-            _, xyz, _, _ = self.gl3()
-            kp, cache = self.khat_chain()
-            pair = dressed_pair(kp, xyz, cache)
+            xyz = self.gl3()[1]
+            cache = self.khat_chain()
+            pair = dressed_pair(cache, xyz)
             pair.require_full_rank()
-            self._cache["khat"] = (kp, xyz, cache, pair)
+            self._cache["khat"] = (cache, xyz, pair)
         return self._cache["khat"]
 
     def khat_eigenstates(self):
         """Every eigenstate of the companion chain at the probe point, with
         the probe-point decomposition they were read from."""
         if "khat_eigenstates" not in self._cache:
-            kp, xyz, cache, pair = self.khat()
-            dec = probe_decomposition(kp, cache)
-            states, _, _ = eigensolve_sov(kp, xyz, pair=pair, cache=cache, dec=dec)
-            self._cache["khat_eigenstates"] = (states, dec)
+            cache, xyz, _ = self.khat()
+            dec = probe_decomposition(cache)
+            self._cache["khat_eigenstates"] = (eigensolve_sov(cache, xyz, dec), dec)
         return self._cache["khat_eigenstates"]
 
     def khat_probe_health(self):
@@ -193,9 +193,9 @@ class Workspace:
         """Eigenstates with their zero patterns; ambiguous patterns are
         excluded from determinant runs and logged."""
         if "khat_states" not in self._cache:
-            kp, _, cache, _ = self.khat()
+            cache = self.khat()[0]
             states, _ = self.khat_eigenstates()
-            kept, excluded = zero_patterns(states, kp, cache)
+            kept, excluded = zero_patterns(cache, states)
             excluded = [{"index": st.index, "reason": str(exc)} for st, exc in excluded]
             self._cache["khat_states"] = (kept, excluded)
         return self._cache["khat_states"]
@@ -203,6 +203,7 @@ class Workspace:
     # -- gl2 ---------------------------------------------------------------
 
     def gl2(self):
+        """Transfer cache of the gl(2) chain."""
         if "gl2" not in self._cache:
             s = ParameterSampler(self.seed)
             eta = self._eta if self._eta is not None else s.shift()
@@ -213,14 +214,14 @@ class Workspace:
                 k = s.gl2_twist()
             ref = tuple(self._reference) if self._reference is not None else s.reference2()
             params = gl2_model.Gl2Params(self.sites, eta, xi, k, ref)
-            self._cache["gl2"] = (params, gl2_model.Gl2TransferCache(params))
+            self._cache["gl2"] = gl2_model.Gl2TransferCache(params)
         return self._cache["gl2"]
 
     def gl2_coupling(self):
         """``gl2_model.coupling_residuals`` of the gl(2) chain, shared by the
         gram, measure and gl2 suites."""
         if "gl2_coupling" not in self._cache:
-            self._cache["gl2_coupling"] = gl2_model.coupling_residuals(*self.gl2())
+            self._cache["gl2_coupling"] = gl2_model.coupling_residuals(self.gl2())
         return self._cache["gl2_coupling"]
 
 
@@ -249,7 +250,7 @@ def run_yangbaxter(ws, tol):
         worst = max(worst, gl3_model.check_yang_baxter(lam, lam, eta))
     details["yang_baxter"] = worst
     if ws.algebra == "gl3":
-        params, _, _, _ = ws.gl3()
+        params = ws.gl3()[0].params
         k = params.twist.k_matrix
         scal = max(
             gl3_model.scalar_yb_residual(k, s.complex_rational(), params.eta) for _ in range(3)
@@ -265,9 +266,10 @@ def run_yangbaxter(ws, tol):
 
 
 def run_fusion(ws, tol):
-    params, _, cache, _ = ws.gl3()
+    cache = ws.gl3()[0]
+    params = cache.params
     s = ParameterSampler(ws.seed + 2000)
-    table = gl3_model.fusion_residuals(params, cache)
+    table = gl3_model.fusion_residuals(cache)
     worst = max(table["fusion"].values())
     worst = max(worst, max(table["central_zero"].values()))
     qworst = 0.0
@@ -282,9 +284,9 @@ def run_fusion(ws, tol):
         t2 = cache.t2(lam)
         interp = max(
             interp,
-            rel_residual(gl3_model.t2_interpolated(params, lam, cache) - t2, t2),
+            rel_residual(gl3_model.t2_interpolated(cache, lam) - t2, t2),
         )
-    asym = _asymptotics_residual(params, cache)
+    asym = _asymptotics_residual(cache)
     details = {
         "fusion": worst,
         "quantum_determinant": qworst,
@@ -294,8 +296,9 @@ def run_fusion(ws, tol):
     return _result("fusion", tol, max(worst, qworst, interp), details, ws, extra_ok=asym < 1e-4)
 
 
-def _asymptotics_residual(params, cache):
+def _asymptotics_residual(cache):
     """First-order Richardson check of the central large-argument behavior."""
+    params = cache.params
     scale = max(max(abs(x) for x in params.xi), abs(params.eta), 1.0)
     lam = 1e6 * scale
     worst = 0.0
@@ -308,7 +311,8 @@ def _asymptotics_residual(params, cache):
 
 
 def run_bases(ws, tol):
-    params, xyz, cache, pair = ws.gl3()
+    cache, xyz, pair = ws.gl3()
+    params = cache.params
     rl, rr = pair.rank_ratios()
     details = {"rank_left": rl, "rank_right": rr, "variant": pair.variant}
     defr0 = float(
@@ -318,27 +322,27 @@ def run_bases(ws, tol):
     agree = rel_residual(solved - pair.ref_vector, pair.ref_vector)
     s = ParameterSampler(ws.seed + 3000)
     rst = s.reference3()
-    ppair = power_pair(params, xyz, rst, cache)
+    ppair = power_pair(cache, xyz, rst)
     prl, prr = ppair.rank_ratios()
     details.update({"def_r0": defr0, "closed_vs_solve": agree,
                     "rank_left_powers": prl, "rank_right_powers": prr})
-    alpha = _variant_relation_residual(params, xyz, cache)
+    alpha = _variant_relation_residual(cache, pair)
     details["variant_relation"] = alpha
     worst = max(defr0, agree, alpha)
     ok = min(rl, rr, prl, prr) > 1e-9
     return _result("bases", tol, worst, details, ws, extra_ok=ok)
 
 
-def _variant_relation_residual(params, xyz, cache):
+def _variant_relation_residual(cache, pair):
     """Dressed rows equal plain-power rows up to the per-label quantum
     determinant factor, after matching the references through the full
     transfer product."""
-    pair = dressed_pair(params, xyz, cache)
+    params = cache.params
     full = np.eye(params.dim, dtype=complex)
     for x in params.xi:
         full = full @ cache.t1(x)
     base_row = np.linalg.solve(full.T, pair.ref_covector)
-    rows = build_left_basis(params, base_row, "powers", cache)
+    rows = build_left_basis(cache, base_row, "powers")
     alpha = label_products(
         [[gl3_model.quantum_determinant(params, x), 1, 1] for x in params.xi]
     )
@@ -349,7 +353,6 @@ def run_gram(ws, tol):
     if ws.algebra == "gl2":
         g, cells, _ = ws.gl2_coupling()
         return _result("gram", tol, cells, {"scale": float(np.abs(g).max())}, ws)
-    params, _, _, _ = ws.gl3()
     report = ws.gl3_gram()
     zero_worst = max(
         (v["magnitude"] for v in report.violations if v["kind"] == "zero"), default=0.0
@@ -362,19 +365,17 @@ def run_gram(ws, tol):
 
 def run_measure(ws, tol, out_dir=None):
     if ws.algebra == "gl2":
-        params, _ = ws.gl2()
         g, _, diagonal = ws.gl2_coupling()
         if out_dir is not None:
             sov_measure.export_matrix_csv(g, out_dir / "gram.csv")
             sov_measure.export_matrix_csv(np.linalg.inv(g), out_dir / "measure.csv")
-        return _result("measure", tol, diagonal, {"dim": params.dim}, ws)
-    params, _, _, pair = ws.gl3()
+        return _result("measure", tol, diagonal, {"dim": ws.gl2().params.dim}, ws)
     report = ws.gl3_gram()
     worst = report.max_diag_rel_err
     kind_worst = _twist_independence_residual(ws)
     if out_dir is not None:
         sov_measure.export_matrix_csv(report.gram, out_dir / "gram.csv")
-        measure = np.linalg.solve(report.gram, np.eye(params.dim, dtype=complex))
+        measure = np.linalg.solve(report.gram, np.eye(len(report.gram), dtype=complex))
         sov_measure.export_matrix_csv(measure, out_dir / "measure.csv")
     details = {"max_diag_rel_err": worst, "twist_independence": kind_worst}
     return _result("measure", tol, max(worst, kind_worst), details, ws)
@@ -382,24 +383,23 @@ def run_measure(ws, tol, out_dir=None):
 
 def _twist_independence_residual(ws):
     """The diagonal couplings must not move when the twist changes."""
-    params, xyz, _, _ = ws.gl3()
+    cache, xyz, _ = ws.gl3()
     report = ws.gl3_gram()
     s = ParameterSampler(ws.seed + 4000)
     other = TwistData.from_eigenvalues(s.distinct_eigenvalues(), w=s.invertible3())
-    p2 = params.with_twist(other)
-    pair2 = dressed_pair(p2, xyz)
+    pair2 = dressed_pair(TransferCache(cache.params.with_twist(other)), xyz)
     g2 = pair2.left @ pair2.right
     diag2 = np.diagonal(g2)
     return float(np.max(np.abs(diag2 - report.diag) / np.abs(report.diag)))
 
 
 def run_dual(ws, tol):
-    params, xyz, cache, pair = ws.gl3()
+    pair = ws.gl3()[2]
     report = ws.gl3_gram()
     dual = dual_bases(pair, report)
     worst = max(dual.inverse_residual, 0.0)
-    sparsity = _dual_sparsity_residual(params, report, dual)
-    brec = _b_recursion_residual(params, report, dual)
+    sparsity = _dual_sparsity_residual(report, dual)
+    brec = _b_recursion_residual(report, dual)
     details = {
         "inverse_residual": dual.inverse_residual,
         "ortho_residual": dual.ortho_residual,
@@ -409,30 +409,31 @@ def run_dual(ws, tol):
     return _result("dual", tol, max(worst, sparsity, brec), details, ws)
 
 
-def _dual_sparsity_residual(params, report, dual):
+def _dual_sparsity_residual(report, dual):
     """Dual-vector coordinates must vanish outside the pair-move support."""
     # column h holds the coordinates of the dual vector of h, as
     # expansion_coefficients gives them; a pair move of h lands on row t
     # exactly when cell (t, h) is not zero-classified
     mags = np.abs(dual.measure * report.diag)
     scale = np.maximum(mags.max(axis=0), 1e-300)
-    outside = sov_measure.pair_support(params.sites).zero
+    outside = sov_measure.pair_support(report.params.sites).zero
     return float(np.max((mags / scale)[outside], initial=0.0))
 
 
-def _b_recursion_residual(params, report, dual):
+def _b_recursion_residual(report, dual):
     """On every pair move of h the dual coordinate must be (det K)^r times the
     recursion's coefficient B_(alpha,beta), relative to the column's largest
     coordinate."""
-    support = sov_measure.pair_support(params.sites)
+    support = sov_measure.pair_support(report.params.sites)
     coords = dual.measure * report.diag
-    pred = params.twist.det ** support.pair_count * b_coefficients(report)
+    pred = report.params.twist.det ** support.pair_count * b_coefficients(report)
     scale = np.maximum(np.abs(coords).max(axis=0), 1e-300)
     return float(np.max((np.abs(coords - pred) / scale)[support.offdiag], initial=0.0))
 
 
 def run_det0(ws, tol):
-    kp, xyz, cache, pair = ws.khat()
+    cache, xyz, pair = ws.khat()
+    kp = cache.params
     report = gram(pair.left, pair.right, kp)
     off = report.max_offdiag_cosine
     diag_err = report.max_diag_rel_err
@@ -447,26 +448,28 @@ def run_det0(ws, tol):
             for side in ("left", "right"):
                 action_worst = max(
                     action_worst,
-                    interpolated_action_check(kp, h, which, side, xyz, lams, cache),
+                    interpolated_action_check(cache, h, which, side, xyz, lams),
                 )
     boundary = boundary_eigenstate_check(
-        kp, xyz, [s.spectral_point(kp.xi, kp.eta) for _ in range(5)], cache
+        cache, xyz, [s.spectral_point(kp.xi, kp.eta) for _ in range(5)]
     )
-    bworst = max(v[0] if isinstance(v, tuple) else v for v in boundary.values())
-    spread = max(v[2] for v in boundary.values() if isinstance(v, tuple))
+    bworst = max(resid for resid, _ in boundary.values())
+    right_spread = boundary.pop("right_family_t2")[1]
+    spread = max(v for _, v in boundary.values())
     details = {
         "offdiag": float(off),
         "diag_rel_err": float(diag_err),
         "interpolated_actions": float(action_worst),
         "boundary_residual": float(bworst),
         "boundary_constant_spread": float(spread),
+        "right_constant_spread": float(right_spread),
     }
-    worst = max(off, diag_err, action_worst, bworst, spread)
+    worst = max(off, diag_err, action_worst, bworst, spread, right_spread)
     return _result("det0", tol, worst, details, ws)
 
 
-def run_scalarproducts(ws, tol, n_random=20):
-    kp, xyz, cache, pair = ws.khat()
+def run_scalarproducts(ws, tol):
+    kp = ws.khat()[0].params
     states, excluded = ws.khat_states()
     fact = max(st.factorization_residual for st in states)
     rng = np.random.default_rng(ws.seed + 23)
@@ -474,7 +477,7 @@ def run_scalarproducts(ws, tol, n_random=20):
     norm_worst = 0.0
     records = []
     for st in states:
-        nd = norm_determinant(st, kp, cache)
+        nd = norm_determinant(st, kp)
         direct = norm_direct(st)
         nres = rel_residual(nd - direct, direct)
         norm_worst = max(norm_worst, nres)
@@ -488,7 +491,7 @@ def run_scalarproducts(ws, tol, n_random=20):
                 "rel_err": float(nres),
             }
         )
-    for _ in range(n_random):
+    for _ in range(20):
         st = states[int(rng.integers(0, len(states)))]
         alpha = SeparateState.random(rng, kp.sites)
         det_val = scalar_product_determinant(alpha, st, kp)
@@ -506,10 +509,10 @@ def run_scalarproducts(ws, tol, n_random=20):
 
 
 def run_ttcharges(ws, tol):
-    params, xyz, cache, _ = ws.gl3()
-    kp, khat_cache = ws.khat_chain()
+    cache, xyz, _ = ws.gl3()
+    params = cache.params
     khat_states, khat_dec = ws.khat_eigenstates()
-    family = build_tt(params, kp, cache=cache, khat_cache=khat_cache, khat_states=khat_states)
+    family = build_tt(cache, ws.khat_chain(), khat_states)
     fus = fusion_residuals_tt(family)
     s = ParameterSampler(ws.seed + 6000)
     comm_worst = 0.0
@@ -521,7 +524,7 @@ def run_ttcharges(ws, tol):
         comm_worst = max(comm_worst, rel_residual(t @ c - c @ t, t @ c))
     probe_resid = max(family.probe_residual, khat_dec.residual_norm)
     tpair = tt_sov_bases(family, xyz)
-    treport = gram(tpair.left, tpair.right, params.with_twist(family.khat_params.twist))
+    treport = gram(tpair.left, tpair.right, family.khat_params)
     off = treport.max_offdiag_cosine
     diag_err = treport.max_diag_rel_err
     rep = eigenstate_representation_residual(family, tpair)
@@ -545,13 +548,13 @@ def run_ttcharges(ws, tol):
 
 
 def run_gl2(ws, tol):
-    params, cache = ws.gl2()
+    cache = ws.gl2()
     _, measure_worst, _ = ws.gl2_coupling()
-    ident = gl2_model.identity_decomposition_residual(params, cache)
-    reps = gl2_model.gl2_eigen_reps(params, cache=cache)
+    ident = gl2_model.identity_decomposition_residual(cache)
+    reps = gl2_model.gl2_eigen_reps(cache)
     qworst = 0.0
-    for a in range(params.sites):
-        scalar, resid, closed = gl2_model.qdet_scalar(params, a, cache)
+    for a in range(cache.params.sites):
+        scalar, resid, closed = gl2_model.qdet_scalar(cache, a)
         qworst = max(qworst, resid, rel_residual(scalar - closed, closed))
     details = {
         "measure": float(measure_worst),
@@ -568,12 +571,13 @@ def run_gl2(ws, tol):
 
 
 def run_appendix_a(ws, tol):
-    params, _, cache, _ = ws.gl3()
+    cache = ws.gl3()[0]
+    params = cache.params
     worst = 0.0
     details = {}
     for m in range(1, min(params.sites, 3) + 1):
         sites = tuple(range(1, m + 1))
-        r = gl3_model.product_formula_check(params, sites, cache)
+        r = gl3_model.product_formula_check(cache, sites)
         details[f"product_m{m}"] = r
         worst = max(worst, r)
     if params.sites >= 3:
@@ -586,13 +590,14 @@ def run_appendix_a(ws, tol):
 
 
 def run_appendix_c(ws, tol):
-    params, xyz, cache, _ = ws.gl3()
+    cache, xyz, _ = ws.gl3()
+    params = cache.params
     details = {}
     worst = 0.0
     if params.sites >= 2:
         rng = np.random.default_rng(ws.seed + 31)
         rest = tuple(rng.integers(0, 3, params.sites - 2).tolist())
-        out = appc_recursion_check(params, 0, xyz, h_rest=rest, cache=cache)
+        out = appc_recursion_check(cache, 0, xyz, h_rest=rest)
         details["seed_rest_" + "".join(map(str, rest))] = out["seed"]
         worst = max(worst, out["seed"])
     if params.sites >= 4:
@@ -600,7 +605,7 @@ def run_appendix_c(ws, tol):
         if params.sites > 4:
             rng = np.random.default_rng(ws.seed + 37)
             rest = tuple(rng.integers(0, 3, params.sites - 4).tolist())
-        out = appc_recursion_check(params, 1, xyz, h_rest=rest, cache=cache)
+        out = appc_recursion_check(cache, 1, xyz, h_rest=rest)
         details["two_pair"] = out["two_pair"]
         worst = max(worst, out["two_pair"])
     coeff_worst = 0.0

@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .det0_spectrum import (
-    eigensolve_sov,
-    make_khat,
-    probe_decomposition,
-    separated_coordinates,
-)
+from .det0_spectrum import probe_decomposition, separated_coordinates
 from .gl3_model import TransferCache, default_probe_point
 from .numkernel import rayleigh_quotients, rel_residual
 from .sov_bases import (
@@ -94,38 +89,25 @@ class ChargeFamily:
         return float(np.abs(self.right @ self.left - np.eye(self.params.dim)).max())
 
 
-def build_tt(params, khat_params=None, lambda0=None, gap_rtol=1e-6, cache=None,
-             khat_cache=None, khat_states=None):
+def build_tt(cache, khat_cache, khat_states):
     """Assemble the charge family for an invertible simple-spectrum twist.
 
-    ``khat_params`` defaults to the same chain with the smallest twist
-    eigenvalue zeroed.  Both transfer spectra at the probe point must be
-    simple.  ``cache`` and ``khat_cache`` are transfer caches of ``params``
-    and ``khat_params`` to reuse; the charges keep evaluating through
-    ``khat_cache``.  ``khat_states`` are the :func:`eigensolve_sov` states of
-    ``khat_params`` at the same probe point, in canonical order, to reuse
-    instead of diagonalizing the companion again (their normalization does
-    not enter the charges).
+    ``cache`` is the transfer cache of the invertible-twist chain, whose
+    probe-point spectrum must be simple, and ``khat_cache`` that of its
+    zero-determinant companion on the same (sites, eta, xi); the charges keep
+    evaluating through ``khat_cache``.  ``khat_states`` are the companion's
+    :func:`det0_spectrum.eigensolve_sov` states at the same probe point, in
+    canonical order (their normalization does not enter the charges).
     """
-    if khat_params is None:
-        khat_params = params.with_twist(make_khat(params.twist))
+    params, khat_params = cache.params, khat_cache.params
     if (khat_params.sites, khat_params.eta, khat_params.xi) != (
         params.sites,
         params.eta,
         params.xi,
     ):
         raise ValueError("charge construction needs matching (sites, eta, xi)")
-    lam0 = default_probe_point(params) if lambda0 is None else lambda0
-    dec = probe_decomposition(params, cache or TransferCache(params), lam0, gap_rtol)
-
-    khat_cache = khat_cache or TransferCache(khat_params)
-    if khat_states is None:
-        # reference components only matter for normalization here; eigensolve
-        # validates simplicity of the companion spectrum
-        khat_states, _, _ = eigensolve_sov(
-            khat_params, (1.0, 1.0, 1.0), lambda0=lam0, cache=khat_cache, gap_rtol=gap_rtol
-        )
-    elif len(khat_states) != params.dim:
+    dec = probe_decomposition(cache)
+    if len(khat_states) != params.dim:
         raise ValueError(f"expected {params.dim} companion eigenstates, got {len(khat_states)}")
     return ChargeFamily(
         params,
@@ -133,7 +115,7 @@ def build_tt(params, khat_params=None, lambda0=None, gap_rtol=1e-6, cache=None,
         dec.right,
         dec.left,
         khat_states,
-        complex(lam0),
+        complex(default_probe_point(params)),
         dec.residual_norm,
         khat_cache,
     )

@@ -24,7 +24,7 @@ def chain2():
     """Invertible-twist chain at two sites with its cache and dressed pair."""
     params, xyz, _ = make_params(7, 2)
     cache = TransferCache(params)
-    pair = dressed_pair(params, xyz, cache)
+    pair = dressed_pair(cache, xyz)
     return params, xyz, cache, pair
 
 
@@ -32,7 +32,7 @@ def chain2():
 def chain3():
     params, xyz, _ = make_params(11, 3)
     cache = TransferCache(params)
-    pair = dressed_pair(params, xyz, cache)
+    pair = dressed_pair(cache, xyz)
     return params, xyz, cache, pair
 
 
@@ -40,7 +40,7 @@ def chain3():
 def det0_chain2():
     params, xyz, _ = make_params(21, 2, invertible=False)
     cache = TransferCache(params)
-    pair = dressed_pair(params, xyz, cache)
+    pair = dressed_pair(cache, xyz)
     return params, xyz, cache, pair
 
 
@@ -48,5 +48,5 @@ def det0_chain2():
 def det0_chain3():
     params, xyz, _ = make_params(23, 3, invertible=False)
     cache = TransferCache(params)
-    pair = dressed_pair(params, xyz, cache)
+    pair = dressed_pair(cache, xyz)
     return params, xyz, cache, pair

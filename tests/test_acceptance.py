@@ -19,6 +19,7 @@ from sovlab.det0_spectrum import (
     SeparateState,
     eigensolve_sov,
     interpolated_action_check,
+    make_khat,
     norm_determinant,
     norm_direct,
     ortho_suite_det0,
@@ -112,7 +113,7 @@ def test_criterion_03_fusion_and_interpolation():
         for sites in (2, 3):
             params, _, _ = make_params(seed, sites)
             cache = TransferCache(params)
-            table = fusion_residuals(params, cache)
+            table = fusion_residuals(cache)
             worst_fusion = max(worst_fusion, max(table["fusion"].values()),
                                max(table["central_zero"].values()))
             s = ParameterSampler(seed + 600)
@@ -121,7 +122,7 @@ def test_criterion_03_fusion_and_interpolation():
                 t2 = cache.t2(lam)
                 worst_interp = max(
                     worst_interp,
-                    np.abs(t2_interpolated(params, lam, cache) - t2).max()
+                    np.abs(t2_interpolated(cache, lam) - t2).max()
                     / np.abs(t2).max(),
                 )
     ok = worst_fusion <= 1e-10 and worst_interp <= 1e-9
@@ -153,7 +154,7 @@ def test_criterion_04_basis_ranks():
                                          [0, 0, 0.7 - 0.4j]])
                         )
                     params = ModelParams(sites, eta, s.inhomogeneities(sites, eta), twist)
-                    ratio = min(*dressed_pair(params, s.reference3()).rank_ratios())
+                    ratio = min(*dressed_pair(TransferCache(params), s.reference3()).rank_ratios())
                     if ratio > 1e-9:
                         worst = min(worst, ratio)
                         break
@@ -171,7 +172,7 @@ def test_criterion_05_reference_duality():
     for seed in SEEDS:
         for sites in (2, 3):
             params, xyz, _ = make_params(seed, sites, wild_w=True)
-            pair = dressed_pair(params, xyz)
+            pair = dressed_pair(TransferCache(params), xyz)
             resid = np.abs(pair.left @ pair.ref_vector - np.eye(params.dim)[0]).max()
             worst_dual = max(worst_dual, resid)
             # local three-term conditions per site, against a 3x3 solve
@@ -206,7 +207,7 @@ def test_criterion_06_coupling_pattern_n3():
     worst_diag = 0.0
     for seed in SEEDS:
         params, xyz, _ = make_params(seed, 3)
-        pair = dressed_pair(params, xyz)
+        pair = dressed_pair(TransferCache(params), xyz)
         report = gram(pair.left, pair.right, params)
         worst_zero = max(worst_zero, report.max_zero_cosine)
         worst_diag = max(worst_diag, report.max_diag_rel_err)
@@ -242,7 +243,7 @@ def test_criterion_08_single_pair_coefficient():
     for seed in SEEDS:
         for sites in (2, 3):
             params, xyz, _ = make_params(seed, sites)
-            pair = dressed_pair(params, xyz)
+            pair = dressed_pair(TransferCache(params), xyz)
             report = gram(pair.left, pair.right, params)
             for rest in itertools.product((0, 1, 2), repeat=sites - 2):
                 h = TernaryIndex((0, 2) + rest)
@@ -261,19 +262,19 @@ def test_criterion_09_inverse_measure_and_recursions():
     for seed in SEEDS:
         params, xyz, _ = make_params(seed, 2)
         cache = TransferCache(params)
-        pair = dressed_pair(params, xyz, cache)
+        pair = dressed_pair(cache, xyz)
         report = gram(pair.left, pair.right, params)
         worst_inv = max(worst_inv, dual_bases(pair, report).inverse_residual)
-        worst_rec = max(worst_rec, appc_recursion_check(params, 0, xyz, cache=cache)["seed"])
+        worst_rec = max(worst_rec, appc_recursion_check(cache, 0, xyz)["seed"])
         params3, xyz3, _ = make_params(seed, 3)
         worst_rec = max(
-            worst_rec, appc_recursion_check(params3, 0, xyz3, h_rest=(seed % 3,))["seed"]
+            worst_rec, appc_recursion_check(TransferCache(params3), 0, xyz3, h_rest=(seed % 3,))["seed"]
         )
     # four-site checks once per seed set (heaviest objects)
     for seed in SEEDS:
         params4, xyz4, _ = make_params(seed, 4)
         cache4 = TransferCache(params4)
-        pair4 = dressed_pair(params4, xyz4, cache4)
+        pair4 = dressed_pair(cache4, xyz4)
         report4 = gram(pair4.left, pair4.right, params4)
         dual4 = dual_bases(pair4, report4)
         worst_inv = max(worst_inv, dual4.inverse_residual)
@@ -284,7 +285,7 @@ def test_criterion_09_inverse_measure_and_recursions():
             target = h.pair_substitution(alpha, beta)
             pred = params4.twist.det ** len(alpha) * b
             worst_b = max(worst_b, abs(coeffs[target.flat] - pred) / np.abs(coeffs).max())
-        worst_rec = max(worst_rec, appc_recursion_check(params4, 1, xyz4, cache=cache4)["two_pair"])
+        worst_rec = max(worst_rec, appc_recursion_check(cache4, 1, xyz4)["two_pair"])
     ok = worst_inv <= 1e-8 and worst_b <= 1e-7 and worst_rec <= 1e-8
     _report(9, ok, f"inverse measure {worst_inv:.2e} (tol 1e-8), two-pair dual expansion "
                    f"{worst_b:.2e} (tol 1e-7), coupling recursions {worst_rec:.2e} (tol 1e-8)")
@@ -298,7 +299,7 @@ def test_criterion_10_orthogonal_regime():
         for sites in (2, 3):
             params, xyz, _ = make_params(seed, sites, invertible=False)
             cache = TransferCache(params)
-            out = ortho_suite_det0(params, xyz, cache=cache)
+            out = ortho_suite_det0(cache, xyz)
             worst_off = max(worst_off, out["offdiag_cosine"])
             worst_diag = max(worst_diag, out["diag_rel_err"])
         params, xyz, _ = make_params(seed, 2, invertible=False)
@@ -312,7 +313,7 @@ def test_criterion_10_orthogonal_regime():
                 lam = s.spectral_point(params.xi, params.eta)
                 worst_act = max(
                     worst_act,
-                    interpolated_action_check(params, h, which, side, xyz, [lam], cache),
+                    interpolated_action_check(cache, h, which, side, xyz, [lam]),
                 )
     ok = worst_off <= 1e-9 and worst_diag <= 1e-8 and worst_act <= 1e-8
     _report(10, ok, f"zero-determinant regime: couplings diagonal to {worst_off:.2e} "
@@ -328,12 +329,12 @@ def test_criterion_11_factorization_and_determinant_overlaps():
         for sites, n_alpha in ((2, 20), (3, 5)):
             params, xyz, _ = make_params(seed, sites, invertible=False)
             cache = TransferCache(params)
-            states, pair, _ = eigensolve_sov(params, xyz, cache=cache)
+            states = eigensolve_sov(cache, xyz)
             worst_fact = max(worst_fact, max(st.factorization_residual for st in states))
             gen = np.random.default_rng(seed + sites)
             for st in states:
-                zero_pattern(st, params, cache)
-                nd = norm_determinant(st, params, cache)
+                zero_pattern(cache, st)
+                nd = norm_determinant(st, params)
                 direct = norm_direct(st)
                 worst_ov = max(worst_ov, abs(nd - direct) / abs(direct))
             for _ in range(n_alpha):
@@ -354,7 +355,9 @@ def test_criterion_12_conserved_charge_bases():
     worst_det = 0.0
     for seed in SEEDS:
         params, xyz, _ = make_params(seed, 2)
-        family = build_tt(params)
+        khat_cache = TransferCache(params.with_twist(make_khat(params.twist)))
+        family = build_tt(TransferCache(params), khat_cache,
+                          eigensolve_sov(khat_cache, (1.0, 1.0, 1.0)))
         worst_fus = max(worst_fus, max(fusion_residuals_tt(family).values()))
         tpair = tt_sov_bases(family, xyz)
         report = gram(tpair.left, tpair.right, family.khat_params)
@@ -365,7 +368,7 @@ def test_criterion_12_conserved_charge_bases():
         one_flat = TernaryIndex((1, 1)).flat
         for a in (0, 4, 8):
             st = family.khat_states[a]
-            zero_pattern(st, kp)
+            zero_pattern(khat_cache, st)
             col = family.right[:, a]
             col = col / (tpair.left[one_flat] @ col)
             alpha = SeparateState.random(gen, 2)
@@ -385,9 +388,10 @@ def test_criterion_13_product_formula():
     worst = 0.0
     for seed in SEEDS:
         params, _, _ = make_params(seed, 3)
+        cache = TransferCache(params)
         for m in (1, 2, 3):
-            worst = max(worst, product_formula_check(params, tuple(range(1, m + 1))))
-        worst = max(worst, product_formula_check(params, (1, 3)))
+            worst = max(worst, product_formula_check(cache, tuple(range(1, m + 1))))
+        worst = max(worst, product_formula_check(cache, (1, 3)))
     ok = worst <= 1e-10
     _report(13, ok, f"transfer product closed formula {worst:.2e} (tol 1e-10, N=3, M=1..3)")
 
@@ -404,13 +408,13 @@ def test_criterion_14_rank_one_yardstick():
                 sites, eta, s.inhomogeneities(sites, eta), s.gl2_twist(), s.reference2()
             )
             cache = gl2_model.Gl2TransferCache(params)
-            left, right, _ = gl2_model.gl2_bases(params, cache)
+            left, right, _ = gl2_model.gl2_bases(cache)
             g = left @ right
             for fh, h in enumerate(label_digits(sites, 2)):
                 for fk in range(params.dim):
                     pred = gl2_model.coupling_prediction(params, h) if fh == fk else 0.0
                     worst_meas = max(worst_meas, abs(g[fh, fk] - pred) / np.abs(g).max())
-            reps = gl2_model.gl2_eigen_reps(params, cache=cache)
+            reps = gl2_model.gl2_eigen_reps(cache)
             worst_rep = max(worst_rep, reps["reconstruction_residual"],
                             reps["detk_rep_residual"])
             min_overlap = min(min_overlap, reps["min_overlap"])

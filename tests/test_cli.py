@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -197,6 +198,24 @@ def test_one_lapack_eig_per_decomposition(monkeypatch):
     assert counts == {"eig": 3, "eig_general": 3}
 
 
+def test_one_transfer_cache_per_chain(monkeypatch):
+    """A full three-site run builds one transfer cache per chain: the chain,
+    its K-hat companion, the other-twist chain of the twist-independence
+    check, and the gl(2) chain."""
+    from sovlab import gl2_model, gl3_model
+
+    built = Counter()
+    for cls in (gl3_model.TransferCache, gl2_model.Gl2TransferCache):
+        def init(self, params, _name=cls.__name__, _init=cls.__init__):
+            built[_name] += 1
+            _init(self, params)
+        monkeypatch.setattr(cls, "__init__", init)
+    report = run(resolve_config(None, {"sites": 3, "seed": 7}), echo=lambda *a, **k: None)
+    assert len(report["results"]) == 12
+    assert not any(res["retries"] for res in report["results"])
+    assert built == {"TransferCache": 3, "Gl2TransferCache": 1}
+
+
 def test_ttcharges_forms_dense_charges_only_for_its_operator_checks(monkeypatch):
     """A three-site ttcharges run evaluates seven dense charges: three for
     the commutation check and N + 1 for the central zeros.  The bases and
@@ -245,7 +264,7 @@ def test_bench_records_size_cap(tmp_path):
     with open(tmp_path / "bench.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["dense_status"] == "ok"
-    assert float(rows[0]["linearity_residual"]) <= 1e-10
+    assert float(rows[0]["linearity_residual"]) <= 1e-12
     assert float(rows[0]["dense_residual"]) <= 1e-12
 
     result = runner.invoke(
@@ -259,14 +278,36 @@ def test_bench_records_size_cap(tmp_path):
     assert rows[0]["dense_residual"] == ""
 
 
+def test_bench_linearity_sees_an_antilinear_term(tmp_path, monkeypatch):
+    """The linearity column compares T(c v) with c T(v) for a non-real c, so
+    an added 1e-3 conj(v), which commutes with real scalings, is seen."""
+    import numpy as np
+
+    from sovlab import cli
+
+    exact = cli.apply_transfer_free
+    monkeypatch.setattr(cli, "apply_transfer_free",
+                        lambda params, m, lam, vec: exact(params, m, lam, vec) + 1e-3 * np.conj(vec))
+    result = CliRunner().invoke(main, ["bench", "--n-min", "4", "--n-max", "4",
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "bench.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert float(rows[0]["linearity_residual"]) >= 1e-6
+
+
 def test_report_command(tmp_path):
-    cfg = resolve_config(None, {"sites": 1, "seed": 2, "tasks": ["yangbaxter"],
-                                "out": str(tmp_path)})
-    run(cfg, echo=lambda *a, **k: None)
+    """`sovlab report` prints exactly the task lines `run` echoed."""
+    cfg = resolve_config(None, {"sites": 2, "seed": 7, "tasks": ["yangbaxter", "gram"],
+                                "tolerances": {"gram": 1e-30}, "out": str(tmp_path)})
+    echoed = []
+    run(cfg, echo=echoed.append)
     runner = CliRunner()
     result = runner.invoke(main, ["report", str(tmp_path / "report.json")])
     assert result.exit_code == 0
-    assert "yangbaxter" in result.output and "pass" in result.output
+    assert result.output.splitlines()[1:] == echoed
+    assert echoed[0].startswith("yangbaxter") and " pass " in echoed[0]
+    assert echoed[1].startswith("gram") and " FAIL " in echoed[1]
 
 
 def test_verify_all_lists_every_suite(tmp_path):

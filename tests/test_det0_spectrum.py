@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from sovlab import det0_spectrum
+from sovlab import det0_spectrum, suites
 from sovlab.det0_spectrum import (
     SeparateState,
     boundary_eigenstate_check,
@@ -30,7 +30,8 @@ from sovlab.errors import (
 from sovlab.gl3_model import InterpolationWeights, ModelParams, TransferCache, TwistData
 from sovlab.numkernel import rayleigh_quotients, rel_residual
 from sovlab.sampling import ParameterSampler
-from sovlab.sov_bases import TernaryIndex, dressed_pair
+from sovlab.sov_bases import TernaryIndex, dressed_pair, label_digits
+from sovlab.suites import DEFAULT_TOLERANCES, Workspace, run_det0
 
 from conftest import make_params
 
@@ -71,14 +72,14 @@ def test_ortho_suite_diagonal_twist():
     eta = s.shift()
     twist = TwistData.from_eigenvalues([1.0, 2.0, 0.0])
     params = ModelParams(2, eta, s.inhomogeneities(2, eta), twist)
-    out = ortho_suite_det0(params, (1.0, 1.0, 1.0))
+    out = ortho_suite_det0(TransferCache(params), (1.0, 1.0, 1.0))
     assert out["offdiag_cosine"] <= 1e-9
     assert out["diag_rel_err"] <= 1e-8
 
 
 def test_ortho_suite_random_n3(det0_chain3):
     params, xyz, cache, _ = det0_chain3
-    out = ortho_suite_det0(params, xyz, cache=cache)
+    out = ortho_suite_det0(cache, xyz)
     assert out["offdiag_cosine"] <= 1e-9
     assert out["diag_rel_err"] <= 1e-8
 
@@ -92,41 +93,40 @@ def test_ortho_suite_case_ii_supplied_jordan():
     kj = np.array([[0.9 + 0.4j, 1, 0], [0, 0.9 + 0.4j, 0], [0, 0, 0.0]])
     twist = TwistData.from_jordan(w, kj)
     params = ModelParams(2, eta, s.inhomogeneities(2, eta), twist)
-    out = ortho_suite_det0(params, s.reference3())
+    out = ortho_suite_det0(TransferCache(params), s.reference3())
     assert out["offdiag_cosine"] <= 1e-9
     assert out["diag_rel_err"] <= 1e-8
 
 
 def test_ortho_suite_rejects_invertible(chain2):
-    params, xyz, _, _ = chain2
+    _, xyz, cache, _ = chain2
     with pytest.raises(ValueError):
-        ortho_suite_det0(params, xyz)
+        ortho_suite_det0(cache, xyz)
 
 
 def test_interpolated_actions(det0_chain2):
-    params, xyz, cache, _ = det0_chain2
+    _, xyz, cache, _ = det0_chain2
     lams = [crand() for _ in range(3)]
     # labels without digit 1 admit a shift-free T_2 action
     h = TernaryIndex((0, 2))
-    assert interpolated_action_check(params, h, 2, "left", xyz, lams, cache) <= 1e-9
+    assert interpolated_action_check(cache, h, 2, "left", xyz, lams) <= 1e-9
     # the all-zeros label only picks up single-site raises under T_2
     h0 = TernaryIndex((0, 0))
-    assert interpolated_action_check(params, h0, 2, "right", xyz, lams, cache) <= 1e-9
+    assert interpolated_action_check(cache, h0, 2, "right", xyz, lams) <= 1e-9
     for digits in ((1, 2), (0, 1), (2, 2)):
         h = TernaryIndex(digits)
         for side in ("left", "right"):
-            assert interpolated_action_check(params, h, 1, side, xyz, lams, cache) <= 1e-8
+            assert interpolated_action_check(cache, h, 1, side, xyz, lams) <= 1e-8
 
 
 def test_boundary_eigenstates(det0_chain2):
-    params, xyz, cache, _ = det0_chain2
+    _, xyz, cache, _ = det0_chain2
     lams = [crand() for _ in range(5)]
-    out = boundary_eigenstate_check(params, xyz, lams, cache)
-    for key in ("zeros_t2", "twos_t2", "zeros_t1"):
-        resid, const, spread = out[key]
+    out = boundary_eigenstate_check(cache, xyz, lams)
+    for key in ("zeros_t2", "twos_t2", "zeros_t1", "right_family_t2"):
+        resid, spread = out[key]
         assert resid <= 1e-9
-        assert spread <= 1e-8  # the extracted constant is lambda independent
-    assert out["right_family_t2"] <= 1e-9
+        assert spread <= 1e-8  # the extracted constants are lambda independent
 
 
 @pytest.mark.parametrize("chain", ["det0_chain2", "det0_chain3"])
@@ -145,21 +145,68 @@ def test_boundary_right_block_matches_column_loop(chain, request, monkeypatch):
             ref = w.d(lam - params.eta) * w.d(lam + params.eta) * col
             j = int(np.argmax(np.abs(ref)))
             loop = max(loop, rel_residual(acted - acted[j] / ref[j] * ref, acted))
-    got = boundary_eigenstate_check(params, xyz, lams, cache)["right_family_t2"]
+    got = boundary_eigenstate_check(cache, xyz, lams)["right_family_t2"][0]
     assert 0 < loop <= 1e-9
     assert abs(got - loop) <= 1e-15
     right = pair.right.copy()
     right[:, TernaryIndex((1,) * params.sites).flat] = pair.right[:, 0]
     broken = dataclasses.replace(pair, right=right)
     monkeypatch.setattr(det0_spectrum, "dressed_pair", lambda *args: broken)
-    assert boundary_eigenstate_check(params, xyz, lams, cache)["right_family_t2"] > 1e-3
+    assert boundary_eigenstate_check(cache, xyz, lams)["right_family_t2"][0] > 1e-3
+
+
+def test_right_constants_must_not_depend_on_lambda(det0_chain2, monkeypatch):
+    """T_2 scaled by (1 + 1e-3 lam) on the right {1,2}^N members other than
+    (2,...,2), which every checked co-vector annihilates, keeps every
+    per-point residual and co-vector spread; only the right spread sees it."""
+    params, xyz, cache, pair = det0_chain2
+    digits = label_digits(params.sites)
+    block = (digits != 0).all(axis=1) & (digits != 2).any(axis=1)
+    cols, rows = pair.right[:, block], pair.left[block]
+    proj = cols @ np.linalg.solve(rows @ cols, rows)
+
+    class Scaled:
+        def __init__(self):
+            self.params = params
+
+        def value(self, m, lam):
+            t = cache.value(m, lam)
+            return t @ (np.eye(params.dim) + 1e-3 * lam * proj) if m == 2 else t
+
+    monkeypatch.setattr(det0_spectrum, "dressed_pair", lambda *args: pair)
+    lams = [crand() for _ in range(5)]
+    exact = boundary_eigenstate_check(cache, xyz, lams)
+    scaled = boundary_eigenstate_check(Scaled(), xyz, lams)
+    assert max(resid for resid, _ in scaled.values()) <= 1e-9
+    for key in ("zeros_t2", "twos_t2", "zeros_t1"):
+        assert scaled[key][1] <= 1e-8
+    assert exact["right_family_t2"][1] <= 1e-8
+    assert scaled["right_family_t2"][1] >= 1e-5
+
+
+def test_det0_suite_gates_the_right_constant_spread(monkeypatch):
+    """The det0 suite reports the right constant spread and fails on it."""
+    tol = DEFAULT_TOLERANCES["det0"]
+    res = run_det0(Workspace("gl3", 3, 7), tol)
+    assert res.passed and 0 < res.details["right_constant_spread"] <= res.max_residual
+    exact = det0_spectrum.boundary_eigenstate_check
+
+    def spread_right(*args):
+        out = exact(*args)
+        out["right_family_t2"] = (out["right_family_t2"][0], 1e-3)
+        return out
+
+    monkeypatch.setattr(suites, "boundary_eigenstate_check", spread_right)
+    res = run_det0(Workspace("gl3", 3, 7), tol)
+    assert not res.passed and res.max_residual == res.details["right_constant_spread"] == 1e-3
 
 
 def test_eigensolve_one_site_closed_form():
     """At one site T_1(lam) = (lam - xi) tr(K) + eta K, so the spectrum is a
     shifted copy of the twist spectrum."""
     params, xyz, _ = make_params(211, 1, invertible=False)
-    states, _, cache = eigensolve_sov(params, xyz)
+    cache = TransferCache(params)
+    states = eigensolve_sov(cache, xyz)
     lam0 = params.xi[0] + 13 / 7 * params.eta
     want = sorted(
         ((lam0 - params.xi[0]) * params.twist.trace_inv + params.eta * k
@@ -178,7 +225,7 @@ def test_rayleigh_quotients_match_per_state_loop(det0_chain3):
     stored eigenvectors, whose pairings u v are far from one; so do the node
     eigenvalues eigensolve_sov stores."""
     params, xyz, cache, pair = det0_chain3
-    states, _, _ = eigensolve_sov(params, xyz, pair=pair, cache=cache)
+    states = eigensolve_sov(cache, xyz)
     rows = np.stack([st.left for st in states])
     cols = np.stack([st.right for st in states], axis=1)
     pairings = np.einsum("ij,ji->i", rows, cols)
@@ -196,14 +243,14 @@ def test_rayleigh_quotients_match_per_state_loop(det0_chain3):
 
 def test_eigensolve_simple_spectrum_and_factorization(det0_chain2):
     params, xyz, cache, pair = det0_chain2
-    states, _, _ = eigensolve_sov(params, xyz, pair=pair, cache=cache)
+    states = eigensolve_sov(cache, xyz)
     assert len(states) == 9
     assert max(st.factorization_residual for st in states) <= 1e-7
 
 
 def test_left_right_eigen_gram_diagonal(det0_chain2):
     params, xyz, cache, pair = det0_chain2
-    states, _, _ = eigensolve_sov(params, xyz, pair=pair, cache=cache)
+    states = eigensolve_sov(cache, xyz)
     us = np.array([st.left for st in states])
     vs = np.array([st.right for st in states]).T
     g = us @ vs
@@ -214,7 +261,7 @@ def test_left_right_eigen_gram_diagonal(det0_chain2):
 def test_right_side_coefficient_pattern(det0_chain2):
     """Left eigen-co-vectors expand with T_2-at-node / T_1-at-node exponents."""
     params, xyz, cache, pair = det0_chain2
-    states, _, _ = eigensolve_sov(params, xyz, pair=pair, cache=cache)
+    states = eigensolve_sov(cache, xyz)
     for st in states[:4]:
         coords = st.left @ pair.right  # row of <t|h>
         scale = np.abs(coords).max()
@@ -231,10 +278,10 @@ def test_right_side_coefficient_pattern(det0_chain2):
 
 def test_zero_pattern_properties(det0_chain2):
     params, xyz, cache, pair = det0_chain2
-    states, _, _ = eigensolve_sov(params, xyz, pair=pair, cache=cache)
+    states = eigensolve_sov(cache, xyz)
     splits = []
     for st in states:
-        perm, msize = zero_pattern(st, params, cache)
+        perm, msize = zero_pattern(cache, st)
         splits.append(msize)
         d = st.pattern_diagnostics
         assert d["zero_residual"] <= 1e-9
@@ -250,10 +297,11 @@ def test_zero_pattern_all_a_sites_non_diagonal_twist():
     zero residual must stay small and not read noise over noise."""
     params, xyz, _ = make_params(22, 2, invertible=False, wild_w=True)
     assert np.abs(params.twist.w - np.diag(np.diag(params.twist.w))).max() > 0.1
-    states, _, cache = eigensolve_sov(params, xyz)
+    cache = TransferCache(params)
+    states = eigensolve_sov(cache, xyz)
     full = []
     for st in states:
-        _, msize = zero_pattern(st, params, cache)
+        _, msize = zero_pattern(cache, st)
         if msize == params.sites:
             full.append(st.pattern_diagnostics["zero_residual"])
     assert full and max(full) <= 1e-9
@@ -261,20 +309,21 @@ def test_zero_pattern_all_a_sites_non_diagonal_twist():
 
 def test_zero_pattern_ambiguous():
     params, xyz, _ = make_params(221, 2, invertible=False)
-    states, _, cache = eigensolve_sov(params, xyz)
+    cache = TransferCache(params)
+    states = eigensolve_sov(cache, xyz)
     st = states[0]
     st.t1_xi = st.t1_xi.copy()
     st.t1_xi[0] = 1e-6 * np.abs(st.t1_shift).max()  # inside the decision band
     with pytest.raises(AmbiguousPattern):
-        zero_pattern(st, params, cache)
+        zero_pattern(cache, st)
 
 
-def _closed_form_residual(state, params, cache, n_extra=4):
+def _closed_form_residual(state, params, cache):
     """Reference for the closed-form t_2 check: one single-state Rayleigh
-    quotient and one sequential root product per extra point."""
+    quotient and one sequential root product at each of the four extra points."""
     w = InterpolationWeights(params)
     worst = 0.0
-    for k in range(n_extra):
+    for k in range(4):
         lam = params.xi[0] + (3 + k) * params.eta * (1 + 0.2j)
         pred = params.twist.second_inv * w.d(lam - params.eta)
         for a in state.a_sites:
@@ -291,19 +340,19 @@ def test_zero_patterns_match_one_state_calls(det0_chain3):
     exclusion, equal pointwise diagnostics, and a closed-form residual
     within rounding of the per-state reference."""
     params, xyz, cache, pair = det0_chain3
-    batch, _, _ = eigensolve_sov(params, xyz, pair=pair, cache=cache)
-    single, _, _ = eigensolve_sov(params, xyz, pair=pair, cache=cache)
+    batch = eigensolve_sov(cache, xyz)
+    single = eigensolve_sov(cache, xyz)
     for states in (batch, single):
         states[2].t1_xi = states[2].t1_xi.copy()
         states[2].t1_xi[0] = 1e-6 * np.abs(states[2].t1_shift).max()  # ambiguous
-    kept, excluded = zero_patterns(batch, params, cache)
+    kept, excluded = zero_patterns(cache, batch)
     assert [st.index for st, _ in excluded] == [2] and batch[2].perm is None
     assert [st.index for st in kept] == [st.index for st in batch if st.index != 2]
     with pytest.raises(AmbiguousPattern, match=re.escape(str(excluded[0][1]))):
-        zero_pattern(single[2], params, cache)
+        zero_pattern(cache, single[2])
     for mine in kept:
         ref = single[mine.index]
-        assert zero_pattern(ref, params, cache) == (mine.perm, mine.msize)
+        assert zero_pattern(cache, ref) == (mine.perm, mine.msize)
         got, want = dict(mine.pattern_diagnostics), dict(ref.pattern_diagnostics)
         closed = got.pop("t2_closed_form_residual")
         want.pop("t2_closed_form_residual")
@@ -335,7 +384,7 @@ def test_label_products_match_per_label_loops(det0_chain3):
 
 def test_scalar_product_requires_pattern(det0_chain2):
     params, xyz, cache, pair = det0_chain2
-    states, _, _ = eigensolve_sov(params, xyz, pair=pair, cache=cache)
+    states = eigensolve_sov(cache, xyz)
     alpha = SeparateState.random(np.random.default_rng(1), params.sites)
     with pytest.raises(PatternMissing):
         scalar_product_determinant(alpha, states[0], params)
@@ -343,10 +392,10 @@ def test_scalar_product_requires_pattern(det0_chain2):
 
 def test_scalar_products_against_direct(det0_chain2):
     params, xyz, cache, pair = det0_chain2
-    states, _, _ = eigensolve_sov(params, xyz, pair=pair, cache=cache)
+    states = eigensolve_sov(cache, xyz)
     gen = np.random.default_rng(7)
     for st in states:
-        zero_pattern(st, params, cache)
+        zero_pattern(cache, st)
     for _ in range(20):
         st = states[int(gen.integers(0, len(states)))]
         alpha = SeparateState.random(gen, params.sites)
@@ -357,9 +406,9 @@ def test_scalar_products_against_direct(det0_chain2):
 
 def test_scalar_product_vanishing_site_column(det0_chain2):
     params, xyz, cache, pair = det0_chain2
-    states, _, _ = eigensolve_sov(params, xyz, pair=pair, cache=cache)
+    states = eigensolve_sov(cache, xyz)
     st = states[1]
-    zero_pattern(st, params, cache)
+    zero_pattern(cache, st)
     coeffs = np.ones((params.sites, 3), dtype=complex)
     coeffs[0] = 0.0
     alpha = SeparateState(coeffs)
@@ -368,30 +417,31 @@ def test_scalar_product_vanishing_site_column(det0_chain2):
 
 def test_scalar_product_on_own_coefficients_is_norm(det0_chain2):
     params, xyz, cache, pair = det0_chain2
-    states, _, _ = eigensolve_sov(params, xyz, pair=pair, cache=cache)
+    states = eigensolve_sov(cache, xyz)
     for st in states[:4]:
-        zero_pattern(st, params, cache)
-        alpha = SeparateState.from_eigenstate(st, side="covector")
+        zero_pattern(cache, st)
+        alpha = SeparateState.from_eigenstate(st)
         val = scalar_product_determinant(alpha, st, params)
-        want = norm_determinant(st, params, cache)
+        want = norm_determinant(st, params)
         assert abs(val - want) <= 1e-9 * abs(want)
 
 
 def test_norms_one_site():
     params, xyz, _ = make_params(225, 1, invertible=False)
-    states, _, cache = eigensolve_sov(params, xyz)
+    cache = TransferCache(params)
+    states = eigensolve_sov(cache, xyz)
     for st in states:
-        zero_pattern(st, params, cache)
-        nd = norm_determinant(st, params, cache)
+        zero_pattern(cache, st)
+        nd = norm_determinant(st, params)
         assert abs(nd - norm_direct(st)) <= 1e-10 * abs(nd)
 
 
 def test_norms_all_states_two_sites(det0_chain2):
     params, xyz, cache, pair = det0_chain2
-    states, _, _ = eigensolve_sov(params, xyz, pair=pair, cache=cache)
+    states = eigensolve_sov(cache, xyz)
     for st in states:
-        zero_pattern(st, params, cache)
-        nd = norm_determinant(st, params, cache)
+        zero_pattern(cache, st)
+        nd = norm_determinant(st, params)
         direct = norm_direct(st)
         assert abs(nd - direct) <= 1e-7 * abs(direct)
         assert abs(nd) > 1e-10  # simplicity forbids degenerate pairings

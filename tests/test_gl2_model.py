@@ -71,7 +71,7 @@ def test_transfer_commutation(gl2_chain3):
 def test_fusion_scalar_centrality(gl2_chain3):
     params, cache = gl2_chain3
     for a in range(params.sites):
-        scalar, resid, closed = qdet_scalar(params, a, cache)
+        scalar, resid, closed = qdet_scalar(cache, a)
         assert resid <= 1e-10
         assert abs(scalar - closed) <= 1e-10 * abs(closed)
 
@@ -99,7 +99,7 @@ def test_params_validation():
 
 def test_orthogonal_measure(gl2_chain3):
     params, cache = gl2_chain3
-    left, right, _ = gl2_bases(params, cache)
+    left, right, _ = gl2_bases(cache)
     g = left @ right
     for fh, h in enumerate(label_digits(params.sites, 2)):
         for fk in range(params.dim):
@@ -136,7 +136,7 @@ def _row_by_row_bases(params, cache):
 def test_gl2_bases_match_row_by_row_loop(sites):
     params, _ = make_gl2(409, sites)
     cache = Gl2TransferCache(params)
-    left, right, _ = gl2_bases(params, cache)
+    left, right, _ = gl2_bases(cache)
     want_left, want_right = _row_by_row_bases(params, cache)
     row_err = np.abs(left - want_left).max(axis=1) / np.abs(want_left).max(axis=1)
     col_err = np.abs(right - want_right).max(axis=0) / np.abs(want_right).max(axis=0)
@@ -164,10 +164,10 @@ def test_detk_zero_twist():
     cache = Gl2TransferCache(params)
     assert np.linalg.det(params.k_matrix) == 0
     with pytest.raises(DetKZero):
-        gl2_eigen_reps(params, cache=cache)
-    _, cells, diagonal = coupling_residuals(params, cache)
+        gl2_eigen_reps(cache)
+    _, cells, diagonal = coupling_residuals(cache)
     assert cells <= 1e-12 and diagonal <= 1e-12
-    assert identity_decomposition_residual(params, cache) <= 1e-12
+    assert identity_decomposition_residual(cache) <= 1e-12
 
 
 def test_detk_zero_twist_run_reports_error(tmp_path):
@@ -185,14 +185,14 @@ def test_detk_zero_twist_run_reports_error(tmp_path):
 
 def test_identity_decomposition(gl2_chain3):
     params, cache = gl2_chain3
-    assert identity_decomposition_residual(params, cache) <= 1e-8
+    assert identity_decomposition_residual(cache) <= 1e-8
 
 
 def test_reference_normalizations(gl2_chain3):
     """The all-ones and all-zeros tensor vectors reproduce the stated dual
     couplings against the left family."""
     params, cache = gl2_chain3
-    left, right, zeros_col = gl2_bases(params, cache)
+    left, right, zeros_col = gl2_bases(cache)
     _, ones_col, _ = reference_states(params)
     v0 = coupling_prediction(params, (0,) * params.sites)  # 1 / V(xi)^2
     for flat, h in enumerate(label_digits(params.sites, 2)):
@@ -208,14 +208,14 @@ def test_reference_normalizations(gl2_chain3):
 
 def test_eigen_representations_one_site():
     params, _ = make_gl2(407, 1)
-    out = gl2_eigen_reps(params)
+    out = gl2_eigen_reps(Gl2TransferCache(params))
     assert out["reconstruction_residual"] <= 1e-12
     assert out["min_overlap"] > 1e-9
 
 
 def test_eigen_representations_three_sites(gl2_chain3):
     params, cache = gl2_chain3
-    out = gl2_eigen_reps(params, cache=cache)
+    out = gl2_eigen_reps(cache)
     assert out["reconstruction_residual"] <= 1e-7
     assert out["detk_rep_residual"] <= 1e-7
     assert out["min_overlap"] > 1e-9

@@ -105,8 +105,8 @@ def test_basis_builders_equal_row_by_row_loop(chain3, variant):
     rng = np.random.default_rng(5)
     ref_row = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
     ref_col = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
-    left = build_left_basis(params, ref_row, variant, cache)
-    right = build_right_basis(params, ref_col, variant, cache)
+    left = build_left_basis(cache, ref_row, variant)
+    right = build_right_basis(cache, ref_col, variant)
     assert np.array_equal(left, _reference_basis(params, ref_row, cache, variant, "left"))
     assert np.array_equal(right, _reference_basis(params, ref_col, cache, variant, "right"))
     assert left.flags.c_contiguous and right.flags.c_contiguous
@@ -194,7 +194,7 @@ def test_reference_vector_duality(det0_chain2, chain2):
 def test_reference_vector_solve_matches_closed():
     params, xyz, _ = make_params(51, 1)
     cache = TransferCache(params)
-    pair = dressed_pair(params, xyz, cache)
+    pair = dressed_pair(cache, xyz)
     solved = reference_vector_solve(pair.left)
     assert np.abs(solved - pair.ref_vector).max() <= 1e-12 * np.abs(pair.ref_vector).max()
 
@@ -222,14 +222,14 @@ def test_rank_ratios_computed_once_on_a_dressed_pair(chain2, monkeypatch):
     exact = sov_bases.rank_ratio
     monkeypatch.setattr(sov_bases, "rank_ratio", lambda m: calls.append(1) or exact(m))
     cache = TransferCache(params)
-    pair = dressed_pair(params, xyz, cache)
+    pair = dressed_pair(cache, xyz)
     rl, rr = pair.rank_ratios()
     assert pair.rank_ratios() == (rl, rr) and pair.require_full_rank() == (rl, rr)
     solved = reference_vector_solve(pair.left, rank_left=rl)
     assert len(calls) == 2
     assert np.array_equal(solved, reference_vector_solve(pair.left))
     assert len(calls) == 3 and rl == exact(pair.left / np.linalg.norm(pair.left, axis=1)[:, None])
-    powers = power_pair(params, xyz, ParameterSampler(99).reference3(), cache)
+    powers = power_pair(cache, xyz, ParameterSampler(99).reference3())
     powers.rank_ratios()
     powers.rank_ratios()
     assert len(calls) == 7
@@ -256,7 +256,8 @@ def test_closed_vs_solve_catches_wrong_reference(seed):
     """``bases.closed_vs_solve`` passes the closed |0> on four sites and fails
     a slightly rescaled one and one built in the Jordan frame (W dropped)."""
     ws = Workspace("gl3", 4, seed)
-    params, xyz, cache, pair = ws.gl3()
+    cache, xyz, pair = ws.gl3()
+    params = cache.params
     tol = DEFAULT_TOLERANCES["bases"]
     assert run_bases(ws, tol).details["closed_vs_solve"] <= tol
 
@@ -265,7 +266,7 @@ def test_closed_vs_solve_catches_wrong_reference(seed):
     for axis in range(params.sites):
         no_w = np.moveaxis(np.tensordot(w_inv, no_w, axes=(1, axis)), 0, axis)
     for wrong in (pair.ref_vector * (1 + 1e-7), no_w.reshape(-1)):
-        ws._cache["gl3"] = (params, xyz, cache, dataclasses.replace(pair, ref_vector=wrong))
+        ws._cache["gl3"] = (cache, xyz, dataclasses.replace(pair, ref_vector=wrong))
         assert run_bases(ws, tol).details["closed_vs_solve"] > tol
 
 
@@ -273,13 +274,13 @@ def test_dressed_pair_is_memoized_on_its_cache(chain2):
     """One read-only pair per transfer cache and reference components."""
     params, xyz, _, _ = chain2
     cache = TransferCache(params)
-    pair = dressed_pair(params, xyz, cache)
-    assert dressed_pair(params, list(xyz), cache) is pair
+    pair = dressed_pair(cache, xyz)
+    assert dressed_pair(cache, list(xyz)) is pair
     x, y, z = xyz
-    other = dressed_pair(params, (x, 2 * y, z), cache)
+    other = dressed_pair(cache, (x, 2 * y, z))
     assert other is not pair
     assert not np.allclose(other.left, pair.left)
-    fresh = dressed_pair(params, xyz, TransferCache(params))
+    fresh = dressed_pair(TransferCache(params), xyz)
     assert fresh is not pair
     for name in ("left", "right", "ref_covector", "ref_vector"):
         mine, theirs = getattr(pair, name), getattr(fresh, name)
@@ -291,7 +292,7 @@ def test_dressed_pair_is_memoized_on_its_cache(chain2):
 def test_power_variant_reference_row(chain2):
     params, xyz, cache, _ = chain2
     s = ParameterSampler(99)
-    pair = power_pair(params, xyz, s.reference3(), cache)
+    pair = power_pair(cache, xyz, s.reference3())
     np.testing.assert_allclose(pair.left[0], pair.ref_covector)
     np.testing.assert_allclose(pair.right[:, 0], pair.ref_vector)
 
@@ -318,7 +319,7 @@ def test_full_rank_all_twist_cases(case):
         kj = np.array([[0.7 - 0.4j, 1, 0], [0, 0.7 - 0.4j, 1], [0, 0, 0.7 - 0.4j]])
         twist = TwistData.from_jordan(w, kj)
     params = ModelParams(2, eta, s.inhomogeneities(2, eta), twist)
-    pair = dressed_pair(params, s.reference3())
+    pair = dressed_pair(TransferCache(params), s.reference3())
     rl, rr = pair.rank_ratios()
     assert min(rl, rr) > 1e-9
 

@@ -146,7 +146,7 @@ def test_dual_sparsity_matches_per_label_loop(chain3):
             if classify_pair(t, h).kind == "zero":
                 worst = max(worst, abs(coeffs[t.flat]) / np.abs(coeffs).max())
     assert worst > 0
-    assert _dual_sparsity_residual(params, report, dual) == pytest.approx(worst, rel=1e-15)
+    assert _dual_sparsity_residual(report, dual) == pytest.approx(worst, rel=1e-15)
 
 
 def test_gram_normalization(chain2):
@@ -160,7 +160,7 @@ def test_gram_one_site_diagonal():
     d(xi - eta)/d(xi - 2 eta) equals 1/2 at a single site, confirmed both by
     the formula and by the dense pairing."""
     params, xyz, _ = make_params(71, 1)
-    pair = dressed_pair(params, xyz)
+    pair = dressed_pair(TransferCache(params), xyz)
     report = gram(pair.left, pair.right, params)
     eta = params.eta
     ratio = (-eta) / (-2 * eta)
@@ -200,7 +200,7 @@ def test_sparsity_sound_and_complete():
     pair-move cell is genuinely nonzero (hysteresis gap 1e3)."""
     for seed in range(80, 85):
         params, xyz, _ = make_params(seed, 2)
-        pair = dressed_pair(params, xyz)
+        pair = dressed_pair(TransferCache(params), xyz)
         report = gram(pair.left, pair.right, params)
         assert not report.violations
         assert report.max_zero_cosine <= 1e-9
@@ -215,7 +215,7 @@ def test_extract_coefficient_and_detk_zero(chain2):
     with pytest.raises(ValueError):
         extract_coefficient(report, TernaryIndex((0, 0)), TernaryIndex((0, 0)))
     kp, xyzd, _ = make_params(21, 2, invertible=False)
-    dpair = dressed_pair(kp, xyzd)
+    dpair = dressed_pair(TransferCache(kp), xyzd)
     dreport = gram(dpair.left, dpair.right, kp)
     with pytest.raises(DetKZero):
         extract_coefficient(dreport, h, k)
@@ -232,7 +232,7 @@ def test_detk_to_zero_limit():
         eigs = list(params.twist.eigenvalues)
         eigs[0] = scale * eigs[0] / abs(eigs[0])
         p = params.with_twist(TwistData.from_eigenvalues(eigs, w=params.twist.w))
-        pair = dressed_pair(p, xyz)
+        pair = dressed_pair(TransferCache(p), xyz)
         report = gram(pair.left, pair.right, p, rtol=1e-15)
         mags.append(abs(report.entry(h, k)))
         coefs.append(extract_coefficient(report, h, k))
@@ -256,7 +256,7 @@ def test_coeff_r0_closed_form_explicit():
 @pytest.mark.parametrize("sites,rest", [(2, ()), (3, (0,)), (3, (1,)), (3, (2,))])
 def test_coeff_r0_matches_gram(sites, rest):
     params, xyz, _ = make_params(97 + sites, sites)
-    pair = dressed_pair(params, xyz)
+    pair = dressed_pair(TransferCache(params), xyz)
     report = gram(pair.left, pair.right, params)
     h = TernaryIndex((0, 2) + rest)
     k = TernaryIndex((1, 1) + rest)
@@ -277,7 +277,7 @@ def test_coefficient_detk_independence():
         roots = np.roots([1.0, -a, b, -c])
         tw = TwistData.from_eigenvalues(roots, w=params.twist.w)
         p = params.with_twist(tw)
-        pair = dressed_pair(p, xyz)
+        pair = dressed_pair(TransferCache(p), xyz)
         report = gram(pair.left, pair.right, p)
         values.append(extract_coefficient(report, h, k))
     assert abs(values[0] - values[1]) <= 1e-6 * abs(values[0])
@@ -367,7 +367,7 @@ def test_b_recursion_single_pair(chain2):
 @pytest.mark.slow
 def test_b_recursion_two_pairs_n4():
     params, xyz, _ = make_params(111, 4)
-    pair = dressed_pair(params, xyz)
+    pair = dressed_pair(TransferCache(params), xyz)
     report = gram(pair.left, pair.right, params)
     dual = dual_bases(pair, report)
     h = TernaryIndex((1, 1, 1, 1))
@@ -416,7 +416,7 @@ def test_b_coefficients_match_per_label_recursion(sites, seed):
     b_recursion agree with the per-label recursion, and B is the identity
     plus the pair-move cells."""
     params, xyz, _ = make_params(seed, sites)
-    pair = dressed_pair(params, xyz)
+    pair = dressed_pair(TransferCache(params), xyz)
     report = gram(pair.left, pair.right, params)
     b = b_coefficients(report)
     support = pair_support(sites)
@@ -443,9 +443,9 @@ def test_b_recursion_residual_detects_wrong_coefficients(chain3, monkeypatch):
     params, _, _, pair = chain3
     report = gram(pair.left, pair.right, params)
     dual = dual_bases(pair, report)
-    assert _b_recursion_residual(params, report, dual) <= 1e-9
+    assert _b_recursion_residual(report, dual) <= 1e-9
     monkeypatch.setattr(suites, "b_coefficients", lambda report: np.eye(params.dim))
-    assert _b_recursion_residual(params, report, dual) > 1e-3
+    assert _b_recursion_residual(report, dual) > 1e-3
 
 
 def test_b_coefficients_detk_zero(det0_chain2):
@@ -457,14 +457,14 @@ def test_b_coefficients_detk_zero(det0_chain2):
 @pytest.mark.parametrize("sites,rest", [(2, ()), (3, (0,)), (3, (2,))])
 def test_appc_recursion_seed(sites, rest):
     params, xyz, _ = make_params(120 + sites, sites)
-    out = appc_recursion_check(params, 0, xyz, h_rest=rest)
+    out = appc_recursion_check(TransferCache(params), 0, xyz, h_rest=rest)
     assert out["seed"] <= 1e-9
 
 
 @pytest.mark.slow
 def test_appc_recursion_two_pair_n4():
     params, xyz, _ = make_params(131, 4)
-    out = appc_recursion_check(params, 1, xyz)
+    out = appc_recursion_check(TransferCache(params), 1, xyz)
     assert out["two_pair"] <= 1e-8
 
 
@@ -492,7 +492,7 @@ def test_diag_twist_independence(chain2):
     other = params.with_twist(
         TwistData.from_eigenvalues(s.distinct_eigenvalues(), w=s.invertible3())
     )
-    pair2 = dressed_pair(other, xyz)
+    pair2 = dressed_pair(TransferCache(other), xyz)
     diag2 = np.diagonal(pair2.left @ pair2.right)
     assert np.max(np.abs(diag2 - report.diag) / np.abs(report.diag)) <= 1e-9
 

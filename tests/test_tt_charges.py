@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sovlab import tt_charges
 from sovlab.det0_spectrum import (
     SeparateState,
     eigensolve_sov,
@@ -33,20 +32,28 @@ from sovlab.tt_charges import (
 from conftest import make_params
 
 
+def charge_family(cache):
+    """:func:`build_tt` of a chain with its K-hat companion's cache and
+    eigenstates."""
+    params = cache.params
+    khat_cache = TransferCache(params.with_twist(make_khat(params.twist)))
+    return build_tt(cache, khat_cache, eigensolve_sov(khat_cache, (1.0, 1.0, 1.0)))
+
+
 @pytest.fixture(scope="module")
 def family2(chain2):
     params, xyz, cache, _ = chain2
-    return params, xyz, cache, build_tt(params)
+    return params, xyz, cache, charge_family(cache)
 
 
 def test_build_tt_reuses_given_caches(chain2):
-    """Passing the chain's transfer caches gives the same family, and the
-    charges evaluate through the given K-hat cache."""
+    """Fresh caches of the same chains give the same family, and the charges
+    evaluate through the given K-hat cache."""
     params, _, _, _ = chain2
-    fresh = build_tt(params)
+    fresh = charge_family(TransferCache(params))
     cache = TransferCache(params)
     khat_cache = TransferCache(fresh.khat_params)
-    shared = build_tt(params, fresh.khat_params, cache=cache, khat_cache=khat_cache)
+    shared = build_tt(cache, khat_cache, fresh.khat_states)
     assert np.array_equal(shared.right, fresh.right) and np.array_equal(shared.left, fresh.left)
     lam = params.xi[0] + 0.3
     assert np.array_equal(shared.charge(2, lam), fresh.charge(2, lam))
@@ -54,20 +61,14 @@ def test_build_tt_reuses_given_caches(chain2):
     assert any(key[0] == 1 for key in cache._store)
 
 
-def test_build_tt_reuses_given_khat_states(chain2, monkeypatch):
+def test_build_tt_reuses_given_khat_states(chain2):
     """Companion eigenstates normalized against another reference give the
-    same charges, at the nodes and off them, without a second eigensolve."""
-    params, xyz, _, _ = chain2
-    own = build_tt(params)
-    kp = own.khat_params
-    khat_cache = TransferCache(kp)
-    states, _, _ = eigensolve_sov(kp, xyz, cache=khat_cache)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("build_tt diagonalized the companion again")
-
-    monkeypatch.setattr(tt_charges, "eigensolve_sov", refuse)
-    given = build_tt(params, kp, khat_cache=khat_cache, khat_states=states)
+    same charges, at the nodes and off them."""
+    params, xyz, cache, _ = chain2
+    own = charge_family(cache)
+    khat_cache = TransferCache(own.khat_params)
+    states = eigensolve_sov(khat_cache, xyz)
+    given = build_tt(cache, khat_cache, states)
     assert given.khat_states == states
     lam = complex(*np.random.default_rng(17).uniform(-1, 1, 2))
     points = [lam] + [x - s for x in params.xi for s in (0, params.eta)]
@@ -75,15 +76,15 @@ def test_build_tt_reuses_given_khat_states(chain2, monkeypatch):
         for x in points:
             want = own.charge(j, x)
             assert rel_residual(given.charge(j, x) - want, want) <= 1e-12
-    with pytest.raises(ValueError):
-        build_tt(params, kp, khat_cache=khat_cache, khat_states=states[:-1])
+    with pytest.raises(ValueError, match="companion eigenstates"):
+        build_tt(cache, khat_cache, states[:-1])
 
 
 def test_one_site_closed_form():
     """With one site the charges share the twist eigenvectors and carry the
     companion twist's shifted eigenvalues (lam - xi) tr(K-hat) + eta k-hat."""
     params, xyz, _ = make_params(301, 1)
-    family = build_tt(params)
+    family = charge_family(TransferCache(params))
     lam = 0.4 - 0.9j
     c1 = family.charge(1, lam)
     khat = family.khat_params.twist
@@ -131,6 +132,7 @@ class DenseCharges:
 
     def __init__(self, family):
         self.family = family
+        self.params = family.params
 
     def t1(self, lam):
         return self.family.charge(1, lam)
@@ -141,8 +143,8 @@ class DenseCharges:
 
 @pytest.fixture(scope="module", params=["chain2", "chain3"])
 def oracle_family(request):
-    params, xyz, _, _ = request.getfixturevalue(request.param)
-    return params, xyz, build_tt(params)
+    params, xyz, cache, _ = request.getfixturevalue(request.param)
+    return params, xyz, charge_family(cache)
 
 
 def test_charge_bases_match_dense_charge_products(oracle_family):
@@ -153,8 +155,8 @@ def test_charge_bases_match_dense_charge_products(oracle_family):
     pair = tt_sov_bases(family, xyz)
     dense = DenseCharges(family)
     ref_row = reference_covector(xyz, params.twist, params)
-    left = build_left_basis(params, ref_row, "dressed", dense)
-    right = build_right_basis(params, pair.ref_vector, "dressed", dense)
+    left = build_left_basis(dense, ref_row, "dressed")
+    right = build_right_basis(dense, pair.ref_vector, "dressed")
     left_err = np.linalg.norm(pair.left - left, axis=1) / np.linalg.norm(left, axis=1)
     right_err = np.linalg.norm(pair.right - right, axis=0) / np.linalg.norm(right, axis=0)
     assert left_err.max() <= 1e-11
@@ -202,7 +204,7 @@ def test_charge_bases_orthogonal_with_vandermonde_diagonal():
     eta = s.shift()
     twist = TwistData.from_eigenvalues([1.0, 2.0, 3.0])
     params = ModelParams(2, eta, s.inhomogeneities(2, eta), twist)
-    family = build_tt(params)
+    family = charge_family(TransferCache(params))
     pair = tt_sov_bases(family, s.reference3())
     report = gram(pair.left, pair.right, family.khat_params)
     assert report.max_offdiag_cosine <= 1e-9
@@ -228,7 +230,7 @@ def test_diagonal_independent_of_zeroed_eigenvalue(family2):
     other = params.with_twist(TwistData.from_eigenvalues(eigs, w=params.twist.w))
     assert np.abs(np.array(make_khat(other.twist).eigenvalues)
                   - np.array(family.khat_params.twist.eigenvalues)).max() <= 1e-12
-    family2_ = build_tt(other)
+    family2_ = charge_family(TransferCache(other))
     pair2 = tt_sov_bases(family2_, xyz)
     g2 = np.diagonal(pair2.left @ pair2.right)
     assert np.abs(g1 - g2).max() <= 1e-8 * np.abs(g1).max()
@@ -239,6 +241,7 @@ def test_determinant_formulas_in_charge_bases(family2):
     the same determinant form, driven by the companion-model eigenvalues."""
     params, xyz, cache, family = family2
     kp = family.khat_params
+    khat_cache = TransferCache(kp)
     pair = tt_sov_bases(family, xyz)
     n = params.sites
     one_flat = TernaryIndex((1,) * n).flat
@@ -247,7 +250,7 @@ def test_determinant_formulas_in_charge_bases(family2):
     checked = 0
     for a in range(params.dim):
         st = family.khat_states[a]
-        zero_pattern(st, kp)
+        zero_pattern(khat_cache, st)
         col = family.right[:, a]
         col = col / (pair.left[one_flat] @ col)
         row = family.left[a]
@@ -271,9 +274,10 @@ def test_determinant_formulas_in_charge_bases(family2):
 
 
 def test_build_tt_rejects_mismatched_chain(chain2):
-    params, _, _, _ = chain2
+    params, _, cache, _ = chain2
     other = ModelParams(
         params.sites, params.eta, tuple(x + 0.25 for x in params.xi), params.twist
     )
-    with pytest.raises(ValueError):
-        build_tt(params, khat_params=other.with_twist(make_khat(params.twist)))
+    khat_cache = TransferCache(other.with_twist(make_khat(params.twist)))
+    with pytest.raises(ValueError, match="matching"):
+        build_tt(cache, khat_cache, eigensolve_sov(khat_cache, (1.0, 1.0, 1.0)))
