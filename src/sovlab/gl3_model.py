@@ -12,21 +12,23 @@ The fused transfer matrices are evaluated by contracting the auxiliary-space
 product site by site, never by forming the ``d^m * d^N`` dimensional product
 space densely.  The contraction runs on the antisymmetric fused space
 Lambda^m C^d, so its bond is binom(d, m): 3, 3 and 1 for gl(3) at m = 1, 2, 3
-and 2 for gl(2).  Both paths read their site operators from one coefficient
-table in z = lam - xi_a:
+and 2 for gl(2).  Both kernels read the site operators S_1 ... S_N at lam one
+way (:func:`_sites`): one ``vander`` of the N values of z = lam - xi_a and one
+GEMV per site on read-only coefficient tables, laid out the way the GEMMs
+read them.  The twist on Lambda^m C^d is memoized per twist
+(:func:`_boundary`).
 
 * dense T_m (:func:`transfer`, and ``gl2_model.gl2_transfer``) is the
-  matrix-product-operator product :func:`fused_dense`, one GEMM per site,
-  each site evaluated by :func:`fused_site`;
+  matrix-product-operator product :func:`fused_dense`: one GEMM per site from
+  S_1 up to S_(N-1), one for the boundary and one that closes the trace on S_N;
 * the matrix-free action on a few columns (:func:`fused_apply`,
   :func:`apply_transfer_free`) is :func:`fused_contract`, for chains too
-  large to hold T_m densely.  It evaluates all N sites at once, lets S_1
-  read the columns directly, contracts the middle sites in two-site blocks
-  and folds S_N with the boundary to close the trace.
+  large to hold T_m densely.  S_1 reads the columns directly, the middle
+  sites go in two-site blocks and S_N folded with the boundary closes the
+  trace.
 
-The matrix-free kernel's blocking and batched site evaluation do not reach
-the dense path, so dense T_m, which every report residual reads, keeps its
-bits.
+The matrix-free kernel's blocking does not reach the dense path, so dense
+T_m, which every report residual reads, keeps its bits.
 
 The dense checks (Yang-Baxter, RTT, the product formula and its exchange
 relation) apply every R-matrix and twist factor with :func:`on_legs`, the
@@ -305,16 +307,21 @@ def _wedge_columns(d, m):
 
 
 @lru_cache(maxsize=None)
-def _site_coefficients(d, m, eta):
-    """Coefficients of the compressed order-m site operator of the gl(d) chain,
-    shape (m + 1, bond, d, bond, d): S_a(lam)[u, i, v, j] = sum_p z^p C[p, u, i,
-    v, j] with z = lam - xi_a, auxiliary u, v on Lambda^m C^d, quantum i, j.
+def _site_tables(d, m, eta):
+    """Coefficient tables of the compressed order-m site operator of the gl(d)
+    chain: S_a(lam) = sum_p z^p C[p] with z = lam - xi_a, auxiliary legs u, w
+    on Lambda^m C^d and quantum legs i, j.
 
     S_a is the fused product R_{1,a}(z) R_{2,a}(z - eta) ... R_{m,a}(z - (m-1)*eta)
     of auxiliary copies 1..m with site a.  Fusion keeps the range of the
     antisymmetrizer invariant, so S_a is compressed onto it.  Every factor is
     z*I + (eta*P - k*eta*I), so the product is a degree-m polynomial in z whose
     coefficients depend on (d, m, eta) only.
+
+    Both read-only tables have one row per power p, with C[p] flattened the
+    way the GEMMs read it: ``chain`` as [u, i, j, w], the (u, i, j) x w matrix
+    of a site GEMM, and ``close`` as [(i, j), (u, w)], the d^2 x bond^2 matrix
+    that closes the trace.
     """
     extend = _wedge_columns(d, m)
     restrict = math.factorial(m) * extend.T
@@ -327,22 +334,41 @@ def _site_coefficients(d, m, eta):
     site_restrict = np.kron(restrict, np.eye(d))
     site_extend = np.kron(extend, np.eye(d))
     bond = extend.shape[1]
-    out = np.array([site_restrict @ c @ site_extend for c in poly])
-    out = out.reshape(m + 1, bond, d, bond, d)
-    out.flags.writeable = False
-    return out
+    coeffs = np.array([site_restrict @ c @ site_extend for c in poly])
+    coeffs = coeffs.reshape(m + 1, bond, d, bond, d)  # [p, u, i, w, j]
+    tables = []
+    for axes in ((0, 1, 2, 4, 3), (0, 2, 4, 1, 3)):
+        table = np.ascontiguousarray(coeffs.transpose(axes)).reshape(m + 1, -1)
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
 
 
-def fused_site(d, m, eta, z):
-    """Compressed site operator S_a at z = lam - xi_a, indexed [u, i, v, j]."""
-    coeffs = _site_coefficients(d, m, complex(eta))
-    return np.tensordot(np.vander([z], m + 1, increasing=True)[0], coeffs, axes=1)
+def _sites(d, m, eta, xi, lam):
+    """The compressed site operators at lam, from one ``vander`` of the N
+    values of z = lam - xi_a and one GEMV per site: S_1 ... S_(N-1) as the
+    rows of an (N - 1, bond^2 d^2) array in the ``chain`` layout, and S_N in
+    the ``close`` layout (see :func:`_site_tables`)."""
+    chain, close = _site_tables(d, m, complex(eta))
+    vz = np.vander(lam - np.asarray(xi, dtype=complex), m + 1, increasing=True)
+    return np.matmul(vz[:-1, None, :], chain)[:, 0], vz[-1] @ close
 
 
 def _boundary(k_matrix, m):
-    """restrict K^{(x)m} extend: the twist on Lambda^m C^d."""
-    extend = _wedge_columns(k_matrix.shape[0], m)
-    return math.factorial(m) * extend.T @ reduce(np.kron, [k_matrix] * m) @ extend
+    """restrict K^{(x)m} extend: the twist on Lambda^m C^d, read-only.
+
+    Memoized by the twist's entries, so two twists never share a value."""
+    k = np.ascontiguousarray(k_matrix, dtype=complex)
+    return _boundary_of(k.tobytes(), k.shape[0], m)
+
+
+@lru_cache(maxsize=64)
+def _boundary_of(k_bytes, d, m):
+    k = np.frombuffer(k_bytes, dtype=complex).reshape(d, d)
+    extend = _wedge_columns(d, m)
+    out = math.factorial(m) * extend.T @ reduce(np.kron, [k] * m) @ extend
+    out.flags.writeable = False
+    return out
 
 
 def _on_sites(y, op, axes, work):
@@ -359,7 +385,7 @@ def _on_sites(y, op, axes, work):
 def fused_contract(k_matrix, eta, xi, m, lam, block):
     """Apply tr_{Lambda^m} K^{(x)m} S_N(lam) ... S_1(lam) to the columns of
     ``block``, for the gl(d) chain with d x d twist ``k_matrix`` (see
-    :func:`fused_site` for S_a).
+    :func:`_site_tables` for S_a).
 
     The running tensor y[w, t, q_N, ..., q_1, col] holds (S_a ... S_1)[w, t]
     applied to the block:
@@ -374,37 +400,36 @@ def fused_contract(k_matrix, eta, xi, m, lam, block):
     Every gather copies into one of two work buffers allocated once per call
     and every GEMM writes into the other.  A fresh y-sized array per step is
     new memory from the system each time, and touching it cost about as much
-    as the GEMMs at N = 8.  The site operators come from one ``vander`` of
-    the N values of z and may differ from :func:`fused_site`'s in the last
-    bit; the dense path is :func:`fused_dense`.
+    as the GEMMs at N = 8.  The dense path is :func:`fused_dense`.
     """
     d = k_matrix.shape[0]
     n = len(xi)
-    coeffs = _site_coefficients(d, m, complex(eta))
-    bond = coeffs.shape[1]
+    bond = _wedge_columns(d, m).shape[1]
     cols = block.shape[1] if block.ndim == 2 else 1
-    z = lam - np.asarray(xi, dtype=complex)
-    sites = np.tensordot(np.vander(z, m + 1, increasing=True), coeffs, axes=1)
-    # [i, w, t, j]: sum_u B[t, u] S_N[u, i, w, j]
-    last = np.einsum('tu,uiwj->iwtj', _boundary(k_matrix, m), sites[-1])
+    sites, s_n = _sites(d, m, eta, xi, lam)
+    sites = sites.reshape(n - 1, bond, d, d, bond)  # [a, u, i, j, w]
+    # [i, w, t, j]: sum_u B[t, u] S_N[(i, j), (u, w)]
+    last = np.einsum('tu,ijuw->iwtj', _boundary(k_matrix, m), s_n.reshape(d, d, bond, bond))
     v = block.reshape(d**n, cols)
     if n == 1:  # S_1 is also S_N: close the trace on it alone
         out = np.einsum('iwwj->ij', last) @ v
         return out if block.ndim == 2 else out[:, 0]
     work = np.empty((2, bond * bond * d**n * cols), dtype=complex)
     v = v.reshape(-1, d, cols).transpose(1, 0, 2).reshape(d, -1)
-    y = np.matmul(sites[0].reshape(-1, d), v, out=work[0].reshape(bond * d * bond, -1))
+    first = sites[0].transpose(0, 1, 3, 2).reshape(-1, d)  # [(u, i_1, t), j_1]
+    y = np.matmul(first, v, out=work[0].reshape(bond * d * bond, -1))
     # [u, i_1, t, q_N..q_2, col] -> [u, t, q_N..q_1, col]
     y = np.moveaxis(y.reshape((bond, d, bond) + (d,) * (n - 1) + (cols,)), 1, -2)
-    middle = sites[1:-1]
+    middle = sites[1:]
     pairs = len(middle) // 2
-    # [u, i_hi, i_lo, w, j_hi, j_lo]: sum_v S_hi[u, i_hi, v, j_hi] S_lo[v, i_lo, w, j_lo]
-    ops = np.einsum('puxvy,pvkwl->puxkwyl', middle[1:2 * pairs:2], middle[0:2 * pairs:2])
+    # [u, i_hi, i_lo, w, j_hi, j_lo]: sum_v S_hi[u, i_hi, j_hi, v] S_lo[v, i_lo, j_lo, w]
+    ops = np.einsum('puxyv,pvklw->puxkwyl', middle[1:2 * pairs:2], middle[0:2 * pairs:2])
     for p, op in enumerate(ops.reshape(pairs, bond * d * d, bond * d * d)):
         ax = n - 2 * p - 1  # site 2p + 3, with site 2p + 2 on the next axis
         y = _on_sites(y, op, [ax, ax + 1], work)
     if len(middle) % 2:
-        y = _on_sites(y, middle[-1].reshape(bond * d, bond * d), [3], work)
+        odd = middle[-1].transpose(0, 1, 3, 2).reshape(bond * d, bond * d)  # [(u, i), (w, j)]
+        y = _on_sites(y, odd, [3], work)
     np.copyto(work[1].reshape(y.shape), y)
     out = (last.reshape(d, -1) @ work[1].reshape(bond * bond * d, -1)).reshape(d**n, cols)
     return out if block.ndim == 2 else out[:, 0]
@@ -414,22 +439,23 @@ def fused_dense(k_matrix, eta, xi, m, lam):
     """Dense tr_{Lambda^m} K^{(x)m} S_N(lam) ... S_1(lam) on the d^N quantum
     space of the gl(d) chain, as a matrix-product-operator product.
 
-    The running tensor S_a ... S_1 takes one site per GEMM, from site 1 up to
-    site N - 1, as [u, (i_a, j_a), ..., (i_1, j_1), t] with auxiliary u, t;
-    the boundary multiplies its leg t and S_N closes the trace.  It never
-    holds more than bond^2 (d^(N-1))^2 entries.  Applying the sites from 1
-    upwards and the boundary last, as the matrix-free kernel does, rounds
-    closer to the exact product than starting from the boundary.
+    The running tensor S_a ... S_1 starts as S_1 and takes one site per GEMM
+    up to site N - 1, as [u, (i_a, j_a), ..., (i_1, j_1), t] with auxiliary
+    u, t; the boundary multiplies its leg t and one GEMM with S_N closes the
+    trace.  It never holds more than bond^2 (d^(N-1))^2 entries.  Applying
+    the sites from 1 upwards and the boundary last, as the matrix-free kernel
+    does, rounds closer to the exact product than starting from the boundary.
     """
     d = k_matrix.shape[0]
     n = len(xi)
     bond = _wedge_columns(d, m).shape[1]
-    x = np.eye(bond, dtype=complex)  # the product of no sites
-    for a in range(1, n):
-        site = fused_site(d, m, eta, lam - xi[a - 1]).transpose(0, 1, 3, 2)  # [u, i, j, w]
+    sites, s_n = _sites(d, m, eta, xi, lam)
+    x = np.eye(bond, dtype=complex) if n == 1 else sites[0]  # the product of no sites, or S_1
+    for site in sites[1:]:
         x = site.reshape(-1, bond) @ x.reshape(bond, -1)
     x = (x.reshape(-1, bond) @ _boundary(k_matrix, m)).reshape(bond, -1, bond)
-    out = np.tensordot(fused_site(d, m, eta, lam - xi[n - 1]), x, axes=([0, 2], [2, 0]))
+    # [(i_N, j_N), rest]: sum_{u, w} S_N[(i_N, j_N), (u, w)] x[w, rest, u]
+    out = np.dot(s_n.reshape(d * d, -1), x.transpose(2, 0, 1).reshape(bond * bond, -1))
     # (i_N, j_N, ..., i_1, j_1) -> (i_N, ..., i_1), (j_N, ..., j_1)
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     return out.reshape((d,) * (2 * n)).transpose(order).reshape(d**n, d**n)

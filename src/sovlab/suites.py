@@ -105,11 +105,11 @@ class Workspace:
         return self.gl3() if self.algebra == "gl3" else self.gl2()
 
     def cache_counts(self):
-        """Lookups of the shared gl(3) transfer caches built so far (the chain's
-        and its K-hat companion's): total hits and misses, and the dense
-        assemblies per fusion order."""
+        """Lookups of the gl(3) transfer caches built so far (the chain's, its
+        K-hat companion's and the other-twist chain's): total hits and misses,
+        and the dense assemblies per fusion order."""
         caches = [self._cache["gl3"][0]] if "gl3" in self._cache else []
-        caches += [self._cache["khat_chain"]] if "khat_chain" in self._cache else []
+        caches += [self._cache[key] for key in ("khat_chain", "other_twist_chain") if key in self._cache]
         hits = sum((c.hits for c in caches), Counter())
         misses = sum((c.misses for c in caches), Counter())
         return {"hits": sum(hits.values()), "misses": sum(misses.values()),
@@ -162,6 +162,15 @@ class Workspace:
             params = self.gl3()[0].params
             self._cache["khat_chain"] = TransferCache(params.with_twist(make_khat(params.twist)))
         return self._cache["khat_chain"]
+
+    def other_twist_chain(self):
+        """Transfer cache of the chain with the same eta and xi under a second
+        sampled twist, for the twist-independence check."""
+        if "other_twist_chain" not in self._cache:
+            s = ParameterSampler(self.seed + 4000)
+            other = TwistData.from_eigenvalues(s.distinct_eigenvalues(), w=s.invertible3())
+            self._cache["other_twist_chain"] = TransferCache(self.gl3()[0].params.with_twist(other))
+        return self._cache["other_twist_chain"]
 
     def khat(self):
         """Zero-determinant companion chain as ``(cache, xyz, pair)``, with a
@@ -383,11 +392,9 @@ def run_measure(ws, tol, out_dir=None):
 
 def _twist_independence_residual(ws):
     """The diagonal couplings must not move when the twist changes."""
-    cache, xyz, _ = ws.gl3()
+    xyz = ws.gl3()[1]
     report = ws.gl3_gram()
-    s = ParameterSampler(ws.seed + 4000)
-    other = TwistData.from_eigenvalues(s.distinct_eigenvalues(), w=s.invertible3())
-    pair2 = dressed_pair(TransferCache(cache.params.with_twist(other)), xyz)
+    pair2 = dressed_pair(ws.other_twist_chain(), xyz)
     g2 = pair2.left @ pair2.right
     diag2 = np.diagonal(g2)
     return float(np.max(np.abs(diag2 - report.diag) / np.abs(report.diag)))

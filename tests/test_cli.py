@@ -201,7 +201,8 @@ def test_one_lapack_eig_per_decomposition(monkeypatch):
 def test_one_transfer_cache_per_chain(monkeypatch):
     """A full three-site run builds one transfer cache per chain: the chain,
     its K-hat companion, the other-twist chain of the twist-independence
-    check, and the gl(2) chain."""
+    check, and the gl(2) chain.  The report counts every dense gl(3)
+    assembly of the three gl(3) caches as a miss, and their number is pinned."""
     from sovlab import gl2_model, gl3_model
 
     built = Counter()
@@ -210,10 +211,21 @@ def test_one_transfer_cache_per_chain(monkeypatch):
             built[_name] += 1
             _init(self, params)
         monkeypatch.setattr(cls, "__init__", init)
+    assembled = Counter()
+    real_transfer = gl3_model.transfer
+
+    def transfer(params, m, lam):
+        assembled[f"m{m}"] += 1
+        return real_transfer(params, m, lam)
+
+    monkeypatch.setattr(gl3_model, "transfer", transfer)
     report = run(resolve_config(None, {"sites": 3, "seed": 7}), echo=lambda *a, **k: None)
     assert len(report["results"]) == 12
     assert not any(res["retries"] for res in report["results"])
     assert built == {"TransferCache": 3, "Gl2TransferCache": 1}
+    counts = report["timings"]["transfer_cache"]
+    assert counts["assemblies"] == assembled == {"m1": 33, "m2": 41, "m3": 8}
+    assert counts["misses"] == sum(assembled.values()) == 82
 
 
 def test_ttcharges_forms_dense_charges_only_for_its_operator_checks(monkeypatch):

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -389,6 +391,69 @@ def test_fused_dense_keeps_exact_zeros_of_t2_shift():
         small = np.abs(want) <= 1e-13 * np.abs(want).max()
         assert small.sum() > params.dim
         assert np.array_equal(got == 0, small)
+
+
+def _fused_site(d, m, eta, z):
+    """Compressed site operator S_a at z = lam - xi_a, indexed [u, i, v, j]."""
+    chain = gl3_model._site_tables(d, m, complex(eta))[0]
+    bond = gl3_model._wedge_columns(d, m).shape[1]
+    coeffs = chain.reshape(m + 1, bond, d, d, bond).transpose(0, 1, 2, 4, 3)
+    return np.tensordot(np.vander([z], m + 1, increasing=True)[0], coeffs, axes=1)
+
+
+def _dense_by_site(k_matrix, eta, xi, m, lam):
+    """The per-site dense loop, kept as the bit oracle of ``fused_dense``: one
+    site evaluation, transposed copy and GEMM per site, a boundary built on
+    every call and a ``tensordot`` that closes the trace."""
+    d = k_matrix.shape[0]
+    n = len(xi)
+    extend = gl3_model._wedge_columns(d, m)
+    bond = extend.shape[1]
+    boundary = math.factorial(m) * extend.T @ functools.reduce(np.kron, [k_matrix] * m) @ extend
+    x = np.eye(bond, dtype=complex)
+    for a in range(1, n):
+        site = _fused_site(d, m, eta, lam - xi[a - 1]).transpose(0, 1, 3, 2)
+        x = site.reshape(-1, bond) @ x.reshape(bond, -1)
+    x = (x.reshape(-1, bond) @ boundary).reshape(bond, -1, bond)
+    out = np.tensordot(_fused_site(d, m, eta, lam - xi[n - 1]), x, axes=([0, 2], [2, 0]))
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return out.reshape((d,) * (2 * n)).transpose(order).reshape(d**n, d**n)
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4, 5])
+def test_fused_dense_keeps_the_bits_of_the_site_loop(sites):
+    """The dense kernel is bit-equal to the per-site loop: gl(3) at m = 1, 2, 3,
+    a diagonal det K = 0 twist at m = 1, 2, 3 (at generic points and at the
+    T_2 zeros xi_a - eta) and gl(2) at m = 1."""
+    params, _, s = make_params(40 + sites, sites)
+    det0, _, _ = make_params(23, sites, invertible=False)
+    lams = [s.complex_rational() for _ in range(3)]
+    cases = [(params, params.twist.k_matrix, m, lams) for m in (1, 2, 3)]
+    cases += [(params, s.gl2_twist(), 1, lams)]
+    det0_lams = lams + [x - det0.eta for x in det0.xi]
+    cases += [(det0, det0.twist.k_matrix, m, det0_lams) for m in (1, 2, 3)]
+    for chain, k, m, points in cases:
+        for lam in points:
+            got = fused_dense(k, chain.eta, chain.xi, m, lam)
+            assert np.array_equal(got, _dense_by_site(k, chain.eta, chain.xi, m, lam))
+
+
+def test_boundary_memo_is_per_twist_and_read_only():
+    """Two chains that share eta, xi and every (d, m) but not the twist,
+    assembled in turn, each equal their own oracle; the memoized boundary
+    and the coefficient tables refuse writes."""
+    params, _, s = make_params(47, 3)
+    other = params.with_twist(TwistData.from_eigenvalues(s.distinct_eigenvalues(), w=s.invertible3()))
+    lam = s.complex_rational()
+    for m in (1, 2, 3):
+        for chain in (params, other, params):
+            want = _dense_by_site(chain.twist.k_matrix, chain.eta, chain.xi, m, lam)
+            assert np.array_equal(transfer(chain, m, lam), want)
+    frozen = [gl3_model._boundary(params.twist.k_matrix, 2)]
+    frozen += gl3_model._site_tables(3, 2, params.eta)
+    for arr in frozen:
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
 
 
 def test_twist_from_matrix_rejects_degenerate():
