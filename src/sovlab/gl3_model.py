@@ -423,7 +423,7 @@ def fused_contract(k_matrix, eta, xi, m, lam, block):
     middle = sites[1:]
     pairs = len(middle) // 2
     # [u, i_hi, i_lo, w, j_hi, j_lo]: sum_v S_hi[u, i_hi, j_hi, v] S_lo[v, i_lo, j_lo, w]
-    ops = np.einsum('puxyv,pvklw->puxkwyl', middle[1:2 * pairs:2], middle[0:2 * pairs:2])
+    ops = np.einsum('puxyv,pvklw->puxkwyl', middle[1:2 * pairs:2], middle[0:2 * pairs:2], order='C')
     for p, op in enumerate(ops.reshape(pairs, bond * d * d, bond * d * d)):
         ax = n - 2 * p - 1  # site 2p + 3, with site 2p + 2 on the next axis
         y = _on_sites(y, op, [ax, ax + 1], work)
@@ -514,6 +514,11 @@ class TransferCache:
             self.misses[m] += 1
             self._store[key] = transfer(self.params, m, lam)
         return self._store[key]
+
+    def clear(self):
+        """Drop the stored matrices and pairs; the counts stay."""
+        self._store.clear()
+        self.pairs.clear()
 
     def t1(self, lam):
         return self.value(1, lam)

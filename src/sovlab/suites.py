@@ -165,7 +165,8 @@ class Workspace:
 
     def other_twist_chain(self):
         """Transfer cache of the chain with the same eta and xi under a second
-        sampled twist, for the twist-independence check."""
+        sampled twist, for the twist-independence check, which clears its
+        store once read."""
         if "other_twist_chain" not in self._cache:
             s = ParameterSampler(self.seed + 4000)
             other = TwistData.from_eigenvalues(s.distinct_eigenvalues(), w=s.invertible3())
@@ -394,7 +395,9 @@ def _twist_independence_residual(ws):
     """The diagonal couplings must not move when the twist changes."""
     xyz = ws.gl3()[1]
     report = ws.gl3_gram()
-    pair2 = dressed_pair(ws.other_twist_chain(), xyz)
+    cache = ws.other_twist_chain()
+    pair2 = dressed_pair(cache, xyz)
+    cache.clear()  # nothing reads this chain again; the report keeps its counts
     g2 = pair2.left @ pair2.right
     diag2 = np.diagonal(g2)
     return float(np.max(np.abs(diag2 - report.diag) / np.abs(report.diag)))

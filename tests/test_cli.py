@@ -228,6 +228,18 @@ def test_one_transfer_cache_per_chain(monkeypatch):
     assert counts["misses"] == sum(assembled.values()) == 82
 
 
+def test_other_twist_chain_is_counted_and_released():
+    """The twist-independence check's chain stays in the workspace's counts
+    but not in its memory: its matrices and pair are dropped once read."""
+    from sovlab.suites import Workspace, run_task
+
+    ws = Workspace("gl3", 3, 7)
+    assert run_task("measure", ws, {}).passed
+    chain, other = ws.gl3()[0], ws.other_twist_chain()
+    assert other.misses and not other._store and not other.pairs
+    assert ws.cache_counts()["misses"] == sum(chain.misses.values()) + sum(other.misses.values())
+
+
 def test_ttcharges_forms_dense_charges_only_for_its_operator_checks(monkeypatch):
     """A three-site ttcharges run evaluates seven dense charges: three for
     the commutation check and N + 1 for the central zeros.  The bases and
