@@ -414,17 +414,21 @@ def fused_contract(k_matrix, eta, xi, m, lam, block):
     if n == 1:  # S_1 is also S_N: close the trace on it alone
         out = np.einsum('iwwj->ij', last) @ v
         return out if block.ndim == 2 else out[:, 0]
+    middle = sites[1:]
+    pairs = len(middle) // 2
+    # [(u, i_hi, j_hi), (i_lo, j_lo, w)]: sum_v S_hi[u, i_hi, j_hi, v] S_lo[v, i_lo, j_lo, w]
+    ops = np.matmul(middle[1:2 * pairs:2].reshape(pairs, bond * d * d, bond),
+                    middle[0:2 * pairs:2].reshape(pairs, bond, d * d * bond))
+    # -> [(u, i_hi, i_lo), (w, j_hi, j_lo)], before the work buffers are taken
+    ops = ops.reshape((pairs, bond) + (d,) * 4 + (bond,)).transpose(0, 1, 2, 4, 6, 3, 5)
+    ops = ops.reshape(pairs, bond * d * d, bond * d * d)
     work = np.empty((2, bond * bond * d**n * cols), dtype=complex)
     v = v.reshape(-1, d, cols).transpose(1, 0, 2).reshape(d, -1)
     first = sites[0].transpose(0, 1, 3, 2).reshape(-1, d)  # [(u, i_1, t), j_1]
     y = np.matmul(first, v, out=work[0].reshape(bond * d * bond, -1))
     # [u, i_1, t, q_N..q_2, col] -> [u, t, q_N..q_1, col]
     y = np.moveaxis(y.reshape((bond, d, bond) + (d,) * (n - 1) + (cols,)), 1, -2)
-    middle = sites[1:]
-    pairs = len(middle) // 2
-    # [u, i_hi, i_lo, w, j_hi, j_lo]: sum_v S_hi[u, i_hi, j_hi, v] S_lo[v, i_lo, j_lo, w]
-    ops = np.einsum('puxyv,pvklw->puxkwyl', middle[1:2 * pairs:2], middle[0:2 * pairs:2], order='C')
-    for p, op in enumerate(ops.reshape(pairs, bond * d * d, bond * d * d)):
+    for p, op in enumerate(ops):
         ax = n - 2 * p - 1  # site 2p + 3, with site 2p + 2 on the next axis
         y = _on_sites(y, op, [ax, ax + 1], work)
     if len(middle) % 2:
