@@ -336,19 +336,16 @@ def _site_tables(d, m, eta):
     bond = extend.shape[1]
     coeffs = np.array([site_restrict @ c @ site_extend for c in poly])
     coeffs = coeffs.reshape(m + 1, bond, d, bond, d)  # [p, u, i, w, j]
-    tables = []
-    for axes in ((0, 1, 2, 4, 3), (0, 2, 4, 1, 3)):
-        table = np.ascontiguousarray(coeffs.transpose(axes)).reshape(m + 1, -1)
-        table.flags.writeable = False
-        tables.append(table)
-    return tuple(tables)
+    chain = coeffs.transpose(0, 1, 2, 4, 3).reshape(m + 1, -1)
+    close = coeffs.transpose(0, 2, 4, 1, 3).reshape(m + 1, -1)
+    chain.flags.writeable = close.flags.writeable = False
+    return chain, close
 
 
 def _sites(d, m, eta, xi, lam):
-    """The compressed site operators at lam, from one ``vander`` of the N
-    values of z = lam - xi_a and one GEMV per site: S_1 ... S_(N-1) as the
-    rows of an (N - 1, bond^2 d^2) array in the ``chain`` layout, and S_N in
-    the ``close`` layout (see :func:`_site_tables`)."""
+    """S_1 ... S_(N-1) at lam as rows in the ``chain`` layout and S_N in the
+    ``close`` layout of :func:`_site_tables`: one ``vander`` of the N values
+    of z = lam - xi_a and one GEMV per site."""
     chain, close = _site_tables(d, m, complex(eta))
     vz = np.vander(lam - np.asarray(xi, dtype=complex), m + 1, increasing=True)
     return np.matmul(vz[:-1, None, :], chain)[:, 0], vz[-1] @ close
