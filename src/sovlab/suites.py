@@ -109,7 +109,8 @@ class Workspace:
         K-hat companion's and the other-twist chain's): total hits and misses,
         and the dense assemblies per fusion order."""
         caches = [self._cache["gl3"][0]] if "gl3" in self._cache else []
-        caches += [self._cache[key] for key in ("khat_chain", "other_twist_chain") if key in self._cache]
+        caches += [self._cache[key] for key in ("khat_chain", "other_twist_chain")
+                   if key in self._cache]
         hits = sum((c.hits for c in caches), Counter())
         misses = sum((c.misses for c in caches), Counter())
         return {"hits": sum(hits.values()), "misses": sum(misses.values()),

@@ -443,7 +443,8 @@ def test_boundary_memo_is_per_twist_and_read_only():
     assembled in turn, each equal their own oracle; the memoized boundary
     and the coefficient tables refuse writes."""
     params, _, s = make_params(47, 3)
-    other = params.with_twist(TwistData.from_eigenvalues(s.distinct_eigenvalues(), w=s.invertible3()))
+    twist = TwistData.from_eigenvalues(s.distinct_eigenvalues(), w=s.invertible3())
+    other = params.with_twist(twist)
     lam = s.complex_rational()
     for m in (1, 2, 3):
         for chain in (params, other, params):
