@@ -369,13 +369,15 @@ scalar_product = _task_command("scalar-product", ["scalarproducts"],
 
 
 @main.command()
-@click.option("--n-min", type=int, default=4, show_default=True)
+@click.option("--n-min", type=click.IntRange(min=1), default=4, show_default=True)
 @click.option("--n-max", type=int, default=9, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=".", show_default=True)
 def bench(n_min, n_max, seed, out):
     """Time dense transfer assembly against the matrix-free applier, and
     check the applier against dense T_1 where it is assembled (N <= 6)."""
+    if n_max < n_min:
+        raise click.UsageError(f"--n-max {n_max} is below --n-min {n_min}")
     _limit_threads()
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -4,6 +4,10 @@ When the twist has simple spectrum and one zero eigenvalue the dressed SoV
 families become mutually orthogonal, transfer-matrix actions reduce to local
 shifts on the basis labels, eigenstate wave functions factorize over sites,
 and overlaps of separate states collapse to products of small determinants.
+
+The four label actions (T_1, T_2 on left and right labels) are one recursion
+on the digit-move table :data:`LABEL_MOVES`, and the two determinant overlaps
+share one prefactor.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +23,7 @@ from .errors import (
 from .gl3_model import InterpolationWeights, default_probe_point
 from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde
 from .sov_bases import TernaryIndex, dressed_pair, label_digits, label_products
-from .sov_measure import diag_values, gram
+from .sov_measure import diag_values
 
 #: relative eigenvalue-zero threshold for the A/B site partition
 ZERO_THETA = 1e-6
@@ -40,26 +44,6 @@ def make_khat(twist):
         raise SpectrumCollision("zeroing the smallest eigenvalue leaves a repeated eigenvalue")
     kj = np.diag(vals).astype(complex)
     return twist.from_jordan(twist.w, kj)
-
-
-def ortho_suite_det0(cache, xyz):
-    """Orthogonality report of the dressed pair for a zero-determinant twist.
-
-    Returns the off-diagonal cosine maximum, the relative error of the
-    diagonal against the Vandermonde formula, and the underlying report.
-    """
-    params = cache.params
-    kscale = max(np.abs(params.twist.k_matrix).max(), 1e-300) ** 3
-    if abs(params.twist.det) > 1e-9 * kscale:
-        raise ValueError("ortho_suite_det0 expects a numerically zero determinant")
-    pair = dressed_pair(cache, xyz)
-    report = gram(pair.left, pair.right, params)
-    return {
-        "offdiag_cosine": report.max_offdiag_cosine,
-        "diag_rel_err": report.max_diag_rel_err,
-        "report": report,
-        "pair": pair,
-    }
 
 
 @dataclass
@@ -246,89 +230,58 @@ def _site_split(state):
 # transfer-matrix actions on basis labels
 
 
+#: digit moves of the label actions, keyed by (side, order): the digit at site
+#: a maps to (new digit, nested); nested terms expand the T_2 action at xi_a
+#: on the moved label
+LABEL_MOVES = {
+    ("left", 2): {1: (0, False)},
+    ("right", 2): {0: (1, False)},
+    ("left", 1): {1: (2, False), 2: (1, True)},
+    ("right", 1): {0: (2, False), 2: (1, False), 1: (2, True)},
+}
+
+
 def interpolated_action_check(cache, h, which, side, xyz, lambdas):
     """Residual of the local-shift expansion of T_1/T_2 acting on one label.
 
     ``which`` is 1 or 2, ``side`` "left" or "right".  The expansion re-expresses
-    the dense action as label shifts weighted by Lagrange coefficients; it is
-    exact when the twist has a zero quantum determinant.
+    the dense action as label shifts weighted by Lagrange coefficients, with
+    the moves of :data:`LABEL_MOVES`; T_2 interpolates on the shifts
+    [h_a >= 1] and T_1 on [h_a = 2].  It is exact when the twist has a zero
+    quantum determinant.
     """
+    if (side, which) not in LABEL_MOVES:
+        raise ValueError(f"no label action for side {side!r} and order {which!r}")
     params = cache.params
     pair = dressed_pair(cache, xyz)
     w = InterpolationWeights(params)
-    n = params.sites
+
+    def terms(order, idx, lam):
+        table = LABEL_MOVES[(side, order)]
+        shifts = tuple(int(d >= 1) if order == 2 else int(d == 2) for d in idx.digits)
+        out = [(w.asymptotic(order, shifts, lam), idx)]
+        for a, d in enumerate(idx.digits):
+            if d in table:
+                new, nested = table[d]
+                coef = w.g(a, shifts, lam, order)
+                moved = idx.with_digit(a, new)
+                if nested:
+                    out.extend((coef * c, i) for c, i in terms(2, moved, params.xi[a]))
+                else:
+                    out.append((coef, moved))
+        if order == 2:
+            out = [(w.d(lam - params.eta) * c, i) for c, i in out]
+        return out
+
+    # rows of a left family, columns of a right one
+    members = pair.left if side == "left" else pair.right.T
     worst = 0.0
-
-    def zshift(idx):
-        return tuple(1 if d in (1, 2) else 0 for d in idx.digits)
-
-    def yshift(idx):
-        return tuple(1 if d == 2 else 0 for d in idx.digits)
-
-    def left_t2_terms(idx, lam):
-        z = zshift(idx)
-        terms = [(w.asymptotic(2, z, lam), idx)]
-        for a, d in enumerate(idx.digits):
-            if d == 1:
-                terms.append((w.g(a, z, lam, 2), idx.with_digit(a, 0)))
-        return [(w.d(lam - params.eta) * c, i) for c, i in terms]
-
-    def left_t1_terms(idx, lam):
-        y = yshift(idx)
-        terms = [(w.asymptotic(1, y, lam), idx)]
-        for a, d in enumerate(idx.digits):
-            if d == 1:
-                terms.append((w.g(a, y, lam, 1), idx.with_digit(a, 2)))
-            elif d == 2:
-                lowered = idx.with_digit(a, 1)
-                coef = w.g(a, y, lam, 1)
-                terms.extend(
-                    (coef * c, i) for c, i in left_t2_terms(lowered, params.xi[a])
-                )
-        return terms
-
-    def right_t2_terms(idx, lam):
-        z = zshift(idx)
-        terms = [(w.asymptotic(2, z, lam), idx)]
-        for a, d in enumerate(idx.digits):
-            if d == 0:
-                terms.append((w.g(a, z, lam, 2), idx.with_digit(a, 1)))
-        return [(w.d(lam - params.eta) * c, i) for c, i in terms]
-
-    def right_t1_terms(idx, lam):
-        y = yshift(idx)
-        terms = [(w.asymptotic(1, y, lam), idx)]
-        for a, d in enumerate(idx.digits):
-            if d == 0:
-                terms.append((w.g(a, y, lam, 1), idx.with_digit(a, 2)))
-            elif d == 2:
-                terms.append((w.g(a, y, lam, 1), idx.with_digit(a, 1)))
-            else:
-                raised = idx.with_digit(a, 2)
-                coef = w.g(a, y, lam, 1)
-                terms.extend(
-                    (coef * c, i) for c, i in right_t2_terms(raised, params.xi[a])
-                )
-        return terms
-
-    builders = {
-        ("left", 2): left_t2_terms,
-        ("left", 1): left_t1_terms,
-        ("right", 2): right_t2_terms,
-        ("right", 1): right_t1_terms,
-    }
-    build = builders[(side, which)]
     for lam in lambdas:
-        if side == "left":
-            dense = pair.left[h.flat] @ cache.value(which, lam)
-            approx = np.zeros(params.dim, dtype=complex)
-            for coef, idx in build(h, lam):
-                approx += coef * pair.left[idx.flat]
-        else:
-            dense = cache.value(which, lam) @ pair.right[:, h.flat]
-            approx = np.zeros(params.dim, dtype=complex)
-            for coef, idx in build(h, lam):
-                approx += coef * pair.right[:, idx.flat]
+        mat = cache.value(which, lam)
+        dense = members[h.flat] @ mat if side == "left" else mat @ members[h.flat]
+        approx = np.zeros(params.dim, dtype=complex)
+        for coef, idx in terms(which, h, lam):
+            approx += coef * members[idx.flat]
         worst = max(worst, rel_residual(dense - approx, dense))
     return worst
 
@@ -415,24 +368,8 @@ class SeparateState:
         c = rng.uniform(-1, 1, (sites, 3)) + 1j * rng.uniform(-1, 1, (sites, 3))
         return cls(c)
 
-    @classmethod
-    def from_eigenstate(cls, state):
-        """The co-vector coefficient pattern that reproduces the eigenstate itself."""
-        n = len(state.t1_xi)
-        c = np.ones((n, 3), dtype=complex)
-        for a in range(n):
-            c[a, 1] = state.t2_xi[a]
-            c[a, 2] = state.t1_xi[a]
-        return cls(c)
-
-    def coordinate(self, h):
-        out = 1.0 + 0j
-        for a, d in enumerate(h.digits):
-            out *= self.coeffs[a, d]
-        return out
-
     def coordinates(self):
-        """:meth:`coordinate` of every label, in flat order."""
+        """The coordinate of every label, in flat order."""
         return label_products(self.coeffs)
 
 
@@ -443,11 +380,16 @@ def separate_overlap_direct(alpha, state, params):
     return complex(np.sum(terms / diag_values(params)))
 
 
-def _pattern_functions(state, params):
+def _overlap_factors(state, params):
+    """Shared factors of the two determinant overlaps: ``(w, x_a, x_b, pref,
+    va)`` with the interpolation weights, the site-pattern ratios x_A and x_B,
+    the prefactor prod_x d(x - 2eta)/d(x - eta) * V(xi_A - eta)/V(xi_A) and
+    va = V(xi_A).  Requires the zero pattern."""
     state._need_pattern()
     eta = params.eta
     xi = params.xi
     a_sites, b_sites = state.a_sites, state.b_sites
+    w = InterpolationWeights(params)
 
     def x_a(lam):
         out = 1.0 + 0j
@@ -461,7 +403,12 @@ def _pattern_functions(state, params):
             out *= (lam - xi[b] - eta) / (lam - xi[b])
         return out
 
-    return a_sites, b_sites, x_a, x_b
+    pref = 1.0 + 0j
+    for x in xi:
+        pref *= w.d(x - 2 * eta) / w.d(x - eta)
+    va = vandermonde([xi[a] for a in a_sites])
+    pref *= vandermonde([xi[a] - eta for a in a_sites]) / va
+    return w, x_a, x_b, pref, va
 
 
 def scalar_product_determinant(alpha, state, params):
@@ -472,17 +419,11 @@ def scalar_product_determinant(alpha, state, params):
     with the digit-1 coefficient on the shifted node; the A-block combines
     digits 1 and 2 with an x_B t_1 weight.  Requires the zero pattern.
     """
-    a_sites, b_sites, x_a, x_b = _pattern_functions(state, params)
+    w, x_a, x_b, pref, va = _overlap_factors(state, params)
     eta = params.eta
     xi = params.xi
-    w = InterpolationWeights(params)
-    pref = 1.0 + 0j
-    for x in xi:
-        pref *= w.d(x - 2 * eta) / w.d(x - eta)
-    va = vandermonde([xi[a] for a in a_sites])
-    va1 = vandermonde([xi[a] - eta for a in a_sites])
+    a_sites, b_sites = state.a_sites, state.b_sites
     vb = vandermonde([xi[b] for b in b_sites])
-    pref *= va1 / va
 
     nb = len(b_sites)
     m_plus = np.empty((nb, nb), dtype=complex)
@@ -514,16 +455,10 @@ def norm_determinant(state, params):
     times x_A and the A-block factors into prod t_1(xi_a) times a mixed-node
     alternant built from t_1 at both node shifts.
     """
-    a_sites, b_sites, x_a, x_b = _pattern_functions(state, params)
+    w, x_a, x_b, pref, va = _overlap_factors(state, params)
     eta = params.eta
     xi = params.xi
-    w = InterpolationWeights(params)
-    pref = 1.0 + 0j
-    for x in xi:
-        pref *= w.d(x - 2 * eta) / w.d(x - eta)
-    va = vandermonde([xi[a] for a in a_sites])
-    va1 = vandermonde([xi[a] - eta for a in a_sites])
-    pref *= va1 / va
+    a_sites, b_sites = state.a_sites, state.b_sites
     for b in b_sites:
         pref *= w.d(xi[b] - eta) * state.t2_shift[b] / w.d(xi[b] - 2 * eta) * x_a(xi[b])
     for a in a_sites:

@@ -130,12 +130,6 @@ def gl2_bases(cache):
     return left, np.ascontiguousarray(right.T), zeros_col
 
 
-def coupling_prediction(params, h):
-    """1 / (V(xi) V(xi - h*eta)) - the orthogonal coupling of label h."""
-    shifted = [params.xi[a] - h[a] * params.eta for a in range(params.sites)]
-    return 1.0 / (vandermonde(params.xi) * vandermonde(shifted))
-
-
 def shifted_vandermonde(params):
     """V(xi - h*eta) for every label h in flat binary order."""
     nodes = np.asarray(params.xi) - label_digits(params.sites, 2) * params.eta
@@ -147,7 +141,8 @@ def shifted_vandermonde(params):
 
 
 def coupling_values(params):
-    """``coupling_prediction`` of every label in flat binary order."""
+    """1 / (V(xi) V(xi - h*eta)), the orthogonal coupling of every label h,
+    in flat binary order."""
     return 1.0 / (vandermonde(params.xi) * shifted_vandermonde(params))
 
 

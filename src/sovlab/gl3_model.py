@@ -597,16 +597,6 @@ class InterpolationWeights:
             out *= lam - p.xi_shifted(b, shifts[b])
         return complex(out)
 
-    def node_normalization(self, a, shifts, order):
-        """The product that g(a, ., node_a, order) must invert at its own node."""
-        p = self.params
-        node = p.xi_shifted(a, shifts[a])
-        out = 1.0 + 0j
-        if order == 2:
-            for b in range(p.sites):
-                out *= node - (p.xi[b] + p.eta)
-        return complex(out)
-
 
 def t2_interpolated(cache, lam):
     """Reconstruct T_2(lam) from T_1 values at the inhomogeneities via the
@@ -703,18 +693,3 @@ def exchange_relation_residual(params, low, high, between):
     scal = params.eta**2 - (params.xi[high - 1] - params.xi[low - 1]) ** 2
     rhs = scal * right_low(left_high(eye, between + (low,)), between + (high,))
     return rel_residual(lhs - rhs, lhs)
-
-
-def t1_leading_coefficient(cache):
-    """Degree-N leading coefficient of T_1 recovered by finite differencing
-    through N+1 evaluation points (divided differences)."""
-    params = cache.params
-    n = params.sites
-    pts = [params.xi[0] + (2 + k) * params.eta * (1 + 0.25j) for k in range(n + 1)]
-    table = [cache.t1(p) for p in pts]
-    for level in range(1, n + 1):
-        table = [
-            (table[i + 1] - table[i]) / (pts[i + level] - pts[i])
-            for i in range(len(table) - 1)
-        ]
-    return table[0]

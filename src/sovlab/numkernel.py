@@ -105,10 +105,6 @@ class EigenDecomposition:
         self.residual_norm = residual_norm
         self.eigvec_cond = eigvec_cond
 
-    def reconstruct(self):
-        """sum_i lam_i |v_i><u_i| as a dense matrix."""
-        return (self.right * self.values) @ self.left
-
     def min_gap(self):
         diffs = np.abs(self.values[:, None] - self.values[None, :])
         diffs[np.diag_indices_from(diffs)] = np.inf

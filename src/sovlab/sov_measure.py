@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFamily, DetKZero, SingularGram
-from .gl3_model import InterpolationWeights, TransferCache, quantum_determinant_identity
+from .errors import DetKZero, SingularGram
+from .gl3_model import InterpolationWeights, quantum_determinant_identity
 from .numkernel import rel_residual, vandermonde
 from .sov_bases import TernaryIndex, dressed_pair, label_digits, label_products
 
@@ -131,11 +131,6 @@ def diag_values(params):
             vz *= zshift[:, j] - zshift[:, i]
             vy *= yshift[:, j] - yshift[:, i]
     return out * (vandermonde(params.xi) ** 2 / (vz * vy))
-
-
-def diag_formula(params, h):
-    """Twist-independent diagonal coupling <h|h> of one label."""
-    return complex(diag_values(params)[h.flat])
 
 
 @dataclass
@@ -256,53 +251,6 @@ def coeff_r0_closed_form(params, h_rest):
         lo = xa - (0 if d == 0 else eta)
         val *= ((x1 - eta - up) * (x2 - lo)) / ((x2 - eta - up) * (x1 - lo))
     return complex(val)
-
-
-def c_scaling_scan(params, c_values, xyz):
-    """Scan twists with fixed (tr K, second invariant) and varying det K = c.
-
-    For each c the twist eigenvalues are the roots of
-    t^3 - a t^2 + b t - c with (a, b) taken from ``params.twist`` and the
-    change of basis W kept fixed.  Returns per-cell least-squares slopes of
-    log|coupling| against log|c| plus the extracted coefficients, which must
-    be constant along the family.
-    """
-    if len(c_values) < 3:
-        raise ValueError("need at least 3 det-K values")
-    a_inv = params.twist.trace_inv
-    b_inv = params.twist.second_inv
-    reports = []
-    for c in c_values:
-        roots = np.roots([1.0, -a_inv, b_inv, -complex(c)])
-        gaps = [abs(roots[i] - roots[j]) for i in range(3) for j in range(i + 1, 3)]
-        if min(gaps) <= 1e-6 * max(np.abs(roots).max(), 1e-300):
-            raise DegenerateFamily(f"cubic root collision at c={c}")
-        order = np.lexsort((roots.imag, roots.real))
-        twist = params.twist.from_eigenvalues(roots[order], w=params.twist.w)
-        p = params.with_twist(twist)
-        pair = dressed_pair(TransferCache(p), xyz)
-        reports.append((complex(c), gram(pair.left, pair.right, p)))
-
-    support = pair_support(params.sites)
-    logc = np.log(np.abs([c for c, _ in reports]))
-    slopes = {}
-    coeff_spread = {}
-    for k, h in zip(*np.nonzero(support.offdiag.T)):
-        cell = (int(h), int(k))
-        logm = np.log([abs(rep.gram[cell]) for _, rep in reports])
-        slope = np.polyfit(logc, logm, 1)[0]
-        coeffs = [rep.coefficients[cell] for _, rep in reports]
-        spread = rel_residual(np.subtract(coeffs, coeffs[0]), coeffs[0])
-        slopes[cell] = (float(slope.real), int(support.pair_count[cell]))
-        coeff_spread[cell] = float(spread)
-    diag_mags = np.abs([np.diagonal(rep.gram) for _, rep in reports]).T
-    diag_slopes = [float(np.polyfit(logc, np.log(m), 1)[0].real) for m in diag_mags]
-    return {
-        "slopes": slopes,
-        "coefficient_spread": coeff_spread,
-        "diag_slopes": diag_slopes,
-        "reports": reports,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -409,8 +409,7 @@ def run_dual(ws, tol):
     report = ws.gl3_gram()
     dual = dual_bases(pair, report)
     worst = max(dual.inverse_residual, 0.0)
-    sparsity = _dual_sparsity_residual(report, dual)
-    brec = _b_recursion_residual(report, dual)
+    sparsity, brec = _dual_coordinate_residuals(report, dual)
     details = {
         "inverse_residual": dual.inverse_residual,
         "ortho_residual": dual.ortho_residual,
@@ -420,26 +419,24 @@ def run_dual(ws, tol):
     return _result("dual", tol, max(worst, sparsity, brec), details, ws)
 
 
-def _dual_sparsity_residual(report, dual):
-    """Dual-vector coordinates must vanish outside the pair-move support."""
-    # column h holds the coordinates of the dual vector of h, as
-    # expansion_coefficients gives them; a pair move of h lands on row t
-    # exactly when cell (t, h) is not zero-classified
-    mags = np.abs(dual.measure * report.diag)
-    scale = np.maximum(mags.max(axis=0), 1e-300)
-    outside = sov_measure.pair_support(report.params.sites).zero
-    return float(np.max((mags / scale)[outside], initial=0.0))
+def _dual_coordinate_residuals(report, dual):
+    """``(sparsity, b_recursion)`` of the dual-vector coordinates, each
+    relative to its column's largest coordinate.
 
-
-def _b_recursion_residual(report, dual):
-    """On every pair move of h the dual coordinate must be (det K)^r times the
-    recursion's coefficient B_(alpha,beta), relative to the column's largest
-    coordinate."""
+    Column h of ``dual.measure * report.diag`` holds the coordinates of the
+    dual vector of h, as expansion_coefficients gives them.  They must vanish
+    outside the pair-move support (a pair move of h lands on row t exactly
+    when cell (t, h) is not zero-classified), and on every pair move of h
+    equal (det K)^r times the recursion's coefficient B_(alpha,beta).
+    """
     support = sov_measure.pair_support(report.params.sites)
     coords = dual.measure * report.diag
+    mags = np.abs(coords)
+    scale = np.maximum(mags.max(axis=0), 1e-300)
+    sparsity = float(np.max((mags / scale)[support.zero], initial=0.0))
     pred = report.params.twist.det ** support.pair_count * b_coefficients(report)
-    scale = np.maximum(np.abs(coords).max(axis=0), 1e-300)
-    return float(np.max((np.abs(coords - pred) / scale)[support.offdiag], initial=0.0))
+    brec = float(np.max((np.abs(coords - pred) / scale)[support.offdiag], initial=0.0))
+    return sparsity, brec
 
 
 def run_det0(ws, tol):

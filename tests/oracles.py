@@ -1,0 +1,182 @@
+"""Reference implementations the tests compare the library against.
+
+None of these has a caller in the library: each is either a per-label or
+per-case form of an array computation the library does once, or a check that
+only the tests run.
+"""
+
+import numpy as np
+
+from sovlab.errors import DegenerateFamily
+from sovlab.gl3_model import InterpolationWeights, TransferCache
+from sovlab.numkernel import rel_residual, vandermonde
+from sovlab.sov_bases import dressed_pair
+from sovlab.sov_measure import gram, pair_support
+
+
+def label_action_oracle(cache, h, which, side, xyz, lambdas):
+    """``det0_spectrum.interpolated_action_check`` with the four label actions
+    written out as separate builders, one per (side, order), summing the same
+    terms in the same order."""
+    params = cache.params
+    pair = dressed_pair(cache, xyz)
+    w = InterpolationWeights(params)
+    worst = 0.0
+
+    def zshift(idx):
+        return tuple(1 if d in (1, 2) else 0 for d in idx.digits)
+
+    def yshift(idx):
+        return tuple(1 if d == 2 else 0 for d in idx.digits)
+
+    def left_t2_terms(idx, lam):
+        z = zshift(idx)
+        terms = [(w.asymptotic(2, z, lam), idx)]
+        for a, d in enumerate(idx.digits):
+            if d == 1:
+                terms.append((w.g(a, z, lam, 2), idx.with_digit(a, 0)))
+        return [(w.d(lam - params.eta) * c, i) for c, i in terms]
+
+    def left_t1_terms(idx, lam):
+        y = yshift(idx)
+        terms = [(w.asymptotic(1, y, lam), idx)]
+        for a, d in enumerate(idx.digits):
+            if d == 1:
+                terms.append((w.g(a, y, lam, 1), idx.with_digit(a, 2)))
+            elif d == 2:
+                lowered = idx.with_digit(a, 1)
+                coef = w.g(a, y, lam, 1)
+                terms.extend(
+                    (coef * c, i) for c, i in left_t2_terms(lowered, params.xi[a])
+                )
+        return terms
+
+    def right_t2_terms(idx, lam):
+        z = zshift(idx)
+        terms = [(w.asymptotic(2, z, lam), idx)]
+        for a, d in enumerate(idx.digits):
+            if d == 0:
+                terms.append((w.g(a, z, lam, 2), idx.with_digit(a, 1)))
+        return [(w.d(lam - params.eta) * c, i) for c, i in terms]
+
+    def right_t1_terms(idx, lam):
+        y = yshift(idx)
+        terms = [(w.asymptotic(1, y, lam), idx)]
+        for a, d in enumerate(idx.digits):
+            if d == 0:
+                terms.append((w.g(a, y, lam, 1), idx.with_digit(a, 2)))
+            elif d == 2:
+                terms.append((w.g(a, y, lam, 1), idx.with_digit(a, 1)))
+            else:
+                raised = idx.with_digit(a, 2)
+                coef = w.g(a, y, lam, 1)
+                terms.extend(
+                    (coef * c, i) for c, i in right_t2_terms(raised, params.xi[a])
+                )
+        return terms
+
+    builders = {
+        ("left", 2): left_t2_terms,
+        ("left", 1): left_t1_terms,
+        ("right", 2): right_t2_terms,
+        ("right", 1): right_t1_terms,
+    }
+    build = builders[(side, which)]
+    for lam in lambdas:
+        if side == "left":
+            dense = pair.left[h.flat] @ cache.value(which, lam)
+            approx = np.zeros(params.dim, dtype=complex)
+            for coef, idx in build(h, lam):
+                approx += coef * pair.left[idx.flat]
+        else:
+            dense = cache.value(which, lam) @ pair.right[:, h.flat]
+            approx = np.zeros(params.dim, dtype=complex)
+            for coef, idx in build(h, lam):
+                approx += coef * pair.right[:, idx.flat]
+        worst = max(worst, rel_residual(dense - approx, dense))
+    return worst
+
+
+def t1_leading_coefficient(cache):
+    """Degree-N leading coefficient of T_1 recovered by finite differencing
+    through N+1 evaluation points (divided differences)."""
+    params = cache.params
+    n = params.sites
+    pts = [params.xi[0] + (2 + k) * params.eta * (1 + 0.25j) for k in range(n + 1)]
+    table = [cache.t1(p) for p in pts]
+    for level in range(1, n + 1):
+        table = [
+            (table[i + 1] - table[i]) / (pts[i + level] - pts[i])
+            for i in range(len(table) - 1)
+        ]
+    return table[0]
+
+
+def node_normalization(params, a, shifts, order):
+    """The product that ``InterpolationWeights.g(a, ., node_a, order)`` must
+    invert at its own node."""
+    node = params.xi_shifted(a, shifts[a])
+    out = 1.0 + 0j
+    if order == 2:
+        for b in range(params.sites):
+            out *= node - (params.xi[b] + params.eta)
+    return complex(out)
+
+
+def reconstruct(dec):
+    """sum_i lam_i |v_i><u_i| of an ``EigenDecomposition`` as a dense matrix."""
+    return (dec.right * dec.values) @ dec.left
+
+
+def coupling_prediction(params, h):
+    """1 / (V(xi) V(xi - h*eta)) - the orthogonal gl(2) coupling of one label,
+    the per-label form of ``gl2_model.coupling_values``."""
+    shifted = [params.xi[a] - h[a] * params.eta for a in range(params.sites)]
+    return 1.0 / (vandermonde(params.xi) * vandermonde(shifted))
+
+
+def c_scaling_scan(params, c_values, xyz):
+    """Scan twists with fixed (tr K, second invariant) and varying det K = c.
+
+    For each c the twist eigenvalues are the roots of
+    t^3 - a t^2 + b t - c with (a, b) taken from ``params.twist`` and the
+    change of basis W kept fixed.  Returns per-cell least-squares slopes of
+    log|coupling| against log|c| plus the extracted coefficients, which must
+    be constant along the family.
+    """
+    if len(c_values) < 3:
+        raise ValueError("need at least 3 det-K values")
+    a_inv = params.twist.trace_inv
+    b_inv = params.twist.second_inv
+    reports = []
+    for c in c_values:
+        roots = np.roots([1.0, -a_inv, b_inv, -complex(c)])
+        gaps = [abs(roots[i] - roots[j]) for i in range(3) for j in range(i + 1, 3)]
+        if min(gaps) <= 1e-6 * max(np.abs(roots).max(), 1e-300):
+            raise DegenerateFamily(f"cubic root collision at c={c}")
+        order = np.lexsort((roots.imag, roots.real))
+        twist = params.twist.from_eigenvalues(roots[order], w=params.twist.w)
+        p = params.with_twist(twist)
+        pair = dressed_pair(TransferCache(p), xyz)
+        reports.append((complex(c), gram(pair.left, pair.right, p)))
+
+    support = pair_support(params.sites)
+    logc = np.log(np.abs([c for c, _ in reports]))
+    slopes = {}
+    coeff_spread = {}
+    for k, h in zip(*np.nonzero(support.offdiag.T)):
+        cell = (int(h), int(k))
+        logm = np.log([abs(rep.gram[cell]) for _, rep in reports])
+        slope = np.polyfit(logc, logm, 1)[0]
+        coeffs = [rep.coefficients[cell] for _, rep in reports]
+        spread = rel_residual(np.subtract(coeffs, coeffs[0]), coeffs[0])
+        slopes[cell] = (float(slope.real), int(support.pair_count[cell]))
+        coeff_spread[cell] = float(spread)
+    diag_mags = np.abs([np.diagonal(rep.gram) for _, rep in reports]).T
+    diag_slopes = [float(np.polyfit(logc, np.log(m), 1)[0].real) for m in diag_mags]
+    return {
+        "slopes": slopes,
+        "coefficient_spread": coeff_spread,
+        "diag_slopes": diag_slopes,
+        "reports": reports,
+    }

@@ -22,7 +22,6 @@ from sovlab.det0_spectrum import (
     make_khat,
     norm_determinant,
     norm_direct,
-    ortho_suite_det0,
     scalar_product_determinant,
     separate_overlap_direct,
     zero_pattern,
@@ -50,9 +49,8 @@ from sovlab.sov_bases import (
 from sovlab.sov_measure import (
     appc_recursion_check,
     b_recursion,
-    c_scaling_scan,
     coeff_r0_closed_form,
-    diag_formula,
+    diag_values,
     dual_bases,
     expansion_coefficients,
     extract_coefficient,
@@ -61,6 +59,7 @@ from sovlab.sov_measure import (
 from sovlab.tt_charges import build_tt, fusion_residuals_tt, tt_sov_bases
 
 from conftest import make_params
+from oracles import c_scaling_scan, coupling_prediction
 
 SEEDS = (7, 11, 13)
 
@@ -298,10 +297,10 @@ def test_criterion_10_orthogonal_regime():
     for seed in SEEDS:
         for sites in (2, 3):
             params, xyz, _ = make_params(seed, sites, invertible=False)
-            cache = TransferCache(params)
-            out = ortho_suite_det0(cache, xyz)
-            worst_off = max(worst_off, out["offdiag_cosine"])
-            worst_diag = max(worst_diag, out["diag_rel_err"])
+            pair = dressed_pair(TransferCache(params), xyz)
+            report = gram(pair.left, pair.right, params)
+            worst_off = max(worst_off, report.max_offdiag_cosine)
+            worst_diag = max(worst_diag, report.max_diag_rel_err)
         params, xyz, _ = make_params(seed, 2, invertible=False)
         cache = TransferCache(params)
         gen = np.random.default_rng(seed)
@@ -373,10 +372,7 @@ def test_criterion_12_conserved_charge_bases():
             col = col / (tpair.left[one_flat] @ col)
             alpha = SeparateState.random(gen, 2)
             det_val = scalar_product_determinant(alpha, st, kp)
-            direct = sum(
-                alpha.coordinate(h) * (tpair.left[h.flat] @ col) / diag_formula(kp, h)
-                for h in TernaryIndex.all(2)
-            )
+            direct = np.sum(alpha.coordinates() * (tpair.left @ col) / diag_values(kp))
             worst_det = max(worst_det, abs(det_val - direct) / abs(direct))
     ok = worst_fus <= 1e-8 and worst_gram <= 1e-8 and worst_det <= 1e-7
     _report(12, ok, f"charge fusion {worst_fus:.2e} (tol 1e-8), charge-basis couplings "
@@ -412,7 +408,7 @@ def test_criterion_14_rank_one_yardstick():
             g = left @ right
             for fh, h in enumerate(label_digits(sites, 2)):
                 for fk in range(params.dim):
-                    pred = gl2_model.coupling_prediction(params, h) if fh == fk else 0.0
+                    pred = coupling_prediction(params, h) if fh == fk else 0.0
                     worst_meas = max(worst_meas, abs(g[fh, fk] - pred) / np.abs(g).max())
             reps = gl2_model.gl2_eigen_reps(cache)
             worst_rep = max(worst_rep, reps["reconstruction_residual"],

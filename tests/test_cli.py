@@ -302,6 +302,26 @@ def test_bench_records_size_cap(tmp_path):
     assert rows[0]["dense_residual"] == ""
 
 
+def test_bench_rejects_an_empty_range(tmp_path):
+    result = CliRunner().invoke(
+        main, ["bench", "--n-min", "5", "--n-max", "4", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "--n-max 4 is below --n-min 5" in result.output
+    assert not (tmp_path / "bench.csv").exists()
+
+
+def test_bench_rejects_a_chain_without_sites(tmp_path):
+    result = CliRunner().invoke(
+        main, ["bench", "--n-min", "0", "--n-max", "1", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "--n-min" in result.output
+    assert not (tmp_path / "bench.csv").exists()
+
+
 def test_bench_linearity_sees_an_antilinear_term(tmp_path, monkeypatch):
     """The linearity column compares T(c v) with c T(v) for a non-real c, so
     an added 1e-3 conj(v), which commutes with real scalings, is seen."""

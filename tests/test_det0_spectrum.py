@@ -14,7 +14,6 @@ from sovlab.det0_spectrum import (
     make_khat,
     norm_determinant,
     norm_direct,
-    ortho_suite_det0,
     scalar_product_determinant,
     separate_overlap_direct,
     separated_coordinates,
@@ -31,9 +30,11 @@ from sovlab.gl3_model import InterpolationWeights, ModelParams, TransferCache, T
 from sovlab.numkernel import rayleigh_quotients, rel_residual
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import TernaryIndex, dressed_pair, label_digits
+from sovlab.sov_measure import gram
 from sovlab.suites import DEFAULT_TOLERANCES, Workspace, run_det0
 
 from conftest import make_params
+from oracles import label_action_oracle
 
 rng = np.random.default_rng(2)
 
@@ -67,21 +68,27 @@ def test_make_khat_requires_case_i():
         make_khat(twist)
 
 
+def _orthogonality(cache, xyz):
+    pair = dressed_pair(cache, xyz)
+    report = gram(pair.left, pair.right, cache.params)
+    return report.max_offdiag_cosine, report.max_diag_rel_err
+
+
 def test_ortho_suite_diagonal_twist():
     s = ParameterSampler(200)
     eta = s.shift()
     twist = TwistData.from_eigenvalues([1.0, 2.0, 0.0])
     params = ModelParams(2, eta, s.inhomogeneities(2, eta), twist)
-    out = ortho_suite_det0(TransferCache(params), (1.0, 1.0, 1.0))
-    assert out["offdiag_cosine"] <= 1e-9
-    assert out["diag_rel_err"] <= 1e-8
+    off, diag = _orthogonality(TransferCache(params), (1.0, 1.0, 1.0))
+    assert off <= 1e-9
+    assert diag <= 1e-8
 
 
 def test_ortho_suite_random_n3(det0_chain3):
     params, xyz, cache, _ = det0_chain3
-    out = ortho_suite_det0(cache, xyz)
-    assert out["offdiag_cosine"] <= 1e-9
-    assert out["diag_rel_err"] <= 1e-8
+    off, diag = _orthogonality(cache, xyz)
+    assert off <= 1e-9
+    assert diag <= 1e-8
 
 
 def test_ortho_suite_case_ii_supplied_jordan():
@@ -93,15 +100,9 @@ def test_ortho_suite_case_ii_supplied_jordan():
     kj = np.array([[0.9 + 0.4j, 1, 0], [0, 0.9 + 0.4j, 0], [0, 0, 0.0]])
     twist = TwistData.from_jordan(w, kj)
     params = ModelParams(2, eta, s.inhomogeneities(2, eta), twist)
-    out = ortho_suite_det0(TransferCache(params), s.reference3())
-    assert out["offdiag_cosine"] <= 1e-9
-    assert out["diag_rel_err"] <= 1e-8
-
-
-def test_ortho_suite_rejects_invertible(chain2):
-    _, xyz, cache, _ = chain2
-    with pytest.raises(ValueError):
-        ortho_suite_det0(cache, xyz)
+    off, diag = _orthogonality(TransferCache(params), s.reference3())
+    assert off <= 1e-9
+    assert diag <= 1e-8
 
 
 def test_interpolated_actions(det0_chain2):
@@ -117,6 +118,25 @@ def test_interpolated_actions(det0_chain2):
         h = TernaryIndex(digits)
         for side in ("left", "right"):
             assert interpolated_action_check(cache, h, 1, side, xyz, lams) <= 1e-8
+
+
+@pytest.mark.parametrize("chain", ["det0_chain2", "det0_chain3", "chain2", "chain3"])
+def test_label_moves_keep_the_bits_of_the_four_builders(chain, request):
+    """The move table sums the terms of the four written-out builders in their
+    order, on every label, side and order; the invertible chains, where the
+    expansion is not exact, make any changed term show in the residual."""
+    params, xyz, cache, _ = request.getfixturevalue(chain)
+    s = ParameterSampler(31)
+    lams = [s.spectral_point(params.xi, params.eta) for _ in range(2)]
+    for h in TernaryIndex.all(params.sites):
+        for which in (1, 2):
+            for side in ("left", "right"):
+                got = interpolated_action_check(cache, h, which, side, xyz, lams)
+                assert got == label_action_oracle(cache, h, which, side, xyz, lams)
+    h = TernaryIndex((0,) * params.sites)
+    for side, which in (("left", 3), ("up", 1)):
+        with pytest.raises(ValueError):
+            interpolated_action_check(cache, h, which, side, xyz, lams)
 
 
 def test_boundary_eigenstates(det0_chain2):
@@ -368,8 +388,9 @@ def test_label_products_match_per_label_loops(det0_chain3):
     alpha = SeparateState.random(rng, params.sites)
     t1_xi, t2_shift = alpha.coeffs[:, 0], alpha.coeffs[:, 1]
     labels = list(TernaryIndex.all(params.sites))
-    assert np.allclose(alpha.coordinates(), [alpha.coordinate(h) for h in labels],
-                       rtol=1e-15, atol=0)
+    coordinates = [np.prod([alpha.coeffs[a, d] for a, d in enumerate(h.digits)])
+                   for h in labels]
+    assert np.allclose(alpha.coordinates(), coordinates, rtol=1e-15, atol=0)
     separated = []
     for h in labels:
         pred = 1.0 + 0j
@@ -420,7 +441,8 @@ def test_scalar_product_on_own_coefficients_is_norm(det0_chain2):
     states = eigensolve_sov(cache, xyz)
     for st in states[:4]:
         zero_pattern(cache, st)
-        alpha = SeparateState.from_eigenstate(st)
+        # the co-vector pattern (1, t_2(xi_a), t_1(xi_a)) reproduces the eigenstate
+        alpha = SeparateState(np.stack([np.ones_like(st.t1_xi), st.t2_xi, st.t1_xi], axis=1))
         val = scalar_product_determinant(alpha, st, params)
         want = norm_determinant(st, params)
         assert abs(val - want) <= 1e-9 * abs(want)

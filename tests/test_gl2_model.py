@@ -10,7 +10,6 @@ from sovlab.errors import DegenerateReference, DetKZero
 from sovlab.gl2_model import (
     Gl2Params,
     Gl2TransferCache,
-    coupling_prediction,
     coupling_residuals,
     coupling_values,
     gl2_bases,
@@ -23,6 +22,8 @@ from sovlab.gl2_model import (
 from sovlab.gl3_model import on_legs, r_matrix
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import label_digits
+
+from oracles import coupling_prediction
 
 
 def make_gl2(seed, sites):

@@ -13,10 +13,8 @@ from sovlab.sov_measure import (
     appc_recursion_check,
     b_coefficients,
     b_recursion,
-    c_scaling_scan,
     classify_pair,
     coeff_r0_closed_form,
-    diag_formula,
     dual_bases,
     expansion_coefficients,
     export_matrix_csv,
@@ -27,9 +25,10 @@ from sovlab.sov_measure import (
 )
 from sovlab.numkernel import vandermonde
 from sovlab import suites
-from sovlab.suites import _b_recursion_residual, _dual_sparsity_residual
+from sovlab.suites import _dual_coordinate_residuals
 
 from conftest import make_params
+from oracles import c_scaling_scan
 
 
 def test_classify_examples():
@@ -146,7 +145,7 @@ def test_dual_sparsity_matches_per_label_loop(chain3):
             if classify_pair(t, h).kind == "zero":
                 worst = max(worst, abs(coeffs[t.flat]) / np.abs(coeffs).max())
     assert worst > 0
-    assert _dual_sparsity_residual(report, dual) == pytest.approx(worst, rel=1e-15)
+    assert _dual_coordinate_residuals(report, dual)[0] == pytest.approx(worst, rel=1e-15)
 
 
 def test_gram_normalization(chain2):
@@ -184,7 +183,7 @@ def test_gram_two_site_pair_row(chain2):
 
 def test_diag_formula_values(chain2):
     params, _, _, pair = chain2
-    assert diag_formula(params, TernaryIndex((0, 0))) == pytest.approx(1.0)
+    assert diag_values(params)[TernaryIndex((0, 0)).flat] == pytest.approx(1.0)
     report = gram(pair.left, pair.right, params)
     assert report.max_diag_rel_err <= 1e-9
 
@@ -443,9 +442,9 @@ def test_b_recursion_residual_detects_wrong_coefficients(chain3, monkeypatch):
     params, _, _, pair = chain3
     report = gram(pair.left, pair.right, params)
     dual = dual_bases(pair, report)
-    assert _b_recursion_residual(report, dual) <= 1e-9
+    assert _dual_coordinate_residuals(report, dual)[1] <= 1e-9
     monkeypatch.setattr(suites, "b_coefficients", lambda report: np.eye(params.dim))
-    assert _b_recursion_residual(report, dual) > 1e-3
+    assert _dual_coordinate_residuals(report, dual)[1] > 1e-3
 
 
 def test_b_coefficients_detk_zero(det0_chain2):

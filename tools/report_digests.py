@@ -1,0 +1,79 @@
+"""Digest the reports of a fixed set of runs, or compare two digest files.
+
+The cases are gl(3) ``verify --all`` at N = 3 and 4 and the gl(2) default
+tasks at N = 2..5, each on seeds 1..13: 78 runs.  A run's digest is the
+SHA-256 of its report as sorted JSON, with the wall-clock ``timings`` block
+and ``config.out`` dropped, so two trees that compute the same bits give the
+same digests.
+
+    PYTHONPATH=src python tools/report_digests.py digests.json
+    python tools/report_digests.py --compare before.json after.json
+
+The first form runs every case on the ``sovlab`` found on ``PYTHONPATH`` and
+writes ``{case: {"digest": ..., "failed": [task, ...]}}``.  ``--compare``
+lists the cases whose digests differ and exits 1 when any do.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+
+SEEDS = range(1, 14)
+CASES = [("gl3", n) for n in (3, 4)] + [("gl2", n) for n in (2, 3, 4, 5)]
+
+
+def digests():
+    from sovlab.cli import resolve_config, run
+
+    out = {}
+    for algebra, sites in CASES:
+        for seed in SEEDS:
+            over = {"algebra": algebra, "sites": sites, "seed": seed}
+            report = run(resolve_config(None, over), echo=lambda *_: None)
+            report.pop("timings")
+            report["config"].pop("out")
+            text = json.dumps(report, sort_keys=True)
+            out[f"{algebra}-N{sites}-seed{seed}"] = {
+                "digest": hashlib.sha256(text.encode()).hexdigest(),
+                "failed": [r["task"] for r in report["results"] if not r["passed"]],
+            }
+    return out
+
+
+def compare(path_a, path_b):
+    with open(path_a) as fh:
+        a = json.load(fh)
+    with open(path_b) as fh:
+        b = json.load(fh)
+    differ = sorted(k for k in a.keys() | b.keys()
+                    if a.get(k, {}).get("digest") != b.get(k, {}).get("digest"))
+    for case in differ:
+        print(f"differs: {case}")
+    for name, table in ((path_a, a), (path_b, b)):
+        failing = sum(len(v["failed"]) for v in table.values())
+        print(f"{name}: {len(table)} cases, {failing} failing suites")
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} cases differ")
+    return 1 if differ else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="two digest files to compare")
+    parser.add_argument("output", nargs="?", help="digest file to write")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if not args.output:
+        parser.error("give an output file, or --compare A B")
+    table = digests()
+    with open(args.output, "w") as fh:
+        json.dump(table, fh, sort_keys=True, indent=1)
+    failing = sum(len(v["failed"]) for v in table.values())
+    print(f"{len(table)} cases, {failing} failing suites -> {args.output}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
