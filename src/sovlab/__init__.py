@@ -17,14 +17,12 @@ from .errors import (
     SingularBasis,
     SingularGram,
     DetKZero,
-    DegenerateFamily,
     SpectrumCollision,
     SpectrumNotSimple,
     AmbiguousPattern,
     PatternMissing,
     IndexOrder,
     ConfigError,
-    TaskFailure,
 )
 from .gl3_model import ModelParams, TwistData
 from .gl2_model import Gl2Params

@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, SizeCapError, SovLabError, TaskFailure
+from .errors import ConfigError, SizeCapError, SovLabError
 from .gl3_model import ModelParams, TwistData, apply_transfer_free, transfer
 from .numkernel import rel_residual
 from .sampling import ParameterSampler
@@ -214,12 +214,9 @@ def status_line(name, passed, max_residual, tolerance):
     return f"{name:16s} {status}  max_residual={max_residual:.3e}  tol={tolerance:.0e}"
 
 
-def run(cfg, echo=click.echo, strict=False):
-    """Execute the configured tasks and write the report.
-
-    With ``strict`` a failing task raises :class:`TaskFailure` after the
-    report has been written; otherwise the caller inspects ``all_passed``.
-    """
+def run(cfg, echo=click.echo):
+    """Execute the configured tasks and write the report; the caller
+    inspects ``all_passed``."""
     threads = _limit_threads(cfg.get("parallel", False))
     out_dir = Path(cfg["out"]) if cfg.get("out") else None
     if out_dir is not None:
@@ -277,9 +274,6 @@ def run(cfg, echo=click.echo, strict=False):
     if out_dir is not None:
         with open(out_dir / "report.json", "w") as fh:
             json.dump(report, fh, sort_keys=True, indent=1)
-    if strict and not report["all_passed"]:
-        failed = [r.name for r in results if not r.passed]
-        raise TaskFailure(f"tasks beyond tolerance: {', '.join(failed)}")
     return report
 
 

@@ -12,10 +12,6 @@ class SizeCapError(SovLabError):
 class EigFailure(SovLabError):
     """Eigendecomposition did not converge, or its eigenvectors are numerically dependent."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class DegenerateReference(SovLabError):
     """Reference state components violate the non-vanishing conditions."""
@@ -32,10 +28,6 @@ class SingularGram(SovLabError):
 class DetKZero(SovLabError):
     """A coupling or dual-expansion coefficient, or a det-K weighted eigenstate
     representation, was requested with a numerically singular twist."""
-
-
-class DegenerateFamily(SovLabError):
-    """A one-parameter twist family hit an eigenvalue collision."""
 
 
 class SpectrumCollision(SovLabError):
@@ -60,7 +52,3 @@ class IndexOrder(SovLabError):
 
 class ConfigError(SovLabError):
     """A run configuration is malformed."""
-
-
-class TaskFailure(SovLabError):
-    """A verification task exceeded its tolerance."""

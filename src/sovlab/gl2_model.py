@@ -158,7 +158,7 @@ def coupling_residuals(cache):
     gram = left @ right
     pred = coupling_values(cache.params)
     cells = rel_residual(gram - np.diag(pred), gram)
-    diagonal = float((np.abs(np.diagonal(gram) - pred) / np.abs(pred)).max())
+    diagonal = rel_residual(np.diagonal(gram) - pred, pred, axis=())
     return gram, cells, diagonal
 
 
@@ -217,13 +217,13 @@ def gl2_eigen_reps(cache):
     # the stated normalization puts <t|zeros> at overlap / V(xi)
     overlap = np.prod(r_sh, axis=0)
     target = overlap / v_xi
-    zres = np.abs(zeros_col @ u - target) / np.maximum(np.abs(target), 1e-300)
+    zres = rel_residual(zeros_col @ u - target, target, axis=())
 
     # right-label det-K representation: |h> from the zeros reference
     steps = [([], [t / (detk * w.d(x - params.eta))]) for t, x in zip(t_at, params.xi)]
     cols = basis_tree(zeros_col, steps, lambda col, m: m @ col).T
     return {
-        "reconstruction_residual": float(max(resid, zres.max())),
+        "reconstruction_residual": max(resid, zres),
         "detk_rep_residual": rel_residual(cols - right, right, axis=0),
         "min_overlap": float(np.abs(overlap).min()),
         "states": [{"eigenvalue": complex(val)} for val in dec.values],
@@ -235,4 +235,5 @@ def identity_decomposition_residual(cache):
     params = cache.params
     left, right, _ = cache.bases()
     acc = vandermonde(params.xi) * ((right * shifted_vandermonde(params)) @ left)
-    return float(np.abs(acc - np.eye(params.dim)).max())
+    eye = np.eye(params.dim)
+    return rel_residual(acc - eye, eye)

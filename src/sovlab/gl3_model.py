@@ -616,7 +616,8 @@ def fusion_residuals(cache):
     """Per-site residual table of the fusion hierarchy.
 
     Returns ``{"fusion": {(a, m): r}, "central_zero": {a: r}}`` with 0-based
-    site keys, every residual relative to the magnitude of its left-hand side.
+    site keys: each fusion residual relative to the larger side's magnitude,
+    each central zero relative to T_2 at the node.
     """
     params = cache.params
     out = {"fusion": {}, "central_zero": {}}
@@ -626,8 +627,8 @@ def fusion_residuals(cache):
         for m in (1, 2):
             lhs = t1 @ cache.value(m, xa - params.eta)
             rhs = cache.value(m + 1, xa)
-            scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
-            out["fusion"][(a, m)] = float(np.abs(lhs - rhs).max() / scale)
+            scale = max(np.abs(lhs).max(), np.abs(rhs).max())
+            out["fusion"][(a, m)] = rel_residual(lhs - rhs, scale)
         out["central_zero"][a] = rel_residual(cache.t2(xa + params.eta), cache.t2(xa))
     return out
 

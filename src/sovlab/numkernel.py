@@ -4,7 +4,9 @@ All matrices are plain ``numpy.ndarray`` of ``complex128``.  Pairings between
 co-vectors (rows) and vectors (columns) are bilinear throughout the library:
 ``row @ col`` with no complex conjugation, matching the algebraic setting.
 Every exported operation is a pure function of immutable inputs; results are
-freely shareable across threads.
+freely shareable across threads.  Every residual a report carries is
+:func:`rel_residual` in one of its three modes: whole, per row or column
+member, or per entry.
 """
 
 import itertools
@@ -170,8 +172,11 @@ def rayleigh_quotients(left, matrix, right):
 def rel_residual(diff, ref, axis=None):
     """max|diff| relative to max|ref|: the library's relative-residual convention.
 
-    With ``axis`` it is the worst member's ratio, each row (``axis=1``) or
-    column (``axis=0``) of ``diff`` against the same member of ``ref``.
+    It has three modes: whole (``axis=None``); per member, the worst row's
+    (``axis=1``) or column's (``axis=0``) ratio of ``diff`` to the same
+    member of ``ref``; and per entry (``axis=()``, numpy's empty reduction),
+    the worst entry's ratio.  A masked figure passes ``np.where(mask, x, 0)``
+    as ``diff``, a residual against the identity ``x - eye`` with ``ref=eye``.
     Scalars take the builtin abs, whose hypot can differ in the last bit from
     numpy's vectorized complex abs.
     """

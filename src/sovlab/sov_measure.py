@@ -170,14 +170,11 @@ class GramReport:
         return self._max_cosine(~pair_support(self.params.sites).diagonal)
 
     def _max_cosine(self, cells):
-        mags = np.abs(self.cosine)
-        return float(np.max(mags[cells], initial=0.0) / max(mags.max(), 1e-300))
+        return rel_residual(np.where(cells, self.cosine, 0), self.cosine)
 
     @property
     def max_diag_rel_err(self):
-        return float(
-            np.max(np.abs(self.diag - self.predicted_diag) / np.abs(self.predicted_diag))
-        )
+        return rel_residual(self.diag - self.predicted_diag, self.predicted_diag, axis=())
 
     def entry(self, h, k):
         return self.gram[h.flat, k.flat]
@@ -286,23 +283,22 @@ def dual_bases(pair, report):
     col_norms = np.linalg.norm(pair.right, axis=0)
     left_u = pair.left / row_norms[:, None]
     right_u = pair.right / col_norms[None, :]
-    cosine = report.gram / np.outer(row_norms, col_norms)
     try:
-        cos_inv = np.linalg.solve(cosine, eye.astype(complex))
+        cos_inv = np.linalg.solve(report.cosine, eye.astype(complex))
         # p_cov = D R^{-1} = diag(N/dc) Ru^{-1};  p_vec = L^{-1} D = Lu^{-1} diag(N/dr)
         p_cov = np.linalg.solve(right_u.T, np.diag(report.diag / col_norms).T).T
         p_vec = np.linalg.solve(left_u, np.diag(report.diag / row_norms))
     except np.linalg.LinAlgError as exc:
         raise SingularGram(str(exc)) from exc
     measure = (cos_inv / row_norms[None, :]) / col_norms[:, None]
-    inverse = np.abs(cos_inv @ cosine - eye).max()
+    inverse = rel_residual(cos_inv @ report.cosine - eye, eye)
     if not np.isfinite(inverse) or inverse > 1e-4:
         raise SingularGram(f"inverse residual {inverse:.2e}; coupling matrix near singular")
     ortho = max(
         rel_residual(p_cov @ right_u - np.diag(report.diag / col_norms), report.diag / col_norms),
         rel_residual(left_u @ p_vec - np.diag(report.diag / row_norms), report.diag / row_norms),
     )
-    return DualBasisData(p_cov, p_vec, measure, float(ortho), float(inverse))
+    return DualBasisData(p_cov, p_vec, measure, ortho, inverse)
 
 
 def expansion_coefficients(report, dual, h):

@@ -214,16 +214,18 @@ class Workspace:
     # -- gl2 ---------------------------------------------------------------
 
     def gl2(self):
-        """Transfer cache of the gl(2) chain."""
+        """Transfer cache of the gl(2) chain.  It shares a configured eta and
+        xi; a gl3 run's configured twist and reference are gl(3) data, so
+        there it samples its own."""
         if "gl2" not in self._cache:
             s = ParameterSampler(self.seed)
             eta = self._eta if self._eta is not None else s.shift()
             xi = tuple(self._xi) if self._xi is not None else s.inhomogeneities(self.sites, eta)
-            if self._twist is not None:
-                k = np.asarray(self._twist, dtype=complex)
-            else:
-                k = s.gl2_twist()
-            ref = tuple(self._reference) if self._reference is not None else s.reference2()
+            gl2_run = self.algebra == "gl2"
+            twist = self._twist if gl2_run else None
+            reference = self._reference if gl2_run else None
+            k = np.asarray(twist, dtype=complex) if twist is not None else s.gl2_twist()
+            ref = tuple(reference) if reference is not None else s.reference2()
             params = gl2_model.Gl2Params(self.sites, eta, xi, k, ref)
             self._cache["gl2"] = gl2_model.Gl2TransferCache(params)
         return self._cache["gl2"]
@@ -326,9 +328,8 @@ def run_bases(ws, tol):
     params = cache.params
     rl, rr = pair.rank_ratios()
     details = {"rank_left": rl, "rank_right": rr, "variant": pair.variant}
-    defr0 = float(
-        np.abs(pair.left @ pair.ref_vector - np.eye(params.dim)[0]).max()
-    )
+    e0 = np.eye(params.dim)[0]
+    defr0 = rel_residual(pair.left @ pair.ref_vector - e0, e0)
     solved = reference_vector_solve(pair.left, rank_left=rl)
     agree = rel_residual(solved - pair.ref_vector, pair.ref_vector)
     s = ParameterSampler(ws.seed + 3000)
@@ -399,9 +400,8 @@ def _twist_independence_residual(ws):
     cache = ws.other_twist_chain()
     pair2 = dressed_pair(cache, xyz)
     cache.clear()  # nothing reads this chain again; the report keeps its counts
-    g2 = pair2.left @ pair2.right
-    diag2 = np.diagonal(g2)
-    return float(np.max(np.abs(diag2 - report.diag) / np.abs(report.diag)))
+    diag2 = np.diagonal(pair2.left @ pair2.right)
+    return rel_residual(diag2 - report.diag, report.diag, axis=())
 
 
 def run_dual(ws, tol):
@@ -431,11 +431,9 @@ def _dual_coordinate_residuals(report, dual):
     """
     support = sov_measure.pair_support(report.params.sites)
     coords = dual.measure * report.diag
-    mags = np.abs(coords)
-    scale = np.maximum(mags.max(axis=0), 1e-300)
-    sparsity = float(np.max((mags / scale)[support.zero], initial=0.0))
+    sparsity = rel_residual(np.where(support.zero, coords, 0), coords, axis=0)
     pred = report.params.twist.det ** support.pair_count * b_coefficients(report)
-    brec = float(np.max((np.abs(coords - pred) / scale)[support.offdiag], initial=0.0))
+    brec = rel_residual(np.where(support.offdiag, coords - pred, 0), coords, axis=0)
     return sparsity, brec
 
 

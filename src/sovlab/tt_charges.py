@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .det0_spectrum import probe_decomposition, separated_coordinates
-from .gl3_model import TransferCache, default_probe_point
+from .gl3_model import TransferCache
 from .numkernel import rayleigh_quotients, rel_residual
 from .sov_bases import (
     SovBasisPair,
@@ -58,7 +58,6 @@ class ChargeFamily:
     right: np.ndarray
     left: np.ndarray
     khat_states: list
-    probe_point: complex
     probe_residual: float
     _khat_cache: TransferCache
     t1_xi: np.ndarray = field(init=False, repr=False)
@@ -86,7 +85,8 @@ class ChargeFamily:
 
     def completeness_residual(self):
         """max |sum_a P_a - I| over the spectral projectors."""
-        return float(np.abs(self.right @ self.left - np.eye(self.params.dim)).max())
+        eye = np.eye(self.params.dim)
+        return rel_residual(self.right @ self.left - eye, eye)
 
 
 def build_tt(cache, khat_cache, khat_states):
@@ -115,7 +115,6 @@ def build_tt(cache, khat_cache, khat_states):
         dec.right,
         dec.left,
         khat_states,
-        complex(default_probe_point(params)),
         dec.residual_norm,
         khat_cache,
     )

@@ -7,11 +7,16 @@ only the tests run.
 
 import numpy as np
 
-from sovlab.errors import DegenerateFamily
+from sovlab.errors import SovLabError
 from sovlab.gl3_model import InterpolationWeights, TransferCache
 from sovlab.numkernel import rel_residual, vandermonde
 from sovlab.sov_bases import dressed_pair
 from sovlab.sov_measure import gram, pair_support
+
+
+class DegenerateFamily(SovLabError):
+    """A one-parameter twist family of :func:`c_scaling_scan` hit an
+    eigenvalue collision."""
 
 
 def label_action_oracle(cache, h, which, side, xyz, lambdas):
@@ -180,3 +185,36 @@ def c_scaling_scan(params, c_values, xyz):
         "diag_slopes": diag_slopes,
         "reports": reports,
     }
+
+
+# ---------------------------------------------------------------------------
+# Report residuals as the library wrote them out before each became one
+# ``numkernel.rel_residual`` call; the tests assert that both agree bit for bit.
+
+
+def entry_ratio(diff, ref):
+    """Worst per-entry ratio |diff_i| / |ref_i|."""
+    return float(np.max(np.abs(diff) / np.abs(ref)))
+
+
+def masked_cosine(cosine, cells):
+    """Largest |cosine| over ``cells`` relative to the largest |cosine|."""
+    mags = np.abs(cosine)
+    return float(np.max(mags[cells], initial=0.0) / max(mags.max(), 1e-300))
+
+
+def masked_column_ratio(diff, ref, cells):
+    """Largest |diff| over ``cells``, each relative to its column's max |ref|."""
+    scale = np.maximum(np.abs(ref).max(axis=0), 1e-300)
+    return float(np.max((np.abs(diff) / scale)[cells], initial=0.0))
+
+
+def identity_error(x, eye):
+    """max |x - eye|: the absolute error against the identity."""
+    return float(np.abs(x - eye).max())
+
+
+def two_sided(lhs, rhs):
+    """max |lhs - rhs| relative to the larger side's largest magnitude."""
+    scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
+    return float(np.abs(lhs - rhs).max() / scale)

@@ -1,0 +1,49 @@
+"""``tools/report_digests.py --compare`` on small synthetic digest files."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+DIGESTS_PATH = Path(__file__).resolve().parents[1] / "tools" / "report_digests.py"
+
+
+@pytest.fixture(scope="module")
+def digests():
+    spec = importlib.util.spec_from_file_location("report_digests", DIGESTS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # defines the functions, runs no case
+    return module
+
+
+def write(path, table):
+    path.write_text(json.dumps(table))
+    return str(path)
+
+
+BEFORE = {"gl3-N4-seed1": {"digest": "aa", "failed": ["dual", "ttcharges"]},
+          "gl3-N4-seed2": {"digest": "bb", "failed": []}}
+
+
+def test_compare_matching_files(digests, tmp_path, capsys):
+    a = write(tmp_path / "a.json", BEFORE)
+    b = write(tmp_path / "b.json", BEFORE)
+    assert digests.main(["--compare", a, b]) == 0
+    out = capsys.readouterr().out
+    assert "0 of 2 cases differ" in out
+    assert "failing:" not in out
+
+
+def test_compare_lists_failure_changes_per_case(digests, tmp_path, capsys):
+    after = {"gl3-N4-seed1": {"digest": "cc", "failed": ["gram", "ttcharges"]},
+             "gl3-N4-seed2": {"digest": "dd", "failed": []}}
+    a = write(tmp_path / "a.json", BEFORE)
+    b = write(tmp_path / "b.json", after)
+    assert digests.main(["--compare", a, b]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "differs: gl3-N4-seed1" in lines and "differs: gl3-N4-seed2" in lines
+    assert [line for line in lines if line.startswith("failing:")] == [
+        "failing: gl3-N4-seed1 +gram -dual"
+    ]
+    assert "2 of 2 cases differ" in lines

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sovlab.errors import DegenerateFamily, DetKZero
+from sovlab.errors import DetKZero
 from sovlab.gl3_model import InterpolationWeights, ModelParams, TransferCache, TwistData
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import TernaryIndex, dressed_pair
@@ -28,7 +28,7 @@ from sovlab import suites
 from sovlab.suites import _dual_coordinate_residuals
 
 from conftest import make_params
-from oracles import c_scaling_scan
+from oracles import DegenerateFamily, c_scaling_scan
 
 
 def test_classify_examples():

@@ -11,7 +11,9 @@ same digests.
 
 The first form runs every case on the ``sovlab`` found on ``PYTHONPATH`` and
 writes ``{case: {"digest": ..., "failed": [task, ...]}}``.  ``--compare``
-lists the cases whose digests differ and exits 1 when any do.
+lists the cases whose digests differ and exits 1 when any do; each case
+whose failing suites differ gets a line ``failing: <case> +task -task``,
+with + for a suite failing only in B and - for one failing only in A.
 """
 
 import argparse
@@ -50,6 +52,13 @@ def compare(path_a, path_b):
                     if a.get(k, {}).get("digest") != b.get(k, {}).get("digest"))
     for case in differ:
         print(f"differs: {case}")
+    for case in sorted(a.keys() | b.keys()):
+        before = set(a.get(case, {}).get("failed", ()))
+        after = set(b.get(case, {}).get("failed", ()))
+        if before != after:
+            moves = [f"+{t}" for t in sorted(after - before)]
+            moves += [f"-{t}" for t in sorted(before - after)]
+            print(f"failing: {case} {' '.join(moves)}")
     for name, table in ((path_a, a), (path_b, b)):
         failing = sum(len(v["failed"]) for v in table.values())
         print(f"{name}: {len(table)} cases, {failing} failing suites")
