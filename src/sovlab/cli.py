@@ -24,7 +24,7 @@ from .errors import ConfigError, SizeCapError, SovLabError
 from .gl3_model import ModelParams, TwistData, apply_transfer_free, transfer
 from .numkernel import rel_residual
 from .sampling import ParameterSampler
-from .suites import DEFAULT_TOLERANCES, SUITES, TaskResult, Workspace, run_task, validate_tasks
+from .suites import SUITES, Workspace, run_task, validate_tasks
 
 
 #: thread-count setters of the OpenBLAS builds numpy and scipy ship; each has
@@ -105,15 +105,16 @@ def _encode(value):
 
 
 def resolve_config(path=None, overrides=None):
-    """Load, validate and normalize a run configuration."""
+    """Load, validate and normalize a run configuration.  An override of None
+    keeps the file's value, except ``tasks``, where None drops the file's list
+    so that the algebra's default list applies."""
     raw = {}
     if path is not None:
         with open(path) as fh:
             raw = json.load(fh)
     raw = dict(raw)
-    overrides = overrides or {}
-    for key, val in overrides.items():
-        if val is not None:
+    for key, val in (overrides or {}).items():
+        if val is not None or key == "tasks":
             raw[key] = val
 
     cfg = {}
@@ -239,16 +240,7 @@ def run(cfg, echo=click.echo):
     timings = {"workspace": time.perf_counter() - start, "tasks": {}}
     for name in cfg["tasks"]:
         start = time.perf_counter()
-        try:
-            res = run_task(name, ws, cfg["tolerances"], out_dir=out_dir)
-        except SovLabError as exc:
-            res = TaskResult(
-                name=name,
-                passed=False,
-                tolerance=cfg["tolerances"].get(name, DEFAULT_TOLERANCES[name]),
-                max_residual=float("inf"),
-                details={"error": f"{type(exc).__name__}: {exc}"},
-            )
+        res = run_task(name, ws, cfg["tolerances"], out_dir=out_dir)
         timings["tasks"][name] = time.perf_counter() - start
         results.append(res)
         echo(status_line(name, res.passed, res.max_residual, res.tolerance))
@@ -325,7 +317,7 @@ def verify(config_path, run_all, sites, seed, tol, out, suite_csv, parallel):
     if suite_csv:
         over["tasks"] = [s.strip() for s in suite_csv.split(",") if s.strip()]
     elif run_all:
-        over["tasks"] = None  # resolved to the full registry
+        over["tasks"] = None  # drops a configured list: the algebra's default tasks run
     _run_or_exit(config_path, over)
 
 

@@ -21,7 +21,7 @@ from .errors import (
     SpectrumNotSimple,
 )
 from .gl3_model import InterpolationWeights, default_probe_point
-from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde
+from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde, worst
 from .sov_bases import TernaryIndex, dressed_pair, label_digits, label_products
 from .sov_measure import diag_values
 
@@ -275,15 +275,15 @@ def interpolated_action_check(cache, h, which, side, xyz, lambdas):
 
     # rows of a left family, columns of a right one
     members = pair.left if side == "left" else pair.right.T
-    worst = 0.0
-    for lam in lambdas:
+
+    def residual(lam):
         mat = cache.value(which, lam)
         dense = members[h.flat] @ mat if side == "left" else mat @ members[h.flat]
         approx = np.zeros(params.dim, dtype=complex)
         for coef, idx in terms(which, h, lam):
             approx += coef * members[idx.flat]
-        worst = max(worst, rel_residual(dense - approx, dense))
-    return worst
+        return rel_residual(dense - approx, dense)
+    return worst(residual(lam) for lam in lambdas)
 
 
 def boundary_eigenstate_check(cache, xyz, lambdas):
@@ -307,8 +307,7 @@ def boundary_eigenstate_check(cache, xyz, lambdas):
     def profile_residual(members, which, profile, side):
         # members are the rows of a left block or the columns of a right one
         axis = 1 if side == "left" else 0
-        consts = []
-        resid = 0.0
+        consts, resids = [], []
         for lam in lambdas:
             mat = cache.value(which, lam)
             acted = members @ mat if side == "left" else mat @ members
@@ -321,9 +320,9 @@ def boundary_eigenstate_check(cache, xyz, lambdas):
                     "pick spectral points away from the shifted inhomogeneities"
                 )
             const = np.take_along_axis(acted, j, axis) / top
-            resid = max(resid, rel_residual(acted - const * ref, acted, axis=axis))
+            resids.append(rel_residual(acted - const * ref, acted, axis=axis))
             consts.append(const.ravel())
-        return resid, np.array(consts)
+        return worst(resids), np.array(consts)
 
     def covector(row, which, profile):
         resid, consts = profile_residual(row, which, profile, "left")

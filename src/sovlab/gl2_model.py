@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DegenerateReference, DetKZero
 from .gl3_model import InterpolationWeights, default_probe_point, fused_dense, xi_separation
-from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde
+from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde, worst
 from .sov_bases import basis_tree, label_digits, label_products, tensor_product_state
 
 
@@ -212,18 +212,18 @@ def gl2_eigen_reps(cache):
 
     v = dec.right / (row0 @ dec.right) / v_xi
     u = (dec.left / (dec.left @ ones_col)[:, None] / v_xi).T
-    resid = max(rel_residual(right @ coef_right - v, v, axis=0),
-                rel_residual(left.T @ coef_left - u, u, axis=0))
     # the stated normalization puts <t|zeros> at overlap / V(xi)
     overlap = np.prod(r_sh, axis=0)
     target = overlap / v_xi
-    zres = rel_residual(zeros_col @ u - target, target, axis=())
+    resid = worst((rel_residual(right @ coef_right - v, v, axis=0),
+                   rel_residual(left.T @ coef_left - u, u, axis=0),
+                   rel_residual(zeros_col @ u - target, target, axis=())))
 
     # right-label det-K representation: |h> from the zeros reference
     steps = [([], [t / (detk * w.d(x - params.eta))]) for t, x in zip(t_at, params.xi)]
     cols = basis_tree(zeros_col, steps, lambda col, m: m @ col).T
     return {
-        "reconstruction_residual": max(resid, zres),
+        "reconstruction_residual": resid,
         "detk_rep_residual": rel_residual(cols - right, right, axis=0),
         "min_overlap": float(np.abs(overlap).min()),
         "states": [{"eigenvalue": complex(val)} for val in dec.values],

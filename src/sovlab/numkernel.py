@@ -6,7 +6,7 @@ co-vectors (rows) and vectors (columns) are bilinear throughout the library:
 Every exported operation is a pure function of immutable inputs; results are
 freely shareable across threads.  Every residual a report carries is
 :func:`rel_residual` in one of its three modes: whole, per row or column
-member, or per entry.
+member, or per entry; figures are folded into one by :func:`worst`.
 """
 
 import itertools
@@ -158,7 +158,7 @@ def eig_general(a, gap_rtol=None):
     resid_right = np.linalg.norm(a @ right - right * values, axis=0).max()
     resid_left = (np.linalg.norm(dec.left @ a - values[:, None] * dec.left, axis=1)
                   / np.linalg.norm(dec.left, axis=1)).max()
-    dec.residual_norm = float(max(resid_right, resid_left) / norm_a)
+    dec.residual_norm = float(worst((resid_right, resid_left)) / norm_a)
     return dec
 
 
@@ -183,6 +183,13 @@ def rel_residual(diff, ref, axis=None):
     def mag(x):
         return np.abs(x).max(axis=axis) if np.ndim(x) else abs(x)
     return float((mag(diff) / np.maximum(mag(ref), 1e-300)).max())
+
+
+def worst(figures):
+    """The largest of some report figures, 0.0 when there are none.  A NaN
+    figure is the largest, so it fails any gate the result is compared with."""
+    figures = list(figures)
+    return float(np.max(figures)) if figures else 0.0
 
 
 def rank_ratio(matrix):

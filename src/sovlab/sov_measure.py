@@ -430,15 +430,13 @@ def appc_recursion_check(cache, r, xyz, h_rest=()):
 
 def export_matrix_csv(matrix, path):
     """CSV with flat label row/column headers 0..dim-1; complex cells as "re,im"."""
-    matrix = np.asarray(matrix)
+    matrix = np.asarray(matrix, dtype=complex)
     headers = [str(i) for i in range(len(matrix))]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["h\\k"] + headers)
-        for i, row in enumerate(matrix):
-            writer.writerow(
-                [headers[i]] + [f"{float(z.real)!r},{float(z.imag)!r}" for z in row]
-            )
+        for head, re_row, im_row in zip(headers, matrix.real.tolist(), matrix.imag.tolist()):
+            writer.writerow([head] + [f"{x!r},{y!r}" for x, y in zip(re_row, im_row)])
 
 
 def report_summary(report):

@@ -5,6 +5,8 @@ per-case form of an array computation the library does once, or a check that
 only the tests run.
 """
 
+import csv
+
 import numpy as np
 
 from sovlab.errors import SovLabError
@@ -218,3 +220,17 @@ def two_sided(lhs, rhs):
     """max |lhs - rhs| relative to the larger side's largest magnitude."""
     scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
     return float(np.abs(lhs - rhs).max() / scale)
+
+
+def per_cell_matrix_csv(matrix, path):
+    """``sov_measure.export_matrix_csv`` as it formatted each cell from its
+    numpy scalar; the library's row-list writer must give the same bytes."""
+    matrix = np.asarray(matrix)
+    headers = [str(i) for i in range(len(matrix))]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["h\\k"] + headers)
+        for i, row in enumerate(matrix):
+            writer.writerow(
+                [headers[i]] + [f"{float(z.real)!r},{float(z.imag)!r}" for z in row]
+            )

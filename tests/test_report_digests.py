@@ -47,3 +47,35 @@ def test_compare_lists_failure_changes_per_case(digests, tmp_path, capsys):
         "failing: gl3-N4-seed1 +gram -dual"
     ]
     assert "2 of 2 cases differ" in lines
+
+
+def report(gram_details, failed=()):
+    return {"all_passed": not failed, "results": [
+        {"task": "gram", "passed": "gram" not in failed, "max_residual": 1e-12,
+         "details": gram_details},
+        {"task": "det0", "passed": True, "max_residual": 2e-13,
+         "details": {"per_state": [{"rel_err": 1e-14}, {"rel_err": 3e-14}]}},
+    ]}
+
+
+def test_compare_names_moved_new_and_vanished_fields(digests, tmp_path, capsys):
+    a_rep = report({"scale": 2.0, "old": "x"})
+    b_rep = report({"scale": 2.5, "cells": 1e-12})
+    b_rep["results"][1]["details"]["per_state"][1]["rel_err"] = 4e-14
+    a = write(tmp_path / "a.json", {
+        "gl2-N2-seed1": {"digest": "aa", "failed": [], "report": a_rep},
+        "gl2-N2-seed2": {"digest": "bb", "failed": [], "report": report({"scale": 1.0})},
+    })
+    b = write(tmp_path / "b.json", {
+        "gl2-N2-seed1": {"digest": "cc", "failed": [], "report": b_rep},
+        "gl2-N2-seed2": {"digest": "bb", "failed": [], "report": report({"scale": 1.0})},
+    })
+    assert digests.main(["--compare", a, b]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.split(":")[0] in ("moved", "new", "gone")] == [
+        "gone: results.gram.details.old  1 cases",
+        "moved: results.det0.details.per_state[].rel_err  1 cases  3e-14 -> 4e-14",
+        "moved: results.gram.details.scale  1 cases  2.0 -> 2.5",
+        "new: results.gram.details.cells  1 cases  None -> 1e-12",
+    ]
+    assert "1 of 2 cases differ" in lines

@@ -1,0 +1,172 @@
+"""The one verdict rule of the verify suites: each suite's gated figures are
+named in ``details``, its ``max_residual`` is their ``worst``, and a NaN
+figure fails the suite."""
+
+import fnmatch
+import json
+import math
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from sovlab import det0_spectrum, gl3_model, suites
+from sovlab.cli import main
+from sovlab.errors import SovLabError
+from sovlab.numkernel import worst
+from sovlab.sov_measure import export_matrix_csv
+from sovlab.suites import DEFAULT_TOLERANCES, GL2_TASKS, SUITES, Workspace, run_task
+
+from oracles import per_cell_matrix_csv
+
+#: the figures each suite compares with its tolerance, per algebra, at N = 3
+GATED = {
+    "gl3": {
+        "yangbaxter": ("yang_baxter", "scalar_yang_baxter", "rtt"),
+        "fusion": ("fusion", "quantum_determinant", "t2_interpolation"),
+        "bases": ("def_r0", "closed_vs_solve", "variant_relation"),
+        "gram": ("max_zero_violation", "max_diag_rel_err"),
+        "measure": ("max_diag_rel_err", "twist_independence"),
+        "dual": ("inverse_residual", "expansion_sparsity", "b_recursion"),
+        "det0": ("offdiag", "diag_rel_err", "interpolated_actions", "boundary_residual",
+                 "boundary_constant_spread", "right_constant_spread"),
+        "scalarproducts": ("factorization", "scalar_products", "norms"),
+        "ttcharges": ("fusion", "commutation", "gram_offdiag", "gram_diag",
+                      "eigen_representation", "central_zero", "probe_eigen_residual"),
+        "gl2": ("measure", "identity_decomposition", "fusion_scalar", "eigen_reconstruction",
+                "detk_representation"),
+        "appendixA": ("product_m1", "product_m2", "product_m3", "exchange_relation"),
+        "appendixC": ("seed_rest_?", "single_pair_coefficient"),
+    },
+    "gl2": {
+        "yangbaxter": ("yang_baxter",),
+        "gram": ("max_cell_rel_err",),
+        "measure": ("max_diag_rel_err",),
+        "gl2": ("measure", "identity_decomposition", "fusion_scalar", "eigen_reconstruction",
+                "detk_representation"),
+    },
+}
+
+
+def gated_keys(algebra, name, details):
+    keys = [k for pattern in GATED[algebra][name] for k in fnmatch.filter(details, pattern)]
+    assert len(keys) == len(GATED[algebra][name])
+    return keys
+
+
+@pytest.fixture
+def declared(monkeypatch):
+    """The ``gated`` and ``info`` dicts each suite hands to ``_result``."""
+    seen = {}
+    result = suites._result
+
+    def spy(name, tol, ws, gated, info=None, ok=True):
+        seen[name] = (dict(gated), dict(info or {}))
+        return result(name, tol, ws, gated, info, ok)
+    monkeypatch.setattr(suites, "_result", spy)
+    return seen
+
+
+@pytest.mark.parametrize("algebra", ["gl3", "gl2"])
+def test_max_residual_is_the_worst_gated_detail(algebra, declared):
+    ws = Workspace(algebra, 3, 7)
+    tasks = list(SUITES) if algebra == "gl3" else list(GL2_TASKS)
+    for name in tasks:
+        res = run_task(name, ws, {})
+        keys = gated_keys(algebra, name, res.details)
+        assert res.max_residual == max(res.details[k] for k in keys), name
+        assert res.max_residual <= DEFAULT_TOLERANCES[name] or not res.passed, name
+        gated, info = declared[name]
+        assert sorted(gated) == sorted(keys), name
+        assert not set(gated) & set(info), name
+        assert res.details == {**gated, **info}, name
+
+
+def nth_call_nan(fn, n):
+    """``fn`` with its ``n``-th call (from 1) returning NaN."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return math.nan if len(calls) == n else fn(*args, **kwargs)
+    return wrapper
+
+
+def assert_fails_on_nan(res):
+    assert math.isnan(res.max_residual)
+    assert res.passed is False
+
+
+def test_yang_baxter_nan_fails_the_suite(monkeypatch):
+    monkeypatch.setattr(gl3_model, "check_yang_baxter",
+                        nth_call_nan(gl3_model.check_yang_baxter, 2))
+    res = suites.run_yangbaxter(Workspace("gl3", 3, 7), DEFAULT_TOLERANCES["yangbaxter"])
+    assert_fails_on_nan(res)
+    assert math.isnan(res.details["yang_baxter"])
+
+
+def test_product_formula_nan_fails_appendix_a(monkeypatch):
+    monkeypatch.setattr(gl3_model, "product_formula_check",
+                        nth_call_nan(gl3_model.product_formula_check, 2))
+    res = suites.run_appendix_a(Workspace("gl3", 3, 7), DEFAULT_TOLERANCES["appendixA"])
+    assert_fails_on_nan(res)
+    assert math.isnan(res.details["product_m2"])
+
+
+def test_interpolated_action_nan_fails_det0(monkeypatch):
+    """One evaluation point's residual inside one label-action check."""
+    monkeypatch.setattr(det0_spectrum, "rel_residual",
+                        nth_call_nan(det0_spectrum.rel_residual, 2))
+    res = suites.run_det0(Workspace("gl3", 3, 7), DEFAULT_TOLERANCES["det0"])
+    assert_fails_on_nan(res)
+    assert math.isnan(res.details["interpolated_actions"])
+
+
+def test_worst():
+    assert worst([]) == 0.0
+    assert worst(iter([3e-9, 1e-8, 2e-9])) == 1e-8
+    assert math.isnan(worst([1e-8, math.nan, 2e-8]))
+
+
+def test_run_task_turns_a_library_error_into_a_failed_result(monkeypatch):
+    def broken(ws, tol):
+        raise SovLabError("no chain")
+    monkeypatch.setitem(SUITES, "gram", broken)
+    res = run_task("gram", Workspace("gl3", 2, 7), {"gram": 1e-6})
+    assert (res.passed, res.tolerance, res.max_residual, res.retries) == (False, 1e-6, math.inf, [])
+    assert res.details == {"error": "SovLabError: no chain"}
+
+
+def test_verify_all_drops_the_config_task_list(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"sites": 2, "seed": 7, "tasks": ["gram"]}))
+    out = tmp_path / "out"
+    CliRunner().invoke(main, ["verify", "--all", "--config", str(config), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    assert [r["task"] for r in report["results"]] == list(SUITES)
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, np.nan, np.inf, -np.inf,
+               1.7976931348623157e308, 1e-300, -3.3e300, 1 / 3, -7.0]
+
+
+def test_csv_bytes_match_the_per_cell_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    re = rng.choice(EDGE_VALUES, size=(12, 12))
+    cells = re.astype(complex)
+    cells.imag = rng.choice(EDGE_VALUES, size=(12, 12))
+    for matrix in (cells, re, np.arange(-4, 5).reshape(3, 3)):
+        export_matrix_csv(matrix, tmp_path / "new.csv")
+        per_cell_matrix_csv(matrix, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_gl2_measure_csv_bytes_match_the_per_cell_writer(tmp_path):
+    result = CliRunner().invoke(
+        main, ["measure", "--algebra", "gl2", "-N", "3", "--seed", "3", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    g = Workspace("gl2", 3, 3).gl2_coupling()[0]
+    for name, matrix in (("gram", g), ("measure", np.linalg.inv(g))):
+        per_cell_matrix_csv(matrix, tmp_path / f"{name}.oracle.csv")
+        assert ((tmp_path / f"{name}.csv").read_bytes()
+                == (tmp_path / f"{name}.oracle.csv").read_bytes())

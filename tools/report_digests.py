@@ -10,16 +10,24 @@ same digests.
     python tools/report_digests.py --compare before.json after.json
 
 The first form runs every case on the ``sovlab`` found on ``PYTHONPATH`` and
-writes ``{case: {"digest": ..., "failed": [task, ...]}}``.  ``--compare``
-lists the cases whose digests differ and exits 1 when any do; each case
-whose failing suites differ gets a line ``failing: <case> +task -task``,
-with + for a suite failing only in B and - for one failing only in A.
+writes ``{case: {"digest": ..., "failed": [task, ...], "report": ...}}``,
+the report stripped as it was digested.  ``--compare`` lists the cases whose
+digests differ and exits 1 when any do; each case whose failing suites differ
+gets a line ``failing: <case> +task -task``, with + for a suite failing only
+in B and - for one failing only in A.  Where both files hold reports, every
+field path whose value moved, appeared (``new``) or vanished (``gone``) gets
+one line with its case count and, for numbers, the largest magnitude before
+and after over those cases.  Results are indexed by task name and list
+positions are folded into ``[]``, so ``results.gram.details.scale`` names one
+field in every case.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import sys
+from collections import defaultdict
 
 SEEDS = range(1, 14)
 CASES = [("gl3", n) for n in (3, 4)] + [("gl2", n) for n in (2, 3, 4, 5)]
@@ -39,8 +47,61 @@ def digests():
             out[f"{algebra}-N{sites}-seed{seed}"] = {
                 "digest": hashlib.sha256(text.encode()).hexdigest(),
                 "failed": [r["task"] for r in report["results"] if not r["passed"]],
+                "report": json.loads(text),
             }
     return out
+
+
+def leaves(value, path="", field=""):
+    """``{(path, field): leaf}`` of a report: ``path`` is exact, ``field`` folds
+    list positions into ``[]``; results are keyed by task name."""
+    if isinstance(value, dict):
+        items = [(f".{k}", f".{k}", v) for k, v in value.items()]
+    elif path == ".results":
+        items = [(f".{r['task']}", f".{r['task']}", r) for r in value]
+    elif isinstance(value, list):
+        items = [(f"[{i}]", "[]", v) for i, v in enumerate(value)]
+    else:
+        return {(path, field): value}
+    out = {}
+    for key, fkey, v in items:
+        out.update(leaves(v, path + key, field + fkey))
+    return out
+
+
+def _magnitude(values):
+    nums = [abs(v) for v in values if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    if not nums:
+        return None
+    return max(nums, key=lambda x: (math.isnan(x), x))
+
+
+def field_changes(a, b):
+    """``{field: (kind, cases, before, after)}`` over the cases holding a
+    report in both tables; ``before``/``after`` are the largest magnitudes,
+    or None where the field holds no number."""
+    found = defaultdict(lambda: [set(), [], []])
+    for case in sorted(a.keys() & b.keys()):
+        if "report" not in a[case] or "report" not in b[case]:
+            continue
+        la, lb = leaves(a[case]["report"]), leaves(b[case]["report"])
+        for key in la.keys() | lb.keys():
+            if key not in lb:
+                kind = "gone"
+            elif key not in la:
+                kind = "new"
+            elif json.dumps(la[key]) != json.dumps(lb[key]):
+                kind = "moved"
+            else:
+                continue
+            entry = found[(kind, key[1][1:])]
+            entry[0].add(case)
+            if key in la:
+                entry[1].append(la[key])
+            if key in lb:
+                entry[2].append(lb[key])
+    return {key: (len(cases), _magnitude(before), _magnitude(after))
+            for key, (cases, before, after) in found.items()}
 
 
 def compare(path_a, path_b):
@@ -59,6 +120,9 @@ def compare(path_a, path_b):
             moves = [f"+{t}" for t in sorted(after - before)]
             moves += [f"-{t}" for t in sorted(before - after)]
             print(f"failing: {case} {' '.join(moves)}")
+    for (kind, field), (cases, before, after) in sorted(field_changes(a, b).items()):
+        worst = "" if before is None and after is None else f"  {before!r} -> {after!r}"
+        print(f"{kind}: {field}  {cases} cases{worst}")
     for name, table in ((path_a, a), (path_b, b)):
         failing = sum(len(v["failed"]) for v in table.values())
         print(f"{name}: {len(table)} cases, {failing} failing suites")
@@ -78,7 +142,7 @@ def main(argv=None):
         parser.error("give an output file, or --compare A B")
     table = digests()
     with open(args.output, "w") as fh:
-        json.dump(table, fh, sort_keys=True, indent=1)
+        json.dump(table, fh, sort_keys=True)
     failing = sum(len(v["failed"]) for v in table.values())
     print(f"{len(table)} cases, {failing} failing suites -> {args.output}")
     return 0
