@@ -25,10 +25,13 @@ read them.  The twist on Lambda^m C^d is memoized per twist
   :func:`apply_transfer_free`) is :func:`fused_contract`, for chains too
   large to hold T_m densely.  S_1 reads the columns directly, the middle
   sites go in two-site blocks and S_N folded with the boundary closes the
-  trace.
+  trace.  At m = 1 and lam exactly equal to an inhomogeneity xi_a it applies
+  the one-site product formula T_1(xi_a) = eta R_{a,a-1} ... R_{a,1} K_a
+  R_{a,N} ... R_{a,a+1} instead (:func:`_node_t1`): leg swaps and one d x d
+  twist, with no auxiliary leg.
 
-The matrix-free kernel's blocking does not reach the dense path, so dense
-T_m, which every report residual reads, keeps its bits.
+The matrix-free kernel's blocking and node path do not reach the dense path,
+so dense T_m, which every report residual reads, keeps its bits.
 
 The dense checks (Yang-Baxter, RTT, the product formula and its exchange
 relation) apply every R-matrix and twist factor with :func:`on_legs`, the
@@ -379,13 +382,44 @@ def _on_sites(y, op, axes, work):
     return np.moveaxis(out.reshape(moved.shape), front, axes)
 
 
+def _node_t1(k_matrix, eta, xi, a, block):
+    """T_1(xi_s) = eta R_{s,s-1} ... R_{s,1} K_s R_{s,N} ... R_{s,s+1} on the
+    columns of ``block``, for site s = a + 1, with R_{sb} = R_{sb}(xi_s - xi_b).
+
+    Each R_{sb}(z) = z + eta P_sb is a scaled copy plus a scaled swap of the
+    legs of sites s and b, and K acts on the leg of site s: O(N d^N) per
+    column, with no auxiliary leg.
+    """
+    d = k_matrix.shape[0]
+    n = len(xi)
+    leg = n - 1 - a  # 0-based site a is on axis n - 1 - a
+
+    def r_ab(y, b):
+        return (xi[a] - xi[b]) * y + eta * np.swapaxes(y, leg, n - 1 - b)
+
+    y = block.reshape((d,) * n + (-1,))
+    for b in range(a + 1, n):  # the rightmost factor R_{s,s+1} acts first
+        y = r_ab(y, b)
+    y = np.moveaxis(np.tensordot(k_matrix, y, axes=(1, leg)), 0, leg)
+    for b in range(a):
+        y = r_ab(y, b)
+    return (eta * y).reshape(block.shape)
+
+
 def fused_contract(k_matrix, eta, xi, m, lam, block):
     """Apply tr_{Lambda^m} K^{(x)m} S_N(lam) ... S_1(lam) to the columns of
     ``block``, for the gl(d) chain with d x d twist ``k_matrix`` (see
     :func:`_site_tables` for S_a).
 
-    The running tensor y[w, t, q_N, ..., q_1, col] holds (S_a ... S_1)[w, t]
-    applied to the block:
+    At m = 1 and lam equal to some xi_a the site-a factor is R_{0a}(0) =
+    eta P_{0a} (regularity).  Moving that swap through the other factors and
+    closing the trace leaves the one-site R-chain of :func:`_node_t1`, an
+    exact operator identity (the product formula that ``appendixA`` checks
+    densely), so those columns skip the MPO below.  Only exact equality
+    selects this path; lam one ulp away from a node takes the MPO.
+
+    Otherwise the running tensor y[w, t, q_N, ..., q_1, col] holds
+    (S_a ... S_1)[w, t] applied to the block:
 
     * S_1 reads the block directly and its right auxiliary leg becomes t, so
       the identity it would multiply is never formed (1/bond of a full site);
@@ -399,6 +433,10 @@ def fused_contract(k_matrix, eta, xi, m, lam, block):
     new memory from the system each time, and touching it cost about as much
     as the GEMMs at N = 8.  The dense path is :func:`fused_dense`.
     """
+    if m == 1:
+        node = next((a for a, x in enumerate(xi) if x == lam), None)
+        if node is not None:
+            return _node_t1(k_matrix, eta, xi, node, block)
     d = k_matrix.shape[0]
     n = len(xi)
     bond = _wedge_columns(d, m).shape[1]

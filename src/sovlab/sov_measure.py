@@ -8,7 +8,6 @@ det K.  The diagonal is an explicit Vandermonde expression in the shifted
 inhomogeneities, independent of the twist.
 """
 
-import csv
 import functools
 from dataclasses import dataclass, field
 
@@ -432,11 +431,13 @@ def export_matrix_csv(matrix, path):
     """CSV with flat label row/column headers 0..dim-1; complex cells as "re,im"."""
     matrix = np.asarray(matrix, dtype=complex)
     headers = [str(i) for i in range(len(matrix))]
+    # the bytes of csv.writer's default dialect: every cell holds a comma, so
+    # it is quoted, and rows end in \r\n; no label or float repr holds a quote
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h\\k"] + headers)
+        fh.write(",".join(["h\\k"] + headers) + "\r\n")
         for head, re_row, im_row in zip(headers, matrix.real.tolist(), matrix.imag.tolist()):
-            writer.writerow([head] + [f"{x!r},{y!r}" for x, y in zip(re_row, im_row)])
+            cells = [f'"{x!r},{y!r}"' for x, y in zip(re_row, im_row)]
+            fh.write(",".join([head] + cells) + "\r\n")
 
 
 def report_summary(report):

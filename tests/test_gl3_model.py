@@ -342,31 +342,45 @@ def test_apply_transfer_free_zero_and_linearity(chain2):
 
 
 @pytest.mark.parametrize("sites", [1, 2, 3, 4, 5])
-def test_fused_dense_matches_identity_columns(sites):
+def test_fused_dense_matches_identity_columns(sites, monkeypatch):
     """The dense MPO product equals the matrix-free kernel on every identity
     column, on 1-D vectors and on blocks of 1, 2 and 5 columns: gl(3) at
     m = 1, 2, 3, gl(2) at m = 1 and a diagonal det K = 0 twist at m = 1, 2.
     The kernel's site grouping differs with N: no middle site at N = 1, no
     pair at N = 2, one odd middle site at N = 3, one pair at N = 4 and a pair
-    with a remainder at N = 5."""
+    with a remainder at N = 5.
+
+    At m = 1 and lam = xi_a the kernel applies the one-site R-chain instead;
+    it is checked at every node for the gl(3), gl(2) and det K = 0 twists,
+    and at N = 1 it is eta K.  lam one ulp above xi_1 takes the MPO."""
     params, _, s = make_params(40 + sites, sites)
     det0, _, _ = make_params(23, sites, invertible=False)
     lam = s.complex_rational()
-    cases = [(params.twist.k_matrix, m) for m in (1, 2, 3)] + [(s.gl2_twist(), 1)]
-    cases += [(det0.twist.k_matrix, m) for m in (1, 2)]
+    gl2 = s.gl2_twist()
+    cases = [(params.twist.k_matrix, m, lam) for m in (1, 2, 3)] + [(gl2, 1, lam)]
+    cases += [(det0.twist.k_matrix, m, lam) for m in (1, 2)]
+    nodes = [(k, 1, x) for k in (params.twist.k_matrix, gl2, det0.twist.k_matrix)
+             for x in params.xi]
+    x1 = params.xi[0]
+    cases += nodes + [(params.twist.k_matrix, 1, complex(np.nextafter(x1.real, np.inf), x1.imag))]
+    node_t1, taken = gl3_model._node_t1, []
+    monkeypatch.setattr(gl3_model, "_node_t1", lambda *args: taken.append(args) or node_t1(*args))
     local = np.random.default_rng(sites)  # leaves the module generator's draws as they were
-    for k, m in cases:
+    for k, m, x in cases:
         dim = k.shape[0] ** sites
-        dense = fused_dense(k, params.eta, params.xi, m, lam)
+        dense = fused_dense(k, params.eta, params.xi, m, x)
         assert dense.flags.c_contiguous
+        if sites == 1 and x == x1:
+            assert np.abs(dense - params.eta * k).max() <= 1e-13 * np.abs(dense).max()
         blocks = [np.eye(dim, dtype=complex)]
         for shape in [(dim,), (dim, 1), (dim, 2), (dim, 5)]:
             blocks.append(local.standard_normal(shape) + 1j * local.standard_normal(shape))
         for block in blocks:
-            free = fused_contract(k, params.eta, params.xi, m, lam, block)
+            free = fused_contract(k, params.eta, params.xi, m, x, block)
             want = dense @ block
             assert free.shape == block.shape
             assert np.abs(free - want).max() <= 1e-13 * np.abs(want).max()
+    assert len(taken) == len(nodes) * len(blocks)
 
 
 def test_transfer_is_dense_monodromy_trace():
