@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .errors import (
     SovLabError,
     SizeCapError,
+    NonGeneric,
     EigFailure,
     DegenerateReference,
     SingularBasis,

@@ -20,9 +20,10 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, SizeCapError, SovLabError
-from .gl3_model import ModelParams, TwistData, apply_transfer_free, transfer
-from .numkernel import rel_residual
+from .errors import ConfigError, EigFailure, SizeCapError, SovLabError, SpectrumNotSimple
+from .gl2_model import check_twist
+from .gl3_model import ModelParams, TwistData, apply_transfer_free, transfer, xi_separation
+from .numkernel import rel_residual, require_dense
 from .sampling import ParameterSampler
 from .suites import SUITES, Workspace, run_task, validate_tasks
 
@@ -89,9 +90,7 @@ def parse_scalar(value):
 
 def _encode(value):
     """JSON-encode complex scalars and arrays as [re, im] pairs."""
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (np.complexfloating,)):
+    if isinstance(value, (complex, np.complexfloating)):
         return [float(value.real), float(value.imag)]
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
@@ -99,15 +98,52 @@ def _encode(value):
         return [_encode(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {str(k): _encode(v) for k, v in value.items()}
+    if isinstance(value, TwistData):
+        return _encode({k: getattr(value, k) for k in ("case", "k_matrix", "w", "k_jordan")})
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
     return value
 
 
+def _square(rows, n):
+    mat = np.array([[parse_scalar(v) for v in row] for row in rows], dtype=complex)
+    if mat.shape != (n, n):
+        raise ConfigError(f"twist matrices are {n}x{n}, got {rows!r}")
+    return mat
+
+
+def _twist(twist, algebra):
+    """The configured twist: a 2x2 matrix for gl2, :class:`TwistData` for gl3."""
+    forms = [k for k in ("matrix", "eigenvalues", "w") if k in twist]
+    if ("k_jordan" in twist) != ("w" in twist):
+        raise ConfigError("jordan twists need both w and k_jordan")
+    if len(forms) != 1:
+        raise ConfigError("exactly one twist form required: matrix | (w, k_jordan) | eigenvalues")
+    if algebra == "gl2":
+        if "matrix" not in twist:
+            raise ConfigError("gl2 twists are given as a matrix")
+        k = _square(twist["matrix"], 2)
+        check_twist(k)
+        return k.tolist()
+    if "matrix" in twist:
+        return TwistData.from_matrix(_square(twist["matrix"], 3))
+    if "eigenvalues" in twist:
+        return TwistData.from_eigenvalues([parse_scalar(v) for v in twist["eigenvalues"]])
+    return TwistData.from_jordan(_square(twist["w"], 3), _square(twist["k_jordan"], 3))
+
+
 def resolve_config(path=None, overrides=None):
     """Load, validate and normalize a run configuration.  An override of None
     keeps the file's value, except ``tasks``, where None drops the file's list
-    so that the algebra's default list applies."""
+    so that the algebra's default list applies.  A value that cannot be read,
+    or chain data that no chain can have, is a :class:`ConfigError`."""
+    try:
+        return _resolve(path, overrides)
+    except (ArithmeticError, TypeError, ValueError, EigFailure, SpectrumNotSimple) as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from None
+
+
+def _resolve(path, overrides):
     raw = {}
     if path is not None:
         with open(path) as fh:
@@ -126,57 +162,37 @@ def resolve_config(path=None, overrides=None):
         raise ConfigError("sites must be >= 1")
     cfg["seed"] = int(raw.get("seed", 0))
     cfg["eta"] = parse_scalar(raw["eta"]) if "eta" in raw else None
+    if cfg["eta"] == 0:
+        raise ConfigError("eta must be nonzero")
 
     xi = raw.get("xi")
+    cfg["xi"] = None
     if isinstance(xi, dict):
         if "seed" in xi:
             cfg["seed"] = int(xi["seed"])
-        cfg["xi"] = None
     elif xi is not None:
         cfg["xi"] = [parse_scalar(x) for x in xi]
         if len(cfg["xi"]) != cfg["sites"]:
             raise ConfigError("xi list length must equal sites")
-    else:
-        cfg["xi"] = None
+        # without a configured eta only xi_i != xi_j is decided here
+        if xi_separation(cfg["xi"], cfg["eta"] or 0) < 1e-12:
+            raise ConfigError("inhomogeneities must satisfy xi_i - xi_j not in {0, +eta, -eta}")
 
     twist = raw.get("twist")
-    cfg["twist"] = None
-    if twist is not None:
-        forms = [k for k in ("matrix", "eigenvalues", "w") if k in twist]
-        if "k_jordan" in twist and "w" not in twist:
-            raise ConfigError("jordan twists need both w and k_jordan")
-        if len(forms) != 1:
-            raise ConfigError(
-                "exactly one twist form required: matrix | (w, k_jordan) | eigenvalues"
-            )
-        if cfg["algebra"] == "gl2":
-            if "matrix" not in twist:
-                raise ConfigError("gl2 twists are given as a matrix")
-            cfg["twist"] = [[parse_scalar(v) for v in row] for row in twist["matrix"]]
-        elif "matrix" in twist:
-            mat = np.array([[parse_scalar(v) for v in row] for row in twist["matrix"]])
-            cfg["twist"] = TwistData.from_matrix(mat)
-        elif "eigenvalues" in twist:
-            cfg["twist"] = TwistData.from_eigenvalues(
-                [parse_scalar(v) for v in twist["eigenvalues"]]
-            )
-        else:
-            w = np.array([[parse_scalar(v) for v in row] for row in twist["w"]])
-            kj = np.array([[parse_scalar(v) for v in row] for row in twist["k_jordan"]])
-            cfg["twist"] = TwistData.from_jordan(w, kj)
+    cfg["twist"] = None if twist is None else _twist(twist, cfg["algebra"])
 
     ref = raw.get("reference")
-    if ref is not None:
-        need = 3 if cfg["algebra"] == "gl3" else 2
-        cfg["reference"] = [parse_scalar(v) for v in ref]
-        if len(cfg["reference"]) != need:
-            raise ConfigError(f"reference needs {need} components for {cfg['algebra']}")
-    else:
-        cfg["reference"] = None
+    cfg["reference"] = None if ref is None else [parse_scalar(v) for v in ref]
+    need = 3 if cfg["algebra"] == "gl3" else 2
+    if ref is not None and len(cfg["reference"]) != need:
+        raise ConfigError(f"reference needs {need} components for {cfg['algebra']}")
 
     tol = raw.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances must be a mapping suite -> float")
+    unknown = sorted(set(tol) - set(SUITES))
+    if unknown:
+        raise ConfigError(f"unknown tolerance suites {unknown}; known: {sorted(SUITES)}")
     cfg["tolerances"] = {k: float(v) for k, v in tol.items()}
 
     tasks = raw.get("tasks")
@@ -187,26 +203,6 @@ def resolve_config(path=None, overrides=None):
     cfg["out"] = raw.get("out")
     cfg["parallel"] = bool(raw.get("parallel", False))
     return cfg
-
-
-def _config_digest(cfg):
-    digest = dict(cfg)
-    digest["eta"] = _encode(cfg["eta"]) if cfg["eta"] is not None else None
-    digest["xi"] = _encode(cfg["xi"]) if cfg["xi"] is not None else None
-    digest["reference"] = _encode(cfg["reference"]) if cfg["reference"] is not None else None
-    tw = cfg["twist"]
-    if tw is None:
-        digest["twist"] = None
-    elif isinstance(tw, list):
-        digest["twist"] = _encode(tw)
-    else:
-        digest["twist"] = {
-            "case": tw.case,
-            "k_matrix": _encode(tw.k_matrix),
-            "w": _encode(tw.w),
-            "k_jordan": _encode(tw.k_jordan),
-        }
-    return digest
 
 
 def status_line(name, passed, max_residual, tolerance):
@@ -247,7 +243,7 @@ def run(cfg, echo=click.echo):
 
     report = {
         "version": __version__,
-        "config": _config_digest(cfg),
+        "config": _encode(cfg),
         "thread_cap": threads,
         "results": [
             {
@@ -386,21 +382,16 @@ def bench(n_min, n_max, seed, out):
         w2 = apply_transfer_free(params, 1, lam, scale * vec)
         lin = rel_residual(w2 - scale * w1, scale * w1)
 
-        dense_time = None
-        dense_note = ""
-        dense_resid = ""
-        if n <= 6:
-            try:
-                t0 = time.perf_counter()
-                t1 = transfer(params, 1, lam)
-                dense_time = time.perf_counter() - t0
-                want = t1 @ vec
-                dense_resid = f"{rel_residual(w1 - want, want):.3e}"
-            except SizeCapError as exc:
-                dense_note = f"SizeCap: {exc}"
+        dense_time, dense_note, dense_resid = None, "", ""
+        if n <= 6:  # within the dense cap
+            t0 = time.perf_counter()
+            t1 = transfer(params, 1, lam)
+            dense_time = time.perf_counter() - t0
+            want = t1 @ vec
+            dense_resid = f"{rel_residual(w1 - want, want):.3e}"
         else:
             try:
-                params.require_dense(params.dim)
+                require_dense(params.dim)
                 dense_note = "skipped (time budget)"
             except SizeCapError:
                 dense_note = "SizeCap"

@@ -5,6 +5,10 @@ class SovLabError(Exception):
     """Base class for all sovlab errors."""
 
 
+class NonGeneric(SovLabError, ValueError):
+    """eta = 0, or inhomogeneities that coincide or differ by +-eta."""
+
+
 class SizeCapError(SovLabError):
     """A dense object would exceed the configured dimension cap."""
 

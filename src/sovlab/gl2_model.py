@@ -1,20 +1,33 @@
 """Rational gl(2) chain: the rank-one yardstick with orthogonal SoV bases.
 
-Same tensor conventions as the gl(3) model (site 1 fastest).  The left basis
-applies T(xi_a)/a(xi_a) to a free tensor co-vector; the right basis applies
-T(xi_a - eta)/a(xi_a) to the tensor vector dual to the all-ones label, and
-the two families are orthogonal with the inverse coupling
-V(xi) * V(xi - h*eta) without any twist dependence.
+Same tensor conventions and chain handle (``gl3_model.TransferCache``) as the
+gl(3) model.  The left basis applies T(xi_a)/a(xi_a) to a free tensor
+co-vector; the right basis applies T(xi_a - eta)/a(xi_a) to the tensor vector
+dual to the all-ones label, and the two families are orthogonal with the
+inverse coupling V(xi) * V(xi - h*eta) without any twist dependence.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateReference, DetKZero
-from .gl3_model import InterpolationWeights, default_probe_point, fused_dense, xi_separation
+from .errors import DegenerateReference, DetKZero, NonGeneric
+from .gl3_model import InterpolationWeights, default_probe_point, transfer, xi_separation
 from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde, worst
-from .sov_bases import basis_tree, label_digits, label_products, tensor_product_state
+from .sov_bases import (
+    basis_tree,
+    label_digits,
+    label_products,
+    label_vandermonde,
+    tensor_product_state,
+)
+
+
+def check_twist(k):
+    """Reject a 2x2 twist that is a multiple of the identity."""
+    off = max(abs(k[0, 1]), abs(k[1, 0]), abs(k[0, 0] - k[1, 1]))
+    if off <= 1e-12 * max(np.abs(k).max(), 1e-300):
+        raise ValueError("twist must not be a multiple of the identity")
 
 
 @dataclass(frozen=True)
@@ -32,15 +45,11 @@ class Gl2Params:
         object.__setattr__(self, "xi", tuple(complex(x) for x in self.xi))
         object.__setattr__(self, "k_matrix", np.asarray(self.k_matrix, dtype=complex))
         object.__setattr__(self, "ref", tuple(complex(c) for c in self.ref))
-        k = self.k_matrix
-        scale = max(np.abs(k).max(), 1e-300)
-        off = max(abs(k[0, 1]), abs(k[1, 0]), abs(k[0, 0] - k[1, 1]))
-        if off <= 1e-12 * scale:
-            raise ValueError("twist must not be a multiple of the identity")
-        if abs(self.pairing_form()) <= 1e-12 * scale:
+        check_twist(self.k_matrix)
+        if abs(self.pairing_form()) <= 1e-12 * max(np.abs(self.k_matrix).max(), 1e-300):
             raise DegenerateReference("reference pair gives a vanishing pairing form")
         if xi_separation(self.xi, self.eta) < 1e-12:
-            raise ValueError("inhomogeneities violate the genericity condition")
+            raise NonGeneric("inhomogeneities violate the genericity condition")
 
     @property
     def dim(self):
@@ -55,31 +64,7 @@ class Gl2Params:
 
 def gl2_transfer(params, lam):
     """Dense transfer matrix tr_a K_a R_{a,N}(lam - xi_N) ... R_{a,1}(lam - xi_1)."""
-    return fused_dense(params.k_matrix, params.eta, params.xi, 1, lam)
-
-
-class Gl2TransferCache:
-    """Memoized transfer matrices of one gl(2) chain and the SoV bases built
-    from them."""
-
-    def __init__(self, params):
-        self.params = params
-        self._store = {}
-        self._bases = None
-
-    def value(self, lam):
-        key = complex(lam)
-        if key not in self._store:
-            self._store[key] = gl2_transfer(self.params, key)
-        return self._store[key]
-
-    def bases(self):
-        """``gl2_bases`` of this chain, built once; the arrays are read-only."""
-        if self._bases is None:
-            self._bases = gl2_bases(self)
-            for arr in self._bases:
-                arr.flags.writeable = False
-        return self._bases
+    return transfer(params, 1, lam)
 
 
 def reference_states(params):
@@ -123,21 +108,27 @@ def gl2_bases(cache):
     params = cache.params
     row0, ones_col, zeros_col = reference_states(params)
     a_xi = InterpolationWeights(params).a
-    left_steps = [([], [cache.value(x) / a_xi(x)]) for x in params.xi]
-    right_steps = [([cache.value(x - params.eta) / a_xi(x)], []) for x in params.xi]
+    left_steps = [([], [cache.t1(x) / a_xi(x)]) for x in params.xi]
+    right_steps = [([cache.t1(x - params.eta) / a_xi(x)], []) for x in params.xi]
     left = basis_tree(row0, left_steps, lambda row, m: row @ m)
     right = basis_tree(ones_col, right_steps, lambda col, m: m @ col)
     return left, np.ascontiguousarray(right.T), zeros_col
 
 
+def gl2_pair(cache):
+    """``gl2_bases`` of the chain, built once and kept read-only in ``cache.pairs``
+    under the reference pair, as ``sov_bases.dressed_pair`` keeps gl(3) pairs."""
+    key = cache.params.ref
+    if key not in cache.pairs:
+        cache.pairs[key] = gl2_bases(cache)
+        for arr in cache.pairs[key]:
+            arr.setflags(write=False)
+    return cache.pairs[key]
+
+
 def shifted_vandermonde(params):
     """V(xi - h*eta) for every label h in flat binary order."""
-    nodes = np.asarray(params.xi) - label_digits(params.sites, 2) * params.eta
-    out = np.ones(params.dim, dtype=complex)
-    for i in range(params.sites):
-        for j in range(i + 1, params.sites):
-            out *= nodes[:, j] - nodes[:, i]
-    return out
+    return label_vandermonde(np.asarray(params.xi) - label_digits(params.sites, 2) * params.eta)
 
 
 def coupling_values(params):
@@ -154,7 +145,7 @@ def coupling_residuals(cache):
     relative to max|G|, and the largest over the diagonal relative to each
     predicted coupling.
     """
-    left, right, _ = cache.bases()
+    left, right, _ = gl2_pair(cache)
     gram = left @ right
     pred = coupling_values(cache.params)
     cells = rel_residual(gram - np.diag(pred), gram)
@@ -169,7 +160,7 @@ def qdet_scalar(cache, a):
     confirmed numerically rather than assumed.
     """
     params = cache.params
-    prod = cache.value(params.xi[a]) @ cache.value(params.xi[a] - params.eta)
+    prod = cache.t1(params.xi[a]) @ cache.t1(params.xi[a] - params.eta)
     scalar = np.trace(prod) / params.dim
     resid = rel_residual(prod - scalar * np.eye(params.dim), scalar)
     w = InterpolationWeights(params)
@@ -192,15 +183,15 @@ def gl2_eigen_reps(cache):
     detk = np.linalg.det(params.k_matrix)
     if abs(detk) <= 1e-12 * max(np.abs(params.k_matrix).max(), 1e-300) ** 2:
         raise DetKZero("det K is numerically zero; the representations need it invertible")
-    left, right, zeros_col = cache.bases()
-    dec = eig_general(cache.value(default_probe_point(params)), gap_rtol=1e-8)
+    left, right, zeros_col = gl2_pair(cache)
+    dec = eig_general(cache.t1(default_probe_point(params)), gap_rtol=1e-8)
 
     row0, ones_col, _ = reference_states(params)
     v_xi = vandermonde(params.xi)
     w = InterpolationWeights(params)
     a_xi = np.array([w.a(x) for x in params.xi])
-    t_at = [cache.value(x) for x in params.xi]
-    t_sh = [cache.value(x - params.eta) for x in params.xi]
+    t_at = [cache.t1(x) for x in params.xi]
+    t_sh = [cache.t1(x - params.eta) for x in params.xi]
     # column i: the eigenvalues of state i at every xi_a (xi_a - eta) over a(xi_a)
     r_at = np.stack([rayleigh_quotients(dec.left, m, dec.right) for m in t_at]) / a_xi[:, None]
     r_sh = np.stack([rayleigh_quotients(dec.left, m, dec.right) for m in t_sh]) / a_xi[:, None]
@@ -233,7 +224,7 @@ def gl2_eigen_reps(cache):
 def identity_decomposition_residual(cache):
     """Residual of I = V(xi) sum_h V(xi - h*eta) |h><h|."""
     params = cache.params
-    left, right, _ = cache.bases()
+    left, right, _ = gl2_pair(cache)
     acc = vandermonde(params.xi) * ((right * shifted_vandermonde(params)) @ left)
     eye = np.eye(params.dim)
     return rel_residual(acc - eye, eye)

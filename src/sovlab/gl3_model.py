@@ -18,7 +18,7 @@ GEMV per site on read-only coefficient tables, laid out the way the GEMMs
 read them.  The twist on Lambda^m C^d is memoized per twist
 (:func:`_boundary`).
 
-* dense T_m (:func:`transfer`, and ``gl2_model.gl2_transfer``) is the
+* dense T_m (:func:`transfer`, for a gl(3) or a gl(2) chain) is the
   matrix-product-operator product :func:`fused_dense`: one GEMM per site from
   S_1 up to S_(N-1), one for the boundary and one that closes the trace on S_N;
 * the matrix-free action on a few columns (:func:`fused_apply`,
@@ -47,14 +47,14 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import IndexOrder, SizeCapError
+from .errors import IndexOrder, NonGeneric
 from .numkernel import (
-    DENSE_DIM_CAP,
     adjugate3,
     antisymmetrizer,
     as_matrix,
     eig_general,
     rel_residual,
+    require_dense,
 )
 
 
@@ -114,6 +114,8 @@ def embed(op, n_slots, legs, d=3):
 
 
 def _case_of_jordan(kj):
+    if kj.shape != (3, 3):
+        raise ValueError("K_J must be 3x3: three eigenvalues or a 3x3 k_jordan")
     rtol = 1e-10
     scale = max(np.abs(kj).max(), 1.0)
     y1, y2 = kj[0, 1], kj[1, 2]
@@ -245,21 +247,22 @@ class ModelParams:
         if self.sites < 1 or len(self.xi) != self.sites:
             raise ValueError("need sites >= 1 inhomogeneities")
         if self.eta == 0:
-            raise ValueError("eta must be nonzero")
+            raise NonGeneric("eta must be nonzero")
         if xi_separation(self.xi, self.eta) < 1e-12:
-            raise ValueError("inhomogeneities must satisfy xi_i - xi_j not in {0, +eta, -eta}")
+            raise NonGeneric("inhomogeneities must satisfy xi_i - xi_j not in {0, +eta, -eta}")
 
     @property
     def dim(self):
         return 3**self.sites
 
+    @property
+    def k_matrix(self):
+        """The twist matrix, read as ``Gl2Params.k_matrix`` is."""
+        return self.twist.k_matrix
+
     def xi_shifted(self, a, h):
         """xi_a - h*eta for 0-based site a."""
         return self.xi[a] - h * self.eta
-
-    def require_dense(self, dim):
-        if dim > DENSE_DIM_CAP:
-            raise SizeCapError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
 
     def with_twist(self, twist):
         return ModelParams(self.sites, self.eta, self.xi, twist)
@@ -275,7 +278,7 @@ def monodromy(params, lam, aux=0, n_aux=1):
     which precede the quantum slots: slot n_aux + (N - b) holds site b."""
     n = params.sites
     slots = n_aux + n
-    params.require_dense(3**slots)
+    require_dense(3**slots)
     m = embed(params.twist.k_matrix, slots, (aux,))
     for b in range(n, 0, -1):
         m = on_legs(m, r_matrix(lam - params.xi[b - 1], params.eta), (aux, n_aux + n - b))
@@ -509,7 +512,7 @@ def fused_apply(params, m, lam, block):
     """Apply T_m(lam) to the columns of ``block`` without forming the
     auxiliary product space densely."""
     _check_order(m)
-    return fused_contract(params.twist.k_matrix, params.eta, params.xi, m, lam, block)
+    return fused_contract(params.k_matrix, params.eta, params.xi, m, lam, block)
 
 
 def apply_transfer_free(params, m, lam, vec):
@@ -521,21 +524,21 @@ def apply_transfer_free(params, m, lam, vec):
 
 
 def transfer(params, m, lam):
-    """Dense fused transfer matrix T_m(lam) on the 3^N quantum space."""
-    params.require_dense(params.dim)
+    """Dense fused transfer matrix T_m(lam) of a gl(3) chain or, at m = 1, a gl(2) one."""
+    require_dense(params.dim)
     _check_order(m)
-    return fused_dense(params.twist.k_matrix, params.eta, params.xi, m, lam)
+    return fused_dense(params.k_matrix, params.eta, params.xi, m, lam)
 
 
 class TransferCache:
     """Memoizing evaluator for dense transfer matrices, keyed by (m, lam).
 
-    The one handle on a chain: every chain-level function takes the chain's
-    cache and reads ``params`` from it.  Single-threaded use.
-    ``hits[m]`` and ``misses[m]`` count the lookups of fusion order m; every
-    miss assembles one dense T_m.  ``pairs`` holds the read-only dressed SoV
-    pairs built from this cache, keyed by their reference components
-    (see :func:`sov_bases.dressed_pair`).
+    The one handle on a chain, gl(3) or gl(2): every chain-level function
+    takes the chain's cache and reads ``params`` from it.  Single-threaded
+    use.  ``hits[m]`` and ``misses[m]`` count the lookups of fusion order m;
+    every miss assembles one dense T_m.  ``pairs`` holds the read-only SoV
+    bases built from this cache, keyed by their reference components (see
+    :func:`sov_bases.dressed_pair` and ``gl2_model.gl2_pair``).
     """
 
     def __init__(self, params):
@@ -699,7 +702,6 @@ def product_formula_check(cache, a_indices):
     if sites != sorted(set(sites)) or any(not 1 <= a <= n for a in sites):
         raise IndexOrder("site indices must be strictly ascending and within range")
     mm = len(sites)
-    params.require_dense(params.dim)
     lhs = reduce(np.matmul, [cache.t1(params.xi[a - 1]) for a in sites])
     coef = params.eta**mm
     for i in range(mm):

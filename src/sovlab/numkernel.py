@@ -36,6 +36,12 @@ def as_matrix(a):
     return m
 
 
+def require_dense(dim):
+    """Raise :class:`SizeCapError` if dimension ``dim`` exceeds :data:`DENSE_DIM_CAP`."""
+    if dim > DENSE_DIM_CAP:
+        raise SizeCapError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
+
+
 def vandermonde(xs):
     """prod_{i<j} (x_j - x_i); empty and singleton sequences give 1."""
     xs = list(xs)
@@ -132,8 +138,7 @@ def eig_general(a, gap_rtol=None):
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("eig_general expects a square matrix")
-    if n > DENSE_DIM_CAP:
-        raise SizeCapError(f"dimension {n} exceeds cap {DENSE_DIM_CAP}")
+    require_dense(n)
     try:
         values, right = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:

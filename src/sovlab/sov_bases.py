@@ -117,6 +117,16 @@ def label_products(factors):
     return out
 
 
+def label_vandermonde(nodes):
+    """``prod_{i<j} (nodes[:, j] - nodes[:, i])`` for every row of a ``(labels,
+    N)`` table of shifted inhomogeneities, one vector operation per pair."""
+    out = np.ones(len(nodes), dtype=complex)
+    for i in range(nodes.shape[1]):
+        for j in range(i + 1, nodes.shape[1]):
+            out *= nodes[:, j] - nodes[:, i]
+    return out
+
+
 def tensor_product_state(factors):
     """Tensor product over sites 1..N (factors[0] is site 1, the fastest index)."""
     out = np.array([1.0 + 0j])

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DetKZero, SingularGram
 from .gl3_model import InterpolationWeights, quantum_determinant_identity
 from .numkernel import rel_residual, vandermonde
-from .sov_bases import TernaryIndex, dressed_pair, label_digits, label_products
+from .sov_bases import TernaryIndex, dressed_pair, label_digits, label_products, label_vandermonde
 
 
 @dataclass(frozen=True)
@@ -121,14 +121,8 @@ def diag_values(params):
          for a in range(n)]
     )
     xi = np.array(params.xi, dtype=complex)
-    zshift = xi - (digits >= 1) * params.eta
-    yshift = xi - (digits == 2) * params.eta
-    vz = np.ones(len(digits), dtype=complex)
-    vy = np.ones(len(digits), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            vz *= zshift[:, j] - zshift[:, i]
-            vy *= yshift[:, j] - yshift[:, i]
+    vz = label_vandermonde(xi - (digits >= 1) * params.eta)
+    vy = label_vandermonde(xi - (digits == 2) * params.eta)
     return out * (vandermonde(params.xi) ** 2 / (vz * vy))
 
 

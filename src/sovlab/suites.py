@@ -121,11 +121,11 @@ class Workspace:
         return self.gl3() if self.algebra == "gl3" else self.gl2()
 
     def cache_counts(self):
-        """Lookups of the gl(3) transfer caches built so far (the chain's, its
-        K-hat companion's and the other-twist chain's): total hits and misses,
-        and the dense assemblies per fusion order."""
+        """Lookups of every transfer cache built so far (the gl(3) chain's,
+        its K-hat companion's, the other-twist chain's and the gl(2) chain's):
+        total hits and misses, and the dense assemblies per fusion order."""
         caches = [self._cache["gl3"][0]] if "gl3" in self._cache else []
-        caches += [self._cache[key] for key in ("khat_chain", "other_twist_chain")
+        caches += [self._cache[key] for key in ("khat_chain", "other_twist_chain", "gl2")
                    if key in self._cache]
         hits = sum((c.hits for c in caches), Counter())
         misses = sum((c.misses for c in caches), Counter())
@@ -233,7 +233,7 @@ class Workspace:
         reference = self._reference if gl2_run else None
         k = np.asarray(twist, dtype=complex) if twist is not None else s.gl2_twist()
         ref = tuple(reference) if reference is not None else s.reference2()
-        return gl2_model.Gl2TransferCache(gl2_model.Gl2Params(self.sites, eta, xi, k, ref))
+        return TransferCache(gl2_model.Gl2Params(self.sites, eta, xi, k, ref))
 
     @_memo
     def gl2_coupling(self):

@@ -234,3 +234,20 @@ def per_cell_matrix_csv(matrix, path):
             writer.writerow(
                 [headers[i]] + [f"{float(z.real)!r},{float(z.imag)!r}" for z in row]
             )
+
+
+def config_digest(cfg):
+    """The report's ``config`` block written out field by field: the complex
+    fields as [re, im] pairs, a gl3 twist as its Jordan data."""
+    from sovlab.cli import _encode
+
+    digest = dict(cfg)
+    for key in ("eta", "xi", "reference"):
+        digest[key] = _encode(cfg[key]) if cfg[key] is not None else None
+    tw = cfg["twist"]
+    if tw is None or isinstance(tw, list):
+        digest["twist"] = None if tw is None else _encode(tw)
+    else:
+        digest["twist"] = {"case": tw.case, "k_matrix": _encode(tw.k_matrix),
+                           "w": _encode(tw.w), "k_jordan": _encode(tw.k_jordan)}
+    return digest

@@ -403,7 +403,7 @@ def test_criterion_14_rank_one_yardstick():
             params = gl2_model.Gl2Params(
                 sites, eta, s.inhomogeneities(sites, eta), s.gl2_twist(), s.reference2()
             )
-            cache = gl2_model.Gl2TransferCache(params)
+            cache = TransferCache(params)
             left, right, _ = gl2_model.gl2_bases(cache)
             g = left @ right
             for fh, h in enumerate(label_digits(sites, 2)):

@@ -201,16 +201,19 @@ def test_one_lapack_eig_per_decomposition(monkeypatch):
 def test_one_transfer_cache_per_chain(monkeypatch):
     """A full three-site run builds one transfer cache per chain: the chain,
     its K-hat companion, the other-twist chain of the twist-independence
-    check, and the gl(2) chain.  The report counts every dense gl(3)
-    assembly of the three gl(3) caches as a miss, and their number is pinned."""
-    from sovlab import gl2_model, gl3_model
+    check, and the gl(2) chain.  The report counts every dense assembly of
+    the four caches as a miss, and their number is pinned: the gl(2) chain's
+    7 (T_1 at the three xi_a, the three xi_a - eta and the probe point) are
+    among the m1 ones."""
+    from sovlab import gl3_model
 
     built = Counter()
-    for cls in (gl3_model.TransferCache, gl2_model.Gl2TransferCache):
-        def init(self, params, _name=cls.__name__, _init=cls.__init__):
-            built[_name] += 1
-            _init(self, params)
-        monkeypatch.setattr(cls, "__init__", init)
+    cls = gl3_model.TransferCache
+
+    def init(self, params, _init=cls.__init__):
+        built[cls.__name__] += 1
+        _init(self, params)
+    monkeypatch.setattr(cls, "__init__", init)
     assembled = Counter()
     real_transfer = gl3_model.transfer
 
@@ -222,10 +225,10 @@ def test_one_transfer_cache_per_chain(monkeypatch):
     report = run(resolve_config(None, {"sites": 3, "seed": 7}), echo=lambda *a, **k: None)
     assert len(report["results"]) == 12
     assert not any(res["retries"] for res in report["results"])
-    assert built == {"TransferCache": 3, "Gl2TransferCache": 1}
+    assert built == {"TransferCache": 4}
     counts = report["timings"]["transfer_cache"]
-    assert counts["assemblies"] == assembled == {"m1": 33, "m2": 41, "m3": 8}
-    assert counts["misses"] == sum(assembled.values()) == 82
+    assert counts["assemblies"] == assembled == {"m1": 40, "m2": 41, "m3": 8}
+    assert counts["misses"] == sum(assembled.values()) == 89
 
 
 def test_other_twist_chain_is_counted_and_released():
@@ -410,3 +413,81 @@ def test_gl3_config_twist_and_reference_stay_off_the_gl2_chain(tmp_path, extra):
     assert [r["task"] for r in report["results"]] == list(SUITES)
     gl2 = next(r for r in report["results"] if r["task"] == "gl2")
     assert "error" not in gl2["details"]
+
+
+@pytest.mark.parametrize("extra", [
+    {"twist": {"matrix": [[2, 1, 0], [0, "1/2", 0], [1, 0, [0, 1]]]}},
+    {"twist": {"eigenvalues": [1, [0, 2], "3/2"]}},
+    {"twist": {"w": [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+               "k_jordan": [[2, 1, 0], [0, 2, 0], [0, 0, 3]]}},
+    {"algebra": "gl2", "twist": {"matrix": [[1, "1/2"], [[0, 1], 2]]}},
+    {},
+], ids=["gl3-matrix", "gl3-eigenvalues", "gl3-jordan", "gl2-matrix", "no-twist"])
+def test_report_config_block_is_the_config_field_by_field(extra):
+    """The report's ``config`` is ``_encode`` of the resolved configuration,
+    with the bytes of the field-by-field digest for every twist form."""
+    from oracles import config_digest
+
+    cfg = resolve_config(None, {"sites": 1, "seed": 3, "eta": [0, "1/2"], "xi": [[1, 0]],
+                                "tasks": ["yangbaxter"], **extra})
+    report = run(cfg, echo=lambda *a, **k: None)
+    assert json.dumps(report["config"], sort_keys=True) == \
+        json.dumps(config_digest(cfg), sort_keys=True)
+
+
+MALFORMED = {
+    "gl3-matrix-2x2": {"twist": {"matrix": [[1, 2], [3, 4]]}},
+    "gl3-two-eigenvalues": {"twist": {"eigenvalues": [1, 2]}},
+    "gl3-repeated-eigenvalues": {"twist": {"eigenvalues": [1, 1, 2]}},
+    "gl3-matrix-repeated-spectrum": {"twist": {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 2]]}},
+    "gl2-matrix-3x3": {"algebra": "gl2",
+                       "twist": {"matrix": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}},
+    "gl2-identity-twist": {"algebra": "gl2", "twist": {"matrix": [[1, 0], [0, 1]]}},
+    "coinciding-xi": {"xi": [0, 0]},
+    "zero-eta": {"eta": 0},
+    "tolerance-not-a-number": {"tolerances": {"gram": "abc"}},
+    "eta-divides-by-zero": {"eta": "1/0"},
+    "sites-not-a-number": {"sites": "two"},
+    "w-without-k-jordan": {"twist": {"w": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+}
+
+
+@pytest.mark.parametrize("extra", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_exits_with_a_diagnostic(tmp_path, extra):
+    """Config data that cannot build a chain is rejected before any task
+    runs: exit status 1, one diagnostic line, no traceback, no output."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sites": 2, "seed": 7, **extra}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["verify", "--config", str(config), "--out", str(out)])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: config error: ")
+    assert len(result.output.strip().splitlines()) == 1, result.output
+    assert not out.exists()
+
+
+def test_unknown_tolerance_key_is_rejected():
+    with pytest.raises(ConfigError, match="known: .*'gram'"):
+        resolve_config(None, {"tolerances": {"gram ": 1e-30}})
+
+
+def test_inhomogeneities_generic_only_with_the_sampled_eta_fail_per_task():
+    """Configured xi that are distinct but one sampled eta apart are a chain
+    error of every task, not a crash (seed 7 samples eta = 11/8 + 3/8 i)."""
+    cfg = resolve_config(None, {"sites": 2, "seed": 7, "xi": [0, [1.375, 0.375]],
+                                "tasks": ["fusion", "bases"]})
+    report = run(cfg, echo=lambda *a, **k: None)
+    assert not report["all_passed"]
+    for res in report["results"]:
+        assert res["details"]["error"].startswith("NonGeneric")
+
+
+def test_gl2_run_counts_its_transfer_assemblies():
+    """A gl2 run's transfer cache is counted in its report: T_1 at the N
+    nodes xi_a, the N nodes xi_a - eta and the probe point."""
+    report = run(resolve_config(None, {"algebra": "gl2", "sites": 4, "seed": 7}),
+                 echo=lambda *a, **k: None)
+    counts = report["timings"]["transfer_cache"]
+    assert counts["assemblies"] == {"m1": 9, "m2": 0, "m3": 0}
+    assert counts["misses"] == 9 and counts["hits"] > 0

@@ -9,7 +9,6 @@ from sovlab.cli import resolve_config, run
 from sovlab.errors import DegenerateReference, DetKZero
 from sovlab.gl2_model import (
     Gl2Params,
-    Gl2TransferCache,
     coupling_residuals,
     coupling_values,
     gl2_bases,
@@ -19,7 +18,7 @@ from sovlab.gl2_model import (
     qdet_scalar,
     reference_states,
 )
-from sovlab.gl3_model import on_legs, r_matrix
+from sovlab.gl3_model import TransferCache, on_legs, r_matrix
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import label_digits
 
@@ -36,7 +35,7 @@ def make_gl2(seed, sites):
 @pytest.fixture(scope="module")
 def gl2_chain3():
     params, _ = make_gl2(401, 3)
-    return params, Gl2TransferCache(params)
+    return params, TransferCache(params)
 
 
 def test_one_site_transfer_closed_form():
@@ -64,8 +63,8 @@ def test_transfer_commutation(gl2_chain3):
     params, cache = gl2_chain3
     s = ParameterSampler(404)
     for _ in range(3):
-        a = cache.value(s.complex_rational())
-        b = cache.value(s.complex_rational())
+        a = cache.t1(s.complex_rational())
+        b = cache.t1(s.complex_rational())
         assert np.abs(a @ b - b @ a).max() <= 1e-11 * np.abs(a @ b).max()
 
 
@@ -117,8 +116,8 @@ def _row_by_row_bases(params, cache):
     after each matrix product, with no sharing between labels."""
     row0, ones_col, _ = reference_states(params)
     a_xi = [np.prod([x - y + params.eta for y in params.xi]) for x in params.xi]
-    t_at = [cache.value(x) for x in params.xi]
-    t_sh = [cache.value(x - params.eta) for x in params.xi]
+    t_at = [cache.t1(x) for x in params.xi]
+    t_sh = [cache.t1(x - params.eta) for x in params.xi]
     left = np.empty((params.dim, params.dim), dtype=complex)
     right = np.empty((params.dim, params.dim), dtype=complex)
     for flat in range(params.dim):
@@ -136,7 +135,7 @@ def _row_by_row_bases(params, cache):
 @pytest.mark.parametrize("sites", [1, 2, 3, 4])
 def test_gl2_bases_match_row_by_row_loop(sites):
     params, _ = make_gl2(409, sites)
-    cache = Gl2TransferCache(params)
+    cache = TransferCache(params)
     left, right, _ = gl2_bases(cache)
     want_left, want_right = _row_by_row_bases(params, cache)
     row_err = np.abs(left - want_left).max(axis=1) / np.abs(want_left).max(axis=1)
@@ -162,7 +161,7 @@ def test_detk_zero_twist():
     xi = s.inhomogeneities(3, eta)
     k = np.array([[1.0, 0.5], [0.25, 0.125]])
     params = Gl2Params(3, eta, xi, k, s.reference2())
-    cache = Gl2TransferCache(params)
+    cache = TransferCache(params)
     assert np.linalg.det(params.k_matrix) == 0
     with pytest.raises(DetKZero):
         gl2_eigen_reps(cache)
@@ -209,7 +208,7 @@ def test_reference_normalizations(gl2_chain3):
 
 def test_eigen_representations_one_site():
     params, _ = make_gl2(407, 1)
-    out = gl2_eigen_reps(Gl2TransferCache(params))
+    out = gl2_eigen_reps(TransferCache(params))
     assert out["reconstruction_residual"] <= 1e-12
     assert out["min_overlap"] > 1e-9
 

@@ -11,6 +11,7 @@ from sovlab.gl2_model import (
     coupling_residuals,
     coupling_values,
     identity_decomposition_residual,
+    gl2_pair,
     shifted_vandermonde,
 )
 from sovlab.gl3_model import fusion_residuals
@@ -90,7 +91,7 @@ def test_gl2_fields():
     g, _, diagonal = coupling_residuals(cache)
     pred = coupling_values(params)
     assert diagonal == entry_ratio(np.diagonal(g) - pred, pred)
-    left, right, _ = cache.bases()
+    left, right, _ = gl2_pair(cache)
     acc = vandermonde(params.xi) * ((right * shifted_vandermonde(params)) @ left)
     assert identity_decomposition_residual(cache) == identity_error(acc, np.eye(params.dim))
 

@@ -33,3 +33,19 @@ def test_specially_wrapped_names_resolve(tracer):
                         (gl3_model.TransferCache, "value"), (suites, "run_task")):
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
     assert list(suites.SUITES)
+
+
+@pytest.mark.parametrize("algebra", ["gl3", "gl2"])
+def test_cache_wrapper_counts_a_miss_then_a_hit(tracer, algebra):
+    """The tracer's cache wrapper looks the key up in ``TransferCache._store``
+    and calls ``value(m, lam)``, on the chain of either algebra."""
+    from sovlab.suites import Workspace
+
+    ws = Workspace(algebra, 2, 7)
+    cache = ws.gl3()[0] if algebra == "gl3" else ws.gl2()
+    trace = tracer.Tracer(0)
+    value = trace._cache_value(tracer.gl3_model.TransferCache.value)
+    lam = 0.3 + 0.7j  # off the sampler's grid, so no node the chain has stored
+    first = value(cache, 1, lam)
+    assert value(cache, 1, lam) is first
+    assert (trace.counts["gl3_model.cache.misses"], trace.counts["gl3_model.cache.hits"]) == (1, 1)
