@@ -26,5 +26,4 @@ from .errors import (
     ConfigError,
 )
 from .gl3_model import ModelParams, TwistData
-from .gl2_model import Gl2Params
 from .sov_bases import TernaryIndex, SovBasisPair

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, EigFailure, SizeCapError, SovLabError, SpectrumNotSimple
-from .gl2_model import check_twist
-from .gl3_model import ModelParams, TwistData, apply_transfer_free, transfer, xi_separation
+from .gl3_model import (ModelParams, TwistData, apply_transfer_free, check_gl2_twist, transfer,
+                        xi_separation)
 from .numkernel import rel_residual, require_dense
 from .sampling import ParameterSampler
 from .suites import SUITES, Workspace, run_task, validate_tasks
@@ -122,9 +122,7 @@ def _twist(twist, algebra):
     if algebra == "gl2":
         if "matrix" not in twist:
             raise ConfigError("gl2 twists are given as a matrix")
-        k = _square(twist["matrix"], 2)
-        check_twist(k)
-        return k.tolist()
+        return check_gl2_twist(_square(twist["matrix"], 2)).tolist()
     if "matrix" in twist:
         return TwistData.from_matrix(_square(twist["matrix"], 3))
     if "eigenvalues" in twist:
@@ -194,6 +192,8 @@ def _resolve(path, overrides):
     if unknown:
         raise ConfigError(f"unknown tolerance suites {unknown}; known: {sorted(SUITES)}")
     cfg["tolerances"] = {k: float(v) for k, v in tol.items()}
+    if not all(0 <= v < np.inf for v in cfg["tolerances"].values()):
+        raise ConfigError(f"tolerances must be finite and >= 0, got {cfg['tolerances']}")
 
     tasks = raw.get("tasks")
     if tasks is None:

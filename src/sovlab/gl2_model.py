@@ -1,18 +1,19 @@
 """Rational gl(2) chain: the rank-one yardstick with orthogonal SoV bases.
 
-Same tensor conventions and chain handle (``gl3_model.TransferCache``) as the
-gl(3) model.  The left basis applies T(xi_a)/a(xi_a) to a free tensor
-co-vector; the right basis applies T(xi_a - eta)/a(xi_a) to the tensor vector
-dual to the all-ones label, and the two families are orthogonal with the
-inverse coupling V(xi) * V(xi - h*eta) without any twist dependence.
+Same chain type (``gl3_model.ModelParams``, here with a 2x2 twist), tensor
+conventions and chain handle (``gl3_model.TransferCache``) as the gl(3) model.
+The reference pair (x, y) is an argument of the pair builders, as gl(3)'s
+(x, y, z) is of ``sov_bases.dressed_pair``.  The left basis applies
+T(xi_a)/a(xi_a) to a free tensor co-vector; the right basis applies
+T(xi_a - eta)/a(xi_a) to the tensor vector dual to the all-ones label, and
+the two families are orthogonal with the inverse coupling
+V(xi) * V(xi - h*eta) without any twist dependence.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateReference, DetKZero, NonGeneric
-from .gl3_model import InterpolationWeights, default_probe_point, transfer, xi_separation
+from .errors import DegenerateReference, DetKZero
+from .gl3_model import InterpolationWeights, default_probe_point, transfer
 from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde, worst
 from .sov_bases import (
     basis_tree,
@@ -23,43 +24,10 @@ from .sov_bases import (
 )
 
 
-def check_twist(k):
-    """Reject a 2x2 twist that is a multiple of the identity."""
-    off = max(abs(k[0, 1]), abs(k[1, 0]), abs(k[0, 0] - k[1, 1]))
-    if off <= 1e-12 * max(np.abs(k).max(), 1e-300):
-        raise ValueError("twist must not be a multiple of the identity")
-
-
-@dataclass(frozen=True)
-class Gl2Params:
-    """Chain data: sites, shift, inhomogeneities, 2x2 twist, reference pair."""
-
-    sites: int
-    eta: complex
-    xi: tuple
-    k_matrix: np.ndarray
-    ref: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta", complex(self.eta))
-        object.__setattr__(self, "xi", tuple(complex(x) for x in self.xi))
-        object.__setattr__(self, "k_matrix", np.asarray(self.k_matrix, dtype=complex))
-        object.__setattr__(self, "ref", tuple(complex(c) for c in self.ref))
-        check_twist(self.k_matrix)
-        if abs(self.pairing_form()) <= 1e-12 * max(np.abs(self.k_matrix).max(), 1e-300):
-            raise DegenerateReference("reference pair gives a vanishing pairing form")
-        if xi_separation(self.xi, self.eta) < 1e-12:
-            raise NonGeneric("inhomogeneities violate the genericity condition")
-
-    @property
-    def dim(self):
-        return 2**self.sites
-
-    def pairing_form(self):
-        """b x^2 + (d - a) x y - c y^2 for K = [[a, b], [c, d]]."""
-        x, y = self.ref
-        k = self.k_matrix
-        return complex(k[0, 1] * x * x + (k[1, 1] - k[0, 0]) * x * y - k[1, 0] * y * y)
+def pairing_form(k, ref):
+    """b x^2 + (d - a) x y - c y^2 for K = [[a, b], [c, d]] and ref = (x, y)."""
+    x, y = ref
+    return complex(k[0, 1] * x * x + (k[1, 1] - k[0, 0]) * x * y - k[1, 0] * y * y)
 
 
 def gl2_transfer(params, lam):
@@ -67,17 +35,22 @@ def gl2_transfer(params, lam):
     return transfer(params, 1, lam)
 
 
-def reference_states(params):
-    """The tensor references: bare co-vector, all-ones vector, all-zeros vector.
+def reference_states(cache, ref):
+    """The tensor references of the reference pair ``ref`` = (x, y): bare
+    co-vector, all-ones vector, all-zeros vector.
 
     The vector normalizations carry the chain data (the pair-interaction
     scalars eta^N prod (eta^2 - (xi_i - xi_j)^2) and the Vandermonde pair for
-    the all-ones label; the squared Vandermonde for the all-zeros one).
+    the all-ones label; the squared Vandermonde for the all-zeros one).  A
+    pair whose pairing form vanishes raises :class:`DegenerateReference`.
     """
-    x, y = params.ref
+    params = cache.params
+    x, y = (complex(c) for c in ref)
     k = params.k_matrix
     n = params.sites
-    n_k = params.pairing_form()
+    n_k = pairing_form(k, (x, y))
+    if abs(n_k) <= 1e-12 * max(np.abs(k).max(), 1e-300):
+        raise DegenerateReference("reference pair gives a vanishing pairing form")
     v0 = vandermonde(params.xi)
     v1 = vandermonde([xx - params.eta for xx in params.xi])
     pair_scalar = 1.0 + 0j
@@ -99,14 +72,15 @@ def reference_states(params):
     return row, ones_col, zeros_col
 
 
-def gl2_bases(cache):
-    """Left rows <h| and right columns |h> in flat binary order.
+def gl2_bases(cache, ref):
+    """Left rows <h| and right columns |h> in flat binary order, with the
+    all-zeros column, from the reference pair ``ref``.
 
     Built down ``sov_bases.basis_tree``: digit 1 applies T(xi_a)/a(xi_a) to
     the left reference, digit 0 applies T(xi_a - eta)/a(xi_a) to the right.
     """
     params = cache.params
-    row0, ones_col, zeros_col = reference_states(params)
+    row0, ones_col, zeros_col = reference_states(cache, ref)
     a_xi = InterpolationWeights(params).a
     left_steps = [([], [cache.t1(x) / a_xi(x)]) for x in params.xi]
     right_steps = [([cache.t1(x - params.eta) / a_xi(x)], []) for x in params.xi]
@@ -115,12 +89,12 @@ def gl2_bases(cache):
     return left, np.ascontiguousarray(right.T), zeros_col
 
 
-def gl2_pair(cache):
-    """``gl2_bases`` of the chain, built once and kept read-only in ``cache.pairs``
-    under the reference pair, as ``sov_bases.dressed_pair`` keeps gl(3) pairs."""
-    key = cache.params.ref
+def gl2_pair(cache, ref):
+    """``gl2_bases`` of the chain, built once per reference pair and kept
+    read-only in ``cache.pairs``, as ``sov_bases.dressed_pair`` keeps gl(3) pairs."""
+    key = tuple(complex(c) for c in ref)
     if key not in cache.pairs:
-        cache.pairs[key] = gl2_bases(cache)
+        cache.pairs[key] = gl2_bases(cache, key)
         for arr in cache.pairs[key]:
             arr.setflags(write=False)
     return cache.pairs[key]
@@ -137,7 +111,7 @@ def coupling_values(params):
     return 1.0 / (vandermonde(params.xi) * shifted_vandermonde(params))
 
 
-def coupling_residuals(cache):
+def coupling_residuals(cache, ref):
     """Coupling matrix G = left @ right of the SoV bases and its deviation
     from the orthogonal prediction.
 
@@ -145,7 +119,7 @@ def coupling_residuals(cache):
     relative to max|G|, and the largest over the diagonal relative to each
     predicted coupling.
     """
-    left, right, _ = gl2_pair(cache)
+    left, right, _ = gl2_pair(cache, ref)
     gram = left @ right
     pred = coupling_values(cache.params)
     cells = rel_residual(gram - np.diag(pred), gram)
@@ -168,7 +142,7 @@ def qdet_scalar(cache, a):
     return complex(scalar), resid, complex(closed)
 
 
-def gl2_eigen_reps(cache):
+def gl2_eigen_reps(cache, ref):
     """Reconstruct every eigenstate from its eigenvalue data in the SoV bases.
 
     The right (left) eigenvectors are rebuilt from t(xi_a) (t(xi_a - eta))
@@ -180,13 +154,13 @@ def gl2_eigen_reps(cache):
     normalization by vanishing t(xi_a - eta).
     """
     params = cache.params
+    left, right, zeros_col = gl2_pair(cache, ref)  # a degenerate reference is reported first
     detk = np.linalg.det(params.k_matrix)
     if abs(detk) <= 1e-12 * max(np.abs(params.k_matrix).max(), 1e-300) ** 2:
         raise DetKZero("det K is numerically zero; the representations need it invertible")
-    left, right, zeros_col = gl2_pair(cache)
     dec = eig_general(cache.t1(default_probe_point(params)), gap_rtol=1e-8)
 
-    row0, ones_col, _ = reference_states(params)
+    row0, ones_col = left[0], right[:, -1]  # no factor acts on the all-zeros row, all-ones column
     v_xi = vandermonde(params.xi)
     w = InterpolationWeights(params)
     a_xi = np.array([w.a(x) for x in params.xi])
@@ -221,10 +195,10 @@ def gl2_eigen_reps(cache):
     }
 
 
-def identity_decomposition_residual(cache):
+def identity_decomposition_residual(cache, ref):
     """Residual of I = V(xi) sum_h V(xi - h*eta) |h><h|."""
     params = cache.params
-    left, right, _ = gl2_pair(cache)
+    left, right, _ = gl2_pair(cache, ref)
     acc = vandermonde(params.xi) * ((right * shifted_vandermonde(params)) @ left)
     eye = np.eye(params.dim)
     return rel_residual(acc - eye, eye)

@@ -212,6 +212,18 @@ class TwistData:
         return cls(w @ kj @ np.linalg.inv(w), case, w, kj)
 
 
+def check_gl2_twist(k):
+    """A gl(2) twist as a complex array: finite, 2x2 and not a multiple of
+    the identity, else a ValueError."""
+    k = np.asarray(k, dtype=complex)
+    if k.shape != (2, 2) or not np.isfinite(k).all():
+        raise ValueError("a gl(2) twist is a finite 2x2 matrix")
+    off = max(abs(k[0, 1]), abs(k[1, 0]), abs(k[0, 0] - k[1, 1]))
+    if off <= 1e-12 * max(np.abs(k).max(), 1e-300):
+        raise ValueError("twist must not be a multiple of the identity")
+    return k
+
+
 # ---------------------------------------------------------------------------
 # model parameters
 
@@ -234,12 +246,14 @@ def default_probe_point(params):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Sites, shift eta, inhomogeneities and twist of one gl(3) chain."""
+    """Sites, shift eta, inhomogeneities and twist of one chain: a gl(3) chain
+    when ``twist`` is :class:`TwistData`, a gl(2) chain when it is a 2x2
+    matrix (validated by :func:`check_gl2_twist`)."""
 
     sites: int
     eta: complex
     xi: tuple
-    twist: TwistData
+    twist: TwistData | np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "eta", complex(self.eta))
@@ -248,17 +262,19 @@ class ModelParams:
             raise ValueError("need sites >= 1 inhomogeneities")
         if self.eta == 0:
             raise NonGeneric("eta must be nonzero")
+        if not isinstance(self.twist, TwistData):
+            object.__setattr__(self, "twist", check_gl2_twist(self.twist))
         if xi_separation(self.xi, self.eta) < 1e-12:
             raise NonGeneric("inhomogeneities must satisfy xi_i - xi_j not in {0, +eta, -eta}")
 
     @property
     def dim(self):
-        return 3**self.sites
+        return len(self.k_matrix) ** self.sites
 
     @property
     def k_matrix(self):
-        """The twist matrix, read as ``Gl2Params.k_matrix`` is."""
-        return self.twist.k_matrix
+        """The d x d twist matrix, for either algebra."""
+        return self.twist.k_matrix if isinstance(self.twist, TwistData) else self.twist
 
     def xi_shifted(self, a, h):
         """xi_a - h*eta for 0-based site a."""

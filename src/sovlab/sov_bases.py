@@ -135,12 +135,13 @@ def tensor_product_state(factors):
     return out
 
 
-def reference_covector(xyz, twist, params):
+def reference_covector(xyz, params):
     """Tensor-product reference row <site copies of (x,y,z) W^{-1}>.
 
     The admissibility condition depends on the Jordan case of the twist:
     all of x, y, z nonzero for case i, x and z for case ii, x for case iii.
     """
+    twist = params.twist
     x, y, z = (complex(c) for c in xyz)
     need = {"i": (x, y, z), "ii": (x, z), "iii": (x,)}[twist.case]
     if any(abs(c) <= _NONZERO_ATOL for c in need):
@@ -160,7 +161,7 @@ def _local_reference_column(xyz, twist):
     return direction, complex(pairing)
 
 
-def reference_vector_closed(xyz, twist, params):
+def reference_vector_closed(xyz, params):
     """Closed tensor-product form of the right reference vector |0>.
 
     Per site the column is the (unique) direction annihilated by the rows
@@ -168,8 +169,8 @@ def reference_vector_closed(xyz, twist, params):
     (x,y,z) adj(K_J) equals 1 / (d(xi_a - eta) d(xi_a - 2 eta)).  With this
     normalization the dressed left family satisfies <k|0> = delta_{k,0}.
     """
-    reference_covector(xyz, twist, params)  # validate the case condition
-    direction, pairing = _local_reference_column(xyz, twist)
+    reference_covector(xyz, params)  # validate the case condition
+    direction, pairing = _local_reference_column(xyz, params.twist)
     if abs(pairing) <= _NONZERO_ATOL * max(np.abs(direction).max(), 1.0):
         raise DegenerateReference("reference vector degenerate: adjugate pairing vanishes")
     factors = []
@@ -179,7 +180,7 @@ def reference_vector_closed(xyz, twist, params):
             node = params.xi_shifted(a, shift)
             for x in params.xi:
                 denom *= node - x
-        factors.append(twist.w @ (direction / denom))
+        factors.append(params.twist.w @ (direction / denom))
     return tensor_product_state(factors)
 
 
@@ -271,7 +272,6 @@ class SovBasisPair:
     variant: str
     ref_covector: np.ndarray
     ref_vector: np.ndarray
-    provenance: str = "transfer"
     _ranks: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -318,8 +318,8 @@ def dressed_pair(cache, xyz):
     params = cache.params
     key = tuple(complex(c) for c in xyz)
     if key not in cache.pairs:
-        ref_row = reference_covector(xyz, params.twist, params)
-        ref_col = reference_vector_closed(xyz, params.twist, params)
+        ref_row = reference_covector(xyz, params)
+        ref_col = reference_vector_closed(xyz, params)
         left = build_left_basis(cache, ref_row, "dressed")
         right = build_right_basis(cache, ref_col, "dressed")
         for arr in (left, right, ref_row, ref_col):
@@ -331,7 +331,7 @@ def dressed_pair(cache, xyz):
 def power_pair(cache, xyz, rst):
     """Plain-powers left/right bases on free tensor references."""
     params = cache.params
-    ref_row = reference_covector(xyz, params.twist, params)
+    ref_row = reference_covector(xyz, params)
     r, s, t = (complex(c) for c in rst)
     need = {"i": (r, s, t), "ii": (s, t), "iii": (t,)}[params.twist.case]
     if any(abs(c) <= _NONZERO_ATOL for c in need):

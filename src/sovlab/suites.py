@@ -124,8 +124,8 @@ class Workspace:
         """Lookups of every transfer cache built so far (the gl(3) chain's,
         its K-hat companion's, the other-twist chain's and the gl(2) chain's):
         total hits and misses, and the dense assemblies per fusion order."""
-        caches = [self._cache["gl3"][0]] if "gl3" in self._cache else []
-        caches += [self._cache[key] for key in ("khat_chain", "other_twist_chain", "gl2")
+        caches = [self._cache[key][0] for key in ("gl3", "gl2") if key in self._cache]
+        caches += [self._cache[key] for key in ("khat_chain", "other_twist_chain")
                    if key in self._cache]
         hits = sum((c.hits for c in caches), Counter())
         misses = sum((c.misses for c in caches), Counter())
@@ -169,6 +169,11 @@ class Workspace:
     def gl3_gram(self):
         cache, _, pair = self.gl3()
         return gram(pair.left, pair.right, cache.params)
+
+    @_memo
+    def gl3_dual(self):
+        """Dual families and inverse measure of the dressed pair."""
+        return dual_bases(self.gl3()[2], self.gl3_gram())
 
     @_memo
     def khat_chain(self):
@@ -222,24 +227,25 @@ class Workspace:
 
     @_memo
     def gl2(self):
-        """Transfer cache of the gl(2) chain.  It shares a configured eta and
-        xi; a gl3 run's configured twist and reference are gl(3) data, so
-        there it samples its own."""
+        """The gl(2) chain as ``(cache, ref)``: its transfer cache and
+        reference pair.  It shares a configured eta and xi; a gl3 run's
+        configured twist and reference are gl(3) data, so there it samples
+        its own."""
         s = ParameterSampler(self.seed)
         eta = self._eta if self._eta is not None else s.shift()
         xi = tuple(self._xi) if self._xi is not None else s.inhomogeneities(self.sites, eta)
         gl2_run = self.algebra == "gl2"
         twist = self._twist if gl2_run else None
         reference = self._reference if gl2_run else None
-        k = np.asarray(twist, dtype=complex) if twist is not None else s.gl2_twist()
+        k = twist if twist is not None else s.gl2_twist()
         ref = tuple(reference) if reference is not None else s.reference2()
-        return TransferCache(gl2_model.Gl2Params(self.sites, eta, xi, k, ref))
+        return TransferCache(ModelParams(self.sites, eta, xi, k)), ref
 
     @_memo
     def gl2_coupling(self):
         """``gl2_model.coupling_residuals`` of the gl(2) chain, shared by the
         gram, measure and gl2 suites."""
-        return gl2_model.coupling_residuals(self.gl2())
+        return gl2_model.coupling_residuals(*self.gl2())
 
 
 def _result(name, tol, ws, gated, info=None, ok=True):
@@ -377,14 +383,13 @@ def run_measure(ws, tol, out_dir=None):
             sov_measure.export_matrix_csv(g, out_dir / "gram.csv")
             sov_measure.export_matrix_csv(np.linalg.inv(g), out_dir / "measure.csv")
         return _result("measure", tol, ws, {"max_diag_rel_err": diagonal},
-                       {"dim": ws.gl2().params.dim})
+                       {"dim": ws.gl2()[0].params.dim})
     report = ws.gl3_gram()
     gated = {"max_diag_rel_err": report.max_diag_rel_err,
              "twist_independence": _twist_independence_residual(ws)}
     if out_dir is not None:
         sov_measure.export_matrix_csv(report.gram, out_dir / "gram.csv")
-        measure = np.linalg.solve(report.gram, np.eye(len(report.gram), dtype=complex))
-        sov_measure.export_matrix_csv(measure, out_dir / "measure.csv")
+        sov_measure.export_matrix_csv(ws.gl3_dual().measure, out_dir / "measure.csv")
     return _result("measure", tol, ws, gated)
 
 
@@ -400,9 +405,8 @@ def _twist_independence_residual(ws):
 
 
 def run_dual(ws, tol):
-    pair = ws.gl3()[2]
     report = ws.gl3_gram()
-    dual = dual_bases(pair, report)
+    dual = ws.gl3_dual()
     sparsity, brec = _dual_coordinate_residuals(report, dual)
     gated = {"inverse_residual": dual.inverse_residual,
              "expansion_sparsity": sparsity, "b_recursion": brec}
@@ -484,7 +488,12 @@ def run_scalarproducts(ws, tol):
         "scalar_products": worst(overlap_residual() for _ in range(20)),
         "norms": worst(r["rel_err"] for r in records),
     }
-    info = {"per_state": records, "excluded_ambiguous": excluded, **ws.khat_probe_health()}
+    # the zero-pattern checks of the kept states (det0_spectrum.zero_patterns)
+    diags = [st.pattern_diagnostics for st in states]
+    patterns = {f"pattern_{key}": worst(d[key] for d in diags)
+                for key in ("zero_residual", "fusion_residual", "t2_closed_form_residual")}
+    info = {"per_state": records, "excluded_ambiguous": excluded, **ws.khat_probe_health(),
+            **patterns, "pattern_nonzero_floor": min(d["nonzero_floor"] for d in diags)}
     return _result("scalarproducts", tol, ws, gated, info)
 
 
@@ -520,15 +529,15 @@ def run_ttcharges(ws, tol):
 
 
 def run_gl2(ws, tol):
-    cache = ws.gl2()
-    reps = gl2_model.gl2_eigen_reps(cache)
+    cache, ref = ws.gl2()
+    reps = gl2_model.gl2_eigen_reps(cache, ref)
     qdet = []
     for a in range(cache.params.sites):
         scalar, resid, closed = gl2_model.qdet_scalar(cache, a)
         qdet += [resid, rel_residual(scalar - closed, closed)]
     gated = {
         "measure": ws.gl2_coupling()[1],
-        "identity_decomposition": gl2_model.identity_decomposition_residual(cache),
+        "identity_decomposition": gl2_model.identity_decomposition_residual(cache, ref),
         "fusion_scalar": worst(qdet),
         "eigen_reconstruction": reps["reconstruction_residual"],
         "detk_representation": reps["detk_rep_residual"],

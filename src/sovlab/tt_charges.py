@@ -157,11 +157,11 @@ def tt_sov_bases(family, xyz):
     ones = np.ones_like(family.t1_xi)
     v_left = separated_coordinates(family.t1_xi, family.t2_shift)
     v_right = label_products(np.stack([ones, family.t2_xi, family.t1_xi], axis=1))
-    ref_row = reference_covector(xyz, p.twist, p)
+    ref_row = reference_covector(xyz, p)
     left = ((ref_row @ family.right) * v_left) @ family.left
     ref_col = reference_vector_solve(left)
     right = family.right @ (v_right.T * (family.left @ ref_col)[:, None])
-    return SovBasisPair(left, right, "dressed", ref_row, ref_col, provenance="charge-family")
+    return SovBasisPair(left, right, "dressed", ref_row, ref_col)
 
 
 def eigenstate_representation_residual(family, pair):

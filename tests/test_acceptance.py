@@ -178,7 +178,7 @@ def test_criterion_05_reference_duality():
             twist = params.twist
             v = np.array(xyz)
             mat = np.vstack([v @ twist.k_adjugate, v, v @ twist.k_jordan])
-            vec = reference_vector_closed(xyz, twist, params)
+            vec = reference_vector_closed(xyz, params)
             factors = []
             for a in range(params.sites):
                 t = np.zeros(3, dtype=complex)
@@ -400,17 +400,15 @@ def test_criterion_14_rank_one_yardstick():
         for sites in (2, 3):
             s = ParameterSampler(seed)
             eta = s.shift()
-            params = gl2_model.Gl2Params(
-                sites, eta, s.inhomogeneities(sites, eta), s.gl2_twist(), s.reference2()
-            )
-            cache = TransferCache(params)
-            left, right, _ = gl2_model.gl2_bases(cache)
+            params = ModelParams(sites, eta, s.inhomogeneities(sites, eta), s.gl2_twist())
+            cache, ref = TransferCache(params), s.reference2()
+            left, right, _ = gl2_model.gl2_bases(cache, ref)
             g = left @ right
             for fh, h in enumerate(label_digits(sites, 2)):
                 for fk in range(params.dim):
                     pred = coupling_prediction(params, h) if fh == fk else 0.0
                     worst_meas = max(worst_meas, abs(g[fh, fk] - pred) / np.abs(g).max())
-            reps = gl2_model.gl2_eigen_reps(cache)
+            reps = gl2_model.gl2_eigen_reps(cache, ref)
             worst_rep = max(worst_rep, reps["reconstruction_residual"],
                             reps["detk_rep_residual"])
             min_overlap = min(min_overlap, reps["min_overlap"])

@@ -491,3 +491,27 @@ def test_gl2_run_counts_its_transfer_assemblies():
     counts = report["timings"]["transfer_cache"]
     assert counts["assemblies"] == {"m1": 9, "m2": 0, "m3": 0}
     assert counts["misses"] == 9 and counts["hits"] > 0
+
+
+BAD_TOLERANCES = {"nan": float("nan"), "negative": -1.0, "inf": float("inf")}
+
+
+@pytest.mark.parametrize("via", ["config", "--tol"])
+@pytest.mark.parametrize("tol", BAD_TOLERANCES.values(), ids=BAD_TOLERANCES.keys())
+def test_tolerance_must_be_finite_and_not_negative(tmp_path, tol, via):
+    """A NaN or negative tolerance fails a suite and an infinite one passes
+    it, whatever the suite computes: each is rejected before any task runs."""
+    config = {"sites": 1, "seed": 2, "tasks": ["yangbaxter"]}
+    args = ["verify", "--out", str(tmp_path / "out")]
+    if via == "config":
+        config["tolerances"] = {"yangbaxter": tol}
+    else:
+        args += ["--tol", repr(tol)]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    result = CliRunner().invoke(main, args + ["--config", str(path)])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: config error: tolerances must be finite")
+    assert len(result.output.strip().splitlines()) == 1, result.output
+    assert not (tmp_path / "out").exists()

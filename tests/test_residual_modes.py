@@ -86,14 +86,14 @@ def test_workspace_fields():
 
 
 def test_gl2_fields():
-    cache = suites.Workspace("gl2", 3, 5).gl2()
+    cache, ref = suites.Workspace("gl2", 3, 5).gl2()
     params = cache.params
-    g, _, diagonal = coupling_residuals(cache)
+    g, _, diagonal = coupling_residuals(cache, ref)
     pred = coupling_values(params)
     assert diagonal == entry_ratio(np.diagonal(g) - pred, pred)
-    left, right, _ = gl2_pair(cache)
+    left, right, _ = gl2_pair(cache, ref)
     acc = vandermonde(params.xi) * ((right * shifted_vandermonde(params)) @ left)
-    assert identity_decomposition_residual(cache) == identity_error(acc, np.eye(params.dim))
+    assert identity_decomposition_residual(cache, ref) == identity_error(acc, np.eye(params.dim))
 
 
 def test_modes_on_empty_masks_and_zero_columns():

@@ -2,6 +2,7 @@
 named in ``details``, its ``max_residual`` is their ``worst``, and a NaN
 figure fails the suite."""
 
+import csv
 import fnmatch
 import json
 import math
@@ -170,3 +171,26 @@ def test_gl2_measure_csv_bytes_match_the_per_cell_writer(tmp_path):
         per_cell_matrix_csv(matrix, tmp_path / f"{name}.oracle.csv")
         assert ((tmp_path / f"{name}.csv").read_bytes()
                 == (tmp_path / f"{name}.oracle.csv").read_bytes())
+
+
+def test_gl3_measure_csv_is_the_measure_the_dual_suite_checks(tmp_path):
+    """measure.csv holds the memoized dual data's inverse measure, read back
+    cell for cell: a float repr round-trips."""
+    ws = Workspace("gl3", 3, 7)
+    run_task("measure", ws, {}, out_dir=tmp_path)
+    rows = list(csv.reader(open(tmp_path / "measure.csv")))[1:]
+    got = np.array([[complex(*map(float, cell.split(","))) for cell in row[1:]] for row in rows])
+    assert np.array_equal(got, ws.gl3_dual().measure)
+
+
+def test_scalarproducts_reports_the_zero_pattern_checks():
+    """The zero-pattern checks of the kept states are folded into reported,
+    ungated figures of the scalarproducts suite."""
+    ws = Workspace("gl3", 3, 7)
+    details = run_task("scalarproducts", ws, {}).details
+    diags = [st.pattern_diagnostics for st in ws.khat_states()[0]]
+    for key in ("zero_residual", "fusion_residual", "t2_closed_form_residual"):
+        assert details[f"pattern_{key}"] == max(d[key] for d in diags)
+        assert details[f"pattern_{key}"] <= 1e-9
+    assert details["pattern_nonzero_floor"] == min(d["nonzero_floor"] for d in diags)
+    assert details["pattern_nonzero_floor"] > 1e-3

@@ -130,7 +130,7 @@ def test_flat_order_site_one_fastest():
 def test_reference_covector_diagonal_identity_twist_rows():
     twist = TwistData.from_eigenvalues([1.0, 2.0, 3.0])  # W = I
     params = ModelParams(2, 0.5 + 0.1j, (0.1, 0.9), twist)
-    row = reference_covector((1, 1, 1), twist, params)
+    row = reference_covector((1, 1, 1), params)
     np.testing.assert_allclose(row, np.ones(9))
 
 
@@ -138,19 +138,19 @@ def test_reference_covector_case_conditions():
     twist = TwistData.from_eigenvalues([1.0, 2.0, 3.0])
     params = ModelParams(1, 0.5, (0.0,), twist)
     with pytest.raises(DegenerateReference):
-        reference_covector((1.0, 0.0, 1.0), twist, params)
+        reference_covector((1.0, 0.0, 1.0), params)
     kj = np.array([[2.0, 1, 0], [0, 2.0, 0], [0, 0, 5.0]])
     twist2 = TwistData.from_jordan(np.eye(3), kj)
     params2 = ModelParams(1, 0.5, (0.0,), twist2)
     # case ii only needs x and z
-    reference_covector((1.0, 0.0, 1.0), twist2, params2)
+    reference_covector((1.0, 0.0, 1.0), params2)
     with pytest.raises(DegenerateReference):
-        reference_covector((0.0, 1.0, 1.0), twist2, params2)
+        reference_covector((0.0, 1.0, 1.0), params2)
 
 
 def test_reference_covector_tensor_entry():
     params, xyz, _ = make_params(31, 2)
-    row = reference_covector(xyz, params.twist, params)
+    row = reference_covector(xyz, params)
     site = np.array(xyz) @ np.linalg.inv(params.twist.w)
     assert row[0] == pytest.approx(site[0] ** 2, rel=1e-13)
 
@@ -170,7 +170,7 @@ def test_reference_vector_matches_local_solve_oracle():
     for seed, wild in ((41, False), (42, True)):
         params, xyz, _ = make_params(seed, 2, wild_w=wild)
         twist = params.twist
-        vec = reference_vector_closed(xyz, twist, params)
+        vec = reference_vector_closed(xyz, params)
         v = np.array(xyz)
         mat = np.vstack([v @ twist.k_adjugate, v, v @ twist.k_jordan])
         factors = []

@@ -42,7 +42,7 @@ def test_cache_wrapper_counts_a_miss_then_a_hit(tracer, algebra):
     from sovlab.suites import Workspace
 
     ws = Workspace(algebra, 2, 7)
-    cache = ws.gl3()[0] if algebra == "gl3" else ws.gl2()
+    cache = ws.gl3()[0] if algebra == "gl3" else ws.gl2()[0]
     trace = tracer.Tracer(0)
     value = trace._cache_value(tracer.gl3_model.TransferCache.value)
     lam = 0.3 + 0.7j  # off the sampler's grid, so no node the chain has stored
