@@ -241,22 +241,26 @@ LABEL_MOVES = {
 }
 
 
-def interpolated_action_check(cache, h, which, side, xyz, lambdas):
-    """Residual of the local-shift expansion of T_1/T_2 acting on one label.
+def interpolated_action_check(cache, actions, xyz, lambdas):
+    """Worst residual of the local-shift expansion of T_1/T_2 acting on labels.
 
-    ``which`` is 1 or 2, ``side`` "left" or "right".  The expansion re-expresses
-    the dense action as label shifts weighted by Lagrange coefficients, with
-    the moves of :data:`LABEL_MOVES`; T_2 interpolates on the shifts
-    [h_a >= 1] and T_1 on [h_a = 2].  It is exact when the twist has a zero
-    quantum determinant.
+    ``actions`` lists ``(h, which, side)``: a label, the order 1 or 2 and
+    "left" or "right".  The expansion re-expresses the dense action as label
+    shifts weighted by Lagrange coefficients, with the moves of
+    :data:`LABEL_MOVES`; T_2 interpolates on the shifts [h_a >= 1] and T_1 on
+    [h_a = 2].  It is exact when the twist has a zero quantum determinant.
+    Each T_m(lam) is read once and acts on every label of its order, one
+    GEMV per label.
     """
-    if (side, which) not in LABEL_MOVES:
-        raise ValueError(f"no label action for side {side!r} and order {which!r}")
+    actions = list(actions)
+    for _, which, side in actions:
+        if (side, which) not in LABEL_MOVES:
+            raise ValueError(f"no label action for side {side!r} and order {which!r}")
     params = cache.params
     pair = dressed_pair(cache, xyz)
     w = InterpolationWeights(params)
 
-    def terms(order, idx, lam):
+    def terms(side, order, idx, lam):
         table = LABEL_MOVES[(side, order)]
         shifts = tuple(int(d >= 1) if order == 2 else int(d == 2) for d in idx.digits)
         out = [(w.asymptotic(order, shifts, lam), idx)]
@@ -266,24 +270,30 @@ def interpolated_action_check(cache, h, which, side, xyz, lambdas):
                 coef = w.g(a, shifts, lam, order)
                 moved = idx.with_digit(a, new)
                 if nested:
-                    out.extend((coef * c, i) for c, i in terms(2, moved, params.xi[a]))
+                    out.extend((coef * c, i) for c, i in terms(side, 2, moved, params.xi[a]))
                 else:
                     out.append((coef, moved))
         if order == 2:
             out = [(w.d(lam - params.eta) * c, i) for c, i in out]
         return out
 
-    # rows of a left family, columns of a right one
-    members = pair.left if side == "left" else pair.right.T
-
-    def residual(lam):
-        mat = cache.value(which, lam)
+    def residual(h, which, side, mat, lam):
+        # rows of a left family, columns of a right one
+        members = pair.left if side == "left" else pair.right.T
         dense = members[h.flat] @ mat if side == "left" else mat @ members[h.flat]
         approx = np.zeros(params.dim, dtype=complex)
-        for coef, idx in terms(which, h, lam):
+        for coef, idx in terms(side, which, h, lam):
             approx += coef * members[idx.flat]
         return rel_residual(dense - approx, dense)
-    return worst(residual(lam) for lam in lambdas)
+
+    resids = []
+    for lam in lambdas:
+        for order in (1, 2):
+            labels = [(h, side) for h, which, side in actions if which == order]
+            if labels:
+                mat = cache.value(order, lam)
+                resids += [residual(h, order, side, mat, lam) for h, side in labels]
+    return worst(resids)
 
 
 def boundary_eigenstate_check(cache, xyz, lambdas):
@@ -293,7 +303,8 @@ def boundary_eigenstate_check(cache, xyz, lambdas):
     d-polynomial profile, the all-twos co-vector and every right label in
     {1,2}^N likewise for T_2, as one column block.  Proportionality constants
     are read per member and evaluation point at the member's largest
-    reference entry; their spread measures lambda independence.  Every entry
+    reference entry; their spread measures lambda independence.  Each
+    T_m(lam) is read once and acts on every block of its order.  Every entry
     is ``(residual, spread)``, the spread of the right block taken over its
     worst member.
     """
@@ -302,45 +313,50 @@ def boundary_eigenstate_check(cache, xyz, lambdas):
     digits = label_digits(params.sites)
     w = InterpolationWeights(params)
     row0 = pair.left[(digits == 0).all(axis=1)]
-    row2 = pair.left[(digits == 2).all(axis=1)]
-
-    def profile_residual(members, which, profile, side):
-        # members are the rows of a left block or the columns of a right one
-        axis = 1 if side == "left" else 0
-        consts, resids = [], []
-        for lam in lambdas:
-            mat = cache.value(which, lam)
-            acted = members @ mat if side == "left" else mat @ members
-            ref = profile(lam) * members
-            j = np.argmax(np.abs(ref), axis=axis, keepdims=True)
-            top = np.take_along_axis(ref, j, axis)
-            if np.abs(top).min() <= 1e-300:
-                raise ValueError(
-                    "evaluation point sits on a zero of the eigenvalue profile; "
-                    "pick spectral points away from the shifted inhomogeneities"
-                )
-            const = np.take_along_axis(acted, j, axis) / top
-            resids.append(rel_residual(acted - const * ref, acted, axis=axis))
-            consts.append(const.ravel())
-        return worst(resids), np.array(consts)
-
-    def covector(row, which, profile):
-        resid, consts = profile_residual(row, which, profile, "left")
-        c = consts[:, 0]
-        return resid, rel_residual(c - c[0], c[0])
 
     def t2_profile(lam):
         return w.d(lam - params.eta) * w.d(lam + params.eta)
 
-    right_resid, right_consts = profile_residual(
-        pair.right[:, (digits != 0).all(axis=1)], 2, t2_profile, "right")
-    return {
-        "zeros_t2": covector(row0, 2, lambda lam: w.d(lam - params.eta) * w.d(lam)),
-        "twos_t2": covector(row2, 2, t2_profile),
-        "zeros_t1": covector(row0, 1, lambda lam: w.d(lam)),
-        "right_family_t2": (right_resid, rel_residual(
-            right_consts - right_consts[0], right_consts[:1], axis=0)),
+    def profile_step(members, mat, ref, side):
+        # members are the rows of a left block or the columns of a right one
+        axis = 1 if side == "left" else 0
+        acted = members @ mat if side == "left" else mat @ members
+        j = np.argmax(np.abs(ref), axis=axis, keepdims=True)
+        top = np.take_along_axis(ref, j, axis)
+        if np.abs(top).min() <= 1e-300:
+            raise ValueError(
+                "evaluation point sits on a zero of the eigenvalue profile; "
+                "pick spectral points away from the shifted inhomogeneities"
+            )
+        const = np.take_along_axis(acted, j, axis) / top
+        return rel_residual(acted - const * ref, acted, axis=axis), const.ravel()
+
+    # (members, order, profile, side) of each checked block
+    blocks = {
+        "zeros_t2": (row0, 2, lambda lam: w.d(lam - params.eta) * w.d(lam), "left"),
+        "twos_t2": (pair.left[(digits == 2).all(axis=1)], 2, t2_profile, "left"),
+        "zeros_t1": (row0, 1, w.d, "left"),
+        "right_family_t2": (pair.right[:, (digits != 0).all(axis=1)], 2, t2_profile, "right"),
     }
+    resids = {key: [] for key in blocks}
+    consts = {key: [] for key in blocks}
+    for lam in lambdas:
+        for order in (1, 2):
+            mat = cache.value(order, lam)
+            for key, (members, which, profile, side) in blocks.items():
+                if which == order:
+                    resid, const = profile_step(members, mat, profile(lam) * members, side)
+                    resids[key].append(resid)
+                    consts[key].append(const)
+    out = {}
+    for key in blocks:
+        c = np.array(consts[key])
+        if key == "right_family_t2":
+            spread = rel_residual(c - c[0], c[:1], axis=0)
+        else:
+            spread = rel_residual(c[:, 0] - c[0, 0], c[0, 0])
+        out[key] = (worst(resids[key]), spread)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -547,31 +547,43 @@ def transfer(params, m, lam):
 
 
 class TransferCache:
-    """Memoizing evaluator for dense transfer matrices, keyed by (m, lam).
+    """Evaluator for dense transfer matrices of one chain, keyed by (m, lam).
 
     The one handle on a chain, gl(3) or gl(2): every chain-level function
     takes the chain's cache and reads ``params`` from it.  Single-threaded
-    use.  ``hits[m]`` and ``misses[m]`` count the lookups of fusion order m;
-    every miss assembles one dense T_m.  ``pairs`` holds the read-only SoV
-    bases built from this cache, keyed by their reference components (see
+    use.  It stores T_1 and T_2 at the nodes, lam exactly equal to some xi_a
+    or xi_a - eta, from which the SoV bases are built: at most 4N matrices.
+    Any other (m, lam) is assembled on each request and not kept, so callers
+    that read it more than once hold it themselves.  ``hits[m]`` and
+    ``misses[m]`` count the lookups of fusion order m; a hit is a node
+    re-read, and every miss assembles one dense T_m.  ``stored`` is the
+    number of matrices held.  ``pairs`` holds the read-only SoV bases built
+    from this cache, keyed by their reference components (see
     :func:`sov_bases.dressed_pair` and ``gl2_model.gl2_pair``).
     """
 
     def __init__(self, params):
         self.params = params
+        self._nodes = {p for x in params.xi for p in (x, x - params.eta)}
         self._store = {}
         self.hits = Counter()
         self.misses = Counter()
         self.pairs = {}
 
+    @property
+    def stored(self):
+        return len(self._store)
+
     def value(self, m, lam):
         key = (m, complex(lam))
         if key in self._store:
             self.hits[m] += 1
-        else:
-            self.misses[m] += 1
-            self._store[key] = transfer(self.params, m, lam)
-        return self._store[key]
+            return self._store[key]
+        self.misses[m] += 1
+        mat = transfer(self.params, m, lam)
+        if m in (1, 2) and key[1] in self._nodes:
+            self._store[key] = mat
+        return mat
 
     def clear(self):
         """Drop the stored matrices and pairs; the counts stay."""

@@ -10,6 +10,7 @@ Sampled model data is derived from the run seed and memoized on the
 the seed advanced (at most five retries, all recorded in the result).
 """
 
+import dataclasses
 import functools
 import itertools
 from collections import Counter
@@ -123,14 +124,16 @@ class Workspace:
     def cache_counts(self):
         """Lookups of every transfer cache built so far (the gl(3) chain's,
         its K-hat companion's, the other-twist chain's and the gl(2) chain's):
-        total hits and misses, and the dense assemblies per fusion order."""
+        total hits and misses, the dense assemblies per fusion order, and the
+        matrices the caches hold now."""
         caches = [self._cache[key][0] for key in ("gl3", "gl2") if key in self._cache]
         caches += [self._cache[key] for key in ("khat_chain", "other_twist_chain")
                    if key in self._cache]
         hits = sum((c.hits for c in caches), Counter())
         misses = sum((c.misses for c in caches), Counter())
         return {"hits": sum(hits.values()), "misses": sum(misses.values()),
-                "assemblies": {f"m{m}": misses[m] for m in (1, 2, 3)}}
+                "assemblies": {f"m{m}": misses[m] for m in (1, 2, 3)},
+                "stored": sum(c.stored for c in caches)}
 
     # -- gl3 ---------------------------------------------------------------
 
@@ -172,8 +175,10 @@ class Workspace:
 
     @_memo
     def gl3_dual(self):
-        """Dual families and inverse measure of the dressed pair."""
-        return dual_bases(self.gl3()[2], self.gl3_gram())
+        """Inverse measure and residual figures of the dressed pair's dual
+        families; the families themselves, read by no suite, are not kept."""
+        dual = dual_bases(self.gl3()[2], self.gl3_gram())
+        return dataclasses.replace(dual, p_covectors=None, p_vectors=None)
 
     @_memo
     def khat_chain(self):
@@ -439,8 +444,8 @@ def run_det0(ws, tol):
     lams = [s.spectral_point(kp.xi, kp.eta) for _ in range(3)]
     rng = np.random.default_rng(ws.seed + 17)
     labels = [TernaryIndex(tuple(rng.integers(0, 3, kp.sites).tolist())) for _ in range(5)]
-    actions = worst(interpolated_action_check(cache, h, which, side, xyz, lams)
-                    for h in labels for which in (1, 2) for side in ("left", "right"))
+    moves = [(h, which, side) for h in labels for which in (1, 2) for side in ("left", "right")]
+    actions = interpolated_action_check(cache, moves, xyz, lams)
     boundary = boundary_eigenstate_check(
         cache, xyz, [s.spectral_point(kp.xi, kp.eta) for _ in range(5)]
     )

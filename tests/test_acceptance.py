@@ -312,7 +312,7 @@ def test_criterion_10_orthogonal_regime():
                 lam = s.spectral_point(params.xi, params.eta)
                 worst_act = max(
                     worst_act,
-                    interpolated_action_check(cache, h, which, side, xyz, [lam]),
+                    interpolated_action_check(cache, [(h, which, side)], xyz, [lam]),
                 )
     ok = worst_off <= 1e-9 and worst_diag <= 1e-8 and worst_act <= 1e-8
     _report(10, ok, f"zero-determinant regime: couplings diagonal to {worst_off:.2e} "

@@ -149,7 +149,9 @@ def test_report_determinism(tmp_path):
 
 def test_report_timings_block(monkeypatch):
     """The shared chain is built and timed before the first task; the timing
-    block carries the transfer-cache counts."""
+    block carries the transfer-cache counts: the dense assemblies are pinned,
+    and the caches keep only T_1 and T_2 at nodes (the chain's 12, and the
+    companion's 9 that its dressed pair reads)."""
     from sovlab import cli
 
     built = []
@@ -166,9 +168,9 @@ def test_report_timings_block(monkeypatch):
     assert timings["workspace"] > 0
     assert list(timings["tasks"]) == ["fusion", "bases", "det0"]
     counts = timings["transfer_cache"]
-    assert counts["misses"] == sum(counts["assemblies"].values()) > 0
-    assert counts["hits"] > counts["misses"]
-    assert all(counts["assemblies"][f"m{m}"] > 0 for m in (1, 2, 3))
+    assert counts["misses"] == sum(counts["assemblies"].values()) == 55
+    assert counts["assemblies"] == {"m1": 19, "m2": 28, "m3": 8}
+    assert counts["stored"] == 21
 
 
 def test_one_lapack_eig_per_decomposition(monkeypatch):
@@ -229,6 +231,30 @@ def test_one_transfer_cache_per_chain(monkeypatch):
     counts = report["timings"]["transfer_cache"]
     assert counts["assemblies"] == assembled == {"m1": 40, "m2": 41, "m3": 8}
     assert counts["misses"] == sum(assembled.values()) == 89
+
+
+def test_caches_keep_only_node_matrices(monkeypatch):
+    """After a full three-site run every transfer cache holds only T_1 and
+    T_2 at the nodes xi_a and xi_a - eta of its chain, at most 4N of them,
+    and the report counts what they hold."""
+    from sovlab import gl3_model
+
+    caches = []
+    cls = gl3_model.TransferCache
+
+    def init(self, params, _init=cls.__init__):
+        caches.append(self)
+        _init(self, params)
+    monkeypatch.setattr(cls, "__init__", init)
+    report = run(resolve_config(None, {"sites": 3, "seed": 7}), echo=lambda *a, **k: None)
+    assert len(caches) == 4
+    for cache in caches:
+        params = cache.params
+        nodes = {x - shift for x in params.xi for shift in (0, params.eta)}
+        assert all(m in (1, 2) and lam in nodes for m, lam in cache._store)
+        assert len(cache._store) <= 4 * params.sites
+    stored = report["timings"]["transfer_cache"]["stored"]
+    assert stored == sum(len(cache._store) for cache in caches) == 30
 
 
 def test_other_twist_chain_is_counted_and_released():

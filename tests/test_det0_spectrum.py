@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -110,14 +111,14 @@ def test_interpolated_actions(det0_chain2):
     lams = [crand() for _ in range(3)]
     # labels without digit 1 admit a shift-free T_2 action
     h = TernaryIndex((0, 2))
-    assert interpolated_action_check(cache, h, 2, "left", xyz, lams) <= 1e-9
+    assert interpolated_action_check(cache, [(h, 2, "left")], xyz, lams) <= 1e-9
     # the all-zeros label only picks up single-site raises under T_2
     h0 = TernaryIndex((0, 0))
-    assert interpolated_action_check(cache, h0, 2, "right", xyz, lams) <= 1e-9
+    assert interpolated_action_check(cache, [(h0, 2, "right")], xyz, lams) <= 1e-9
     for digits in ((1, 2), (0, 1), (2, 2)):
         h = TernaryIndex(digits)
         for side in ("left", "right"):
-            assert interpolated_action_check(cache, h, 1, side, xyz, lams) <= 1e-8
+            assert interpolated_action_check(cache, [(h, 1, side)], xyz, lams) <= 1e-8
 
 
 @pytest.mark.parametrize("chain", ["det0_chain2", "det0_chain3", "chain2", "chain3"])
@@ -131,12 +132,12 @@ def test_label_moves_keep_the_bits_of_the_four_builders(chain, request):
     for h in TernaryIndex.all(params.sites):
         for which in (1, 2):
             for side in ("left", "right"):
-                got = interpolated_action_check(cache, h, which, side, xyz, lams)
+                got = interpolated_action_check(cache, [(h, which, side)], xyz, lams)
                 assert got == label_action_oracle(cache, h, which, side, xyz, lams)
     h = TernaryIndex((0,) * params.sites)
     for side, which in (("left", 3), ("up", 1)):
         with pytest.raises(ValueError):
-            interpolated_action_check(cache, h, which, side, xyz, lams)
+            interpolated_action_check(cache, [(h, which, side)], xyz, lams)
 
 
 def test_boundary_eigenstates(det0_chain2):
@@ -202,6 +203,26 @@ def test_right_constants_must_not_depend_on_lambda(det0_chain2, monkeypatch):
         assert scaled[key][1] <= 1e-8
     assert exact["right_family_t2"][1] <= 1e-8
     assert scaled["right_family_t2"][1] >= 1e-5
+
+
+def test_det0_suite_assembles_each_point_once(monkeypatch):
+    """The det0 suite reads each of its off-node T_m(lam) with one dense
+    assembly: all label actions share it, and so do all boundary blocks."""
+    from sovlab import gl3_model
+
+    ws = Workspace("gl3", 3, 7)
+    ws.khat()  # the companion's node matrices and pair
+    assembled = Counter()
+    real_transfer = gl3_model.transfer
+
+    def transfer(params, m, lam):
+        assembled[(m, complex(lam))] += 1
+        return real_transfer(params, m, lam)
+
+    monkeypatch.setattr(gl3_model, "transfer", transfer)
+    assert run_det0(ws, DEFAULT_TOLERANCES["det0"]).passed
+    # T_1 and T_2 at 3 action points and 5 boundary points
+    assert len(assembled) == 16 and set(assembled.values()) == {1}
 
 
 def test_det0_suite_gates_the_right_constant_spread(monkeypatch):

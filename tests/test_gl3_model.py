@@ -282,6 +282,23 @@ def test_exchange_relation_four_sites():
     assert exchange_relation_residual(params, 1, 4, (2, 3)) <= 1e-10
 
 
+def test_cache_stores_only_node_matrices(chain2):
+    """T_1 and T_2 at a node xi_a or xi_a - eta come back from the store, the
+    same object, as a hit; any other point, and T_3 at a node, is assembled
+    on every request and counted as a miss."""
+    params = chain2[0]
+    cache = TransferCache(params)
+    for m, lam in ((1, params.xi[0]), (2, params.xi[1] - params.eta)):
+        first = cache.value(m, lam)
+        assert cache.value(m, lam) is first
+    assert (cache.hits, cache.misses, cache.stored) == ({1: 1, 2: 1}, {1: 1, 2: 1}, 2)
+    for m, lam in ((1, params.xi[0] + 0.3), (3, params.xi[0])):
+        first = cache.value(m, lam)
+        again = cache.value(m, lam)
+        assert again is not first and np.array_equal(again, first)
+    assert (cache.hits, cache.misses, cache.stored) == ({1: 1, 2: 1}, {1: 3, 2: 1, 3: 2}, 2)
+
+
 def test_product_formula_reads_the_given_cache(chain3):
     """A primed cache serves every T_1 (no new misses)."""
     params, _, _, _ = chain3

@@ -15,7 +15,7 @@ from sovlab import det0_spectrum, gl3_model, suites
 from sovlab.cli import main
 from sovlab.errors import SovLabError
 from sovlab.numkernel import worst
-from sovlab.sov_measure import export_matrix_csv
+from sovlab.sov_measure import dual_bases, export_matrix_csv
 from sovlab.suites import DEFAULT_TOLERANCES, GL2_TASKS, SUITES, Workspace, run_task
 
 from oracles import per_cell_matrix_csv
@@ -181,6 +181,19 @@ def test_gl3_measure_csv_is_the_measure_the_dual_suite_checks(tmp_path):
     rows = list(csv.reader(open(tmp_path / "measure.csv")))[1:]
     got = np.array([[complex(*map(float, cell.split(","))) for cell in row[1:]] for row in rows])
     assert np.array_equal(got, ws.gl3_dual().measure)
+
+
+def test_dual_memo_keeps_the_figures_not_the_families():
+    """The workspace keeps the inverse measure and the two residuals of the
+    dual data, which the dual suite and the export read, and drops the
+    p-families."""
+    ws = Workspace("gl3", 3, 7)
+    kept = ws.gl3_dual()
+    full = dual_bases(ws.gl3()[2], ws.gl3_gram())
+    assert kept.p_covectors is None and kept.p_vectors is None
+    assert np.array_equal(kept.measure, full.measure)
+    assert (kept.inverse_residual, kept.ortho_residual) == (
+        full.inverse_residual, full.ortho_residual)
 
 
 def test_scalarproducts_reports_the_zero_pattern_checks():

@@ -42,10 +42,11 @@ def test_cache_wrapper_counts_a_miss_then_a_hit(tracer, algebra):
     from sovlab.suites import Workspace
 
     ws = Workspace(algebra, 2, 7)
-    cache = ws.gl3()[0] if algebra == "gl3" else ws.gl2()[0]
+    params = (ws.gl3() if algebra == "gl3" else ws.gl2())[0].params
+    cache = tracer.gl3_model.TransferCache(params)
     trace = tracer.Tracer(0)
     value = trace._cache_value(tracer.gl3_model.TransferCache.value)
-    lam = 0.3 + 0.7j  # off the sampler's grid, so no node the chain has stored
+    lam = params.xi[0]  # a node, which the cache stores once assembled
     first = value(cache, 1, lam)
     assert value(cache, 1, lam) is first
     assert (trace.counts["gl3_model.cache.misses"], trace.counts["gl3_model.cache.hits"]) == (1, 1)

@@ -56,9 +56,10 @@ def test_build_tt_reuses_given_caches(chain2):
     shared = build_tt(cache, khat_cache, fresh.khat_states)
     assert np.array_equal(shared.right, fresh.right) and np.array_equal(shared.left, fresh.left)
     lam = params.xi[0] + 0.3
+    before = khat_cache.misses[2]
     assert np.array_equal(shared.charge(2, lam), fresh.charge(2, lam))
-    assert (2, complex(lam)) in khat_cache._store
-    assert any(key[0] == 1 for key in cache._store)
+    assert khat_cache.misses[2] == before + 1
+    assert cache.misses[1] > 0
 
 
 def test_build_tt_reuses_given_khat_states(chain2):
