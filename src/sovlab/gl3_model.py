@@ -554,12 +554,14 @@ class TransferCache:
     use.  It stores T_1 and T_2 at the nodes, lam exactly equal to some xi_a
     or xi_a - eta, from which the SoV bases are built: at most 4N matrices.
     Any other (m, lam) is assembled on each request and not kept, so callers
-    that read it more than once hold it themselves.  ``hits[m]`` and
-    ``misses[m]`` count the lookups of fusion order m; a hit is a node
-    re-read, and every miss assembles one dense T_m.  ``stored`` is the
-    number of matrices held.  ``pairs`` holds the read-only SoV bases built
-    from this cache, keyed by their reference components (see
-    :func:`sov_bases.dressed_pair` and ``gl2_model.gl2_pair``).
+    that read it more than once hold it themselves.  The workspace empties
+    the store when a suite ends (:meth:`clear`), so a later suite assembles
+    its nodes again.  ``hits[m]`` and ``misses[m]`` count the lookups of
+    fusion order m; a hit is a node re-read, and every miss assembles one
+    dense T_m.  ``stored`` is the number of matrices held.  ``pairs`` holds
+    the read-only SoV bases built from this cache, keyed by their reference
+    components (see :func:`sov_bases.dressed_pair` and
+    ``gl2_model.gl2_pair``).
     """
 
     def __init__(self, params):
@@ -586,9 +588,8 @@ class TransferCache:
         return mat
 
     def clear(self):
-        """Drop the stored matrices and pairs; the counts stay."""
+        """Drop the stored matrices; the pairs and counts stay."""
         self._store.clear()
-        self.pairs.clear()
 
     def t1(self, lam):
         return self.value(1, lam)

@@ -67,21 +67,9 @@ class TernaryIndex:
         """Positions carrying digit 1 (the set the pair substitutions act on)."""
         return tuple(a for a, d in enumerate(self.digits) if d == 1)
 
-    def count(self, value):
-        return self.digits.count(value)
-
     def with_digit(self, a, value):
         d = list(self.digits)
         d[a] = value
-        return TernaryIndex(tuple(d))
-
-    def pair_substitution(self, alpha, beta):
-        """Digits at alpha -> 0 and at beta -> 2 (used on positions with digit 1)."""
-        d = list(self.digits)
-        for a in alpha:
-            d[a] = 0
-        for b in beta:
-            d[b] = 2
         return TernaryIndex(tuple(d))
 
 

@@ -169,9 +169,6 @@ class GramReport:
     def max_diag_rel_err(self):
         return rel_residual(self.diag - self.predicted_diag, self.predicted_diag, axis=())
 
-    def entry(self, h, k):
-        return self.gram[h.flat, k.flat]
-
 
 def gram(left, right, params, rtol=1e-9):
     """Assemble <h|k>, classify every cell and compare the diagonal.

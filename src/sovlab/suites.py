@@ -103,7 +103,11 @@ def _memo(method):
 
 
 class Workspace:
-    """Lazily built shared model data for one verification run."""
+    """Lazily built shared model data for one verification run.
+
+    The memos and the transfer caches' pairs and counts last the run; node
+    matrices last one suite, as :func:`run_task` empties the stores.
+    """
 
     def __init__(self, algebra, sites, seed, eta=None, xi=None, twist=None, reference=None):
         self.algebra = algebra
@@ -116,24 +120,37 @@ class Workspace:
         self._explicit = twist is not None or xi is not None or eta is not None
         self.retries = []
         self._cache = {}
+        self._peak_stored = 0
 
     def build(self):
         """Build the chain every suite of this algebra starts from."""
         return self.gl3() if self.algebra == "gl3" else self.gl2()
 
-    def cache_counts(self):
-        """Lookups of every transfer cache built so far (the gl(3) chain's,
-        its K-hat companion's, the other-twist chain's and the gl(2) chain's):
-        total hits and misses, the dense assemblies per fusion order, and the
-        matrices the caches hold now."""
+    def _caches(self):
+        """Every transfer cache built so far: the gl(3) chain's, its K-hat
+        companion's, the other-twist chain's and the gl(2) chain's."""
         caches = [self._cache[key][0] for key in ("gl3", "gl2") if key in self._cache]
-        caches += [self._cache[key] for key in ("khat_chain", "other_twist_chain")
-                   if key in self._cache]
+        return caches + [self._cache[key] for key in ("khat_chain", "other_twist_chain")
+                         if key in self._cache]
+
+    def cache_counts(self):
+        """Lookups of every transfer cache: total hits and misses, the dense
+        assemblies per fusion order, and the most node matrices the caches
+        held at the end of a suite."""
+        caches = self._caches()
         hits = sum((c.hits for c in caches), Counter())
         misses = sum((c.misses for c in caches), Counter())
         return {"hits": sum(hits.values()), "misses": sum(misses.values()),
                 "assemblies": {f"m{m}": misses[m] for m in (1, 2, 3)},
-                "stored": sum(c.stored for c in caches)}
+                "peak_stored": self._peak_stored}
+
+    def release_nodes(self):
+        """End a suite: empty every transfer cache's node store, after noting
+        what they held.  Pairs, memos and counts stay."""
+        caches = self._caches()
+        self._peak_stored = max(self._peak_stored, sum(c.stored for c in caches))
+        for c in caches:
+            c.clear()
 
     # -- gl3 ---------------------------------------------------------------
 
@@ -189,8 +206,8 @@ class Workspace:
     @_memo
     def other_twist_chain(self):
         """Transfer cache of the chain with the same eta and xi under a second
-        sampled twist, for the twist-independence check, which clears its
-        store once read."""
+        sampled twist, for the twist-independence check, which drops its
+        store and pair once read."""
         s = ParameterSampler(self.seed + 4000)
         other = TwistData.from_eigenvalues(s.distinct_eigenvalues(), w=s.invertible3())
         return TransferCache(self.gl3()[0].params.with_twist(other))
@@ -404,7 +421,8 @@ def _twist_independence_residual(ws):
     report = ws.gl3_gram()
     cache = ws.other_twist_chain()
     pair2 = dressed_pair(cache, xyz)
-    cache.clear()  # nothing reads this chain again; the report keeps its counts
+    cache.clear()
+    cache.pairs.clear()  # nothing reads this chain again; the report keeps its counts
     diag2 = np.diagonal(pair2.left @ pair2.right)
     return rel_residual(diag2 - report.diag, report.diag, axis=())
 
@@ -617,7 +635,8 @@ def validate_tasks(tasks, algebra):
 
 def run_task(name, ws, tolerances, out_dir=None):
     """Run one suite; a library error fails it with the error's text and an
-    infinite residual."""
+    infinite residual.  Either way the suite ends by emptying the node
+    stores (:meth:`Workspace.release_nodes`)."""
     tol = tolerances.get(name, DEFAULT_TOLERANCES[name])
     try:
         if name == "measure":
@@ -626,3 +645,5 @@ def run_task(name, ws, tolerances, out_dir=None):
     except SovLabError as exc:
         return TaskResult(name=name, passed=False, tolerance=tol, max_residual=float("inf"),
                           details={"error": f"{type(exc).__name__}: {exc}"})
+    finally:
+        ws.release_nodes()

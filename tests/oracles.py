@@ -12,7 +12,7 @@ import numpy as np
 from sovlab.errors import SovLabError
 from sovlab.gl3_model import InterpolationWeights, TransferCache
 from sovlab.numkernel import rel_residual, vandermonde
-from sovlab.sov_bases import dressed_pair
+from sovlab.sov_bases import TernaryIndex, dressed_pair
 from sovlab.sov_measure import gram, pair_support
 
 
@@ -187,6 +187,26 @@ def c_scaling_scan(params, c_values, xyz):
         "diag_slopes": diag_slopes,
         "reports": reports,
     }
+
+
+# ---------------------------------------------------------------------------
+# Per-label reads of what the library forms as label arrays.
+
+
+def pair_substitution(h, alpha, beta):
+    """Label ``h`` with its digits at alpha set to 0 and at beta to 2 (the
+    pair move, used on positions with digit 1)."""
+    digits = list(h.digits)
+    for a in alpha:
+        digits[a] = 0
+    for b in beta:
+        digits[b] = 2
+    return TernaryIndex(tuple(digits))
+
+
+def gram_entry(report, h, k):
+    """Coupling <h|k> of a :class:`sov_measure.GramReport`."""
+    return report.gram[h.flat, k.flat]
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ from sovlab.sov_measure import (
 from sovlab.tt_charges import build_tt, fusion_residuals_tt, tt_sov_bases
 
 from conftest import make_params
-from oracles import c_scaling_scan, coupling_prediction
+from oracles import c_scaling_scan, coupling_prediction, pair_substitution
 
 SEEDS = (7, 11, 13)
 
@@ -281,7 +281,7 @@ def test_criterion_09_inverse_measure_and_recursions():
         bmap = b_recursion(report4, h)
         coeffs = expansion_coefficients(report4, dual4, h)
         for (alpha, beta), b in bmap.items():
-            target = h.pair_substitution(alpha, beta)
+            target = pair_substitution(h, alpha, beta)
             pred = params4.twist.det ** len(alpha) * b
             worst_b = max(worst_b, abs(coeffs[target.flat] - pred) / np.abs(coeffs).max())
         worst_rec = max(worst_rec, appc_recursion_check(cache4, 1, xyz4)["two_pair"])

@@ -150,8 +150,8 @@ def test_report_determinism(tmp_path):
 def test_report_timings_block(monkeypatch):
     """The shared chain is built and timed before the first task; the timing
     block carries the transfer-cache counts: the dense assemblies are pinned,
-    and the caches keep only T_1 and T_2 at nodes (the chain's 12, and the
-    companion's 9 that its dressed pair reads)."""
+    and the most node matrices held when a suite ends is the chain's 12
+    (T_1 and T_2 at its 2N nodes)."""
     from sovlab import cli
 
     built = []
@@ -168,9 +168,9 @@ def test_report_timings_block(monkeypatch):
     assert timings["workspace"] > 0
     assert list(timings["tasks"]) == ["fusion", "bases", "det0"]
     counts = timings["transfer_cache"]
-    assert counts["misses"] == sum(counts["assemblies"].values()) == 55
-    assert counts["assemblies"] == {"m1": 19, "m2": 28, "m3": 8}
-    assert counts["stored"] == 21
+    assert counts["misses"] == sum(counts["assemblies"].values()) == 58
+    assert counts["assemblies"] == {"m1": 22, "m2": 28, "m3": 8}
+    assert counts["peak_stored"] == 12
 
 
 def test_one_lapack_eig_per_decomposition(monkeypatch):
@@ -229,15 +229,17 @@ def test_one_transfer_cache_per_chain(monkeypatch):
     assert not any(res["retries"] for res in report["results"])
     assert built == {"TransferCache": 4}
     counts = report["timings"]["transfer_cache"]
-    assert counts["assemblies"] == assembled == {"m1": 40, "m2": 41, "m3": 8}
-    assert counts["misses"] == sum(assembled.values()) == 89
+    assert counts["assemblies"] == assembled == {"m1": 52, "m2": 55, "m3": 8}
+    assert counts["misses"] == sum(assembled.values()) == 115
 
 
 def test_caches_keep_only_node_matrices(monkeypatch):
-    """After a full three-site run every transfer cache holds only T_1 and
-    T_2 at the nodes xi_a and xi_a - eta of its chain, at most 4N of them,
-    and the report counts what they hold."""
+    """When each suite of a full three-site run ends, every transfer cache
+    holds only T_1 and T_2 at the nodes xi_a and xi_a - eta of its chain, at
+    most 4N of them, and the report gives the largest total; after the run
+    every store is empty."""
     from sovlab import gl3_model
+    from sovlab.suites import Workspace
 
     caches = []
     cls = gl3_model.TransferCache
@@ -246,15 +248,22 @@ def test_caches_keep_only_node_matrices(monkeypatch):
         caches.append(self)
         _init(self, params)
     monkeypatch.setattr(cls, "__init__", init)
+    held = []
+    release = Workspace.release_nodes
+
+    def check_then_release(ws):
+        for cache in caches:
+            params = cache.params
+            nodes = {x - shift for x in params.xi for shift in (0, params.eta)}
+            assert all(m in (1, 2) and lam in nodes for m, lam in cache._store)
+            assert len(cache._store) <= 4 * params.sites
+        held.append(sum(len(cache._store) for cache in caches))
+        release(ws)
+    monkeypatch.setattr(Workspace, "release_nodes", check_then_release)
     report = run(resolve_config(None, {"sites": 3, "seed": 7}), echo=lambda *a, **k: None)
-    assert len(caches) == 4
-    for cache in caches:
-        params = cache.params
-        nodes = {x - shift for x in params.xi for shift in (0, params.eta)}
-        assert all(m in (1, 2) and lam in nodes for m, lam in cache._store)
-        assert len(cache._store) <= 4 * params.sites
-    stored = report["timings"]["transfer_cache"]["stored"]
-    assert stored == sum(len(cache._store) for cache in caches) == 30
+    assert len(caches) == 4 and len(held) == 12
+    assert report["timings"]["transfer_cache"]["peak_stored"] == max(held) == 12
+    assert not any(cache._store for cache in caches)
 
 
 def test_other_twist_chain_is_counted_and_released():
@@ -267,6 +276,73 @@ def test_other_twist_chain_is_counted_and_released():
     chain, other = ws.gl3()[0], ws.other_twist_chain()
     assert other.misses and not other._store and not other.pairs
     assert ws.cache_counts()["misses"] == sum(chain.misses.values()) + sum(other.misses.values())
+
+
+def test_node_matrices_live_for_one_suite():
+    """Each suite of a full three-site run ends with every transfer cache's
+    node store empty, while the pairs, the hit and miss counts and the
+    workspace's memos stay."""
+    from sovlab.suites import SUITES, Workspace, run_task
+
+    ws = Workspace("gl3", 3, 7)
+    cache, _, pair = ws.build()
+    assert cache.stored > 0
+    seen = ws.cache_counts()
+    for name in SUITES:
+        run_task(name, ws, {})
+        assert not any(c._store for c in ws._caches())
+        counts = ws.cache_counts()
+        assert counts["hits"] >= seen["hits"] and counts["misses"] >= seen["misses"]
+        seen = counts
+        assert ws.gl3()[2] is pair and cache.pairs
+    assert len(ws._caches()) == 4
+    assert ws.khat()[2] in ws.khat_chain().pairs.values()
+
+
+def test_a_node_reread_within_a_suite_is_a_hit():
+    """After fusion has released the chain's nodes, bases assembles T_1 at
+    its three nodes xi_a once each and reads them nine times more from the
+    store."""
+    from sovlab.suites import Workspace, run_task
+
+    ws = Workspace("gl3", 3, 7)
+    run_task("fusion", ws, {})
+    cache = ws.gl3()[0]
+    hits, misses = cache.hits.copy(), cache.misses.copy()
+    assert run_task("bases", ws, {}).passed
+    assert (cache.hits - hits, cache.misses - misses) == ({1: 9}, {1: 3})
+
+
+def test_a_suite_failing_with_a_chain_error_still_releases(monkeypatch):
+    """``run_task`` empties the node stores however the suite ends: after
+    the chain error of xi one sampled eta apart, and after an error raised
+    once the chain's nodes are stored."""
+    from sovlab import suites
+    from sovlab.errors import NonGeneric
+
+    released = []
+    release = suites.Workspace.release_nodes
+
+    def spy(ws):
+        released.append(ws)
+        release(ws)
+    monkeypatch.setattr(suites.Workspace, "release_nodes", spy)
+    cfg = resolve_config(None, {"sites": 2, "seed": 7, "xi": [0, [1.375, 0.375]],
+                                "tasks": ["fusion", "bases"]})
+    report = run(cfg, echo=lambda *a, **k: None)
+    assert all(res["details"]["error"].startswith("NonGeneric") for res in report["results"])
+    assert len(released) == 2
+
+    ws = suites.Workspace("gl3", 2, 7)
+    cache = ws.build()[0]
+    assert cache.stored > 0
+
+    def fails(ws, tol):
+        raise NonGeneric("raised with the nodes stored")
+    monkeypatch.setitem(suites.SUITES, "fusion", fails)
+    res = suites.run_task("fusion", ws, {})
+    assert res.details["error"].startswith("NonGeneric")
+    assert not cache._store and cache.pairs and len(released) == 3
 
 
 def test_ttcharges_forms_dense_charges_only_for_its_operator_checks(monkeypatch):
@@ -511,12 +587,13 @@ def test_inhomogeneities_generic_only_with_the_sampled_eta_fail_per_task():
 
 def test_gl2_run_counts_its_transfer_assemblies():
     """A gl2 run's transfer cache is counted in its report: T_1 at the N
-    nodes xi_a, the N nodes xi_a - eta and the probe point."""
+    nodes xi_a, the N nodes xi_a - eta and the probe point, and the 2N nodes
+    again in the gl2 suite, as the workspace empties the store after gram."""
     report = run(resolve_config(None, {"algebra": "gl2", "sites": 4, "seed": 7}),
                  echo=lambda *a, **k: None)
     counts = report["timings"]["transfer_cache"]
-    assert counts["assemblies"] == {"m1": 9, "m2": 0, "m3": 0}
-    assert counts["misses"] == 9 and counts["hits"] > 0
+    assert counts["assemblies"] == {"m1": 17, "m2": 0, "m3": 0}
+    assert counts["misses"] == 17 and counts["hits"] > 0
 
 
 BAD_TOLERANCES = {"nan": float("nan"), "negative": -1.0, "inf": float("inf")}
