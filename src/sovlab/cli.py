@@ -4,8 +4,8 @@ Run configurations are JSON; complex numbers are two-element arrays
 ``[re, im]``, rationals are strings ``"p/q"`` resolved to doubles at load.
 Reports are JSON with sorted keys; with a fixed seed their numeric fields are
 bit-identical across runs on one platform (wall-clock timings live in a
-separate ``timings`` block).  The environment variable ``SOVLAB_THREADS``
-caps the BLAS thread pools for the whole process.
+separate ``timings`` block).  The environment variable ``SOVLAB_THREADS``,
+an integer >= 1, caps the BLAS thread pools for the whole process.
 """
 
 import csv
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, EigFailure, SizeCapError, SovLabError, SpectrumNotSimple
-from .gl3_model import (ModelParams, TwistData, apply_transfer_free, check_gl2_twist, transfer,
+from .gl3_model import (ModelParams, TwistData, check_gl2_twist, fused_apply, transfer,
                         xi_separation)
 from .numkernel import rel_residual, require_dense
 from .sampling import ParameterSampler
@@ -58,16 +58,30 @@ def _openblas_pools():
     return pools
 
 
+def _thread_limit(parallel=False):
+    """The BLAS thread cap: SOVLAB_THREADS when it is set and not empty,
+    otherwise one thread, or None (no cap) under --parallel.  A value that is
+    not an integer >= 1 is a :class:`ConfigError`."""
+    cap = os.environ.get("SOVLAB_THREADS")
+    if not cap:
+        return None if parallel else 1
+    try:
+        if int(cap) >= 1:
+            return int(cap)
+    except ValueError:
+        pass
+    raise ConfigError(f"SOVLAB_THREADS must be an integer >= 1, got {cap!r}")
+
+
 def _limit_threads(parallel=False):
-    """Cap the BLAS pools: one thread unless --parallel, SOVLAB_THREADS wins.
+    """Cap the BLAS pools at :func:`_thread_limit`, which is read first.
 
     Sequential execution is the default because threaded BLAS reductions can
     reorder floating-point sums, which would undermine the bit-reproducibility
     of reports.  Returns the largest pool size read back from the loaded
     OpenBLAS libraries, or None when none is loaded.
     """
-    cap = os.environ.get("SOVLAB_THREADS")
-    limit = int(cap) if cap else (None if parallel else 1)
+    limit = _thread_limit(parallel)
     pools = _openblas_pools()
     if limit is not None:
         for set_fn, _ in pools:
@@ -360,7 +374,10 @@ def bench(n_min, n_max, seed, out):
     check the applier against dense T_1 where it is assembled (N <= 6)."""
     if n_max < n_min:
         raise click.UsageError(f"--n-max {n_max} is below --n-min {n_min}")
-    _limit_threads()
+    try:
+        _limit_threads()
+    except ConfigError as exc:
+        raise click.ClickException(f"config error: {exc}")
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -375,11 +392,11 @@ def bench(n_min, n_max, seed, out):
         scale = complex(rng.standard_normal(), rng.standard_normal())
 
         t0 = time.perf_counter()
-        w1 = apply_transfer_free(params, 1, lam, vec)
+        w1 = fused_apply(params, 1, lam, vec)
         free_time = time.perf_counter() - t0
         # homogeneity under a non-real scalar holds for any linear map, and
         # fails for an antilinear term; the dense T_1 below is the oracle
-        w2 = apply_transfer_free(params, 1, lam, scale * vec)
+        w2 = fused_apply(params, 1, lam, scale * vec)
         lin = rel_residual(w2 - scale * w1, scale * w1)
 
         dense_time, dense_note, dense_resid = None, "", ""

@@ -20,7 +20,7 @@ from .errors import (
     SpectrumCollision,
     SpectrumNotSimple,
 )
-from .gl3_model import InterpolationWeights, default_probe_point
+from .gl3_model import InterpolationWeights, default_probe_point, require_no_double_shift
 from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde, worst
 from .sov_bases import TernaryIndex, dressed_pair, label_digits, label_products
 from .sov_measure import diag_values
@@ -135,25 +135,17 @@ def separated_coordinates(t1_xi, t2_shift):
     return label_products(np.stack([t2_shift, np.ones_like(t1_xi), t1_xi], axis=1))
 
 
-def zero_pattern(cache, state):
-    """Partition the sites by the zero pattern of the eigenvalue functions.
+def zero_pattern(cache, states):
+    """Partition the sites of each eigenstate by the zero pattern of its
+    eigenvalue functions.
 
-    Sites where |t_1(xi_a)| >= ZERO_THETA * scale come first in the returned
-    permutation (their count is the split size).  Magnitudes falling inside
-    [0.1, 10] * ZERO_THETA * scale are refused as ambiguous.  The complementary
-    zeros of t_2(xi - eta), the eigenvalue fusion products and the closed
-    polynomial form of t_2 are verified and stored as diagnostics.  The
-    one-state form of :func:`zero_patterns`.
-    """
-    _, excluded = zero_patterns(cache, [state])
-    if excluded:
-        raise excluded[0][1]
-    return state.perm, state.msize
-
-
-def zero_patterns(cache, states):
-    """:func:`zero_pattern` for many eigenstates, with one batched Rayleigh
-    quotient at each of four extra points for the closed-form t_2 check.
+    Sites where |t_1(xi_a)| >= ZERO_THETA * scale come first in a state's
+    permutation ``perm`` (their count is the split size ``msize``).
+    Magnitudes falling inside [0.1, 10] * ZERO_THETA * scale are refused as
+    ambiguous.  The complementary zeros of t_2(xi - eta), the eigenvalue
+    fusion products and the closed polynomial form of t_2 are verified and
+    stored as ``pattern_diagnostics``; the closed form takes one batched
+    Rayleigh quotient over the states at each of four extra points.
 
     Returns ``(kept, excluded)``: the states whose pattern is now set, in
     order, and ``(state, AmbiguousPattern)`` pairs for the refused ones.
@@ -401,6 +393,7 @@ def _overlap_factors(state, params):
     the prefactor prod_x d(x - 2eta)/d(x - eta) * V(xi_A - eta)/V(xi_A) and
     va = V(xi_A).  Requires the zero pattern."""
     state._need_pattern()
+    require_no_double_shift(params)
     eta = params.eta
     xi = params.xi
     a_sites, b_sites = state.a_sites, state.b_sites

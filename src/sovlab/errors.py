@@ -9,6 +9,10 @@ class NonGeneric(SovLabError, ValueError):
     """eta = 0, or inhomogeneities that coincide or differ by +-eta."""
 
 
+class DoubleShift(NonGeneric):
+    """Inhomogeneities with xi_a - xi_b = 2 eta, where d(xi_a - 2 eta) vanishes."""
+
+
 class SizeCapError(SovLabError):
     """A dense object would exceed the configured dimension cap."""
 

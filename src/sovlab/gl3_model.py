@@ -21,11 +21,11 @@ read them.  The twist on Lambda^m C^d is memoized per twist
 * dense T_m (:func:`transfer`, for a gl(3) or a gl(2) chain) is the
   matrix-product-operator product :func:`fused_dense`: one GEMM per site from
   S_1 up to S_(N-1), one for the boundary and one that closes the trace on S_N;
-* the matrix-free action on a few columns (:func:`fused_apply`,
-  :func:`apply_transfer_free`) is :func:`fused_contract`, for chains too
-  large to hold T_m densely.  S_1 reads the columns directly, the middle
-  sites go in two-site blocks and S_N folded with the boundary closes the
-  trace.  At m = 1 and lam exactly equal to an inhomogeneity xi_a it applies
+* the matrix-free action on a state vector or a few columns
+  (:func:`fused_apply`) is :func:`fused_contract`, for chains too large to
+  hold T_m densely; :func:`fused_apply` is the one matrix-free entry point.
+  S_1 reads the columns directly, the middle sites go in two-site blocks and
+  S_N folded with the boundary closes the trace.  At m = 1 and lam exactly equal to an inhomogeneity xi_a it applies
   the one-site product formula T_1(xi_a) = eta R_{a,a-1} ... R_{a,1} K_a
   R_{a,N} ... R_{a,a+1} instead (:func:`_node_t1`): leg swaps and one d x d
   twist, with no auxiliary leg.
@@ -47,7 +47,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import IndexOrder, NonGeneric
+from .errors import DoubleShift, IndexOrder, NonGeneric
 from .numkernel import (
     adjugate3,
     antisymmetrizer,
@@ -236,6 +236,16 @@ def xi_separation(xi, eta):
     """
     diffs = (x - y for x, y in itertools.combinations(xi, 2))
     return min((min(abs(d), abs(d - eta), abs(d + eta)) for d in diffs), default=np.inf)
+
+
+def require_no_double_shift(params):
+    """Refuse a chain with xi_a - xi_b = 2 eta for some sites a, b: then
+    d(xi_a - 2 eta) = 0, and the closed right reference vector, the diagonal
+    couplings and the determinant-overlap prefactors divide by it."""
+    for a, b in itertools.permutations(range(params.sites), 2):
+        if abs(params.xi[a] - params.xi[b] - 2 * params.eta) < 1e-12:
+            raise DoubleShift(f"sites {a + 1} and {b + 1} have xi_{a + 1} - xi_{b + 1} = 2 eta, "
+                              f"so d(xi_{a + 1} - 2 eta) = 0")
 
 
 def default_probe_point(params):
@@ -525,18 +535,14 @@ def _check_order(m):
 
 
 def fused_apply(params, m, lam, block):
-    """Apply T_m(lam) to the columns of ``block`` without forming the
-    auxiliary product space densely."""
+    """Matrix-free action of T_m(lam), m in {1, 2, 3}, on a state vector or
+    on the columns of a block, without forming the auxiliary product space
+    densely; the result has the shape of ``block``."""
     _check_order(m)
+    block = np.asarray(block, dtype=complex)
+    if block.ndim not in (1, 2) or block.shape[0] != params.dim:
+        raise ValueError(f"state vectors must have length {params.dim}")
     return fused_contract(params.k_matrix, params.eta, params.xi, m, lam, block)
-
-
-def apply_transfer_free(params, m, lam, vec):
-    """Matrix-free action of T_m(lam), m in {1, 2, 3}, on a state vector."""
-    vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (params.dim,):
-        raise ValueError(f"state vector must have length {params.dim}")
-    return fused_apply(params, m, lam, vec.reshape(-1, 1))[:, 0]
 
 
 def transfer(params, m, lam):

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateReference, SingularBasis
+from .gl3_model import require_no_double_shift
 from .numkernel import RANK_RTOL, rank_ratio
 
 _NONZERO_ATOL = 1e-12
@@ -158,6 +159,7 @@ def reference_vector_closed(xyz, params):
     normalization the dressed left family satisfies <k|0> = delta_{k,0}.
     """
     reference_covector(xyz, params)  # validate the case condition
+    require_no_double_shift(params)
     direction, pairing = _local_reference_column(xyz, params.twist)
     if abs(pairing) <= _NONZERO_ATOL * max(np.abs(direction).max(), 1.0):
         raise DegenerateReference("reference vector degenerate: adjugate pairing vanishes")

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DetKZero, SingularGram
-from .gl3_model import InterpolationWeights, quantum_determinant_identity
+from .gl3_model import (InterpolationWeights, quantum_determinant_identity,
+                        require_no_double_shift)
 from .numkernel import rel_residual, vandermonde
 from .sov_bases import TernaryIndex, dressed_pair, label_digits, label_products, label_vandermonde
 
@@ -113,6 +114,7 @@ def diag_values(params):
     with z_a = [h_a >= 1], y_a = [h_a = 2], xi_a^(s) = xi_a - s eta and V the
     Vandermonde product.
     """
+    require_no_double_shift(params)
     w = InterpolationWeights(params)
     n = params.sites
     digits = label_digits(n)
@@ -291,12 +293,13 @@ def dual_bases(pair, report):
     return DualBasisData(p_cov, p_vec, measure, ortho, inverse)
 
 
-def expansion_coefficients(report, dual, h):
-    """Coordinates of the dual vector labeled h in the right SoV family."""
-    return dual.measure[:, h.flat] * report.diag[h.flat]
+def expansion_coefficients(report, dual):
+    """Coordinates of every dual vector in the right SoV family: column h
+    holds those of the dual vector labeled h."""
+    return dual.measure * report.diag
 
 
-def b_coefficients(report):
+def b_recursion(report):
     """Dual-expansion coefficients of every label: column h of the dim x dim
     matrix B holds 1 at h and B_(alpha,beta) at each r-pair move s of h, whose
     dual coordinate is (det K)^r B_(alpha,beta).
@@ -320,18 +323,6 @@ def b_coefficients(report):
         rows, higher = ones == level, ones > level
         b[rows] -= cbar[np.ix_(rows, higher)] @ b[higher]
     return b
-
-
-def b_recursion(report, h):
-    """Expansion coefficients of the dual vector of ``h`` over its pair moves:
-    column h of :func:`b_coefficients` as ``{(alpha, beta): B}``."""
-    col = b_coefficients(report)[:, h.flat]
-    digits = label_digits(report.params.sites)
-    out = {}
-    for s in np.flatnonzero(pair_support(report.params.sites).offdiag[:, h.flat]):
-        move = classify_pair(TernaryIndex(digits[s]), h)
-        out[(move.alpha, move.beta)] = complex(col[s])
-    return out
 
 
 # ---------------------------------------------------------------------------

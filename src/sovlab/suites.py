@@ -6,8 +6,9 @@ suite declares its gated figures apart from its reported-only ones, its
 ``max_residual`` is the :func:`~sovlab.numkernel.worst` of the gated figures
 (so a NaN figure fails it), and every figure is named in ``details``.
 Sampled model data is derived from the run seed and memoized on the
-:class:`Workspace`; rank failures of sampled bases trigger resampling with
-the seed advanced (at most five retries, all recorded in the result).
+:class:`Workspace`; a sampled gl(3) chain whose bases are rank deficient,
+or whose inhomogeneities differ by 2 eta, is resampled with the seed
+advanced (at most five retries, all recorded in the result).
 """
 
 import dataclasses
@@ -30,9 +31,9 @@ from .det0_spectrum import (
     probe_decomposition,
     scalar_product_determinant,
     separate_overlap_direct,
-    zero_patterns,
+    zero_pattern,
 )
-from .errors import ConfigError, SingularBasis, SovLabError
+from .errors import ConfigError, DoubleShift, SingularBasis, SovLabError
 from .gl3_model import ModelParams, TransferCache, TwistData
 from .numkernel import rel_residual, worst
 from .sampling import ParameterSampler
@@ -46,9 +47,10 @@ from .sov_bases import (
 )
 from .sov_measure import (
     appc_recursion_check,
-    b_coefficients,
+    b_recursion,
     coeff_r0_closed_form,
     dual_bases,
+    expansion_coefficients,
     extract_coefficient,
     gram,
 )
@@ -120,26 +122,27 @@ class Workspace:
         self._explicit = twist is not None or xi is not None or eta is not None
         self.retries = []
         self._cache = {}
+        self._chains = []
         self._peak_stored = 0
 
     def build(self):
         """Build the chain every suite of this algebra starts from."""
         return self.gl3() if self.algebra == "gl3" else self.gl2()
 
-    def _caches(self):
-        """Every transfer cache built so far: the gl(3) chain's, its K-hat
-        companion's, the other-twist chain's and the gl(2) chain's."""
-        caches = [self._cache[key][0] for key in ("gl3", "gl2") if key in self._cache]
-        return caches + [self._cache[key] for key in ("khat_chain", "other_twist_chain")
-                         if key in self._cache]
+    def _chain(self, params):
+        """A new transfer cache for ``params``.  Every cache the workspace
+        builds is made here and kept, so that its counts are reported and its
+        node store is released, a failed chain's too."""
+        cache = TransferCache(params)
+        self._chains.append(cache)
+        return cache
 
     def cache_counts(self):
         """Lookups of every transfer cache: total hits and misses, the dense
         assemblies per fusion order, and the most node matrices the caches
         held at the end of a suite."""
-        caches = self._caches()
-        hits = sum((c.hits for c in caches), Counter())
-        misses = sum((c.misses for c in caches), Counter())
+        hits = sum((c.hits for c in self._chains), Counter())
+        misses = sum((c.misses for c in self._chains), Counter())
         return {"hits": sum(hits.values()), "misses": sum(misses.values()),
                 "assemblies": {f"m{m}": misses[m] for m in (1, 2, 3)},
                 "peak_stored": self._peak_stored}
@@ -147,9 +150,8 @@ class Workspace:
     def release_nodes(self):
         """End a suite: empty every transfer cache's node store, after noting
         what they held.  Pairs, memos and counts stay."""
-        caches = self._caches()
-        self._peak_stored = max(self._peak_stored, sum(c.stored for c in caches))
-        for c in caches:
+        self._peak_stored = max(self._peak_stored, sum(c.stored for c in self._chains))
+        for c in self._chains:
             c.clear()
 
     # -- gl3 ---------------------------------------------------------------
@@ -169,15 +171,17 @@ class Workspace:
     def gl3(self):
         """Invertible-twist chain as ``(cache, xyz, pair)``: its transfer cache,
         reference components and dressed pair, resampled until the pair has
-        full rank."""
+        full rank; a failed chain keeps only its counts."""
         seed = self.seed
         for attempt in range(MAX_RETRIES + 1):
             params, xyz = self._sample_gl3(seed)
-            cache = TransferCache(params)
-            pair = dressed_pair(cache, xyz)
+            cache = self._chain(params)
             try:
+                pair = dressed_pair(cache, xyz)
                 pair.require_full_rank()
-            except SingularBasis as exc:
+            except (SingularBasis, DoubleShift) as exc:
+                cache.clear()
+                cache.pairs.clear()
                 if self._explicit or attempt == MAX_RETRIES:
                     raise
                 self.retries.append({"seed": seed, "reason": str(exc)})
@@ -201,7 +205,7 @@ class Workspace:
     def khat_chain(self):
         """Transfer cache of the zero-determinant companion chain (same eta, xi)."""
         params = self.gl3()[0].params
-        return TransferCache(params.with_twist(make_khat(params.twist)))
+        return self._chain(params.with_twist(make_khat(params.twist)))
 
     @_memo
     def other_twist_chain(self):
@@ -210,7 +214,7 @@ class Workspace:
         store and pair once read."""
         s = ParameterSampler(self.seed + 4000)
         other = TwistData.from_eigenvalues(s.distinct_eigenvalues(), w=s.invertible3())
-        return TransferCache(self.gl3()[0].params.with_twist(other))
+        return self._chain(self.gl3()[0].params.with_twist(other))
 
     @_memo
     def khat(self):
@@ -242,7 +246,7 @@ class Workspace:
         excluded from determinant runs and logged."""
         cache = self.khat()[0]
         states, _ = self.khat_eigenstates()
-        kept, excluded = zero_patterns(cache, states)
+        kept, excluded = zero_pattern(cache, states)
         return kept, [{"index": st.index, "reason": str(exc)} for st, exc in excluded]
 
     # -- gl2 ---------------------------------------------------------------
@@ -261,7 +265,7 @@ class Workspace:
         reference = self._reference if gl2_run else None
         k = twist if twist is not None else s.gl2_twist()
         ref = tuple(reference) if reference is not None else s.reference2()
-        return TransferCache(ModelParams(self.sites, eta, xi, k)), ref
+        return self._chain(ModelParams(self.sites, eta, xi, k)), ref
 
     @_memo
     def gl2_coupling(self):
@@ -440,16 +444,16 @@ def _dual_coordinate_residuals(report, dual):
     """``(sparsity, b_recursion)`` of the dual-vector coordinates, each
     relative to its column's largest coordinate.
 
-    Column h of ``dual.measure * report.diag`` holds the coordinates of the
-    dual vector of h, as expansion_coefficients gives them.  They must vanish
-    outside the pair-move support (a pair move of h lands on row t exactly
-    when cell (t, h) is not zero-classified), and on every pair move of h
-    equal (det K)^r times the recursion's coefficient B_(alpha,beta).
+    Column h of :func:`expansion_coefficients` holds the coordinates of the
+    dual vector of h.  They must vanish outside the pair-move support (a
+    pair move of h lands on row t exactly when cell (t, h) is not
+    zero-classified), and on every pair move of h equal (det K)^r times the
+    recursion's coefficient B_(alpha,beta) (:func:`b_recursion`).
     """
     support = sov_measure.pair_support(report.params.sites)
-    coords = dual.measure * report.diag
+    coords = expansion_coefficients(report, dual)
     sparsity = rel_residual(np.where(support.zero, coords, 0), coords, axis=0)
-    pred = report.params.twist.det ** support.pair_count * b_coefficients(report)
+    pred = report.params.twist.det ** support.pair_count * b_recursion(report)
     brec = rel_residual(np.where(support.offdiag, coords - pred, 0), coords, axis=0)
     return sparsity, brec
 
@@ -511,7 +515,7 @@ def run_scalarproducts(ws, tol):
         "scalar_products": worst(overlap_residual() for _ in range(20)),
         "norms": worst(r["rel_err"] for r in records),
     }
-    # the zero-pattern checks of the kept states (det0_spectrum.zero_patterns)
+    # the zero-pattern checks of the kept states (det0_spectrum.zero_pattern)
     diags = [st.pattern_diagnostics for st in states]
     patterns = {f"pattern_{key}": worst(d[key] for d in diags)
                 for key in ("zero_residual", "fusion_residual", "t2_closed_form_residual")}

@@ -12,8 +12,8 @@ import numpy as np
 from sovlab.errors import SovLabError
 from sovlab.gl3_model import InterpolationWeights, TransferCache
 from sovlab.numkernel import rel_residual, vandermonde
-from sovlab.sov_bases import TernaryIndex, dressed_pair
-from sovlab.sov_measure import gram, pair_support
+from sovlab.sov_bases import TernaryIndex, dressed_pair, label_digits
+from sovlab.sov_measure import b_recursion, classify_pair, gram, pair_support
 
 
 class DegenerateFamily(SovLabError):
@@ -207,6 +207,18 @@ def pair_substitution(h, alpha, beta):
 def gram_entry(report, h, k):
     """Coupling <h|k> of a :class:`sov_measure.GramReport`."""
     return report.gram[h.flat, k.flat]
+
+
+def label_b_recursion(report, h):
+    """Expansion coefficients of the dual vector of ``h`` over its pair moves:
+    column h of ``sov_measure.b_recursion`` as ``{(alpha, beta): B}``."""
+    col = b_recursion(report)[:, h.flat]
+    digits = label_digits(report.params.sites)
+    out = {}
+    for s in np.flatnonzero(pair_support(report.params.sites).offdiag[:, h.flat]):
+        move = classify_pair(TernaryIndex(digits[s]), h)
+        out[(move.alpha, move.beta)] = complex(col[s])
+    return out
 
 
 # ---------------------------------------------------------------------------

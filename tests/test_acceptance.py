@@ -48,7 +48,6 @@ from sovlab.sov_bases import (
 )
 from sovlab.sov_measure import (
     appc_recursion_check,
-    b_recursion,
     coeff_r0_closed_form,
     diag_values,
     dual_bases,
@@ -59,7 +58,7 @@ from sovlab.sov_measure import (
 from sovlab.tt_charges import build_tt, fusion_residuals_tt, tt_sov_bases
 
 from conftest import make_params
-from oracles import c_scaling_scan, coupling_prediction, pair_substitution
+from oracles import c_scaling_scan, coupling_prediction, label_b_recursion, pair_substitution
 
 SEEDS = (7, 11, 13)
 
@@ -278,8 +277,8 @@ def test_criterion_09_inverse_measure_and_recursions():
         dual4 = dual_bases(pair4, report4)
         worst_inv = max(worst_inv, dual4.inverse_residual)
         h = TernaryIndex((1, 1, 1, 1))
-        bmap = b_recursion(report4, h)
-        coeffs = expansion_coefficients(report4, dual4, h)
+        bmap = label_b_recursion(report4, h)
+        coeffs = expansion_coefficients(report4, dual4)[:, h.flat]
         for (alpha, beta), b in bmap.items():
             target = pair_substitution(h, alpha, beta)
             pred = params4.twist.det ** len(alpha) * b
@@ -331,8 +330,9 @@ def test_criterion_11_factorization_and_determinant_overlaps():
             states = eigensolve_sov(cache, xyz)
             worst_fact = max(worst_fact, max(st.factorization_residual for st in states))
             gen = np.random.default_rng(seed + sites)
+            _, ambiguous = zero_pattern(cache, states)
+            assert not ambiguous
             for st in states:
-                zero_pattern(cache, st)
                 nd = norm_determinant(st, params)
                 direct = norm_direct(st)
                 worst_ov = max(worst_ov, abs(nd - direct) / abs(direct))
@@ -365,9 +365,10 @@ def test_criterion_12_conserved_charge_bases():
         kp = family.khat_params
         gen = np.random.default_rng(seed)
         one_flat = TernaryIndex((1, 1)).flat
+        _, ambiguous = zero_pattern(khat_cache, [family.khat_states[a] for a in (0, 4, 8)])
+        assert not ambiguous
         for a in (0, 4, 8):
             st = family.khat_states[a]
-            zero_pattern(khat_cache, st)
             col = family.right[:, a]
             col = col / (tpair.left[one_flat] @ col)
             alpha = SeparateState.random(gen, 2)

@@ -108,6 +108,42 @@ def test_default_run_caps_blas_threads(monkeypatch):
     assert run(cfg, echo=lambda *a, **k: None)["thread_cap"] == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+@pytest.mark.parametrize("command", [["verify", "-N", "1"],
+                                     ["bench", "--n-min", "1", "--n-max", "1"]])
+def test_malformed_thread_cap_exits_with_a_diagnostic(tmp_path, monkeypatch, value, command):
+    """A SOVLAB_THREADS that is not an integer >= 1 is rejected before any
+    pool is looked up or output written: exit status 1 and one line."""
+    from sovlab import cli
+
+    def no_pools():
+        raise AssertionError("a pool was looked up")
+    monkeypatch.setattr(cli, "_openblas_pools", no_pools)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, command + ["--out", str(out)],
+                                env={"SOVLAB_THREADS": value})
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    line = f"Error: config error: SOVLAB_THREADS must be an integer >= 1, got {value!r}"
+    assert result.output == line + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [None, ""])
+def test_unset_or_empty_thread_cap_keeps_the_default(monkeypatch, value):
+    """Unset or empty, SOVLAB_THREADS leaves one thread by default and no cap
+    under --parallel."""
+    from sovlab.cli import _thread_limit
+
+    if value is None:
+        monkeypatch.delenv("SOVLAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SOVLAB_THREADS", value)
+    assert (_thread_limit(), _thread_limit(parallel=True)) == (1, None)
+    cfg = resolve_config(None, {"sites": 1, "seed": 2, "tasks": ["yangbaxter"]})
+    assert run(cfg, echo=lambda *a, **k: None)["thread_cap"] == 1
+
+
 def test_fresh_import_loads_no_scipy():
     """numpy and click are the only runtime dependencies: a fresh process
     importing the CLI and running a task never loads scipy, and the default
@@ -290,13 +326,66 @@ def test_node_matrices_live_for_one_suite():
     seen = ws.cache_counts()
     for name in SUITES:
         run_task(name, ws, {})
-        assert not any(c._store for c in ws._caches())
+        assert not any(c._store for c in ws._chains)
         counts = ws.cache_counts()
         assert counts["hits"] >= seen["hits"] and counts["misses"] >= seen["misses"]
         seen = counts
         assert ws.gl3()[2] is pair and cache.pairs
-    assert len(ws._caches()) == 4
+    assert len(ws._chains) == 4
     assert ws.khat()[2] in ws.khat_chain().pairs.values()
+
+
+def test_a_resampled_chain_is_counted_and_dropped(monkeypatch):
+    """At N = 4, seed 88 the first chain fails its rank check and is
+    resampled.  The report's misses are every call of ``gl3_model.transfer``,
+    the failed chain's 3N node assemblies included, and the failed chain's
+    store and pair are dropped when it fails, so the peak stays one chain's
+    4N."""
+    from sovlab import gl3_model
+    from sovlab.suites import Workspace
+
+    assembled = Counter()
+    real_transfer = gl3_model.transfer
+
+    def transfer(params, m, lam):
+        assembled[f"m{m}"] += 1
+        return real_transfer(params, m, lam)
+
+    monkeypatch.setattr(gl3_model, "transfer", transfer)
+    report = run(resolve_config(None, {"sites": 4, "seed": 88}), echo=lambda *a, **k: None)
+    assert [r["seed"] for r in report["results"][0]["retries"]] == [88]
+    counts = report["timings"]["transfer_cache"]
+    assert counts["assemblies"] == assembled
+    assert counts["misses"] == sum(assembled.values()) == 151
+    assert counts["peak_stored"] == 16
+
+    ws = Workspace("gl3", 4, 88)
+    cache = ws.gl3()[0]
+    failed = ws._chains[0]
+    assert failed is not cache and failed.misses == {1: 4, 2: 8}
+    assert not failed._store and not failed.pairs
+
+
+def test_inhomogeneities_two_eta_apart_resample_without_warnings():
+    """Seed 193 at N = 3 samples xi_3 - xi_1 = 2 eta, where d(xi_3 - 2 eta),
+    by which the reference vector and the measure divide, is zero.  The chain
+    is resampled on that named error before any division; tier-1 turns a
+    RuntimeWarning into an error, so a division by zero would fail here."""
+    report = run(resolve_config(None, {"sites": 3, "seed": 193}), echo=lambda *a, **k: None)
+    reason = "sites 3 and 1 have xi_3 - xi_1 = 2 eta, so d(xi_3 - 2 eta) = 0"
+    for res in report["results"]:
+        assert res["retries"] == [{"seed": 193, "reason": reason}]
+
+
+def test_configured_inhomogeneities_two_eta_apart_fail_each_gl3_task():
+    """A configured chain is not resampled: each gl(3) task fails with the
+    one error line, and the gl(2) chain on the same eta and xi still runs."""
+    cfg = resolve_config(None, {"sites": 2, "seed": 7, "eta": 1, "xi": [2, 0]})
+    report = run(cfg, echo=lambda *a, **k: None)
+    line = "DoubleShift: sites 1 and 2 have xi_1 - xi_2 = 2 eta, so d(xi_1 - 2 eta) = 0"
+    errors = {res["task"]: res["details"].get("error") for res in report["results"]}
+    assert errors.pop("gl2") is None
+    assert set(errors.values()) == {line} and len(errors) == 11
 
 
 def test_a_node_reread_within_a_suite_is_a_hit():
@@ -435,8 +524,8 @@ def test_bench_linearity_sees_an_antilinear_term(tmp_path, monkeypatch):
 
     from sovlab import cli
 
-    exact = cli.apply_transfer_free
-    monkeypatch.setattr(cli, "apply_transfer_free",
+    exact = cli.fused_apply
+    monkeypatch.setattr(cli, "fused_apply",
                         lambda params, m, lam, vec: exact(params, m, lam, vec) + 1e-3 * np.conj(vec))
     result = CliRunner().invoke(main, ["bench", "--n-min", "4", "--n-max", "4",
                                        "--out", str(tmp_path)])

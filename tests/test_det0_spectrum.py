@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import re
 from collections import Counter
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from sovlab import det0_spectrum, suites
 from sovlab.det0_spectrum import (
     SeparateState,
+    SpectralData,
     boundary_eigenstate_check,
     eigensolve_sov,
     interpolated_action_check,
@@ -19,10 +19,10 @@ from sovlab.det0_spectrum import (
     separate_overlap_direct,
     separated_coordinates,
     zero_pattern,
-    zero_patterns,
 )
 from sovlab.errors import (
     AmbiguousPattern,
+    DoubleShift,
     PatternMissing,
     SpectrumCollision,
     SpectrumNotSimple,
@@ -30,8 +30,8 @@ from sovlab.errors import (
 from sovlab.gl3_model import InterpolationWeights, ModelParams, TransferCache, TwistData
 from sovlab.numkernel import rayleigh_quotients, rel_residual
 from sovlab.sampling import ParameterSampler
-from sovlab.sov_bases import TernaryIndex, dressed_pair, label_digits
-from sovlab.sov_measure import gram
+from sovlab.sov_bases import TernaryIndex, dressed_pair, label_digits, reference_vector_closed
+from sovlab.sov_measure import diag_values, gram
 from sovlab.suites import DEFAULT_TOLERANCES, Workspace, run_det0
 
 from conftest import make_params
@@ -320,10 +320,11 @@ def test_right_side_coefficient_pattern(det0_chain2):
 def test_zero_pattern_properties(det0_chain2):
     params, xyz, cache, pair = det0_chain2
     states = eigensolve_sov(cache, xyz)
+    kept, excluded = zero_pattern(cache, states)
+    assert len(kept) == len(states) and excluded == []
     splits = []
     for st in states:
-        perm, msize = zero_pattern(cache, st)
-        splits.append(msize)
+        splits.append(st.msize)
         d = st.pattern_diagnostics
         assert d["zero_residual"] <= 1e-9
         assert d["fusion_residual"] <= 1e-9
@@ -340,10 +341,11 @@ def test_zero_pattern_all_a_sites_non_diagonal_twist():
     assert np.abs(params.twist.w - np.diag(np.diag(params.twist.w))).max() > 0.1
     cache = TransferCache(params)
     states = eigensolve_sov(cache, xyz)
+    _, ambiguous = zero_pattern(cache, states)
+    assert not ambiguous
     full = []
     for st in states:
-        _, msize = zero_pattern(cache, st)
-        if msize == params.sites:
+        if st.msize == params.sites:
             full.append(st.pattern_diagnostics["zero_residual"])
     assert full and max(full) <= 1e-9
 
@@ -355,8 +357,9 @@ def test_zero_pattern_ambiguous():
     st = states[0]
     st.t1_xi = st.t1_xi.copy()
     st.t1_xi[0] = 1e-6 * np.abs(st.t1_shift).max()  # inside the decision band
-    with pytest.raises(AmbiguousPattern):
-        zero_pattern(cache, st)
+    kept, excluded = zero_pattern(cache, [st])
+    assert kept == [] and len(excluded) == 1 and excluded[0][0] is st and st.perm is None
+    assert isinstance(excluded[0][1], AmbiguousPattern)
 
 
 def _closed_form_residual(state, params, cache):
@@ -377,23 +380,27 @@ def _closed_form_residual(state, params, cache):
 
 
 def test_zero_patterns_match_one_state_calls(det0_chain3):
-    """The batched patterns equal the one-state ones: same splits and
-    exclusion, equal pointwise diagnostics, and a closed-form residual
-    within rounding of the per-state reference."""
+    """A batch of every state gives what batches of one state give: same
+    splits and exclusion, equal pointwise diagnostics, and a closed-form
+    residual within rounding of the per-state reference."""
     params, xyz, cache, pair = det0_chain3
     batch = eigensolve_sov(cache, xyz)
     single = eigensolve_sov(cache, xyz)
     for states in (batch, single):
         states[2].t1_xi = states[2].t1_xi.copy()
         states[2].t1_xi[0] = 1e-6 * np.abs(states[2].t1_shift).max()  # ambiguous
-    kept, excluded = zero_patterns(cache, batch)
+    kept, excluded = zero_pattern(cache, batch)
     assert [st.index for st, _ in excluded] == [2] and batch[2].perm is None
     assert [st.index for st in kept] == [st.index for st in batch if st.index != 2]
-    with pytest.raises(AmbiguousPattern, match=re.escape(str(excluded[0][1]))):
-        zero_pattern(cache, single[2])
+    alone, refused = zero_pattern(cache, [single[2]])
+    assert alone == [] and single[2].perm is None
+    assert isinstance(refused[0][1], AmbiguousPattern)
+    assert str(refused[0][1]) == str(excluded[0][1])
     for mine in kept:
         ref = single[mine.index]
-        assert zero_pattern(cache, ref) == (mine.perm, mine.msize)
+        alone, refused = zero_pattern(cache, [ref])
+        assert len(alone) == 1 and alone[0] is ref and refused == []
+        assert (ref.perm, ref.msize) == (mine.perm, mine.msize)
         got, want = dict(mine.pattern_diagnostics), dict(ref.pattern_diagnostics)
         closed = got.pop("t2_closed_form_residual")
         want.pop("t2_closed_form_residual")
@@ -424,6 +431,24 @@ def test_label_products_match_per_label_loops(det0_chain3):
     assert np.allclose(separated_coordinates(t1_xi, t2_shift), separated, rtol=1e-15, atol=0)
 
 
+def test_double_shift_is_refused_before_dividing():
+    """xi_1 - xi_2 = 2 eta makes d(xi_1 - 2 eta) zero: the closed reference
+    vector, the diagonal couplings and both determinant overlaps refuse the
+    chain with the two sites named, before any division."""
+    params = ModelParams(2, 1.0, (2.0, 0.0), TwistData.from_eigenvalues([1.0, 2.0, 0.0]))
+    ones = np.ones(params.sites, dtype=complex)
+    state = SpectralData(0, np.ones(params.dim), np.ones(params.dim), ones, ones, ones, ones,
+                         0.0, perm=(0, 1), msize=1)
+    alpha = SeparateState(np.ones((params.sites, 3)))
+    calls = [lambda: reference_vector_closed((1.0, 2.0, 3.0), params),
+             lambda: diag_values(params),
+             lambda: norm_determinant(state, params),
+             lambda: scalar_product_determinant(alpha, state, params)]
+    for call in calls:
+        with pytest.raises(DoubleShift, match="sites 1 and 2 have xi_1 - xi_2 = 2 eta"):
+            call()
+
+
 def test_scalar_product_requires_pattern(det0_chain2):
     params, xyz, cache, pair = det0_chain2
     states = eigensolve_sov(cache, xyz)
@@ -436,8 +461,8 @@ def test_scalar_products_against_direct(det0_chain2):
     params, xyz, cache, pair = det0_chain2
     states = eigensolve_sov(cache, xyz)
     gen = np.random.default_rng(7)
-    for st in states:
-        zero_pattern(cache, st)
+    _, ambiguous = zero_pattern(cache, states)
+    assert not ambiguous
     for _ in range(20):
         st = states[int(gen.integers(0, len(states)))]
         alpha = SeparateState.random(gen, params.sites)
@@ -450,7 +475,8 @@ def test_scalar_product_vanishing_site_column(det0_chain2):
     params, xyz, cache, pair = det0_chain2
     states = eigensolve_sov(cache, xyz)
     st = states[1]
-    zero_pattern(cache, st)
+    _, ambiguous = zero_pattern(cache, [st])
+    assert not ambiguous
     coeffs = np.ones((params.sites, 3), dtype=complex)
     coeffs[0] = 0.0
     alpha = SeparateState(coeffs)
@@ -460,8 +486,9 @@ def test_scalar_product_vanishing_site_column(det0_chain2):
 def test_scalar_product_on_own_coefficients_is_norm(det0_chain2):
     params, xyz, cache, pair = det0_chain2
     states = eigensolve_sov(cache, xyz)
+    _, ambiguous = zero_pattern(cache, states[:4])
+    assert not ambiguous
     for st in states[:4]:
-        zero_pattern(cache, st)
         # the co-vector pattern (1, t_2(xi_a), t_1(xi_a)) reproduces the eigenstate
         alpha = SeparateState(np.stack([np.ones_like(st.t1_xi), st.t2_xi, st.t1_xi], axis=1))
         val = scalar_product_determinant(alpha, st, params)
@@ -473,8 +500,9 @@ def test_norms_one_site():
     params, xyz, _ = make_params(225, 1, invertible=False)
     cache = TransferCache(params)
     states = eigensolve_sov(cache, xyz)
+    _, ambiguous = zero_pattern(cache, states)
+    assert not ambiguous
     for st in states:
-        zero_pattern(cache, st)
         nd = norm_determinant(st, params)
         assert abs(nd - norm_direct(st)) <= 1e-10 * abs(nd)
 
@@ -482,8 +510,9 @@ def test_norms_one_site():
 def test_norms_all_states_two_sites(det0_chain2):
     params, xyz, cache, pair = det0_chain2
     states = eigensolve_sov(cache, xyz)
+    _, ambiguous = zero_pattern(cache, states)
+    assert not ambiguous
     for st in states:
-        zero_pattern(cache, st)
         nd = norm_determinant(st, params)
         direct = norm_direct(st)
         assert abs(nd - direct) <= 1e-7 * abs(direct)

@@ -12,7 +12,6 @@ from sovlab.gl3_model import (
     ModelParams,
     TransferCache,
     TwistData,
-    apply_transfer_free,
     check_yang_baxter,
     embed,
     exchange_relation_residual,
@@ -330,7 +329,7 @@ def test_apply_transfer_free_matches_dense(chain2):
     v = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
     for m in (1, 2):
         lam = crand()
-        got = apply_transfer_free(params, m, lam, v)
+        got = fused_apply(params, m, lam, v)
         want = cache.value(m, lam) @ v
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -341,21 +340,38 @@ def test_apply_transfer_free_t3_is_quantum_determinant(chain3):
     v = local.standard_normal(params.dim) + 1j * local.standard_normal(params.dim)
     lam = complex(*local.uniform(-1, 1, 2))
     want = quantum_determinant(params, lam) * v
-    got = apply_transfer_free(params, 3, lam, v)
+    got = fused_apply(params, 3, lam, v)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_apply_transfer_free_zero_and_linearity(chain2):
     params, _, _, _ = chain2
     lam = crand()
-    z = apply_transfer_free(params, 1, lam, np.zeros(params.dim, dtype=complex))
+    z = fused_apply(params, 1, lam, np.zeros(params.dim, dtype=complex))
     assert np.abs(z).max() == 0.0
     v = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
     w = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
     a = 0.3 - 1.1j
-    lhs = apply_transfer_free(params, 2, lam, a * v + w)
-    rhs = a * apply_transfer_free(params, 2, lam, v) + apply_transfer_free(params, 2, lam, w)
+    lhs = fused_apply(params, 2, lam, a * v + w)
+    rhs = a * fused_apply(params, 2, lam, v) + fused_apply(params, 2, lam, w)
     assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()
+
+
+def test_fused_apply_takes_a_vector_or_a_block_of_state_length(chain2):
+    """A vector gives a vector and a block a block of the same columns; any
+    other length or rank is refused before the kernel runs."""
+    params, _, _, _ = chain2
+    local = np.random.default_rng(8)  # leaves the module generator's draws as they were
+    block = local.standard_normal((params.dim, 3)) + 1j * local.standard_normal((params.dim, 3))
+    lam = complex(*local.uniform(-1, 1, 2))
+    cols = fused_apply(params, 2, lam, block)
+    assert cols.shape == block.shape
+    one = fused_apply(params, 2, lam, block[:, 1])
+    assert one.shape == (params.dim,)
+    assert np.abs(one - cols[:, 1]).max() <= 1e-13 * np.abs(cols[:, 1]).max()
+    for bad in (block[1:], block[1:, 0], block[None], np.ones(())):
+        with pytest.raises(ValueError, match=f"length {params.dim}"):
+            fused_apply(params, 2, lam, bad)
 
 
 @pytest.mark.parametrize("sites", [1, 2, 3, 4, 5])

@@ -17,7 +17,7 @@ from sovlab.gl2_model import (
 from sovlab.gl3_model import fusion_residuals
 from sovlab.numkernel import rel_residual, vandermonde
 from sovlab.sov_bases import dressed_pair
-from sovlab.sov_measure import b_coefficients, dual_bases, gram, pair_support
+from sovlab.sov_measure import b_recursion, dual_bases, gram, pair_support
 from sovlab.tt_charges import build_tt
 
 from oracles import entry_ratio, identity_error, masked_column_ratio, masked_cosine, two_sided
@@ -61,7 +61,7 @@ def test_dual_fields(name, request):
     assert dual.inverse_residual == identity_error(cos_inv @ cosine, eye)
     support = pair_support(params.sites)
     coords = dual.measure * report.diag
-    pred = params.twist.det ** support.pair_count * b_coefficients(report)
+    pred = params.twist.det ** support.pair_count * b_recursion(report)
     assert suites._dual_coordinate_residuals(report, dual) == (
         masked_column_ratio(coords, coords, support.zero),
         masked_column_ratio(coords - pred, coords, support.offdiag),

@@ -11,7 +11,6 @@ from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import TernaryIndex, dressed_pair
 from sovlab.sov_measure import (
     appc_recursion_check,
-    b_coefficients,
     b_recursion,
     classify_pair,
     coeff_r0_closed_form,
@@ -28,7 +27,13 @@ from sovlab import suites
 from sovlab.suites import _dual_coordinate_residuals
 
 from conftest import make_params
-from oracles import DegenerateFamily, c_scaling_scan, gram_entry, pair_substitution
+from oracles import (
+    DegenerateFamily,
+    c_scaling_scan,
+    gram_entry,
+    label_b_recursion,
+    pair_substitution,
+)
 
 
 def test_classify_examples():
@@ -140,7 +145,7 @@ def test_dual_sparsity_matches_per_label_loop(chain3):
     dual = dual_bases(pair, report)
     worst = 0.0
     for h in TernaryIndex.all(params.sites):
-        coeffs = expansion_coefficients(report, dual, h)
+        coeffs = expansion_coefficients(report, dual)[:, h.flat]
         for t in TernaryIndex.all(params.sites):
             if classify_pair(t, h).kind == "zero":
                 worst = max(worst, abs(coeffs[t.flat]) / np.abs(coeffs).max())
@@ -333,7 +338,7 @@ def test_expansion_sparsity(chain3):
     report = gram(pair.left, pair.right, params)
     dual = dual_bases(pair, report)
     for h in (TernaryIndex((1, 1, 0)), TernaryIndex((1, 1, 1))):
-        coeffs = expansion_coefficients(report, dual, h)
+        coeffs = expansion_coefficients(report, dual)[:, h.flat]
         allowed = {h.flat}
         ones = h.ones()
         for r in range(1, len(ones) // 2 + 1):
@@ -351,14 +356,14 @@ def test_b_recursion_single_pair(chain2):
     params, _, _, pair = chain2
     report = gram(pair.left, pair.right, params)
     h = TernaryIndex((1, 1))
-    bmap = b_recursion(report, h)
+    bmap = label_b_recursion(report, h)
     assert set(bmap) == {((0,), (1,)), ((1,), (0,))}
     # base case equals minus the h-normalized coupling coefficient
     s = pair_substitution(h, (0,), (1,))
     cbar = gram_entry(report, s, h) / (gram_entry(report, s, s) * params.twist.det)
     assert bmap[((0,), (1,))] == pytest.approx(-cbar, rel=1e-10)
     dual = dual_bases(pair, report)
-    coeffs = expansion_coefficients(report, dual, h)
+    coeffs = expansion_coefficients(report, dual)[:, h.flat]
     for (alpha, beta), b in bmap.items():
         target = pair_substitution(h, alpha, beta)
         assert abs(coeffs[target.flat] - params.twist.det * b) <= 1e-7 * np.abs(coeffs).max()
@@ -371,8 +376,8 @@ def test_b_recursion_two_pairs_n4():
     report = gram(pair.left, pair.right, params)
     dual = dual_bases(pair, report)
     h = TernaryIndex((1, 1, 1, 1))
-    bmap = b_recursion(report, h)
-    coeffs = expansion_coefficients(report, dual, h)
+    bmap = label_b_recursion(report, h)
+    coeffs = expansion_coefficients(report, dual)[:, h.flat]
     checked = 0
     for (alpha, beta), b in bmap.items():
         if len(alpha) != 2:
@@ -385,7 +390,7 @@ def test_b_recursion_two_pairs_n4():
 
 
 def _b_recursion_per_label(report, h):
-    """Reference for b_coefficients: the bottom-up recursion of one label,
+    """Reference for b_recursion: the bottom-up recursion of one label,
     enumerating its pair moves and their sub-moves with itertools and reading
     one coupling cell at a time."""
     c = report.params.twist.det
@@ -412,13 +417,13 @@ def _b_recursion_per_label(report, h):
 
 @pytest.mark.parametrize("sites,seed", [(3, 11), (4, 111)])
 def test_b_coefficients_match_per_label_recursion(sites, seed):
-    """Every label with at least two ones: the level-by-level solve and
-    b_recursion agree with the per-label recursion, and B is the identity
+    """Every label with at least two ones: the level-by-level solve, and its
+    columns read per label, agree with the per-label recursion, and B is the identity
     plus the pair-move cells."""
     params, xyz, _ = make_params(seed, sites)
     pair = dressed_pair(TransferCache(params), xyz)
     report = gram(pair.left, pair.right, params)
-    b = b_coefficients(report)
+    b = b_recursion(report)
     support = pair_support(sites)
     assert np.all(np.diagonal(b) == 1) and np.all(b[support.zero] == 0)
     checked = 0
@@ -426,7 +431,7 @@ def test_b_coefficients_match_per_label_recursion(sites, seed):
         if len(h.ones()) < 2:
             continue
         want = _b_recursion_per_label(report, h)
-        got = b_recursion(report, h)
+        got = label_b_recursion(report, h)
         assert set(got) == set(want)
         assert np.count_nonzero(support.offdiag[:, h.flat]) == len(want)
         scale = max(abs(v) for v in want.values())
@@ -444,14 +449,14 @@ def test_b_recursion_residual_detects_wrong_coefficients(chain3, monkeypatch):
     report = gram(pair.left, pair.right, params)
     dual = dual_bases(pair, report)
     assert _dual_coordinate_residuals(report, dual)[1] <= 1e-9
-    monkeypatch.setattr(suites, "b_coefficients", lambda report: np.eye(params.dim))
+    monkeypatch.setattr(suites, "b_recursion", lambda report: np.eye(params.dim))
     assert _dual_coordinate_residuals(report, dual)[1] > 1e-3
 
 
 def test_b_coefficients_detk_zero(det0_chain2):
     params, _, _, pair = det0_chain2
     with pytest.raises(DetKZero):
-        b_coefficients(gram(pair.left, pair.right, params))
+        b_recursion(gram(pair.left, pair.right, params))
 
 
 @pytest.mark.parametrize("sites,rest", [(2, ()), (3, (0,)), (3, (2,))])

@@ -2,9 +2,15 @@
 wraps must exist, or a traced run breaks while the rest of the suite passes."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import sovlab
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -50,3 +56,38 @@ def test_cache_wrapper_counts_a_miss_then_a_hit(tracer, algebra):
     first = value(cache, 1, lam)
     assert value(cache, 1, lam) is first
     assert (trace.counts["gl3_model.cache.misses"], trace.counts["gl3_model.cache.hits"]) == (1, 1)
+
+
+# ``gl2_model.gl2_transfer`` is bound by the tracer but called by nothing: the
+# gl(2) chain assembles T_1 through ``TransferCache.value`` and
+# ``gl3_model.transfer``, as the gl(3) chain does.
+UNREACHED = {"gl2_model.transfer"}
+
+TRACED_RUN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+trace = tracer.Tracer(0)
+trace.install()
+from sovlab.cli import resolve_config, run
+for algebra in ("gl3", "gl2"):
+    run(resolve_config(None, {"algebra": algebra, "sites": 3, "seed": 7}), echo=lambda *a: None)
+layers = [layer for _, _, layer in tracer.FUNCTIONS + tracer.COUNTED + tracer.PROPERTIES]
+print(json.dumps({layer: trace.counts[layer + ".calls"] for layer in layers}))
+"""
+
+
+def test_every_traced_layer_is_reached():
+    """A traced ``verify --all`` at N = 3, seed 7, gl3 then gl2, calls every
+    layer the tracer wraps, so each per-layer figure times code that runs.
+    It runs in a subprocess, because ``Tracer.install`` rebinds the
+    library's module globals for the rest of the process."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sovlab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(TRACER_PATH)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert {layer for layer, n in calls.items() if n == 0} == UNREACHED
