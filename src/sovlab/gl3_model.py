@@ -24,11 +24,14 @@ read them.  The twist on Lambda^m C^d is memoized per twist
 * the matrix-free action on a state vector or a few columns
   (:func:`fused_apply`) is :func:`fused_contract`, for chains too large to
   hold T_m densely; :func:`fused_apply` is the one matrix-free entry point.
-  S_1 reads the columns directly, the middle sites go in two-site blocks and
-  S_N folded with the boundary closes the trace.  At m = 1 and lam exactly equal to an inhomogeneity xi_a it applies
-  the one-site product formula T_1(xi_a) = eta R_{a,a-1} ... R_{a,1} K_a
-  R_{a,N} ... R_{a,a+1} instead (:func:`_node_t1`): leg swaps and one d x d
-  twist, with no auxiliary leg.
+  It takes one row u of the boundary at a time and sweeps from site N down:
+  row u of S_N reads the columns directly, the middle sites go in two-site
+  blocks and S_1 folded with column u of the boundary closes the trace.  Its
+  working set is two buffers of bond * d^N * cols entries, one auxiliary
+  leg, and the result.  At m = 1 and lam exactly equal to an
+  inhomogeneity xi_a it applies the one-site product formula T_1(xi_a) = eta
+  R_{a,a-1} ... R_{a,1} K_a R_{a,N} ... R_{a,a+1} instead (:func:`_node_t1`):
+  leg swaps and one d x d twist, with no auxiliary leg.
 
 The matrix-free kernel's blocking and node path do not reach the dense path,
 so dense T_m, which every report residual reads, keeps its bits.
@@ -401,9 +404,9 @@ def _boundary_of(k_bytes, d, m):
 
 
 def _on_sites(y, op, axes, work):
-    """Contract ``op`` [(u, i...), (w, j...)] with the auxiliary leg (axis 0)
-    and the site legs ``axes`` of ``y``, a view of ``work[0]``: the legs are
-    gathered into ``work[1]`` and the GEMM writes back into ``work[0]``."""
+    """Contract ``op`` [(out, i...), (in, j...)] with the auxiliary leg (axis
+    0) and the site legs ``axes`` of ``y``, a view of ``work[0]``: the legs
+    are gathered into ``work[1]`` and the GEMM writes back into ``work[0]``."""
     front = list(range(1, len(axes) + 1))
     moved = np.moveaxis(y, axes, front)
     np.copyto(work[1].reshape(moved.shape), moved)
@@ -447,20 +450,30 @@ def fused_contract(k_matrix, eta, xi, m, lam, block):
     densely), so those columns skip the MPO below.  Only exact equality
     selects this path; lam one ulp away from a node takes the MPO.
 
-    Otherwise the running tensor y[w, t, q_N, ..., q_1, col] holds
-    (S_a ... S_1)[w, t] applied to the block:
+    Otherwise the trace is a sum over the boundary index u of
+    e_u^T S_N ... S_2 (S_1 B e_u), B the boundary.  For each u the running
+    tensor y[w, q_N, ..., q_1, col] holds row u of S_N ... S_a applied to the
+    block, one auxiliary leg w, and the sweep runs from site N down:
 
-    * S_1 reads the block directly and its right auxiliary leg becomes t, so
-      the identity it would multiply is never formed (1/bond of a full site);
-    * the middle sites go two at a time, one bond*d^2 square operator and one
-      gather copy per pair, with a single site for an odd remainder;
-    * S_N folded with the boundary is one d x bond^2*d matrix that closes the
-      trace (again 1/bond of a full site).
+    * row u of S_N reads the block directly (1/bond of a full site);
+    * the middle sites go two at a time from S_(N-1) down, one bond*d^2
+      square operator and one gather copy per pair, with S_2 alone for an odd
+      remainder.  The sites below a pair are still in place, so the gather
+      for a pair ending at site a copies runs of d^(a-1)*cols entries (a
+      sweep from site 2 up gathers single entries when cols = 1);
+    * S_1 folded with column u of B is one d x bond*d matrix that closes the
+      trace (1/bond of a full site).  Its gather puts the columns ahead of
+      sites N ... 2 and its GEMM is taken transposed, so it writes
+      [col, q_N, ..., q_1], the result's transpose in site order, and is
+      added into it with no permutation copy.
 
-    Every gather copies into one of two work buffers allocated once per call
-    and every GEMM writes into the other.  A fresh y-sized array per step is
-    new memory from the system each time, and touching it cost about as much
-    as the GEMMs at N = 8.  The dense path is :func:`fused_dense`.
+    Every gather copies into one of two work buffers of bond*d^N*cols
+    entries, allocated once per call, and every GEMM writes into the other:
+    the working set is 2*bond*d^N*cols entries plus the result.  A fresh
+    y-sized array per step is new memory from the system each time, and
+    touching it cost about as much as the GEMMs at N = 8.  A block's result
+    is a transposed view, each column contiguous.  The dense path is
+    :func:`fused_dense`.
     """
     if m == 1:
         node = next((a for a, x in enumerate(xi) if x == lam), None)
@@ -471,36 +484,43 @@ def fused_contract(k_matrix, eta, xi, m, lam, block):
     bond = _wedge_columns(d, m).shape[1]
     cols = block.shape[1] if block.ndim == 2 else 1
     sites, s_n = _sites(d, m, eta, xi, lam)
-    sites = sites.reshape(n - 1, bond, d, d, bond)  # [a, u, i, j, w]
-    # [i, w, t, j]: sum_u B[t, u] S_N[(i, j), (u, w)]
-    last = np.einsum('tu,ijuw->iwtj', _boundary(k_matrix, m), s_n.reshape(d, d, bond, bond))
-    v = block.reshape(d**n, cols)
+    boundary = _boundary(k_matrix, m)
     if n == 1:  # S_1 is also S_N: close the trace on it alone
-        out = np.einsum('iwwj->ij', last) @ v
+        # [i, w, t, j]: sum_u B[t, u] S_N[(i, j), (u, w)]
+        last = np.einsum('tu,ijuw->iwtj', boundary, s_n.reshape(d, d, bond, bond))
+        out = np.einsum('iwwj->ij', last) @ block.reshape(d, cols)
         return out if block.ndim == 2 else out[:, 0]
-    middle = sites[1:]
+    sites = sites.reshape(n - 1, bond, d, d, bond)  # [a, u, i, j, w]
+    # [u, (w, i), j]: row u of S_N
+    tops = s_n.reshape(d, d, bond, bond).transpose(2, 3, 0, 1).reshape(bond, bond * d, d)
+    # [u, i, (w, j)]: sum_t S_1[w, i, j, t] B[t, u]
+    closes = np.einsum('wijt,tu->uiwj', sites[0], boundary).reshape(bond, d, bond * d)
+    middle = sites[:0:-1]  # S_(N-1) ... S_2
     pairs = len(middle) // 2
     # [(u, i_hi, j_hi), (i_lo, j_lo, w)]: sum_v S_hi[u, i_hi, j_hi, v] S_lo[v, i_lo, j_lo, w]
-    ops = np.matmul(middle[1:2 * pairs:2].reshape(pairs, bond * d * d, bond),
-                    middle[0:2 * pairs:2].reshape(pairs, bond, d * d * bond))
-    # -> [(u, i_hi, i_lo), (w, j_hi, j_lo)], before the work buffers are taken
-    ops = ops.reshape((pairs, bond) + (d,) * 4 + (bond,)).transpose(0, 1, 2, 4, 6, 3, 5)
+    ops = np.matmul(middle[0:2 * pairs:2].reshape(pairs, bond * d * d, bond),
+                    middle[1:2 * pairs:2].reshape(pairs, bond, d * d * bond))
+    # -> [(w, i_hi, i_lo), (u, j_hi, j_lo)], a row in u out as a row in w, before the work
+    # buffers are taken
+    ops = ops.reshape((pairs, bond) + (d,) * 4 + (bond,)).transpose(0, 6, 2, 4, 1, 3, 5)
     ops = ops.reshape(pairs, bond * d * d, bond * d * d)
-    work = np.empty((2, bond * bond * d**n * cols), dtype=complex)
-    v = v.reshape(-1, d, cols).transpose(1, 0, 2).reshape(d, -1)
-    first = sites[0].transpose(0, 1, 3, 2).reshape(-1, d)  # [(u, i_1, t), j_1]
-    y = np.matmul(first, v, out=work[0].reshape(bond * d * bond, -1))
-    # [u, i_1, t, q_N..q_2, col] -> [u, t, q_N..q_1, col]
-    y = np.moveaxis(y.reshape((bond, d, bond) + (d,) * (n - 1) + (cols,)), 1, -2)
-    for p, op in enumerate(ops):
-        ax = n - 2 * p - 1  # site 2p + 3, with site 2p + 2 on the next axis
-        y = _on_sites(y, op, [ax, ax + 1], work)
-    if len(middle) % 2:
-        odd = middle[-1].transpose(0, 1, 3, 2).reshape(bond * d, bond * d)  # [(u, i), (w, j)]
-        y = _on_sites(y, odd, [3], work)
-    np.copyto(work[1].reshape(y.shape), y)
-    out = (last.reshape(d, -1) @ work[1].reshape(bond * bond * d, -1)).reshape(d**n, cols)
-    return out if block.ndim == 2 else out[:, 0]
+    steps = [(op, [2 * p + 2, 2 * p + 3]) for p, op in enumerate(ops)]  # site N - 1 - 2p first
+    if len(middle) % 2:  # S_2 on axis N - 1: [(w, i), (u, j)]
+        steps.append((middle[-1].transpose(3, 1, 0, 2).reshape(bond * d, bond * d), [n - 1]))
+    work = np.empty((2, bond * d**n * cols), dtype=complex)
+    v = block.reshape(d, -1)  # [q_N, (q_(N-1), ..., q_1, col)]
+    out = np.zeros((cols * d**(n - 1), d), dtype=complex)  # [(col, q_N, ..., q_2), q_1]
+    for top, close in zip(tops, closes):
+        y = np.matmul(top, v, out=work[0].reshape(bond * d, -1))
+        y = y.reshape((bond,) + (d,) * n + (cols,))
+        for op, axes in steps:
+            y = _on_sites(y, op, axes, work)
+        moved = np.moveaxis(y, [n, n + 1], [1, 2])  # [w, q_1, col, q_N, ..., q_2]
+        np.copyto(work[1].reshape(moved.shape), moved)
+        out += np.matmul(work[1].reshape(bond * d, -1).T, close.T,
+                         out=work[0][:out.size].reshape(out.shape))
+    out = out.reshape(cols, d**n)
+    return out.T if block.ndim == 2 else out[0]
 
 
 def fused_dense(k_matrix, eta, xi, m, lam):
@@ -557,10 +577,11 @@ class TransferCache:
 
     The one handle on a chain, gl(3) or gl(2): every chain-level function
     takes the chain's cache and reads ``params`` from it.  Single-threaded
-    use.  It stores T_1 and T_2 at the nodes, lam exactly equal to some xi_a
-    or xi_a - eta, from which the SoV bases are built: at most 4N matrices.
-    Any other (m, lam) is assembled on each request and not kept, so callers
-    that read it more than once hold it themselves.  The workspace empties
+    use.  It stores T_1 at the nodes, lam exactly equal to some xi_a or
+    xi_a - eta, which the SoV bases and the product checks re-read: at most
+    2N matrices.  Any other (m, lam), T_2 at a node included, is assembled
+    on each request and not kept, so callers that read it more than once
+    hold it themselves.  The workspace empties
     the store when a suite ends (:meth:`clear`), so a later suite assembles
     its nodes again.  ``hits[m]`` and ``misses[m]`` count the lookups of
     fusion order m; a hit is a node re-read, and every miss assembles one
@@ -589,7 +610,7 @@ class TransferCache:
             return self._store[key]
         self.misses[m] += 1
         mat = transfer(self.params, m, lam)
-        if m in (1, 2) and key[1] in self._nodes:
+        if m == 1 and key[1] in self._nodes:
             self._store[key] = mat
         return mat
 
@@ -697,15 +718,16 @@ def fusion_residuals(cache):
     """
     params = cache.params
     out = {"fusion": {}, "central_zero": {}}
+
+    def fusion(lhs, rhs):
+        return rel_residual(lhs - rhs, max(np.abs(lhs).max(), np.abs(rhs).max()))
+
     for a in range(params.sites):
         xa = params.xi[a]
-        t1 = cache.t1(xa)
-        for m in (1, 2):
-            lhs = t1 @ cache.value(m, xa - params.eta)
-            rhs = cache.value(m + 1, xa)
-            scale = max(np.abs(lhs).max(), np.abs(rhs).max())
-            out["fusion"][(a, m)] = rel_residual(lhs - rhs, scale)
-        out["central_zero"][a] = rel_residual(cache.t2(xa + params.eta), cache.t2(xa))
+        t1, t2 = cache.t1(xa), cache.t2(xa)  # T_2(xi_a) is not stored: held for both reads
+        out["fusion"][(a, 1)] = fusion(t1 @ cache.t1(xa - params.eta), t2)
+        out["fusion"][(a, 2)] = fusion(t1 @ cache.t2(xa - params.eta), cache.t3(xa))
+        out["central_zero"][a] = rel_residual(cache.t2(xa + params.eta), t2)
     return out
 
 

@@ -329,15 +329,17 @@ def b_recursion(report):
 # recursion checks for the coupling coefficients
 
 
-def appc_recursion_check(cache, r, xyz, h_rest=()):
+def appc_recursion_check(cache, r, xyz, t2_xi2, h_rest=()):
     """Numerical check of the coupling-coefficient recursion at pair depth r.
 
     r = 0 verifies the seed identity
     ``<h^(1,1)|T2(xi_2)|h^(0,1)> = <h^(1,1)|h^(1,1)> * d(xi_2 - eta)/d(xi_1 - eta)
     * eta/(xi_1 - xi_2 + eta) * prod_{a>=3} (xi_2 - xi_a^{(s_a)}) / (xi_1 - xi_a^{(s_a)})``
     with s_a = 1 - delta_{h_a,0}.  r = 1 verifies the two-pair reduction with
-    sites (1,2) outer and (3,4) carrying the extra pair.  Returns relative
-    residuals keyed by the configuration.
+    sites (1,2) outer and (3,4) carrying the extra pair.  Both read
+    ``t2_xi2`` = T_2(xi_2), which the cache does not store, so a caller that
+    runs both reads it once.  Returns relative residuals keyed by the
+    configuration.
     """
     params = cache.params
     if r not in (0, 1):
@@ -353,8 +355,7 @@ def appc_recursion_check(cache, r, xyz, h_rest=()):
     if r == 0:
         hk = TernaryIndex((1, 1) + tuple(h_rest))
         hb = TernaryIndex((0, 1) + tuple(h_rest))
-        t2 = cache.t2(xi[1])
-        lhs = pair.left[hk.flat] @ t2 @ pair.right[:, hb.flat]
+        lhs = pair.left[hk.flat] @ t2_xi2 @ pair.right[:, hb.flat]
         diag = pair.left[hk.flat] @ pair.right[:, hk.flat]
         pred = diag * w.d(xi[1] - eta) / w.d(xi[0] - eta) * eta / (xi[0] - xi[1] + eta)
         for i, d in enumerate(h_rest):
@@ -367,9 +368,8 @@ def appc_recursion_check(cache, r, xyz, h_rest=()):
     rest = tuple(h_rest)
     cov = TernaryIndex((1, 1, 0, 2) + rest)
     vec = TernaryIndex((0, 1, 1, 1) + rest)
-    t2_outer = cache.t2(xi[1])
     t2_inner = cache.t2(xi[3])
-    lhs = pair.left[cov.flat] @ t2_outer @ pair.right[:, vec.flat]
+    lhs = pair.left[cov.flat] @ t2_xi2 @ pair.right[:, vec.flat]
 
     def r_coef(src):
         # src is the 0-based index of the odd-slot node the expansion lands on

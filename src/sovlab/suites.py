@@ -6,9 +6,10 @@ suite declares its gated figures apart from its reported-only ones, its
 ``max_residual`` is the :func:`~sovlab.numkernel.worst` of the gated figures
 (so a NaN figure fails it), and every figure is named in ``details``.
 Sampled model data is derived from the run seed and memoized on the
-:class:`Workspace`; a sampled gl(3) chain whose bases are rank deficient,
-or whose inhomogeneities differ by 2 eta, is resampled with the seed
-advanced (at most five retries, all recorded in the result).
+:class:`Workspace`, a library error as well as a value; a sampled gl(3)
+chain whose bases are rank deficient, or whose inhomogeneities differ by
+2 eta, is resampled with the seed advanced (at most five retries, all
+recorded in the result).
 """
 
 import dataclasses
@@ -93,14 +94,22 @@ class TaskResult:
 
 
 def _memo(method):
-    """Memoize a :class:`Workspace` method's value under the method's name."""
+    """Memoize a :class:`Workspace` method's value under the method's name.
+    A :class:`SovLabError` it raises is kept and raised again by later calls,
+    so a configured chain that fails is built once, not once per suite."""
     key = method.__name__
 
     @functools.wraps(method)
     def memoized(self):
         if key not in self._cache:
-            self._cache[key] = method(self)
-        return self._cache[key]
+            try:
+                self._cache[key] = method(self)
+            except SovLabError as exc:
+                self._cache[key] = exc
+        value = self._cache[key]
+        if isinstance(value, SovLabError):
+            raise value.with_traceback(None)  # so it holds no frames of the failed build
+        return value
     return memoized
 
 
@@ -534,7 +543,8 @@ def run_ttcharges(ws, tol):
     def commutation():
         t = cache.t1(s.spectral_point(params.xi, params.eta))
         c = family.charge(1, s.spectral_point(params.xi, params.eta))
-        return rel_residual(t @ c - c @ t, t @ c)
+        tc, ct = t @ c, c @ t
+        return rel_residual(np.subtract(tc, ct, out=ct), tc)  # the difference overwrites c t
 
     tpair = tt_sov_bases(family, xyz)
     treport = gram(tpair.left, tpair.right, family.khat_params)
@@ -590,16 +600,17 @@ def run_appendix_c(ws, tol):
     params = cache.params
     gated = {}
     if params.sites >= 2:
+        t2 = cache.t2(params.xi[1])  # not stored at the node: read once for both depths
         rng = np.random.default_rng(ws.seed + 31)
         rest = tuple(rng.integers(0, 3, params.sites - 2).tolist())
-        out = appc_recursion_check(cache, 0, xyz, h_rest=rest)
+        out = appc_recursion_check(cache, 0, xyz, t2, h_rest=rest)
         gated["seed_rest_" + "".join(map(str, rest))] = out["seed"]
     if params.sites >= 4:
         rest = tuple()
         if params.sites > 4:
             rng = np.random.default_rng(ws.seed + 37)
             rest = tuple(rng.integers(0, 3, params.sites - 4).tolist())
-        gated["two_pair"] = appc_recursion_check(cache, 1, xyz, h_rest=rest)["two_pair"]
+        gated["two_pair"] = appc_recursion_check(cache, 1, xyz, t2, h_rest=rest)["two_pair"]
     if params.sites in (2, 3):
         report = ws.gl3_gram()
 

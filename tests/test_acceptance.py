@@ -263,10 +263,13 @@ def test_criterion_09_inverse_measure_and_recursions():
         pair = dressed_pair(cache, xyz)
         report = gram(pair.left, pair.right, params)
         worst_inv = max(worst_inv, dual_bases(pair, report).inverse_residual)
-        worst_rec = max(worst_rec, appc_recursion_check(cache, 0, xyz)["seed"])
+        t2 = cache.t2(params.xi[1])
+        worst_rec = max(worst_rec, appc_recursion_check(cache, 0, xyz, t2)["seed"])
         params3, xyz3, _ = make_params(seed, 3)
+        cache3 = TransferCache(params3)
+        t2 = cache3.t2(params3.xi[1])
         worst_rec = max(
-            worst_rec, appc_recursion_check(TransferCache(params3), 0, xyz3, h_rest=(seed % 3,))["seed"]
+            worst_rec, appc_recursion_check(cache3, 0, xyz3, t2, h_rest=(seed % 3,))["seed"]
         )
     # four-site checks once per seed set (heaviest objects)
     for seed in SEEDS:
@@ -283,7 +286,8 @@ def test_criterion_09_inverse_measure_and_recursions():
             target = pair_substitution(h, alpha, beta)
             pred = params4.twist.det ** len(alpha) * b
             worst_b = max(worst_b, abs(coeffs[target.flat] - pred) / np.abs(coeffs).max())
-        worst_rec = max(worst_rec, appc_recursion_check(cache4, 1, xyz4)["two_pair"])
+        t2 = cache4.t2(params4.xi[1])
+        worst_rec = max(worst_rec, appc_recursion_check(cache4, 1, xyz4, t2)["two_pair"])
     ok = worst_inv <= 1e-8 and worst_b <= 1e-7 and worst_rec <= 1e-8
     _report(9, ok, f"inverse measure {worst_inv:.2e} (tol 1e-8), two-pair dual expansion "
                    f"{worst_b:.2e} (tol 1e-7), coupling recursions {worst_rec:.2e} (tol 1e-8)")

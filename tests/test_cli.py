@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -186,8 +187,9 @@ def test_report_determinism(tmp_path):
 def test_report_timings_block(monkeypatch):
     """The shared chain is built and timed before the first task; the timing
     block carries the transfer-cache counts: the dense assemblies are pinned,
-    and the most node matrices held when a suite ends is the chain's 12
-    (T_1 and T_2 at its 2N nodes)."""
+    and the most node matrices held when a suite ends is the chain's 6
+    (T_1 at its 2N nodes).  T_2 at a node is not stored, so fusion assembles
+    again the 2N that building the chain read."""
     from sovlab import cli
 
     built = []
@@ -204,9 +206,9 @@ def test_report_timings_block(monkeypatch):
     assert timings["workspace"] > 0
     assert list(timings["tasks"]) == ["fusion", "bases", "det0"]
     counts = timings["transfer_cache"]
-    assert counts["misses"] == sum(counts["assemblies"].values()) == 58
-    assert counts["assemblies"] == {"m1": 22, "m2": 28, "m3": 8}
-    assert counts["peak_stored"] == 12
+    assert counts["misses"] == sum(counts["assemblies"].values()) == 64
+    assert counts["assemblies"] == {"m1": 22, "m2": 34, "m3": 8}
+    assert counts["peak_stored"] == 6
 
 
 def test_one_lapack_eig_per_decomposition(monkeypatch):
@@ -271,9 +273,9 @@ def test_one_transfer_cache_per_chain(monkeypatch):
 
 def test_caches_keep_only_node_matrices(monkeypatch):
     """When each suite of a full three-site run ends, every transfer cache
-    holds only T_1 and T_2 at the nodes xi_a and xi_a - eta of its chain, at
-    most 4N of them, and the report gives the largest total; after the run
-    every store is empty."""
+    holds only T_1 at the nodes xi_a and xi_a - eta of its chain, at most 2N
+    of them, and the report gives the largest total; after the run every
+    store is empty."""
     from sovlab import gl3_model
     from sovlab.suites import Workspace
 
@@ -291,14 +293,14 @@ def test_caches_keep_only_node_matrices(monkeypatch):
         for cache in caches:
             params = cache.params
             nodes = {x - shift for x in params.xi for shift in (0, params.eta)}
-            assert all(m in (1, 2) and lam in nodes for m, lam in cache._store)
-            assert len(cache._store) <= 4 * params.sites
+            assert all(m == 1 and lam in nodes for m, lam in cache._store)
+            assert len(cache._store) <= 2 * params.sites
         held.append(sum(len(cache._store) for cache in caches))
         release(ws)
     monkeypatch.setattr(Workspace, "release_nodes", check_then_release)
     report = run(resolve_config(None, {"sites": 3, "seed": 7}), echo=lambda *a, **k: None)
     assert len(caches) == 4 and len(held) == 12
-    assert report["timings"]["transfer_cache"]["peak_stored"] == max(held) == 12
+    assert report["timings"]["transfer_cache"]["peak_stored"] == max(held) == 6
     assert not any(cache._store for cache in caches)
 
 
@@ -340,7 +342,7 @@ def test_a_resampled_chain_is_counted_and_dropped(monkeypatch):
     resampled.  The report's misses are every call of ``gl3_model.transfer``,
     the failed chain's 3N node assemblies included, and the failed chain's
     store and pair are dropped when it fails, so the peak stays one chain's
-    4N."""
+    2N."""
     from sovlab import gl3_model
     from sovlab.suites import Workspace
 
@@ -357,7 +359,7 @@ def test_a_resampled_chain_is_counted_and_dropped(monkeypatch):
     counts = report["timings"]["transfer_cache"]
     assert counts["assemblies"] == assembled
     assert counts["misses"] == sum(assembled.values()) == 151
-    assert counts["peak_stored"] == 16
+    assert counts["peak_stored"] == 8
 
     ws = Workspace("gl3", 4, 88)
     cache = ws.gl3()[0]
@@ -386,6 +388,46 @@ def test_configured_inhomogeneities_two_eta_apart_fail_each_gl3_task():
     errors = {res["task"]: res["details"].get("error") for res in report["results"]}
     assert errors.pop("gl2") is None
     assert set(errors.values()) == {line} and len(errors) == 11
+
+
+def test_a_configured_chain_that_fails_is_built_once(monkeypatch):
+    """N = 4, seed 88's first chain, given explicitly, fails its rank check
+    and is not resampled.  The workspace keeps the error: the chain's 3N
+    nodes are assembled and its two families rank-checked once, and each of
+    the 11 gl(3) tasks reports the same SingularBasis line."""
+    from sovlab import gl3_model, sov_bases
+    from sovlab.sampling import ParameterSampler
+
+    s = ParameterSampler(88)  # the draws of Workspace._sample_gl3, in its order
+    eta = s.shift()
+    eigs, w = s.distinct_eigenvalues(), s.invertible3()
+    xi, xyz = s.inhomogeneities(4, eta), s.reference3()
+
+    def pairs(values):
+        return [[v.real, v.imag] for v in values]
+
+    cfg = resolve_config(None, {
+        "sites": 4, "seed": 88, "eta": [eta.real, eta.imag], "xi": pairs(xi),
+        "twist": {"w": [pairs(row) for row in w],
+                  "k_jordan": [pairs(row) for row in np.diag(eigs)]},
+        "reference": pairs(xyz)})
+    caches, checked = [], []
+    cls = gl3_model.TransferCache
+
+    def init(self, params, _init=cls.__init__):
+        caches.append(self)
+        _init(self, params)
+    monkeypatch.setattr(cls, "__init__", init)
+    rank_ratio = sov_bases.rank_ratio
+    monkeypatch.setattr(sov_bases, "rank_ratio", lambda a: checked.append(a) or rank_ratio(a))
+    report = run(cfg, echo=lambda *a, **k: None)
+    errors = {res["task"]: res["details"].get("error") for res in report["results"]}
+    assert errors.pop("gl2") is None
+    assert len(errors) == 11 and len(set(errors.values())) == 1
+    assert next(iter(errors.values())).startswith("SingularBasis: basis rank ratios")
+    gl3_chains = [c for c in caches if isinstance(c.params.twist, gl3_model.TwistData)]
+    assert len(gl3_chains) == 1 and gl3_chains[0].misses == {1: 4, 2: 8}
+    assert len(checked) == 2
 
 
 def test_a_node_reread_within_a_suite_is_a_hit():

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,20 +283,21 @@ def test_exchange_relation_four_sites():
 
 
 def test_cache_stores_only_node_matrices(chain2):
-    """T_1 and T_2 at a node xi_a or xi_a - eta come back from the store, the
-    same object, as a hit; any other point, and T_3 at a node, is assembled
-    on every request and counted as a miss."""
+    """T_1 at a node xi_a or xi_a - eta comes back from the store, the same
+    object, as a hit; any other point, and T_2 or T_3 at a node, is
+    assembled on every request and counted as a miss."""
     params = chain2[0]
     cache = TransferCache(params)
-    for m, lam in ((1, params.xi[0]), (2, params.xi[1] - params.eta)):
-        first = cache.value(m, lam)
-        assert cache.value(m, lam) is first
-    assert (cache.hits, cache.misses, cache.stored) == ({1: 1, 2: 1}, {1: 1, 2: 1}, 2)
-    for m, lam in ((1, params.xi[0] + 0.3), (3, params.xi[0])):
+    for lam in (params.xi[0], params.xi[1] - params.eta):
+        first = cache.value(1, lam)
+        assert cache.value(1, lam) is first
+    assert (cache.hits, cache.misses, cache.stored) == ({1: 2}, {1: 2}, 2)
+    for m, lam in ((1, params.xi[0] + 0.3), (2, params.xi[1] - params.eta), (2, params.xi[0]),
+                   (3, params.xi[0])):
         first = cache.value(m, lam)
         again = cache.value(m, lam)
         assert again is not first and np.array_equal(again, first)
-    assert (cache.hits, cache.misses, cache.stored) == ({1: 1, 2: 1}, {1: 3, 2: 1, 3: 2}, 2)
+    assert (cache.hits, cache.misses, cache.stored) == ({1: 2}, {1: 4, 2: 4, 3: 2}, 2)
 
 
 def test_product_formula_reads_the_given_cache(chain3):
@@ -414,6 +416,51 @@ def test_fused_dense_matches_identity_columns(sites, monkeypatch):
             assert free.shape == block.shape
             assert np.abs(free - want).max() <= 1e-13 * np.abs(want).max()
     assert len(taken) == len(nodes) * len(blocks)
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4, 5])
+def test_fused_apply_matches_dense_at_nodes_and_off_them(sites):
+    """``fused_apply`` equals ``fused_dense`` on a vector and on a 3-column
+    block for m = 1, 2, 3, at a generic point and at every node xi_a and
+    xi_a - eta: the one-site closing at N = 1, the top-down sweep without a
+    middle pair (N = 2), with an odd middle site (N = 3, 5) and without one
+    (N = 4), and the one-site R-chain of m = 1 at xi_a.  The twist is not
+    diagonal, so the boundary is not symmetric."""
+    params, _, s = make_params(60 + sites, sites, wild_w=True)
+    local = np.random.default_rng(60 + sites)  # leaves the module generator's draws as they were
+    vec = local.standard_normal(params.dim) + 1j * local.standard_normal(params.dim)
+    block = local.standard_normal((params.dim, 3)) + 1j * local.standard_normal((params.dim, 3))
+    points = [s.complex_rational()] + [x - h * params.eta for x in params.xi for h in (0, 1)]
+    for m in (1, 2, 3):
+        for lam in points:
+            dense = fused_dense(params.k_matrix, params.eta, params.xi, m, lam)
+            for v in (vec, block):
+                got, want = fused_apply(params, m, lam, v), dense @ v
+                assert got.shape == v.shape
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_fused_apply_working_set_is_one_boundary_row():
+    """One N = 7 column apply at a generic point holds two work buffers of
+    bond * 3^N entries, one auxiliary leg, besides the result and the site
+    operators: its traced peak stays below that bound, which a kernel
+    carrying both boundary legs (2 bond^2 3^N entries) exceeds."""
+    params, _, s = make_params(7, 7)
+    lam = s.complex_rational()
+    v = np.random.default_rng(7).standard_normal((params.dim, 1)) + 0j
+    entry, slack = np.dtype(complex).itemsize, 64 * 1024  # slack: site operators, bookkeeping
+    for m, bond in ((1, 3), (2, 3), (3, 1)):
+        fused_apply(params, m, lam, v)  # first-call tables and memos are not the working set
+        tracemalloc.start()
+        try:
+            fused_apply(params, m, lam, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = entry * (2 * bond + 1) * params.dim + slack
+        assert peak <= bound
+        if bond > 1:
+            assert entry * 2 * bond**2 * params.dim > bound
 
 
 def test_transfer_is_dense_monodromy_trace():

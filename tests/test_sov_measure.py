@@ -462,14 +462,16 @@ def test_b_coefficients_detk_zero(det0_chain2):
 @pytest.mark.parametrize("sites,rest", [(2, ()), (3, (0,)), (3, (2,))])
 def test_appc_recursion_seed(sites, rest):
     params, xyz, _ = make_params(120 + sites, sites)
-    out = appc_recursion_check(TransferCache(params), 0, xyz, h_rest=rest)
+    cache = TransferCache(params)
+    out = appc_recursion_check(cache, 0, xyz, cache.t2(params.xi[1]), h_rest=rest)
     assert out["seed"] <= 1e-9
 
 
 @pytest.mark.slow
 def test_appc_recursion_two_pair_n4():
     params, xyz, _ = make_params(131, 4)
-    out = appc_recursion_check(TransferCache(params), 1, xyz)
+    cache = TransferCache(params)
+    out = appc_recursion_check(cache, 1, xyz, cache.t2(params.xi[1]))
     assert out["two_pair"] <= 1e-8
 
 
