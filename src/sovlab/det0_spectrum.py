@@ -20,7 +20,12 @@ from .errors import (
     SpectrumCollision,
     SpectrumNotSimple,
 )
-from .gl3_model import InterpolationWeights, default_probe_point, require_no_double_shift
+from .gl3_model import (
+    InterpolationWeights,
+    default_probe_point,
+    require_no_double_shift,
+    weight_sectors,
+)
 from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde, worst
 from .sov_bases import TernaryIndex, dressed_pair, label_digits, label_products
 from .sov_measure import diag_values
@@ -85,9 +90,12 @@ class SpectralData:
 
 
 def probe_decomposition(cache):
-    """Eigendecomposition of T_1 at ``default_probe_point``, refused unless
-    its spectrum is simple."""
-    return eig_general(cache.t1(default_probe_point(cache.params)), gap_rtol=1e-6)
+    """Eigendecomposition of T_1 at ``default_probe_point``, one twist-weight
+    sector at a time (:func:`weight_sectors`), refused unless its spectrum is
+    simple."""
+    params = cache.params
+    return eig_general(cache.t1(default_probe_point(params)), gap_rtol=1e-6,
+                       sectors=weight_sectors(params.twist, params.sites))
 
 
 def eigensolve_sov(cache, xyz, dec=None):

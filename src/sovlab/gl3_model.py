@@ -215,6 +215,28 @@ class TwistData:
         return cls(w @ kj @ np.linalg.inv(w), case, w, kj)
 
 
+#: K_J's basis vectors grouped by Jordan block, for each twist case
+JORDAN_GROUPS = {"i": ((0,), (1,), (2,)), "ii": ((0, 1), (2,)), "iii": ((0, 1, 2),)}
+
+
+def weight_sectors(twist, sites):
+    """The twist-weight sectors of a chain, as :func:`eig_general`'s
+    ``sectors=(w, labels)``.
+
+    R(lam) = lam + eta P commutes with X (x) 1 + 1 (x) X for every X, so T_m
+    commutes with sum_sites X for every X commuting with K, such as the
+    projectors W P_g W^{-1} onto the Jordan blocks g of K_J.  In the basis
+    W^{(x)N}, T_m is therefore block diagonal by weight, the number of sites
+    in each block g; a basis state's label is sum_sites (N + 1)^g, which
+    encodes that count.
+    """
+    group = np.empty(3, dtype=int)
+    for g, members in enumerate(JORDAN_GROUPS[twist.case]):
+        group[list(members)] = g
+    digits = np.indices((3,) * sites).reshape(sites, -1)
+    return twist.w, ((sites + 1) ** group[digits]).sum(axis=0)
+
+
 def check_gl2_twist(k):
     """A gl(2) twist as a complex array: finite, 2x2 and not a multiple of
     the identity, else a ValueError."""

@@ -123,7 +123,38 @@ class EigenDecomposition:
         return self.min_gap() / max(float(np.abs(self.values).max()), 1e-300)
 
 
-def eig_general(a, gap_rtol=None):
+def kron_power_product(mat, legs, left=None, right=None):
+    """``left^(x legs) @ mat @ right^(x legs)``, either factor optional,
+    without the Kronecker powers: one GEMM with ``op (x) op`` per two tensor
+    legs of ``mat``'s rows (columns), each step rotating the legs it has done
+    to the far end, so that after all ``legs`` the order is back.  At most two
+    matrices of ``mat``'s size are held besides ``mat``."""
+    rows, cols = mat.shape
+    t = mat
+    for op, on_right in ((left, False), (right, True)):
+        if op is None:
+            continue
+        d = len(op)
+        for k in [2] * (legs // 2) + [1] * (legs % 2):
+            opk = np.kron(op, op) if k == 2 else op
+            # one statement per step, so that each copy frees its source
+            if on_right:
+                t = t.reshape(-1, d**k)
+                t = (t @ opk).reshape(rows, -1, d**k).transpose(0, 2, 1)
+            else:
+                t = t.reshape(d**k, -1)
+                t = (opk @ t).reshape(d**k, -1, cols).transpose(1, 0, 2)
+    return t.reshape(rows, cols)
+
+
+def _lapack_eig(a):
+    try:
+        return np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigFailure(f"eigensolver did not converge: {exc}") from exc
+
+
+def eig_general(a, gap_rtol=None, sectors=None):
     """Full eigendecomposition with bilinearly paired left/right families.
 
     One LAPACK call gives the right eigenvectors; after sorting the
@@ -133,16 +164,50 @@ def eig_general(a, gap_rtol=None):
     or numerically defective matrix) raises :class:`EigFailure`.  With
     ``gap_rtol`` a spectrum whose smallest eigenvalue gap is at most
     ``gap_rtol * max|lambda|`` raises :class:`SpectrumNotSimple`.
+
+    ``sectors=(w, labels)`` declares a symmetry: in the basis ``w^(x)N`` of
+    the d^N space (``w`` is d x d), ``a`` is block diagonal, with one block
+    per value of ``labels``, one integer per basis state.  Then
+    ``a' = (w^-1)^(x)N a w^(x)N`` is diagonalized one block at a time (one
+    LAPACK call each; the entries between blocks are dropped), ``right`` is
+    ``w^(x)N blockdiag(V)`` with unit-norm columns and ``left`` is
+    ``blockdiag(V^-1) (w^-1)^(x)N`` scaled to ``left @ right = I``.  The
+    order, gap test, conditioning and both residuals are those of the whole
+    matrix, against ``a`` itself, so a wrong symmetry shows up in
+    ``residual_norm``.  A single label is the plain path.
     """
     a = as_matrix(a)
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("eig_general expects a square matrix")
     require_dense(n)
-    try:
-        values, right = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigFailure(f"eigensolver did not converge: {exc}") from exc
+    if sectors is not None:
+        w, labels = as_matrix(sectors[0]), np.asarray(sectors[1])
+        if labels.shape != (n,):
+            raise ValueError(f"sectors need one label per basis state, got {labels.shape}")
+        # the states of each label, ascending (np.unique would import numpy.ma)
+        by_label = np.argsort(labels, kind="stable")
+        blocks = np.split(by_label, np.flatnonzero(np.diff(labels[by_label])) + 1)
+        if len(blocks) < 2:
+            sectors = None
+    if sectors is None:
+        values, right = _lapack_eig(a)
+    else:
+        w_inv = np.linalg.inv(w)
+        legs = round(math.log(n, len(w)))
+        a_w = kron_power_product(a, legs, left=w_inv, right=w)
+        values = np.empty(n, dtype=complex)
+        vecs = []
+        for ix in blocks:
+            values[ix], v = _lapack_eig(a_w[ix[:, None], ix])
+            vecs.append(v)
+        del a_w
+        right = np.zeros((n, n), dtype=complex)
+        for ix, v in zip(blocks, vecs):
+            right[ix[:, None], ix] = v
+        right = kron_power_product(right, legs, left=w)
+        norms = np.linalg.norm(right, axis=0)
+        right /= norms
     order = canonical_eig_order(values)
     values, right = values[order], right[:, order]
 
@@ -157,7 +222,15 @@ def eig_general(a, gap_rtol=None):
             f"eigenvector matrix is numerically singular (condition {dec.eigvec_cond:.2e}; "
             "matrix may be defective)"
         )
-    dec.left = np.linalg.inv(right)
+    if sectors is None:
+        dec.left = np.linalg.inv(right)
+    else:
+        left = np.zeros((n, n), dtype=complex)
+        for ix, v in zip(blocks, vecs):
+            left[ix[:, None], ix] = np.linalg.inv(v)
+        left = kron_power_product(left, legs, right=w_inv)[order]
+        left *= norms[order, None]
+        dec.left = left
 
     norm_a = max(np.linalg.norm(a), 1e-300)
     resid_right = np.linalg.norm(a @ right - right * values, axis=0).max()

@@ -10,7 +10,8 @@ import pytest
 from click.testing import CliRunner
 
 import sovlab
-from sovlab.cli import main, parse_scalar, resolve_config, run
+from sovlab.cli import parse_scalar, resolve_config, run
+from sovlab.commands import main
 from sovlab.errors import ConfigError
 
 
@@ -146,16 +147,19 @@ def test_unset_or_empty_thread_cap_keeps_the_default(monkeypatch, value):
 
 
 def test_fresh_import_loads_no_scipy():
-    """numpy and click are the only runtime dependencies: a fresh process
-    importing the CLI and running a task never loads scipy, and the default
-    run still caps the OpenBLAS pool numpy brings."""
+    """numpy is the library's only runtime dependency, and click that of the
+    command line alone: a fresh process importing ``sovlab.cli`` and running
+    a task loads neither scipy nor click, and the default run still caps the
+    OpenBLAS pool numpy brings."""
     code = (
         "import sys\n"
         "import sovlab.cli as cli\n"
         "assert 'scipy' not in sys.modules, 'import loaded scipy'\n"
+        "assert 'click' not in sys.modules, 'import loaded click'\n"
         "cfg = cli.resolve_config(None, {'sites': 1, 'seed': 2, 'tasks': ['yangbaxter']})\n"
         "print(cli.run(cfg, echo=lambda *a, **k: None)['thread_cap'])\n"
         "assert 'scipy' not in sys.modules, 'run loaded scipy'\n"
+        "assert 'click' not in sys.modules, 'run loaded click'\n"
     )
     env = dict(os.environ)
     env.pop("SOVLAB_THREADS", None)
@@ -212,9 +216,10 @@ def test_report_timings_block(monkeypatch):
 
 
 def test_one_lapack_eig_per_decomposition(monkeypatch):
-    """A full three-site run diagonalizes three matrices (the companion and
-    invertible-twist T_1 at the probe point, and the gl(2) transfer matrix),
-    each with one LAPACK call."""
+    """A full three-site run diagonalizes three matrices: the companion and
+    invertible-twist T_1 at the probe point, with one LAPACK call per
+    twist-weight sector (10 each for case-i twists at N = 3), and the gl(2)
+    transfer matrix with one."""
     import numpy as np
 
     from sovlab import det0_spectrum, gl2_model, gl3_model, numkernel
@@ -235,7 +240,7 @@ def test_one_lapack_eig_per_decomposition(monkeypatch):
         monkeypatch.setattr(module, "eig_general", eig_general)
     report = run(resolve_config(None, {"sites": 3, "seed": 7}), echo=lambda *a, **k: None)
     assert len(report["results"]) == 12
-    assert counts == {"eig": 3, "eig_general": 3}
+    assert counts == {"eig": 10 + 10 + 1, "eig_general": 3}
 
 
 def test_one_transfer_cache_per_chain(monkeypatch):
@@ -564,10 +569,10 @@ def test_bench_linearity_sees_an_antilinear_term(tmp_path, monkeypatch):
     an added 1e-3 conj(v), which commutes with real scalings, is seen."""
     import numpy as np
 
-    from sovlab import cli
+    from sovlab import commands
 
-    exact = cli.fused_apply
-    monkeypatch.setattr(cli, "fused_apply",
+    exact = commands.fused_apply
+    monkeypatch.setattr(commands, "fused_apply",
                         lambda params, m, lam, vec: exact(params, m, lam, vec) + 1e-3 * np.conj(vec))
     result = CliRunner().invoke(main, ["bench", "--n-min", "4", "--n-max", "4",
                                        "--out", str(tmp_path)])

@@ -1,16 +1,28 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sovlab.errors import EigFailure
+from sovlab.det0_spectrum import make_khat
+from sovlab.errors import EigFailure, SovLabError, SpectrumNotSimple
+from sovlab.gl3_model import (
+    ModelParams,
+    TwistData,
+    default_probe_point,
+    transfer,
+    weight_sectors,
+)
 from sovlab.numkernel import (
     EigenDecomposition,
     adjugate3,
     antisymmetrizer,
     eig_general,
+    kron_power_product,
     vandermonde,
 )
+from sovlab.sampling import ParameterSampler
 
 from oracles import reconstruct
 
@@ -102,6 +114,121 @@ def test_eig_residual_reads_the_left_family():
     assert left > 10 * right  # the left side is what this matrix tests
     assert dec.residual_norm >= left
     assert dec.residual_norm <= 1e-10
+
+
+@pytest.mark.parametrize("legs", [1, 2, 3, 4])
+def test_kron_power_product_matches_the_kronecker_power(legs):
+    op, other, mat = crand(3, 3), crand(3, 3), crand(3**legs, 3**legs)
+    power, power2 = np.eye(1), np.eye(1)
+    for _ in range(legs):
+        power, power2 = np.kron(power, op), np.kron(power2, other)
+    np.testing.assert_allclose(kron_power_product(mat, legs, left=op), power @ mat, atol=1e-12)
+    np.testing.assert_allclose(kron_power_product(mat, legs, right=op), mat @ power, atol=1e-12)
+    np.testing.assert_allclose(kron_power_product(mat, legs, left=op, right=other),
+                               power @ mat @ power2, atol=1e-11)
+
+
+@functools.lru_cache(maxsize=None)
+def probe_chains(seed, sites):
+    """Transfer matrices T_1 at the probe point of one sampled chain with
+    four twists on the same W: a case-i twist, its det K = 0 companion, and
+    case-ii and case-iii Jordan twists, keyed by name."""
+    s = ParameterSampler(seed)
+    eta, w, vals = s.shift(), s.invertible3(), s.distinct_eigenvalues()
+    k0, k2 = vals[0], vals[1]
+    twist_i = TwistData.from_eigenvalues(vals, w=w)
+    twists = {
+        "i": twist_i,
+        "khat": make_khat(twist_i),
+        "ii": TwistData.from_jordan(w, [[k0, 1, 0], [0, k0, 0], [0, 0, k2]]),
+        "iii": TwistData.from_jordan(w, [[k0, 1, 0], [0, k0, 1], [0, 0, k0]]),
+    }
+    xi = s.inhomogeneities(sites, eta)
+    out = {}
+    for name, twist in twists.items():
+        params = ModelParams(sites, eta, xi, twist)
+        out[name] = (twist, transfer(params, 1, default_probe_point(params)))
+    return out
+
+
+def sector_agreement(a, sectors):
+    """The sector and one-sector decompositions of ``a``, checked to agree:
+    eigenvalues to 1e-13 relative, and eigenvectors up to phase, with each
+    state matched to the nearest one-sector eigenvalue (the canonical order
+    can swap two eigenvalues whose real parts agree to rounding)."""
+    one, sec = eig_general(a), eig_general(a, sectors=sectors)
+    match = np.abs(one.values[:, None] - sec.values[None, :]).argmin(axis=0)
+    assert sorted(match) == list(range(len(a)))
+    scale = np.abs(one.values).max()
+    assert np.abs(sec.values - one.values[match]).max() <= 1e-13 * scale
+    ref = one.right[:, match]
+    phase = np.einsum("ij,ij->j", ref.conj(), sec.right)
+    phase /= np.abs(phase)
+    assert np.abs(sec.right - ref * phase).max() <= 1e-10
+    np.testing.assert_allclose(sec.left @ sec.right, np.eye(len(a)), atol=1e-12)
+    return one, sec
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4])
+def test_sector_eig_matches_one_sector(sites):
+    """The case-i twist and its det K = 0 companion, the two chains the
+    probe-point decompositions run on: the sector path agrees with the
+    one-sector path on seeds 1..13, and its residual is no larger."""
+    for seed in range(1, 14):
+        for name in ("i", "khat"):
+            twist, a = probe_chains(seed, sites)[name]
+            one, sec = sector_agreement(a, weight_sectors(twist, sites))
+            assert sec.residual_norm <= one.residual_norm, (seed, name)
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4])
+def test_jordan_twist_sector_maps(sites):
+    """A Jordan twist's T_1 is defective, as is K itself at N = 1: both paths
+    refuse the case-ii T_1 as the probe point does (relative gap 1e-8 to
+    1e-16), and the one group of case iii is the one-sector path, bit for bit.
+    The case-ii and case-iii maps, coarser than case i's, also hold on the
+    case-i T_1 on the same W, whose diagonal K_J commutes with every Jordan
+    block projector; there the sector path agrees with the one-sector one
+    and stays at rounding."""
+    for seed in range(1, 14):
+        chains = probe_chains(seed, sites)
+        twist_ii, a_ii = chains["ii"]
+        for sectors in (None, weight_sectors(twist_ii, sites)):
+            with pytest.raises(SpectrumNotSimple):
+                eig_general(a_ii, gap_rtol=1e-6, sectors=sectors)
+        twist_iii, a_iii = chains["iii"]
+        assert len(set(weight_sectors(twist_iii, sites)[1])) == 1
+        outcomes = []
+        for sectors in (None, weight_sectors(twist_iii, sites)):
+            try:
+                dec = eig_general(a_iii, gap_rtol=1e-6, sectors=sectors)
+                outcomes.append([dec.values, dec.right, dec.left, dec.residual_norm])
+            except SovLabError as exc:
+                outcomes.append(repr(exc))
+        assert repr(outcomes[0]) == repr(outcomes[1])
+        if not isinstance(outcomes[0], str):
+            for x, y in zip(*outcomes):
+                np.testing.assert_array_equal(x, y)
+
+        a_i = chains["i"][1]
+        for twist in (twist_ii, twist_iii):
+            _, sec = sector_agreement(a_i, weight_sectors(twist, sites))
+            assert sec.residual_norm <= 1e-14
+        plain = eig_general(a_i)
+        same = eig_general(a_i, sectors=weight_sectors(twist_iii, sites))
+        for field in ("values", "right", "left", "residual_norm"):
+            np.testing.assert_array_equal(getattr(same, field), getattr(plain, field))
+
+
+def test_wrong_sector_map_shows_in_the_residual():
+    """With the identity for W, the weight labels of a non-diagonal case-i
+    twist cut T_1 along blocks it does not have: the residual against the
+    untransformed matrix sees it."""
+    twist, a = probe_chains(7, 3)["i"]
+    w, labels = weight_sectors(twist, 3)
+    assert np.abs(w - np.diag(np.diag(w))).max() > 0.1
+    dec = eig_general(a, sectors=(np.eye(3), labels))
+    assert dec.residual_norm >= 1e-6
 
 
 def test_antisymmetrizer_m1_identity():

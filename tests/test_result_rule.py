@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from sovlab import det0_spectrum, gl3_model, suites
-from sovlab.cli import main
+from sovlab.commands import main
 from sovlab.errors import SovLabError
 from sovlab.numkernel import worst
 from sovlab.sov_measure import dual_bases, export_matrix_csv
