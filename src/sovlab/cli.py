@@ -12,6 +12,7 @@ process.
 
 import ctypes
 import json
+import numbers
 import os
 import time
 from fractions import Fraction
@@ -152,6 +153,15 @@ def resolve_config(path=None, overrides=None):
         raise ConfigError(f"{type(exc).__name__}: {exc}") from None
 
 
+def _integer(raw, key, default, low):
+    """``raw[key]``, or ``default`` when it is absent, if it is an integer
+    >= ``low``; a float, a bool or a string is a :class:`ConfigError`."""
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _resolve(path, overrides):
     raw = {}
     if path is not None:
@@ -166,10 +176,8 @@ def _resolve(path, overrides):
     cfg["algebra"] = raw.get("algebra", "gl3")
     if cfg["algebra"] not in ("gl3", "gl2"):
         raise ConfigError("algebra must be gl3 or gl2")
-    cfg["sites"] = int(raw.get("sites", 2))
-    if cfg["sites"] < 1:
-        raise ConfigError("sites must be >= 1")
-    cfg["seed"] = int(raw.get("seed", 0))
+    cfg["sites"] = _integer(raw, "sites", 2, 1)
+    cfg["seed"] = _integer(raw, "seed", 0, 0)
     cfg["eta"] = parse_scalar(raw["eta"]) if "eta" in raw else None
     if cfg["eta"] == 0:
         raise ConfigError("eta must be nonzero")
@@ -178,7 +186,7 @@ def _resolve(path, overrides):
     cfg["xi"] = None
     if isinstance(xi, dict):
         if "seed" in xi:
-            cfg["seed"] = int(xi["seed"])
+            cfg["seed"] = _integer(xi, "seed", None, 0)
     elif xi is not None:
         cfg["xi"] = [parse_scalar(x) for x in xi]
         if len(cfg["xi"]) != cfg["sites"]:
@@ -212,7 +220,9 @@ def _resolve(path, overrides):
     validate_tasks(tasks, cfg["algebra"])
     cfg["tasks"] = list(tasks)
     cfg["out"] = raw.get("out")
-    cfg["parallel"] = bool(raw.get("parallel", False))
+    cfg["parallel"] = raw.get("parallel", False)
+    if not isinstance(cfg["parallel"], bool):
+        raise ConfigError(f"parallel must be true or false, got {cfg['parallel']!r}")
     return cfg
 
 

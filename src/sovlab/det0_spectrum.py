@@ -27,7 +27,7 @@ from .gl3_model import (
     weight_sectors,
 )
 from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde, worst
-from .sov_bases import TernaryIndex, dressed_pair, label_digits, label_products
+from .sov_bases import TernaryIndex, label_digits, label_products
 from .sov_measure import diag_values
 
 #: relative eigenvalue-zero threshold for the A/B site partition
@@ -98,18 +98,15 @@ def probe_decomposition(cache):
                        sectors=weight_sectors(params.twist, params.sites))
 
 
-def eigensolve_sov(cache, xyz, dec=None):
-    """Diagonalize T_1 at the probe point and package the eigenstates.
+def eigensolve_sov(cache, pair, dec):
+    """Package the eigenstates of ``dec``, a :func:`probe_decomposition` of
+    the chain.
 
     Eigenvalue functions at the nodes are computed as bilinear Rayleigh
-    quotients, wave-function factorization over the dressed left basis
-    (:func:`dressed_pair` of ``cache`` and ``xyz``) is verified per state and
-    stored as a residual.  ``dec`` is a :func:`probe_decomposition` of the
-    same chain to reuse.
+    quotients, wave-function factorization over the left family of ``pair``,
+    the chain's dressed pair, is verified per state and stored as a residual.
     """
     params = cache.params
-    pair = dressed_pair(cache, xyz)
-    dec = dec or probe_decomposition(cache)
 
     n = params.sites
     one_flat = TernaryIndex((1,) * n).flat
@@ -241,7 +238,7 @@ LABEL_MOVES = {
 }
 
 
-def interpolated_action_check(cache, actions, xyz, lambdas):
+def interpolated_action_check(cache, actions, pair, lambdas):
     """Worst residual of the local-shift expansion of T_1/T_2 acting on labels.
 
     ``actions`` lists ``(h, which, side)``: a label, the order 1 or 2 and
@@ -249,15 +246,14 @@ def interpolated_action_check(cache, actions, xyz, lambdas):
     shifts weighted by Lagrange coefficients, with the moves of
     :data:`LABEL_MOVES`; T_2 interpolates on the shifts [h_a >= 1] and T_1 on
     [h_a = 2].  It is exact when the twist has a zero quantum determinant.
-    Each T_m(lam) is read once and acts on every label of its order, one
-    GEMV per label.
+    ``pair`` is the chain's dressed pair.  Each T_m(lam) is read once and
+    acts on every label of its order, one GEMV per label.
     """
     actions = list(actions)
     for _, which, side in actions:
         if (side, which) not in LABEL_MOVES:
             raise ValueError(f"no label action for side {side!r} and order {which!r}")
     params = cache.params
-    pair = dressed_pair(cache, xyz)
     w = InterpolationWeights(params)
 
     def terms(side, order, idx, lam):
@@ -296,12 +292,13 @@ def interpolated_action_check(cache, actions, xyz, lambdas):
     return worst(resids)
 
 
-def boundary_eigenstate_check(cache, xyz, lambdas):
+def boundary_eigenstate_check(cache, pair, lambdas):
     """Eigen-relations of the extreme labels under a zero-determinant twist.
 
-    Checks that the all-zeros co-vector is a T_2 (and T_1) eigenstate with a
-    d-polynomial profile, the all-twos co-vector and every right label in
-    {1,2}^N likewise for T_2, as one column block.  Proportionality constants
+    Checks on the chain's dressed ``pair`` that the all-zeros co-vector is a
+    T_2 (and T_1) eigenstate with a d-polynomial profile, the all-twos
+    co-vector and every right label in {1,2}^N likewise for T_2, as one
+    column block.  Proportionality constants
     are read per member and evaluation point at the member's largest
     reference entry; their spread measures lambda independence.  Each
     T_m(lam) is read once and acts on every block of its order.  Every entry
@@ -309,7 +306,6 @@ def boundary_eigenstate_check(cache, xyz, lambdas):
     worst member.
     """
     params = cache.params
-    pair = dressed_pair(cache, xyz)
     digits = label_digits(params.sites)
     w = InterpolationWeights(params)
     row0 = pair.left[(digits == 0).all(axis=1)]

@@ -2,12 +2,13 @@
 
 Same chain type (``gl3_model.ModelParams``, here with a 2x2 twist), tensor
 conventions and chain handle (``gl3_model.TransferCache``) as the gl(3) model.
-The reference pair (x, y) is an argument of the pair builders, as gl(3)'s
-(x, y, z) is of ``sov_bases.dressed_pair``.  The left basis applies
-T(xi_a)/a(xi_a) to a free tensor co-vector; the right basis applies
-T(xi_a - eta)/a(xi_a) to the tensor vector dual to the all-ones label, and
-the two families are orthogonal with the inverse coupling
-V(xi) * V(xi - h*eta) without any twist dependence.
+The reference pair (x, y) is an argument of the basis builder, as gl(3)'s
+(x, y, z) is of ``sov_bases.dressed_pair``; the bases are a value that the
+caller keeps (the workspace's memo) and passes to the functions that read
+them.  The left basis applies T(xi_a)/a(xi_a) to a free tensor co-vector;
+the right basis applies T(xi_a - eta)/a(xi_a) to the tensor vector dual to
+the all-ones label, and the two families are orthogonal with the inverse
+coupling V(xi) * V(xi - h*eta) without any twist dependence.
 """
 
 import numpy as np
@@ -74,7 +75,7 @@ def reference_states(cache, ref):
 
 def gl2_bases(cache, ref):
     """Left rows <h| and right columns |h> in flat binary order, with the
-    all-zeros column, from the reference pair ``ref``.
+    all-zeros column, from the reference pair ``ref``, as read-only arrays.
 
     Built down ``sov_bases.basis_tree``: digit 1 applies T(xi_a)/a(xi_a) to
     the left reference, digit 0 applies T(xi_a - eta)/a(xi_a) to the right.
@@ -86,18 +87,10 @@ def gl2_bases(cache, ref):
     right_steps = [([cache.t1(x - params.eta) / a_xi(x)], []) for x in params.xi]
     left = basis_tree(row0, left_steps, lambda row, m: row @ m)
     right = basis_tree(ones_col, right_steps, lambda col, m: m @ col)
-    return left, np.ascontiguousarray(right.T), zeros_col
-
-
-def gl2_pair(cache, ref):
-    """``gl2_bases`` of the chain, built once per reference pair and kept
-    read-only in ``cache.pairs``, as ``sov_bases.dressed_pair`` keeps gl(3) pairs."""
-    key = tuple(complex(c) for c in ref)
-    if key not in cache.pairs:
-        cache.pairs[key] = gl2_bases(cache, key)
-        for arr in cache.pairs[key]:
-            arr.setflags(write=False)
-    return cache.pairs[key]
+    bases = left, np.ascontiguousarray(right.T), zeros_col
+    for arr in bases:
+        arr.setflags(write=False)
+    return bases
 
 
 def shifted_vandermonde(params):
@@ -111,15 +104,15 @@ def coupling_values(params):
     return 1.0 / (vandermonde(params.xi) * shifted_vandermonde(params))
 
 
-def coupling_residuals(cache, ref):
-    """Coupling matrix G = left @ right of the SoV bases and its deviation
-    from the orthogonal prediction.
+def coupling_residuals(cache, bases):
+    """Coupling matrix G = left @ right of the chain's :func:`gl2_bases` and
+    its deviation from the orthogonal prediction.
 
     Returns ``(G, cells, diagonal)``: the largest deviation over every cell
     relative to max|G|, and the largest over the diagonal relative to each
     predicted coupling.
     """
-    left, right, _ = gl2_pair(cache, ref)
+    left, right, _ = bases
     gram = left @ right
     pred = coupling_values(cache.params)
     cells = rel_residual(gram - np.diag(pred), gram)
@@ -142,8 +135,9 @@ def qdet_scalar(cache, a):
     return complex(scalar), resid, complex(closed)
 
 
-def gl2_eigen_reps(cache, ref):
-    """Reconstruct every eigenstate from its eigenvalue data in the SoV bases.
+def gl2_eigen_reps(cache, bases):
+    """Reconstruct every eigenstate from its eigenvalue data in the chain's
+    :func:`gl2_bases`.
 
     The right (left) eigenvectors are rebuilt from t(xi_a) (t(xi_a - eta))
     through the label sums with Vandermonde weights, one GEMM per side, and
@@ -154,7 +148,7 @@ def gl2_eigen_reps(cache, ref):
     normalization by vanishing t(xi_a - eta).
     """
     params = cache.params
-    left, right, zeros_col = gl2_pair(cache, ref)  # a degenerate reference is reported first
+    left, right, zeros_col = bases
     detk = np.linalg.det(params.k_matrix)
     if abs(detk) <= 1e-12 * max(np.abs(params.k_matrix).max(), 1e-300) ** 2:
         raise DetKZero("det K is numerically zero; the representations need it invertible")
@@ -195,10 +189,11 @@ def gl2_eigen_reps(cache, ref):
     }
 
 
-def identity_decomposition_residual(cache, ref):
-    """Residual of I = V(xi) sum_h V(xi - h*eta) |h><h|."""
+def identity_decomposition_residual(cache, bases):
+    """Residual of I = V(xi) sum_h V(xi - h*eta) |h><h| over the chain's
+    :func:`gl2_bases`."""
     params = cache.params
-    left, right, _ = gl2_pair(cache, ref)
+    left, right, _ = bases
     acc = vandermonde(params.xi) * ((right * shifted_vandermonde(params)) @ left)
     eye = np.eye(params.dim)
     return rel_residual(acc - eye, eye)

@@ -607,10 +607,9 @@ class TransferCache:
     the store when a suite ends (:meth:`clear`), so a later suite assembles
     its nodes again.  ``hits[m]`` and ``misses[m]`` count the lookups of
     fusion order m; a hit is a node re-read, and every miss assembles one
-    dense T_m.  ``stored`` is the number of matrices held.  ``pairs`` holds
-    the read-only SoV bases built from this cache, keyed by their reference
-    components (see :func:`sov_bases.dressed_pair` and
-    ``gl2_model.gl2_pair``).
+    dense T_m.  ``stored`` is the number of matrices held.  It only
+    evaluates T_m: the SoV bases built from it are values that their builder's
+    caller keeps (the workspace's memos).
     """
 
     def __init__(self, params):
@@ -619,7 +618,6 @@ class TransferCache:
         self._store = {}
         self.hits = Counter()
         self.misses = Counter()
-        self.pairs = {}
 
     @property
     def stored(self):
@@ -637,7 +635,7 @@ class TransferCache:
         return mat
 
     def clear(self):
-        """Drop the stored matrices; the pairs and counts stay."""
+        """Drop the stored matrices; the counts stay."""
         self._store.clear()
 
     def t1(self, lam):

@@ -6,7 +6,12 @@ co-vectors (rows) and vectors (columns) are bilinear throughout the library:
 Every exported operation is a pure function of immutable inputs; results are
 freely shareable across threads.  Every residual a report carries is
 :func:`rel_residual` in one of its three modes: whole, per row or column
-member, or per entry; figures are folded into one by :func:`worst`.
+member, or per entry; figures are folded into one by :func:`worst`.  Four
+are not: ``ttcharges.probe_eigen_residual`` is :func:`eig_general`'s
+``residual_norm``, a 2-norm backward error relative to the Frobenius norm of
+the matrix, and the three ``scalarproducts.pattern_*_residual`` figures are
+formed by hand in ``det0_spectrum.zero_pattern`` (the README's Conventions
+define all four).
 """
 
 import itertools
@@ -113,14 +118,12 @@ class EigenDecomposition:
         self.residual_norm = residual_norm
         self.eigvec_cond = eigvec_cond
 
-    def min_gap(self):
-        diffs = np.abs(self.values[:, None] - self.values[None, :])
-        diffs[np.diag_indices_from(diffs)] = np.inf
-        return float(diffs.min()) if len(self.values) > 1 else np.inf
-
     def min_rel_gap(self):
         """Smallest eigenvalue gap relative to the largest |eigenvalue|."""
-        return self.min_gap() / max(float(np.abs(self.values).max()), 1e-300)
+        diffs = np.abs(self.values[:, None] - self.values[None, :])
+        diffs[np.diag_indices_from(diffs)] = np.inf
+        gap = float(diffs.min()) if len(self.values) > 1 else np.inf
+        return gap / max(float(np.abs(self.values).max()), 1e-300)
 
 
 def kron_power_product(mat, legs, left=None, right=None):

@@ -37,32 +37,11 @@ class TernaryIndex:
             raise ValueError("digits must lie in {0, 1, 2}")
 
     @property
-    def sites(self):
-        return len(self.digits)
-
-    @property
     def flat(self):
         out = 0
         for a, d in enumerate(self.digits):
             out += d * 3**a
         return out
-
-    @classmethod
-    def from_flat(cls, flat, sites):
-        digits = []
-        x = int(flat)
-        for _ in range(sites):
-            digits.append(x % 3)
-            x //= 3
-        if x:
-            raise ValueError("flat index out of range")
-        return cls(tuple(digits))
-
-    @classmethod
-    def all(cls, sites):
-        """All indices in flat order."""
-        for flat in range(3**sites):
-            yield cls.from_flat(flat, sites)
 
     def ones(self):
         """Positions carrying digit 1 (the set the pair substitutions act on)."""
@@ -79,9 +58,9 @@ def label_digits(sites, base=3):
     """Read-only ``(base^N, N)`` int8 array: row ``flat`` holds the digits of
     that label.
 
-    Flat order, site 1 fastest (column a is digit a, weight base^a): base 3
-    is the gl(3) order of :meth:`TernaryIndex.all`, base 2 the gl(2) one;
-    cached per (N, base) and shared.
+    Flat order, site 1 fastest (column a is digit a, weight base^a, as in
+    :attr:`TernaryIndex.flat`): base 3 is the gl(3) order, base 2 the gl(2)
+    one; cached per (N, base) and shared.
     """
     flat = np.arange(base**sites)
     digits = (flat[:, None] // base ** np.arange(sites)) % base
@@ -301,21 +280,17 @@ class SovBasisPair:
 def dressed_pair(cache, xyz):
     """Dressed left/right bases from the tensor reference pair fixed by xyz.
 
-    The pair is built once per transfer cache and reference components and
-    kept in ``cache.pairs``; its arrays are read-only, so every caller of the
-    same cache shares one pair.
+    Its arrays are read-only, so whoever keeps the pair (the workspace's
+    memos) can share it.
     """
     params = cache.params
-    key = tuple(complex(c) for c in xyz)
-    if key not in cache.pairs:
-        ref_row = reference_covector(xyz, params)
-        ref_col = reference_vector_closed(xyz, params)
-        left = build_left_basis(cache, ref_row, "dressed")
-        right = build_right_basis(cache, ref_col, "dressed")
-        for arr in (left, right, ref_row, ref_col):
-            arr.setflags(write=False)
-        cache.pairs[key] = SovBasisPair(left, right, "dressed", ref_row, ref_col)
-    return cache.pairs[key]
+    ref_row = reference_covector(xyz, params)
+    ref_col = reference_vector_closed(xyz, params)
+    left = build_left_basis(cache, ref_row, "dressed")
+    right = build_right_basis(cache, ref_col, "dressed")
+    for arr in (left, right, ref_row, ref_col):
+        arr.setflags(write=False)
+    return SovBasisPair(left, right, "dressed", ref_row, ref_col)
 
 
 def power_pair(cache, xyz, rst):

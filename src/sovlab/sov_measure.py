@@ -17,7 +17,7 @@ from .errors import DetKZero, SingularGram
 from .gl3_model import (InterpolationWeights, quantum_determinant_identity,
                         require_no_double_shift)
 from .numkernel import rel_residual, vandermonde
-from .sov_bases import TernaryIndex, dressed_pair, label_digits, label_products, label_vandermonde
+from .sov_bases import TernaryIndex, label_digits, label_products, label_vandermonde
 
 
 @dataclass(frozen=True)
@@ -329,17 +329,17 @@ def b_recursion(report):
 # recursion checks for the coupling coefficients
 
 
-def appc_recursion_check(cache, r, xyz, t2_xi2, h_rest=()):
+def appc_recursion_check(cache, r, pair, t2_xi2, h_rest=()):
     """Numerical check of the coupling-coefficient recursion at pair depth r.
 
     r = 0 verifies the seed identity
     ``<h^(1,1)|T2(xi_2)|h^(0,1)> = <h^(1,1)|h^(1,1)> * d(xi_2 - eta)/d(xi_1 - eta)
     * eta/(xi_1 - xi_2 + eta) * prod_{a>=3} (xi_2 - xi_a^{(s_a)}) / (xi_1 - xi_a^{(s_a)})``
     with s_a = 1 - delta_{h_a,0}.  r = 1 verifies the two-pair reduction with
-    sites (1,2) outer and (3,4) carrying the extra pair.  Both read
-    ``t2_xi2`` = T_2(xi_2), which the cache does not store, so a caller that
-    runs both reads it once.  Returns relative residuals keyed by the
-    configuration.
+    sites (1,2) outer and (3,4) carrying the extra pair, on the chain's
+    dressed ``pair``.  Both read ``t2_xi2`` = T_2(xi_2), which the cache does
+    not store, so a caller that runs both reads it once.  Returns relative
+    residuals keyed by the configuration.
     """
     params = cache.params
     if r not in (0, 1):
@@ -347,7 +347,6 @@ def appc_recursion_check(cache, r, xyz, t2_xi2, h_rest=()):
     needed = 2 + 2 * r
     if params.sites < needed or len(h_rest) != params.sites - needed:
         raise ValueError(f"need {needed}+len(h_rest) sites")
-    pair = dressed_pair(cache, xyz)
     eta = params.eta
     xi = params.xi
     w = InterpolationWeights(params)

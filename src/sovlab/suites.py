@@ -116,8 +116,9 @@ def _memo(method):
 class Workspace:
     """Lazily built shared model data for one verification run.
 
-    The memos and the transfer caches' pairs and counts last the run; node
-    matrices last one suite, as :func:`run_task` empties the stores.
+    The memos, the basis pairs among them, and the transfer caches' counts
+    last the run; node matrices last one suite, as :func:`run_task` empties
+    the stores.
     """
 
     def __init__(self, algebra, sites, seed, eta=None, xi=None, twist=None, reference=None):
@@ -158,7 +159,7 @@ class Workspace:
 
     def release_nodes(self):
         """End a suite: empty every transfer cache's node store, after noting
-        what they held.  Pairs, memos and counts stay."""
+        what they held.  Memos and counts stay."""
         self._peak_stored = max(self._peak_stored, sum(c.stored for c in self._chains))
         for c in self._chains:
             c.clear()
@@ -190,7 +191,6 @@ class Workspace:
                 pair.require_full_rank()
             except (SingularBasis, DoubleShift) as exc:
                 cache.clear()
-                cache.pairs.clear()
                 if self._explicit or attempt == MAX_RETRIES:
                     raise
                 self.retries.append({"seed": seed, "reason": str(exc)})
@@ -211,26 +211,21 @@ class Workspace:
         return dataclasses.replace(dual, p_covectors=None, p_vectors=None)
 
     @_memo
-    def khat_chain(self):
-        """Transfer cache of the zero-determinant companion chain (same eta, xi)."""
-        params = self.gl3()[0].params
-        return self._chain(params.with_twist(make_khat(params.twist)))
-
-    @_memo
     def other_twist_chain(self):
         """Transfer cache of the chain with the same eta and xi under a second
         sampled twist, for the twist-independence check, which drops its
-        store and pair once read."""
+        store once read."""
         s = ParameterSampler(self.seed + 4000)
         other = TwistData.from_eigenvalues(s.distinct_eigenvalues(), w=s.invertible3())
         return self._chain(self.gl3()[0].params.with_twist(other))
 
     @_memo
     def khat(self):
-        """Zero-determinant companion chain as ``(cache, xyz, pair)``, with a
-        full-rank dressed pair."""
-        xyz = self.gl3()[1]
-        cache = self.khat_chain()
+        """Zero-determinant companion chain (same eta, xi) as ``(cache, xyz,
+        pair)``, with a full-rank dressed pair."""
+        chain, xyz, _ = self.gl3()
+        params = chain.params
+        cache = self._chain(params.with_twist(make_khat(params.twist)))
         pair = dressed_pair(cache, xyz)
         pair.require_full_rank()
         return cache, xyz, pair
@@ -239,9 +234,9 @@ class Workspace:
     def khat_eigenstates(self):
         """Every eigenstate of the companion chain at the probe point, with
         the probe-point decomposition they were read from."""
-        cache, xyz, _ = self.khat()
+        cache, _, pair = self.khat()
         dec = probe_decomposition(cache)
-        return eigensolve_sov(cache, xyz, dec), dec
+        return eigensolve_sov(cache, pair, dec), dec
 
     def khat_probe_health(self):
         """Smallest relative eigenvalue gap and eigenvector conditioning of the
@@ -262,10 +257,10 @@ class Workspace:
 
     @_memo
     def gl2(self):
-        """The gl(2) chain as ``(cache, ref)``: its transfer cache and
-        reference pair.  It shares a configured eta and xi; a gl3 run's
-        configured twist and reference are gl(3) data, so there it samples
-        its own."""
+        """The gl(2) chain as ``(cache, ref, bases)``: its transfer cache,
+        reference pair and :func:`gl2_model.gl2_bases`.  It shares a
+        configured eta and xi; a gl3 run's configured twist and reference are
+        gl(3) data, so there it samples its own."""
         s = ParameterSampler(self.seed)
         eta = self._eta if self._eta is not None else s.shift()
         xi = tuple(self._xi) if self._xi is not None else s.inhomogeneities(self.sites, eta)
@@ -274,13 +269,15 @@ class Workspace:
         reference = self._reference if gl2_run else None
         k = twist if twist is not None else s.gl2_twist()
         ref = tuple(reference) if reference is not None else s.reference2()
-        return self._chain(ModelParams(self.sites, eta, xi, k)), ref
+        cache = self._chain(ModelParams(self.sites, eta, xi, k))
+        return cache, ref, gl2_model.gl2_bases(cache, ref)
 
     @_memo
     def gl2_coupling(self):
         """``gl2_model.coupling_residuals`` of the gl(2) chain, shared by the
         gram, measure and gl2 suites."""
-        return gl2_model.coupling_residuals(*self.gl2())
+        cache, _, bases = self.gl2()
+        return gl2_model.coupling_residuals(cache, bases)
 
 
 def _result(name, tol, ws, gated, info=None, ok=True):
@@ -434,8 +431,7 @@ def _twist_independence_residual(ws):
     report = ws.gl3_gram()
     cache = ws.other_twist_chain()
     pair2 = dressed_pair(cache, xyz)
-    cache.clear()
-    cache.pairs.clear()  # nothing reads this chain again; the report keeps its counts
+    cache.clear()  # nothing reads this chain again; the report keeps its counts
     diag2 = np.diagonal(pair2.left @ pair2.right)
     return rel_residual(diag2 - report.diag, report.diag, axis=())
 
@@ -468,7 +464,7 @@ def _dual_coordinate_residuals(report, dual):
 
 
 def run_det0(ws, tol):
-    cache, xyz, pair = ws.khat()
+    cache, _, pair = ws.khat()
     kp = cache.params
     report = gram(pair.left, pair.right, kp)
     s = ParameterSampler(ws.seed + 5000)
@@ -476,9 +472,9 @@ def run_det0(ws, tol):
     rng = np.random.default_rng(ws.seed + 17)
     labels = [TernaryIndex(tuple(rng.integers(0, 3, kp.sites).tolist())) for _ in range(5)]
     moves = [(h, which, side) for h in labels for which in (1, 2) for side in ("left", "right")]
-    actions = interpolated_action_check(cache, moves, xyz, lams)
+    actions = interpolated_action_check(cache, moves, pair, lams)
     boundary = boundary_eigenstate_check(
-        cache, xyz, [s.spectral_point(kp.xi, kp.eta) for _ in range(5)]
+        cache, pair, [s.spectral_point(kp.xi, kp.eta) for _ in range(5)]
     )
     bworst = worst(resid for resid, _ in boundary.values())
     right_spread = boundary.pop("right_family_t2")[1]
@@ -537,7 +533,7 @@ def run_ttcharges(ws, tol):
     cache, xyz, _ = ws.gl3()
     params = cache.params
     khat_states, khat_dec = ws.khat_eigenstates()
-    family = build_tt(cache, ws.khat_chain(), khat_states)
+    family = build_tt(cache, ws.khat()[0], khat_states)
     s = ParameterSampler(ws.seed + 6000)
 
     def commutation():
@@ -566,15 +562,15 @@ def run_ttcharges(ws, tol):
 
 
 def run_gl2(ws, tol):
-    cache, ref = ws.gl2()
-    reps = gl2_model.gl2_eigen_reps(cache, ref)
+    cache, _, bases = ws.gl2()
+    reps = gl2_model.gl2_eigen_reps(cache, bases)
     qdet = []
     for a in range(cache.params.sites):
         scalar, resid, closed = gl2_model.qdet_scalar(cache, a)
         qdet += [resid, rel_residual(scalar - closed, closed)]
     gated = {
         "measure": ws.gl2_coupling()[1],
-        "identity_decomposition": gl2_model.identity_decomposition_residual(cache, ref),
+        "identity_decomposition": gl2_model.identity_decomposition_residual(cache, bases),
         "fusion_scalar": worst(qdet),
         "eigen_reconstruction": reps["reconstruction_residual"],
         "detk_representation": reps["detk_rep_residual"],
@@ -596,21 +592,21 @@ def run_appendix_a(ws, tol):
 
 
 def run_appendix_c(ws, tol):
-    cache, xyz, _ = ws.gl3()
+    cache, _, pair = ws.gl3()
     params = cache.params
     gated = {}
     if params.sites >= 2:
         t2 = cache.t2(params.xi[1])  # not stored at the node: read once for both depths
         rng = np.random.default_rng(ws.seed + 31)
         rest = tuple(rng.integers(0, 3, params.sites - 2).tolist())
-        out = appc_recursion_check(cache, 0, xyz, t2, h_rest=rest)
+        out = appc_recursion_check(cache, 0, pair, t2, h_rest=rest)
         gated["seed_rest_" + "".join(map(str, rest))] = out["seed"]
     if params.sites >= 4:
         rest = tuple()
         if params.sites > 4:
             rng = np.random.default_rng(ws.seed + 37)
             rest = tuple(rng.integers(0, 3, params.sites - 4).tolist())
-        gated["two_pair"] = appc_recursion_check(cache, 1, xyz, t2, h_rest=rest)["two_pair"]
+        gated["two_pair"] = appc_recursion_check(cache, 1, pair, t2, h_rest=rest)["two_pair"]
     if params.sites in (2, 3):
         report = ws.gl3_gram()
 

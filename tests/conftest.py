@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sovlab.det0_spectrum import eigensolve_sov, probe_decomposition
 from sovlab.gl3_model import ModelParams, TransferCache, TwistData
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import dressed_pair
@@ -17,6 +18,11 @@ def make_params(seed, sites, invertible=True, wild_w=False):
     twist = TwistData.from_eigenvalues(eigs, w=w)
     xi = s.inhomogeneities(sites, eta)
     return ModelParams(sites, eta, xi, twist), s.reference3(), s
+
+
+def eigenstates(cache, xyz):
+    """The chain's probe-point eigenstates, read on its dressed pair."""
+    return eigensolve_sov(cache, dressed_pair(cache, xyz), probe_decomposition(cache))
 
 
 @pytest.fixture(scope="session")

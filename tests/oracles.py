@@ -21,12 +21,16 @@ class DegenerateFamily(SovLabError):
     eigenvalue collision."""
 
 
-def label_action_oracle(cache, h, which, side, xyz, lambdas):
+def all_labels(sites):
+    """Every gl(3) label of ``sites`` sites, in flat order."""
+    return [TernaryIndex(tuple(row)) for row in label_digits(sites)]
+
+
+def label_action_oracle(cache, h, which, side, pair, lambdas):
     """``det0_spectrum.interpolated_action_check`` with the four label actions
     written out as separate builders, one per (side, order), summing the same
     terms in the same order."""
     params = cache.params
-    pair = dressed_pair(cache, xyz)
     w = InterpolationWeights(params)
     worst = 0.0
 

@@ -17,7 +17,6 @@ from sovlab import gl2_model
 from sovlab.cli import resolve_config, run
 from sovlab.det0_spectrum import (
     SeparateState,
-    eigensolve_sov,
     interpolated_action_check,
     make_khat,
     norm_determinant,
@@ -57,7 +56,7 @@ from sovlab.sov_measure import (
 )
 from sovlab.tt_charges import build_tt, fusion_residuals_tt, tt_sov_bases
 
-from conftest import make_params
+from conftest import eigenstates, make_params
 from oracles import c_scaling_scan, coupling_prediction, label_b_recursion, pair_substitution
 
 SEEDS = (7, 11, 13)
@@ -264,12 +263,13 @@ def test_criterion_09_inverse_measure_and_recursions():
         report = gram(pair.left, pair.right, params)
         worst_inv = max(worst_inv, dual_bases(pair, report).inverse_residual)
         t2 = cache.t2(params.xi[1])
-        worst_rec = max(worst_rec, appc_recursion_check(cache, 0, xyz, t2)["seed"])
+        worst_rec = max(worst_rec, appc_recursion_check(cache, 0, pair, t2)["seed"])
         params3, xyz3, _ = make_params(seed, 3)
         cache3 = TransferCache(params3)
+        pair3 = dressed_pair(cache3, xyz3)
         t2 = cache3.t2(params3.xi[1])
         worst_rec = max(
-            worst_rec, appc_recursion_check(cache3, 0, xyz3, t2, h_rest=(seed % 3,))["seed"]
+            worst_rec, appc_recursion_check(cache3, 0, pair3, t2, h_rest=(seed % 3,))["seed"]
         )
     # four-site checks once per seed set (heaviest objects)
     for seed in SEEDS:
@@ -287,7 +287,7 @@ def test_criterion_09_inverse_measure_and_recursions():
             pred = params4.twist.det ** len(alpha) * b
             worst_b = max(worst_b, abs(coeffs[target.flat] - pred) / np.abs(coeffs).max())
         t2 = cache4.t2(params4.xi[1])
-        worst_rec = max(worst_rec, appc_recursion_check(cache4, 1, xyz4, t2)["two_pair"])
+        worst_rec = max(worst_rec, appc_recursion_check(cache4, 1, pair4, t2)["two_pair"])
     ok = worst_inv <= 1e-8 and worst_b <= 1e-7 and worst_rec <= 1e-8
     _report(9, ok, f"inverse measure {worst_inv:.2e} (tol 1e-8), two-pair dual expansion "
                    f"{worst_b:.2e} (tol 1e-7), coupling recursions {worst_rec:.2e} (tol 1e-8)")
@@ -306,6 +306,7 @@ def test_criterion_10_orthogonal_regime():
             worst_diag = max(worst_diag, report.max_diag_rel_err)
         params, xyz, _ = make_params(seed, 2, invertible=False)
         cache = TransferCache(params)
+        pair = dressed_pair(cache, xyz)
         gen = np.random.default_rng(seed)
         s = ParameterSampler(seed + 900)
         for side in ("left", "right"):
@@ -315,7 +316,7 @@ def test_criterion_10_orthogonal_regime():
                 lam = s.spectral_point(params.xi, params.eta)
                 worst_act = max(
                     worst_act,
-                    interpolated_action_check(cache, [(h, which, side)], xyz, [lam]),
+                    interpolated_action_check(cache, [(h, which, side)], pair, [lam]),
                 )
     ok = worst_off <= 1e-9 and worst_diag <= 1e-8 and worst_act <= 1e-8
     _report(10, ok, f"zero-determinant regime: couplings diagonal to {worst_off:.2e} "
@@ -331,7 +332,7 @@ def test_criterion_11_factorization_and_determinant_overlaps():
         for sites, n_alpha in ((2, 20), (3, 5)):
             params, xyz, _ = make_params(seed, sites, invertible=False)
             cache = TransferCache(params)
-            states = eigensolve_sov(cache, xyz)
+            states = eigenstates(cache, xyz)
             worst_fact = max(worst_fact, max(st.factorization_residual for st in states))
             gen = np.random.default_rng(seed + sites)
             _, ambiguous = zero_pattern(cache, states)
@@ -360,7 +361,7 @@ def test_criterion_12_conserved_charge_bases():
         params, xyz, _ = make_params(seed, 2)
         khat_cache = TransferCache(params.with_twist(make_khat(params.twist)))
         family = build_tt(TransferCache(params), khat_cache,
-                          eigensolve_sov(khat_cache, (1.0, 1.0, 1.0)))
+                          eigenstates(khat_cache, (1.0, 1.0, 1.0)))
         worst_fus = max(worst_fus, max(fusion_residuals_tt(family).values()))
         tpair = tt_sov_bases(family, xyz)
         report = gram(tpair.left, tpair.right, family.khat_params)
@@ -407,13 +408,14 @@ def test_criterion_14_rank_one_yardstick():
             eta = s.shift()
             params = ModelParams(sites, eta, s.inhomogeneities(sites, eta), s.gl2_twist())
             cache, ref = TransferCache(params), s.reference2()
-            left, right, _ = gl2_model.gl2_bases(cache, ref)
+            bases = gl2_model.gl2_bases(cache, ref)
+            left, right, _ = bases
             g = left @ right
             for fh, h in enumerate(label_digits(sites, 2)):
                 for fk in range(params.dim):
                     pred = coupling_prediction(params, h) if fh == fk else 0.0
                     worst_meas = max(worst_meas, abs(g[fh, fk] - pred) / np.abs(g).max())
-            reps = gl2_model.gl2_eigen_reps(cache, ref)
+            reps = gl2_model.gl2_eigen_reps(cache, bases)
             worst_rep = max(worst_rep, reps["reconstruction_residual"],
                             reps["detk_rep_residual"])
             min_overlap = min(min_overlap, reps["min_overlap"])

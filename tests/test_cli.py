@@ -311,20 +311,20 @@ def test_caches_keep_only_node_matrices(monkeypatch):
 
 def test_other_twist_chain_is_counted_and_released():
     """The twist-independence check's chain stays in the workspace's counts
-    but not in its memory: its matrices and pair are dropped once read."""
+    but not in its memory: its matrices are dropped once read."""
     from sovlab.suites import Workspace, run_task
 
     ws = Workspace("gl3", 3, 7)
     assert run_task("measure", ws, {}).passed
     chain, other = ws.gl3()[0], ws.other_twist_chain()
-    assert other.misses and not other._store and not other.pairs
+    assert other.misses and not other._store
     assert ws.cache_counts()["misses"] == sum(chain.misses.values()) + sum(other.misses.values())
 
 
 def test_node_matrices_live_for_one_suite():
     """Each suite of a full three-site run ends with every transfer cache's
-    node store empty, while the pairs, the hit and miss counts and the
-    workspace's memos stay."""
+    node store empty, while the hit and miss counts and the workspace's
+    memos, its pairs among them, stay."""
     from sovlab.suites import SUITES, Workspace, run_task
 
     ws = Workspace("gl3", 3, 7)
@@ -337,17 +337,38 @@ def test_node_matrices_live_for_one_suite():
         counts = ws.cache_counts()
         assert counts["hits"] >= seen["hits"] and counts["misses"] >= seen["misses"]
         seen = counts
-        assert ws.gl3()[2] is pair and cache.pairs
+        assert ws.gl3()[2] is pair
     assert len(ws._chains) == 4
-    assert ws.khat()[2] in ws.khat_chain().pairs.values()
+
+
+def test_a_run_builds_each_pair_once(monkeypatch):
+    """A full three-site gl3 run builds three dressed pairs (the chain's, its
+    K-hat companion's and the other twist's), one power pair and one set of
+    gl(2) bases; every other reader takes the pair the workspace keeps."""
+    from sovlab import gl2_model, suites
+
+    built = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def build(*args):
+            built[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, build)
+
+    counted(suites, "dressed_pair")
+    counted(suites, "power_pair")
+    counted(gl2_model, "gl2_bases")
+    run(resolve_config(None, {"sites": 3, "seed": 7}), echo=lambda *a, **k: None)
+    assert built == {"dressed_pair": 3, "power_pair": 1, "gl2_bases": 1}
 
 
 def test_a_resampled_chain_is_counted_and_dropped(monkeypatch):
     """At N = 4, seed 88 the first chain fails its rank check and is
     resampled.  The report's misses are every call of ``gl3_model.transfer``,
     the failed chain's 3N node assemblies included, and the failed chain's
-    store and pair are dropped when it fails, so the peak stays one chain's
-    2N."""
+    store is dropped when it fails, so the peak stays one chain's 2N."""
     from sovlab import gl3_model
     from sovlab.suites import Workspace
 
@@ -370,7 +391,7 @@ def test_a_resampled_chain_is_counted_and_dropped(monkeypatch):
     cache = ws.gl3()[0]
     failed = ws._chains[0]
     assert failed is not cache and failed.misses == {1: 4, 2: 8}
-    assert not failed._store and not failed.pairs
+    assert not failed._store
 
 
 def test_inhomogeneities_two_eta_apart_resample_without_warnings():
@@ -478,7 +499,7 @@ def test_a_suite_failing_with_a_chain_error_still_releases(monkeypatch):
     monkeypatch.setitem(suites.SUITES, "fusion", fails)
     res = suites.run_task("fusion", ws, {})
     assert res.details["error"].startswith("NonGeneric")
-    assert not cache._store and cache.pairs and len(released) == 3
+    assert not cache._store and len(released) == 3
 
 
 def test_ttcharges_forms_dense_charges_only_for_its_operator_checks(monkeypatch):
@@ -687,6 +708,11 @@ MALFORMED = {
     "eta-divides-by-zero": {"eta": "1/0"},
     "sites-not-a-number": {"sites": "two"},
     "w-without-k-jordan": {"twist": {"w": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+    "sites-fractional": {"sites": 2.5},
+    "sites-boolean": {"sites": True},
+    "seed-fractional": {"seed": 7.9},
+    "seed-negative": {"seed": -1},
+    "parallel-not-a-boolean": {"parallel": "no"},
 }
 
 
@@ -703,6 +729,13 @@ def test_malformed_config_exits_with_a_diagnostic(tmp_path, extra):
     assert result.output.startswith("Error: config error: ")
     assert len(result.output.strip().splitlines()) == 1, result.output
     assert not out.exists()
+
+
+def test_negative_seed_option_exits_with_a_diagnostic():
+    result = CliRunner().invoke(main, ["verify", "-N", "2", "--seed", "-1"])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert result.output == "Error: config error: seed must be an integer >= 0, got -1\n"
 
 
 def test_unknown_tolerance_key_is_rejected():

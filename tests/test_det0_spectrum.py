@@ -10,7 +10,6 @@ from sovlab.det0_spectrum import (
     SeparateState,
     SpectralData,
     boundary_eigenstate_check,
-    eigensolve_sov,
     interpolated_action_check,
     make_khat,
     norm_determinant,
@@ -34,8 +33,8 @@ from sovlab.sov_bases import TernaryIndex, dressed_pair, label_digits, reference
 from sovlab.sov_measure import diag_values, gram
 from sovlab.suites import DEFAULT_TOLERANCES, Workspace, run_det0
 
-from conftest import make_params
-from oracles import label_action_oracle
+from conftest import eigenstates, make_params
+from oracles import all_labels, label_action_oracle
 
 rng = np.random.default_rng(2)
 
@@ -107,18 +106,18 @@ def test_ortho_suite_case_ii_supplied_jordan():
 
 
 def test_interpolated_actions(det0_chain2):
-    _, xyz, cache, _ = det0_chain2
+    _, _, cache, pair = det0_chain2
     lams = [crand() for _ in range(3)]
     # labels without digit 1 admit a shift-free T_2 action
     h = TernaryIndex((0, 2))
-    assert interpolated_action_check(cache, [(h, 2, "left")], xyz, lams) <= 1e-9
+    assert interpolated_action_check(cache, [(h, 2, "left")], pair, lams) <= 1e-9
     # the all-zeros label only picks up single-site raises under T_2
     h0 = TernaryIndex((0, 0))
-    assert interpolated_action_check(cache, [(h0, 2, "right")], xyz, lams) <= 1e-9
+    assert interpolated_action_check(cache, [(h0, 2, "right")], pair, lams) <= 1e-9
     for digits in ((1, 2), (0, 1), (2, 2)):
         h = TernaryIndex(digits)
         for side in ("left", "right"):
-            assert interpolated_action_check(cache, [(h, 1, side)], xyz, lams) <= 1e-8
+            assert interpolated_action_check(cache, [(h, 1, side)], pair, lams) <= 1e-8
 
 
 @pytest.mark.parametrize("chain", ["det0_chain2", "det0_chain3", "chain2", "chain3"])
@@ -126,24 +125,24 @@ def test_label_moves_keep_the_bits_of_the_four_builders(chain, request):
     """The move table sums the terms of the four written-out builders in their
     order, on every label, side and order; the invertible chains, where the
     expansion is not exact, make any changed term show in the residual."""
-    params, xyz, cache, _ = request.getfixturevalue(chain)
+    params, _, cache, pair = request.getfixturevalue(chain)
     s = ParameterSampler(31)
     lams = [s.spectral_point(params.xi, params.eta) for _ in range(2)]
-    for h in TernaryIndex.all(params.sites):
+    for h in all_labels(params.sites):
         for which in (1, 2):
             for side in ("left", "right"):
-                got = interpolated_action_check(cache, [(h, which, side)], xyz, lams)
-                assert got == label_action_oracle(cache, h, which, side, xyz, lams)
+                got = interpolated_action_check(cache, [(h, which, side)], pair, lams)
+                assert got == label_action_oracle(cache, h, which, side, pair, lams)
     h = TernaryIndex((0,) * params.sites)
     for side, which in (("left", 3), ("up", 1)):
         with pytest.raises(ValueError):
-            interpolated_action_check(cache, [(h, which, side)], xyz, lams)
+            interpolated_action_check(cache, [(h, which, side)], pair, lams)
 
 
 def test_boundary_eigenstates(det0_chain2):
-    _, xyz, cache, _ = det0_chain2
+    _, _, cache, pair = det0_chain2
     lams = [crand() for _ in range(5)]
-    out = boundary_eigenstate_check(cache, xyz, lams)
+    out = boundary_eigenstate_check(cache, pair, lams)
     for key in ("zeros_t2", "twos_t2", "zeros_t1", "right_family_t2"):
         resid, spread = out[key]
         assert resid <= 1e-9
@@ -151,11 +150,11 @@ def test_boundary_eigenstates(det0_chain2):
 
 
 @pytest.mark.parametrize("chain", ["det0_chain2", "det0_chain3"])
-def test_boundary_right_block_matches_column_loop(chain, request, monkeypatch):
+def test_boundary_right_block_matches_column_loop(chain, request):
     """The {1,2}^N right labels, acted on as one block, give the residual of a
     loop over the columns with one GEMV each; the all-ones column is in the
     block, so swapping in a non-eigenvector there is seen."""
-    params, xyz, cache, pair = request.getfixturevalue(chain)
+    params, _, cache, pair = request.getfixturevalue(chain)
     lams = [crand() for _ in range(5)]
     w = InterpolationWeights(params)
     loop = 0.0
@@ -166,21 +165,20 @@ def test_boundary_right_block_matches_column_loop(chain, request, monkeypatch):
             ref = w.d(lam - params.eta) * w.d(lam + params.eta) * col
             j = int(np.argmax(np.abs(ref)))
             loop = max(loop, rel_residual(acted - acted[j] / ref[j] * ref, acted))
-    got = boundary_eigenstate_check(cache, xyz, lams)["right_family_t2"][0]
+    got = boundary_eigenstate_check(cache, pair, lams)["right_family_t2"][0]
     assert 0 < loop <= 1e-9
     assert abs(got - loop) <= 1e-15
     right = pair.right.copy()
     right[:, TernaryIndex((1,) * params.sites).flat] = pair.right[:, 0]
     broken = dataclasses.replace(pair, right=right)
-    monkeypatch.setattr(det0_spectrum, "dressed_pair", lambda *args: broken)
-    assert boundary_eigenstate_check(cache, xyz, lams)["right_family_t2"][0] > 1e-3
+    assert boundary_eigenstate_check(cache, broken, lams)["right_family_t2"][0] > 1e-3
 
 
-def test_right_constants_must_not_depend_on_lambda(det0_chain2, monkeypatch):
+def test_right_constants_must_not_depend_on_lambda(det0_chain2):
     """T_2 scaled by (1 + 1e-3 lam) on the right {1,2}^N members other than
     (2,...,2), which every checked co-vector annihilates, keeps every
     per-point residual and co-vector spread; only the right spread sees it."""
-    params, xyz, cache, pair = det0_chain2
+    params, _, cache, pair = det0_chain2
     digits = label_digits(params.sites)
     block = (digits != 0).all(axis=1) & (digits != 2).any(axis=1)
     cols, rows = pair.right[:, block], pair.left[block]
@@ -194,10 +192,9 @@ def test_right_constants_must_not_depend_on_lambda(det0_chain2, monkeypatch):
             t = cache.value(m, lam)
             return t @ (np.eye(params.dim) + 1e-3 * lam * proj) if m == 2 else t
 
-    monkeypatch.setattr(det0_spectrum, "dressed_pair", lambda *args: pair)
     lams = [crand() for _ in range(5)]
-    exact = boundary_eigenstate_check(cache, xyz, lams)
-    scaled = boundary_eigenstate_check(Scaled(), xyz, lams)
+    exact = boundary_eigenstate_check(cache, pair, lams)
+    scaled = boundary_eigenstate_check(Scaled(), pair, lams)
     assert max(resid for resid, _ in scaled.values()) <= 1e-9
     for key in ("zeros_t2", "twos_t2", "zeros_t1"):
         assert scaled[key][1] <= 1e-8
@@ -247,7 +244,7 @@ def test_eigensolve_one_site_closed_form():
     shifted copy of the twist spectrum."""
     params, xyz, _ = make_params(211, 1, invertible=False)
     cache = TransferCache(params)
-    states = eigensolve_sov(cache, xyz)
+    states = eigenstates(cache, xyz)
     lam0 = params.xi[0] + 13 / 7 * params.eta
     want = sorted(
         ((lam0 - params.xi[0]) * params.twist.trace_inv + params.eta * k
@@ -266,7 +263,7 @@ def test_rayleigh_quotients_match_per_state_loop(det0_chain3):
     stored eigenvectors, whose pairings u v are far from one; so do the node
     eigenvalues eigensolve_sov stores."""
     params, xyz, cache, pair = det0_chain3
-    states = eigensolve_sov(cache, xyz)
+    states = eigenstates(cache, xyz)
     rows = np.stack([st.left for st in states])
     cols = np.stack([st.right for st in states], axis=1)
     pairings = np.einsum("ij,ji->i", rows, cols)
@@ -284,14 +281,14 @@ def test_rayleigh_quotients_match_per_state_loop(det0_chain3):
 
 def test_eigensolve_simple_spectrum_and_factorization(det0_chain2):
     params, xyz, cache, pair = det0_chain2
-    states = eigensolve_sov(cache, xyz)
+    states = eigenstates(cache, xyz)
     assert len(states) == 9
     assert max(st.factorization_residual for st in states) <= 1e-7
 
 
 def test_left_right_eigen_gram_diagonal(det0_chain2):
     params, xyz, cache, pair = det0_chain2
-    states = eigensolve_sov(cache, xyz)
+    states = eigenstates(cache, xyz)
     us = np.array([st.left for st in states])
     vs = np.array([st.right for st in states]).T
     g = us @ vs
@@ -302,11 +299,11 @@ def test_left_right_eigen_gram_diagonal(det0_chain2):
 def test_right_side_coefficient_pattern(det0_chain2):
     """Left eigen-co-vectors expand with T_2-at-node / T_1-at-node exponents."""
     params, xyz, cache, pair = det0_chain2
-    states = eigensolve_sov(cache, xyz)
+    states = eigenstates(cache, xyz)
     for st in states[:4]:
         coords = st.left @ pair.right  # row of <t|h>
         scale = np.abs(coords).max()
-        for h in TernaryIndex.all(params.sites):
+        for h in all_labels(params.sites):
             pred = np.prod(
                 [
                     st.t2_xi[a] if d == 1 else (st.t1_xi[a] if d == 2 else 1.0)
@@ -319,7 +316,7 @@ def test_right_side_coefficient_pattern(det0_chain2):
 
 def test_zero_pattern_properties(det0_chain2):
     params, xyz, cache, pair = det0_chain2
-    states = eigensolve_sov(cache, xyz)
+    states = eigenstates(cache, xyz)
     kept, excluded = zero_pattern(cache, states)
     assert len(kept) == len(states) and excluded == []
     splits = []
@@ -340,7 +337,7 @@ def test_zero_pattern_all_a_sites_non_diagonal_twist():
     params, xyz, _ = make_params(22, 2, invertible=False, wild_w=True)
     assert np.abs(params.twist.w - np.diag(np.diag(params.twist.w))).max() > 0.1
     cache = TransferCache(params)
-    states = eigensolve_sov(cache, xyz)
+    states = eigenstates(cache, xyz)
     _, ambiguous = zero_pattern(cache, states)
     assert not ambiguous
     full = []
@@ -353,7 +350,7 @@ def test_zero_pattern_all_a_sites_non_diagonal_twist():
 def test_zero_pattern_ambiguous():
     params, xyz, _ = make_params(221, 2, invertible=False)
     cache = TransferCache(params)
-    states = eigensolve_sov(cache, xyz)
+    states = eigenstates(cache, xyz)
     st = states[0]
     st.t1_xi = st.t1_xi.copy()
     st.t1_xi[0] = 1e-6 * np.abs(st.t1_shift).max()  # inside the decision band
@@ -384,8 +381,8 @@ def test_zero_patterns_match_one_state_calls(det0_chain3):
     splits and exclusion, equal pointwise diagnostics, and a closed-form
     residual within rounding of the per-state reference."""
     params, xyz, cache, pair = det0_chain3
-    batch = eigensolve_sov(cache, xyz)
-    single = eigensolve_sov(cache, xyz)
+    batch = eigenstates(cache, xyz)
+    single = eigenstates(cache, xyz)
     for states in (batch, single):
         states[2].t1_xi = states[2].t1_xi.copy()
         states[2].t1_xi[0] = 1e-6 * np.abs(states[2].t1_shift).max()  # ambiguous
@@ -415,7 +412,7 @@ def test_label_products_match_per_label_loops(det0_chain3):
     rng = np.random.default_rng(4)
     alpha = SeparateState.random(rng, params.sites)
     t1_xi, t2_shift = alpha.coeffs[:, 0], alpha.coeffs[:, 1]
-    labels = list(TernaryIndex.all(params.sites))
+    labels = all_labels(params.sites)
     coordinates = [np.prod([alpha.coeffs[a, d] for a, d in enumerate(h.digits)])
                    for h in labels]
     assert np.allclose(alpha.coordinates(), coordinates, rtol=1e-15, atol=0)
@@ -451,7 +448,7 @@ def test_double_shift_is_refused_before_dividing():
 
 def test_scalar_product_requires_pattern(det0_chain2):
     params, xyz, cache, pair = det0_chain2
-    states = eigensolve_sov(cache, xyz)
+    states = eigenstates(cache, xyz)
     alpha = SeparateState.random(np.random.default_rng(1), params.sites)
     with pytest.raises(PatternMissing):
         scalar_product_determinant(alpha, states[0], params)
@@ -459,7 +456,7 @@ def test_scalar_product_requires_pattern(det0_chain2):
 
 def test_scalar_products_against_direct(det0_chain2):
     params, xyz, cache, pair = det0_chain2
-    states = eigensolve_sov(cache, xyz)
+    states = eigenstates(cache, xyz)
     gen = np.random.default_rng(7)
     _, ambiguous = zero_pattern(cache, states)
     assert not ambiguous
@@ -473,7 +470,7 @@ def test_scalar_products_against_direct(det0_chain2):
 
 def test_scalar_product_vanishing_site_column(det0_chain2):
     params, xyz, cache, pair = det0_chain2
-    states = eigensolve_sov(cache, xyz)
+    states = eigenstates(cache, xyz)
     st = states[1]
     _, ambiguous = zero_pattern(cache, [st])
     assert not ambiguous
@@ -485,7 +482,7 @@ def test_scalar_product_vanishing_site_column(det0_chain2):
 
 def test_scalar_product_on_own_coefficients_is_norm(det0_chain2):
     params, xyz, cache, pair = det0_chain2
-    states = eigensolve_sov(cache, xyz)
+    states = eigenstates(cache, xyz)
     _, ambiguous = zero_pattern(cache, states[:4])
     assert not ambiguous
     for st in states[:4]:
@@ -499,7 +496,7 @@ def test_scalar_product_on_own_coefficients_is_norm(det0_chain2):
 def test_norms_one_site():
     params, xyz, _ = make_params(225, 1, invertible=False)
     cache = TransferCache(params)
-    states = eigensolve_sov(cache, xyz)
+    states = eigenstates(cache, xyz)
     _, ambiguous = zero_pattern(cache, states)
     assert not ambiguous
     for st in states:
@@ -509,7 +506,7 @@ def test_norms_one_site():
 
 def test_norms_all_states_two_sites(det0_chain2):
     params, xyz, cache, pair = det0_chain2
-    states = eigensolve_sov(cache, xyz)
+    states = eigenstates(cache, xyz)
     _, ambiguous = zero_pattern(cache, states)
     assert not ambiguous
     for st in states:

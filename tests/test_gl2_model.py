@@ -117,7 +117,7 @@ def test_model_params_reject_malformed_gl2_chains(chain, message):
 def test_sampled_gl2_chain_given_as_config_reports_the_same_numbers():
     """Seed 7's sampled eta, xi, twist and reference pair, written into a
     config, reach the same chain and pair: the results are identical."""
-    cache, ref = Workspace("gl2", 3, 7).gl2()
+    cache, ref, _ = Workspace("gl2", 3, 7).gl2()
     params = cache.params
 
     def pair(z):
@@ -200,11 +200,12 @@ def test_detk_zero_twist():
     params = ModelParams(3, eta, xi, k)
     cache, ref = TransferCache(params), s.reference2()
     assert np.linalg.det(params.k_matrix) == 0
+    bases = gl2_bases(cache, ref)
     with pytest.raises(DetKZero):
-        gl2_eigen_reps(cache, ref)
-    _, cells, diagonal = coupling_residuals(cache, ref)
+        gl2_eigen_reps(cache, bases)
+    _, cells, diagonal = coupling_residuals(cache, bases)
     assert cells <= 1e-12 and diagonal <= 1e-12
-    assert identity_decomposition_residual(cache, ref) <= 1e-12
+    assert identity_decomposition_residual(cache, bases) <= 1e-12
 
 
 def test_detk_zero_twist_run_reports_error(tmp_path):
@@ -221,7 +222,8 @@ def test_detk_zero_twist_run_reports_error(tmp_path):
 
 
 def test_identity_decomposition(gl2_chain3):
-    assert identity_decomposition_residual(*gl2_chain3) <= 1e-8
+    cache, ref = gl2_chain3
+    assert identity_decomposition_residual(cache, gl2_bases(cache, ref)) <= 1e-8
 
 
 def test_reference_normalizations(gl2_chain3):
@@ -244,14 +246,15 @@ def test_reference_normalizations(gl2_chain3):
 
 
 def test_eigen_representations_one_site():
-    out = gl2_eigen_reps(*make_gl2(407, 1))
+    cache, ref = make_gl2(407, 1)
+    out = gl2_eigen_reps(cache, gl2_bases(cache, ref))
     assert out["reconstruction_residual"] <= 1e-12
     assert out["min_overlap"] > 1e-9
 
 
 def test_eigen_representations_three_sites(gl2_chain3):
     cache, ref = gl2_chain3
-    out = gl2_eigen_reps(cache, ref)
+    out = gl2_eigen_reps(cache, gl2_bases(cache, ref))
     assert out["reconstruction_residual"] <= 1e-7
     assert out["detk_rep_residual"] <= 1e-7
     assert out["min_overlap"] > 1e-9

@@ -1,5 +1,6 @@
-"""Every report residual is ``rel_residual`` in one of its three modes; each
-converted field must keep the bits of its written-out form in ``oracles``."""
+"""Every report residual but the four the README's Conventions name is
+``rel_residual`` in one of its three modes; each converted field must keep
+the bits of its written-out form in ``oracles``."""
 
 import dataclasses
 
@@ -11,7 +12,6 @@ from sovlab.gl2_model import (
     coupling_residuals,
     coupling_values,
     identity_decomposition_residual,
-    gl2_pair,
     shifted_vandermonde,
 )
 from sovlab.gl3_model import fusion_residuals
@@ -75,7 +75,7 @@ def test_workspace_fields():
     e0 = np.eye(dim)[0]
     bases = suites.run_bases(ws, suites.DEFAULT_TOLERANCES["bases"])
     assert bases.details["def_r0"] == identity_error(pair.left @ pair.ref_vector, e0)
-    family = build_tt(cache, ws.khat_chain(), ws.khat_eigenstates()[0])
+    family = build_tt(cache, ws.khat()[0], ws.khat_eigenstates()[0])
     assert family.completeness_residual() == identity_error(family.right @ family.left,
                                                             np.eye(dim))
     report = ws.gl3_gram()
@@ -86,14 +86,14 @@ def test_workspace_fields():
 
 
 def test_gl2_fields():
-    cache, ref = suites.Workspace("gl2", 3, 5).gl2()
+    cache, _, bases = suites.Workspace("gl2", 3, 5).gl2()
     params = cache.params
-    g, _, diagonal = coupling_residuals(cache, ref)
+    g, _, diagonal = coupling_residuals(cache, bases)
     pred = coupling_values(params)
     assert diagonal == entry_ratio(np.diagonal(g) - pred, pred)
-    left, right, _ = gl2_pair(cache, ref)
+    left, right, _ = bases
     acc = vandermonde(params.xi) * ((right * shifted_vandermonde(params)) @ left)
-    assert identity_decomposition_residual(cache, ref) == identity_error(acc, np.eye(params.dim))
+    assert identity_decomposition_residual(cache, bases) == identity_error(acc, np.eye(params.dim))
 
 
 def test_modes_on_empty_masks_and_zero_columns():

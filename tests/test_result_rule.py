@@ -207,3 +207,63 @@ def test_scalarproducts_reports_the_zero_pattern_checks():
         assert details[f"pattern_{key}"] <= 1e-9
     assert details["pattern_nonzero_floor"] == min(d["nonzero_floor"] for d in diags)
     assert details["pattern_nonzero_floor"] > 1e-3
+
+
+def _during(monkeypatch, owner, name, module, attr, value):
+    """Rebind ``owner.name`` to run the real function with ``module.attr``
+    replaced by ``value`` for the length of each call only."""
+    real = getattr(owner, name)
+
+    def planted(*args):
+        with monkeypatch.context() as m:
+            m.setattr(module, attr, value)
+            return real(*args)
+    monkeypatch.setattr(owner, name, planted)
+
+
+@pytest.mark.parametrize("sites", [3, 4])
+def test_a_wrong_exponent_fails_factorization_and_eigen_representation(sites, monkeypatch):
+    """The separate-state prediction read with t_1(xi_a)^2 for digit 2, in the
+    eigenstate factorization and in the charge-basis representation only (the
+    charge bases themselves keep the right exponent), fails both figures by
+    orders of magnitude; both pass unplanted at seed 7."""
+    from sovlab import tt_charges
+
+    tol = {name: DEFAULT_TOLERANCES[name] for name in ("scalarproducts", "ttcharges")}
+    ws = Workspace("gl3", sites, 7)
+    assert run_task("scalarproducts", ws, {}).details["factorization"] <= tol["scalarproducts"]
+    assert run_task("ttcharges", ws, {}).details["eigen_representation"] <= tol["ttcharges"]
+
+    real = det0_spectrum.separated_coordinates
+
+    def squared(t1_xi, t2_shift):
+        return real(np.square(t1_xi), t2_shift)
+    _during(monkeypatch, suites, "eigensolve_sov", det0_spectrum, "separated_coordinates",
+            squared)
+    _during(monkeypatch, suites, "eigenstate_representation_residual", tt_charges,
+            "separated_coordinates", squared)
+    ws = Workspace("gl3", sites, 7)
+    factorization = run_task("scalarproducts", ws, {}).details["factorization"]
+    representation = run_task("ttcharges", ws, {}).details["eigen_representation"]
+    assert factorization > 1 and representation > 1
+
+
+@pytest.mark.parametrize("sites", [3, 4])
+def test_a_pair_move_marked_zero_fails_expansion_sparsity(sites, monkeypatch):
+    """The first pair-move cell of the support read as a zero cell by the
+    dual suite fails ``expansion_sparsity`` by percents; it passes unplanted
+    at seed 7."""
+    import dataclasses
+
+    from sovlab import sov_measure
+
+    tol = DEFAULT_TOLERANCES["dual"]
+    ws = Workspace("gl3", sites, 7)
+    assert run_task("dual", ws, {}).details["expansion_sparsity"] <= tol
+    support = sov_measure.pair_support(sites)
+    cell = tuple(np.argwhere(support.offdiag)[0])
+    offdiag, zero, count = support.offdiag.copy(), support.zero.copy(), support.pair_count.copy()
+    offdiag[cell], zero[cell], count[cell] = False, True, 0
+    planted = dataclasses.replace(support, offdiag=offdiag, zero=zero, pair_count=count)
+    monkeypatch.setattr(sov_measure, "pair_support", lambda sites: planted)
+    assert run_task("dual", ws, {}).details["expansion_sparsity"] > 1e-2

@@ -25,13 +25,13 @@ from sovlab.sov_bases import (
 from sovlab.suites import DEFAULT_TOLERANCES, Workspace, run_bases
 
 from conftest import make_params
-from oracles import pair_substitution
+from oracles import all_labels, pair_substitution
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 3**5 - 1))
 def test_ternary_roundtrip(flat):
-    idx = TernaryIndex.from_flat(flat, 5)
+    idx = TernaryIndex(label_digits(5)[flat])
     assert idx.flat == flat
     assert TernaryIndex(idx.digits).flat == flat
 
@@ -41,9 +41,7 @@ def test_label_digits_match_ternary_index(sites):
     digits = label_digits(sites)
     assert digits.shape == (3**sites, sites) and digits.dtype == np.int8
     assert not digits.flags.writeable
-    assert [tuple(int(d) for d in row) for row in digits] == [
-        TernaryIndex.from_flat(flat, sites).digits for flat in range(3**sites)
-    ]
+    assert [TernaryIndex(row).flat for row in digits] == list(range(3**sites))
     assert label_digits(sites) is digits
 
 
@@ -84,7 +82,7 @@ def _reference_basis(params, ref, cache, variant, side):
         t2 = [cache.t2(x) for x in params.xi]
         dressed = {1: t2, 2: t1}
     out = np.empty((params.dim, params.dim), dtype=complex)
-    for h in TernaryIndex.all(params.sites):
+    for h in all_labels(params.sites):
         member = ref
         for a, d in enumerate(h.digits):
             if variant == "powers":
@@ -123,7 +121,7 @@ def test_ternary_combinatorics():
 
 
 def test_flat_order_site_one_fastest():
-    seen = [idx.digits for idx in TernaryIndex.all(2)]
+    seen = [idx.digits for idx in all_labels(2)]
     assert seen[0] == (0, 0) and seen[1] == (1, 0) and seen[3] == (0, 1)
 
 
@@ -270,17 +268,16 @@ def test_closed_vs_solve_catches_wrong_reference(seed):
         assert run_bases(ws, tol).details["closed_vs_solve"] > tol
 
 
-def test_dressed_pair_is_memoized_on_its_cache(chain2):
-    """One read-only pair per transfer cache and reference components."""
+def test_dressed_pair_is_a_read_only_value(chain2):
+    """Each call builds a new read-only pair with the same bits; other
+    reference components give another pair."""
     params, xyz, _, _ = chain2
     cache = TransferCache(params)
     pair = dressed_pair(cache, xyz)
-    assert dressed_pair(cache, list(xyz)) is pair
     x, y, z = xyz
     other = dressed_pair(cache, (x, 2 * y, z))
-    assert other is not pair
     assert not np.allclose(other.left, pair.left)
-    fresh = dressed_pair(TransferCache(params), xyz)
+    fresh = dressed_pair(cache, list(xyz))
     assert fresh is not pair
     for name in ("left", "right", "ref_covector", "ref_vector"):
         mine, theirs = getattr(pair, name), getattr(fresh, name)
@@ -340,7 +337,7 @@ def test_variant_relation(chain2):
         full = full @ cache.t1(x)
     base_row = np.linalg.solve(full.T, pair.ref_covector)
     t1 = [cache.t1(x) for x in params.xi]
-    for h in TernaryIndex.all(params.sites):
+    for h in all_labels(params.sites):
         row = base_row
         for a, d in enumerate(h.digits):
             for _ in range(d):

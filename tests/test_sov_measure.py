@@ -29,6 +29,7 @@ from sovlab.suites import _dual_coordinate_residuals
 from conftest import make_params
 from oracles import (
     DegenerateFamily,
+    all_labels,
     c_scaling_scan,
     gram_entry,
     label_b_recursion,
@@ -62,7 +63,7 @@ def test_classify_selection_rule(hd, kd):
 @pytest.mark.parametrize("sites", [1, 2, 3, 4])
 def test_pair_support_matches_classify_pair(sites):
     support = pair_support(sites)
-    labels = list(TernaryIndex.all(sites))
+    labels = all_labels(sites)
     kinds = np.empty((len(labels), len(labels)), dtype=object)
     counts = np.zeros((len(labels), len(labels)), dtype=int)
     for h in labels:
@@ -83,7 +84,7 @@ def test_diag_values_match_per_label_formula(chain3):
     params = chain3[0]
     w = InterpolationWeights(params)
     expected = []
-    for h in TernaryIndex.all(params.sites):
+    for h in all_labels(params.sites):
         out = 1.0 + 0j
         zshift, yshift = [], []
         for a, d in enumerate(h.digits):
@@ -113,8 +114,8 @@ def test_gram_audit_matches_per_cell_loop(chain3):
     cscale = max(np.abs(cosine).max(), 1e-300)
     violations, coefficients = [], {}
     worst_zero = worst_off = 0.0
-    for k in TernaryIndex.all(params.sites):
-        for h in TernaryIndex.all(params.sites):
+    for k in all_labels(params.sites):
+        for h in all_labels(params.sites):
             cls = classify_pair(h, k)
             val = abs(cosine[h.flat, k.flat])
             mag = val / cscale
@@ -144,9 +145,9 @@ def test_dual_sparsity_matches_per_label_loop(chain3):
     report = gram(pair.left, pair.right, params)
     dual = dual_bases(pair, report)
     worst = 0.0
-    for h in TernaryIndex.all(params.sites):
+    for h in all_labels(params.sites):
         coeffs = expansion_coefficients(report, dual)[:, h.flat]
-        for t in TernaryIndex.all(params.sites):
+        for t in all_labels(params.sites):
             if classify_pair(t, h).kind == "zero":
                 worst = max(worst, abs(coeffs[t.flat]) / np.abs(coeffs).max())
     assert worst > 0
@@ -179,7 +180,7 @@ def test_gram_two_site_pair_row(chain2):
     report = gram(pair.left, pair.right, params)
     k = TernaryIndex((1, 1))
     nonzero = []
-    for h in TernaryIndex.all(2):
+    for h in all_labels(2):
         if h.digits == k.digits:
             continue
         if abs(report.cosine[h.flat, k.flat]) > 1e-9 * np.abs(report.cosine).max():
@@ -317,8 +318,8 @@ def test_dual_bases_inverse_and_orthogonality(chain2):
     assert dual.ortho_residual <= 1e-7
     # measure shares the sparsity pattern of the coupling matrix
     cscale = np.abs(dual.measure).max()
-    for h in TernaryIndex.all(2):
-        for k in TernaryIndex.all(2):
+    for h in all_labels(2):
+        for k in all_labels(2):
             if classify_pair(h, k).kind == "zero":
                 assert abs(dual.measure[h.flat, k.flat]) <= 1e-9 * cscale
 
@@ -427,7 +428,7 @@ def test_b_coefficients_match_per_label_recursion(sites, seed):
     support = pair_support(sites)
     assert np.all(np.diagonal(b) == 1) and np.all(b[support.zero] == 0)
     checked = 0
-    for h in TernaryIndex.all(sites):
+    for h in all_labels(sites):
         if len(h.ones()) < 2:
             continue
         want = _b_recursion_per_label(report, h)
@@ -463,7 +464,8 @@ def test_b_coefficients_detk_zero(det0_chain2):
 def test_appc_recursion_seed(sites, rest):
     params, xyz, _ = make_params(120 + sites, sites)
     cache = TransferCache(params)
-    out = appc_recursion_check(cache, 0, xyz, cache.t2(params.xi[1]), h_rest=rest)
+    pair = dressed_pair(cache, xyz)
+    out = appc_recursion_check(cache, 0, pair, cache.t2(params.xi[1]), h_rest=rest)
     assert out["seed"] <= 1e-9
 
 
@@ -471,7 +473,8 @@ def test_appc_recursion_seed(sites, rest):
 def test_appc_recursion_two_pair_n4():
     params, xyz, _ = make_params(131, 4)
     cache = TransferCache(params)
-    out = appc_recursion_check(cache, 1, xyz, cache.t2(params.xi[1]))
+    pair = dressed_pair(cache, xyz)
+    out = appc_recursion_check(cache, 1, pair, cache.t2(params.xi[1]))
     assert out["two_pair"] <= 1e-8
 
 

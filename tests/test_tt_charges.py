@@ -5,7 +5,6 @@ import pytest
 
 from sovlab.det0_spectrum import (
     SeparateState,
-    eigensolve_sov,
     make_khat,
     norm_determinant,
     scalar_product_determinant,
@@ -29,7 +28,7 @@ from sovlab.tt_charges import (
     tt_sov_bases,
 )
 
-from conftest import make_params
+from conftest import eigenstates, make_params
 
 
 def charge_family(cache):
@@ -37,7 +36,7 @@ def charge_family(cache):
     eigenstates."""
     params = cache.params
     khat_cache = TransferCache(params.with_twist(make_khat(params.twist)))
-    return build_tt(cache, khat_cache, eigensolve_sov(khat_cache, (1.0, 1.0, 1.0)))
+    return build_tt(cache, khat_cache, eigenstates(khat_cache, (1.0, 1.0, 1.0)))
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +67,7 @@ def test_build_tt_reuses_given_khat_states(chain2):
     params, xyz, cache, _ = chain2
     own = charge_family(cache)
     khat_cache = TransferCache(own.khat_params)
-    states = eigensolve_sov(khat_cache, xyz)
+    states = eigenstates(khat_cache, xyz)
     given = build_tt(cache, khat_cache, states)
     assert given.khat_states == states
     lam = complex(*np.random.default_rng(17).uniform(-1, 1, 2))
@@ -275,4 +274,4 @@ def test_build_tt_rejects_mismatched_chain(chain2):
     )
     khat_cache = TransferCache(other.with_twist(make_khat(params.twist)))
     with pytest.raises(ValueError, match="matching"):
-        build_tt(cache, khat_cache, eigensolve_sov(khat_cache, (1.0, 1.0, 1.0)))
+        build_tt(cache, khat_cache, eigenstates(khat_cache, (1.0, 1.0, 1.0)))
