@@ -26,4 +26,4 @@ from .errors import (
     ConfigError,
 )
 from .gl3_model import ModelParams, TwistData
-from .sov_bases import TernaryIndex, SovBasisPair
+from .sov_bases import SovBasisPair

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, EigFailure, SovLabError, SpectrumNotSimple
 from .gl3_model import TwistData, check_gl2_twist, xi_separation
-from .suites import SUITES, Workspace, run_task, validate_tasks
+from .suites import DEFAULT_TASKS, SUITES, Workspace, run_task, validate_tasks
 
 
 #: thread-count setters of the OpenBLAS builds numpy and scipy ship; each has
@@ -88,14 +88,14 @@ def _limit_threads(parallel=False):
 
 
 def parse_scalar(value):
-    """Accept numbers, "p/q" strings and [re, im] pairs."""
+    """Accept numbers, "p/q" strings and [re, im] pairs; a bool is not a number."""
     if isinstance(value, str):
         return complex(Fraction(value))
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise ConfigError(f"complex values are [re, im] pairs, got {value!r}")
         return complex(parse_scalar(value[0]).real, parse_scalar(value[1]).real)
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
     raise ConfigError(f"cannot parse scalar {value!r}")
 
@@ -210,13 +210,15 @@ def _resolve(path, overrides):
     unknown = sorted(set(tol) - set(SUITES))
     if unknown:
         raise ConfigError(f"unknown tolerance suites {unknown}; known: {sorted(SUITES)}")
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in tol.values()):
+        raise ConfigError(f"tolerances must be numbers, got {tol!r}")
     cfg["tolerances"] = {k: float(v) for k, v in tol.items()}
     if not all(0 <= v < np.inf for v in cfg["tolerances"].values()):
         raise ConfigError(f"tolerances must be finite and >= 0, got {cfg['tolerances']}")
 
     tasks = raw.get("tasks")
     if tasks is None:
-        tasks = [t for t in SUITES if cfg["algebra"] == "gl3" or t in ("gram", "measure", "gl2")]
+        tasks = DEFAULT_TASKS[cfg["algebra"]]
     validate_tasks(tasks, cfg["algebra"])
     cfg["tasks"] = list(tasks)
     cfg["out"] = raw.get("out")

@@ -27,7 +27,7 @@ from .gl3_model import (
     weight_sectors,
 )
 from .numkernel import eig_general, rayleigh_quotients, rel_residual, vandermonde, worst
-from .sov_bases import TernaryIndex, label_digits, label_products
+from .sov_bases import flat_index, label_digits, label_products
 from .sov_measure import diag_values
 
 #: relative eigenvalue-zero threshold for the A/B site partition
@@ -109,8 +109,8 @@ def eigensolve_sov(cache, pair, dec):
     params = cache.params
 
     n = params.sites
-    one_flat = TernaryIndex((1,) * n).flat
-    zero_flat = TernaryIndex((0,) * n).flat
+    one_flat = flat_index((1,) * n)
+    zero_flat = flat_index((0,) * n)
 
     def node_values(m, shift):
         """Row i: the eigenvalues of T_m at every xi_a - shift on state i."""
@@ -258,13 +258,13 @@ def interpolated_action_check(cache, actions, pair, lambdas):
 
     def terms(side, order, idx, lam):
         table = LABEL_MOVES[(side, order)]
-        shifts = tuple(int(d >= 1) if order == 2 else int(d == 2) for d in idx.digits)
+        shifts = tuple(int(d >= 1) if order == 2 else int(d == 2) for d in idx)
         out = [(w.asymptotic(order, shifts, lam), idx)]
-        for a, d in enumerate(idx.digits):
+        for a, d in enumerate(idx):
             if d in table:
                 new, nested = table[d]
                 coef = w.g(a, shifts, lam, order)
-                moved = idx.with_digit(a, new)
+                moved = idx[:a] + (new,) + idx[a + 1:]
                 if nested:
                     out.extend((coef * c, i) for c, i in terms(side, 2, moved, params.xi[a]))
                 else:
@@ -276,10 +276,11 @@ def interpolated_action_check(cache, actions, pair, lambdas):
     def residual(h, which, side, mat, lam):
         # rows of a left family, columns of a right one
         members = pair.left if side == "left" else pair.right.T
-        dense = members[h.flat] @ mat if side == "left" else mat @ members[h.flat]
+        member = members[flat_index(h)]
+        dense = member @ mat if side == "left" else mat @ member
         approx = np.zeros(params.dim, dtype=complex)
         for coef, idx in terms(side, which, h, lam):
-            approx += coef * members[idx.flat]
+            approx += coef * members[flat_index(idx)]
         return rel_residual(dense - approx, dense)
 
     resids = []

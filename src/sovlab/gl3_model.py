@@ -648,20 +648,22 @@ class TransferCache:
         return self.value(3, lam)
 
 
+def _qdet_product(val, xi_list, eta, lam):
+    """``val`` times prod_x (lam - x + eta)(lam - x - eta)(lam - x - 2 eta),
+    multiplied in site order."""
+    for x in xi_list:
+        val *= (lam - x + eta) * (lam - x - eta) * (lam - x - 2 * eta)
+    return complex(val)
+
+
 def quantum_determinant(params, lam):
     """Closed-form scalar value of T_3(lam)."""
-    val = params.twist.det
-    for x in params.xi:
-        val *= (lam - x + params.eta) * (lam - x - params.eta) * (lam - x - 2 * params.eta)
-    return complex(val)
+    return _qdet_product(params.twist.det, params.xi, params.eta, lam)
 
 
 def quantum_determinant_identity(xi_list, eta, lam):
     """q-det of the untwisted chain (K = I)."""
-    val = 1.0 + 0j
-    for x in xi_list:
-        val *= (lam - x + eta) * (lam - x - eta) * (lam - x - 2 * eta)
-    return complex(val)
+    return _qdet_product(1.0 + 0j, xi_list, eta, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -25,48 +25,26 @@ from .numkernel import RANK_RTOL, rank_ratio
 _NONZERO_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TernaryIndex:
-    """An N-tuple over {0,1,2}; digit a (0-based) weights 3^a in the flat index."""
-
-    digits: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
-        if any(d not in (0, 1, 2) for d in self.digits):
-            raise ValueError("digits must lie in {0, 1, 2}")
-
-    @property
-    def flat(self):
-        out = 0
-        for a, d in enumerate(self.digits):
-            out += d * 3**a
-        return out
-
-    def ones(self):
-        """Positions carrying digit 1 (the set the pair substitutions act on)."""
-        return tuple(a for a, d in enumerate(self.digits) if d == 1)
-
-    def with_digit(self, a, value):
-        d = list(self.digits)
-        d[a] = value
-        return TernaryIndex(tuple(d))
-
-
 @functools.lru_cache(maxsize=None)
 def label_digits(sites, base=3):
     """Read-only ``(base^N, N)`` int8 array: row ``flat`` holds the digits of
     that label.
 
     Flat order, site 1 fastest (column a is digit a, weight base^a, as in
-    :attr:`TernaryIndex.flat`): base 3 is the gl(3) order, base 2 the gl(2)
-    one; cached per (N, base) and shared.
+    :func:`flat_index`): base 3 is the gl(3) order, base 2 the gl(2) one;
+    cached per (N, base) and shared.
     """
     flat = np.arange(base**sites)
     digits = (flat[:, None] // base ** np.arange(sites)) % base
     out = digits.astype(np.int8)
     out.setflags(write=False)
     return out
+
+
+def flat_index(digits):
+    """Flat position of a gl(3) label, a tuple of digits in {0, 1, 2}: digit
+    a (0-based) weighs 3^a, so site 1 is fastest."""
+    return sum(int(d) * 3**a for a, d in enumerate(digits))
 
 
 def label_products(factors):
@@ -220,13 +198,13 @@ def _steps(cache, variant, side):
 
 
 def build_left_basis(cache, ref_row, variant="dressed"):
-    """Matrix whose row ``h.flat`` is the co-vector labeled by ``h``."""
+    """Matrix whose row ``flat_index(h)`` is the co-vector labeled by ``h``."""
     steps = _steps(cache, variant, "left")
     return basis_tree(ref_row, steps, lambda row, m: row @ m)
 
 
 def build_right_basis(cache, ref_col, variant="dressed"):
-    """Matrix whose column ``h.flat`` is the vector labeled by ``h``."""
+    """Matrix whose column ``flat_index(h)`` is the vector labeled by ``h``."""
     steps = _steps(cache, variant, "right")
     cols = basis_tree(ref_col, steps, lambda col, m: m @ col)
     return np.ascontiguousarray(cols.T)

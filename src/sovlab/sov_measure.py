@@ -17,7 +17,7 @@ from .errors import DetKZero, SingularGram
 from .gl3_model import (InterpolationWeights, quantum_determinant_identity,
                         require_no_double_shift)
 from .numkernel import rel_residual, vandermonde
-from .sov_bases import TernaryIndex, label_digits, label_products, label_vandermonde
+from .sov_bases import flat_index, label_digits, label_products, label_vandermonde
 
 
 @dataclass(frozen=True)
@@ -34,19 +34,19 @@ class PairClass:
 
 
 def classify_pair(h, k):
-    """Decide whether <h|k> may be nonzero and find the unique pair move.
+    """Decide whether <h|k> may be nonzero and find the unique pair move;
+    ``h`` and ``k`` are digit tuples.
 
     Off-diagonal couplings require disjoint alpha, beta inside the digit-1
     set of k, of equal size r >= 1, with h = k after alpha -> 0, beta -> 2
     and all other digits equal.  In particular nonzero cells conserve the
     total digit sum (each pair move trades two 1s for a 0 and a 2).
     """
-    if h.digits == k.digits:
+    if h == k:
         return PairClass("diagonal")
-    ones = set(k.ones())
     alpha = []
     beta = []
-    for a, (ha, ka) in enumerate(zip(h.digits, k.digits)):
+    for a, (ha, ka) in enumerate(zip(h, k)):
         if ha == ka:
             continue
         if ka == 1 and ha == 0:
@@ -62,7 +62,8 @@ def classify_pair(h, k):
 
 @dataclass(frozen=True)
 class PairSupport:
-    """:func:`classify_pair` for every cell at once, indexed ``[h.flat, k.flat]``.
+    """:func:`classify_pair` for every cell at once, indexed
+    ``[flat_index(h), flat_index(k)]``.
 
     ``diagonal``, ``offdiag`` and ``zero`` are disjoint read-only boolean
     masks covering every cell; ``pair_count`` is r on off-diagonal cells and
@@ -216,7 +217,7 @@ def extract_coefficient(report, h, k):
     if classify_pair(h, k).kind != "offdiag":
         raise ValueError("coefficient extraction needs an off-diagonal cell")
     try:
-        return report.coefficients[(h.flat, k.flat)]
+        return report.coefficients[(flat_index(h), flat_index(k))]
     except KeyError:
         raise DetKZero("det K is numerically zero; the coefficient is undefined") from None
 
@@ -352,10 +353,10 @@ def appc_recursion_check(cache, r, pair, t2_xi2, h_rest=()):
     w = InterpolationWeights(params)
     out = {}
     if r == 0:
-        hk = TernaryIndex((1, 1) + tuple(h_rest))
-        hb = TernaryIndex((0, 1) + tuple(h_rest))
-        lhs = pair.left[hk.flat] @ t2_xi2 @ pair.right[:, hb.flat]
-        diag = pair.left[hk.flat] @ pair.right[:, hk.flat]
+        hk = flat_index((1, 1) + tuple(h_rest))
+        hb = flat_index((0, 1) + tuple(h_rest))
+        lhs = pair.left[hk] @ t2_xi2 @ pair.right[:, hb]
+        diag = pair.left[hk] @ pair.right[:, hk]
         pred = diag * w.d(xi[1] - eta) / w.d(xi[0] - eta) * eta / (xi[0] - xi[1] + eta)
         for i, d in enumerate(h_rest):
             node = xi[2 + i] - (0 if d == 0 else eta)
@@ -365,10 +366,10 @@ def appc_recursion_check(cache, r, pair, t2_xi2, h_rest=()):
 
     # r = 1: sites (0,1) outer, (2,3) the pair, 0-based
     rest = tuple(h_rest)
-    cov = TernaryIndex((1, 1, 0, 2) + rest)
-    vec = TernaryIndex((0, 1, 1, 1) + rest)
+    cov = flat_index((1, 1, 0, 2) + rest)
+    vec = flat_index((0, 1, 1, 1) + rest)
     t2_inner = cache.t2(xi[3])
-    lhs = pair.left[cov.flat] @ t2_xi2 @ pair.right[:, vec.flat]
+    lhs = pair.left[cov] @ t2_xi2 @ pair.right[:, vec]
 
     def r_coef(src):
         # src is the 0-based index of the odd-slot node the expansion lands on
@@ -394,11 +395,11 @@ def appc_recursion_check(cache, r, pair, t2_xi2, h_rest=()):
             val *= (xi[2] - eta - node) / (xi[3] - eta - node)
         return val
 
-    cova = TernaryIndex((1, 1, 1, 1) + rest)
-    veca = TernaryIndex((1, 1, 0, 1) + rest)
+    cova = flat_index((1, 1, 1, 1) + rest)
+    veca = flat_index((1, 1, 0, 1) + rest)
     c3 = params.twist.det * quantum_determinant_identity(xi, eta, xi[2])
-    m1 = pair.left[cova.flat] @ t2_inner @ pair.right[:, veca.flat]
-    m2 = pair.left[cova.flat] @ t2_inner @ pair.right[:, vec.flat]
+    m1 = pair.left[cova] @ t2_inner @ pair.right[:, veca]
+    m2 = pair.left[cova] @ t2_inner @ pair.right[:, vec]
     rhs = c3 * s_coef() * (r_coef(0) * m1 + r_coef(2) * m2)
     out["two_pair"] = rel_residual(lhs - rhs, lhs)
     return out

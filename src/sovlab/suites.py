@@ -36,10 +36,9 @@ from .det0_spectrum import (
 )
 from .errors import ConfigError, DoubleShift, SingularBasis, SovLabError
 from .gl3_model import ModelParams, TransferCache, TwistData
-from .numkernel import rel_residual, worst
+from .numkernel import RANK_RTOL, rel_residual, worst
 from .sampling import ParameterSampler
 from .sov_bases import (
-    TernaryIndex,
     build_left_basis,
     dressed_pair,
     label_products,
@@ -373,7 +372,7 @@ def run_bases(ws, tol):
     }
     info = {"rank_left": rl, "rank_right": rr, "variant": pair.variant,
             "rank_left_powers": prl, "rank_right_powers": prr}
-    return _result("bases", tol, ws, gated, info, ok=min(rl, rr, prl, prr) > 1e-9)
+    return _result("bases", tol, ws, gated, info, ok=min(rl, rr, prl, prr) > RANK_RTOL)
 
 
 def _variant_relation_residual(cache, pair):
@@ -470,7 +469,7 @@ def run_det0(ws, tol):
     s = ParameterSampler(ws.seed + 5000)
     lams = [s.spectral_point(kp.xi, kp.eta) for _ in range(3)]
     rng = np.random.default_rng(ws.seed + 17)
-    labels = [TernaryIndex(tuple(rng.integers(0, 3, kp.sites).tolist())) for _ in range(5)]
+    labels = [tuple(rng.integers(0, 3, kp.sites).tolist()) for _ in range(5)]
     moves = [(h, which, side) for h in labels for which in (1, 2) for side in ("left", "right")]
     actions = interpolated_action_check(cache, moves, pair, lams)
     boundary = boundary_eigenstate_check(
@@ -611,8 +610,7 @@ def run_appendix_c(ws, tol):
         report = ws.gl3_gram()
 
         def coefficient(rest):
-            c_meas = extract_coefficient(report, TernaryIndex((0, 2) + rest),
-                                         TernaryIndex((1, 1) + rest))
+            c_meas = extract_coefficient(report, (0, 2) + rest, (1, 1) + rest)
             c_form = coeff_r0_closed_form(params, rest)
             return rel_residual(c_meas - c_form, c_form)
         gated["single_pair_coefficient"] = worst(
@@ -634,6 +632,9 @@ SUITES = {
     "appendixA": run_appendix_a,
     "appendixC": run_appendix_c,
 }
+
+#: the tasks a run makes when its config lists none, in run order
+DEFAULT_TASKS = {"gl3": tuple(SUITES), "gl2": ("gram", "measure", "gl2")}
 
 
 def validate_tasks(tasks, algebra):

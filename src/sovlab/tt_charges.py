@@ -27,7 +27,7 @@ from .gl3_model import TransferCache
 from .numkernel import rayleigh_quotients, rel_residual
 from .sov_bases import (
     SovBasisPair,
-    TernaryIndex,
+    flat_index,
     label_products,
     reference_covector,
     reference_vector_solve,
@@ -168,7 +168,7 @@ def eigenstate_representation_residual(family, pair):
     """The invertible-twist eigenstates must be separate states of the charge
     bases with the companion-model eigenvalue exponents; the worst column's
     relative residual."""
-    one_flat = TernaryIndex((1,) * family.params.sites).flat
+    one_flat = flat_index((1,) * family.params.sites)
     coords = pair.left @ family.right
     coords = coords / coords[one_flat]
     pred = separated_coordinates(family.t1_xi, family.t2_shift)

@@ -12,7 +12,7 @@ import numpy as np
 from sovlab.errors import SovLabError
 from sovlab.gl3_model import InterpolationWeights, TransferCache
 from sovlab.numkernel import rel_residual, vandermonde
-from sovlab.sov_bases import TernaryIndex, dressed_pair, label_digits
+from sovlab.sov_bases import dressed_pair, flat_index, label_digits
 from sovlab.sov_measure import b_recursion, classify_pair, gram, pair_support
 
 
@@ -22,8 +22,18 @@ class DegenerateFamily(SovLabError):
 
 
 def all_labels(sites):
-    """Every gl(3) label of ``sites`` sites, in flat order."""
-    return [TernaryIndex(tuple(row)) for row in label_digits(sites)]
+    """Every gl(3) label of ``sites`` sites, as digit tuples in flat order."""
+    return [tuple(row.tolist()) for row in label_digits(sites)]
+
+
+def with_digit(h, a, value):
+    """Label ``h`` with its digit at site ``a`` (0-based) set to ``value``."""
+    return h[:a] + (value,) + h[a + 1:]
+
+
+def digit_ones(h):
+    """Positions of label ``h`` carrying digit 1, the set the pair moves act on."""
+    return tuple(a for a, d in enumerate(h) if d == 1)
 
 
 def label_action_oracle(cache, h, which, side, pair, lambdas):
@@ -35,27 +45,27 @@ def label_action_oracle(cache, h, which, side, pair, lambdas):
     worst = 0.0
 
     def zshift(idx):
-        return tuple(1 if d in (1, 2) else 0 for d in idx.digits)
+        return tuple(1 if d in (1, 2) else 0 for d in idx)
 
     def yshift(idx):
-        return tuple(1 if d == 2 else 0 for d in idx.digits)
+        return tuple(1 if d == 2 else 0 for d in idx)
 
     def left_t2_terms(idx, lam):
         z = zshift(idx)
         terms = [(w.asymptotic(2, z, lam), idx)]
-        for a, d in enumerate(idx.digits):
+        for a, d in enumerate(idx):
             if d == 1:
-                terms.append((w.g(a, z, lam, 2), idx.with_digit(a, 0)))
+                terms.append((w.g(a, z, lam, 2), with_digit(idx, a, 0)))
         return [(w.d(lam - params.eta) * c, i) for c, i in terms]
 
     def left_t1_terms(idx, lam):
         y = yshift(idx)
         terms = [(w.asymptotic(1, y, lam), idx)]
-        for a, d in enumerate(idx.digits):
+        for a, d in enumerate(idx):
             if d == 1:
-                terms.append((w.g(a, y, lam, 1), idx.with_digit(a, 2)))
+                terms.append((w.g(a, y, lam, 1), with_digit(idx, a, 2)))
             elif d == 2:
-                lowered = idx.with_digit(a, 1)
+                lowered = with_digit(idx, a, 1)
                 coef = w.g(a, y, lam, 1)
                 terms.extend(
                     (coef * c, i) for c, i in left_t2_terms(lowered, params.xi[a])
@@ -65,21 +75,21 @@ def label_action_oracle(cache, h, which, side, pair, lambdas):
     def right_t2_terms(idx, lam):
         z = zshift(idx)
         terms = [(w.asymptotic(2, z, lam), idx)]
-        for a, d in enumerate(idx.digits):
+        for a, d in enumerate(idx):
             if d == 0:
-                terms.append((w.g(a, z, lam, 2), idx.with_digit(a, 1)))
+                terms.append((w.g(a, z, lam, 2), with_digit(idx, a, 1)))
         return [(w.d(lam - params.eta) * c, i) for c, i in terms]
 
     def right_t1_terms(idx, lam):
         y = yshift(idx)
         terms = [(w.asymptotic(1, y, lam), idx)]
-        for a, d in enumerate(idx.digits):
+        for a, d in enumerate(idx):
             if d == 0:
-                terms.append((w.g(a, y, lam, 1), idx.with_digit(a, 2)))
+                terms.append((w.g(a, y, lam, 1), with_digit(idx, a, 2)))
             elif d == 2:
-                terms.append((w.g(a, y, lam, 1), idx.with_digit(a, 1)))
+                terms.append((w.g(a, y, lam, 1), with_digit(idx, a, 1)))
             else:
-                raised = idx.with_digit(a, 2)
+                raised = with_digit(idx, a, 2)
                 coef = w.g(a, y, lam, 1)
                 terms.extend(
                     (coef * c, i) for c, i in right_t2_terms(raised, params.xi[a])
@@ -95,15 +105,15 @@ def label_action_oracle(cache, h, which, side, pair, lambdas):
     build = builders[(side, which)]
     for lam in lambdas:
         if side == "left":
-            dense = pair.left[h.flat] @ cache.value(which, lam)
+            dense = pair.left[flat_index(h)] @ cache.value(which, lam)
             approx = np.zeros(params.dim, dtype=complex)
             for coef, idx in build(h, lam):
-                approx += coef * pair.left[idx.flat]
+                approx += coef * pair.left[flat_index(idx)]
         else:
-            dense = cache.value(which, lam) @ pair.right[:, h.flat]
+            dense = cache.value(which, lam) @ pair.right[:, flat_index(h)]
             approx = np.zeros(params.dim, dtype=complex)
             for coef, idx in build(h, lam):
-                approx += coef * pair.right[:, idx.flat]
+                approx += coef * pair.right[:, flat_index(idx)]
         worst = max(worst, rel_residual(dense - approx, dense))
     return worst
 
@@ -200,27 +210,27 @@ def c_scaling_scan(params, c_values, xyz):
 def pair_substitution(h, alpha, beta):
     """Label ``h`` with its digits at alpha set to 0 and at beta to 2 (the
     pair move, used on positions with digit 1)."""
-    digits = list(h.digits)
+    digits = list(h)
     for a in alpha:
         digits[a] = 0
     for b in beta:
         digits[b] = 2
-    return TernaryIndex(tuple(digits))
+    return tuple(digits)
 
 
 def gram_entry(report, h, k):
     """Coupling <h|k> of a :class:`sov_measure.GramReport`."""
-    return report.gram[h.flat, k.flat]
+    return report.gram[flat_index(h), flat_index(k)]
 
 
 def label_b_recursion(report, h):
     """Expansion coefficients of the dual vector of ``h`` over its pair moves:
     column h of ``sov_measure.b_recursion`` as ``{(alpha, beta): B}``."""
-    col = b_recursion(report)[:, h.flat]
+    col = b_recursion(report)[:, flat_index(h)]
     digits = label_digits(report.params.sites)
     out = {}
-    for s in np.flatnonzero(pair_support(report.params.sites).offdiag[:, h.flat]):
-        move = classify_pair(TernaryIndex(digits[s]), h)
+    for s in np.flatnonzero(pair_support(report.params.sites).offdiag[:, flat_index(h)]):
+        move = classify_pair(tuple(digits[s].tolist()), h)
         out[(move.alpha, move.beta)] = complex(col[s])
     return out
 

@@ -39,8 +39,8 @@ from sovlab.gl3_model import (
 )
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import (
-    TernaryIndex,
     dressed_pair,
+    flat_index,
     label_digits,
     reference_vector_closed,
     reference_vector_solve,
@@ -243,8 +243,8 @@ def test_criterion_08_single_pair_coefficient():
             pair = dressed_pair(TransferCache(params), xyz)
             report = gram(pair.left, pair.right, params)
             for rest in itertools.product((0, 1, 2), repeat=sites - 2):
-                h = TernaryIndex((0, 2) + rest)
-                k = TernaryIndex((1, 1) + rest)
+                h = (0, 2) + rest
+                k = (1, 1) + rest
                 got = extract_coefficient(report, h, k)
                 want = coeff_r0_closed_form(params, rest)
                 worst = max(worst, abs(got - want) / abs(want))
@@ -279,13 +279,13 @@ def test_criterion_09_inverse_measure_and_recursions():
         report4 = gram(pair4.left, pair4.right, params4)
         dual4 = dual_bases(pair4, report4)
         worst_inv = max(worst_inv, dual4.inverse_residual)
-        h = TernaryIndex((1, 1, 1, 1))
+        h = (1, 1, 1, 1)
         bmap = label_b_recursion(report4, h)
-        coeffs = expansion_coefficients(report4, dual4)[:, h.flat]
+        coeffs = expansion_coefficients(report4, dual4)[:, flat_index(h)]
         for (alpha, beta), b in bmap.items():
             target = pair_substitution(h, alpha, beta)
             pred = params4.twist.det ** len(alpha) * b
-            worst_b = max(worst_b, abs(coeffs[target.flat] - pred) / np.abs(coeffs).max())
+            worst_b = max(worst_b, abs(coeffs[flat_index(target)] - pred) / np.abs(coeffs).max())
         t2 = cache4.t2(params4.xi[1])
         worst_rec = max(worst_rec, appc_recursion_check(cache4, 1, pair4, t2)["two_pair"])
     ok = worst_inv <= 1e-8 and worst_b <= 1e-7 and worst_rec <= 1e-8
@@ -311,7 +311,7 @@ def test_criterion_10_orthogonal_regime():
         s = ParameterSampler(seed + 900)
         for side in ("left", "right"):
             for _ in range(10):
-                h = TernaryIndex(tuple(gen.integers(0, 3, params.sites).tolist()))
+                h = tuple(gen.integers(0, 3, params.sites).tolist())
                 which = int(gen.integers(1, 3))
                 lam = s.spectral_point(params.xi, params.eta)
                 worst_act = max(
@@ -369,7 +369,7 @@ def test_criterion_12_conserved_charge_bases():
         # determinant overlap formulas in the charge bases
         kp = family.khat_params
         gen = np.random.default_rng(seed)
-        one_flat = TernaryIndex((1, 1)).flat
+        one_flat = flat_index((1, 1))
         _, ambiguous = zero_pattern(khat_cache, [family.khat_states[a] for a in (0, 4, 8)])
         assert not ambiguous
         for a in (0, 4, 8):

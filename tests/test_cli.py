@@ -713,6 +713,9 @@ MALFORMED = {
     "seed-fractional": {"seed": 7.9},
     "seed-negative": {"seed": -1},
     "parallel-not-a-boolean": {"parallel": "no"},
+    "eta-boolean": {"eta": True},
+    "reference-boolean": {"reference": [1, True, 1]},
+    "tolerance-boolean": {"tolerances": {"gram": True}},
 }
 
 

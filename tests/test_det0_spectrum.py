@@ -29,7 +29,7 @@ from sovlab.errors import (
 from sovlab.gl3_model import InterpolationWeights, ModelParams, TransferCache, TwistData
 from sovlab.numkernel import rayleigh_quotients, rel_residual
 from sovlab.sampling import ParameterSampler
-from sovlab.sov_bases import TernaryIndex, dressed_pair, label_digits, reference_vector_closed
+from sovlab.sov_bases import dressed_pair, flat_index, label_digits, reference_vector_closed
 from sovlab.sov_measure import diag_values, gram
 from sovlab.suites import DEFAULT_TOLERANCES, Workspace, run_det0
 
@@ -109,13 +109,12 @@ def test_interpolated_actions(det0_chain2):
     _, _, cache, pair = det0_chain2
     lams = [crand() for _ in range(3)]
     # labels without digit 1 admit a shift-free T_2 action
-    h = TernaryIndex((0, 2))
+    h = (0, 2)
     assert interpolated_action_check(cache, [(h, 2, "left")], pair, lams) <= 1e-9
     # the all-zeros label only picks up single-site raises under T_2
-    h0 = TernaryIndex((0, 0))
+    h0 = (0, 0)
     assert interpolated_action_check(cache, [(h0, 2, "right")], pair, lams) <= 1e-9
-    for digits in ((1, 2), (0, 1), (2, 2)):
-        h = TernaryIndex(digits)
+    for h in ((1, 2), (0, 1), (2, 2)):
         for side in ("left", "right"):
             assert interpolated_action_check(cache, [(h, 1, side)], pair, lams) <= 1e-8
 
@@ -133,7 +132,7 @@ def test_label_moves_keep_the_bits_of_the_four_builders(chain, request):
             for side in ("left", "right"):
                 got = interpolated_action_check(cache, [(h, which, side)], pair, lams)
                 assert got == label_action_oracle(cache, h, which, side, pair, lams)
-    h = TernaryIndex((0,) * params.sites)
+    h = (0,) * params.sites
     for side, which in (("left", 3), ("up", 1)):
         with pytest.raises(ValueError):
             interpolated_action_check(cache, [(h, which, side)], pair, lams)
@@ -159,7 +158,7 @@ def test_boundary_right_block_matches_column_loop(chain, request):
     w = InterpolationWeights(params)
     loop = 0.0
     for digits in itertools.product((1, 2), repeat=params.sites):
-        col = pair.right[:, TernaryIndex(digits).flat]
+        col = pair.right[:, flat_index(digits)]
         for lam in lams:
             acted = cache.t2(lam) @ col
             ref = w.d(lam - params.eta) * w.d(lam + params.eta) * col
@@ -169,7 +168,7 @@ def test_boundary_right_block_matches_column_loop(chain, request):
     assert 0 < loop <= 1e-9
     assert abs(got - loop) <= 1e-15
     right = pair.right.copy()
-    right[:, TernaryIndex((1,) * params.sites).flat] = pair.right[:, 0]
+    right[:, flat_index((1,) * params.sites)] = pair.right[:, 0]
     broken = dataclasses.replace(pair, right=right)
     assert boundary_eigenstate_check(cache, broken, lams)["right_family_t2"][0] > 1e-3
 
@@ -307,11 +306,11 @@ def test_right_side_coefficient_pattern(det0_chain2):
             pred = np.prod(
                 [
                     st.t2_xi[a] if d == 1 else (st.t1_xi[a] if d == 2 else 1.0)
-                    for a, d in enumerate(h.digits)
+                    for a, d in enumerate(h)
                 ]
             )
-            norm = coords[TernaryIndex((0,) * params.sites).flat]
-            assert abs(coords[h.flat] - pred * norm) <= 1e-7 * scale
+            norm = coords[flat_index((0,) * params.sites)]
+            assert abs(coords[flat_index(h)] - pred * norm) <= 1e-7 * scale
 
 
 def test_zero_pattern_properties(det0_chain2):
@@ -413,13 +412,13 @@ def test_label_products_match_per_label_loops(det0_chain3):
     alpha = SeparateState.random(rng, params.sites)
     t1_xi, t2_shift = alpha.coeffs[:, 0], alpha.coeffs[:, 1]
     labels = all_labels(params.sites)
-    coordinates = [np.prod([alpha.coeffs[a, d] for a, d in enumerate(h.digits)])
+    coordinates = [np.prod([alpha.coeffs[a, d] for a, d in enumerate(h)])
                    for h in labels]
     assert np.allclose(alpha.coordinates(), coordinates, rtol=1e-15, atol=0)
     separated = []
     for h in labels:
         pred = 1.0 + 0j
-        for a, d in enumerate(h.digits):
+        for a, d in enumerate(h):
             if d == 0:
                 pred *= t2_shift[a]
             elif d == 2:

@@ -10,10 +10,10 @@ from sovlab.errors import DegenerateReference, SingularBasis
 from sovlab.gl3_model import ModelParams, TransferCache, TwistData, quantum_determinant
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import (
-    TernaryIndex,
     build_left_basis,
     build_right_basis,
     dressed_pair,
+    flat_index,
     label_digits,
     label_products,
     power_pair,
@@ -25,15 +25,15 @@ from sovlab.sov_bases import (
 from sovlab.suites import DEFAULT_TOLERANCES, Workspace, run_bases
 
 from conftest import make_params
-from oracles import all_labels, pair_substitution
+from oracles import all_labels, digit_ones, pair_substitution, with_digit
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 3**5 - 1))
 def test_ternary_roundtrip(flat):
-    idx = TernaryIndex(label_digits(5)[flat])
-    assert idx.flat == flat
-    assert TernaryIndex(idx.digits).flat == flat
+    row = label_digits(5)[flat]
+    assert flat_index(row) == flat
+    assert flat_index(tuple(row.tolist())) == flat
 
 
 @pytest.mark.parametrize("sites", [1, 2, 3, 4, 5])
@@ -41,7 +41,7 @@ def test_label_digits_match_ternary_index(sites):
     digits = label_digits(sites)
     assert digits.shape == (3**sites, sites) and digits.dtype == np.int8
     assert not digits.flags.writeable
-    assert [TernaryIndex(row).flat for row in digits] == list(range(3**sites))
+    assert [flat_index(row) for row in digits] == list(range(3**sites))
     assert label_digits(sites) is digits
 
 
@@ -84,7 +84,7 @@ def _reference_basis(params, ref, cache, variant, side):
     out = np.empty((params.dim, params.dim), dtype=complex)
     for h in all_labels(params.sites):
         member = ref
-        for a, d in enumerate(h.digits):
+        for a, d in enumerate(h):
             if variant == "powers":
                 mats = [t1[a]] * d
             else:
@@ -92,9 +92,9 @@ def _reference_basis(params, ref, cache, variant, side):
             for m in mats:
                 member = member @ m if side == "left" else m @ member
         if side == "left":
-            out[h.flat] = member
+            out[flat_index(h)] = member
         else:
-            out[:, h.flat] = member
+            out[:, flat_index(h)] = member
     return out
 
 
@@ -112,17 +112,16 @@ def test_basis_builders_equal_row_by_row_loop(chain3, variant):
 
 
 def test_ternary_combinatorics():
-    h = TernaryIndex((1, 0, 1, 2))
-    assert h.ones() == (0, 2)
-    assert h.with_digit(1, 2).digits == (1, 2, 1, 2)
-    assert pair_substitution(h, (0,), (2,)).digits == (0, 0, 2, 2)
-    with pytest.raises(ValueError):
-        TernaryIndex((0, 3))
+    h = (1, 0, 1, 2)
+    assert digit_ones(h) == (0, 2)
+    assert with_digit(h, 1, 2) == (1, 2, 1, 2)
+    assert pair_substitution(h, (0,), (2,)) == (0, 0, 2, 2)
 
 
 def test_flat_order_site_one_fastest():
-    seen = [idx.digits for idx in all_labels(2)]
+    seen = all_labels(2)
     assert seen[0] == (0, 0) and seen[1] == (1, 0) and seen[3] == (0, 1)
+    assert [flat_index(h) for h in ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2))] == [0, 1, 2, 3, 6]
 
 
 def test_reference_covector_diagonal_identity_twist_rows():
@@ -296,10 +295,10 @@ def test_power_variant_reference_row(chain2):
 
 def test_dressed_h_zero_is_reference(chain2):
     params, xyz, cache, pair = chain2
-    one = TernaryIndex((1,) * params.sites)
-    np.testing.assert_allclose(pair.left[one.flat], pair.ref_covector)
-    zero = TernaryIndex((0,) * params.sites)
-    np.testing.assert_allclose(pair.right[:, zero.flat], pair.ref_vector)
+    one = (1,) * params.sites
+    np.testing.assert_allclose(pair.left[flat_index(one)], pair.ref_covector)
+    zero = (0,) * params.sites
+    np.testing.assert_allclose(pair.right[:, flat_index(zero)], pair.ref_vector)
 
 
 @pytest.mark.parametrize("case", ["i", "ii", "iii"])
@@ -339,14 +338,14 @@ def test_variant_relation(chain2):
     t1 = [cache.t1(x) for x in params.xi]
     for h in all_labels(params.sites):
         row = base_row
-        for a, d in enumerate(h.digits):
+        for a, d in enumerate(h):
             for _ in range(d):
                 row = row @ t1[a]
         alpha = np.prod(
             [
                 quantum_determinant(params, params.xi[a]) if d == 0 else 1.0
-                for a, d in enumerate(h.digits)
+                for a, d in enumerate(h)
             ]
         )
-        ref = pair.left[h.flat]
+        ref = pair.left[flat_index(h)]
         assert np.abs(ref - alpha * row).max() <= 1e-9 * np.abs(ref).max()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sovlab.errors import DetKZero
 from sovlab.gl3_model import InterpolationWeights, ModelParams, TransferCache, TwistData
 from sovlab.sampling import ParameterSampler
-from sovlab.sov_bases import TernaryIndex, dressed_pair
+from sovlab.sov_bases import dressed_pair, flat_index
 from sovlab.sov_measure import (
     appc_recursion_check,
     b_recursion,
@@ -31,6 +31,7 @@ from oracles import (
     DegenerateFamily,
     all_labels,
     c_scaling_scan,
+    digit_ones,
     gram_entry,
     label_b_recursion,
     pair_substitution,
@@ -38,26 +39,25 @@ from oracles import (
 
 
 def test_classify_examples():
-    assert classify_pair(TernaryIndex((2, 0, 1)), TernaryIndex((2, 0, 1))).kind == "diagonal"
-    cls = classify_pair(TernaryIndex((0, 2)), TernaryIndex((1, 1)))
+    assert classify_pair((2, 0, 1), (2, 0, 1)).kind == "diagonal"
+    cls = classify_pair((0, 2), (1, 1))
     assert cls.kind == "offdiag" and cls.alpha == (0,) and cls.beta == (1,) and cls.pair_count == 1
-    assert classify_pair(TernaryIndex((0, 1)), TernaryIndex((1, 0))).kind == "zero"
+    assert classify_pair((0, 1), (1, 0)).kind == "zero"
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.tuples(*[st.integers(0, 2)] * 3), st.tuples(*[st.integers(0, 2)] * 3))
-def test_classify_selection_rule(hd, kd):
+def test_classify_selection_rule(h, k):
     """Any nonzero class conserves the total digit sum (the global charge
     sector); each pair move trades two 1s for a 0 and a 2.  The move, when it
     exists, is unique."""
-    h, k = TernaryIndex(hd), TernaryIndex(kd)
     cls = classify_pair(h, k)
     if cls.kind != "zero":
-        assert sum(h.digits) == sum(k.digits)
+        assert sum(h) == sum(k)
     if cls.kind == "offdiag":
         assert set(cls.alpha).isdisjoint(cls.beta)
-        assert h.digits == pair_substitution(k, cls.alpha, cls.beta).digits
-        assert h.digits.count(1) == k.digits.count(1) - 2 * cls.pair_count
+        assert h == pair_substitution(k, cls.alpha, cls.beta)
+        assert h.count(1) == k.count(1) - 2 * cls.pair_count
 
 
 @pytest.mark.parametrize("sites", [1, 2, 3, 4])
@@ -69,8 +69,8 @@ def test_pair_support_matches_classify_pair(sites):
     for h in labels:
         for k in labels:
             cls = classify_pair(h, k)
-            kinds[h.flat, k.flat] = cls.kind
-            counts[h.flat, k.flat] = cls.pair_count
+            kinds[flat_index(h), flat_index(k)] = cls.kind
+            counts[flat_index(h), flat_index(k)] = cls.pair_count
     assert np.array_equal(support.diagonal, kinds == "diagonal")
     assert np.array_equal(support.offdiag, kinds == "offdiag")
     assert np.array_equal(support.zero, kinds == "zero")
@@ -87,7 +87,7 @@ def test_diag_values_match_per_label_formula(chain3):
     for h in all_labels(params.sites):
         out = 1.0 + 0j
         zshift, yshift = [], []
-        for a, d in enumerate(h.digits):
+        for a, d in enumerate(h):
             z, y = int(d >= 1), int(d == 2)
             zshift.append(params.xi_shifted(a, z))
             yshift.append(params.xi_shifted(a, y))
@@ -117,21 +117,21 @@ def test_gram_audit_matches_per_cell_loop(chain3):
     for k in all_labels(params.sites):
         for h in all_labels(params.sites):
             cls = classify_pair(h, k)
-            val = abs(cosine[h.flat, k.flat])
+            val = abs(cosine[flat_index(h), flat_index(k)])
             mag = val / cscale
-            if h.digits != k.digits:
+            if h != k:
                 worst_off = max(worst_off, mag)
             if cls.kind == "zero":
                 worst_zero = max(worst_zero, mag)
                 if val > rtol * cscale:
-                    violations.append({"kind": "zero", "h": h.digits, "k": k.digits,
+                    violations.append({"kind": "zero", "h": h, "k": k,
                                        "magnitude": mag})
             elif cls.kind == "offdiag":
                 if val <= 1e3 * rtol * cscale:
-                    violations.append({"kind": "offdiag", "h": h.digits, "k": k.digits,
+                    violations.append({"kind": "offdiag", "h": h, "k": k,
                                        "magnitude": mag})
-                coefficients[(h.flat, k.flat)] = complex(
-                    g[h.flat, k.flat] / (g[k.flat, k.flat] * detk**cls.pair_count)
+                coefficients[(flat_index(h), flat_index(k))] = complex(
+                    g[flat_index(h), flat_index(k)] / (g[flat_index(k), flat_index(k)] * detk**cls.pair_count)
                 )
     assert {v["kind"] for v in violations} == {"zero", "offdiag"}
     assert report.violations == violations
@@ -146,10 +146,10 @@ def test_dual_sparsity_matches_per_label_loop(chain3):
     dual = dual_bases(pair, report)
     worst = 0.0
     for h in all_labels(params.sites):
-        coeffs = expansion_coefficients(report, dual)[:, h.flat]
+        coeffs = expansion_coefficients(report, dual)[:, flat_index(h)]
         for t in all_labels(params.sites):
             if classify_pair(t, h).kind == "zero":
-                worst = max(worst, abs(coeffs[t.flat]) / np.abs(coeffs).max())
+                worst = max(worst, abs(coeffs[flat_index(t)]) / np.abs(coeffs).max())
     assert worst > 0
     assert _dual_coordinate_residuals(report, dual)[0] == pytest.approx(worst, rel=1e-15)
 
@@ -157,7 +157,7 @@ def test_dual_sparsity_matches_per_label_loop(chain3):
 def test_gram_normalization(chain2):
     params, _, _, pair = chain2
     report = gram(pair.left, pair.right, params)
-    origin = TernaryIndex((0, 0))
+    origin = (0, 0)
     assert abs(gram_entry(report, origin, origin) - 1) < 1e-12
 
 
@@ -178,19 +178,19 @@ def test_gram_one_site_diagonal():
 def test_gram_two_site_pair_row(chain2):
     params, _, _, pair = chain2
     report = gram(pair.left, pair.right, params)
-    k = TernaryIndex((1, 1))
+    k = (1, 1)
     nonzero = []
     for h in all_labels(2):
-        if h.digits == k.digits:
+        if h == k:
             continue
-        if abs(report.cosine[h.flat, k.flat]) > 1e-9 * np.abs(report.cosine).max():
-            nonzero.append(h.digits)
+        if abs(report.cosine[flat_index(h), flat_index(k)]) > 1e-9 * np.abs(report.cosine).max():
+            nonzero.append(h)
     assert sorted(nonzero) == [(0, 2), (2, 0)]
 
 
 def test_diag_formula_values(chain2):
     params, _, _, pair = chain2
-    assert diag_values(params)[TernaryIndex((0, 0)).flat] == pytest.approx(1.0)
+    assert diag_values(params)[flat_index((0, 0))] == pytest.approx(1.0)
     report = gram(pair.left, pair.right, params)
     assert report.max_diag_rel_err <= 1e-9
 
@@ -215,11 +215,11 @@ def test_sparsity_sound_and_complete():
 def test_extract_coefficient_and_detk_zero(chain2):
     params, _, _, pair = chain2
     report = gram(pair.left, pair.right, params)
-    h, k = TernaryIndex((0, 2)), TernaryIndex((1, 1))
+    h, k = (0, 2), (1, 1)
     c = extract_coefficient(report, h, k)
     assert np.isfinite(c.real) and abs(c) > 0
     with pytest.raises(ValueError):
-        extract_coefficient(report, TernaryIndex((0, 0)), TernaryIndex((0, 0)))
+        extract_coefficient(report, (0, 0), (0, 0))
     kp, xyzd, _ = make_params(21, 2, invertible=False)
     dpair = dressed_pair(TransferCache(kp), xyzd)
     dreport = gram(dpair.left, dpair.right, kp)
@@ -231,7 +231,7 @@ def test_detk_to_zero_limit():
     """Couplings vanish linearly with det K while the extracted coefficient
     stays finite and converges."""
     params, xyz, s = make_params(91, 2)
-    h, k = TernaryIndex((0, 2)), TernaryIndex((1, 1))
+    h, k = (0, 2), (1, 1)
     coefs = []
     mags = []
     for scale in (1e-2, 1e-4, 1e-6):
@@ -264,8 +264,8 @@ def test_coeff_r0_matches_gram(sites, rest):
     params, xyz, _ = make_params(97 + sites, sites)
     pair = dressed_pair(TransferCache(params), xyz)
     report = gram(pair.left, pair.right, params)
-    h = TernaryIndex((0, 2) + rest)
-    k = TernaryIndex((1, 1) + rest)
+    h = (0, 2) + rest
+    k = (1, 1) + rest
     c_meas = extract_coefficient(report, h, k)
     c_form = coeff_r0_closed_form(params, rest)
     assert abs(c_meas - c_form) <= 1e-8 * abs(c_form)
@@ -277,7 +277,7 @@ def test_coefficient_detk_independence():
     params, xyz, _ = make_params(101, 2)
     a = params.twist.trace_inv
     b = params.twist.second_inv
-    h, k = TernaryIndex((0, 2)), TernaryIndex((1, 1))
+    h, k = (0, 2), (1, 1)
     values = []
     for c in (params.twist.det, 1.7 * params.twist.det):
         roots = np.roots([1.0, -a, b, -c])
@@ -321,7 +321,7 @@ def test_dual_bases_inverse_and_orthogonality(chain2):
     for h in all_labels(2):
         for k in all_labels(2):
             if classify_pair(h, k).kind == "zero":
-                assert abs(dual.measure[h.flat, k.flat]) <= 1e-9 * cscale
+                assert abs(dual.measure[flat_index(h), flat_index(k)]) <= 1e-9 * cscale
 
 
 def test_dual_bases_detk_zero_coincide(det0_chain2):
@@ -338,25 +338,25 @@ def test_expansion_sparsity(chain3):
     params, _, _, pair = chain3
     report = gram(pair.left, pair.right, params)
     dual = dual_bases(pair, report)
-    for h in (TernaryIndex((1, 1, 0)), TernaryIndex((1, 1, 1))):
-        coeffs = expansion_coefficients(report, dual)[:, h.flat]
-        allowed = {h.flat}
-        ones = h.ones()
+    for h in ((1, 1, 0), (1, 1, 1)):
+        coeffs = expansion_coefficients(report, dual)[:, flat_index(h)]
+        allowed = {flat_index(h)}
+        ones = digit_ones(h)
         for r in range(1, len(ones) // 2 + 1):
             for alpha in itertools.combinations(ones, r):
                 rest = [o for o in ones if o not in alpha]
                 for beta in itertools.combinations(rest, r):
-                    allowed.add(pair_substitution(h, alpha, beta).flat)
+                    allowed.add(flat_index(pair_substitution(h, alpha, beta)))
         for flat, c in enumerate(coeffs):
             if flat not in allowed:
                 assert abs(c) <= 1e-8 * np.abs(coeffs).max()
-        assert abs(coeffs[h.flat] - 1) <= 1e-8
+        assert abs(coeffs[flat_index(h)] - 1) <= 1e-8
 
 
 def test_b_recursion_single_pair(chain2):
     params, _, _, pair = chain2
     report = gram(pair.left, pair.right, params)
-    h = TernaryIndex((1, 1))
+    h = (1, 1)
     bmap = label_b_recursion(report, h)
     assert set(bmap) == {((0,), (1,)), ((1,), (0,))}
     # base case equals minus the h-normalized coupling coefficient
@@ -364,10 +364,10 @@ def test_b_recursion_single_pair(chain2):
     cbar = gram_entry(report, s, h) / (gram_entry(report, s, s) * params.twist.det)
     assert bmap[((0,), (1,))] == pytest.approx(-cbar, rel=1e-10)
     dual = dual_bases(pair, report)
-    coeffs = expansion_coefficients(report, dual)[:, h.flat]
+    coeffs = expansion_coefficients(report, dual)[:, flat_index(h)]
     for (alpha, beta), b in bmap.items():
         target = pair_substitution(h, alpha, beta)
-        assert abs(coeffs[target.flat] - params.twist.det * b) <= 1e-7 * np.abs(coeffs).max()
+        assert abs(coeffs[flat_index(target)] - params.twist.det * b) <= 1e-7 * np.abs(coeffs).max()
 
 
 @pytest.mark.slow
@@ -376,16 +376,16 @@ def test_b_recursion_two_pairs_n4():
     pair = dressed_pair(TransferCache(params), xyz)
     report = gram(pair.left, pair.right, params)
     dual = dual_bases(pair, report)
-    h = TernaryIndex((1, 1, 1, 1))
+    h = (1, 1, 1, 1)
     bmap = label_b_recursion(report, h)
-    coeffs = expansion_coefficients(report, dual)[:, h.flat]
+    coeffs = expansion_coefficients(report, dual)[:, flat_index(h)]
     checked = 0
     for (alpha, beta), b in bmap.items():
         if len(alpha) != 2:
             continue
         target = pair_substitution(h, alpha, beta)
         pred = params.twist.det ** 2 * b
-        assert abs(coeffs[target.flat] - pred) <= 1e-7 * np.abs(coeffs).max()
+        assert abs(coeffs[flat_index(target)] - pred) <= 1e-7 * np.abs(coeffs).max()
         checked += 1
     assert checked == 6
 
@@ -399,7 +399,7 @@ def _b_recursion_per_label(report, h):
     def cbar(s, t, pair_count):
         return gram_entry(report, s, t) / (gram_entry(report, s, s) * c**pair_count)
 
-    ones = h.ones()
+    ones = digit_ones(h)
     out = {}
     for r in range(1, len(ones) // 2 + 1):
         for alpha in itertools.combinations(ones, r):
@@ -429,15 +429,15 @@ def test_b_coefficients_match_per_label_recursion(sites, seed):
     assert np.all(np.diagonal(b) == 1) and np.all(b[support.zero] == 0)
     checked = 0
     for h in all_labels(sites):
-        if len(h.ones()) < 2:
+        if len(digit_ones(h)) < 2:
             continue
         want = _b_recursion_per_label(report, h)
         got = label_b_recursion(report, h)
         assert set(got) == set(want)
-        assert np.count_nonzero(support.offdiag[:, h.flat]) == len(want)
+        assert np.count_nonzero(support.offdiag[:, flat_index(h)]) == len(want)
         scale = max(abs(v) for v in want.values())
         for move, val in want.items():
-            assert abs(b[pair_substitution(h, *move).flat, h.flat] - val) <= 1e-12 * scale
+            assert abs(b[flat_index(pair_substitution(h, *move)), flat_index(h)] - val) <= 1e-12 * scale
             assert abs(got[move] - val) <= 1e-12 * scale
         checked += 1
     assert checked == {3: 7, 4: 33}[sites]

@@ -15,9 +15,9 @@ from sovlab.gl3_model import ModelParams, TransferCache, TwistData
 from sovlab.numkernel import eig_general, rel_residual
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import (
-    TernaryIndex,
     build_left_basis,
     build_right_basis,
+    flat_index,
     reference_covector,
 )
 from sovlab.sov_measure import diag_values, gram
@@ -243,8 +243,8 @@ def test_determinant_formulas_in_charge_bases(family2):
     khat_cache = TransferCache(kp)
     pair = tt_sov_bases(family, xyz)
     n = params.sites
-    one_flat = TernaryIndex((1,) * n).flat
-    zero_flat = TernaryIndex((0,) * n).flat
+    one_flat = flat_index((1,) * n)
+    zero_flat = flat_index((0,) * n)
     gen = np.random.default_rng(5)
     checked = 0
     _, ambiguous = zero_pattern(khat_cache, family.khat_states)
