@@ -104,7 +104,8 @@ def eigensolve_sov(cache, pair, dec):
 
     Eigenvalue functions at the nodes are computed as bilinear Rayleigh
     quotients, wave-function factorization over the left family of ``pair``,
-    the chain's dressed pair, is verified per state and stored as a residual.
+    the chain's dressed pair, is verified per state in the pair's unit-norm
+    frame (:func:`coordinate_residual`) and stored as a residual.
     """
     params = cache.params
 
@@ -124,8 +125,7 @@ def eigensolve_sov(cache, pair, dec):
         v, u = dec.right[:, i], dec.left[i]
         v = v / (pair.left[one_flat] @ v)
         u = u / (u @ pair.right[:, zero_flat])
-        coords = pair.left @ v
-        worst = rel_residual(coords - separated_coordinates(t1x[i], t2s[i]), coords)
+        worst = coordinate_residual(pair, v, separated_coordinates(t1x[i], t2s[i]))
         states.append(SpectralData(i, v, u, t1x[i], t1s[i], t2x[i], t2s[i], worst))
     return states
 
@@ -138,6 +138,14 @@ def separated_coordinates(t1_xi, t2_shift):
     ``(3^N, k)`` coordinates of k states.
     """
     return label_products(np.stack([t2_shift, np.ones_like(t1_xi), t1_xi], axis=1))
+
+
+def coordinate_residual(pair, vectors, pred):
+    """Worst |<h|v> - pred_h| / (|<h|| |v|) over the labels h of the left
+    family of ``pair`` and the vectors v (one, or the columns of a matrix):
+    predicted separate-state coordinates read in the unit-norm frame."""
+    scale = np.multiply.outer(pair.row_norms, np.linalg.norm(vectors, axis=0))
+    return rel_residual(pair.left @ vectors - pred, scale, axis=())
 
 
 def zero_pattern(cache, states):

@@ -85,9 +85,8 @@ def gl2_bases(cache, ref):
     a_xi = InterpolationWeights(params).a
     left_steps = [([], [cache.t1(x) / a_xi(x)]) for x in params.xi]
     right_steps = [([cache.t1(x - params.eta) / a_xi(x)], []) for x in params.xi]
-    left = basis_tree(row0, left_steps, lambda row, m: row @ m)
-    right = basis_tree(ones_col, right_steps, lambda col, m: m @ col)
-    bases = left, np.ascontiguousarray(right.T), zeros_col
+    bases = (basis_tree(row0, left_steps, "left"), basis_tree(ones_col, right_steps, "right"),
+             zeros_col)
     for arr in bases:
         arr.setflags(write=False)
     return bases
@@ -180,7 +179,7 @@ def gl2_eigen_reps(cache, bases):
 
     # right-label det-K representation: |h> from the zeros reference
     steps = [([], [t / (detk * w.d(x - params.eta))]) for t, x in zip(t_at, params.xi)]
-    cols = basis_tree(zeros_col, steps, lambda col, m: m @ col).T
+    cols = basis_tree(zeros_col, steps, "right")
     return {
         "reconstruction_residual": resid,
         "detk_rep_residual": rel_residual(cols - right, right, axis=0),

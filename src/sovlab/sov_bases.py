@@ -1,11 +1,14 @@
 """Left and right SoV bases generated by transfer matrices on a reference pair.
 
-Two variants are supported.  The "powers" variant applies plain powers
-T_1(xi_a)^{h_a} to a free tensor reference on either side.  The "dressed"
-variant applies T_2(xi_a - eta) for digit 0 and T_1(xi_a) for digit 2 on the
-left, and T_2(xi_a) / T_1(xi_a) for digits 1 / 2 on the right; its right
-reference vector is pinned by the duality condition <k|0> = delta_{k,0}
-against the dressed left family and admits a closed per-site form.
+The one place that knows how an SoV family is built (:func:`basis_tree`,
+fed by :func:`transfer_family`) and how its members are scaled (the
+unit-norm frame a read-only :class:`SovBasisPair` owns).  The "powers"
+variant applies plain powers T_1(xi_a)^{h_a} to a free tensor reference on
+either side.  The "dressed" variant applies T_2(xi_a - eta) for digit 0 and
+T_1(xi_a) for digit 2 on the left, and T_2(xi_a) / T_1(xi_a) for digits
+1 / 2 on the right; its right reference vector is pinned by the duality
+condition <k|0> = delta_{k,0} against the dressed left family and admits a
+closed per-site form.
 
 Basis families are enumerated in flat ternary order with site 1 fastest, the
 ordering used by every report and file format in the package.  The label
@@ -14,7 +17,7 @@ gl(2) model builds its binary-labelled bases on them as well.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,17 +155,19 @@ def reference_vector_solve(left_basis, rank_left=None):
     return np.linalg.solve(left / norms[:, None], rhs)
 
 
-def basis_tree(ref, steps, apply):
+def basis_tree(ref, steps, side):
     """Members of every label, built down a prefix tree over sites 1..N.
 
-    ``steps[a][d]`` lists the matrices digit d applies at site a, in order,
-    and ``apply(member, matrix)`` is one 1-D product.  A node at depth a
-    holds the member for the digits of sites 1..a, and its ``len(steps[a])``
+    ``steps[a][d]`` lists the matrices digit d applies at site a, in order.
+    On ``side`` "left" each matrix advances a row (``row @ m``) and the rows
+    are returned; on "right" each advances a column (``m @ col``) and the
+    columns are returned as one contiguous matrix.  A node at depth a holds
+    the member for the digits of sites 1..a, and its ``len(steps[a])``
     children extend it by site a + 1, so the products of a prefix are shared
-    by every label that has it.  Rows come out in flat order (site 1
-    fastest).  The members stay separate 1-D products: a batched GEMM rounds
-    differently from the per-member GEMV.
+    by every label that has it, in flat order (site 1 fastest).  Members stay
+    separate 1-D products: a batched GEMM rounds unlike the per-member GEMV.
     """
+    left = {"left": True, "right": False}[side]
     level = np.asarray(ref, dtype=complex)[None, :]
     for site in steps:
         width = len(level)
@@ -170,14 +175,16 @@ def basis_tree(ref, steps, apply):
         for d, mats in enumerate(site):
             for i, member in enumerate(level):
                 for m in mats:
-                    member = apply(member, m)
+                    member = member @ m if left else m @ member
                 nxt[d * width + i] = member
         level = nxt
-    return level
+    return level if left else np.ascontiguousarray(level.T)
 
 
-def _steps(cache, variant, side):
-    """Matrices each digit applies at each site, in order.
+def transfer_family(cache, ref, variant, side):
+    """Left rows or right columns, in flat order, of a transfer-matrix family
+    on the reference ``ref``: row or column ``flat_index(h)`` is the member
+    labeled by h.
 
     "powers": T_1(xi_a)^d on either side.  "dressed": the left family
     applies T_2(xi_a - eta) for digit 0 and T_1(xi_a) for digit 2, the right
@@ -194,59 +201,60 @@ def _steps(cache, variant, side):
             steps.append(([cache.t2(x - cache.params.eta)], [], [t1]))
         else:
             steps.append(([], [cache.t2(x)], [t1]))
-    return steps
+    return basis_tree(ref, steps, side)
 
 
-def build_left_basis(cache, ref_row, variant="dressed"):
-    """Matrix whose row ``flat_index(h)`` is the co-vector labeled by ``h``."""
-    steps = _steps(cache, variant, "left")
-    return basis_tree(ref_row, steps, lambda row, m: row @ m)
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
-def build_right_basis(cache, ref_col, variant="dressed"):
-    """Matrix whose column ``flat_index(h)`` is the vector labeled by ``h``."""
-    steps = _steps(cache, variant, "right")
-    cols = basis_tree(ref_col, steps, lambda col, m: m @ col)
-    return np.ascontiguousarray(cols.T)
-
-
-@dataclass
+@dataclass(frozen=True)
 class SovBasisPair:
-    """Ordered left (rows) and right (columns) SoV families with their references."""
+    """Ordered left (rows) and right (columns) SoV families with their
+    references, read-only.  ``row_norms`` and ``col_norms``, the members'
+    Euclidean norms, are the unit-norm frame every rank, coupling and
+    coordinate figure is read in; they and the rank ratios are computed once.
+    """
 
     left: np.ndarray
     right: np.ndarray
     variant: str
     ref_covector: np.ndarray
     ref_vector: np.ndarray
-    _ranks: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for arr in (self.left, self.right, self.ref_covector, self.ref_vector):
+            arr.setflags(write=False)
 
     @property
     def dim(self):
         return self.left.shape[0]
 
+    @functools.cached_property
+    def row_norms(self):
+        return _read_only(np.linalg.norm(self.left, axis=1))
+
+    @functools.cached_property
+    def col_norms(self):
+        return _read_only(np.linalg.norm(self.right, axis=0))
+
+    @functools.cached_property
+    def _ranks(self):
+        if self.row_norms.min() == 0 or self.col_norms.min() == 0:
+            return 0.0, 0.0
+        return (rank_ratio(self.left / self.row_norms[:, None]),
+                rank_ratio(self.right / self.col_norms[None, :]))
+
     def rank_ratios(self):
-        """sigma_min/sigma_max of the two families after unit-normalizing
-        each member.
+        """sigma_min/sigma_max of the two families in the unit-norm frame.
 
         Every basis state carries an arbitrary overall scale (products of
         transfer-matrix values), so the raw singular-value ratio conflates
         that normalization freedom with actual rank; the normalized ratio
-        tests linear independence of the family itself.  Computed once when
-        both families are read-only (as :func:`dressed_pair` leaves them).
+        tests linear independence of the family itself.
         """
-        if self._ranks is not None:
-            return self._ranks
-        row_norms = np.linalg.norm(self.left, axis=1)
-        col_norms = np.linalg.norm(self.right, axis=0)
-        if row_norms.min() == 0 or col_norms.min() == 0:
-            ranks = 0.0, 0.0
-        else:
-            ranks = (rank_ratio(self.left / row_norms[:, None]),
-                     rank_ratio(self.right / col_norms[None, :]))
-        if not (self.left.flags.writeable or self.right.flags.writeable):
-            self._ranks = ranks
-        return ranks
+        return self._ranks
 
     def require_full_rank(self):
         rl, rr = self.rank_ratios()
@@ -256,18 +264,13 @@ class SovBasisPair:
 
 
 def dressed_pair(cache, xyz):
-    """Dressed left/right bases from the tensor reference pair fixed by xyz.
-
-    Its arrays are read-only, so whoever keeps the pair (the workspace's
-    memos) can share it.
-    """
+    """Dressed left/right bases from the tensor reference pair fixed by xyz,
+    a new read-only pair on each call."""
     params = cache.params
     ref_row = reference_covector(xyz, params)
     ref_col = reference_vector_closed(xyz, params)
-    left = build_left_basis(cache, ref_row, "dressed")
-    right = build_right_basis(cache, ref_col, "dressed")
-    for arr in (left, right, ref_row, ref_col):
-        arr.setflags(write=False)
+    left = transfer_family(cache, ref_row, "dressed", "left")
+    right = transfer_family(cache, ref_col, "dressed", "right")
     return SovBasisPair(left, right, "dressed", ref_row, ref_col)
 
 
@@ -283,6 +286,6 @@ def power_pair(cache, xyz, rst):
         )
     col = params.twist.w @ np.array([r, s, t])
     ref_col = tensor_product_state([col] * params.sites)
-    left = build_left_basis(cache, ref_row, "powers")
-    right = build_right_basis(cache, ref_col, "powers")
+    left = transfer_family(cache, ref_row, "powers", "left")
+    right = transfer_family(cache, ref_col, "powers", "right")
     return SovBasisPair(left, right, "powers", ref_row, ref_col)

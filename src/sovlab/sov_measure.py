@@ -173,20 +173,17 @@ class GramReport:
         return rel_residual(self.diag - self.predicted_diag, self.predicted_diag, axis=())
 
 
-def gram(left, right, params, rtol=1e-9):
-    """Assemble <h|k>, classify every cell and compare the diagonal.
+def gram(pair, params, rtol=1e-9):
+    """Assemble <h|k> of ``pair``, classify every cell and compare the diagonal.
 
-    Violations and coefficients are listed cell by cell with k the outer and
-    h the inner label, both in flat order.
+    The cosine divides each cell by the pair's member norms.  Violations and
+    coefficients are listed cell by cell with k the outer and h the inner
+    label, both in flat order.
     """
-    left = np.asarray(left)
-    right = np.asarray(right)
-    g = left @ right
+    g = pair.left @ pair.right
     diag = np.diagonal(g).copy()
     predicted = diag_values(params)
-    row_norms = np.linalg.norm(left, axis=1)
-    col_norms = np.linalg.norm(right, axis=0)
-    cosine = g / np.outer(row_norms, col_norms)
+    cosine = g / np.outer(pair.row_norms, pair.col_norms)
     mags = np.abs(cosine)
     cscale = max(mags.max(), 1e-300)
     report = GramReport(params, g, cosine, diag, predicted, rtol)
@@ -272,8 +269,7 @@ def dual_bases(pair, report):
     """p-families D R^{-1} and L^{-1} D plus the inverse measure."""
     dim = pair.dim
     eye = np.eye(dim)
-    row_norms = np.linalg.norm(pair.left, axis=1)
-    col_norms = np.linalg.norm(pair.right, axis=0)
+    row_norms, col_norms = pair.row_norms, pair.col_norms
     left_u = pair.left / row_norms[:, None]
     right_u = pair.right / col_norms[None, :]
     try:

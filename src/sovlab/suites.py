@@ -39,11 +39,11 @@ from .gl3_model import ModelParams, TransferCache, TwistData
 from .numkernel import RANK_RTOL, rel_residual, worst
 from .sampling import ParameterSampler
 from .sov_bases import (
-    build_left_basis,
     dressed_pair,
     label_products,
     power_pair,
     reference_vector_solve,
+    transfer_family,
 )
 from .sov_measure import (
     appc_recursion_check,
@@ -200,7 +200,7 @@ class Workspace:
     @_memo
     def gl3_gram(self):
         cache, _, pair = self.gl3()
-        return gram(pair.left, pair.right, cache.params)
+        return gram(pair, cache.params)
 
     @_memo
     def gl3_dual(self):
@@ -343,8 +343,12 @@ def run_fusion(ws, tol):
 
 
 def _asymptotics_residual(cache):
-    """First-order Richardson check of the central large-argument behavior."""
+    """First-order Richardson check of the central large-argument behavior:
+    T_m(lam) / lam^(mN) tends to the m-th spectral invariant of K times the
+    identity, read relative to max(|invariant|, max|K_ij|^m), a scale that
+    does not vanish with the invariant (a traceless twist)."""
     params = cache.params
+    kmax = float(np.abs(params.twist.k_matrix).max())
     scale = max(max(abs(x) for x in params.xi), abs(params.eta), 1.0)
     lam = 1e6 * scale
 
@@ -352,7 +356,7 @@ def _asymptotics_residual(cache):
         f1 = cache.value(m, lam) / lam ** (m * params.sites)
         f2 = cache.value(m, 2 * lam) / (2 * lam) ** (m * params.sites)
         richardson = 2 * f2 - f1
-        return rel_residual(richardson - lead * np.eye(params.dim), lead)
+        return rel_residual(richardson - lead * np.eye(params.dim), max(abs(lead), kmax**m))
     return worst(residual(m, lead)
                  for m, lead in ((1, params.twist.trace_inv), (2, params.twist.second_inv)))
 
@@ -384,7 +388,7 @@ def _variant_relation_residual(cache, pair):
     for x in params.xi:
         full = full @ cache.t1(x)
     base_row = np.linalg.solve(full.T, pair.ref_covector)
-    rows = build_left_basis(cache, base_row, "powers")
+    rows = transfer_family(cache, base_row, "powers", "left")
     alpha = label_products(
         [[gl3_model.quantum_determinant(params, x), 1, 1] for x in params.xi]
     )
@@ -438,25 +442,28 @@ def _twist_independence_residual(ws):
 def run_dual(ws, tol):
     report = ws.gl3_gram()
     dual = ws.gl3_dual()
-    sparsity, brec = _dual_coordinate_residuals(report, dual)
+    sparsity, brec = _dual_coordinate_residuals(ws.gl3()[2], report, dual)
     gated = {"inverse_residual": dual.inverse_residual,
              "expansion_sparsity": sparsity, "b_recursion": brec}
     return _result("dual", tol, ws, gated, {"ortho_residual": dual.ortho_residual})
 
 
-def _dual_coordinate_residuals(report, dual):
-    """``(sparsity, b_recursion)`` of the dual-vector coordinates, each
-    relative to its column's largest coordinate.
+def _dual_coordinate_residuals(pair, report, dual):
+    """``(sparsity, b_recursion)`` of the dual-vector coordinates over the
+    right family of ``pair``, each relative to its column's largest
+    coordinate.
 
     Column h of :func:`expansion_coefficients` holds the coordinates of the
     dual vector of h.  They must vanish outside the pair-move support (a
     pair move of h lands on row t exactly when cell (t, h) is not
-    zero-classified), and on every pair move of h equal (det K)^r times the
-    recursion's coefficient B_(alpha,beta) (:func:`b_recursion`).
+    zero-classified), read on the unit-norm right members (row t times
+    ``pair.col_norms[t]``), and on every pair move of h equal (det K)^r
+    times the recursion's coefficient B_(alpha,beta) (:func:`b_recursion`).
     """
     support = sov_measure.pair_support(report.params.sites)
     coords = expansion_coefficients(report, dual)
-    sparsity = rel_residual(np.where(support.zero, coords, 0), coords, axis=0)
+    unit = coords * pair.col_norms[:, None]
+    sparsity = rel_residual(np.where(support.zero, unit, 0), unit, axis=0)
     pred = report.params.twist.det ** support.pair_count * b_recursion(report)
     brec = rel_residual(np.where(support.offdiag, coords - pred, 0), coords, axis=0)
     return sparsity, brec
@@ -465,7 +472,7 @@ def _dual_coordinate_residuals(report, dual):
 def run_det0(ws, tol):
     cache, _, pair = ws.khat()
     kp = cache.params
-    report = gram(pair.left, pair.right, kp)
+    report = gram(pair, kp)
     s = ParameterSampler(ws.seed + 5000)
     lams = [s.spectral_point(kp.xi, kp.eta) for _ in range(3)]
     rng = np.random.default_rng(ws.seed + 17)
@@ -542,7 +549,7 @@ def run_ttcharges(ws, tol):
         return rel_residual(np.subtract(tc, ct, out=ct), tc)  # the difference overwrites c t
 
     tpair = tt_sov_bases(family, xyz)
-    treport = gram(tpair.left, tpair.right, family.khat_params)
+    treport = gram(tpair, family.khat_params)
     gated = {
         "fusion": worst(fusion_residuals_tt(family).values()),
         "commutation": worst(commutation() for _ in range(3)),
@@ -656,6 +663,7 @@ def run_task(name, ws, tolerances, out_dir=None):
         return SUITES[name](ws, tol)
     except SovLabError as exc:
         return TaskResult(name=name, passed=False, tolerance=tol, max_residual=float("inf"),
-                          details={"error": f"{type(exc).__name__}: {exc}"})
+                          details={"error": f"{type(exc).__name__}: {exc}"},
+                          retries=list(ws.retries))
     finally:
         ws.release_nodes()

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .det0_spectrum import probe_decomposition, separated_coordinates
+from .det0_spectrum import coordinate_residual, probe_decomposition, separated_coordinates
 from .gl3_model import TransferCache
 from .numkernel import rayleigh_quotients, rel_residual
 from .sov_bases import (
@@ -165,11 +165,10 @@ def tt_sov_bases(family, xyz):
 
 
 def eigenstate_representation_residual(family, pair):
-    """The invertible-twist eigenstates must be separate states of the charge
-    bases with the companion-model eigenvalue exponents; the worst column's
-    relative residual."""
+    """The invertible-twist eigenstates, each scaled to all-ones coordinate 1,
+    must be separate states of the charge bases with the companion-model
+    eigenvalue exponents; the worst :func:`det0_spectrum.coordinate_residual`."""
     one_flat = flat_index((1,) * family.params.sites)
-    coords = pair.left @ family.right
-    coords = coords / coords[one_flat]
+    states = family.right / (pair.left[one_flat] @ family.right)
     pred = separated_coordinates(family.t1_xi, family.t2_shift)
-    return rel_residual(coords - pred, coords, axis=0)
+    return coordinate_residual(pair, states, pred)

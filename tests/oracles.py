@@ -179,7 +179,7 @@ def c_scaling_scan(params, c_values, xyz):
         twist = params.twist.from_eigenvalues(roots[order], w=params.twist.w)
         p = params.with_twist(twist)
         pair = dressed_pair(TransferCache(p), xyz)
-        reports.append((complex(c), gram(pair.left, pair.right, p)))
+        reports.append((complex(c), gram(pair, p)))
 
     support = pair_support(params.sites)
     logc = np.log(np.abs([c for c, _ in reports]))

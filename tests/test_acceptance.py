@@ -11,7 +11,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from sovlab import gl2_model
 from sovlab.cli import resolve_config, run
@@ -43,7 +42,6 @@ from sovlab.sov_bases import (
     flat_index,
     label_digits,
     reference_vector_closed,
-    reference_vector_solve,
 )
 from sovlab.sov_measure import (
     appc_recursion_check,
@@ -205,7 +203,7 @@ def test_criterion_06_coupling_pattern_n3():
     for seed in SEEDS:
         params, xyz, _ = make_params(seed, 3)
         pair = dressed_pair(TransferCache(params), xyz)
-        report = gram(pair.left, pair.right, params)
+        report = gram(pair, params)
         worst_zero = max(worst_zero, report.max_zero_cosine)
         worst_diag = max(worst_diag, report.max_diag_rel_err)
         cscale = np.abs(report.cosine).max()
@@ -241,7 +239,7 @@ def test_criterion_08_single_pair_coefficient():
         for sites in (2, 3):
             params, xyz, _ = make_params(seed, sites)
             pair = dressed_pair(TransferCache(params), xyz)
-            report = gram(pair.left, pair.right, params)
+            report = gram(pair, params)
             for rest in itertools.product((0, 1, 2), repeat=sites - 2):
                 h = (0, 2) + rest
                 k = (1, 1) + rest
@@ -260,7 +258,7 @@ def test_criterion_09_inverse_measure_and_recursions():
         params, xyz, _ = make_params(seed, 2)
         cache = TransferCache(params)
         pair = dressed_pair(cache, xyz)
-        report = gram(pair.left, pair.right, params)
+        report = gram(pair, params)
         worst_inv = max(worst_inv, dual_bases(pair, report).inverse_residual)
         t2 = cache.t2(params.xi[1])
         worst_rec = max(worst_rec, appc_recursion_check(cache, 0, pair, t2)["seed"])
@@ -276,7 +274,7 @@ def test_criterion_09_inverse_measure_and_recursions():
         params4, xyz4, _ = make_params(seed, 4)
         cache4 = TransferCache(params4)
         pair4 = dressed_pair(cache4, xyz4)
-        report4 = gram(pair4.left, pair4.right, params4)
+        report4 = gram(pair4, params4)
         dual4 = dual_bases(pair4, report4)
         worst_inv = max(worst_inv, dual4.inverse_residual)
         h = (1, 1, 1, 1)
@@ -301,7 +299,7 @@ def test_criterion_10_orthogonal_regime():
         for sites in (2, 3):
             params, xyz, _ = make_params(seed, sites, invertible=False)
             pair = dressed_pair(TransferCache(params), xyz)
-            report = gram(pair.left, pair.right, params)
+            report = gram(pair, params)
             worst_off = max(worst_off, report.max_offdiag_cosine)
             worst_diag = max(worst_diag, report.max_diag_rel_err)
         params, xyz, _ = make_params(seed, 2, invertible=False)
@@ -364,7 +362,7 @@ def test_criterion_12_conserved_charge_bases():
                           eigenstates(khat_cache, (1.0, 1.0, 1.0)))
         worst_fus = max(worst_fus, max(fusion_residuals_tt(family).values()))
         tpair = tt_sov_bases(family, xyz)
-        report = gram(tpair.left, tpair.right, family.khat_params)
+        report = gram(tpair, family.khat_params)
         worst_gram = max(worst_gram, report.max_offdiag_cosine, report.max_diag_rel_err)
         # determinant overlap formulas in the charge bases
         kp = family.khat_params

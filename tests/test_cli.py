@@ -630,17 +630,13 @@ def test_verify_all_lists_every_suite(tmp_path):
     assert report["all_passed"] is True
 
 
-# dual, scalarproducts and ttcharges are left out: they are the known N = 4
-# failures of ROADMAP item 1 and are still run by `verify --all`
-N4_PASSING_SUITES = ["yangbaxter", "fusion", "bases", "gram", "measure", "det0", "gl2",
-                     "appendixA", "appendixC"]
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(1, 14))
 def test_four_site_suites_pass(seed):
-    cfg = resolve_config(None, {"sites": 4, "seed": seed, "tasks": N4_PASSING_SUITES})
-    report = run(cfg, echo=lambda *a, **k: None)
+    from sovlab.suites import SUITES
+
+    report = run(resolve_config(None, {"sites": 4, "seed": seed}), echo=lambda *a, **k: None)
+    assert [r["task"] for r in report["results"]] == list(SUITES)
     failed = [r["task"] for r in report["results"] if not r["passed"]]
     assert failed == []
 

@@ -70,7 +70,7 @@ def test_make_khat_requires_case_i():
 
 def _orthogonality(cache, xyz):
     pair = dressed_pair(cache, xyz)
-    report = gram(pair.left, pair.right, cache.params)
+    report = gram(pair, cache.params)
     return report.max_offdiag_cosine, report.max_diag_rel_err
 
 

@@ -15,7 +15,6 @@ from sovlab.gl3_model import (
     weight_sectors,
 )
 from sovlab.numkernel import (
-    EigenDecomposition,
     adjugate3,
     antisymmetrizer,
     eig_general,

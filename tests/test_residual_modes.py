@@ -32,7 +32,7 @@ def chain(request):
 
 def test_gram_report_fields(chain):
     params, _, _, pair = chain
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     support = pair_support(params.sites)
     assert report.max_diag_rel_err == entry_ratio(
         report.diag - report.predicted_diag, report.predicted_diag
@@ -52,7 +52,7 @@ def test_fusion_residuals(chain):
 @pytest.mark.parametrize("name", ["chain2", "chain3"])
 def test_dual_fields(name, request):
     params, _, _, pair = request.getfixturevalue(name)
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     dual = dual_bases(pair, report)
     eye = np.eye(params.dim)
     norms = np.outer(np.linalg.norm(pair.left, axis=1), np.linalg.norm(pair.right, axis=0))
@@ -61,9 +61,10 @@ def test_dual_fields(name, request):
     assert dual.inverse_residual == identity_error(cos_inv @ cosine, eye)
     support = pair_support(params.sites)
     coords = dual.measure * report.diag
+    unit = coords * np.linalg.norm(pair.right, axis=0)[:, None]
     pred = params.twist.det ** support.pair_count * b_recursion(report)
-    assert suites._dual_coordinate_residuals(report, dual) == (
-        masked_column_ratio(coords, coords, support.zero),
+    assert suites._dual_coordinate_residuals(pair, report, dual) == (
+        masked_column_ratio(unit, unit, support.zero),
         masked_column_ratio(coords - pred, coords, support.offdiag),
     )
 
@@ -120,7 +121,7 @@ def test_max_diag_rel_err_sees_an_error_on_the_smallest_entry(chain3):
     1e-6 error on its smallest entry is invisible to a whole-array ratio at
     the gram tolerance, and must not be to the per-entry one."""
     params, _, _, pair = chain3
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     pred = report.predicted_diag
     assert np.abs(pred).max() / np.abs(pred).min() > 1e3
     i = np.argmin(np.abs(pred))

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from sovlab import det0_spectrum, gl3_model, suites
+from sovlab.gl3_model import TwistData
 from sovlab.commands import main
 from sovlab.errors import SovLabError
 from sovlab.numkernel import worst
@@ -136,6 +137,38 @@ def test_run_task_turns_a_library_error_into_a_failed_result(monkeypatch):
     res = run_task("gram", Workspace("gl3", 2, 7), {"gram": 1e-6})
     assert (res.passed, res.tolerance, res.max_residual, res.retries) == (False, 1e-6, math.inf, [])
     assert res.details == {"error": "SovLabError: no chain"}
+
+
+def test_an_errored_task_records_the_run_retries(monkeypatch):
+    """N = 3, seed 193 resamples its chain once (xi_3 - xi_1 = 2 eta); a
+    suite that then fails on a library error lists that retry as the
+    suites that pass do."""
+    def broken(twist):
+        raise SovLabError("no companion")
+    monkeypatch.setattr(suites, "make_khat", broken)
+    ws = Workspace("gl3", 3, 193)
+    fusion = run_task("fusion", ws, {})
+    det0 = run_task("det0", ws, {})
+    assert len(fusion.retries) == 1 and fusion.retries[0]["seed"] == 193
+    assert det0.details == {"error": "SovLabError: no companion"}
+    assert det0.retries == fusion.retries
+
+
+@pytest.mark.parametrize("seed", [75, 7])
+@pytest.mark.parametrize("invariant,m", [("trace_inv", 1), ("second_inv", 2)])
+def test_asymptotics_fails_a_lead_off_by_a_thousandth_of_its_scale(seed, invariant, m,
+                                                                   monkeypatch):
+    """Seed 75 samples a traceless twist, seed 7 a generic one.  Both pass the
+    1e-4 asymptotics gate, and both fail it once the m-th invariant is off by
+    1e-3 of max(|invariant|, max|K_ij|^m), the scale the residual is read in."""
+    cache = Workspace("gl3", 2, seed).gl3()[0]
+    twist = cache.params.twist
+    assert (abs(twist.trace_inv) < 1e-12) == (seed == 75)
+    assert suites._asymptotics_residual(cache) < 1e-4
+    real = getattr(TwistData, invariant).fget
+    scale = max(abs(real(twist)), float(np.abs(twist.k_matrix).max()) ** m)
+    monkeypatch.setattr(TwistData, invariant, property(lambda self: real(self) + 1e-3 * scale))
+    assert suites._asymptotics_residual(cache) >= 1e-4
 
 
 def test_verify_all_drops_the_config_task_list(tmp_path):

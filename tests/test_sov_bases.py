@@ -10,8 +10,6 @@ from sovlab.errors import DegenerateReference, SingularBasis
 from sovlab.gl3_model import ModelParams, TransferCache, TwistData, quantum_determinant
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import (
-    build_left_basis,
-    build_right_basis,
     dressed_pair,
     flat_index,
     label_digits,
@@ -21,6 +19,7 @@ from sovlab.sov_bases import (
     reference_vector_closed,
     reference_vector_solve,
     tensor_product_state,
+    transfer_family,
 )
 from sovlab.suites import DEFAULT_TOLERANCES, Workspace, run_bases
 
@@ -104,8 +103,8 @@ def test_basis_builders_equal_row_by_row_loop(chain3, variant):
     rng = np.random.default_rng(5)
     ref_row = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
     ref_col = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
-    left = build_left_basis(cache, ref_row, variant)
-    right = build_right_basis(cache, ref_col, variant)
+    left = transfer_family(cache, ref_row, variant, "left")
+    right = transfer_family(cache, ref_col, variant, "right")
     assert np.array_equal(left, _reference_basis(params, ref_row, cache, variant, "left"))
     assert np.array_equal(right, _reference_basis(params, ref_col, cache, variant, "right"))
     assert left.flags.c_contiguous and right.flags.c_contiguous
@@ -211,9 +210,9 @@ def test_reference_vector_solve_singular():
 
 
 def test_rank_ratios_computed_once_on_a_dressed_pair(chain2, monkeypatch):
-    """A read-only dressed pair runs one SVD per family however often its
-    ratios are read, and ``reference_vector_solve`` reuses the left one; a
-    writable pair recomputes them on every read."""
+    """A pair runs one SVD per family however often its ratios are read, a
+    dressed and a power pair alike, and ``reference_vector_solve`` reuses
+    the left one."""
     params, xyz, _, _ = chain2
     calls = []
     exact = sov_bases.rank_ratio
@@ -229,7 +228,7 @@ def test_rank_ratios_computed_once_on_a_dressed_pair(chain2, monkeypatch):
     powers = power_pair(cache, xyz, ParameterSampler(99).reference3())
     powers.rank_ratios()
     powers.rank_ratios()
-    assert len(calls) == 7
+    assert len(calls) == 5
 
 
 def test_rank_deficient_family_raises_with_given_ratio(chain2):
@@ -289,6 +288,7 @@ def test_power_variant_reference_row(chain2):
     params, xyz, cache, _ = chain2
     s = ParameterSampler(99)
     pair = power_pair(cache, xyz, s.reference3())
+    assert not any(arr.flags.writeable for arr in (pair.left, pair.right, pair.row_norms))
     np.testing.assert_allclose(pair.left[0], pair.ref_covector)
     np.testing.assert_allclose(pair.right[:, 0], pair.ref_vector)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sovlab.errors import DetKZero
-from sovlab.gl3_model import InterpolationWeights, ModelParams, TransferCache, TwistData
+from sovlab.gl3_model import InterpolationWeights, TransferCache, TwistData
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import dressed_pair, flat_index
 from sovlab.sov_measure import (
@@ -103,7 +104,7 @@ def _perturbed_report(chain3, rtol):
     rng = np.random.default_rng(3)
     noise = rng.standard_normal(pair.left.shape) + 1j * rng.standard_normal(pair.left.shape)
     left = pair.left + 1e-3 * noise * np.abs(pair.left).max(axis=1)[:, None]
-    return params, gram(left, pair.right, params, rtol)
+    return params, gram(dataclasses.replace(pair, left=left), params, rtol)
 
 
 def test_gram_audit_matches_per_cell_loop(chain3):
@@ -142,21 +143,22 @@ def test_gram_audit_matches_per_cell_loop(chain3):
 
 def test_dual_sparsity_matches_per_label_loop(chain3):
     params, _, _, pair = chain3
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     dual = dual_bases(pair, report)
+    norms = np.linalg.norm(pair.right, axis=0)  # coordinates on the unit-norm members
     worst = 0.0
     for h in all_labels(params.sites):
-        coeffs = expansion_coefficients(report, dual)[:, flat_index(h)]
+        coeffs = expansion_coefficients(report, dual)[:, flat_index(h)] * norms
         for t in all_labels(params.sites):
             if classify_pair(t, h).kind == "zero":
                 worst = max(worst, abs(coeffs[flat_index(t)]) / np.abs(coeffs).max())
     assert worst > 0
-    assert _dual_coordinate_residuals(report, dual)[0] == pytest.approx(worst, rel=1e-15)
+    assert _dual_coordinate_residuals(pair, report, dual)[0] == pytest.approx(worst, rel=1e-15)
 
 
 def test_gram_normalization(chain2):
     params, _, _, pair = chain2
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     origin = (0, 0)
     assert abs(gram_entry(report, origin, origin) - 1) < 1e-12
 
@@ -167,7 +169,7 @@ def test_gram_one_site_diagonal():
     the formula and by the dense pairing."""
     params, xyz, _ = make_params(71, 1)
     pair = dressed_pair(TransferCache(params), xyz)
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     eta = params.eta
     ratio = (-eta) / (-2 * eta)
     np.testing.assert_allclose(report.diag, [1.0, ratio, ratio], atol=1e-12)
@@ -177,7 +179,7 @@ def test_gram_one_site_diagonal():
 
 def test_gram_two_site_pair_row(chain2):
     params, _, _, pair = chain2
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     k = (1, 1)
     nonzero = []
     for h in all_labels(2):
@@ -191,13 +193,13 @@ def test_gram_two_site_pair_row(chain2):
 def test_diag_formula_values(chain2):
     params, _, _, pair = chain2
     assert diag_values(params)[flat_index((0, 0))] == pytest.approx(1.0)
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     assert report.max_diag_rel_err <= 1e-9
 
 
 def test_diag_formula_matches_direct_n3(chain3):
     params, _, _, pair = chain3
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     assert report.max_diag_rel_err <= 1e-9
 
 
@@ -207,14 +209,14 @@ def test_sparsity_sound_and_complete():
     for seed in range(80, 85):
         params, xyz, _ = make_params(seed, 2)
         pair = dressed_pair(TransferCache(params), xyz)
-        report = gram(pair.left, pair.right, params)
+        report = gram(pair, params)
         assert not report.violations
         assert report.max_zero_cosine <= 1e-9
 
 
 def test_extract_coefficient_and_detk_zero(chain2):
     params, _, _, pair = chain2
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     h, k = (0, 2), (1, 1)
     c = extract_coefficient(report, h, k)
     assert np.isfinite(c.real) and abs(c) > 0
@@ -222,7 +224,7 @@ def test_extract_coefficient_and_detk_zero(chain2):
         extract_coefficient(report, (0, 0), (0, 0))
     kp, xyzd, _ = make_params(21, 2, invertible=False)
     dpair = dressed_pair(TransferCache(kp), xyzd)
-    dreport = gram(dpair.left, dpair.right, kp)
+    dreport = gram(dpair, kp)
     with pytest.raises(DetKZero):
         extract_coefficient(dreport, h, k)
 
@@ -239,7 +241,7 @@ def test_detk_to_zero_limit():
         eigs[0] = scale * eigs[0] / abs(eigs[0])
         p = params.with_twist(TwistData.from_eigenvalues(eigs, w=params.twist.w))
         pair = dressed_pair(TransferCache(p), xyz)
-        report = gram(pair.left, pair.right, p, rtol=1e-15)
+        report = gram(pair, p, rtol=1e-15)
         mags.append(abs(gram_entry(report, h, k)))
         coefs.append(extract_coefficient(report, h, k))
     # linear vanishing: each hundredfold cut of det K cuts the coupling a hundredfold
@@ -263,7 +265,7 @@ def test_coeff_r0_closed_form_explicit():
 def test_coeff_r0_matches_gram(sites, rest):
     params, xyz, _ = make_params(97 + sites, sites)
     pair = dressed_pair(TransferCache(params), xyz)
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     h = (0, 2) + rest
     k = (1, 1) + rest
     c_meas = extract_coefficient(report, h, k)
@@ -284,7 +286,7 @@ def test_coefficient_detk_independence():
         tw = TwistData.from_eigenvalues(roots, w=params.twist.w)
         p = params.with_twist(tw)
         pair = dressed_pair(TransferCache(p), xyz)
-        report = gram(pair.left, pair.right, p)
+        report = gram(pair, p)
         values.append(extract_coefficient(report, h, k))
     assert abs(values[0] - values[1]) <= 1e-6 * abs(values[0])
 
@@ -312,7 +314,7 @@ def test_scaling_scan_degenerate_family(chain2):
 
 def test_dual_bases_inverse_and_orthogonality(chain2):
     params, _, _, pair = chain2
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     dual = dual_bases(pair, report)
     assert dual.inverse_residual <= 1e-8
     assert dual.ortho_residual <= 1e-7
@@ -328,7 +330,7 @@ def test_dual_bases_detk_zero_coincide(det0_chain2):
     """With a vanishing determinant the coupling matrix is diagonal, so the
     dual vectors coincide with the SoV vectors themselves."""
     params, _, _, pair = det0_chain2
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     dual = dual_bases(pair, report)
     rel = np.abs(dual.p_vectors - pair.right).max() / np.abs(pair.right).max()
     assert rel <= 1e-9
@@ -336,7 +338,7 @@ def test_dual_bases_detk_zero_coincide(det0_chain2):
 
 def test_expansion_sparsity(chain3):
     params, _, _, pair = chain3
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     dual = dual_bases(pair, report)
     for h in ((1, 1, 0), (1, 1, 1)):
         coeffs = expansion_coefficients(report, dual)[:, flat_index(h)]
@@ -355,7 +357,7 @@ def test_expansion_sparsity(chain3):
 
 def test_b_recursion_single_pair(chain2):
     params, _, _, pair = chain2
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     h = (1, 1)
     bmap = label_b_recursion(report, h)
     assert set(bmap) == {((0,), (1,)), ((1,), (0,))}
@@ -374,7 +376,7 @@ def test_b_recursion_single_pair(chain2):
 def test_b_recursion_two_pairs_n4():
     params, xyz, _ = make_params(111, 4)
     pair = dressed_pair(TransferCache(params), xyz)
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     dual = dual_bases(pair, report)
     h = (1, 1, 1, 1)
     bmap = label_b_recursion(report, h)
@@ -423,7 +425,7 @@ def test_b_coefficients_match_per_label_recursion(sites, seed):
     plus the pair-move cells."""
     params, xyz, _ = make_params(seed, sites)
     pair = dressed_pair(TransferCache(params), xyz)
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     b = b_recursion(report)
     support = pair_support(sites)
     assert np.all(np.diagonal(b) == 1) and np.all(b[support.zero] == 0)
@@ -447,17 +449,17 @@ def test_b_recursion_residual_detects_wrong_coefficients(chain3, monkeypatch):
     """The dual coordinates on the pair moves match det K^r B; with the moves
     left out of B (B = I) the residual reads order one."""
     params, _, _, pair = chain3
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     dual = dual_bases(pair, report)
-    assert _dual_coordinate_residuals(report, dual)[1] <= 1e-9
+    assert _dual_coordinate_residuals(pair, report, dual)[1] <= 1e-9
     monkeypatch.setattr(suites, "b_recursion", lambda report: np.eye(params.dim))
-    assert _dual_coordinate_residuals(report, dual)[1] > 1e-3
+    assert _dual_coordinate_residuals(pair, report, dual)[1] > 1e-3
 
 
 def test_b_coefficients_detk_zero(det0_chain2):
     params, _, _, pair = det0_chain2
     with pytest.raises(DetKZero):
-        b_recursion(gram(pair.left, pair.right, params))
+        b_recursion(gram(pair, params))
 
 
 @pytest.mark.parametrize("sites,rest", [(2, ()), (3, (0,)), (3, (2,))])
@@ -480,7 +482,7 @@ def test_appc_recursion_two_pair_n4():
 
 def test_export_csv_roundtrip(tmp_path, chain2):
     params, _, _, pair = chain2
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     path = tmp_path / "gram.csv"
     export_matrix_csv(report.gram, path)
     import csv
@@ -497,7 +499,7 @@ def test_diag_twist_independence(chain2):
     from sovlab.sampling import ParameterSampler
 
     params, xyz, _, pair = chain2
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     s = ParameterSampler(997)
     other = params.with_twist(
         TwistData.from_eigenvalues(s.distinct_eigenvalues(), w=s.invertible3())
@@ -509,6 +511,6 @@ def test_diag_twist_independence(chain2):
 
 def test_sparsity_three_sites(chain3):
     params, _, _, pair = chain3
-    report = gram(pair.left, pair.right, params)
+    report = gram(pair, params)
     assert not report.violations
     assert report.max_zero_cosine <= 1e-9

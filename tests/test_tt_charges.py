@@ -10,16 +10,10 @@ from sovlab.det0_spectrum import (
     scalar_product_determinant,
     zero_pattern,
 )
-from sovlab.errors import SpectrumNotSimple
 from sovlab.gl3_model import ModelParams, TransferCache, TwistData
 from sovlab.numkernel import eig_general, rel_residual
 from sovlab.sampling import ParameterSampler
-from sovlab.sov_bases import (
-    build_left_basis,
-    build_right_basis,
-    flat_index,
-    reference_covector,
-)
+from sovlab.sov_bases import flat_index, reference_covector, transfer_family
 from sovlab.sov_measure import diag_values, gram
 from sovlab.tt_charges import (
     build_tt,
@@ -155,8 +149,8 @@ def test_charge_bases_match_dense_charge_products(oracle_family):
     pair = tt_sov_bases(family, xyz)
     dense = DenseCharges(family)
     ref_row = reference_covector(xyz, params)
-    left = build_left_basis(dense, ref_row, "dressed")
-    right = build_right_basis(dense, pair.ref_vector, "dressed")
+    left = transfer_family(dense, ref_row, "dressed", "left")
+    right = transfer_family(dense, pair.ref_vector, "dressed", "right")
     left_err = np.linalg.norm(pair.left - left, axis=1) / np.linalg.norm(left, axis=1)
     right_err = np.linalg.norm(pair.right - right, axis=0) / np.linalg.norm(right, axis=0)
     assert left_err.max() <= 1e-11
@@ -206,7 +200,7 @@ def test_charge_bases_orthogonal_with_vandermonde_diagonal():
     params = ModelParams(2, eta, s.inhomogeneities(2, eta), twist)
     family = charge_family(TransferCache(params))
     pair = tt_sov_bases(family, s.reference3())
-    report = gram(pair.left, pair.right, family.khat_params)
+    report = gram(pair, family.khat_params)
     assert report.max_offdiag_cosine <= 1e-9
     assert report.max_diag_rel_err <= 1e-8
 
