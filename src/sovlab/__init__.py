@@ -21,7 +21,6 @@ from .errors import (
     SpectrumCollision,
     SpectrumNotSimple,
     AmbiguousPattern,
-    PatternMissing,
     IndexOrder,
     ConfigError,
 )

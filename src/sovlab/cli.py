@@ -184,10 +184,9 @@ def _resolve(path, overrides):
 
     xi = raw.get("xi")
     cfg["xi"] = None
-    if isinstance(xi, dict):
-        if "seed" in xi:
-            cfg["seed"] = _integer(xi, "seed", None, 0)
-    elif xi is not None:
+    if xi is not None:
+        if not isinstance(xi, list):
+            raise ConfigError(f"xi must be a list of {cfg['sites']} values, got {xi!r}")
         cfg["xi"] = [parse_scalar(x) for x in xi]
         if len(cfg["xi"]) != cfg["sites"]:
             raise ConfigError("xi list length must equal sites")
@@ -222,6 +221,8 @@ def _resolve(path, overrides):
     validate_tasks(tasks, cfg["algebra"])
     cfg["tasks"] = list(tasks)
     cfg["out"] = raw.get("out")
+    if cfg["out"] is not None and not isinstance(cfg["out"], str):
+        raise ConfigError(f"out must be a directory name, got {cfg['out']!r}")
     cfg["parallel"] = raw.get("parallel", False)
     if not isinstance(cfg["parallel"], bool):
         raise ConfigError(f"parallel must be true or false, got {cfg['parallel']!r}")

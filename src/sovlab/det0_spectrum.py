@@ -10,16 +10,12 @@ on the digit-move table :data:`LABEL_MOVES`, and the two determinant overlaps
 share one prefactor.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AmbiguousPattern,
-    PatternMissing,
-    SpectrumCollision,
-    SpectrumNotSimple,
-)
+from .errors import AmbiguousPattern, SpectrumCollision, SpectrumNotSimple
 from .gl3_model import (
     InterpolationWeights,
     default_probe_point,
@@ -51,15 +47,16 @@ def make_khat(twist):
     return twist.from_jordan(twist.w, kj)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralData:
-    """One transfer-matrix eigenstate with its eigenvalue data.
+    """One transfer-matrix eigenstate with its eigenvalue data, read-only.
 
     ``right`` is normalized so its coordinate on the label h = (1,...,1)
     equals one; ``left`` so its pairing with the right basis vector at
     h = (0,...,0) equals one.  ``t1_xi[a]``, ``t1_shift[a]`` etc. hold the
-    eigenvalues of T_1, T_2 at xi_a and xi_a - eta.  ``perm``/``msize`` are
-    filled by :func:`zero_pattern`.
+    eigenvalues of T_1, T_2 at xi_a and xi_a - eta.  The A/B split of the
+    sites is read off ``t1_xi`` the first time it is asked for
+    (:attr:`split`).
     """
 
     index: int
@@ -70,23 +67,46 @@ class SpectralData:
     t2_xi: np.ndarray
     t2_shift: np.ndarray
     factorization_residual: float
-    perm: tuple = None
-    msize: int = None
-    pattern_diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("right", "left", "t1_xi", "t1_shift", "t2_xi", "t2_shift"):
+            getattr(self, name).setflags(write=False)
+
+    @functools.cached_property
+    def split(self):
+        """``(a_sites, b_sites)``: the sites where |t_1(xi_a)| >= ZERO_THETA *
+        scale, and the rest, each ascending; the scale is the largest |t_1|
+        over both node shifts.  A magnitude inside [0.1, 10] * ZERO_THETA *
+        scale raises :class:`AmbiguousPattern`."""
+        mags = np.abs(self.t1_xi)
+        # the reference magnitude must survive when every unshifted value is an
+        # exact zero (the split can be empty), so include the shifted nodes
+        scale = max(mags.max(), np.abs(self.t1_shift).max(), 1e-300)
+        band = (mags >= 0.1 * ZERO_THETA * scale) & (mags <= 10 * ZERO_THETA * scale)
+        if band.any():
+            raise AmbiguousPattern(
+                f"|t_1(xi)| in the ambiguity band at sites {np.where(band)[0].tolist()}"
+            )
+        is_a = mags >= ZERO_THETA * scale
+        return tuple(np.flatnonzero(is_a).tolist()), tuple(np.flatnonzero(~is_a).tolist())
 
     @property
     def a_sites(self):
-        self._need_pattern()
-        return self.perm[: self.msize]
+        return self.split[0]
 
     @property
     def b_sites(self):
-        self._need_pattern()
-        return self.perm[self.msize:]
+        return self.split[1]
 
-    def _need_pattern(self):
-        if self.perm is None:
-            raise PatternMissing("run zero_pattern on this eigenstate first")
+    @property
+    def perm(self):
+        """The A-sites, then the B-sites."""
+        return self.a_sites + self.b_sites
+
+    @property
+    def msize(self):
+        """The number of A-sites."""
+        return len(self.a_sites)
 
 
 def probe_decomposition(cache):
@@ -103,9 +123,12 @@ def eigensolve_sov(cache, pair, dec):
     the chain.
 
     Eigenvalue functions at the nodes are computed as bilinear Rayleigh
-    quotients, wave-function factorization over the left family of ``pair``,
-    the chain's dressed pair, is verified per state in the pair's unit-norm
-    frame (:func:`coordinate_residual`) and stored as a residual.
+    quotients.  Every right vector is scaled by one product with the all-ones
+    member of the left family of ``pair``, the chain's dressed pair, and
+    every left vector by one with its all-zeros right member; one GEMM with
+    that left family gives every state's coordinates, whose factorization is
+    stored per state as a residual in the pair's unit-norm frame
+    (:func:`coordinate_residuals`).
     """
     params = cache.params
 
@@ -120,14 +143,11 @@ def eigensolve_sov(cache, pair, dec):
 
     t1x, t1s = node_values(1, 0), node_values(1, params.eta)
     t2x, t2s = node_values(2, 0), node_values(2, params.eta)
-    states = []
-    for i in range(params.dim):
-        v, u = dec.right[:, i], dec.left[i]
-        v = v / (pair.left[one_flat] @ v)
-        u = u / (u @ pair.right[:, zero_flat])
-        worst = coordinate_residual(pair, v, separated_coordinates(t1x[i], t2s[i]))
-        states.append(SpectralData(i, v, u, t1x[i], t1s[i], t2x[i], t2s[i], worst))
-    return states
+    right = dec.right / (pair.left[one_flat] @ dec.right)
+    left = dec.left / (dec.left @ pair.right[:, zero_flat])[:, None]
+    resids = coordinate_residuals(pair, right, separated_coordinates(t1x.T, t2s.T))
+    return [SpectralData(i, right[:, i], left[i], t1x[i], t1s[i], t2x[i], t2s[i], resids[i])
+            for i in range(params.dim)]
 
 
 def separated_coordinates(t1_xi, t2_shift):
@@ -140,95 +160,82 @@ def separated_coordinates(t1_xi, t2_shift):
     return label_products(np.stack([t2_shift, np.ones_like(t1_xi), t1_xi], axis=1))
 
 
-def coordinate_residual(pair, vectors, pred):
-    """Worst |<h|v> - pred_h| / (|<h|| |v|) over the labels h of the left
-    family of ``pair`` and the vectors v (one, or the columns of a matrix):
-    predicted separate-state coordinates read in the unit-norm frame."""
+def coordinate_residuals(pair, vectors, pred):
+    """Per column v of ``vectors``, the worst |<h|v> - pred_h| / (|<h|| |v|)
+    over the labels h of the left family of ``pair``: predicted
+    separate-state coordinates read in the unit-norm frame, with one GEMM
+    for all the columns."""
+    diff = pair.left @ vectors - pred
     scale = np.multiply.outer(pair.row_norms, np.linalg.norm(vectors, axis=0))
-    return rel_residual(pair.left @ vectors - pred, scale, axis=())
+    return [rel_residual(d, s, axis=()) for d, s in zip(diff.T, scale.T)]
 
 
 def zero_pattern(cache, states):
-    """Partition the sites of each eigenstate by the zero pattern of its
-    eigenvalue functions.
+    """The zero-pattern checks of some eigenstates; the states are not changed.
 
-    Sites where |t_1(xi_a)| >= ZERO_THETA * scale come first in a state's
-    permutation ``perm`` (their count is the split size ``msize``).
-    Magnitudes falling inside [0.1, 10] * ZERO_THETA * scale are refused as
-    ambiguous.  The complementary zeros of t_2(xi - eta), the eigenvalue
-    fusion products and the closed polynomial form of t_2 are verified and
-    stored as ``pattern_diagnostics``; the closed form takes one batched
-    Rayleigh quotient over the states at each of four extra points.
+    A state's split (:attr:`SpectralData.split`) puts the sites where
+    t_1(xi_a) is nonzero in A and the others in B.  The states whose split
+    is decided are kept; for them the complementary zeros of t_2(xi - eta),
+    the eigenvalue fusion products and the closed polynomial form of t_2 are
+    checked.  The closed form takes one batched Rayleigh quotient over the
+    states at each of four extra points.
 
-    Returns ``(kept, excluded)``: the states whose pattern is now set, in
-    order, and ``(state, AmbiguousPattern)`` pairs for the refused ones.
+    Returns ``(kept, excluded, figures)``: the kept states in order,
+    ``(state, AmbiguousPattern)`` pairs for the refused ones, and the four
+    figures over the kept states, each the worst over states and sites
+    (:func:`rel_residual` per entry, against the state's own scale):
+
+    - ``pattern_zero_residual``: the A-site t_2(xi_a - eta), against
+      max(max|t_2(xi - eta)|, max|t_2(xi)|);
+    - ``pattern_fusion_residual``: t_1(xi_a) t_1(xi_a - eta) - t_2(xi_a),
+      against max(|t_2(xi_a)|, max|t_2(xi - eta)|);
+    - ``pattern_t2_closed_form_residual``: t_2(lam) less its closed form,
+      against |t_2(lam)|;
+    - ``pattern_nonzero_floor``: the smallest B-site |t_2(xi_b - eta)|
+      relative to max|t_2(xi - eta)|, a minimum (infinite with no B-site).
     """
     params = cache.params
-    kept, excluded, splits = [], [], []
+    kept, excluded = [], []
     for st in states:
         try:
-            splits.append(_site_split(st))
+            st.split
             kept.append(st)
         except AmbiguousPattern as exc:
             excluded.append((st, exc))
     if not kept:
-        return kept, excluded
+        return kept, excluded, {}
 
     is_a = np.zeros((len(kept), params.sites), dtype=bool)
-    for row, (perm, msize, _) in zip(is_a, splits):
-        row[list(perm[:msize])] = True
+    for row, st in zip(is_a, kept):
+        row[list(st.a_sites)] = True
+    t1x, t1s, t2x, t2s = (np.stack([getattr(st, name) for st in kept])
+                          for name in ("t1_xi", "t1_shift", "t2_xi", "t2_shift"))
+    t2s_scale = np.abs(t2s).max(axis=1, keepdims=True)
+    # the a-site values of t_2(xi - eta) are zeros, and so is their maximum
+    # when every site is an a-site: scale them by a magnitude that survives
+    zero_scale = np.maximum(t2s_scale, np.abs(t2x).max(axis=1, keepdims=True))
+    fusion_scale = np.maximum(np.abs(t2x), t2s_scale)
+    floor = np.abs(t2s) / np.maximum(t2s_scale, 1e-300)
+
     xi = np.asarray(params.xi)
     roots = np.where(is_a, xi - params.eta, xi)  # row s: the site zeros of state s's t_2
     left = np.stack([st.left for st in kept])
     right = np.stack([st.right for st in kept], axis=1)
     w = InterpolationWeights(params)
-    closed = np.zeros(len(kept))
+    closed = []
     for k in range(4):
         lam = params.xi[0] + (3 + k) * params.eta * (1 + 0.2j)
         pred = params.twist.second_inv * w.d(lam - params.eta) * np.prod(lam - roots, axis=1)
         actual = rayleigh_quotients(left, cache.t2(lam), right)
-        closed = np.maximum(closed, np.abs(actual - pred) / np.maximum(np.abs(actual), 1e-300))
+        closed.append(rel_residual(actual - pred, actual, axis=()))
 
-    for st, (perm, msize, diagnostics), resid in zip(kept, splits, closed):
-        st.perm = perm
-        st.msize = msize
-        st.pattern_diagnostics = dict(diagnostics, t2_closed_form_residual=float(resid))
-    return kept, excluded
-
-
-def _site_split(state):
-    """``(perm, msize, diagnostics)`` of one state's zero pattern from its
-    node values; raises :class:`AmbiguousPattern` inside the decision band."""
-    mags = np.abs(state.t1_xi)
-    # the reference magnitude must survive when every unshifted value is an
-    # exact zero (the split can be empty), so include the shifted nodes
-    scale = max(mags.max(), np.abs(state.t1_shift).max(), 1e-300)
-    band = (mags >= 0.1 * ZERO_THETA * scale) & (mags <= 10 * ZERO_THETA * scale)
-    if band.any():
-        raise AmbiguousPattern(
-            f"|t_1(xi)| in the ambiguity band at sites {np.where(band)[0].tolist()}"
-        )
-    a_sites = tuple(int(a) for a in np.where(mags >= ZERO_THETA * scale)[0])
-    b_sites = tuple(int(b) for b in np.where(mags < ZERO_THETA * scale)[0])
-
-    t2s_scale = max(np.abs(state.t2_shift).max(), 1e-300)
-    # the a-site values of t_2(xi - eta) are zeros, and so is their maximum
-    # when every site is an a-site: scale them by a magnitude that survives
-    zero_scale = max(t2s_scale, np.abs(state.t2_xi).max())
-    zero_resid = max((abs(state.t2_shift[a]) for a in a_sites), default=0.0) / zero_scale
-    nonzero_floor = min((abs(state.t2_shift[b]) for b in b_sites), default=np.inf) / t2s_scale
-    fusion_resid = 0.0
-    for a in range(len(mags)):
-        lhs = state.t1_xi[a] * state.t1_shift[a]
-        fusion_resid = max(
-            fusion_resid, abs(lhs - state.t2_xi[a]) / max(abs(state.t2_xi[a]), t2s_scale)
-        )
-    diagnostics = {
-        "zero_residual": float(zero_resid),
-        "nonzero_floor": float(nonzero_floor),
-        "fusion_residual": float(fusion_resid),
+    figures = {
+        "pattern_zero_residual": rel_residual(np.where(is_a, t2s, 0), zero_scale, axis=()),
+        "pattern_fusion_residual": rel_residual(t1x * t1s - t2x, fusion_scale, axis=()),
+        "pattern_t2_closed_form_residual": worst(closed),
+        "pattern_nonzero_floor": float(np.min(floor, where=~is_a, initial=np.inf)),
     }
-    return a_sites + b_sites, len(a_sites), diagnostics
+    return kept, excluded, figures
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +411,7 @@ def _overlap_factors(state, params):
     """Shared factors of the two determinant overlaps: ``(w, x_a, x_b, pref,
     va)`` with the interpolation weights, the site-pattern ratios x_A and x_B,
     the prefactor prod_x d(x - 2eta)/d(x - eta) * V(xi_A - eta)/V(xi_A) and
-    va = V(xi_A).  Requires the zero pattern."""
-    state._need_pattern()
+    va = V(xi_A).  An undecided split raises :class:`AmbiguousPattern`."""
     require_no_double_shift(params)
     eta = params.eta
     xi = params.xi

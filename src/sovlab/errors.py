@@ -50,10 +50,6 @@ class AmbiguousPattern(SovLabError):
     """An eigenvalue magnitude falls inside the zero/nonzero decision band."""
 
 
-class PatternMissing(SovLabError):
-    """A determinant formula was requested before the zero pattern was computed."""
-
-
 class IndexOrder(SovLabError):
     """Site indices must be strictly ascending."""
 

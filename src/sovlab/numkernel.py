@@ -6,16 +6,15 @@ co-vectors (rows) and vectors (columns) are bilinear throughout the library:
 Every exported operation is a pure function of immutable inputs; results are
 freely shareable across threads.  Every residual a report carries is
 :func:`rel_residual` in one of its three modes: whole, per row or column
-member, or per entry; figures are folded into one by :func:`worst`.  Four
-are not: ``ttcharges.probe_eigen_residual`` is :func:`eig_general`'s
+member, or per entry; figures are folded into one by :func:`worst`.  One
+is not: ``ttcharges.probe_eigen_residual`` is :func:`eig_general`'s
 ``residual_norm``, a 2-norm backward error relative to the Frobenius norm of
-the matrix, and the three ``scalarproducts.pattern_*_residual`` figures are
-formed by hand in ``det0_spectrum.zero_pattern`` (the README's Conventions
-define all four).
+the matrix (the README's Conventions define it).
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,30 +99,26 @@ def canonical_eig_order(values):
     return np.lexsort((values.imag, values.real))
 
 
+@dataclass(frozen=True)
 class EigenDecomposition:
-    """Right/left eigen-pairs of a general complex matrix.
+    """Right/left eigen-pairs of a general complex matrix, read-only.
 
     ``right[:, i]`` is the unit-norm right eigenvector of ``values[i]``;
     ``left[i, :]`` the matching left row vector, normalized so that
     ``left @ right = I`` in the bilinear pairing.  ``residual_norm`` is the
     larger of the right residual ``max_i |A r_i - lam_i r_i|`` and the left
     residual ``max_i |l_i A - lam_i l_i| / |l_i|``, each relative to ``|A|``;
-    ``eigvec_cond`` is the 2-norm condition number of ``right``.
+    ``eigvec_cond`` is the 2-norm condition number of ``right``, and
+    ``min_rel_gap`` the smallest eigenvalue gap relative to the largest
+    |eigenvalue| (infinite for one eigenvalue).
     """
 
-    def __init__(self, values, right, left, residual_norm, eigvec_cond=None):
-        self.values = values
-        self.right = right
-        self.left = left
-        self.residual_norm = residual_norm
-        self.eigvec_cond = eigvec_cond
-
-    def min_rel_gap(self):
-        """Smallest eigenvalue gap relative to the largest |eigenvalue|."""
-        diffs = np.abs(self.values[:, None] - self.values[None, :])
-        diffs[np.diag_indices_from(diffs)] = np.inf
-        gap = float(diffs.min()) if len(self.values) > 1 else np.inf
-        return gap / max(float(np.abs(self.values).max()), 1e-300)
+    values: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+    residual_norm: float
+    eigvec_cond: float
+    min_rel_gap: float
 
 
 def kron_power_product(mat, legs, left=None, right=None):
@@ -214,33 +209,33 @@ def eig_general(a, gap_rtol=None, sectors=None):
     order = canonical_eig_order(values)
     values, right = values[order], right[:, order]
 
-    dec = EigenDecomposition(values, right, None, None)
-    if gap_rtol is not None and dec.min_rel_gap() <= gap_rtol:
-        raise SpectrumNotSimple(
-            f"relative eigenvalue gap {dec.min_rel_gap():.2e} below {gap_rtol:.0e}"
-        )
-    dec.eigvec_cond = float(np.linalg.cond(right))
-    if not dec.eigvec_cond <= EIGVEC_COND_MAX:
+    diffs = np.abs(values[:, None] - values[None, :])
+    diffs[np.diag_indices_from(diffs)] = np.inf
+    gap = float(diffs.min()) / max(float(np.abs(values).max()), 1e-300)
+    del diffs
+    if gap_rtol is not None and gap <= gap_rtol:
+        raise SpectrumNotSimple(f"relative eigenvalue gap {gap:.2e} below {gap_rtol:.0e}")
+    cond = float(np.linalg.cond(right))
+    if not cond <= EIGVEC_COND_MAX:
         raise EigFailure(
-            f"eigenvector matrix is numerically singular (condition {dec.eigvec_cond:.2e}; "
+            f"eigenvector matrix is numerically singular (condition {cond:.2e}; "
             "matrix may be defective)"
         )
     if sectors is None:
-        dec.left = np.linalg.inv(right)
+        left = np.linalg.inv(right)
     else:
         left = np.zeros((n, n), dtype=complex)
         for ix, v in zip(blocks, vecs):
             left[ix[:, None], ix] = np.linalg.inv(v)
         left = kron_power_product(left, legs, right=w_inv)[order]
         left *= norms[order, None]
-        dec.left = left
 
     norm_a = max(np.linalg.norm(a), 1e-300)
     resid_right = np.linalg.norm(a @ right - right * values, axis=0).max()
-    resid_left = (np.linalg.norm(dec.left @ a - values[:, None] * dec.left, axis=1)
-                  / np.linalg.norm(dec.left, axis=1)).max()
-    dec.residual_norm = float(worst((resid_right, resid_left)) / norm_a)
-    return dec
+    resid_left = (np.linalg.norm(left @ a - values[:, None] * left, axis=1)
+                  / np.linalg.norm(left, axis=1)).max()
+    residual = float(worst((resid_right, resid_left)) / norm_a)
+    return EigenDecomposition(values, right, left, residual, cond, gap)
 
 
 def rayleigh_quotients(left, matrix, right):

@@ -134,25 +134,20 @@ def reference_vector_closed(xyz, params):
     return tensor_product_state(factors)
 
 
-def reference_vector_solve(left_basis, rank_left=None):
+def reference_vector_solve(left_basis, row_norms, rank_left):
     """Solve <k|v> = delta_{k,0} against an explicit left family.
 
     The rows are equilibrated first: (L / |L_k|) v = e_0 / |L_0| has the same
     solution, and the dressed rows' norms span many orders of magnitude.
-    ``rank_left`` is the family's unit-norm rank ratio when the caller has it
-    (``SovBasisPair.rank_ratios()[0]``); otherwise it is computed here.
+    ``row_norms`` are the rows' norms and ``rank_left`` the family's
+    unit-norm rank ratio, both from the caller (a :class:`SovBasisPair`'s
+    ``row_norms`` and ``rank_ratios()[0]``).
     """
-    left = np.asarray(left_basis, dtype=complex)
-    norms = np.linalg.norm(left, axis=1)
-    if rank_left is not None:
-        ratio = rank_left
-    else:
-        ratio = rank_ratio(left / norms[:, None]) if norms.min() > 0 else 0.0
-    if ratio < 1e-13:
-        raise SingularBasis(f"left family is rank deficient (sigma ratio {ratio:.2e})")
-    rhs = np.zeros(left.shape[0], dtype=complex)
-    rhs[0] = 1.0 / norms[0]
-    return np.linalg.solve(left / norms[:, None], rhs)
+    if rank_left < 1e-13:
+        raise SingularBasis(f"left family is rank deficient (sigma ratio {rank_left:.2e})")
+    rhs = np.zeros(len(row_norms), dtype=complex)
+    rhs[0] = 1.0 / row_norms[0]
+    return np.linalg.solve(left_basis / row_norms[:, None], rhs)
 
 
 def basis_tree(ref, steps, side):

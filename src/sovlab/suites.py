@@ -241,16 +241,17 @@ class Workspace:
         """Smallest relative eigenvalue gap and eigenvector conditioning of the
         companion chain's probe-point decomposition."""
         _, dec = self.khat_eigenstates()
-        return {"probe_min_rel_gap": dec.min_rel_gap(), "probe_eigvec_cond": dec.eigvec_cond}
+        return {"probe_min_rel_gap": dec.min_rel_gap, "probe_eigvec_cond": dec.eigvec_cond}
 
     @_memo
     def khat_states(self):
-        """Eigenstates with their zero patterns; ambiguous patterns are
-        excluded from determinant runs and logged."""
+        """The eigenstates whose zero pattern is decided, the logged
+        exclusions of the ambiguous ones, and the pattern figures of
+        :func:`zero_pattern`."""
         cache = self.khat()[0]
         states, _ = self.khat_eigenstates()
-        kept, excluded = zero_pattern(cache, states)
-        return kept, [{"index": st.index, "reason": str(exc)} for st, exc in excluded]
+        kept, excluded, figures = zero_pattern(cache, states)
+        return kept, [{"index": st.index, "reason": str(exc)} for st, exc in excluded], figures
 
     # -- gl2 ---------------------------------------------------------------
 
@@ -366,7 +367,7 @@ def run_bases(ws, tol):
     params = cache.params
     rl, rr = pair.rank_ratios()
     e0 = np.eye(params.dim)[0]
-    solved = reference_vector_solve(pair.left, rank_left=rl)
+    solved = reference_vector_solve(pair.left, pair.row_norms, rl)
     s = ParameterSampler(ws.seed + 3000)
     prl, prr = power_pair(cache, xyz, s.reference3()).rank_ratios()
     gated = {
@@ -497,7 +498,7 @@ def run_det0(ws, tol):
 
 def run_scalarproducts(ws, tol):
     kp = ws.khat()[0].params
-    states, excluded = ws.khat_states()
+    states, excluded, figures = ws.khat_states()
     rng = np.random.default_rng(ws.seed + 23)
     records = []
     for st in states:
@@ -526,12 +527,8 @@ def run_scalarproducts(ws, tol):
         "scalar_products": worst(overlap_residual() for _ in range(20)),
         "norms": worst(r["rel_err"] for r in records),
     }
-    # the zero-pattern checks of the kept states (det0_spectrum.zero_pattern)
-    diags = [st.pattern_diagnostics for st in states]
-    patterns = {f"pattern_{key}": worst(d[key] for d in diags)
-                for key in ("zero_residual", "fusion_residual", "t2_closed_form_residual")}
     info = {"per_state": records, "excluded_ambiguous": excluded, **ws.khat_probe_health(),
-            **patterns, "pattern_nonzero_floor": min(d["nonzero_floor"] for d in diags)}
+            **figures}
     return _result("scalarproducts", tol, ws, gated, info)
 
 

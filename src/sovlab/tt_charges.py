@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .det0_spectrum import coordinate_residual, probe_decomposition, separated_coordinates
+from .det0_spectrum import coordinate_residuals, probe_decomposition, separated_coordinates
 from .gl3_model import TransferCache
-from .numkernel import rayleigh_quotients, rel_residual
+from .numkernel import rank_ratio, rayleigh_quotients, rel_residual, worst
 from .sov_bases import (
     SovBasisPair,
     flat_index,
@@ -159,7 +159,9 @@ def tt_sov_bases(family, xyz):
     v_right = label_products(np.stack([ones, family.t2_xi, family.t1_xi], axis=1))
     ref_row = reference_covector(xyz, p)
     left = ((ref_row @ family.right) * v_left) @ family.left
-    ref_col = reference_vector_solve(left)
+    norms = np.linalg.norm(left, axis=1)
+    rank = rank_ratio(left / norms[:, None]) if norms.min() > 0 else 0.0
+    ref_col = reference_vector_solve(left, norms, rank)
     right = family.right @ (v_right.T * (family.left @ ref_col)[:, None])
     return SovBasisPair(left, right, "dressed", ref_row, ref_col)
 
@@ -167,8 +169,8 @@ def tt_sov_bases(family, xyz):
 def eigenstate_representation_residual(family, pair):
     """The invertible-twist eigenstates, each scaled to all-ones coordinate 1,
     must be separate states of the charge bases with the companion-model
-    eigenvalue exponents; the worst :func:`det0_spectrum.coordinate_residual`."""
+    eigenvalue exponents; the worst of :func:`det0_spectrum.coordinate_residuals`."""
     one_flat = flat_index((1,) * family.params.sites)
     states = family.right / (pair.left[one_flat] @ family.right)
     pred = separated_coordinates(family.t1_xi, family.t2_shift)
-    return coordinate_residual(pair, states, pred)
+    return worst(coordinate_residuals(pair, states, pred))

@@ -9,9 +9,10 @@ import csv
 
 import numpy as np
 
+from sovlab.det0_spectrum import ZERO_THETA, separated_coordinates
 from sovlab.errors import SovLabError
 from sovlab.gl3_model import InterpolationWeights, TransferCache
-from sovlab.numkernel import rel_residual, vandermonde
+from sovlab.numkernel import rayleigh_quotients, rel_residual, vandermonde
 from sovlab.sov_bases import dressed_pair, flat_index, label_digits
 from sovlab.sov_measure import b_recursion, classify_pair, gram, pair_support
 
@@ -233,6 +234,63 @@ def label_b_recursion(report, h):
         move = classify_pair(tuple(digits[s].tolist()), h)
         out[(move.alpha, move.beta)] = complex(col[s])
     return out
+
+
+def eigensolve_oracle(pair, dec, t1_xi, t2_shift):
+    """``det0_spectrum.eigensolve_sov``'s vectors and factorization residuals
+    formed one state at a time, each with its own GEMVs: ``[(right, left,
+    residual)]`` of the states of ``dec``, whose node eigenvalues are the
+    rows of ``t1_xi`` and ``t2_shift``."""
+    sites = len(t1_xi[0])
+    one_flat, zero_flat = flat_index((1,) * sites), flat_index((0,) * sites)
+    out = []
+    for i in range(len(dec.values)):
+        v, u = dec.right[:, i], dec.left[i]
+        v = v / (pair.left[one_flat] @ v)
+        u = u / (u @ pair.right[:, zero_flat])
+        pred = separated_coordinates(t1_xi[i], t2_shift[i])
+        scale = np.multiply.outer(pair.row_norms, np.linalg.norm(v))
+        out.append((v, u, rel_residual(pair.left @ v - pred, scale, axis=())))
+    return out
+
+
+def pattern_figures_oracle(cache, states):
+    """``det0_spectrum.zero_pattern``'s figures over ``states``, whose splits
+    are decided, with the pointwise checks formed state by state and site by
+    site on scalars, and the closed form as one batched Rayleigh quotient per
+    point."""
+    params = cache.params
+    zero = fusion = 0.0
+    floor = np.inf
+    roots = []
+    for st in states:
+        mags = np.abs(st.t1_xi)
+        scale = max(mags.max(), np.abs(st.t1_shift).max(), 1e-300)
+        a_sites = [a for a in range(params.sites) if mags[a] >= ZERO_THETA * scale]
+        b_sites = [b for b in range(params.sites) if mags[b] < ZERO_THETA * scale]
+        t2s_scale = max(np.abs(st.t2_shift).max(), 1e-300)
+        zero_scale = max(t2s_scale, np.abs(st.t2_xi).max())
+        zero = max(zero, max((abs(st.t2_shift[a]) for a in a_sites), default=0.0) / zero_scale)
+        floor = min(floor, min((abs(st.t2_shift[b]) for b in b_sites), default=np.inf)
+                    / t2s_scale)
+        for a in range(params.sites):
+            lhs = st.t1_xi[a] * st.t1_shift[a]
+            fusion = max(fusion, abs(lhs - st.t2_xi[a]) / max(abs(st.t2_xi[a]), t2s_scale))
+        roots.append([params.xi[a] - params.eta if a in a_sites else params.xi[a]
+                      for a in range(params.sites)])
+    left = np.stack([st.left for st in states])
+    right = np.stack([st.right for st in states], axis=1)
+    w = InterpolationWeights(params)
+    closed = np.zeros(len(states))
+    for k in range(4):
+        lam = params.xi[0] + (3 + k) * params.eta * (1 + 0.2j)
+        pred = params.twist.second_inv * w.d(lam - params.eta) * np.prod(lam - np.array(roots),
+                                                                          axis=1)
+        actual = rayleigh_quotients(left, cache.t2(lam), right)
+        closed = np.maximum(closed, np.abs(actual - pred) / np.maximum(np.abs(actual), 1e-300))
+    return {"pattern_zero_residual": float(zero), "pattern_fusion_residual": float(fusion),
+            "pattern_t2_closed_form_residual": float(closed.max()),
+            "pattern_nonzero_floor": float(floor)}
 
 
 # ---------------------------------------------------------------------------

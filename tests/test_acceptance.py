@@ -333,7 +333,7 @@ def test_criterion_11_factorization_and_determinant_overlaps():
             states = eigenstates(cache, xyz)
             worst_fact = max(worst_fact, max(st.factorization_residual for st in states))
             gen = np.random.default_rng(seed + sites)
-            _, ambiguous = zero_pattern(cache, states)
+            _, ambiguous, _ = zero_pattern(cache, states)
             assert not ambiguous
             for st in states:
                 nd = norm_determinant(st, params)
@@ -368,7 +368,7 @@ def test_criterion_12_conserved_charge_bases():
         kp = family.khat_params
         gen = np.random.default_rng(seed)
         one_flat = flat_index((1, 1))
-        _, ambiguous = zero_pattern(khat_cache, [family.khat_states[a] for a in (0, 4, 8)])
+        _, ambiguous, _ = zero_pattern(khat_cache, [family.khat_states[a] for a in (0, 4, 8)])
         assert not ambiguous
         for a in (0, 4, 8):
             st = family.khat_states[a]

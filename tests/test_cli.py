@@ -712,6 +712,8 @@ MALFORMED = {
     "eta-boolean": {"eta": True},
     "reference-boolean": {"reference": [1, True, 1]},
     "tolerance-boolean": {"tolerances": {"gram": True}},
+    "xi-mapping-typo": {"xi": {"sed": 3}},
+    "xi-mapping-seed": {"xi": {"seed": 3}},
 }
 
 
@@ -728,6 +730,19 @@ def test_malformed_config_exits_with_a_diagnostic(tmp_path, extra):
     assert result.output.startswith("Error: config error: ")
     assert len(result.output.strip().splitlines()) == 1, result.output
     assert not out.exists()
+
+
+def test_configured_out_must_be_a_string(tmp_path, monkeypatch):
+    """A configured ``out`` that is not a directory name is one diagnostic
+    line and exit status 1; without ``--out`` the configured one is read."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sites": 1, "seed": 7, "tasks": ["fusion"], "out": 5}))
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, ["verify", "--config", str(config)])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert result.output == "Error: config error: out must be a directory name, got 5\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_negative_seed_option_exits_with_a_diagnostic():

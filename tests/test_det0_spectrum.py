@@ -10,22 +10,18 @@ from sovlab.det0_spectrum import (
     SeparateState,
     SpectralData,
     boundary_eigenstate_check,
+    eigensolve_sov,
     interpolated_action_check,
     make_khat,
     norm_determinant,
     norm_direct,
+    probe_decomposition,
     scalar_product_determinant,
     separate_overlap_direct,
     separated_coordinates,
     zero_pattern,
 )
-from sovlab.errors import (
-    AmbiguousPattern,
-    DoubleShift,
-    PatternMissing,
-    SpectrumCollision,
-    SpectrumNotSimple,
-)
+from sovlab.errors import AmbiguousPattern, DoubleShift, SpectrumCollision, SpectrumNotSimple
 from sovlab.gl3_model import InterpolationWeights, ModelParams, TransferCache, TwistData
 from sovlab.numkernel import rayleigh_quotients, rel_residual
 from sovlab.sampling import ParameterSampler
@@ -34,7 +30,7 @@ from sovlab.sov_measure import diag_values, gram
 from sovlab.suites import DEFAULT_TOLERANCES, Workspace, run_det0
 
 from conftest import eigenstates, make_params
-from oracles import all_labels, label_action_oracle
+from oracles import all_labels, eigensolve_oracle, label_action_oracle, pattern_figures_oracle
 
 rng = np.random.default_rng(2)
 
@@ -316,17 +312,14 @@ def test_right_side_coefficient_pattern(det0_chain2):
 def test_zero_pattern_properties(det0_chain2):
     params, xyz, cache, pair = det0_chain2
     states = eigenstates(cache, xyz)
-    kept, excluded = zero_pattern(cache, states)
+    kept, excluded, figures = zero_pattern(cache, states)
     assert len(kept) == len(states) and excluded == []
-    splits = []
-    for st in states:
-        splits.append(st.msize)
-        d = st.pattern_diagnostics
-        assert d["zero_residual"] <= 1e-9
-        assert d["fusion_residual"] <= 1e-9
-        assert d["t2_closed_form_residual"] <= 1e-7
-        assert d["nonzero_floor"] > 1e-3
+    assert figures["pattern_zero_residual"] <= 1e-9
+    assert figures["pattern_fusion_residual"] <= 1e-9
+    assert figures["pattern_t2_closed_form_residual"] <= 1e-7
+    assert figures["pattern_nonzero_floor"] > 1e-3
     # the extreme boundary states show up as full and empty splits
+    splits = [st.msize for st in states]
     assert 0 in splits and params.sites in splits
 
 
@@ -337,25 +330,49 @@ def test_zero_pattern_all_a_sites_non_diagonal_twist():
     assert np.abs(params.twist.w - np.diag(np.diag(params.twist.w))).max() > 0.1
     cache = TransferCache(params)
     states = eigenstates(cache, xyz)
-    _, ambiguous = zero_pattern(cache, states)
-    assert not ambiguous
-    full = []
-    for st in states:
-        if st.msize == params.sites:
-            full.append(st.pattern_diagnostics["zero_residual"])
-    assert full and max(full) <= 1e-9
+    full = [st for st in states if st.msize == params.sites]
+    kept, ambiguous, figures = zero_pattern(cache, full)
+    assert full and kept == full and not ambiguous
+    assert figures["pattern_zero_residual"] <= 1e-9
+
+
+def _ambiguous(state):
+    """``state`` with t_1(xi_1) moved inside the decision band."""
+    t1_xi = state.t1_xi.copy()
+    t1_xi[0] = 1e-6 * np.abs(state.t1_shift).max()
+    return dataclasses.replace(state, t1_xi=t1_xi)
 
 
 def test_zero_pattern_ambiguous():
     params, xyz, _ = make_params(221, 2, invertible=False)
     cache = TransferCache(params)
-    states = eigenstates(cache, xyz)
-    st = states[0]
-    st.t1_xi = st.t1_xi.copy()
-    st.t1_xi[0] = 1e-6 * np.abs(st.t1_shift).max()  # inside the decision band
-    kept, excluded = zero_pattern(cache, [st])
-    assert kept == [] and len(excluded) == 1 and excluded[0][0] is st and st.perm is None
+    st = _ambiguous(eigenstates(cache, xyz)[0])
+    kept, excluded, figures = zero_pattern(cache, [st])
+    assert kept == [] and len(excluded) == 1 and excluded[0][0] is st and figures == {}
     assert isinstance(excluded[0][1], AmbiguousPattern)
+    with pytest.raises(AmbiguousPattern):
+        st.split
+
+
+def test_zero_pattern_leaves_its_states_unchanged(det0_chain2):
+    """The split is read off each state's own eigenvalues: zero_pattern sets
+    nothing on the states it is given, and a state's fields cannot be
+    assigned."""
+    params, xyz, cache, pair = det0_chain2
+    states = eigenstates(cache, xyz)
+    before = [dict(vars(st)) for st in states]
+    kept, _, _ = zero_pattern(cache, states)
+    assert kept == states
+    for st, fields in zip(states, before):
+        assert vars(st).keys() - fields.keys() <= {"split"}
+        assert all(vars(st)[k] is v for k, v in fields.items())
+    st = states[0]
+    for name, value in (("t1_xi", st.t1_xi.copy()), ("factorization_residual", 0.0),
+                        ("perm", (0, 1))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(st, name, value)
+    with pytest.raises(ValueError, match="read-only"):
+        st.t1_xi[0] = 0.0
 
 
 def _closed_form_residual(state, params, cache):
@@ -377,31 +394,60 @@ def _closed_form_residual(state, params, cache):
 
 def test_zero_patterns_match_one_state_calls(det0_chain3):
     """A batch of every state gives what batches of one state give: same
-    splits and exclusion, equal pointwise diagnostics, and a closed-form
-    residual within rounding of the per-state reference."""
+    splits and exclusion, the pointwise figures folded from the one-state
+    ones, and a closed-form residual within rounding of the per-state
+    reference."""
     params, xyz, cache, pair = det0_chain3
     batch = eigenstates(cache, xyz)
-    single = eigenstates(cache, xyz)
-    for states in (batch, single):
-        states[2].t1_xi = states[2].t1_xi.copy()
-        states[2].t1_xi[0] = 1e-6 * np.abs(states[2].t1_shift).max()  # ambiguous
-    kept, excluded = zero_pattern(cache, batch)
-    assert [st.index for st, _ in excluded] == [2] and batch[2].perm is None
+    batch[2] = _ambiguous(batch[2])
+    kept, excluded, figures = zero_pattern(cache, batch)
+    assert [st.index for st, _ in excluded] == [2]
     assert [st.index for st in kept] == [st.index for st in batch if st.index != 2]
-    alone, refused = zero_pattern(cache, [single[2]])
-    assert alone == [] and single[2].perm is None
-    assert isinstance(refused[0][1], AmbiguousPattern)
+    alone, refused, _ = zero_pattern(cache, [batch[2]])
+    assert alone == [] and isinstance(refused[0][1], AmbiguousPattern)
     assert str(refused[0][1]) == str(excluded[0][1])
+    per_state = []
     for mine in kept:
-        ref = single[mine.index]
-        alone, refused = zero_pattern(cache, [ref])
-        assert len(alone) == 1 and alone[0] is ref and refused == []
-        assert (ref.perm, ref.msize) == (mine.perm, mine.msize)
-        got, want = dict(mine.pattern_diagnostics), dict(ref.pattern_diagnostics)
-        closed = got.pop("t2_closed_form_residual")
-        want.pop("t2_closed_form_residual")
-        assert got == want
-        assert abs(closed - _closed_form_residual(mine, params, cache)) <= 1e-12
+        alone, refused, one = zero_pattern(cache, [mine])
+        assert alone == [mine] and refused == []
+        per_state.append(one)
+    for key in ("pattern_zero_residual", "pattern_fusion_residual"):
+        assert figures[key] == max(one[key] for one in per_state), key
+    assert figures["pattern_nonzero_floor"] == min(
+        one["pattern_nonzero_floor"] for one in per_state)
+    closed = figures["pattern_t2_closed_form_residual"]
+    assert abs(closed - max(_closed_form_residual(st, params, cache) for st in kept)) <= 1e-12
+
+
+@pytest.mark.parametrize("chain", ["det0_chain2", "det0_chain3"])
+def test_pattern_figures_match_the_per_state_loop(chain, request):
+    """The array figures agree with the pointwise checks written out per
+    state and site to a few ulps of their scales: complex products and
+    magnitudes, vectorized here and scalar in the loop, may round apart by
+    an ulp of an operand, and each figure is relative to a scale of its
+    operands."""
+    params, xyz, cache, pair = request.getfixturevalue(chain)
+    kept, _, figures = zero_pattern(cache, eigenstates(cache, xyz))
+    oracle = pattern_figures_oracle(cache, kept)
+    assert figures.keys() == oracle.keys()
+    for key, value in figures.items():
+        assert abs(value - oracle[key]) <= 4 * np.finfo(float).eps, key
+
+
+@pytest.mark.parametrize("chain", ["det0_chain2", "det0_chain3"])
+def test_eigensolve_matches_the_per_state_products(chain, request):
+    """One GEMM per side gives each state's normalized vectors and
+    factorization residual as the per-state GEMVs do, up to rounding."""
+    params, xyz, cache, pair = request.getfixturevalue(chain)
+    dec = probe_decomposition(cache)
+    states = eigensolve_sov(cache, pair, dec)
+    oracle = eigensolve_oracle(pair, dec, [st.t1_xi for st in states],
+                               [st.t2_shift for st in states])
+    assert len(states) == len(oracle) == params.dim
+    for st, (v, u, resid) in zip(states, oracle):
+        assert rel_residual(st.right - v, v) <= 1e-13
+        assert rel_residual(st.left - u, u) <= 1e-13
+        assert abs(st.factorization_residual - resid) <= 1e-13
 
 
 def test_label_products_match_per_label_loops(det0_chain3):
@@ -434,7 +480,7 @@ def test_double_shift_is_refused_before_dividing():
     params = ModelParams(2, 1.0, (2.0, 0.0), TwistData.from_eigenvalues([1.0, 2.0, 0.0]))
     ones = np.ones(params.sites, dtype=complex)
     state = SpectralData(0, np.ones(params.dim), np.ones(params.dim), ones, ones, ones, ones,
-                         0.0, perm=(0, 1), msize=1)
+                         0.0)
     alpha = SeparateState(np.ones((params.sites, 3)))
     calls = [lambda: reference_vector_closed((1.0, 2.0, 3.0), params),
              lambda: diag_values(params),
@@ -446,18 +492,22 @@ def test_double_shift_is_refused_before_dividing():
 
 
 def test_scalar_product_requires_pattern(det0_chain2):
+    """Both determinant overlaps read the state's split, which an eigenvalue
+    inside the decision band leaves undecided."""
     params, xyz, cache, pair = det0_chain2
-    states = eigenstates(cache, xyz)
+    st = _ambiguous(eigenstates(cache, xyz)[0])
     alpha = SeparateState.random(np.random.default_rng(1), params.sites)
-    with pytest.raises(PatternMissing):
-        scalar_product_determinant(alpha, states[0], params)
+    with pytest.raises(AmbiguousPattern):
+        scalar_product_determinant(alpha, st, params)
+    with pytest.raises(AmbiguousPattern):
+        norm_determinant(st, params)
 
 
 def test_scalar_products_against_direct(det0_chain2):
     params, xyz, cache, pair = det0_chain2
     states = eigenstates(cache, xyz)
     gen = np.random.default_rng(7)
-    _, ambiguous = zero_pattern(cache, states)
+    _, ambiguous, _ = zero_pattern(cache, states)
     assert not ambiguous
     for _ in range(20):
         st = states[int(gen.integers(0, len(states)))]
@@ -471,7 +521,7 @@ def test_scalar_product_vanishing_site_column(det0_chain2):
     params, xyz, cache, pair = det0_chain2
     states = eigenstates(cache, xyz)
     st = states[1]
-    _, ambiguous = zero_pattern(cache, [st])
+    _, ambiguous, _ = zero_pattern(cache, [st])
     assert not ambiguous
     coeffs = np.ones((params.sites, 3), dtype=complex)
     coeffs[0] = 0.0
@@ -482,7 +532,7 @@ def test_scalar_product_vanishing_site_column(det0_chain2):
 def test_scalar_product_on_own_coefficients_is_norm(det0_chain2):
     params, xyz, cache, pair = det0_chain2
     states = eigenstates(cache, xyz)
-    _, ambiguous = zero_pattern(cache, states[:4])
+    _, ambiguous, _ = zero_pattern(cache, states[:4])
     assert not ambiguous
     for st in states[:4]:
         # the co-vector pattern (1, t_2(xi_a), t_1(xi_a)) reproduces the eigenstate
@@ -496,7 +546,7 @@ def test_norms_one_site():
     params, xyz, _ = make_params(225, 1, invertible=False)
     cache = TransferCache(params)
     states = eigenstates(cache, xyz)
-    _, ambiguous = zero_pattern(cache, states)
+    _, ambiguous, _ = zero_pattern(cache, states)
     assert not ambiguous
     for st in states:
         nd = norm_determinant(st, params)
@@ -506,7 +556,7 @@ def test_norms_one_site():
 def test_norms_all_states_two_sites(det0_chain2):
     params, xyz, cache, pair = det0_chain2
     states = eigenstates(cache, xyz)
-    _, ambiguous = zero_pattern(cache, states)
+    _, ambiguous, _ = zero_pattern(cache, states)
     assert not ambiguous
     for st in states:
         nd = norm_determinant(st, params)

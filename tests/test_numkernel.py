@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -36,6 +37,9 @@ def test_eig_diagonal():
     dec = eig_general(np.diag([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(dec.values, [1, 2, 3])
     np.testing.assert_allclose(np.abs(dec.right), np.eye(3), atol=1e-14)
+    assert dec.min_rel_gap == 1 / 3 and dec.eigvec_cond == 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dec.left = None
 
 
 def test_eig_swap():

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +81,19 @@ def test_compare_names_moved_new_and_vanished_fields(digests, tmp_path, capsys):
         "new: results.gram.details.cells  1 cases  None -> 1e-12",
     ]
     assert "1 of 2 cases differ" in lines
+
+
+def test_compare_stops_quietly_when_its_reader_closes(tmp_path):
+    """Piped into a reader that closes after one line, ``--compare`` ends
+    with status 1 and nothing on stderr.  Its output is larger than a pipe
+    holds, so the script is still writing when the pipe closes."""
+    cases = [f"gl3-N4-seed{i}" for i in range(10000)]
+    a = write(tmp_path / "a.json", {c: {"digest": "a", "failed": []} for c in cases})
+    b = write(tmp_path / "b.json", {c: {"digest": "b", "failed": []} for c in cases})
+    proc = subprocess.Popen([sys.executable, str(DIGESTS_PATH), "--compare", a, b],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"differs: gl3-N4-seed0\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

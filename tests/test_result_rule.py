@@ -234,12 +234,12 @@ def test_scalarproducts_reports_the_zero_pattern_checks():
     ungated figures of the scalarproducts suite."""
     ws = Workspace("gl3", 3, 7)
     details = run_task("scalarproducts", ws, {}).details
-    diags = [st.pattern_diagnostics for st in ws.khat_states()[0]]
-    for key in ("zero_residual", "fusion_residual", "t2_closed_form_residual"):
-        assert details[f"pattern_{key}"] == max(d[key] for d in diags)
-        assert details[f"pattern_{key}"] <= 1e-9
-    assert details["pattern_nonzero_floor"] == min(d["nonzero_floor"] for d in diags)
-    assert details["pattern_nonzero_floor"] > 1e-3
+    figures = ws.khat_states()[2]
+    assert figures.keys() == {f"pattern_{key}" for key in (
+        "zero_residual", "fusion_residual", "t2_closed_form_residual", "nonzero_floor")}
+    for key, value in figures.items():
+        assert details[key] == value
+        assert value > 1e-3 if key == "pattern_nonzero_floor" else value <= 1e-9
 
 
 def _during(monkeypatch, owner, name, module, attr, value):

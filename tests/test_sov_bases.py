@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from sovlab import sov_bases
 from sovlab.errors import DegenerateReference, SingularBasis
 from sovlab.gl3_model import ModelParams, TransferCache, TwistData, quantum_determinant
+from sovlab.numkernel import rel_residual
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import (
+    SovBasisPair,
     dressed_pair,
     flat_index,
     label_digits,
@@ -191,28 +193,30 @@ def test_reference_vector_solve_matches_closed():
     params, xyz, _ = make_params(51, 1)
     cache = TransferCache(params)
     pair = dressed_pair(cache, xyz)
-    solved = reference_vector_solve(pair.left)
+    solved = reference_vector_solve(pair.left, pair.row_norms, pair.rank_ratios()[0])
     assert np.abs(solved - pair.ref_vector).max() <= 1e-12 * np.abs(pair.ref_vector).max()
 
 
 def test_reference_vector_solve_agreement_n3(chain3):
     params, xyz, cache, pair = chain3
-    solved = reference_vector_solve(pair.left)
+    solved = reference_vector_solve(pair.left, pair.row_norms, pair.rank_ratios()[0])
     rel = np.abs(solved - pair.ref_vector).max() / np.abs(pair.ref_vector).max()
     assert rel <= 1e-8
 
 
 def test_reference_vector_solve_singular():
+    """A family with zero rows has rank ratio 0, which refuses the solve."""
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 0] = 1.0
+    pair = SovBasisPair(bad, bad.T.copy(), "powers", bad[0].copy(), bad[:, 0].copy())
     with pytest.raises(SingularBasis):
-        reference_vector_solve(bad)
+        reference_vector_solve(pair.left, pair.row_norms, pair.rank_ratios()[0])
 
 
 def test_rank_ratios_computed_once_on_a_dressed_pair(chain2, monkeypatch):
     """A pair runs one SVD per family however often its ratios are read, a
-    dressed and a power pair alike, and ``reference_vector_solve`` reuses
-    the left one."""
+    dressed and a power pair alike, and ``reference_vector_solve`` takes
+    the left one with the row norms from the pair."""
     params, xyz, _, _ = chain2
     calls = []
     exact = sov_bases.rank_ratio
@@ -221,14 +225,13 @@ def test_rank_ratios_computed_once_on_a_dressed_pair(chain2, monkeypatch):
     pair = dressed_pair(cache, xyz)
     rl, rr = pair.rank_ratios()
     assert pair.rank_ratios() == (rl, rr) and pair.require_full_rank() == (rl, rr)
-    solved = reference_vector_solve(pair.left, rank_left=rl)
-    assert len(calls) == 2
-    assert np.array_equal(solved, reference_vector_solve(pair.left))
-    assert len(calls) == 3 and rl == exact(pair.left / np.linalg.norm(pair.left, axis=1)[:, None])
+    solved = reference_vector_solve(pair.left, pair.row_norms, rl)
+    assert len(calls) == 2 and rl == exact(pair.left / np.linalg.norm(pair.left, axis=1)[:, None])
+    assert rel_residual(solved - pair.ref_vector, pair.ref_vector) <= 1e-10
     powers = power_pair(cache, xyz, ParameterSampler(99).reference3())
     powers.rank_ratios()
     powers.rank_ratios()
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 def test_rank_deficient_family_raises_with_given_ratio(chain2):
@@ -242,7 +245,7 @@ def test_rank_deficient_family_raises_with_given_ratio(chain2):
     rl, _ = bad.rank_ratios()
     assert rl < 1e-13
     with pytest.raises(SingularBasis):
-        reference_vector_solve(bad.left, rank_left=rl)
+        reference_vector_solve(bad.left, bad.row_norms, rl)
     with pytest.raises(SingularBasis):
         bad.require_full_rank()
 

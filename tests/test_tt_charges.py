@@ -241,7 +241,7 @@ def test_determinant_formulas_in_charge_bases(family2):
     zero_flat = flat_index((0,) * n)
     gen = np.random.default_rng(5)
     checked = 0
-    _, ambiguous = zero_pattern(khat_cache, family.khat_states)
+    _, ambiguous, _ = zero_pattern(khat_cache, family.khat_states)
     assert not ambiguous
     for a in range(params.dim):
         st = family.khat_states[a]

@@ -19,13 +19,15 @@ field path whose value moved, appeared (``new``) or vanished (``gone``) gets
 one line with its case count and, for numbers, the largest magnitude before
 and after over those cases.  Results are indexed by task name and list
 positions are folded into ``[]``, so ``results.gram.details.scale`` names one
-field in every case.
+field in every case.  When the reader of stdout closes it (``| head``), the
+script stops quietly with status 1.
 """
 
 import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from collections import defaultdict
 
@@ -149,4 +151,10 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): stop without a traceback, and
+        # point stdout at devnull so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
