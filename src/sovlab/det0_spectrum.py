@@ -11,7 +11,7 @@ share one prefactor.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,64 +49,74 @@ def make_khat(twist):
 
 @dataclass(frozen=True)
 class SpectralData:
-    """One transfer-matrix eigenstate with its eigenvalue data, read-only.
+    """The eigenstates of one probe-point decomposition as one read-only table.
 
-    ``right`` is normalized so its coordinate on the label h = (1,...,1)
-    equals one; ``left`` so its pairing with the right basis vector at
-    h = (0,...,0) equals one.  ``t1_xi[a]``, ``t1_shift[a]`` etc. hold the
-    eigenvalues of T_1, T_2 at xi_a and xi_a - eta.  The A/B split of the
-    sites is read off ``t1_xi`` the first time it is asked for
-    (:attr:`split`).
+    State s is column s of ``right`` and row s of ``left``, ``t1_xi``,
+    ``t1_shift``, ``t2_xi`` and ``t2_shift``; ``index[s]`` is its position in
+    the decomposition and ``factorization_residual[s]`` its
+    :func:`coordinate_residuals` figure.  ``right[:, s]`` is normalized so its
+    coordinate on the label h = (1,...,1) equals one; ``left[s]`` so its
+    pairing with the right basis vector at h = (0,...,0) equals one.
+    ``t1_xi[s, a]``, ``t1_shift[s, a]`` etc. hold the eigenvalues of T_1, T_2
+    at xi_a and xi_a - eta.  The A/B split of every state is read off
+    ``t1_xi`` the first time it is asked for (:attr:`site_masks`).
     """
 
-    index: int
+    index: np.ndarray
     right: np.ndarray
     left: np.ndarray
     t1_xi: np.ndarray
     t1_shift: np.ndarray
     t2_xi: np.ndarray
     t2_shift: np.ndarray
-    factorization_residual: float
+    factorization_residual: np.ndarray
 
     def __post_init__(self):
-        for name in ("right", "left", "t1_xi", "t1_shift", "t2_xi", "t2_shift"):
-            getattr(self, name).setflags(write=False)
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
+
+    def __len__(self):
+        return len(self.index)
+
+    def take(self, rows):
+        """The sub-table of the states ``rows``, in that order.  ``right``
+        keeps its column-major layout, so that each state's column, which
+        :func:`norm_direct` pairs, stays contiguous."""
+        return SpectralData(self.index[rows], self.right[:, rows], self.left[rows],
+                            self.t1_xi[rows], self.t1_shift[rows], self.t2_xi[rows],
+                            self.t2_shift[rows], self.factorization_residual[rows])
 
     @functools.cached_property
-    def split(self):
-        """``(a_sites, b_sites)``: the sites where |t_1(xi_a)| >= ZERO_THETA *
-        scale, and the rest, each ascending; the scale is the largest |t_1|
-        over both node shifts.  A magnitude inside [0.1, 10] * ZERO_THETA *
-        scale raises :class:`AmbiguousPattern`."""
+    def site_masks(self):
+        """``(is_a, band)``, two ``(states, N)`` masks from one pass over every
+        state: the sites where |t_1(xi_a)| >= ZERO_THETA * scale, and those
+        whose magnitude lies inside [0.1, 10] * ZERO_THETA * scale, where the
+        state's split is undecided.  A state's scale is the largest |t_1|
+        over both node shifts."""
         mags = np.abs(self.t1_xi)
         # the reference magnitude must survive when every unshifted value is an
         # exact zero (the split can be empty), so include the shifted nodes
-        scale = max(mags.max(), np.abs(self.t1_shift).max(), 1e-300)
+        scale = np.maximum(np.maximum(mags.max(axis=1), np.abs(self.t1_shift).max(axis=1)),
+                           1e-300)[:, None]
         band = (mags >= 0.1 * ZERO_THETA * scale) & (mags <= 10 * ZERO_THETA * scale)
-        if band.any():
-            raise AmbiguousPattern(
-                f"|t_1(xi)| in the ambiguity band at sites {np.where(band)[0].tolist()}"
-            )
         is_a = mags >= ZERO_THETA * scale
+        for mask in (is_a, band):
+            mask.setflags(write=False)
+        return is_a, band
+
+    def split(self, row):
+        """``(a_sites, b_sites)`` of state ``row``, each ascending; an undecided
+        split raises :class:`AmbiguousPattern`."""
+        is_a, band = (mask[row] for mask in self.site_masks)
+        if band.any():
+            raise _ambiguous(band)
         return tuple(np.flatnonzero(is_a).tolist()), tuple(np.flatnonzero(~is_a).tolist())
 
-    @property
-    def a_sites(self):
-        return self.split[0]
 
-    @property
-    def b_sites(self):
-        return self.split[1]
-
-    @property
-    def perm(self):
-        """The A-sites, then the B-sites."""
-        return self.a_sites + self.b_sites
-
-    @property
-    def msize(self):
-        """The number of A-sites."""
-        return len(self.a_sites)
+def _ambiguous(band_row):
+    """The refusal of a state whose sites ``band_row`` lie in the decision band."""
+    sites = np.where(band_row)[0].tolist()
+    return AmbiguousPattern(f"|t_1(xi)| in the ambiguity band at sites {sites}")
 
 
 def probe_decomposition(cache):
@@ -119,8 +129,8 @@ def probe_decomposition(cache):
 
 
 def eigensolve_sov(cache, pair, dec):
-    """Package the eigenstates of ``dec``, a :func:`probe_decomposition` of
-    the chain.
+    """The eigenstates of ``dec``, a :func:`probe_decomposition` of the
+    chain, as one :class:`SpectralData` table.
 
     Eigenvalue functions at the nodes are computed as bilinear Rayleigh
     quotients.  Every right vector is scaled by one product with the all-ones
@@ -146,8 +156,8 @@ def eigensolve_sov(cache, pair, dec):
     right = dec.right / (pair.left[one_flat] @ dec.right)
     left = dec.left / (dec.left @ pair.right[:, zero_flat])[:, None]
     resids = coordinate_residuals(pair, right, separated_coordinates(t1x.T, t2s.T))
-    return [SpectralData(i, right[:, i], left[i], t1x[i], t1s[i], t2x[i], t2s[i], resids[i])
-            for i in range(params.dim)]
+    return SpectralData(np.arange(params.dim), right, left, t1x, t1s, t2x, t2s,
+                        np.array(resids))
 
 
 def separated_coordinates(t1_xi, t2_shift):
@@ -171,19 +181,20 @@ def coordinate_residuals(pair, vectors, pred):
 
 
 def zero_pattern(cache, states):
-    """The zero-pattern checks of some eigenstates; the states are not changed.
+    """The zero-pattern checks of the table ``states``, which is not changed.
 
-    A state's split (:attr:`SpectralData.split`) puts the sites where
+    A state's split (:attr:`SpectralData.site_masks`) puts the sites where
     t_1(xi_a) is nonzero in A and the others in B.  The states whose split
     is decided are kept; for them the complementary zeros of t_2(xi - eta),
     the eigenvalue fusion products and the closed polynomial form of t_2 are
     checked.  The closed form takes one batched Rayleigh quotient over the
     states at each of four extra points.
 
-    Returns ``(kept, excluded, figures)``: the kept states in order,
-    ``(state, AmbiguousPattern)`` pairs for the refused ones, and the four
-    figures over the kept states, each the worst over states and sites
-    (:func:`rel_residual` per entry, against the state's own scale):
+    Returns ``(kept, excluded, figures)``: the sub-table of the kept states
+    in order, ``(index, AmbiguousPattern)`` pairs for the refused ones, and
+    the four figures over the kept states (empty when none is kept), each
+    the worst over states and sites (:func:`rel_residual` per entry, against
+    the state's own scale):
 
     - ``pattern_zero_residual``: the A-site t_2(xi_a - eta), against
       max(max|t_2(xi - eta)|, max|t_2(xi)|);
@@ -195,21 +206,15 @@ def zero_pattern(cache, states):
       relative to max|t_2(xi - eta)|, a minimum (infinite with no B-site).
     """
     params = cache.params
-    kept, excluded = [], []
-    for st in states:
-        try:
-            st.split
-            kept.append(st)
-        except AmbiguousPattern as exc:
-            excluded.append((st, exc))
-    if not kept:
+    is_a, band = states.site_masks
+    undecided = band.any(axis=1)
+    excluded = [(int(states.index[s]), _ambiguous(band[s])) for s in np.flatnonzero(undecided)]
+    rows = np.flatnonzero(~undecided)
+    kept, is_a = states.take(rows), is_a[rows]
+    if not len(kept):
         return kept, excluded, {}
 
-    is_a = np.zeros((len(kept), params.sites), dtype=bool)
-    for row, st in zip(is_a, kept):
-        row[list(st.a_sites)] = True
-    t1x, t1s, t2x, t2s = (np.stack([getattr(st, name) for st in kept])
-                          for name in ("t1_xi", "t1_shift", "t2_xi", "t2_shift"))
+    t1x, t1s, t2x, t2s = kept.t1_xi, kept.t1_shift, kept.t2_xi, kept.t2_shift
     t2s_scale = np.abs(t2s).max(axis=1, keepdims=True)
     # the a-site values of t_2(xi - eta) are zeros, and so is their maximum
     # when every site is an a-site: scale them by a magnitude that survives
@@ -219,14 +224,12 @@ def zero_pattern(cache, states):
 
     xi = np.asarray(params.xi)
     roots = np.where(is_a, xi - params.eta, xi)  # row s: the site zeros of state s's t_2
-    left = np.stack([st.left for st in kept])
-    right = np.stack([st.right for st in kept], axis=1)
     w = InterpolationWeights(params)
     closed = []
     for k in range(4):
         lam = params.xi[0] + (3 + k) * params.eta * (1 + 0.2j)
         pred = params.twist.second_inv * w.d(lam - params.eta) * np.prod(lam - roots, axis=1)
-        actual = rayleigh_quotients(left, cache.t2(lam), right)
+        actual = rayleigh_quotients(kept.left, cache.t2(lam), kept.right)
         closed.append(rel_residual(actual - pred, actual, axis=()))
 
     figures = {
@@ -400,22 +403,23 @@ class SeparateState:
         return label_products(self.coeffs)
 
 
-def separate_overlap_direct(alpha, state, params):
-    """Oracle overlap <alpha|t> as the full sum over labels weighted by the
-    inverse diagonal measure."""
-    terms = alpha.coordinates() * separated_coordinates(state.t1_xi, state.t2_shift)
+def separate_overlap_direct(alpha, states, row, params):
+    """Oracle overlap <alpha|t> of state ``row`` as the full sum over labels
+    weighted by the inverse diagonal measure."""
+    terms = alpha.coordinates() * separated_coordinates(states.t1_xi[row], states.t2_shift[row])
     return complex(np.sum(terms / diag_values(params)))
 
 
-def _overlap_factors(state, params):
-    """Shared factors of the two determinant overlaps: ``(w, x_a, x_b, pref,
-    va)`` with the interpolation weights, the site-pattern ratios x_A and x_B,
-    the prefactor prod_x d(x - 2eta)/d(x - eta) * V(xi_A - eta)/V(xi_A) and
+def _overlap_factors(states, row, params):
+    """Shared factors of the two determinant overlaps of state ``row``:
+    ``(w, a_sites, b_sites, x_a, x_b, pref, va)`` with the interpolation
+    weights, the state's split, the site-pattern ratios x_A and x_B, the
+    prefactor prod_x d(x - 2eta)/d(x - eta) * V(xi_A - eta)/V(xi_A) and
     va = V(xi_A).  An undecided split raises :class:`AmbiguousPattern`."""
     require_no_double_shift(params)
     eta = params.eta
     xi = params.xi
-    a_sites, b_sites = state.a_sites, state.b_sites
+    a_sites, b_sites = states.split(row)
     w = InterpolationWeights(params)
 
     def x_a(lam):
@@ -435,28 +439,28 @@ def _overlap_factors(state, params):
         pref *= w.d(x - 2 * eta) / w.d(x - eta)
     va = vandermonde([xi[a] for a in a_sites])
     pref *= vandermonde([xi[a] - eta for a in a_sites]) / va
-    return w, x_a, x_b, pref, va
+    return w, a_sites, b_sites, x_a, x_b, pref, va
 
 
-def scalar_product_determinant(alpha, state, params):
-    """Overlap of a separate co-vector with an eigenstate as two determinants.
+def scalar_product_determinant(alpha, states, row, params):
+    """Overlap of a separate co-vector with eigenstate ``row`` as two determinants.
 
     The B-block row for site b combines the digit-0 coefficient (weighted by
     x_A and the reduced eigenvalue d(xi_b - eta) t_2(xi_b - eta)/d(xi_b - 2eta))
     with the digit-1 coefficient on the shifted node; the A-block combines
     digits 1 and 2 with an x_B t_1 weight.  Requires the zero pattern.
     """
-    w, x_a, x_b, pref, va = _overlap_factors(state, params)
+    w, a_sites, b_sites, x_a, x_b, pref, va = _overlap_factors(states, row, params)
     eta = params.eta
     xi = params.xi
-    a_sites, b_sites = state.a_sites, state.b_sites
+    t1_xi, t2_shift = states.t1_xi[row], states.t2_shift[row]
     vb = vandermonde([xi[b] for b in b_sites])
 
     nb = len(b_sites)
     m_plus = np.empty((nb, nb), dtype=complex)
     for i, b in enumerate(b_sites):
         xb = xi[b]
-        reduced = w.d(xb - eta) * state.t2_shift[b] / w.d(xb - 2 * eta)
+        reduced = w.d(xb - eta) * t2_shift[b] / w.d(xb - 2 * eta)
         for j in range(nb):
             m_plus[i, j] = (
                 alpha.coeffs[b, 0] * x_a(xb) * reduced * xb**j
@@ -469,36 +473,36 @@ def scalar_product_determinant(alpha, state, params):
         for j in range(na):
             m_minus[i, j] = (
                 alpha.coeffs[a, 1] * xa**j
-                + alpha.coeffs[a, 2] * x_b(xa) * state.t1_xi[a] * (xa - eta) ** j
+                + alpha.coeffs[a, 2] * x_b(xa) * t1_xi[a] * (xa - eta) ** j
             )
     return complex(pref * np.linalg.det(m_plus) / vb * np.linalg.det(m_minus) / va)
 
 
-def norm_determinant(state, params):
-    """Pairing <t|t> of matched left/right eigenstates as one determinant.
+def norm_determinant(states, row, params):
+    """Pairing <t|t> of matched left/right eigenstates ``row`` as one determinant.
 
     Specializes the separate-overlap determinant to the eigenstate's own
     coefficients: the B-block collapses to the product of reduced t_2 values
     times x_A and the A-block factors into prod t_1(xi_a) times a mixed-node
     alternant built from t_1 at both node shifts.
     """
-    w, x_a, x_b, pref, va = _overlap_factors(state, params)
+    w, a_sites, b_sites, x_a, x_b, pref, va = _overlap_factors(states, row, params)
     eta = params.eta
     xi = params.xi
-    a_sites, b_sites = state.a_sites, state.b_sites
+    t1_xi, t1_shift, t2_shift = states.t1_xi[row], states.t1_shift[row], states.t2_shift[row]
     for b in b_sites:
-        pref *= w.d(xi[b] - eta) * state.t2_shift[b] / w.d(xi[b] - 2 * eta) * x_a(xi[b])
+        pref *= w.d(xi[b] - eta) * t2_shift[b] / w.d(xi[b] - 2 * eta) * x_a(xi[b])
     for a in a_sites:
-        pref *= state.t1_xi[a]
+        pref *= t1_xi[a]
     na = len(a_sites)
     block = np.empty((na, na), dtype=complex)
     for i, a in enumerate(a_sites):
         xa = xi[a]
         for j in range(na):
-            block[i, j] = state.t1_shift[a] * xa**j + state.t1_xi[a] * x_b(xa) * (xa - eta) ** j
+            block[i, j] = t1_shift[a] * xa**j + t1_xi[a] * x_b(xa) * (xa - eta) ** j
     return complex(pref * np.linalg.det(block) / va)
 
 
-def norm_direct(state):
-    """Direct pairing of the stored (normalized) left/right eigenvectors."""
-    return complex(state.left @ state.right)
+def norm_direct(states, row):
+    """Direct pairing of the stored (normalized) left/right eigenvectors ``row``."""
+    return complex(states.left[row] @ states.right[:, row])

@@ -107,12 +107,13 @@ def coupling_residuals(cache, bases):
     """Coupling matrix G = left @ right of the chain's :func:`gl2_bases` and
     its deviation from the orthogonal prediction.
 
-    Returns ``(G, cells, diagonal)``: the largest deviation over every cell
-    relative to max|G|, and the largest over the diagonal relative to each
-    predicted coupling.
+    Returns ``(G, cells, diagonal)``: G read-only, the largest deviation over
+    every cell relative to max|G|, and the largest over the diagonal relative
+    to each predicted coupling.
     """
     left, right, _ = bases
     gram = left @ right
+    gram.setflags(write=False)
     pred = coupling_values(cache.params)
     cells = rel_residual(gram - np.diag(pred), gram)
     diagonal = rel_residual(np.diagonal(gram) - pred, pred, axis=())

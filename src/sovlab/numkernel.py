@@ -235,6 +235,8 @@ def eig_general(a, gap_rtol=None, sectors=None):
     resid_left = (np.linalg.norm(left @ a - values[:, None] * left, axis=1)
                   / np.linalg.norm(left, axis=1)).max()
     residual = float(worst((resid_right, resid_left)) / norm_a)
+    for arr in (values, right, left):
+        arr.setflags(write=False)
     return EigenDecomposition(values, right, left, residual, cond, gap)
 
 

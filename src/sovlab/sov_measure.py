@@ -9,7 +9,7 @@ inhomogeneities, independent of the twist.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,9 +129,9 @@ def diag_values(params):
     return out * (vandermonde(params.xi) ** 2 / (vz * vy))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GramReport:
-    """Full coupling matrix with its classification audit.
+    """Full coupling matrix with its classification audit, read-only.
 
     Sparsity decisions are taken on the ``cosine`` matrix (couplings divided
     by the Euclidean norms of the two states) so that the arbitrary overall
@@ -149,8 +149,8 @@ class GramReport:
     diag: np.ndarray
     predicted_diag: np.ndarray
     rtol: float
-    violations: list = field(default_factory=list)
-    coefficients: dict = field(default_factory=dict)
+    violations: list
+    coefficients: dict
 
     @property
     def scale(self):
@@ -178,15 +178,16 @@ def gram(pair, params, rtol=1e-9):
 
     The cosine divides each cell by the pair's member norms.  Violations and
     coefficients are listed cell by cell with k the outer and h the inner
-    label, both in flat order.
+    label, both in flat order.  The matrices are read-only and ``diag`` is
+    a view of the coupling matrix's diagonal.
     """
     g = pair.left @ pair.right
-    diag = np.diagonal(g).copy()
     predicted = diag_values(params)
     cosine = g / np.outer(pair.row_norms, pair.col_norms)
+    for arr in (g, predicted, cosine):
+        arr.setflags(write=False)
     mags = np.abs(cosine)
     cscale = max(mags.max(), 1e-300)
-    report = GramReport(params, g, cosine, diag, predicted, rtol)
     detk = params.twist.det
     kscale = max(np.abs(params.twist.k_matrix).max(), 1e-300) ** 3
     invertible = abs(detk) > rtol * kscale
@@ -195,17 +196,19 @@ def gram(pair, params, rtol=1e-9):
     flagged = support.zero & (mags > rtol * cscale)
     if invertible:
         flagged |= support.offdiag & (mags <= 1e3 * rtol * cscale)
-    for k, h in zip(*np.nonzero(flagged.T)):
-        report.violations.append(
-            {"kind": "zero" if support.zero[h, k] else "offdiag",
-             "h": tuple(int(d) for d in digits[h]), "k": tuple(int(d) for d in digits[k]),
-             "magnitude": abs(cosine[h, k]) / cscale}
-        )
+    violations = [
+        {"kind": "zero" if support.zero[h, k] else "offdiag",
+         "h": tuple(int(d) for d in digits[h]), "k": tuple(int(d) for d in digits[k]),
+         "magnitude": abs(cosine[h, k]) / cscale}
+        for k, h in zip(*np.nonzero(flagged.T))
+    ]
+    coefficients = {}
     if invertible:
         for k, h in zip(*np.nonzero(support.offdiag.T)):
             coeff = g[h, k] / (g[k, k] * detk ** int(support.pair_count[h, k]))
-            report.coefficients[(int(h), int(k))] = complex(coeff)
-    return report
+            coefficients[(int(h), int(k))] = complex(coeff)
+    return GramReport(params, g, cosine, np.diagonal(g), predicted, rtol, violations,
+                      coefficients)
 
 
 def extract_coefficient(report, h, k):
@@ -244,9 +247,10 @@ def coeff_r0_closed_form(params, h_rest):
 # dual families and the inverse measure
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualBasisData:
-    """Families bi-orthogonal to the SoV pair and the inverse coupling matrix.
+    """Families bi-orthogonal to the SoV pair and the inverse coupling matrix,
+    read-only.
 
     Rows of ``p_covectors`` pair to delta against right columns, columns of
     ``p_vectors`` against left rows, both normalized by the diagonal coupling.
@@ -287,6 +291,8 @@ def dual_bases(pair, report):
         rel_residual(p_cov @ right_u - np.diag(report.diag / col_norms), report.diag / col_norms),
         rel_residual(left_u @ p_vec - np.diag(report.diag / row_norms), report.diag / row_norms),
     )
+    for arr in (p_cov, p_vec, measure):
+        arr.setflags(write=False)
     return DualBasisData(p_cov, p_vec, measure, ortho, inverse)
 
 

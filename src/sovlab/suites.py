@@ -34,7 +34,7 @@ from .det0_spectrum import (
     separate_overlap_direct,
     zero_pattern,
 )
-from .errors import ConfigError, DoubleShift, SingularBasis, SovLabError
+from .errors import AmbiguousPattern, ConfigError, DoubleShift, SingularBasis, SovLabError
 from .gl3_model import ModelParams, TransferCache, TwistData
 from .numkernel import RANK_RTOL, rel_residual, worst
 from .sampling import ParameterSampler
@@ -231,8 +231,8 @@ class Workspace:
 
     @_memo
     def khat_eigenstates(self):
-        """Every eigenstate of the companion chain at the probe point, with
-        the probe-point decomposition they were read from."""
+        """The table of every eigenstate of the companion chain at the probe
+        point, with the probe-point decomposition it was read from."""
         cache, _, pair = self.khat()
         dec = probe_decomposition(cache)
         return eigensolve_sov(cache, pair, dec), dec
@@ -245,13 +245,17 @@ class Workspace:
 
     @_memo
     def khat_states(self):
-        """The eigenstates whose zero pattern is decided, the logged
-        exclusions of the ambiguous ones, and the pattern figures of
-        :func:`zero_pattern`."""
+        """The table of the eigenstates whose zero pattern is decided, the
+        logged exclusions of the ambiguous ones, and the pattern figures of
+        :func:`zero_pattern`; with no state decided, the first exclusion is
+        raised."""
         cache = self.khat()[0]
         states, _ = self.khat_eigenstates()
         kept, excluded, figures = zero_pattern(cache, states)
-        return kept, [{"index": st.index, "reason": str(exc)} for st, exc in excluded], figures
+        if not len(kept):
+            raise AmbiguousPattern(f"no eigenstate has a decided zero pattern; state "
+                                   f"{excluded[0][0]}: {excluded[0][1]}")
+        return kept, [{"index": i, "reason": str(exc)} for i, exc in excluded], figures
 
     # -- gl2 ---------------------------------------------------------------
 
@@ -501,14 +505,15 @@ def run_scalarproducts(ws, tol):
     states, excluded, figures = ws.khat_states()
     rng = np.random.default_rng(ws.seed + 23)
     records = []
-    for st in states:
-        nd = norm_determinant(st, kp)
-        direct = norm_direct(st)
+    for row in range(len(states)):
+        a_sites, b_sites = states.split(row)
+        nd = norm_determinant(states, row, kp)
+        direct = norm_direct(states, row)
         records.append(
             {
-                "index": st.index,
-                "pattern": list(st.perm),
-                "split": st.msize,
+                "index": int(states.index[row]),
+                "pattern": list(a_sites + b_sites),
+                "split": len(a_sites),
                 "norm_formula": [nd.real, nd.imag],
                 "norm_direct": [direct.real, direct.imag],
                 "rel_err": rel_residual(nd - direct, direct),
@@ -516,14 +521,14 @@ def run_scalarproducts(ws, tol):
         )
 
     def overlap_residual():
-        st = states[int(rng.integers(0, len(states)))]
+        row = int(rng.integers(0, len(states)))
         alpha = SeparateState.random(rng, kp.sites)
-        det_val = scalar_product_determinant(alpha, st, kp)
-        direct = separate_overlap_direct(alpha, st, kp)
+        det_val = scalar_product_determinant(alpha, states, row, kp)
+        direct = separate_overlap_direct(alpha, states, row, kp)
         return rel_residual(det_val - direct, direct)
 
     gated = {
-        "factorization": worst(st.factorization_residual for st in states),
+        "factorization": worst(states.factorization_residual),
         "scalar_products": worst(overlap_residual() for _ in range(20)),
         "norms": worst(r["rel_err"] for r in records),
     }
@@ -535,13 +540,14 @@ def run_scalarproducts(ws, tol):
 def run_ttcharges(ws, tol):
     cache, xyz, _ = ws.gl3()
     params = cache.params
+    khat_cache = ws.khat()[0]
     khat_states, khat_dec = ws.khat_eigenstates()
-    family = build_tt(cache, ws.khat()[0], khat_states)
+    family = build_tt(cache, khat_cache.params, khat_states)
     s = ParameterSampler(ws.seed + 6000)
 
     def commutation():
         t = cache.t1(s.spectral_point(params.xi, params.eta))
-        c = family.charge(1, s.spectral_point(params.xi, params.eta))
+        c = family.charge(khat_cache.t1(s.spectral_point(params.xi, params.eta)))
         tc, ct = t @ c, c @ t
         return rel_residual(np.subtract(tc, ct, out=ct), tc)  # the difference overwrites c t
 
@@ -554,8 +560,8 @@ def run_ttcharges(ws, tol):
         "gram_diag": treport.max_diag_rel_err,
         "eigen_representation": eigenstate_representation_residual(family, tpair),
         "central_zero": rel_residual(
-            worst(np.abs(family.charge(2, x + params.eta)).max() for x in params.xi),
-            family.charge(2, params.xi[0]),
+            worst(np.abs(family.charge(khat_cache.t2(x + params.eta))).max() for x in params.xi),
+            family.charge(khat_cache.t2(params.xi[0])),
         ),
         "probe_eigen_residual": worst((family.probe_residual, khat_dec.residual_norm)),
     }

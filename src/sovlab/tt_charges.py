@@ -14,16 +14,16 @@ Vandermonde diagonal as the K-hat model.
 
 The bases and the fusion check are read on the eigenbasis: a product of
 charges is ``R diag(prod of eigenvalues) L``, so no charge matrix is formed
-for them.  :meth:`ChargeFamily.charge` gives the dense charge for the checks
-that need an operator.
+for them.  :meth:`ChargeFamily.charge` forms the dense charge of a companion
+T_j(lam) that the caller reads, for the checks that need an operator; the
+family is a read-only value and holds no transfer cache.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .det0_spectrum import coordinate_residuals, probe_decomposition, separated_coordinates
-from .gl3_model import TransferCache
 from .numkernel import rank_ratio, rayleigh_quotients, rel_residual, worst
 from .sov_bases import (
     SovBasisPair,
@@ -34,54 +34,33 @@ from .sov_bases import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChargeFamily:
     """Bi-orthonormal eigenvectors of the invertible-twist chain paired with
-    the eigenvalue families of its zero-determinant companion.
+    the eigenvalue families of its zero-determinant companion, read-only.
 
     ``right[:, a]`` and ``left[a]`` are the right and left eigenvectors of
     T_1^{(K)} at the probe point, with ``left @ right = I``; the spectral
     projector of eigenstate a is ``outer(right[:, a], left[a])``, and its
-    charge eigenvalues are those of K-hat eigenstate ``khat_states[a]``.
-    Both sides are sorted by the canonical (Re, Im) key of their probe-point
-    eigenvalue; that pairing is a determinism convention, since the fusion
-    and orthogonality identities hold per eigenstate for any bijection.
-    ``t1_xi``, ``t1_shift``, ``t2_xi`` and ``t2_shift`` are ``(N, dim)``
-    tables stacked once from ``khat_states``: row s holds the companion
-    eigenvalues of every state at xi_s (xi_s - eta).
-    ``probe_residual`` is the ``residual_norm`` of the invertible-twist
-    decomposition.
+    charge eigenvalues are those of state a of ``khat``, the companion's
+    :func:`det0_spectrum.eigensolve_sov` table (a ``SpectralData``).  Both sides are sorted by
+    the canonical (Re, Im) key of their probe-point eigenvalue; that pairing
+    is a determinism convention, since the fusion and orthogonality
+    identities hold per eigenstate for any bijection.  ``probe_residual`` is
+    the ``residual_norm`` of the invertible-twist decomposition.
     """
 
     params: object
     khat_params: object
     right: np.ndarray
     left: np.ndarray
-    khat_states: list
+    khat: object
     probe_residual: float
-    _khat_cache: TransferCache
-    t1_xi: np.ndarray = field(init=False, repr=False)
-    t1_shift: np.ndarray = field(init=False, repr=False)
-    t2_xi: np.ndarray = field(init=False, repr=False)
-    t2_shift: np.ndarray = field(init=False, repr=False)
-    # K-hat eigenstate rows / columns, for the Rayleigh GEMMs of charge()
-    _khat_rows: np.ndarray = field(init=False, repr=False)
-    _khat_cols: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        states = self.khat_states
-        for name in ("t1_xi", "t1_shift", "t2_xi", "t2_shift"):
-            setattr(self, name, np.stack([getattr(st, name) for st in states], axis=1))
-        self._khat_rows = np.stack([st.left for st in states])
-        self._khat_cols = np.stack([st.right for st in states], axis=1)
-
-    def charge(self, j, lam):
-        """Dense charge matrix of fusion order j in {1, 2} at spectral parameter lam."""
-        if j not in (1, 2):
-            raise ValueError("charge order must be 1 or 2")
-        tj = self._khat_cache.value(j, lam)
-        values = rayleigh_quotients(self._khat_rows, tj, self._khat_cols)
-        return (self.right * values) @ self.left
+    def charge(self, tj):
+        """Dense charge whose eigenvalue on projector a is the Rayleigh
+        quotient of ``tj``, a companion T_j(lam), on companion state a."""
+        return (self.right * rayleigh_quotients(self.khat.left, tj, self.khat.right)) @ self.left
 
     def completeness_residual(self):
         """max |sum_a P_a - I| over the spectral projectors."""
@@ -89,17 +68,17 @@ class ChargeFamily:
         return rel_residual(self.right @ self.left - eye, eye)
 
 
-def build_tt(cache, khat_cache, khat_states):
+def build_tt(cache, khat_params, khat):
     """Assemble the charge family for an invertible simple-spectrum twist.
 
     ``cache`` is the transfer cache of the invertible-twist chain, whose
-    probe-point spectrum must be simple, and ``khat_cache`` that of its
-    zero-determinant companion on the same (sites, eta, xi); the charges keep
-    evaluating through ``khat_cache``.  ``khat_states`` are the companion's
-    :func:`det0_spectrum.eigensolve_sov` states at the same probe point, in
-    canonical order (their normalization does not enter the charges).
+    probe-point spectrum must be simple, and ``khat_params`` the parameters
+    of its zero-determinant companion on the same (sites, eta, xi).
+    ``khat`` is the companion's :func:`det0_spectrum.eigensolve_sov` table at
+    the same probe point, in canonical order (its normalization does not
+    enter the charges).
     """
-    params, khat_params = cache.params, khat_cache.params
+    params = cache.params
     if (khat_params.sites, khat_params.eta, khat_params.xi) != (
         params.sites,
         params.eta,
@@ -107,17 +86,9 @@ def build_tt(cache, khat_cache, khat_states):
     ):
         raise ValueError("charge construction needs matching (sites, eta, xi)")
     dec = probe_decomposition(cache)
-    if len(khat_states) != params.dim:
-        raise ValueError(f"expected {params.dim} companion eigenstates, got {len(khat_states)}")
-    return ChargeFamily(
-        params,
-        khat_params,
-        dec.right,
-        dec.left,
-        khat_states,
-        dec.residual_norm,
-        khat_cache,
-    )
+    if len(khat) != params.dim:
+        raise ValueError(f"expected {params.dim} companion eigenstates, got {len(khat)}")
+    return ChargeFamily(params, khat_params, dec.right, dec.left, khat, dec.residual_norm)
 
 
 def fusion_residuals_tt(family):
@@ -131,9 +102,10 @@ def fusion_residuals_tt(family):
     operator identity holds exactly when these do.
     """
     out = {}
+    k = family.khat
     for a in range(family.params.sites):
-        t1, t1s = family.t1_xi[a], family.t1_shift[a]
-        t2, t2s = family.t2_xi[a], family.t2_shift[a]
+        t1, t1s = k.t1_xi[:, a], k.t1_shift[:, a]
+        t2, t2s = k.t2_xi[:, a], k.t2_shift[:, a]
         out[(a, "annihilate_1")] = rel_residual(t2s * t1, t2)
         out[(a, "annihilate_2")] = rel_residual(t2s * t2, t2)
         out[(a, "produce_2")] = rel_residual(t1s * t1 - t2, t2)
@@ -153,10 +125,10 @@ def tt_sov_bases(family, xyz):
     transfer-basis tensor vector does not satisfy it (the charges are not
     polynomials in the original transfer matrices at the same nodes).
     """
-    p = family.params
-    ones = np.ones_like(family.t1_xi)
-    v_left = separated_coordinates(family.t1_xi, family.t2_shift)
-    v_right = label_products(np.stack([ones, family.t2_xi, family.t1_xi], axis=1))
+    p, k = family.params, family.khat
+    ones = np.ones_like(k.t1_xi.T)
+    v_left = separated_coordinates(k.t1_xi.T, k.t2_shift.T)
+    v_right = label_products(np.stack([ones, k.t2_xi.T, k.t1_xi.T], axis=1))
     ref_row = reference_covector(xyz, p)
     left = ((ref_row @ family.right) * v_left) @ family.left
     norms = np.linalg.norm(left, axis=1)
@@ -172,5 +144,5 @@ def eigenstate_representation_residual(family, pair):
     eigenvalue exponents; the worst of :func:`det0_spectrum.coordinate_residuals`."""
     one_flat = flat_index((1,) * family.params.sites)
     states = family.right / (pair.left[one_flat] @ family.right)
-    pred = separated_coordinates(family.t1_xi, family.t2_shift)
+    pred = separated_coordinates(family.khat.t1_xi.T, family.khat.t2_shift.T)
     return worst(coordinate_residuals(pair, states, pred))

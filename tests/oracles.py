@@ -240,7 +240,7 @@ def eigensolve_oracle(pair, dec, t1_xi, t2_shift):
     """``det0_spectrum.eigensolve_sov``'s vectors and factorization residuals
     formed one state at a time, each with its own GEMVs: ``[(right, left,
     residual)]`` of the states of ``dec``, whose node eigenvalues are the
-    rows of ``t1_xi`` and ``t2_shift``."""
+    rows of ``t1_xi`` and ``t2_shift`` (those of the table)."""
     sites = len(t1_xi[0])
     one_flat, zero_flat = flat_index((1,) * sites), flat_index((0,) * sites)
     out = []
@@ -254,39 +254,49 @@ def eigensolve_oracle(pair, dec, t1_xi, t2_shift):
     return out
 
 
+def split_oracle(t1_xi, t1_shift):
+    """One state's A/B split by the per-state rule, ``(a_sites, b_sites)``,
+    or the ``AmbiguousPattern`` reason of a magnitude in the decision band."""
+    mags = np.abs(t1_xi)
+    scale = max(mags.max(), np.abs(t1_shift).max(), 1e-300)
+    band = (mags >= 0.1 * ZERO_THETA * scale) & (mags <= 10 * ZERO_THETA * scale)
+    if band.any():
+        return f"|t_1(xi)| in the ambiguity band at sites {np.where(band)[0].tolist()}"
+    is_a = mags >= ZERO_THETA * scale
+    return tuple(np.flatnonzero(is_a).tolist()), tuple(np.flatnonzero(~is_a).tolist())
+
+
 def pattern_figures_oracle(cache, states):
-    """``det0_spectrum.zero_pattern``'s figures over ``states``, whose splits
-    are decided, with the pointwise checks formed state by state and site by
-    site on scalars, and the closed form as one batched Rayleigh quotient per
-    point."""
+    """``det0_spectrum.zero_pattern``'s figures over the table ``states``,
+    whose splits are decided, with the pointwise checks formed state by state
+    and site by site on scalars read from its rows, and the closed form as
+    one batched Rayleigh quotient per point."""
     params = cache.params
     zero = fusion = 0.0
     floor = np.inf
     roots = []
-    for st in states:
-        mags = np.abs(st.t1_xi)
-        scale = max(mags.max(), np.abs(st.t1_shift).max(), 1e-300)
+    for t1_xi, t1_shift, t2_xi, t2_shift in zip(states.t1_xi, states.t1_shift, states.t2_xi,
+                                                states.t2_shift):
+        mags = np.abs(t1_xi)
+        scale = max(mags.max(), np.abs(t1_shift).max(), 1e-300)
         a_sites = [a for a in range(params.sites) if mags[a] >= ZERO_THETA * scale]
         b_sites = [b for b in range(params.sites) if mags[b] < ZERO_THETA * scale]
-        t2s_scale = max(np.abs(st.t2_shift).max(), 1e-300)
-        zero_scale = max(t2s_scale, np.abs(st.t2_xi).max())
-        zero = max(zero, max((abs(st.t2_shift[a]) for a in a_sites), default=0.0) / zero_scale)
-        floor = min(floor, min((abs(st.t2_shift[b]) for b in b_sites), default=np.inf)
-                    / t2s_scale)
+        t2s_scale = max(np.abs(t2_shift).max(), 1e-300)
+        zero_scale = max(t2s_scale, np.abs(t2_xi).max())
+        zero = max(zero, max((abs(t2_shift[a]) for a in a_sites), default=0.0) / zero_scale)
+        floor = min(floor, min((abs(t2_shift[b]) for b in b_sites), default=np.inf) / t2s_scale)
         for a in range(params.sites):
-            lhs = st.t1_xi[a] * st.t1_shift[a]
-            fusion = max(fusion, abs(lhs - st.t2_xi[a]) / max(abs(st.t2_xi[a]), t2s_scale))
+            lhs = t1_xi[a] * t1_shift[a]
+            fusion = max(fusion, abs(lhs - t2_xi[a]) / max(abs(t2_xi[a]), t2s_scale))
         roots.append([params.xi[a] - params.eta if a in a_sites else params.xi[a]
                       for a in range(params.sites)])
-    left = np.stack([st.left for st in states])
-    right = np.stack([st.right for st in states], axis=1)
     w = InterpolationWeights(params)
     closed = np.zeros(len(states))
     for k in range(4):
         lam = params.xi[0] + (3 + k) * params.eta * (1 + 0.2j)
         pred = params.twist.second_inv * w.d(lam - params.eta) * np.prod(lam - np.array(roots),
                                                                           axis=1)
-        actual = rayleigh_quotients(left, cache.t2(lam), right)
+        actual = rayleigh_quotients(states.left, cache.t2(lam), states.right)
         closed = np.maximum(closed, np.abs(actual - pred) / np.maximum(np.abs(actual), 1e-300))
     return {"pattern_zero_residual": float(zero), "pattern_fusion_residual": float(fusion),
             "pattern_t2_closed_form_residual": float(closed.max()),

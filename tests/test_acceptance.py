@@ -331,19 +331,19 @@ def test_criterion_11_factorization_and_determinant_overlaps():
             params, xyz, _ = make_params(seed, sites, invertible=False)
             cache = TransferCache(params)
             states = eigenstates(cache, xyz)
-            worst_fact = max(worst_fact, max(st.factorization_residual for st in states))
+            worst_fact = max(worst_fact, states.factorization_residual.max())
             gen = np.random.default_rng(seed + sites)
             _, ambiguous, _ = zero_pattern(cache, states)
             assert not ambiguous
-            for st in states:
-                nd = norm_determinant(st, params)
-                direct = norm_direct(st)
+            for row in range(len(states)):
+                nd = norm_determinant(states, row, params)
+                direct = norm_direct(states, row)
                 worst_ov = max(worst_ov, abs(nd - direct) / abs(direct))
             for _ in range(n_alpha):
-                st = states[int(gen.integers(0, len(states)))]
+                row = int(gen.integers(0, len(states)))
                 alpha = SeparateState.random(gen, sites)
-                det_val = scalar_product_determinant(alpha, st, params)
-                direct = separate_overlap_direct(alpha, st, params)
+                det_val = scalar_product_determinant(alpha, states, row, params)
+                direct = separate_overlap_direct(alpha, states, row, params)
                 worst_ov = max(worst_ov, abs(det_val - direct) / abs(direct))
     elapsed = time.perf_counter() - start
     ok = worst_fact <= 1e-7 and worst_ov <= 1e-7 and elapsed < 120
@@ -358,7 +358,7 @@ def test_criterion_12_conserved_charge_bases():
     for seed in SEEDS:
         params, xyz, _ = make_params(seed, 2)
         khat_cache = TransferCache(params.with_twist(make_khat(params.twist)))
-        family = build_tt(TransferCache(params), khat_cache,
+        family = build_tt(TransferCache(params), khat_cache.params,
                           eigenstates(khat_cache, (1.0, 1.0, 1.0)))
         worst_fus = max(worst_fus, max(fusion_residuals_tt(family).values()))
         tpair = tt_sov_bases(family, xyz)
@@ -368,14 +368,13 @@ def test_criterion_12_conserved_charge_bases():
         kp = family.khat_params
         gen = np.random.default_rng(seed)
         one_flat = flat_index((1, 1))
-        _, ambiguous, _ = zero_pattern(khat_cache, [family.khat_states[a] for a in (0, 4, 8)])
+        _, ambiguous, _ = zero_pattern(khat_cache, family.khat.take([0, 4, 8]))
         assert not ambiguous
         for a in (0, 4, 8):
-            st = family.khat_states[a]
             col = family.right[:, a]
             col = col / (tpair.left[one_flat] @ col)
             alpha = SeparateState.random(gen, 2)
-            det_val = scalar_product_determinant(alpha, st, kp)
+            det_val = scalar_product_determinant(alpha, family.khat, a, kp)
             direct = np.sum(alpha.coordinates() * (tpair.left @ col) / diag_values(kp))
             worst_det = max(worst_det, abs(det_val - direct) / abs(direct))
     ok = worst_fus <= 1e-8 and worst_gram <= 1e-8 and worst_det <= 1e-7

@@ -511,9 +511,9 @@ def test_ttcharges_forms_dense_charges_only_for_its_operator_checks(monkeypatch)
     calls = []
     real_charge = tt_charges.ChargeFamily.charge
 
-    def charge(self, j, lam):
-        calls.append((j, lam))
-        return real_charge(self, j, lam)
+    def charge(self, tj):
+        calls.append(tj)
+        return real_charge(self, tj)
 
     monkeypatch.setattr(tt_charges.ChargeFamily, "charge", charge)
     report = run(resolve_config(None, {"sites": 3, "seed": 7, "tasks": ["ttcharges"]}),

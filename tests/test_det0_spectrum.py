@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from sovlab import det0_spectrum, suites
 from sovlab.det0_spectrum import (
+    ZERO_THETA,
     SeparateState,
     SpectralData,
     boundary_eigenstate_check,
@@ -30,7 +32,13 @@ from sovlab.sov_measure import diag_values, gram
 from sovlab.suites import DEFAULT_TOLERANCES, Workspace, run_det0
 
 from conftest import eigenstates, make_params
-from oracles import all_labels, eigensolve_oracle, label_action_oracle, pattern_figures_oracle
+from oracles import (
+    all_labels,
+    eigensolve_oracle,
+    label_action_oracle,
+    pattern_figures_oracle,
+    split_oracle,
+)
 
 rng = np.random.default_rng(2)
 
@@ -247,7 +255,7 @@ def test_eigensolve_one_site_closed_form():
         key=lambda z: (z.real, z.imag),
     )
     got = sorted(
-        (st.left @ cache.t1(lam0) @ st.right) / (st.left @ st.right) for st in states
+        (u @ cache.t1(lam0) @ v) / (u @ v) for u, v in zip(states.left, states.right.T)
     )
     for w, g in zip(want, got):
         assert abs(w - g) <= 1e-10 * max(abs(w), 1)
@@ -259,34 +267,32 @@ def test_rayleigh_quotients_match_per_state_loop(det0_chain3):
     eigenvalues eigensolve_sov stores."""
     params, xyz, cache, pair = det0_chain3
     states = eigenstates(cache, xyz)
-    rows = np.stack([st.left for st in states])
-    cols = np.stack([st.right for st in states], axis=1)
+    rows, cols = states.left, states.right
     pairings = np.einsum("ij,ji->i", rows, cols)
     assert np.abs(pairings - 1).max() > 1e-3
     lam = params.xi[1] + 0.37 - 0.21j
+
+    def loop(m):
+        return np.array([(u @ m @ v) / (u @ v) for u, v in zip(rows, cols.T)])
     for m in (cache.t1(lam), cache.t2(lam), cache.t2(params.xi[2] - params.eta)):
-        loop = np.array([(st.left @ m @ st.right) / (st.left @ st.right) for st in states])
-        assert rel_residual(rayleigh_quotients(rows, m, cols) - loop, loop) <= 1e-13
+        assert rel_residual(rayleigh_quotients(rows, m, cols) - loop(m), loop(m)) <= 1e-13
     for a, x in enumerate(params.xi):
         for stored, m in (("t1_xi", cache.t1(x)), ("t2_shift", cache.t2(x - params.eta))):
-            loop = np.array([(st.left @ m @ st.right) / (st.left @ st.right) for st in states])
-            got = np.array([getattr(st, stored)[a] for st in states])
-            assert rel_residual(got - loop, loop) <= 1e-13
+            got = getattr(states, stored)[:, a]
+            assert rel_residual(got - loop(m), loop(m)) <= 1e-13
 
 
 def test_eigensolve_simple_spectrum_and_factorization(det0_chain2):
     params, xyz, cache, pair = det0_chain2
     states = eigenstates(cache, xyz)
     assert len(states) == 9
-    assert max(st.factorization_residual for st in states) <= 1e-7
+    assert states.factorization_residual.max() <= 1e-7
 
 
 def test_left_right_eigen_gram_diagonal(det0_chain2):
     params, xyz, cache, pair = det0_chain2
     states = eigenstates(cache, xyz)
-    us = np.array([st.left for st in states])
-    vs = np.array([st.right for st in states]).T
-    g = us @ vs
+    g = states.left @ states.right
     off = g - np.diag(np.diagonal(g))
     assert np.abs(off).max() <= 1e-9 * np.abs(g).max()
 
@@ -295,13 +301,13 @@ def test_right_side_coefficient_pattern(det0_chain2):
     """Left eigen-co-vectors expand with T_2-at-node / T_1-at-node exponents."""
     params, xyz, cache, pair = det0_chain2
     states = eigenstates(cache, xyz)
-    for st in states[:4]:
-        coords = st.left @ pair.right  # row of <t|h>
+    for s in range(4):
+        coords = states.left[s] @ pair.right  # row of <t|h>
         scale = np.abs(coords).max()
         for h in all_labels(params.sites):
             pred = np.prod(
                 [
-                    st.t2_xi[a] if d == 1 else (st.t1_xi[a] if d == 2 else 1.0)
+                    states.t2_xi[s, a] if d == 1 else (states.t1_xi[s, a] if d == 2 else 1.0)
                     for a, d in enumerate(h)
                 ]
             )
@@ -319,7 +325,7 @@ def test_zero_pattern_properties(det0_chain2):
     assert figures["pattern_t2_closed_form_residual"] <= 1e-7
     assert figures["pattern_nonzero_floor"] > 1e-3
     # the extreme boundary states show up as full and empty splits
-    splits = [st.msize for st in states]
+    splits = [len(states.split(s)[0]) for s in range(len(states))]
     assert 0 in splits and params.sites in splits
 
 
@@ -330,64 +336,92 @@ def test_zero_pattern_all_a_sites_non_diagonal_twist():
     assert np.abs(params.twist.w - np.diag(np.diag(params.twist.w))).max() > 0.1
     cache = TransferCache(params)
     states = eigenstates(cache, xyz)
-    full = [st for st in states if st.msize == params.sites]
-    kept, ambiguous, figures = zero_pattern(cache, full)
-    assert full and kept == full and not ambiguous
+    full = [s for s in range(len(states)) if len(states.split(s)[0]) == params.sites]
+    kept, ambiguous, figures = zero_pattern(cache, states.take(full))
+    assert full and kept.index.tolist() == full and not ambiguous
     assert figures["pattern_zero_residual"] <= 1e-9
 
 
-def _ambiguous(state):
-    """``state`` with t_1(xi_1) moved inside the decision band."""
-    t1_xi = state.t1_xi.copy()
-    t1_xi[0] = 1e-6 * np.abs(state.t1_shift).max()
-    return dataclasses.replace(state, t1_xi=t1_xi)
+def _ambiguous(states, rows):
+    """The table ``states`` with t_1(xi_1) of the states ``rows`` moved inside
+    the decision band."""
+    t1_xi = states.t1_xi.copy()
+    t1_xi[rows, 0] = 1e-6 * np.abs(states.t1_shift[rows]).max(axis=-1)
+    return dataclasses.replace(states, t1_xi=t1_xi)
+
+
+def test_site_masks_match_the_per_state_rule(det0_chain3):
+    """The one masked pass decides every state as the per-state rule does,
+    with t_1(xi_1) planted below, on and above both band edges, and refuses
+    each undecided state with the rule's reason."""
+    params, xyz, cache, pair = det0_chain3
+    states = eigenstates(cache, xyz)
+    factors = np.resize([0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 20.0], len(states))
+    t1_xi = states.t1_xi.copy()
+    t1_xi[:, 0] = factors * ZERO_THETA * np.abs(states.t1_shift).max(axis=1)
+    planted = dataclasses.replace(states, t1_xi=t1_xi)
+    _, excluded, _ = zero_pattern(cache, planted)
+    refused = {index: str(exc) for index, exc in excluded}
+    decided = 0
+    for row in range(len(planted)):
+        want = split_oracle(planted.t1_xi[row], planted.t1_shift[row])
+        if isinstance(want, str):
+            assert refused.pop(row) == want
+            with pytest.raises(AmbiguousPattern, match=re.escape(want)):
+                planted.split(row)
+        else:
+            assert planted.split(row) == want
+            decided += 1
+    assert not refused and 0 < decided < len(planted)
 
 
 def test_zero_pattern_ambiguous():
     params, xyz, _ = make_params(221, 2, invertible=False)
     cache = TransferCache(params)
-    st = _ambiguous(eigenstates(cache, xyz)[0])
-    kept, excluded, figures = zero_pattern(cache, [st])
-    assert kept == [] and len(excluded) == 1 and excluded[0][0] is st and figures == {}
+    st = _ambiguous(eigenstates(cache, xyz).take([0]), 0)
+    kept, excluded, figures = zero_pattern(cache, st)
+    assert len(kept) == 0 and len(excluded) == 1 and excluded[0][0] == 0 and figures == {}
     assert isinstance(excluded[0][1], AmbiguousPattern)
     with pytest.raises(AmbiguousPattern):
-        st.split
+        st.split(0)
 
 
 def test_zero_pattern_leaves_its_states_unchanged(det0_chain2):
-    """The split is read off each state's own eigenvalues: zero_pattern sets
-    nothing on the states it is given, and a state's fields cannot be
-    assigned."""
+    """The splits are read off the table's own eigenvalues: zero_pattern sets
+    nothing on the table it is given, and the table's fields cannot be
+    assigned nor its arrays written."""
     params, xyz, cache, pair = det0_chain2
     states = eigenstates(cache, xyz)
-    before = [dict(vars(st)) for st in states]
+    before = dict(vars(states))
     kept, _, _ = zero_pattern(cache, states)
-    assert kept == states
-    for st, fields in zip(states, before):
-        assert vars(st).keys() - fields.keys() <= {"split"}
-        assert all(vars(st)[k] is v for k, v in fields.items())
-    st = states[0]
-    for name, value in (("t1_xi", st.t1_xi.copy()), ("factorization_residual", 0.0),
-                        ("perm", (0, 1))):
+    assert kept.index.tolist() == states.index.tolist()
+    assert vars(states).keys() - before.keys() <= {"site_masks"}
+    assert all(vars(states)[k] is v for k, v in before.items())
+    for name, value in (("t1_xi", states.t1_xi.copy()), ("factorization_residual", 0.0),
+                        ("index", 0)):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(st, name, value)
-    with pytest.raises(ValueError, match="read-only"):
-        st.t1_xi[0] = 0.0
+            setattr(states, name, value)
+    for arr in (states.t1_xi, states.right, states.site_masks[0], kept.left):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0
 
 
-def _closed_form_residual(state, params, cache):
-    """Reference for the closed-form t_2 check: one single-state Rayleigh
-    quotient and one sequential root product at each of the four extra points."""
+def _closed_form_residual(states, row, params, cache):
+    """Reference for the closed-form t_2 check of state ``row``: one
+    single-state Rayleigh quotient and one sequential root product at each of
+    the four extra points."""
     w = InterpolationWeights(params)
+    a_sites, b_sites = states.split(row)
     worst = 0.0
     for k in range(4):
         lam = params.xi[0] + (3 + k) * params.eta * (1 + 0.2j)
         pred = params.twist.second_inv * w.d(lam - params.eta)
-        for a in state.a_sites:
+        for a in a_sites:
             pred *= lam - (params.xi[a] - params.eta)
-        for b in state.b_sites:
+        for b in b_sites:
             pred *= lam - params.xi[b]
-        actual = rayleigh_quotients(state.left[None], cache.t2(lam), state.right[:, None])[0]
+        actual = rayleigh_quotients(states.left[row][None], cache.t2(lam),
+                                    states.right[:, row][:, None])[0]
         worst = max(worst, rel_residual(actual - pred, actual))
     return worst
 
@@ -398,25 +432,25 @@ def test_zero_patterns_match_one_state_calls(det0_chain3):
     ones, and a closed-form residual within rounding of the per-state
     reference."""
     params, xyz, cache, pair = det0_chain3
-    batch = eigenstates(cache, xyz)
-    batch[2] = _ambiguous(batch[2])
+    batch = _ambiguous(eigenstates(cache, xyz), 2)
     kept, excluded, figures = zero_pattern(cache, batch)
-    assert [st.index for st, _ in excluded] == [2]
-    assert [st.index for st in kept] == [st.index for st in batch if st.index != 2]
-    alone, refused, _ = zero_pattern(cache, [batch[2]])
-    assert alone == [] and isinstance(refused[0][1], AmbiguousPattern)
+    assert [index for index, _ in excluded] == [2]
+    assert kept.index.tolist() == [i for i in range(params.dim) if i != 2]
+    alone, refused, _ = zero_pattern(cache, batch.take([2]))
+    assert len(alone) == 0 and isinstance(refused[0][1], AmbiguousPattern)
     assert str(refused[0][1]) == str(excluded[0][1])
     per_state = []
-    for mine in kept:
-        alone, refused, one = zero_pattern(cache, [mine])
-        assert alone == [mine] and refused == []
+    for row in range(len(kept)):
+        alone, refused, one = zero_pattern(cache, kept.take([row]))
+        assert alone.index.tolist() == [kept.index[row]] and refused == []
         per_state.append(one)
     for key in ("pattern_zero_residual", "pattern_fusion_residual"):
         assert figures[key] == max(one[key] for one in per_state), key
     assert figures["pattern_nonzero_floor"] == min(
         one["pattern_nonzero_floor"] for one in per_state)
     closed = figures["pattern_t2_closed_form_residual"]
-    assert abs(closed - max(_closed_form_residual(st, params, cache) for st in kept)) <= 1e-12
+    reference = max(_closed_form_residual(kept, row, params, cache) for row in range(len(kept)))
+    assert abs(closed - reference) <= 1e-12
 
 
 @pytest.mark.parametrize("chain", ["det0_chain2", "det0_chain3"])
@@ -441,13 +475,12 @@ def test_eigensolve_matches_the_per_state_products(chain, request):
     params, xyz, cache, pair = request.getfixturevalue(chain)
     dec = probe_decomposition(cache)
     states = eigensolve_sov(cache, pair, dec)
-    oracle = eigensolve_oracle(pair, dec, [st.t1_xi for st in states],
-                               [st.t2_shift for st in states])
+    oracle = eigensolve_oracle(pair, dec, states.t1_xi, states.t2_shift)
     assert len(states) == len(oracle) == params.dim
-    for st, (v, u, resid) in zip(states, oracle):
-        assert rel_residual(st.right - v, v) <= 1e-13
-        assert rel_residual(st.left - u, u) <= 1e-13
-        assert abs(st.factorization_residual - resid) <= 1e-13
+    for s, (v, u, resid) in enumerate(oracle):
+        assert rel_residual(states.right[:, s] - v, v) <= 1e-13
+        assert rel_residual(states.left[s] - u, u) <= 1e-13
+        assert abs(states.factorization_residual[s] - resid) <= 1e-13
 
 
 def test_label_products_match_per_label_loops(det0_chain3):
@@ -478,14 +511,14 @@ def test_double_shift_is_refused_before_dividing():
     vector, the diagonal couplings and both determinant overlaps refuse the
     chain with the two sites named, before any division."""
     params = ModelParams(2, 1.0, (2.0, 0.0), TwistData.from_eigenvalues([1.0, 2.0, 0.0]))
-    ones = np.ones(params.sites, dtype=complex)
-    state = SpectralData(0, np.ones(params.dim), np.ones(params.dim), ones, ones, ones, ones,
-                         0.0)
+    ones = np.ones((1, params.sites), dtype=complex)
+    states = SpectralData(np.arange(1), np.ones((params.dim, 1)), np.ones((1, params.dim)),
+                          ones, ones, ones, ones, np.zeros(1))
     alpha = SeparateState(np.ones((params.sites, 3)))
     calls = [lambda: reference_vector_closed((1.0, 2.0, 3.0), params),
              lambda: diag_values(params),
-             lambda: norm_determinant(state, params),
-             lambda: scalar_product_determinant(alpha, state, params)]
+             lambda: norm_determinant(states, 0, params),
+             lambda: scalar_product_determinant(alpha, states, 0, params)]
     for call in calls:
         with pytest.raises(DoubleShift, match="sites 1 and 2 have xi_1 - xi_2 = 2 eta"):
             call()
@@ -495,12 +528,12 @@ def test_scalar_product_requires_pattern(det0_chain2):
     """Both determinant overlaps read the state's split, which an eigenvalue
     inside the decision band leaves undecided."""
     params, xyz, cache, pair = det0_chain2
-    st = _ambiguous(eigenstates(cache, xyz)[0])
+    states = _ambiguous(eigenstates(cache, xyz), 0)
     alpha = SeparateState.random(np.random.default_rng(1), params.sites)
     with pytest.raises(AmbiguousPattern):
-        scalar_product_determinant(alpha, st, params)
+        scalar_product_determinant(alpha, states, 0, params)
     with pytest.raises(AmbiguousPattern):
-        norm_determinant(st, params)
+        norm_determinant(states, 0, params)
 
 
 def test_scalar_products_against_direct(det0_chain2):
@@ -510,35 +543,35 @@ def test_scalar_products_against_direct(det0_chain2):
     _, ambiguous, _ = zero_pattern(cache, states)
     assert not ambiguous
     for _ in range(20):
-        st = states[int(gen.integers(0, len(states)))]
+        row = int(gen.integers(0, len(states)))
         alpha = SeparateState.random(gen, params.sites)
-        det_val = scalar_product_determinant(alpha, st, params)
-        direct = separate_overlap_direct(alpha, st, params)
+        det_val = scalar_product_determinant(alpha, states, row, params)
+        direct = separate_overlap_direct(alpha, states, row, params)
         assert abs(det_val - direct) <= 1e-7 * abs(direct)
 
 
 def test_scalar_product_vanishing_site_column(det0_chain2):
     params, xyz, cache, pair = det0_chain2
     states = eigenstates(cache, xyz)
-    st = states[1]
-    _, ambiguous, _ = zero_pattern(cache, [st])
+    _, ambiguous, _ = zero_pattern(cache, states.take([1]))
     assert not ambiguous
     coeffs = np.ones((params.sites, 3), dtype=complex)
     coeffs[0] = 0.0
     alpha = SeparateState(coeffs)
-    assert abs(scalar_product_determinant(alpha, st, params)) <= 1e-12
+    assert abs(scalar_product_determinant(alpha, states, 1, params)) <= 1e-12
 
 
 def test_scalar_product_on_own_coefficients_is_norm(det0_chain2):
     params, xyz, cache, pair = det0_chain2
     states = eigenstates(cache, xyz)
-    _, ambiguous, _ = zero_pattern(cache, states[:4])
+    _, ambiguous, _ = zero_pattern(cache, states.take(np.arange(4)))
     assert not ambiguous
-    for st in states[:4]:
+    for row in range(4):
         # the co-vector pattern (1, t_2(xi_a), t_1(xi_a)) reproduces the eigenstate
-        alpha = SeparateState(np.stack([np.ones_like(st.t1_xi), st.t2_xi, st.t1_xi], axis=1))
-        val = scalar_product_determinant(alpha, st, params)
-        want = norm_determinant(st, params)
+        t1_xi, t2_xi = states.t1_xi[row], states.t2_xi[row]
+        alpha = SeparateState(np.stack([np.ones_like(t1_xi), t2_xi, t1_xi], axis=1))
+        val = scalar_product_determinant(alpha, states, row, params)
+        want = norm_determinant(states, row, params)
         assert abs(val - want) <= 1e-9 * abs(want)
 
 
@@ -548,9 +581,9 @@ def test_norms_one_site():
     states = eigenstates(cache, xyz)
     _, ambiguous, _ = zero_pattern(cache, states)
     assert not ambiguous
-    for st in states:
-        nd = norm_determinant(st, params)
-        assert abs(nd - norm_direct(st)) <= 1e-10 * abs(nd)
+    for row in range(len(states)):
+        nd = norm_determinant(states, row, params)
+        assert abs(nd - norm_direct(states, row)) <= 1e-10 * abs(nd)
 
 
 def test_norms_all_states_two_sites(det0_chain2):
@@ -558,8 +591,8 @@ def test_norms_all_states_two_sites(det0_chain2):
     states = eigenstates(cache, xyz)
     _, ambiguous, _ = zero_pattern(cache, states)
     assert not ambiguous
-    for st in states:
-        nd = norm_determinant(st, params)
-        direct = norm_direct(st)
+    for row in range(len(states)):
+        nd = norm_determinant(states, row, params)
+        direct = norm_direct(states, row)
         assert abs(nd - direct) <= 1e-7 * abs(direct)
         assert abs(nd) > 1e-10  # simplicity forbids degenerate pairings

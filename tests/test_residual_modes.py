@@ -76,7 +76,7 @@ def test_workspace_fields():
     e0 = np.eye(dim)[0]
     bases = suites.run_bases(ws, suites.DEFAULT_TOLERANCES["bases"])
     assert bases.details["def_r0"] == identity_error(pair.left @ pair.ref_vector, e0)
-    family = build_tt(cache, ws.khat()[0], ws.khat_eigenstates()[0])
+    family = build_tt(cache, ws.khat()[0].params, ws.khat_eigenstates()[0])
     assert family.completeness_residual() == identity_error(family.right @ family.left,
                                                             np.eye(dim))
     report = ws.gl3_gram()

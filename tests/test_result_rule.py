@@ -3,6 +3,7 @@ named in ``details``, its ``max_residual`` is their ``worst``, and a NaN
 figure fails the suite."""
 
 import csv
+import dataclasses
 import fnmatch
 import json
 import math
@@ -240,6 +241,47 @@ def test_scalarproducts_reports_the_zero_pattern_checks():
     for key, value in figures.items():
         assert details[key] == value
         assert value > 1e-3 if key == "pattern_nonzero_floor" else value <= 1e-9
+
+
+def test_scalarproducts_fails_when_no_zero_pattern_is_decided(monkeypatch):
+    """With t_1(xi_1) of every companion state inside the decision band no
+    state is kept: the suite fails with the refusal in ``details`` instead of
+    drawing a state from an empty table."""
+    real = suites.eigensolve_sov
+
+    def undecided(*args):
+        states = real(*args)
+        t1_xi = states.t1_xi.copy()
+        t1_xi[:, 0] = 1e-6 * np.abs(states.t1_shift).max(axis=1)
+        return dataclasses.replace(states, t1_xi=t1_xi)
+
+    monkeypatch.setattr(suites, "eigensolve_sov", undecided)
+    res = run_task("scalarproducts", Workspace("gl3", 2, 7), {})
+    assert not res.passed and res.max_residual == math.inf
+    assert res.details["error"].startswith(
+        "AmbiguousPattern: no eigenstate has a decided zero pattern; state 0: "
+        "|t_1(xi)| in the ambiguity band at sites [0]")
+
+
+def test_memoized_values_are_read_only():
+    """Every value the Workspace memoizes for the gl3 suites, and the charge
+    family built from them, is a frozen dataclass whose arrays cannot be
+    written."""
+    from sovlab.tt_charges import build_tt
+
+    ws = Workspace("gl3", 2, 7)
+    cache = ws.gl3()[0]
+    khat_states = ws.khat_eigenstates()[0]
+    values = [ws.gl3()[2], ws.khat()[2], ws.gl3_gram(), ws.gl3_dual(), khat_states,
+              build_tt(cache, ws.khat()[0].params, khat_states)]
+    for value in values:
+        name = type(value).__name__
+        assert dataclasses.is_dataclass(value) and type(value).__dataclass_params__.frozen, name
+        arrays = [getattr(value, f.name) for f in dataclasses.fields(value)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays), name
+    assert not ws.gl3_gram().diag.flags.writeable
+    assert not Workspace("gl2", 2, 7).gl2_coupling()[0].flags.writeable
 
 
 def _during(monkeypatch, owner, name, module, attr, value):

@@ -25,12 +25,28 @@ from sovlab.tt_charges import (
 from conftest import eigenstates, make_params
 
 
+class Charges:
+    """Dense charges of a family, read through its companion chain's cache:
+    ``t1(lam)`` and ``t2(lam)`` are C_1(lam) and C_2(lam), so the basis
+    builders can take the family as a transfer cache."""
+
+    def __init__(self, family, khat_cache=None):
+        self.family = family
+        self.params = family.params
+        self.khat_cache = khat_cache or TransferCache(family.khat_params)
+
+    def t1(self, lam):
+        return self.family.charge(self.khat_cache.t1(lam))
+
+    def t2(self, lam):
+        return self.family.charge(self.khat_cache.t2(lam))
+
+
 def charge_family(cache):
-    """:func:`build_tt` of a chain with its K-hat companion's cache and
-    eigenstates."""
+    """:func:`build_tt` of a chain with its K-hat companion's eigenstates."""
     params = cache.params
     khat_cache = TransferCache(params.with_twist(make_khat(params.twist)))
-    return build_tt(cache, khat_cache, eigenstates(khat_cache, (1.0, 1.0, 1.0)))
+    return build_tt(cache, khat_cache.params, eigenstates(khat_cache, (1.0, 1.0, 1.0)))
 
 
 @pytest.fixture(scope="module")
@@ -40,38 +56,38 @@ def family2(chain2):
 
 
 def test_build_tt_reuses_given_caches(chain2):
-    """Fresh caches of the same chains give the same family, and the charges
-    evaluate through the given K-hat cache."""
+    """A fresh cache of the same chain gives the same family; the family is
+    a read-only value that holds no transfer cache, and a charge reads only
+    the companion matrix it is given."""
     params, _, _, _ = chain2
     fresh = charge_family(TransferCache(params))
     cache = TransferCache(params)
-    khat_cache = TransferCache(fresh.khat_params)
-    shared = build_tt(cache, khat_cache, fresh.khat_states)
+    shared = build_tt(cache, fresh.khat_params, fresh.khat)
     assert np.array_equal(shared.right, fresh.right) and np.array_equal(shared.left, fresh.left)
-    lam = params.xi[0] + 0.3
-    before = khat_cache.misses[2]
-    assert np.array_equal(shared.charge(2, lam), fresh.charge(2, lam))
-    assert khat_cache.misses[2] == before + 1
     assert cache.misses[1] > 0
+    assert not any(isinstance(v, TransferCache) for v in vars(shared).values())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shared.khat = fresh.khat
+    t2 = TransferCache(fresh.khat_params).t2(params.xi[0] + 0.3)
+    assert np.array_equal(shared.charge(t2), fresh.charge(t2))
 
 
 def test_build_tt_reuses_given_khat_states(chain2):
     """Companion eigenstates normalized against another reference give the
     same charges, at the nodes and off them."""
     params, xyz, cache, _ = chain2
-    own = charge_family(cache)
-    khat_cache = TransferCache(own.khat_params)
-    states = eigenstates(khat_cache, xyz)
-    given = build_tt(cache, khat_cache, states)
-    assert given.khat_states == states
+    own = Charges(charge_family(cache))
+    states = eigenstates(own.khat_cache, xyz)
+    given = Charges(build_tt(cache, own.family.khat_params, states), own.khat_cache)
+    assert given.family.khat is states
     lam = complex(*np.random.default_rng(17).uniform(-1, 1, 2))
     points = [lam] + [x - s for x in params.xi for s in (0, params.eta)]
-    for j in (1, 2):
+    for charge in ("t1", "t2"):
         for x in points:
-            want = own.charge(j, x)
-            assert rel_residual(given.charge(j, x) - want, want) <= 1e-12
+            want = getattr(own, charge)(x)
+            assert rel_residual(getattr(given, charge)(x) - want, want) <= 1e-12
     with pytest.raises(ValueError, match="companion eigenstates"):
-        build_tt(cache, khat_cache, states[:-1])
+        build_tt(cache, own.family.khat_params, states.take(np.arange(params.dim - 1)))
 
 
 def test_one_site_closed_form():
@@ -80,7 +96,7 @@ def test_one_site_closed_form():
     params, xyz, _ = make_params(301, 1)
     family = charge_family(TransferCache(params))
     lam = 0.4 - 0.9j
-    c1 = family.charge(1, lam)
+    c1 = Charges(family).t1(lam)
     khat = family.khat_params.twist
     dec = eig_general(c1)
     want = sorted(
@@ -119,22 +135,6 @@ def test_truncated_fusion(family2):
     assert max(fusion_residuals_tt(family).values()) <= 1e-8
 
 
-class DenseCharges:
-    """The charge family seen as a transfer cache: the basis builders then
-    multiply dense charges through the basis tree, an oracle independent of
-    the eigenbasis products of :func:`tt_sov_bases`."""
-
-    def __init__(self, family):
-        self.family = family
-        self.params = family.params
-
-    def t1(self, lam):
-        return self.family.charge(1, lam)
-
-    def t2(self, lam):
-        return self.family.charge(2, lam)
-
-
 @pytest.fixture(scope="module", params=["chain2", "chain3"])
 def oracle_family(request):
     params, xyz, cache, _ = request.getfixturevalue(request.param)
@@ -144,10 +144,11 @@ def oracle_family(request):
 def test_charge_bases_match_dense_charge_products(oracle_family):
     """Every member of the spectral charge bases matches the basis tree over
     dense charges, relative to its norm; the right family is built from the
-    same solved reference vector."""
+    same solved reference vector.  The basis tree over dense charges is an
+    oracle independent of the eigenbasis products of :func:`tt_sov_bases`."""
     params, xyz, family = oracle_family
     pair = tt_sov_bases(family, xyz)
-    dense = DenseCharges(family)
+    dense = Charges(family)
     ref_row = reference_covector(xyz, params)
     left = transfer_family(dense, ref_row, "dressed", "left")
     right = transfer_family(dense, pair.ref_vector, "dressed", "right")
@@ -162,10 +163,11 @@ def test_dense_truncated_fusion(oracle_family):
     dense charges: C_2(xi - eta) C_1(xi) = C_2(xi - eta) C_2(xi) = 0 and
     C_1(xi - eta) C_1(xi) = C_2(xi)."""
     params, _, family = oracle_family
+    charges = Charges(family)
     worst = 0.0
     for x in params.xi:
-        c1, c2 = family.charge(1, x), family.charge(2, x)
-        c1s, c2s = family.charge(1, x - params.eta), family.charge(2, x - params.eta)
+        c1, c2 = charges.t1(x), charges.t2(x)
+        c1s, c2s = charges.t1(x - params.eta), charges.t2(x - params.eta)
         worst = max(worst, rel_residual(c2s @ c1, c2), rel_residual(c2s @ c2, c2),
                     rel_residual(c1s @ c1 - c2, c2))
     assert worst <= 1e-8
@@ -174,11 +176,12 @@ def test_dense_truncated_fusion(oracle_family):
 
 def test_commutation_with_transfer(family2):
     params, _, cache, family = family2
+    charges = Charges(family)
     s = ParameterSampler(310)
     for _ in range(3):
         t = cache.t1(s.complex_rational())
-        c = family.charge(1, s.complex_rational())
-        c2 = family.charge(2, s.complex_rational())
+        c = charges.t1(s.complex_rational())
+        c2 = charges.t2(s.complex_rational())
         for x in (c, c2):
             comm = t @ x - x @ t
             assert np.abs(comm).max() <= 1e-9 * max(np.abs(t @ x).max(), 1e-300)
@@ -188,9 +191,10 @@ def test_commutation_with_transfer(family2):
 
 def test_central_zeros(family2):
     params, _, _, family = family2
-    scale = np.abs(family.charge(2, params.xi[0])).max()
+    charges = Charges(family)
+    scale = np.abs(charges.t2(params.xi[0])).max()
     for x in params.xi:
-        assert np.abs(family.charge(2, x + params.eta)).max() <= 1e-9 * scale
+        assert np.abs(charges.t2(x + params.eta)).max() <= 1e-9 * scale
 
 
 def test_charge_bases_orthogonal_with_vandermonde_diagonal():
@@ -241,20 +245,19 @@ def test_determinant_formulas_in_charge_bases(family2):
     zero_flat = flat_index((0,) * n)
     gen = np.random.default_rng(5)
     checked = 0
-    _, ambiguous, _ = zero_pattern(khat_cache, family.khat_states)
+    _, ambiguous, _ = zero_pattern(khat_cache, family.khat)
     assert not ambiguous
     for a in range(params.dim):
-        st = family.khat_states[a]
         col = family.right[:, a]
         col = col / (pair.left[one_flat] @ col)
         row = family.left[a]
         row = row / (row @ pair.right[:, zero_flat])
         # norm identity transfers verbatim
-        want = norm_determinant(st, kp)
+        want = norm_determinant(family.khat, a, kp)
         assert abs((row @ col) - want) <= 1e-7 * abs(want)
         for _ in range(2):
             alpha = SeparateState.random(gen, n)
-            det_val = scalar_product_determinant(alpha, st, kp)
+            det_val = scalar_product_determinant(alpha, family.khat, a, kp)
             direct = np.sum(alpha.coordinates() * (pair.left @ col) / diag_values(kp))
             assert abs(det_val - direct) <= 1e-7 * abs(direct)
             checked += 1
@@ -268,4 +271,4 @@ def test_build_tt_rejects_mismatched_chain(chain2):
     )
     khat_cache = TransferCache(other.with_twist(make_khat(params.twist)))
     with pytest.raises(ValueError, match="matching"):
-        build_tt(cache, khat_cache, eigenstates(khat_cache, (1.0, 1.0, 1.0)))
+        build_tt(cache, khat_cache.params, eigenstates(khat_cache, (1.0, 1.0, 1.0)))
