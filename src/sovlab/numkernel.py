@@ -29,6 +29,11 @@ DENSE_DIM_CAP = 6561
 #: eigenvector matrices conditioned worse than this count as singular
 EIGVEC_COND_MAX = 1e13
 
+#: real parts of eigenvalues closer than this, relative to the largest
+#: |eigenvalue|, are ordered as tied (:func:`canonical_eig_order`); far below
+#: every spectral gap tolerance the library sets (1e-6 and 1e-8)
+TIE_RTOL = 1e-10
+
 
 def as_matrix(a):
     """Coerce to a 2-d complex array, rejecting non-finite entries."""
@@ -94,9 +99,19 @@ def antisymmetrizer(d, m):
 
 
 def canonical_eig_order(values):
-    """Indices sorting eigenvalues by (Re, Im) ascending."""
+    """Indices sorting eigenvalues by real part, then by imaginary part.
+
+    Real parts are compared in clusters: neighbours in real order that differ
+    by at most :data:`TIE_RTOL` times the largest |eigenvalue| share one, and
+    a cluster is ordered by imaginary part.  So eigenvalues whose real parts
+    agree in exact arithmetic keep their order when rounding moves them.
+    """
     values = np.asarray(values)
-    return np.lexsort((values.imag, values.real))
+    by_real = np.argsort(values.real, kind="stable")
+    width = TIE_RTOL * np.abs(values).max(initial=0.0)
+    cluster = np.empty(len(values), dtype=int)
+    cluster[by_real] = np.concatenate(([0], np.cumsum(np.diff(values.real[by_real]) > width)))
+    return np.lexsort((values.imag, cluster))
 
 
 @dataclass(frozen=True)
@@ -156,10 +171,11 @@ def eig_general(a, gap_rtol=None, sectors=None):
     """Full eigendecomposition with bilinearly paired left/right families.
 
     One LAPACK call gives the right eigenvectors; after sorting the
-    eigenvalues by (Re, Im) the left family is their inverse, bi-orthonormal
-    by construction, so ``left[i] @ a = values[i] * left[i]``.  An eigenvector
-    matrix with condition number above :data:`EIGVEC_COND_MAX` (a defective
-    or numerically defective matrix) raises :class:`EigFailure`.  With
+    eigenvalues by :func:`canonical_eig_order` the left family is their
+    inverse, bi-orthonormal by construction, so
+    ``left[i] @ a = values[i] * left[i]``.  An eigenvector matrix with
+    condition number above :data:`EIGVEC_COND_MAX` (a defective or
+    numerically defective matrix) raises :class:`EigFailure`.  With
     ``gap_rtol`` a spectrum whose smallest eigenvalue gap is at most
     ``gap_rtol * max|lambda|`` raises :class:`SpectrumNotSimple`.
 

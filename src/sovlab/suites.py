@@ -148,12 +148,14 @@ class Workspace:
 
     def cache_counts(self):
         """Lookups of every transfer cache: total hits and misses, the dense
-        assemblies per fusion order, and the most node matrices the caches
-        held at the end of a suite."""
+        assemblies and the seconds they took per fusion order, and the most
+        node matrices the caches held at the end of a suite."""
         hits = sum((c.hits for c in self._chains), Counter())
         misses = sum((c.misses for c in self._chains), Counter())
+        seconds = sum((c.seconds for c in self._chains), Counter())
         return {"hits": sum(hits.values()), "misses": sum(misses.values()),
                 "assemblies": {f"m{m}": misses[m] for m in (1, 2, 3)},
+                "assembly_s": {f"m{m}": seconds[m] for m in (1, 2, 3)},
                 "peak_stored": self._peak_stored}
 
     def release_nodes(self):

@@ -44,7 +44,8 @@ class ChargeFamily:
     projector of eigenstate a is ``outer(right[:, a], left[a])``, and its
     charge eigenvalues are those of state a of ``khat``, the companion's
     :func:`det0_spectrum.eigensolve_sov` table (a ``SpectralData``).  Both sides are sorted by
-    the canonical (Re, Im) key of their probe-point eigenvalue; that pairing
+    the canonical order of their probe-point eigenvalue (real part, ties by
+    imaginary part: :func:`numkernel.canonical_eig_order`); that pairing
     is a determinism convention, since the fusion and orthogonality
     identities hold per eigenstate for any bijection.  ``probe_residual`` is
     the ``residual_norm`` of the invertible-twist decomposition.

@@ -6,12 +6,14 @@ only the tests run.
 """
 
 import csv
+import math
 
 import numpy as np
 
 from sovlab.det0_spectrum import ZERO_THETA, separated_coordinates
 from sovlab.errors import SovLabError
-from sovlab.gl3_model import InterpolationWeights, TransferCache
+from sovlab import gl3_model
+from sovlab.gl3_model import InterpolationWeights, TransferCache, embed, r_matrix
 from sovlab.numkernel import rayleigh_quotients, rel_residual, vandermonde
 from sovlab.sov_bases import dressed_pair, flat_index, label_digits
 from sovlab.sov_measure import b_recursion, classify_pair, gram, pair_support
@@ -365,3 +367,60 @@ def config_digest(cfg):
         digest["twist"] = {"case": tw.case, "k_matrix": _encode(tw.k_matrix),
                            "w": _encode(tw.w), "k_jordan": _encode(tw.k_jordan)}
     return digest
+
+
+def site_tables_oracle(d, m, eta):
+    """``gl3_model._site_tables`` as first written: the coefficients of the
+    fused product grown one factor at a time from the identity, multiplying
+    every coefficient, the identity and a zero pad included, by the factor's
+    constant term."""
+    extend = gl3_model._wedge_columns(d, m)
+    restrict = math.factorial(m) * extend.T
+    eye = np.eye(d ** (m + 1), dtype=complex)
+    zero = np.zeros_like(eye)
+    poly = [eye]
+    for k in range(m):
+        const = embed(r_matrix(-k * eta, eta, d), m + 1, (k, m), d)
+        poly = [c @ const + z_c for c, z_c in zip(poly + [zero], [zero] + poly)]
+    site_restrict = np.kron(restrict, np.eye(d))
+    site_extend = np.kron(extend, np.eye(d))
+    bond = extend.shape[1]
+    coeffs = np.array([site_restrict @ c @ site_extend for c in poly])
+    coeffs = coeffs.reshape(m + 1, bond, d, bond, d)  # [p, u, i, w, j]
+    chain = coeffs.transpose(0, 1, 2, 4, 3).reshape(m + 1, -1)
+    close = coeffs.transpose(0, 2, 4, 1, 3).reshape(m + 1, -1)
+    return chain, close
+
+
+def running_tensor_dense(k_matrix, eta, xi, m, lam):
+    """``gl3_model.fused_dense`` in its earlier association: one running
+    tensor S_(N-1) ... S_1 grown from S_1, the boundary on its auxiliary leg
+    by a GEMM over every entry, and one GEMM with S_N that closes the trace."""
+    d = k_matrix.shape[0]
+    n = len(xi)
+    bond = gl3_model._wedge_columns(d, m).shape[1]
+    sites, s_n = gl3_model._sites(d, m, eta, xi, lam)
+    x = np.eye(bond, dtype=complex) if n == 1 else sites[0]
+    for site in sites[1:]:
+        x = site.reshape(-1, bond) @ x.reshape(bond, -1)
+    x = (x.reshape(-1, bond) @ gl3_model._boundary(k_matrix, m)).reshape(bond, -1, bond)
+    out = np.dot(s_n.reshape(d * d, -1), x.transpose(2, 0, 1).reshape(bond * bond, -1))
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return out.reshape((d,) * (2 * n)).transpose(order).reshape(d**n, d**n)
+
+
+def mpo_extended(k_matrix, eta, xi, m, lam):
+    """The MPO of ``fused_dense`` contracted in ``np.clongdouble``: the same
+    site operators (``gl3_model._sites``) and boundary entries, with every
+    product in extended precision."""
+    d = k_matrix.shape[0]
+    bond = gl3_model._wedge_columns(d, m).shape[1]
+    sites, s_n = gl3_model._sites(d, m, eta, xi, lam)
+    sites = sites.reshape(-1, bond, d, d, bond).astype(np.clongdouble)  # [a, u, i, j, w]
+    x = gl3_model._boundary(k_matrix, m).astype(np.clongdouble)[:, None, None, :]
+    for site in sites:  # x = S_a ... S_1 B as [u, rows, cols, t]
+        x = np.einsum("uijw,wrct->uirjct", site, x)
+        x = x.reshape(bond, d * x.shape[2], d * x.shape[4], bond)
+    s_n = s_n.reshape(d, d, bond, bond).astype(np.clongdouble)  # [i, j, u, w]
+    out = np.einsum("ijuw,wrcu->irjc", s_n, x)
+    return out.reshape(d * x.shape[1], d * x.shape[2])

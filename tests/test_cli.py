@@ -193,7 +193,8 @@ def test_report_timings_block(monkeypatch):
     block carries the transfer-cache counts: the dense assemblies are pinned,
     and the most node matrices held when a suite ends is the chain's 6
     (T_1 at its 2N nodes).  T_2 at a node is not stored, so fusion assembles
-    again the 2N that building the chain read."""
+    again the 2N that building the chain read.  The assemblies' seconds per
+    fusion order are part of the workspace and task times."""
     from sovlab import cli
 
     built = []
@@ -213,6 +214,9 @@ def test_report_timings_block(monkeypatch):
     assert counts["misses"] == sum(counts["assemblies"].values()) == 64
     assert counts["assemblies"] == {"m1": 22, "m2": 34, "m3": 8}
     assert counts["peak_stored"] == 6
+    seconds = counts["assembly_s"]
+    assert list(seconds) == ["m1", "m2", "m3"] and min(seconds.values()) >= 0
+    assert sum(seconds.values()) <= timings["workspace"] + sum(timings["tasks"].values())
 
 
 def test_one_lapack_eig_per_decomposition(monkeypatch):

@@ -33,7 +33,13 @@ from sovlab.gl3_model import (
 from sovlab.numkernel import adjugate3, antisymmetrizer
 
 from conftest import make_params
-from oracles import node_normalization, t1_leading_coefficient
+from oracles import (
+    mpo_extended,
+    node_normalization,
+    running_tensor_dense,
+    site_tables_oracle,
+    t1_leading_coefficient,
+)
 
 rng = np.random.default_rng(1)
 
@@ -497,19 +503,25 @@ def _fused_site(d, m, eta, z):
 
 def _dense_by_site(k_matrix, eta, xi, m, lam):
     """The per-site dense loop, kept as the bit oracle of ``fused_dense``: one
-    site evaluation, transposed copy and GEMM per site, a boundary built on
-    every call and a ``tensordot`` that closes the trace."""
+    site evaluation per site, a boundary built on every call, the halves
+    S_k ... S_1 B and S_N ... S_(k+1) (k = N // 2) each grown from the
+    identity by one transposed copy and GEMM per site, and a ``tensordot``
+    that closes the trace."""
     d = k_matrix.shape[0]
     n = len(xi)
+    k = n // 2
     extend = gl3_model._wedge_columns(d, m)
     bond = extend.shape[1]
     boundary = math.factorial(m) * extend.T @ functools.reduce(np.kron, [k_matrix] * m) @ extend
-    x = np.eye(bond, dtype=complex)
-    for a in range(1, n):
-        site = _fused_site(d, m, eta, lam - xi[a - 1]).transpose(0, 1, 3, 2)
-        x = site.reshape(-1, bond) @ x.reshape(bond, -1)
-    x = (x.reshape(-1, bond) @ boundary).reshape(bond, -1, bond)
-    out = np.tensordot(_fused_site(d, m, eta, lam - xi[n - 1]), x, axes=([0, 2], [2, 0]))
+    site = [_fused_site(d, m, eta, lam - x).transpose(0, 1, 3, 2) for x in xi]  # [u, i, j, w]
+    low = np.eye(bond, dtype=complex)
+    for a in range(k):
+        low = site[a].reshape(-1, bond) @ low.reshape(bond, -1)
+    low = (low.reshape(-1, bond) @ boundary).reshape(bond, -1, bond)
+    high = np.eye(bond, dtype=complex)
+    for a in range(n - 1, k - 1, -1):
+        high = high.reshape(-1, bond) @ site[a].reshape(bond, -1)
+    out = np.tensordot(high.reshape(bond, -1, bond), low, axes=([0, 2], [2, 0]))
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     return out.reshape((d,) * (2 * n)).transpose(order).reshape(d**n, d**n)
 
@@ -549,6 +561,74 @@ def test_boundary_memo_is_per_twist_and_read_only():
     for arr in frozen:
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
+
+
+def test_fused_dense_rounds_no_worse_than_the_running_tensor():
+    """Against the same MPO contracted in extended precision, over N = 2..5
+    on seeds 1 and 2: gl(3) with a non-diagonal twist at m = 1, 2, 3, gl(2)
+    at m = 1, and a diagonal det K = 0 twist at m = 1, 2 (its T_3 is exactly
+    0), each at three generic points and at every xi_a, xi_a - eta and
+    xi_a + eta.  Each error is max|T - T_ext| over the largest |T_ext| of
+    its chain and order at the generic points.  Over the whole set, the
+    worst and the mean error of ``fused_dense`` are no larger than those of
+    the running-tensor association."""
+    errors = {fused_dense: [], running_tensor_dense: []}
+    for seed in (1, 2):
+        for sites in range(2, 6):
+            params, _, s = make_params(seed, sites, wild_w=True)
+            det0, _, _ = make_params(seed, sites, invertible=False)
+            generic = [s.complex_rational() for _ in range(3)]
+            cases = [(params, params.twist.k_matrix, m) for m in (1, 2, 3)]
+            cases += [(params, s.gl2_twist(), 1)]
+            cases += [(det0, det0.twist.k_matrix, m) for m in (1, 2)]
+            for chain, k, m in cases:
+                nodes = [x + h * chain.eta for x in chain.xi for h in (0, -1, 1)]
+                exact = {lam: mpo_extended(k, chain.eta, chain.xi, m, lam) for lam in generic + nodes}
+                scale = max(np.abs(exact[lam].astype(complex)).max() for lam in generic)
+                for kernel, found in errors.items():
+                    for lam, want in exact.items():
+                        diff = (kernel(k, chain.eta, chain.xi, m, lam) - want).astype(complex)
+                        found.append(np.abs(diff).max() / scale)
+    new, old = errors[fused_dense], errors[running_tensor_dense]
+    assert len(new) == 648
+    assert max(new) <= max(old)
+    assert np.mean(new) <= np.mean(old)
+
+
+def test_fused_dense_working_set_is_two_dense_matrices():
+    """One N = 5 assembly holds the closing GEMM's result and its swapped
+    copy besides the two half-chains: its traced peak stays below 2.5 dim^2
+    entries, which the running-tensor association (3 dim^2 at bond > 1)
+    exceeds."""
+    params, _, s = make_params(7, 5)
+    lam = s.complex_rational()
+    entry, slack = np.dtype(complex).itemsize, 64 * 1024  # slack: site operators, bookkeeping
+    bound = entry * 2.5 * params.dim**2 + slack
+    for m, bond in ((1, 3), (2, 3), (3, 1)):
+        peaks = []
+        for kernel in (fused_dense, running_tensor_dense):
+            kernel(params.k_matrix, params.eta, params.xi, m, lam)  # first-call tables and memos
+            tracemalloc.start()
+            try:
+                kernel(params.k_matrix, params.eta, params.xi, m, lam)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= bound
+        if bond > 1:
+            assert peaks[1] > bound
+
+
+def test_site_tables_match_the_construction_with_every_product():
+    """The coefficient tables skip the products by the identity and by the
+    zero pad, and equal the construction that takes them, for gl(2) and
+    gl(3) at m = 1..3 on several grid values of eta."""
+    for d in (2, 3):
+        for m in (1, 2, 3):
+            for eta in (0.5 + 1.375j, -0.375 + 0.125j, 1.25 - 0.875j, 0.125j, -1.5 + 0j):
+                got = gl3_model._site_tables(d, m, eta)
+                for table, want in zip(got, site_tables_oracle(d, m, eta)):
+                    assert np.array_equal(table, want)
 
 
 def test_twist_from_matrix_rejects_degenerate():

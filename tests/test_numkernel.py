@@ -18,6 +18,7 @@ from sovlab.gl3_model import (
 from sovlab.numkernel import (
     adjugate3,
     antisymmetrizer,
+    canonical_eig_order,
     eig_general,
     kron_power_product,
     vandermonde,
@@ -155,16 +156,13 @@ def probe_chains(seed, sites):
 
 
 def sector_agreement(a, sectors):
-    """The sector and one-sector decompositions of ``a``, checked to agree:
-    eigenvalues to 1e-13 relative, and eigenvectors up to phase, with each
-    state matched to the nearest one-sector eigenvalue (the canonical order
-    can swap two eigenvalues whose real parts agree to rounding)."""
+    """The sector and one-sector decompositions of ``a``, checked to agree
+    state by state in the canonical order: eigenvalues to 1e-13 relative, and
+    eigenvectors up to phase."""
     one, sec = eig_general(a), eig_general(a, sectors=sectors)
-    match = np.abs(one.values[:, None] - sec.values[None, :]).argmin(axis=0)
-    assert sorted(match) == list(range(len(a)))
     scale = np.abs(one.values).max()
-    assert np.abs(sec.values - one.values[match]).max() <= 1e-13 * scale
-    ref = one.right[:, match]
+    assert np.abs(sec.values - one.values).max() <= 1e-13 * scale
+    ref = one.right
     phase = np.einsum("ij,ij->j", ref.conj(), sec.right)
     phase /= np.abs(phase)
     assert np.abs(sec.right - ref * phase).max() <= 1e-10
@@ -182,6 +180,26 @@ def test_sector_eig_matches_one_sector(sites):
             twist, a = probe_chains(seed, sites)[name]
             one, sec = sector_agreement(a, weight_sectors(twist, sites))
             assert sec.residual_norm <= one.residual_norm, (seed, name)
+
+
+def test_tied_real_parts_are_ordered_by_imaginary_part():
+    """At N = 2, seed 11 the K-hat probe spectrum has four eigenvalues whose
+    real parts agree to rounding.  The canonical order puts them by imaginary
+    part, so moving every real part by 1e-13 relative, or every matrix entry
+    by one rounding, leaves each state where it was."""
+    twist, a = probe_chains(11, 2)["khat"]
+    dec = eig_general(a, sectors=weight_sectors(twist, 2))
+    scale = np.abs(dec.values).max()
+    real = dec.values.real
+    tied = (np.abs(real[:, None] - real[None, :]) <= 1e-14 * scale).sum(axis=1) > 1
+    assert tied.sum() == 4 and np.all(np.diff(dec.values.imag[tied]) > 0.5)
+    shake = np.random.default_rng(11)
+    for _ in range(20):
+        moved = dec.values + 1e-13 * scale * shake.standard_normal(len(a))
+        np.testing.assert_array_equal(canonical_eig_order(moved), np.arange(len(a)))
+        rounded = a * (1 + 2.0**-52 * shake.choice([-1, 1], a.shape))
+        again = eig_general(rounded, sectors=weight_sectors(twist, 2))
+        assert np.abs(again.values - dec.values).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("sites", [1, 2, 3, 4])
