@@ -186,6 +186,11 @@ class TwistData:
     def det(self):
         return complex(np.linalg.det(self.k_jordan))
 
+    def invertible(self, rtol=1e-9):
+        """|det K| above ``rtol`` times max|K_ij|^3, the scale of a 3x3
+        determinant."""
+        return abs(self.det) > rtol * max(np.abs(self.k_matrix).max(), 1e-300) ** 3
+
     @property
     def eigenvalues(self):
         return (complex(self.k_jordan[0, 0]), complex(self.k_jordan[1, 1]),

@@ -1,14 +1,14 @@
 """Left and right SoV bases generated by transfer matrices on a reference pair.
 
 The one place that knows how an SoV family is built (:func:`basis_tree`,
-fed by :func:`transfer_family`) and how its members are scaled (the
-unit-norm frame a read-only :class:`SovBasisPair` owns).  The "powers"
-variant applies plain powers T_1(xi_a)^{h_a} to a free tensor reference on
-either side.  The "dressed" variant applies T_2(xi_a - eta) for digit 0 and
-T_1(xi_a) for digit 2 on the left, and T_2(xi_a) / T_1(xi_a) for digits
-1 / 2 on the right; its right reference vector is pinned by the duality
-condition <k|0> = delta_{k,0} against the dressed left family and admits a
-closed per-site form.
+one GEMM per digit per level, fed by :func:`transfer_family`) and how its
+members are scaled (the unit-norm frame a read-only :class:`SovBasisPair`
+owns).  The "powers" variant applies plain powers T_1(xi_a)^{h_a} to a free
+tensor reference on either side.  The "dressed" variant applies
+T_2(xi_a - eta) for digit 0 and T_1(xi_a) for digit 2 on the left, and
+T_2(xi_a) / T_1(xi_a) for digits 1 / 2 on the right; its right reference
+vector is pinned by the duality condition <k|0> = delta_{k,0} against the
+dressed left family and admits a closed per-site form.
 
 Basis families are enumerated in flat ternary order with site 1 fastest, the
 ordering used by every report and file format in the package.  The label
@@ -156,11 +156,13 @@ def basis_tree(ref, steps, side):
     ``steps[a][d]`` lists the matrices digit d applies at site a, in order.
     On ``side`` "left" each matrix advances a row (``row @ m``) and the rows
     are returned; on "right" each advances a column (``m @ col``) and the
-    columns are returned as one contiguous matrix.  A node at depth a holds
-    the member for the digits of sites 1..a, and its ``len(steps[a])``
-    children extend it by site a + 1, so the products of a prefix are shared
-    by every label that has it, in flat order (site 1 fastest).  Members stay
-    separate 1-D products: a batched GEMM rounds unlike the per-member GEMV.
+    columns are returned as one contiguous matrix.  Level a holds, one per
+    row, the members for the digits of sites 1..a in flat order (site 1
+    fastest); digit d of site a + 1 takes the whole level through its
+    matrices, one GEMM each (``block @ m``, or ``block @ m.T`` on the right,
+    a transposed view), into its rows of the next level.  So the products of
+    a prefix are shared by every label that has it, and a level's working
+    set is the level, the next one and one digit's block.
     """
     left = {"left": True, "right": False}[side]
     level = np.asarray(ref, dtype=complex)[None, :]
@@ -168,10 +170,8 @@ def basis_tree(ref, steps, side):
         width = len(level)
         nxt = np.empty((len(site) * width, level.shape[1]), dtype=complex)
         for d, mats in enumerate(site):
-            for i, member in enumerate(level):
-                for m in mats:
-                    member = member @ m if left else m @ member
-                nxt[d * width + i] = member
+            nxt[d * width:(d + 1) * width] = functools.reduce(
+                lambda block, m: block @ (m if left else m.T), mats, level)
         level = nxt
     return level if left else np.ascontiguousarray(level.T)
 

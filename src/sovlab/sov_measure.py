@@ -188,9 +188,7 @@ def gram(pair, params, rtol=1e-9):
         arr.setflags(write=False)
     mags = np.abs(cosine)
     cscale = max(mags.max(), 1e-300)
-    detk = params.twist.det
-    kscale = max(np.abs(params.twist.k_matrix).max(), 1e-300) ** 3
-    invertible = abs(detk) > rtol * kscale
+    invertible = params.twist.invertible(rtol)
     support = pair_support(params.sites)
     digits = label_digits(params.sites)
     flagged = support.zero & (mags > rtol * cscale)
@@ -204,6 +202,7 @@ def gram(pair, params, rtol=1e-9):
     ]
     coefficients = {}
     if invertible:
+        detk = params.twist.det
         for k, h in zip(*np.nonzero(support.offdiag.T)):
             coeff = g[h, k] / (g[k, k] * detk ** int(support.pair_count[h, k]))
             coefficients[(int(h), int(k))] = complex(coeff)

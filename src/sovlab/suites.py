@@ -34,7 +34,8 @@ from .det0_spectrum import (
     separate_overlap_direct,
     zero_pattern,
 )
-from .errors import AmbiguousPattern, ConfigError, DoubleShift, SingularBasis, SovLabError
+from .errors import (AmbiguousPattern, ConfigError, DetKZero, DoubleShift, SingularBasis,
+                     SovLabError)
 from .gl3_model import ModelParams, TransferCache, TwistData
 from .numkernel import RANK_RTOL, rel_residual, worst
 from .sampling import ParameterSampler
@@ -389,8 +390,11 @@ def run_bases(ws, tol):
 def _variant_relation_residual(cache, pair):
     """Dressed rows equal plain-power rows up to the per-label quantum
     determinant factor, after matching the references through the full
-    transfer product."""
+    transfer product.  A twist that :func:`gram` finds numerically singular
+    makes that product singular too, and raises :class:`DetKZero`."""
     params = cache.params
+    if not params.twist.invertible():
+        raise DetKZero("det K is numerically zero; the transfer product has no inverse")
     full = np.eye(params.dim, dtype=complex)
     for x in params.xi:
         full = full @ cache.t1(x)
@@ -442,7 +446,7 @@ def _twist_independence_residual(ws):
     cache = ws.other_twist_chain()
     pair2 = dressed_pair(cache, xyz)
     cache.clear()  # nothing reads this chain again; the report keeps its counts
-    diag2 = np.diagonal(pair2.left @ pair2.right)
+    diag2 = np.einsum("ij,ji->i", pair2.left, pair2.right)
     return rel_residual(diag2 - report.diag, report.diag, axis=())
 
 

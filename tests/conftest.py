@@ -20,6 +20,14 @@ def make_params(seed, sites, invertible=True, wild_w=False):
     return ModelParams(sites, eta, xi, twist), s.reference3(), s
 
 
+def make_gl2(seed, sites):
+    """A sampled gl(2) chain as ``(cache, ref)``."""
+    s = ParameterSampler(seed)
+    eta = s.shift()
+    xi = s.inhomogeneities(sites, eta)
+    return TransferCache(ModelParams(sites, eta, xi, s.gl2_twist())), s.reference2()
+
+
 def eigenstates(cache, xyz):
     """The chain's probe-point eigenstates, read on its dressed pair."""
     return eigensolve_sov(cache, dressed_pair(cache, xyz), probe_decomposition(cache))

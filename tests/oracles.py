@@ -424,3 +424,36 @@ def mpo_extended(k_matrix, eta, xi, m, lam):
     s_n = s_n.reshape(d, d, bond, bond).astype(np.clongdouble)  # [i, j, u, w]
     out = np.einsum("ijuw,wrcu->irjc", s_n, x)
     return out.reshape(d * x.shape[1], d * x.shape[2])
+
+
+def row_by_row_family(ref, steps, side):
+    """``sov_bases.basis_tree`` as a loop over labels: every member takes its
+    own GEMVs site by site (``steps[a][h_a]``), with no product shared
+    between labels; rows (left) or one C-contiguous matrix of columns
+    (right) in flat order."""
+    members = []
+    for h in label_digits(len(steps), len(steps[0])):
+        member = np.asarray(ref, dtype=complex)
+        for a, d in enumerate(h):
+            for m in steps[a][d]:
+                member = member @ m if side == "left" else m @ member
+        members.append(member)
+    out = np.array(members)
+    return out if side == "left" else np.ascontiguousarray(out.T)
+
+
+def family_extended(ref, steps, side):
+    """The members of ``sov_bases.basis_tree`` with every product in
+    ``np.clongdouble``: level by level, each digit's matrices applied to the
+    whole level, rows (left) or columns (right) in flat order."""
+    level = np.asarray(ref).astype(np.clongdouble)[None, :]
+    for site in steps:
+        blocks = []
+        for mats in site:
+            block = level
+            for m in mats:
+                m = m.astype(np.clongdouble)
+                block = block @ (m if side == "left" else m.T)
+            blocks.append(block)
+        level = np.concatenate(blocks)
+    return level if side == "left" else level.T

@@ -535,6 +535,23 @@ def test_unbuildable_chain_is_reported_per_task():
         assert res["details"]["error"].startswith("DegenerateReference")
 
 
+def test_a_det_k_zero_twist_fails_bases_and_writes_the_report(tmp_path):
+    """A configured twist with det K = 0 makes the transfer product behind
+    the variant relation singular: `bases` fails on DetKZero, and the run
+    still lists every default task and writes its report."""
+    from sovlab.suites import SUITES
+
+    config = tmp_path / "det0.json"
+    config.write_text(json.dumps({"sites": 3, "twist": {"eigenvalues": [1, 2, 0]}}))
+    result = CliRunner().invoke(
+        main, ["verify", "--all", "--config", str(config), "--out", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [r["task"] for r in report["results"]] == list(SUITES)
+    results = {r["task"]: r for r in report["results"]}
+    assert results["bases"]["details"]["error"].startswith("DetKZero")
+
+
 def test_failing_task_sets_exit_code(tmp_path):
     runner = CliRunner()
     result = runner.invoke(

@@ -23,15 +23,8 @@ from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import label_digits
 from sovlab.suites import Workspace
 
+from conftest import make_gl2
 from oracles import coupling_prediction
-
-
-def make_gl2(seed, sites):
-    """A sampled gl(2) chain as ``(cache, ref)``."""
-    s = ParameterSampler(seed)
-    eta = s.shift()
-    xi = s.inhomogeneities(sites, eta)
-    return TransferCache(ModelParams(sites, eta, xi, s.gl2_twist())), s.reference2()
 
 
 @pytest.fixture(scope="module")

@@ -81,7 +81,7 @@ def test_workspace_fields():
                                                             np.eye(dim))
     report = ws.gl3_gram()
     pair2 = dressed_pair(ws.other_twist_chain(), xyz)
-    diag2 = np.diagonal(pair2.left @ pair2.right)
+    diag2 = np.einsum("ij,ji->i", pair2.left, pair2.right)
     want = entry_ratio(diag2 - report.diag, report.diag)
     assert suites._twist_independence_residual(ws) == want
 

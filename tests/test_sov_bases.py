@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import strategies as st
 
 from sovlab import sov_bases
 from sovlab.errors import DegenerateReference, SingularBasis
-from sovlab.gl3_model import ModelParams, TransferCache, TwistData, quantum_determinant
+from sovlab.gl2_model import gl2_bases, reference_states
+from sovlab.gl3_model import (InterpolationWeights, ModelParams, TransferCache, TwistData,
+                              quantum_determinant)
 from sovlab.numkernel import rel_residual
 from sovlab.sampling import ParameterSampler
 from sovlab.sov_bases import (
     SovBasisPair,
+    basis_tree,
     dressed_pair,
     flat_index,
     label_digits,
@@ -21,12 +25,12 @@ from sovlab.sov_bases import (
     reference_vector_closed,
     reference_vector_solve,
     tensor_product_state,
-    transfer_family,
 )
 from sovlab.suites import DEFAULT_TOLERANCES, Workspace, run_bases
 
-from conftest import make_params
-from oracles import all_labels, digit_ones, pair_substitution, with_digit
+from conftest import make_gl2, make_params
+from oracles import (all_labels, digit_ones, family_extended, pair_substitution,
+                     row_by_row_family, with_digit)
 
 
 @settings(max_examples=40, deadline=None)
@@ -72,44 +76,106 @@ def test_label_products_base_two_match_per_label_loop():
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
-def _reference_basis(params, ref, cache, variant, side):
-    """Row-by-row loop over the labels: every member takes its own products
-    site by site, with no sharing between labels."""
-    t1 = [cache.t1(x) for x in params.xi]
+def _gaussian_integers(rng, *shape):
+    return rng.integers(-3, 4, shape) + 1j * rng.integers(-3, 4, shape)
+
+
+def _step_shapes(variant, side, t1, t2):
+    """The per-site step lists of :func:`transfer_family` on the node
+    matrices ``t1[a]`` and ``t2[a]``: T_1 powers, or the dressed digits."""
+    if variant == "powers":
+        return [([], [a], [a, a]) for a in t1]
     if side == "left":
-        t2 = [cache.t2(x - params.eta) for x in params.xi]
-        dressed = {0: t2, 2: t1}
-    else:
-        t2 = [cache.t2(x) for x in params.xi]
-        dressed = {1: t2, 2: t1}
-    out = np.empty((params.dim, params.dim), dtype=complex)
-    for h in all_labels(params.sites):
-        member = ref
-        for a, d in enumerate(h):
-            if variant == "powers":
-                mats = [t1[a]] * d
-            else:
-                mats = [dressed[d][a]] if d in dressed else []
-            for m in mats:
-                member = member @ m if side == "left" else m @ member
-        if side == "left":
-            out[flat_index(h)] = member
-        else:
-            out[:, flat_index(h)] = member
-    return out
+        return [([b], [], [a]) for a, b in zip(t1, t2)]
+    return [([], [b], [a]) for a, b in zip(t1, t2)]
 
 
 @pytest.mark.parametrize("variant", ["dressed", "powers"])
-def test_basis_builders_equal_row_by_row_loop(chain3, variant):
-    params, xyz, cache, pair = chain3
+def test_basis_builders_equal_row_by_row_loop(variant):
+    """On Gaussian-integer references and step matrices (parts in [-3, 3],
+    N = 3) every product is exact in float64 whatever the summation order,
+    so the tree equals the per-label loop bit for bit: label order, digit
+    mapping and side are pinned."""
     rng = np.random.default_rng(5)
-    ref_row = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
-    ref_col = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
-    left = transfer_family(cache, ref_row, variant, "left")
-    right = transfer_family(cache, ref_col, variant, "right")
-    assert np.array_equal(left, _reference_basis(params, ref_row, cache, variant, "left"))
-    assert np.array_equal(right, _reference_basis(params, ref_col, cache, variant, "right"))
-    assert left.flags.c_contiguous and right.flags.c_contiguous
+    dim = 27
+    t1, t2 = _gaussian_integers(rng, 3, dim, dim), _gaussian_integers(rng, 3, dim, dim)
+    for side in ("left", "right"):
+        ref = _gaussian_integers(rng, dim)
+        steps = _step_shapes(variant, side, t1, t2)
+        got = basis_tree(ref, steps, side)
+        assert np.array_equal(got, row_by_row_family(ref, steps, side))
+        assert got.flags.c_contiguous
+
+
+def _member_errors(got, want, side):
+    """Per-member 2-norm error of ``got`` against the extended ``want``,
+    relative to the member's norm."""
+    axis = 1 if side == "left" else 0
+    want = want.astype(complex)
+    return np.linalg.norm(got - want, axis=axis) / np.linalg.norm(want, axis=axis)
+
+
+def test_basis_tree_rounds_no_worse_than_the_row_by_row_loop():
+    """Against the same steps evaluated in extended precision, over N = 2..5
+    on seeds 1 and 7: the dressed and the powers families of
+    :func:`transfer_family` on both sides, and :func:`gl2_bases`.  Over the
+    whole set, the worst and the mean per-member error of the tree are no
+    larger than 1.25 times those of the per-label loop.  The steps are
+    written out here, so a wrong digit mapping in the library fails too."""
+    tree, loop = [], []
+
+    def compare(got, ref, steps, side):
+        want = family_extended(ref, steps, side)
+        tree.extend(_member_errors(got, want, side))
+        loop.extend(_member_errors(row_by_row_family(ref, steps, side), want, side))
+
+    for seed in (1, 7):
+        for sites in range(2, 6):
+            params, xyz, s = make_params(seed, sites)
+            cache = TransferCache(params)
+            t1 = [cache.t1(x) for x in params.xi]
+            t2 = {"left": [cache.t2(x - params.eta) for x in params.xi],
+                  "right": [cache.t2(x) for x in params.xi]}
+            for pair in (dressed_pair(cache, xyz), power_pair(cache, xyz, s.reference3())):
+                compare(pair.left, pair.ref_covector,
+                        _step_shapes(pair.variant, "left", t1, t2["left"]), "left")
+                compare(pair.right, pair.ref_vector,
+                        _step_shapes(pair.variant, "right", t1, t2["right"]), "right")
+            gl2, ref = make_gl2(seed, sites)
+            a_xi = InterpolationWeights(gl2.params).a
+            row0, ones_col, _ = reference_states(gl2, ref)
+            left, right, _ = gl2_bases(gl2, ref)
+            compare(left, row0, [([], [gl2.t1(x) / a_xi(x)]) for x in gl2.params.xi], "left")
+            compare(right, ones_col, [([gl2.t1(x - gl2.params.eta) / a_xi(x)], [])
+                                      for x in gl2.params.xi], "right")
+    assert len(tree) == 2 * 4 * (9 + 27 + 81 + 243) + 2 * 2 * (4 + 8 + 16 + 32)
+    assert max(tree) <= 1.25 * max(loop)
+    assert np.mean(tree) <= 1.25 * np.mean(loop)
+
+
+def test_basis_tree_working_set_is_two_dense_matrices():
+    """One N = 5 family on prebuilt node matrices holds its last level, the
+    level before and one digit's block temporaries, and on the right the
+    columns' contiguous copy: its traced peak stays below 2.5 dim^2
+    entries."""
+    params, xyz, _ = make_params(7, 5)
+    cache = TransferCache(params)
+    t1 = [cache.t1(x) for x in params.xi]
+    t2 = {"left": [cache.t2(x - params.eta) for x in params.xi],
+          "right": [cache.t2(x) for x in params.xi]}
+    refs = {"left": reference_covector(xyz, params), "right": reference_vector_closed(xyz, params)}
+    entry, slack = np.dtype(complex).itemsize, 64 * 1024  # slack: step lists, bookkeeping
+    bound = entry * 2.5 * params.dim**2 + slack
+    for variant in ("dressed", "powers"):
+        for side, ref in refs.items():
+            steps = _step_shapes(variant, side, t1, t2[side])
+            tracemalloc.start()
+            try:
+                basis_tree(ref, steps, side)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
 
 
 def test_ternary_combinatorics():

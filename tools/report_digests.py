@@ -2,9 +2,10 @@
 
 The cases are gl(3) ``verify --all`` at N = 3 and 4 and the gl(2) default
 tasks at N = 2..5, each on seeds 1..13, and gl(3) ``verify --all`` at N = 3
-and 4 on seeds 1..13 with a configured case-ii and a configured case-iii
-twist (one W on the sampler's grid, each K_J a fixed Jordan form; eta, xi and
-the reference come from the seed): 130 runs.  A run's digest is the
+and 4 on seeds 1..13 with three configured twists (one W on the sampler's
+grid, each K_J fixed; eta, xi and the reference come from the seed): a
+case-ii and a case-iii Jordan form, and a simple spectrum with det K = 0,
+the paper's first regime: 156 runs.  A run's digest is the
 SHA-256 of its report as sorted JSON, with the wall-clock ``timings`` block
 and ``config.out`` dropped, so two trees that compute the same bits give the
 same digests.
@@ -36,15 +37,16 @@ from collections import defaultdict
 
 SEEDS = range(1, 14)
 W_GRID = [["1", "1/4", "0"], ["-1/8", "1", "3/8"], ["1/2", "0", "1"]]
-#: configured Jordan twists, named by their case: a 2+1 block and a full 3-block
-JORDAN_TWISTS = {
+#: configured twists: a 2+1 block, a full 3-block, and a simple spectrum with det K = 0
+CONFIGURED_TWISTS = {
     "ii": {"w": W_GRID, "k_jordan": [[[0.8, 0.3], 1, 0], [0, [0.8, 0.3], 0], [0, 0, [-0.9, 0.5]]]},
     "iii": {"w": W_GRID, "k_jordan": [[[0.7, -0.4], 1, 0], [0, [0.7, -0.4], 1], [0, 0, [0.7, -0.4]]]},
+    "det0": {"w": W_GRID, "k_jordan": [[[0.8, 0.3], 0, 0], [0, [-0.9, 0.5], 0], [0, 0, 0]]},
 }
 #: (case-name prefix, algebra, sites, configured twist or None for the sampled one)
 CASES = ([("gl3", "gl3", n, None) for n in (3, 4)]
          + [("gl2", "gl2", n, None) for n in (2, 3, 4, 5)]
-         + [(f"gl3{case}", "gl3", n, twist) for case, twist in JORDAN_TWISTS.items()
+         + [(f"gl3{case}", "gl3", n, twist) for case, twist in CONFIGURED_TWISTS.items()
             for n in (3, 4)])
 
 
